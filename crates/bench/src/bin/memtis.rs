@@ -597,8 +597,8 @@ fn main() {
                 );
                 println!("  hist underflows   : {}", r.hist_underflows);
             }
-            let thpt: Vec<f64> = r.timeline.iter().map(|s| s.window_throughput).collect();
-            let fhr: Vec<f64> = r.timeline.iter().map(|s| s.window_fast_hit_ratio).collect();
+            let thpt: Vec<f64> = r.windows.iter().map(|w| w.window_throughput).collect();
+            let fhr: Vec<f64> = r.windows.iter().map(|w| w.fast_hit_ratio).collect();
             if !thpt.is_empty() {
                 println!(
                     "  throughput  (t →) : {}",

@@ -136,7 +136,6 @@ pub fn driver_config_with_window(window_events: u64) -> DriverConfig {
         shards: None,
         heartbeat_events: None,
         pool_workers: None,
-        shard_scoped: false,
     }
 }
 

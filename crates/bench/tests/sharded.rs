@@ -10,19 +10,18 @@
 //! window series must render byte-for-byte identically.
 //!
 //! The oracle is `--shards 1` at the *same* chunk, not `shards: None`: the
-//! sharded pipeline hoists tick/snapshot boundaries to burst granularity
+//! sharded pipeline hoists tick/stretch boundaries to burst granularity
 //! (a documented semantic deviation, see DESIGN.md §12), so its results
 //! are compared shard-count-to-shard-count, where determinism is the claim.
 //! Faulted and bandwidth-capped cases route through the serial fallback
 //! gate, so they double as a regression check that the gate itself is
 //! shard-count-invariant.
 //!
-//! Each case additionally samples an *execution mode* for the sharded run —
-//! the persistent worker pool at its auto-sized worker count, the pool with
-//! forced worker threads (real parallelism even on a single-core host), or
-//! the legacy per-burst scoped spawn — while the oracle always runs the
-//! default pool path. Byte-identity across that matrix pins pool-vs-scoped
-//! and pooled-vs-serial equivalence per chunk x policy x fault plan.
+//! Each case additionally samples the sharded run's worker pool size — the
+//! auto-sized count, or forced worker threads (real cross-thread handoff
+//! even on a single-core host) — while the oracle always runs the auto-sized
+//! pool. Byte-identity across that matrix pins pooled-vs-serial equivalence
+//! per chunk x policy x fault plan.
 
 use memtis_bench::{machine_for, run_cell_traced, CapacityKind, Ratio, System, SEED};
 use memtis_sim::obs::export_jsonl;
@@ -47,20 +46,6 @@ fn signature(mut report: RunReport) -> String {
     format!("{report:?}")
 }
 
-/// How the sharded run executes its lane phase.
-#[derive(Clone, Copy, Debug)]
-enum ExecMode {
-    /// Persistent worker pool, auto-sized worker count (the default).
-    PoolAuto,
-    /// Persistent worker pool with forced worker threads, so real
-    /// cross-thread handoff happens even on a single-core host.
-    PoolForced,
-    /// Legacy per-burst scoped spawn.
-    Scoped,
-}
-
-const EXEC_MODES: [ExecMode; 3] = [ExecMode::PoolAuto, ExecMode::PoolForced, ExecMode::Scoped];
-
 #[allow(clippy::too_many_arguments)]
 fn run_with_shards(
     bench: Benchmark,
@@ -72,25 +57,19 @@ fn run_with_shards(
     seed: u64,
     faults: Option<&str>,
     migration_bw: Option<f64>,
-    mode: ExecMode,
+    force_workers: bool,
 ) -> (String, String, String) {
     let ratio = Ratio {
         fast: 1,
         capacity: 8,
     };
     let machine = machine_for(bench, Scale::TEST, ratio, CapacityKind::Nvm);
-    let (pool_workers, shard_scoped) = match mode {
-        ExecMode::PoolAuto => (None, false),
-        ExecMode::PoolForced => (Some(shards.min(3)), false),
-        ExecMode::Scoped => (None, true),
-    };
     let mut driver = DriverConfig {
         window_events: window,
         chunk,
         shards: Some(shards),
         migration_bw,
-        pool_workers,
-        shard_scoped,
+        pool_workers: force_workers.then_some(shards.min(3)),
         ..memtis_bench::driver_config()
     };
     driver.faults = faults.map(|s| {
@@ -125,23 +104,22 @@ proptest! {
         with_faults in proptest::bool::ANY,
         fault_seed in 1u64..100,
         with_bw in proptest::bool::ANY,
-        mode_idx in 0usize..EXEC_MODES.len(),
+        force_workers in proptest::bool::ANY,
     ) {
         let bench = BENCHES[bench_idx];
         let sys = SYSTEMS[sys_idx];
         let chunk = CHUNKS[chunk_idx];
-        let mode = EXEC_MODES[mode_idx];
         let seed = SEED ^ seed_salt;
         let spec = format!("seed={fault_seed},abort=0.05,dirty=0.1,drop=0.05,outage=60000:20000");
         let faults = with_faults.then_some(spec.as_str());
         let migration_bw = with_bw.then_some(0.5);
 
         let (serial_report, serial_trace, serial_windows) = run_with_shards(
-            bench, sys, 1, chunk, accesses, window, seed, faults, migration_bw,
-            ExecMode::PoolAuto,
+            bench, sys, 1, chunk, accesses, window, seed, faults, migration_bw, false,
         );
         let (sharded_report, sharded_trace, sharded_windows) = run_with_shards(
-            bench, sys, shards, chunk, accesses, window, seed, faults, migration_bw, mode,
+            bench, sys, shards, chunk, accesses, window, seed, faults, migration_bw,
+            force_workers,
         );
 
         prop_assert_eq!(serial_report, sharded_report);

@@ -556,7 +556,9 @@ impl FlightRecorder {
     /// Inverse of [`Self::snap_save`].
     pub fn snap_load(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
         let mut out = FlightRecorder::new();
-        let tiers = r.u32()? as usize;
+        // Two histograms per tier, each at least a bucket count plus the
+        // count and sum words.
+        let tiers = r.count(2 * (4 + 8 + 8))?;
         out.demand.reserve(tiers);
         for _ in 0..tiers {
             let base = LatHist::snap_load(r)?;

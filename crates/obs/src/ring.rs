@@ -105,7 +105,8 @@ impl EventRing {
         use crate::snap::SnapError;
         let cap = r.usize()?;
         let pushed = r.u64()?;
-        let len = r.u32()? as usize;
+        // Every event is at least a timestamp and a kind tag.
+        let len = r.count(8 + 1)?;
         if cap == 0 || len > cap || (pushed as usize) < len {
             return Err(SnapError::Corrupt("event ring shape"));
         }

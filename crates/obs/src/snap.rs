@@ -32,7 +32,11 @@ pub const SNAP_MAGIC: [u8; 8] = *b"MEMTISSN";
 /// v2: transfers carry the per-pass waste-idempotence flag, the machine
 /// serializes an engine-modes section (admission / shadow / hysteresis
 /// state), and migration stats gained the mode counters.
-pub const SNAP_VERSION: u32 = 2;
+///
+/// v3: the driver's simulated-time timeline section is gone (windows are
+/// the only time series) and its window-state record shrank to the
+/// daemon-contention stretch cursors.
+pub const SNAP_VERSION: u32 = 3;
 
 /// Errors surfaced while decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -261,6 +265,18 @@ impl<'a> SnapReader<'a> {
         }
     }
 
+    /// Reads a `u32` element count for a collection whose elements each
+    /// take at least `min_elem_bytes` on the wire. A count the remaining
+    /// bytes cannot hold is `Corrupt`, so a decoded length never sizes an
+    /// allocation beyond what the input could fill.
+    pub fn count(&mut self, min_elem_bytes: usize) -> Result<usize, SnapError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_elem_bytes) > self.remaining() {
+            return Err(SnapError::Corrupt("element count exceeds input"));
+        }
+        Ok(n)
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, SnapError> {
         let len = self.u32()? as usize;
@@ -353,6 +369,29 @@ mod tests {
         let bytes = w.finish();
         let mut r = SnapReader::new(&bytes[..5]);
         assert_eq!(r.u64().unwrap_err(), SnapError::Truncated);
+    }
+
+    #[test]
+    fn counts_beyond_the_input_are_corrupt() {
+        let mut w = SnapWriter::new();
+        w.u32(2);
+        w.u64(1);
+        w.u64(2);
+        w.u32(3);
+        w.u64(1);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(r.count(8).unwrap(), 2);
+        r.u64().unwrap();
+        r.u64().unwrap();
+        assert_eq!(
+            r.count(8).unwrap_err(),
+            SnapError::Corrupt("element count exceeds input")
+        );
+        let mut r = SnapReader::new(&[0xFF, 0xFF, 0xFF, 0xFF]);
+        assert!(r.count(usize::MAX).is_err());
+        let mut r = SnapReader::new(&[0, 0, 0, 0]);
+        assert_eq!(r.count(usize::MAX).unwrap(), 0);
     }
 
     #[test]

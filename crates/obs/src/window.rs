@@ -66,6 +66,10 @@ pub struct WindowSample {
 }
 
 impl WindowSample {
+    /// Smallest encoding [`Self::snap_save`] can produce: eleven 8-byte
+    /// scalars plus three empty `u32`-prefixed lists.
+    const MIN_SNAP_BYTES: usize = 11 * 8 + 3 * 4;
+
     /// Looks up a policy gauge by name.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges
@@ -112,7 +116,7 @@ impl WindowSample {
         let window_accesses = r.u64()?;
         let window_throughput = r.f64()?;
         let fast_hit_ratio = r.f64()?;
-        let n = r.u32()? as usize;
+        let n = r.count(8)?;
         let mut tier_hit_ratios = Vec::with_capacity(n);
         for _ in 0..n {
             tier_hit_ratios.push(r.f64()?);
@@ -121,12 +125,13 @@ impl WindowSample {
         let ehr = r.f64()?;
         let migrated_bytes = r.u64()?;
         let migration_bw = r.f64()?;
-        let n = r.u32()? as usize;
+        let n = r.count(8)?;
         let mut hist_bins = Vec::with_capacity(n);
         for _ in 0..n {
             hist_bins.push(r.u64()?);
         }
-        let n = r.u32()? as usize;
+        // Name length prefix plus value.
+        let n = r.count(4 + 8)?;
         let mut gauges = Vec::with_capacity(n);
         for _ in 0..n {
             let name = r.static_str()?;
@@ -239,7 +244,7 @@ impl WindowCollector {
         if every == 0 {
             return Err(crate::snap::SnapError::Corrupt("window length zero"));
         }
-        let n = r.u32()? as usize;
+        let n = r.count(WindowSample::MIN_SNAP_BYTES)?;
         let mut samples = Vec::with_capacity(n);
         for _ in 0..n {
             samples.push(WindowSample::snap_load(r)?);
@@ -247,7 +252,7 @@ impl WindowCollector {
         let last_events = r.u64()?;
         let last_wall = r.f64()?;
         let last_accesses = r.u64()?;
-        let n = r.u32()? as usize;
+        let n = r.count(8)?;
         let mut last_tier_hits = Vec::with_capacity(n);
         for _ in 0..n {
             last_tier_hits.push(r.u64()?);
@@ -401,6 +406,19 @@ mod tests {
         let a = c.close(cut(200, 3e6, 190, &hits2, 12_288)).clone();
         let b = back.close(cut(200, 3e6, 190, &hits2, 12_288)).clone();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn inflated_sample_count_is_corrupt_not_an_abort() {
+        // `every = 1`, then a sample count of u32::MAX with no samples.
+        let mut bytes = 1u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(bytes.len(), 12);
+        let mut r = crate::snap::SnapReader::new(&bytes);
+        assert!(matches!(
+            WindowCollector::snap_load(&mut r),
+            Err(crate::snap::SnapError::Corrupt(_))
+        ));
     }
 
     #[test]

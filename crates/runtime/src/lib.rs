@@ -18,16 +18,14 @@
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use memtis_core::{MemtisConfig, MemtisPolicy};
 use memtis_sim::engine::EngineEvent;
-use memtis_sim::error::SimError;
 use memtis_sim::faults::{
     FaultInjector, FaultPlan, SampleFate, TickFate, DRIVER_FAULT_SALT, RUNTIME_TICK_FAULT_SALT,
 };
 use memtis_sim::obs::{Profiler, SnapError, SnapReader, SnapWriter, SpanId, SpanStat};
 use memtis_sim::prelude::{
-    Access, AccessOutcome, AccessRecord, CostAccounting, CostSink, FaultCounters, Machine,
-    MachineConfig, PolicyOps, RecordFilter, SimResult, TierId, TieringPolicy,
+    Access, AccessOutcome, CostAccounting, CostSink, FaultCounters, Machine, MachineConfig,
+    PolicyOps, SimResult, TierId, TieringPolicy,
 };
-use memtis_sim::shard::{BurstExecutor, WorkerPool};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -62,14 +60,6 @@ pub struct RuntimeStats {
     pub fault_ticks_delayed: AtomicU64,
 }
 
-/// Sharded-burst state of a runtime: the executor (owning the persistent
-/// worker pool) plus a reusable record buffer, so steady-state bursts
-/// allocate nothing.
-struct BurstState {
-    ex: BurstExecutor,
-    records: Vec<AccessRecord>,
-}
-
 /// Handle to a running tiered-memory runtime.
 pub struct Runtime {
     machine: Arc<Mutex<Machine>>,
@@ -77,7 +67,6 @@ pub struct Runtime {
     sample_tx: Sender<SampleMsg>,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
-    burst: Mutex<Option<BurstState>>,
     /// Shared counters.
     pub stats: Arc<RuntimeStats>,
     /// Phase self-profiler shared with both daemon threads: `ksampled`
@@ -265,105 +254,9 @@ impl Runtime {
             sample_tx: tx,
             shutdown,
             threads,
-            burst: Mutex::new(None),
             stats,
             profiler,
         }
-    }
-
-    /// Turns on sharded burst execution for the application path: after
-    /// this, [`Runtime::access_burst`] partitions each batch across
-    /// address-space lanes and runs it on a persistent worker pool (adopt
-    /// one via `pool` — e.g. from [`Runtime::detach_shard_pool`] on a
-    /// retiring runtime — or pass `None` to spawn
-    /// [`memtis_sim::shard::auto_workers`]-many threads).
-    ///
-    /// Rejected (`SimError::Internal`) when the machine's migration config
-    /// uses a bandwidth-capped link or shadow copies: those paths interleave
-    /// per-access engine state the lane executors don't model. Unlike the
-    /// simulation driver the runtime makes no determinism claims — real
-    /// threads already make sample timing nondeterministic — so lanes may
-    /// be enabled mid-run (TLB/LLC geometry switches to lane-local from the
-    /// next access on).
-    pub fn enable_sharded_bursts(&self, shards: usize, pool: Option<WorkerPool>) -> SimResult<()> {
-        let mut m = self.machine.lock();
-        if m.config().migration.bandwidth_limit.is_some() {
-            return Err(SimError::Internal(
-                "sharded bursts need an uncapped migration link",
-            ));
-        }
-        if m.config().migration.shadow {
-            return Err(SimError::Internal(
-                "sharded bursts are incompatible with shadow-copy migration",
-            ));
-        }
-        m.enable_lanes();
-        let shards = shards.max(1);
-        let ex = match pool {
-            Some(pool) => BurstExecutor::from_pool(pool, shards),
-            None => BurstExecutor::new(shards, memtis_sim::shard::auto_workers(shards)),
-        };
-        *self.burst.lock() = Some(BurstState {
-            ex,
-            records: Vec::new(),
-        });
-        Ok(())
-    }
-
-    /// Executes a batch of accesses through the sharded burst pipeline
-    /// (requires [`Runtime::enable_sharded_bursts`]). Machine stats advance
-    /// exactly as the serial [`Runtime::access`] loop would; qualifying
-    /// samples (stores and LLC misses, the PEBS condition) are forwarded to
-    /// `ksampled` in stream order with the same non-blocking drop-on-full
-    /// semantics. Returns the number of accesses executed.
-    pub fn access_burst(&self, accesses: &[Access]) -> SimResult<u64> {
-        if accesses.is_empty() {
-            return Ok(0);
-        }
-        let mut burst = self.burst.lock();
-        let st = burst
-            .as_mut()
-            .ok_or(SimError::Internal("sharded bursts not enabled"))?;
-        // Hardware buffers only qualifying events; mirror `access`'s
-        // `is_store() || llc_miss` forwarding condition as a record filter.
-        let filter = RecordFilter {
-            llc_hit_loads: false,
-            ..RecordFilter::ALL
-        };
-        {
-            let mut m = self.machine.lock();
-            st.ex.run(&mut m, accesses, filter, 0.0, &mut st.records)?;
-        }
-        self.stats
-            .accesses
-            .fetch_add(accesses.len() as u64, Ordering::Relaxed);
-        for r in st.records.drain(..) {
-            match self.sample_tx.try_send(SampleMsg {
-                access: r.access,
-                outcome: r.outcome,
-            }) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => {
-                    self.stats.samples_dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(TrySendError::Disconnected(_)) => {}
-            }
-        }
-        Ok(accesses.len() as u64)
-    }
-
-    /// Detaches the burst executor's worker pool for reuse by a successor
-    /// runtime (warm restart without thread churn). Burst execution is
-    /// disabled afterwards until re-enabled; `None` when it wasn't on.
-    pub fn detach_shard_pool(&self) -> Option<WorkerPool> {
-        self.burst.lock().take().map(|st| st.ex.into_pool())
-    }
-
-    /// Opaque identity of the burst pool (see
-    /// [`WorkerPool::debug_id`]), or `None` when bursts are off. Lets
-    /// tests assert a warm restart adopted the pool rather than respawning.
-    pub fn shard_pool_id(&self) -> Option<usize> {
-        self.burst.lock().as_ref().map(|st| st.ex.pool_id())
     }
 
     /// Snapshot of the daemon phase-attribution table (calls and host ns
@@ -510,27 +403,6 @@ impl Runtime {
         state: &[u8],
     ) -> Result<Self, SnapError> {
         let rt = Runtime::start(machine_cfg, memtis_cfg, wakeup);
-        rt.load_state(state)?;
-        Ok(rt)
-    }
-
-    /// Warm start for a sharded-burst runtime: like [`Runtime::start_warm`],
-    /// but enables sharded bursts *before* restoring, because a snapshot
-    /// saved by a lanes-enabled machine only restores into one (the machine
-    /// serializes its lane array, and presence must match). Pass the
-    /// predecessor's pool (from [`Runtime::detach_shard_pool`]) to skip
-    /// worker respawn, or `None` to build a fresh pool.
-    pub fn start_warm_sharded(
-        machine_cfg: MachineConfig,
-        memtis_cfg: MemtisConfig,
-        wakeup: Duration,
-        state: &[u8],
-        shards: usize,
-        pool: Option<WorkerPool>,
-    ) -> Result<Self, SnapError> {
-        let rt = Runtime::start(machine_cfg, memtis_cfg, wakeup);
-        rt.enable_sharded_bursts(shards, pool)
-            .map_err(|_| SnapError::Corrupt("machine config incompatible with sharded bursts"))?;
         rt.load_state(state)?;
         Ok(rt)
     }
@@ -801,114 +673,6 @@ mod tests {
             Err(e) => panic!("expected ConfigMismatch, got {e:?}"),
             Ok(_) => panic!("expected ConfigMismatch, got a running runtime"),
         }
-    }
-
-    /// The sharded burst path leaves the machine in exactly the state a
-    /// serial `access` loop produces (both runtimes lanes-enabled, so the
-    /// cache geometry matches), and forwards exactly the qualifying
-    /// samples.
-    #[test]
-    fn burst_path_matches_serial_access_loop() {
-        let (mc, pc) = small_cfg();
-        let accesses: Vec<Access> = (0..20_000u64)
-            .map(|i| {
-                let addr = (i * 37 % 512) * 4096;
-                if i.is_multiple_of(5) {
-                    Access::store(addr)
-                } else {
-                    Access::load(addr)
-                }
-            })
-            .collect();
-        // Idle daemons (huge wakeup) so only the app path mutates state.
-        let serial = Runtime::start(mc.clone(), pc.clone(), Duration::from_secs(3600));
-        serial.enable_sharded_bursts(4, None).unwrap();
-        serial.alloc_region(0, HUGE_PAGE_SIZE, true).unwrap();
-        for &a in &accesses {
-            serial.access(a).unwrap();
-        }
-        let burst = Runtime::start(mc, pc, Duration::from_secs(3600));
-        // Force real worker threads even on small hosts.
-        burst
-            .enable_sharded_bursts(4, Some(WorkerPool::new(2)))
-            .unwrap();
-        burst.alloc_region(0, HUGE_PAGE_SIZE, true).unwrap();
-        let mut done = 0u64;
-        for chunk in accesses.chunks(1024) {
-            done += burst.access_burst(chunk).unwrap();
-        }
-        assert_eq!(done, accesses.len() as u64);
-        assert_eq!(
-            format!("{:?}", burst.machine_stats()),
-            format!("{:?}", serial.machine_stats())
-        );
-        assert_eq!(
-            burst.stats.accesses.load(Ordering::Relaxed),
-            serial.stats.accesses.load(Ordering::Relaxed)
-        );
-        // `shutdown` joins ksampled only after the channel drains, so
-        // delivered+dropped is exact afterwards: it must equal the serial
-        // forwarding set (the split between the two is timing-dependent).
-        let bs = burst.shutdown();
-        let ss = serial.shutdown();
-        let count = |s: &RuntimeStats| {
-            s.samples_delivered.load(Ordering::Relaxed) + s.samples_dropped.load(Ordering::Relaxed)
-        };
-        assert!(count(&bs) > 0);
-        assert_eq!(count(&bs), count(&ss));
-    }
-
-    /// Pool lifecycle across a warm restart: the predecessor's worker pool
-    /// is detached and adopted by the successor (same identity, no thread
-    /// churn), the restored state round-trips, and shutting the final
-    /// executor down joins every worker.
-    #[test]
-    fn warm_restart_adopts_worker_pool() {
-        let (mc, pc) = small_cfg();
-        let rt = Runtime::start(mc.clone(), pc.clone(), Duration::from_secs(3600));
-        rt.enable_sharded_bursts(4, Some(WorkerPool::new(2)))
-            .unwrap();
-        let id = rt.shard_pool_id().expect("bursts enabled");
-        rt.alloc_region(0, HUGE_PAGE_SIZE, true).unwrap();
-        let accesses: Vec<Access> = (0..4_096u64)
-            .map(|i| Access::store((i % 512) * 4096))
-            .collect();
-        rt.access_burst(&accesses).unwrap();
-        let pool = rt.detach_shard_pool().expect("pool attached");
-        assert_eq!(pool.debug_id(), id);
-        assert!(rt.shard_pool_id().is_none(), "detach disables bursts");
-        let (_stats, state) = rt.shutdown_with_state();
-
-        // The snapshot was taken lanes-enabled, so a cold warm-start (no
-        // lanes) must refuse it rather than misrestore.
-        assert!(
-            Runtime::start_warm(mc.clone(), pc.clone(), Duration::from_secs(3600), &state).is_err(),
-            "lane presence must be part of the restore contract"
-        );
-        let rt2 =
-            Runtime::start_warm_sharded(mc, pc, Duration::from_secs(3600), &state, 4, Some(pool))
-                .expect("warm start with adopted pool");
-        assert_eq!(rt2.shard_pool_id(), Some(id), "pool survived the restart");
-        assert_eq!(rt2.save_state(), state, "restore→save must be identity");
-        rt2.access_burst(&accesses).unwrap();
-        let pool = rt2.detach_shard_pool().unwrap();
-        assert_eq!(pool.shutdown(), 2, "shutdown joins every worker");
-        rt2.shutdown();
-    }
-
-    /// The burst gate: engine configurations the lane executors can't model
-    /// are rejected up front, and bursts without enablement error cleanly.
-    #[test]
-    fn burst_gates_reject_incompatible_configs() {
-        let (mut mc, pc) = small_cfg();
-        let rt = Runtime::start(mc.clone(), pc.clone(), Duration::from_secs(3600));
-        assert!(rt.access_burst(&[Access::load(0)]).is_err());
-        assert_eq!(rt.access_burst(&[]).unwrap(), 0);
-        rt.shutdown();
-        mc.migration.bandwidth_limit = Some(16.0);
-        let rt = Runtime::start(mc, pc, Duration::from_secs(3600));
-        assert!(rt.enable_sharded_bursts(4, None).is_err());
-        rt.shutdown();
     }
 
     /// Fault plans drive the real-thread daemons too: machine-level faults

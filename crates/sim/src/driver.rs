@@ -8,8 +8,8 @@
 //! app_threads` per access (perfect thread overlap). Policy work is charged
 //! to one of two sinks (see [`crate::policy::CostSink`]): application-side
 //! costs (fault handlers, allocation-path migration) stretch wall time
-//! directly, while daemon costs consume cores. At each timeline window the
-//! driver converts daemon CPU into an application slowdown only when the
+//! directly, while daemon costs consume cores. At each daemon-contention
+//! window the driver converts daemon CPU into an application slowdown only when the
 //! application threads plus daemon threads oversubscribe the cores — this
 //! reproduces the paper's observation that HeMem's sampling thread hurts at
 //! 20 app threads but not at 16 (§6.2.9).
@@ -125,7 +125,10 @@ pub struct DriverConfig {
     pub thp_enabled: bool,
     /// Background tick period in simulated ns (kmigrated-style wakeups).
     pub tick_interval_ns: f64,
-    /// Timeline snapshot period in simulated ns.
+    /// Daemon-contention window length in simulated ns. Every this-many ns
+    /// the driver measures the daemons' CPU use over the elapsed window and
+    /// stretches the wall clock by the cores they stole from the
+    /// application (see `Simulation::close_window`).
     pub timeline_interval_ns: f64,
     /// Stop after this many accesses even if the stream continues.
     pub max_accesses: Option<u64>,
@@ -177,11 +180,6 @@ pub struct DriverConfig {
     /// coordinator. Host-side knob only: reports are byte-identical for
     /// every value (excluded from the snapshot fingerprint).
     pub pool_workers: Option<usize>,
-    /// Use the legacy per-burst scoped-spawn execution path instead of the
-    /// persistent pool. Kept as the simplest oracle for the pool's handoff
-    /// protocol; produces byte-identical output (excluded from the snapshot
-    /// fingerprint).
-    pub shard_scoped: bool,
 }
 
 impl Default for DriverConfig {
@@ -202,28 +200,8 @@ impl Default for DriverConfig {
             shards: None,
             heartbeat_events: None,
             pool_workers: None,
-            shard_scoped: false,
         }
     }
-}
-
-/// Periodic snapshot of run state (Fig. 9 / Fig. 11 timelines).
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    /// Wall-clock time of the snapshot (ns).
-    pub wall_ns: f64,
-    /// Cumulative accesses executed.
-    pub accesses: u64,
-    /// Accesses per wall-clock second within the window.
-    pub window_throughput: f64,
-    /// Fast-tier hit ratio (LLC-missing accesses) within the window.
-    pub window_fast_hit_ratio: f64,
-    /// Application RSS at snapshot time (bytes).
-    pub rss_bytes: u64,
-    /// Fast-tier bytes in use.
-    pub fast_used_bytes: u64,
-    /// Policy-specific metrics.
-    pub policy: Vec<(&'static str, f64)>,
 }
 
 /// Result of one simulation run.
@@ -253,8 +231,6 @@ pub struct RunReport {
     pub rss_peak_bytes: u64,
     /// Final application RSS (bytes).
     pub rss_final_bytes: u64,
-    /// Timeline snapshots.
-    pub timeline: Vec<Snapshot>,
     /// Telemetry windows (every [`DriverConfig::window_events`] events),
     /// produced by the shared [`WindowCollector`] regardless of observer.
     pub windows: Vec<WindowSample>,
@@ -311,12 +287,11 @@ impl RunReport {
     }
 }
 
+/// Start of the current daemon-contention window (see
+/// `Simulation::close_window`).
 struct WindowState {
     start_wall: f64,
-    start_accesses: u64,
     start_daemon_ns: f64,
-    start_fast_hits: u64,
-    start_total_hits: u64,
 }
 
 /// Per-run sharded-execution state: the lane scratch pool plus cumulative
@@ -326,9 +301,8 @@ struct WindowState {
 struct ShardRun {
     /// Lane-group count per burst (parallelism grain of the partition).
     shards: usize,
-    /// The persistent worker pool bursts are dispatched through. `None`
-    /// selects the legacy scoped-spawn path (`DriverConfig::shard_scoped`).
-    pool: Option<WorkerPool>,
+    /// The persistent worker pool bursts are dispatched through.
+    pool: WorkerPool,
     /// One scratch buffer per lane, reused across bursts.
     lanes: Vec<LaneScratch>,
     /// Tournament-merge heap, reused across bursts (zero steady-state
@@ -361,8 +335,8 @@ pub struct ShardMetrics {
     /// Accesses that spilled from a stopped lane to the serial path.
     pub spills: u64,
     /// Host ns the coordinator spent inside the parallel worker phase,
-    /// summed over bursts. On a saturated (or single-core) host the scoped
-    /// workers serialize, so this is the total lane work plus spawn
+    /// summed over bursts. On a saturated (or single-core) host the pool
+    /// workers serialize, so this is the total lane work plus handoff
     /// overhead; per-worker clocks would mostly measure scheduler wait.
     pub busy_ns: u64,
     /// Accesses executed through the lane phase (spills excluded).
@@ -404,9 +378,8 @@ pub struct Simulation<P: TieringPolicy, O: Observer = NopObserver> {
     accesses: u64,
     sim_events: u64,
     next_tick: f64,
-    next_snapshot: f64,
+    next_stretch: f64,
     rss_peak: u64,
-    timeline: Vec<Snapshot>,
     window: WindowState,
     wcol: WindowCollector,
     /// Driver-level fault injector (sample drop/dup, tick skip/delay).
@@ -572,17 +545,12 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             Some(s) if cfg.chunk > 1 => {
                 machine.enable_lanes();
                 let shards = s.max(1);
-                let pool = if cfg.shard_scoped {
-                    None
-                } else {
-                    let workers = cfg
-                        .pool_workers
-                        .unwrap_or_else(|| shard::auto_workers(shards));
-                    Some(WorkerPool::new(workers))
-                };
+                let workers = cfg
+                    .pool_workers
+                    .unwrap_or_else(|| shard::auto_workers(shards));
                 Some(ShardRun {
                     shards,
-                    pool,
+                    pool: WorkerPool::new(workers),
                     lanes: (0..NUM_LANES).map(|_| LaneScratch::default()).collect(),
                     heap: BinaryHeap::new(),
                     bursts: 0,
@@ -598,7 +566,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             machine.attach_flight();
         }
         let next_tick = cfg.tick_interval_ns;
-        let next_snapshot = cfg.timeline_interval_ns;
+        let next_stretch = cfg.timeline_interval_ns;
         let wcol = WindowCollector::new(cfg.window_events);
         let hb_every = cfg.heartbeat_events.unwrap_or(u64::MAX).max(1);
         Simulation {
@@ -612,15 +580,11 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             accesses: 0,
             sim_events: 0,
             next_tick,
-            next_snapshot,
+            next_stretch,
             rss_peak: 0,
-            timeline: Vec::new(),
             window: WindowState {
                 start_wall: 0.0,
-                start_accesses: 0,
                 start_daemon_ns: 0.0,
-                start_fast_hits: 0,
-                start_total_hits: 0,
             },
             wcol,
             drv_faults,
@@ -1047,13 +1011,16 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         }
     }
 
+    /// Closes the daemon-contention window: daemons steal cores from the
+    /// application when the machine is oversubscribed, so the window's wall
+    /// time stretches by the share of cores they used. Windows are
+    /// [`DriverConfig::timeline_interval_ns`] long, plus a final partial one
+    /// at the end of the run.
     fn close_window(&mut self) {
         let wdur = self.wall_ns - self.window.start_wall;
         if wdur <= 0.0 {
             return;
         }
-        // Daemon CPU contention: daemons steal cores from the app only when
-        // the machine is oversubscribed.
         let cores = self.machine.config().cores as f64;
         let threads = self.threads();
         let wdaemon = self.acct.daemon_ns - self.window.start_daemon_ns;
@@ -1066,34 +1033,9 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         let speed = (available.min(threads)) / threads;
         let stretch = wdur * (1.0 / speed - 1.0);
         self.wall_ns += stretch;
-
-        let accesses = self.accesses - self.window.start_accesses;
-        let fast_hits = self.machine.stats.tier_hits.first().copied().unwrap_or(0);
-        let total_hits: u64 = self.machine.stats.tier_hits.iter().sum();
-        let wfast = fast_hits - self.window.start_fast_hits;
-        let wtotal = total_hits - self.window.start_total_hits;
-        let mut policy_metrics = Vec::new();
-        self.policy.timeline(&mut policy_metrics);
-        let wall_total = self.wall_ns;
-        self.timeline.push(Snapshot {
-            wall_ns: wall_total,
-            accesses: self.accesses,
-            window_throughput: accesses as f64 / ((wdur + stretch) * 1e-9),
-            window_fast_hit_ratio: if wtotal == 0 {
-                0.0
-            } else {
-                wfast as f64 / wtotal as f64
-            },
-            rss_bytes: self.machine.rss_bytes(),
-            fast_used_bytes: self.machine.used_bytes(TierId::FAST),
-            policy: policy_metrics,
-        });
         self.window = WindowState {
             start_wall: self.wall_ns,
-            start_accesses: self.accesses,
             start_daemon_ns: self.acct.daemon_ns,
-            start_fast_hits: fast_hits,
-            start_total_hits: total_hits,
         };
     }
 
@@ -1160,7 +1102,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     }
 
     /// The boundary checks the main loop runs after every event: due ticks,
-    /// timeline snapshots, telemetry-window cuts, the access budget, the
+    /// daemon-contention stretches, telemetry-window cuts, the access budget, the
     /// RSS peak, and the pause target. Returns `true` when `max_accesses`
     /// or [`Simulation::run_until`]'s pause target is reached (budget
     /// completion wins over a pause landing on the same boundary). The
@@ -1170,9 +1112,9 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         if self.wall_ns >= self.next_tick {
             self.run_due_ticks();
         }
-        if self.wall_ns >= self.next_snapshot {
+        if self.wall_ns >= self.next_stretch {
             self.close_window();
-            self.next_snapshot = self.wall_ns + self.cfg.timeline_interval_ns;
+            self.next_stretch = self.wall_ns + self.cfg.timeline_interval_ns;
         }
         if self.wcol.due(self.sim_events) {
             self.cut_telemetry_window();
@@ -1242,7 +1184,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     ///    policy declaring [`TieringPolicy::batch_safe`]. Anything else
     ///    funnels through [`Simulation::step_event`] unchanged.
     /// 2. A burst is sized so no boundary check could fire between two of
-    ///    its accesses: the clock stops at the next tick/snapshot boundary,
+    ///    its accesses: the clock stops at the next tick/stretch boundary,
     ///    and the length is capped by the window collector's
     ///    remaining-event budget and the remaining access budget. The
     ///    checks then run once after the burst — the first point the
@@ -1327,7 +1269,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                     wall_ns: self.wall_ns,
                     app_access_ns: self.app_access_ns,
                     threads: self.threads(),
-                    stop_wall_ns: self.next_tick.min(self.next_snapshot),
+                    stop_wall_ns: self.next_tick.min(self.next_stretch),
                 };
                 records.clear();
                 let (consumed, stop) = {
@@ -1416,8 +1358,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
 
     /// Executes one sharded burst: the Access-only prefix of `events` runs
     /// through the lane executors — dispatched to the persistent
-    /// [`WorkerPool`] (or [`shard::run_burst`]'s scoped spawns under
-    /// `shard_scoped`) — then the coordinator commits the results
+    /// [`WorkerPool`] — then the coordinator commits the results
     /// deterministically. Returns `(events consumed, stop)`.
     ///
     /// Determinism across shard counts rests on the lanes being pure
@@ -1481,20 +1422,13 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         let phase_start = std::time::Instant::now();
         let timing = {
             let _span = Self::span(&self.obs, SpanId::ShardBarrier);
-            match &sh.pool {
-                Some(pool) => {
-                    Some(pool.run_burst(&mut self.machine, &mut sh.lanes, sh.shards, filter))
-                }
-                None => {
-                    shard::run_burst(&mut self.machine, &mut sh.lanes, sh.shards, filter);
-                    None
-                }
-            }
+            sh.pool
+                .run_burst(&mut self.machine, &mut sh.lanes, sh.shards, filter)
         };
         let phase_ns = phase_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        if let (Some(t), Some(p)) = (timing, self.obs.profiler()) {
-            p.record(SpanId::PoolHandoff, t.handoff_ns);
-            p.record(SpanId::PoolIdle, t.idle_ns);
+        if let Some(p) = self.obs.profiler() {
+            p.record(SpanId::PoolHandoff, timing.handoff_ns);
+            p.record(SpanId::PoolIdle, timing.idle_ns);
         }
         shard::apply_deferred_bits(&mut self.machine, &mut sh.lanes);
         // Per-shard load split (deterministic, matching the executors'
@@ -1673,36 +1607,6 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         })
     }
 
-    /// Detaches the persistent worker pool from a sharded run, if it has
-    /// one. The simulation keeps working — subsequent bursts fall back to
-    /// the scoped-spawn path — so this is meant for warm restart: take the
-    /// pool from a retiring simulation and [`Simulation::install_shard_pool`]
-    /// it into its replacement, skipping thread teardown and respawn.
-    /// Host-side only; outputs are identical either way.
-    pub fn take_shard_pool(&mut self) -> Option<WorkerPool> {
-        self.shard.as_mut().and_then(|sh| sh.pool.take())
-    }
-
-    /// Adopts `pool` for this run's sharded bursts, returning the pool it
-    /// displaced — or `pool` itself when the run isn't sharded (so the
-    /// caller decides whether to keep it warm or let it join).
-    pub fn install_shard_pool(&mut self, pool: WorkerPool) -> Option<WorkerPool> {
-        match self.shard.as_mut() {
-            Some(sh) => sh.pool.replace(pool),
-            None => Some(pool),
-        }
-    }
-
-    /// Opaque identity of the attached worker pool (see
-    /// [`WorkerPool::debug_id`]), or `None` when unsharded, scoped, or
-    /// detached. Lets tests assert a warm restart reused the pool.
-    pub fn shard_pool_id(&self) -> Option<usize> {
-        self.shard
-            .as_ref()
-            .and_then(|sh| sh.pool.as_ref())
-            .map(|p| p.debug_id())
-    }
-
     /// Runs the workload to completion (or `max_accesses`) and reports.
     /// The simulation (machine and policy) remains inspectable afterwards.
     pub fn run(&mut self, workload: &mut dyn AccessStream) -> SimResult<RunReport> {
@@ -1814,7 +1718,6 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             llc: self.machine.llc_stats(),
             rss_peak_bytes: self.rss_peak.max(self.machine.rss_bytes()),
             rss_final_bytes: self.machine.rss_bytes(),
-            timeline: std::mem::take(&mut self.timeline),
             windows: self.wcol.samples().to_vec(),
             sim_events: self.sim_events - self.report_events_base,
             hist_underflows: self.hist_underflows_seen,
@@ -1835,12 +1738,11 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     /// rides in the `Debug` renders, so a snapshot only restores into a
     /// simulation built from the identical configs.
     fn config_fingerprint(&self) -> u64 {
-        // Host-side execution knobs don't shape the output, so a checkpoint
-        // written by a pooled run restores into a scoped (or differently
-        // sized) one — normalize them out of the fingerprint.
+        // The pool size is a host-side knob that doesn't shape the output,
+        // so a checkpoint restores into a differently sized pool — normalize
+        // it out of the fingerprint.
         let mut cfg = self.cfg.clone();
         cfg.pool_workers = None;
-        cfg.shard_scoped = false;
         Fnv1a::new()
             .mix_str(&format!("{cfg:?}"))
             .mix_str(&format!("{:?}", self.machine.config()))
@@ -1863,7 +1765,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             w.u64(self.accesses);
             w.u64(self.sim_events);
             w.f64(self.next_tick);
-            w.f64(self.next_snapshot);
+            w.f64(self.next_stretch);
             w.u64(self.rss_peak);
             w.f64(self.acct.app_extra_ns);
             w.f64(self.acct.daemon_ns);
@@ -1873,26 +1775,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             w.bool(self.init_done);
             w.usize(self.pending.len());
             w.f64(self.window.start_wall);
-            w.u64(self.window.start_accesses);
             w.f64(self.window.start_daemon_ns);
-            w.u64(self.window.start_fast_hits);
-            w.u64(self.window.start_total_hits);
-        });
-        w.section(|w| {
-            w.u32(self.timeline.len() as u32);
-            for s in &self.timeline {
-                w.f64(s.wall_ns);
-                w.u64(s.accesses);
-                w.f64(s.window_throughput);
-                w.f64(s.window_fast_hit_ratio);
-                w.u64(s.rss_bytes);
-                w.u64(s.fast_used_bytes);
-                w.u32(s.policy.len() as u32);
-                for (k, v) in &s.policy {
-                    w.str(k);
-                    w.f64(*v);
-                }
-            }
         });
         w.section(|w| self.wcol.snap_save(w));
         w.section(|w| match &self.drv_faults {
@@ -1955,7 +1838,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             self.accesses = s.u64()?;
             self.sim_events = s.u64()?;
             self.next_tick = s.f64()?;
-            self.next_snapshot = s.f64()?;
+            self.next_stretch = s.f64()?;
             self.rss_peak = s.u64()?;
             self.acct.app_extra_ns = s.f64()?;
             self.acct.daemon_ns = s.f64()?;
@@ -1969,41 +1852,8 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             }
             self.window = WindowState {
                 start_wall: s.f64()?,
-                start_accesses: s.u64()?,
                 start_daemon_ns: s.f64()?,
-                start_fast_hits: s.u64()?,
-                start_total_hits: s.u64()?,
             };
-            s.expect_end()?;
-        }
-        {
-            let mut s = r.section()?;
-            let n = s.u32()? as usize;
-            let mut timeline = Vec::with_capacity(n);
-            for _ in 0..n {
-                let wall_ns = s.f64()?;
-                let accesses = s.u64()?;
-                let window_throughput = s.f64()?;
-                let window_fast_hit_ratio = s.f64()?;
-                let rss_bytes = s.u64()?;
-                let fast_used_bytes = s.u64()?;
-                let np = s.u32()? as usize;
-                let mut policy = Vec::with_capacity(np);
-                for _ in 0..np {
-                    let k = s.static_str()?;
-                    policy.push((k, s.f64()?));
-                }
-                timeline.push(Snapshot {
-                    wall_ns,
-                    accesses,
-                    window_throughput,
-                    window_fast_hit_ratio,
-                    rss_bytes,
-                    fast_used_bytes,
-                    policy,
-                });
-            }
-            self.timeline = timeline;
             s.expect_end()?;
         }
         {
@@ -2040,10 +1890,11 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         {
             let mut s = r.section()?;
             self.flight_prev = FlightRecorder::snap_load(&mut s)?;
-            let n = s.u32()? as usize;
+            let n = s.count(4)?;
             let mut lat_windows = Vec::with_capacity(n);
             for _ in 0..n {
-                let nk = s.u32()? as usize;
+                // Key length prefix plus value.
+                let nk = s.count(4 + 8)?;
                 let mut win = Vec::with_capacity(nk);
                 for _ in 0..nk {
                     let k = s.str()?.to_string();
@@ -2650,7 +2501,7 @@ mod tests {
     }
 
     #[test]
-    fn timeline_snapshots_accumulate() {
+    fn window_series_accumulate() {
         let mut events = vec![WorkloadEvent::Alloc {
             addr: VirtAddr(0),
             bytes: HUGE_PAGE_SIZE,
@@ -2665,14 +2516,15 @@ mod tests {
             NoopPolicy,
             DriverConfig {
                 timeline_interval_ns: 10_000.0,
+                window_events: 5_000,
                 ..Default::default()
             },
         );
         let r = sim.run(&mut wl).unwrap();
-        assert!(r.timeline.len() >= 2, "timeline: {}", r.timeline.len());
+        assert!(r.windows.len() >= 2, "windows: {}", r.windows.len());
         assert!(r.throughput() > 0.0);
-        // Snapshots are monotonic in time and accesses.
-        for w in r.timeline.windows(2) {
+        // Windows are monotonic in time and accesses.
+        for w in r.windows.windows(2) {
             assert!(w[1].wall_ns >= w[0].wall_ns);
             assert!(w[1].accesses >= w[0].accesses);
         }

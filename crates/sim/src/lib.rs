@@ -58,7 +58,7 @@ pub mod prelude {
         TierSpec, TlbSpec,
     };
     pub use crate::driver::{
-        AccessStream, DriverConfig, RunReport, ShardMetrics, Simulation, Snapshot, WorkloadEvent,
+        AccessStream, DriverConfig, RunReport, ShardMetrics, Simulation, WorkloadEvent,
         DEFAULT_CHUNK,
     };
     pub use crate::engine::{AbortCause, EngineEvent, MigrationHandle, TransferEnd, TransferId};

@@ -63,7 +63,7 @@ pub struct BatchClock {
     /// Application thread count (the per-access wall divisor).
     pub threads: f64,
     /// The batch stops as soon as `wall_ns` reaches this (the driver's next
-    /// tick or snapshot boundary), so no timer can fire mid-burst.
+    /// tick or daemon-contention stretch boundary), so no timer can fire mid-burst.
     pub stop_wall_ns: f64,
 }
 

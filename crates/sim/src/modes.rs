@@ -139,7 +139,7 @@ fn save_counts(w: &mut SnapWriter, v: &[u32]) {
 }
 
 fn load_counts(r: &mut SnapReader<'_>) -> Result<Vec<u32>, SnapError> {
-    let n = r.u32()? as usize;
+    let n = r.count(4)?;
     if n > MAX_REGIONS {
         return Err(SnapError::Corrupt("region counter table too large"));
     }

@@ -393,64 +393,6 @@ fn run_lane(
     }
 }
 
-/// Runs the worker phase of one burst with per-burst *scoped* threads: the
-/// lanes, grouped into `shards` contiguous chunks, execute concurrently
-/// against the frozen page table. Shard 0 runs inline on the coordinator
-/// thread; shards 1..S run on scoped worker threads. This is the legacy
-/// dispatch path, retained as the oracle for the persistent [`WorkerPool`]
-/// (`DriverConfig::shard_scoped` selects it); both produce byte-identical
-/// lane state because the lane work itself is thread-agnostic. Host-side
-/// timing lives with the coordinator (see `Simulation::shard_metrics`):
-/// per-thread clocks on an oversubscribed host would mostly measure
-/// scheduler wait, not work.
-pub(crate) fn run_burst(
-    machine: &mut Machine,
-    scratch: &mut [LaneScratch],
-    shards: usize,
-    filter: RecordFilter,
-) {
-    let pt = &machine.pt;
-    let tiers = &machine.tiers[..];
-    let cfg = &machine.cfg;
-    let lanes = machine
-        .lanes
-        .as_mut()
-        .expect("sharded burst requires enabled lanes");
-    debug_assert_eq!(lanes.len(), NUM_LANES);
-    debug_assert_eq!(scratch.len(), NUM_LANES);
-
-    let run_chunk = |lc: &mut [LaneState], scc: &mut [LaneScratch]| {
-        for (lane, sc) in lc.iter_mut().zip(scc.iter_mut()) {
-            run_lane(pt, tiers, cfg, filter, lane, sc);
-        }
-    };
-
-    if shards <= 1 {
-        run_chunk(&mut lanes[..], scratch);
-        return;
-    }
-
-    let per = NUM_LANES.div_ceil(shards);
-    std::thread::scope(|s| {
-        let run_chunk = &run_chunk;
-        let mut lane_chunks = lanes.chunks_mut(per);
-        let mut sc_chunks = scratch.chunks_mut(per);
-        let first_l = lane_chunks.next();
-        let first_s = sc_chunks.next();
-        let handles: Vec<_> = lane_chunks
-            .zip(sc_chunks)
-            .map(|(lc, scc)| s.spawn(move || run_chunk(lc, scc)))
-            .collect();
-        // The coordinator thread is shard 0.
-        if let (Some(lc), Some(scc)) = (first_l, first_s) {
-            run_chunk(lc, scc);
-        }
-        for h in handles {
-            h.join().expect("shard worker panicked");
-        }
-    });
-}
-
 /// Host timings of one pooled burst (see [`WorkerPool::run_burst`]).
 /// Observer-side only — recorded under the `pool_handoff` / `pool_idle`
 /// profiler spans, never folded into simulated time.
@@ -576,9 +518,6 @@ fn worker_loop(shared: Arc<PoolShared>) {
 /// including zero (coordinator runs everything inline), produces
 /// byte-identical simulation output.
 ///
-/// The pool is detachable from its run ([`crate::driver::Simulation`]'s
-/// `take_shard_pool`) so service-mode warm restarts reuse the warm threads
-/// instead of respawning.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -614,17 +553,12 @@ impl WorkerPool {
         self.handles.len()
     }
 
-    /// A stable identity for this pool (tests assert warm restarts reuse
-    /// the same pool rather than silently respawning one).
-    pub fn debug_id(&self) -> usize {
-        Arc::as_ptr(&self.shared) as usize
-    }
-
     /// Runs the worker phase of one burst through the pool: jobs for
     /// shards 1..S are published under the slot lock, shard 0 runs inline
     /// on the coordinator, the coordinator then helps drain unclaimed jobs
     /// and finally blocks on the `done` barrier. Byte-identical lane
-    /// results to [`run_burst`] for any worker count.
+    /// results for any worker count; with zero workers the coordinator runs
+    /// every chunk inline, which makes a zero-worker pool the oracle.
     pub(crate) fn run_burst(
         &self,
         machine: &mut Machine,
@@ -749,16 +683,11 @@ impl Drop for WorkerPool {
 /// (the coordinator executes shard 0 itself), capped by the host's
 /// available parallelism minus the coordinator's core — on a single-core
 /// host this is zero and every chunk runs inline, which beats paying
-/// context switches for no real concurrency. The `MEMTIS_POOL_WORKERS`
-/// env var overrides the cap (still bounded by `shards - 1`). Worker
-/// count is host-performance only; it never affects simulation output.
+/// context switches for no real concurrency. `DriverConfig::pool_workers`
+/// overrides it. Worker count is host-performance only; it never affects
+/// simulation output.
 pub fn auto_workers(shards: usize) -> usize {
     let want = shards.saturating_sub(1);
-    if let Ok(v) = std::env::var("MEMTIS_POOL_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.min(want);
-        }
-    }
     let avail = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -836,173 +765,6 @@ pub fn apply_deferred_bits(machine: &mut Machine, scratch: &mut [LaneScratch]) {
     }
 }
 
-/// Summary of one burst executed through [`BurstExecutor::run`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BurstSummary {
-    /// Accesses executed through the parallel lane phase.
-    pub lane_accesses: u64,
-    /// Accesses that spilled to the serial replay (stopped lanes).
-    pub spilled: u64,
-    /// Sum of executed-access latencies (ns): lane partials merged through
-    /// the deterministic tree fold, spill latencies appended serially.
-    pub latency_ns: f64,
-    /// Host timings of the burst's pool handoff/barrier.
-    pub timing: PoolTiming,
-}
-
-/// A self-contained sharded-burst engine for callers outside the
-/// deterministic driver — concretely the `memtis-runtime` crate's
-/// application path, which owns a bare [`Machine`] behind a lock and has
-/// no `Simulation` to route bursts through. Owns the persistent
-/// [`WorkerPool`] and the per-lane scratch, and performs the full
-/// partition → parallel execute → merge cycle of one burst, leaving the
-/// machine's stats/flight/mode state exactly as a serial
-/// [`Machine::access`] loop over the same accesses would (up to the
-/// documented batched deviations: spills replay *after* the merged prefix,
-/// and flight sampling for spilled accesses re-rolls inside the serial
-/// path).
-///
-/// Only valid while the machine's migration engine can never hold active
-/// transfers (no `bandwidth_limit`): lane executors don't model in-flight
-/// dirty tracking or link contention. Callers gate on that.
-pub struct BurstExecutor {
-    pool: WorkerPool,
-    scratch: Vec<LaneScratch>,
-    shards: usize,
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
-}
-
-impl std::fmt::Debug for BurstExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BurstExecutor")
-            .field("shards", &self.shards)
-            .field("workers", &self.pool.workers())
-            .finish()
-    }
-}
-
-impl BurstExecutor {
-    /// An executor over a fresh pool of `workers` threads serving `shards`
-    /// shards.
-    pub fn new(shards: usize, workers: usize) -> Self {
-        Self::from_pool(WorkerPool::new(workers), shards)
-    }
-
-    /// An executor adopting an existing pool (warm restart: the pool
-    /// outlives the machine it served).
-    pub fn from_pool(pool: WorkerPool, shards: usize) -> Self {
-        BurstExecutor {
-            pool,
-            scratch: (0..NUM_LANES).map(|_| LaneScratch::default()).collect(),
-            shards: shards.max(1),
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Configured shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The underlying pool's identity (see [`WorkerPool::debug_id`]).
-    pub fn pool_id(&self) -> usize {
-        self.pool.debug_id()
-    }
-
-    /// Releases the pool for reuse elsewhere, dropping the scratch.
-    pub fn into_pool(self) -> WorkerPool {
-        self.pool
-    }
-
-    /// Executes `accesses` as one sharded burst against `machine`,
-    /// appending every record the `filter` keeps (stamped `now_ns`) to
-    /// `out` — merged lane records in stream order first, then any spilled
-    /// accesses in stream order. Machine stats, flight sampling, and
-    /// engine-mode counters advance for every access. Errors only if a
-    /// spilled access faults on an unmapped page (the caller maps regions
-    /// up front); the merged prefix's effects are already committed then.
-    pub fn run(
-        &mut self,
-        machine: &mut Machine,
-        accesses: &[Access],
-        filter: RecordFilter,
-        now_ns: f64,
-        out: &mut Vec<AccessRecord>,
-    ) -> crate::error::SimResult<BurstSummary> {
-        for sc in self.scratch.iter_mut() {
-            sc.reset();
-        }
-        for (i, &a) in accesses.iter().enumerate() {
-            let sampled = machine.flight_preroll();
-            self.scratch[lane_of(a.vaddr.base_page())].push(a, i as u32, sampled);
-        }
-        let timing = self
-            .pool
-            .run_burst(machine, &mut self.scratch, self.shards, filter);
-        apply_deferred_bits(machine, &mut self.scratch);
-
-        // Mergeable partials: stats, flight samples, mode notes, clock.
-        let mut lat = [0.0f64; NUM_LANES];
-        let mut lane_accesses = 0u64;
-        for (i, sc) in self.scratch.iter().enumerate() {
-            let f = sc.fold();
-            machine.stats.loads += f.loads;
-            machine.stats.stores += f.stores;
-            for (t, &n) in f.tier_hits.iter().enumerate() {
-                machine.stats.count_tier_hits_bulk(t, n);
-            }
-            lat[i] = f.lat_sum;
-            lane_accesses += f.loads + f.stores;
-        }
-        for sc in &self.scratch {
-            for &k in sc.sampled() {
-                if (k as usize) < sc.outcome_count() {
-                    let o = sc.outcome(k as usize);
-                    machine.flight_insert_sample(o.tier, o.page_size, o.latency_ns);
-                }
-            }
-        }
-        if machine.fold_wants_access_notes() {
-            for sc in &self.scratch {
-                for k in 0..sc.outcome_count() {
-                    let o = sc.outcome(k);
-                    machine.mode_note_folded(o.vpage, o.page_size, sc.access(k).is_store());
-                }
-            }
-        }
-        let mut latency_ns = crate::util::tree_fold_f64(&lat);
-        merge_records(&self.scratch, now_ns, &mut self.heap, out);
-
-        // Spilled accesses (stopped lanes) replay serially through the full
-        // machine path, in stream order, after the merged prefix.
-        let mut spills: Vec<(u32, Access)> = Vec::new();
-        for sc in &self.scratch {
-            for k in sc.outcome_count()..sc.access_count() {
-                spills.push((sc.stream_idx[k], sc.access(k)));
-            }
-        }
-        spills.sort_unstable_by_key(|&(idx, _)| idx);
-        let spilled = spills.len() as u64;
-        for (_, a) in spills {
-            let o = machine.access(a)?;
-            latency_ns += o.latency_ns;
-            if filter.keeps(a.kind, o.llc_miss) {
-                out.push(AccessRecord {
-                    access: a,
-                    outcome: o,
-                    now_ns,
-                });
-            }
-        }
-        Ok(BurstSummary {
-            lane_accesses,
-            spilled,
-            latency_ns,
-            timing,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1026,54 +788,6 @@ mod tests {
         assert_eq!(lane_of(VirtPage(2 * 512)), 16);
         assert_eq!(lane_of(VirtPage(3 * 512)), 48);
         assert_eq!(lane_of(VirtPage(512 * 64)), 0);
-    }
-
-    #[test]
-    fn lane_executor_matches_per_shard_grouping() {
-        // The same burst through 1 and 4 shard groupings leaves identical
-        // lane state and outcomes (lanes are pure; shards are groupings).
-        let build = || {
-            let mut m = Machine::new(MachineConfig::dram_nvm(
-                4 * HUGE_PAGE_SIZE,
-                16 * HUGE_PAGE_SIZE,
-            ));
-            m.enable_lanes();
-            for r in 0..4u64 {
-                m.alloc_and_map(VirtPage(r * 512), PageSize::Huge, TierId::FAST)
-                    .unwrap();
-            }
-            m
-        };
-        let accesses: Vec<Access> = (0..2000u64)
-            .map(|i| {
-                let addr = (i * 37) % (4 * HUGE_PAGE_SIZE);
-                if i.is_multiple_of(5) {
-                    Access::store(addr)
-                } else {
-                    Access::load(addr)
-                }
-            })
-            .collect();
-        let run = |shards: usize| {
-            let mut m = build();
-            let mut scratch: Vec<LaneScratch> =
-                (0..NUM_LANES).map(|_| LaneScratch::default()).collect();
-            for (i, &a) in accesses.iter().enumerate() {
-                scratch[lane_of(a.vaddr.base_page())].push(a, i as u32, false);
-            }
-            run_burst(&mut m, &mut scratch, shards, RecordFilter::ALL);
-            apply_deferred_bits(&mut m, &mut scratch);
-            let outs: Vec<String> = scratch
-                .iter()
-                .map(|sc| format!("{:?} {:?} {:?}", sc.outcomes, sc.kept, sc.fold))
-                .collect();
-            (
-                outs,
-                format!("{:?}", m.tlb_stats()),
-                format!("{:?}", m.llc_stats()),
-            )
-        };
-        assert_eq!(run(1), run(4));
     }
 
     /// A mixed load/store burst over four huge regions, partitioned with
@@ -1101,91 +815,64 @@ mod tests {
         (m, accesses)
     }
 
-    /// The persistent pool produces byte-identical lane state to the
-    /// scoped-spawn path, for several worker counts (including zero, where
-    /// the coordinator drains every chunk itself), and its buffers survive
-    /// reuse across bursts.
+    /// Resets `scratch` and partitions `accesses` into it.
+    fn partition(scratch: &mut [LaneScratch], accesses: &[Access]) {
+        for sc in scratch.iter_mut() {
+            sc.reset();
+        }
+        for (i, &a) in accesses.iter().enumerate() {
+            scratch[lane_of(a.vaddr.base_page())].push(a, i as u32, false);
+        }
+    }
+
+    fn new_scratch() -> Vec<LaneScratch> {
+        (0..NUM_LANES).map(|_| LaneScratch::default()).collect()
+    }
+
+    /// Lane state is a function of the lane partition alone: every worker
+    /// count and shard grouping reproduces the zero-worker, one-shard pool
+    /// (the coordinator running every lane inline) bit for bit, and the
+    /// scratch survives reuse across bursts.
     #[test]
-    fn pool_matches_scoped_spawn_bit_exactly() {
+    fn pool_matches_inline_oracle_bit_exactly() {
         let filter = RecordFilter {
             llc_hit_loads: false,
             ..RecordFilter::ALL
         };
-        let run_scoped = |shards: usize| {
+        // Two bursts through the same scratch: reuse must not leak.
+        let run = |pool: &WorkerPool, shards: usize| {
             let (mut m, accesses) = test_burst();
-            let mut scratch: Vec<LaneScratch> =
-                (0..NUM_LANES).map(|_| LaneScratch::default()).collect();
-            for (i, &a) in accesses.iter().enumerate() {
-                scratch[lane_of(a.vaddr.base_page())].push(a, i as u32, false);
+            let mut scratch = new_scratch();
+            for _ in 0..2 {
+                partition(&mut scratch, &accesses);
+                pool.run_burst(&mut m, &mut scratch, shards, filter);
             }
-            run_burst(&mut m, &mut scratch, shards, filter);
+            apply_deferred_bits(&mut m, &mut scratch);
             let outs: Vec<String> = scratch
                 .iter()
                 .map(|sc| format!("{:?} {:?} {:?}", sc.outcomes, sc.kept, sc.fold))
                 .collect();
             (outs, format!("{:?} {:?}", m.tlb_stats(), m.llc_stats()))
         };
+        let oracle = run(&WorkerPool::new(0), 1);
         for workers in [0usize, 1, 3] {
             let pool = WorkerPool::new(workers);
             for shards in [1usize, 2, 4] {
-                let (mut m, accesses) = test_burst();
-                let mut scratch: Vec<LaneScratch> =
-                    (0..NUM_LANES).map(|_| LaneScratch::default()).collect();
-                // Two bursts through the same scratch: reuse must not leak.
-                for _ in 0..2 {
-                    for sc in scratch.iter_mut() {
-                        sc.reset();
-                    }
-                    for (i, &a) in accesses.iter().enumerate() {
-                        scratch[lane_of(a.vaddr.base_page())].push(a, i as u32, false);
-                    }
-                    pool.run_burst(&mut m, &mut scratch, shards, filter);
-                }
-                let outs: Vec<String> = scratch
-                    .iter()
-                    .map(|sc| format!("{:?} {:?} {:?}", sc.outcomes, sc.kept, sc.fold))
-                    .collect();
-                // Lane state after burst 2 differs from after burst 1, so
-                // compare against a scoped twin driven the same way.
-                let (mut m2, _) = test_burst();
-                let mut scratch2: Vec<LaneScratch> =
-                    (0..NUM_LANES).map(|_| LaneScratch::default()).collect();
-                for _ in 0..2 {
-                    for sc in scratch2.iter_mut() {
-                        sc.reset();
-                    }
-                    for (i, &a) in accesses.iter().enumerate() {
-                        scratch2[lane_of(a.vaddr.base_page())].push(a, i as u32, false);
-                    }
-                    run_burst(&mut m2, &mut scratch2, shards, filter);
-                }
-                let outs2: Vec<String> = scratch2
-                    .iter()
-                    .map(|sc| format!("{:?} {:?} {:?}", sc.outcomes, sc.kept, sc.fold))
-                    .collect();
-                assert_eq!(outs, outs2, "workers={workers} shards={shards}");
                 assert_eq!(
-                    format!("{:?} {:?}", m.tlb_stats(), m.llc_stats()),
-                    format!("{:?} {:?}", m2.tlb_stats(), m2.llc_stats()),
+                    run(&pool, shards),
+                    oracle,
+                    "workers={workers} shards={shards}"
                 );
             }
             pool.shutdown();
         }
-        // Single-burst scoped baseline still agrees across shard counts.
-        assert_eq!(run_scoped(1), run_scoped(4));
     }
 
-    /// `shutdown` joins exactly the spawned workers; `debug_id` is stable
-    /// for a pool's lifetime and survives moving through an executor.
+    /// `shutdown` joins exactly the spawned workers.
     #[test]
     fn pool_lifecycle_joins_all_workers() {
         let pool = WorkerPool::new(3);
         assert_eq!(pool.workers(), 3);
-        let id = pool.debug_id();
-        let ex = BurstExecutor::from_pool(pool, 4);
-        assert_eq!(ex.pool_id(), id);
-        let pool = ex.into_pool();
-        assert_eq!(pool.debug_id(), id);
         assert_eq!(pool.shutdown(), 3);
         // Zero-worker pools shut down trivially (and Drop-only teardown is
         // exercised by every other test that lets a pool fall out of scope).
@@ -1201,12 +888,9 @@ mod tests {
             ..RecordFilter::ALL
         };
         let (mut m, accesses) = test_burst();
-        let mut scratch: Vec<LaneScratch> =
-            (0..NUM_LANES).map(|_| LaneScratch::default()).collect();
-        for (i, &a) in accesses.iter().enumerate() {
-            scratch[lane_of(a.vaddr.base_page())].push(a, i as u32, false);
-        }
-        run_burst(&mut m, &mut scratch, 4, filter);
+        let mut scratch = new_scratch();
+        partition(&mut scratch, &accesses);
+        WorkerPool::new(0).run_burst(&mut m, &mut scratch, 4, filter);
         // Clean burst: every lane ran to completion.
         assert!(scratch
             .iter()
@@ -1232,47 +916,5 @@ mod tests {
             assert_eq!(format!("{:?}", got.outcome), format!("{o:?}"));
             assert_eq!(got.now_ns, 42.0);
         }
-    }
-
-    /// `BurstExecutor` leaves machine stats identical to a serial
-    /// `Machine::access` loop over the same accesses (the property the
-    /// runtime's burst path relies on), and reports spills for unmapped
-    /// tails.
-    #[test]
-    fn burst_executor_matches_serial_access_loop() {
-        let (mut serial, accesses) = test_burst();
-        // Twin without lanes is *not* comparable (different TLB/LLC
-        // geometry); compare against a lanes-enabled serial loop.
-        let (mut m, _) = test_burst();
-        for &a in &accesses {
-            serial.access(a).unwrap();
-        }
-        let mut ex = BurstExecutor::new(4, 2);
-        let filter = RecordFilter {
-            llc_hit_loads: false,
-            ..RecordFilter::ALL
-        };
-        let mut records = Vec::new();
-        let summary = ex
-            .run(&mut m, &accesses, filter, 0.0, &mut records)
-            .unwrap();
-        assert_eq!(summary.lane_accesses, accesses.len() as u64);
-        assert_eq!(summary.spilled, 0);
-        assert_eq!(format!("{:?}", m.stats), format!("{:?}", serial.stats));
-        assert_eq!(
-            format!("{:?}", m.tlb_stats()),
-            format!("{:?}", serial.tlb_stats())
-        );
-        assert_eq!(
-            format!("{:?}", m.llc_stats()),
-            format!("{:?}", serial.llc_stats())
-        );
-        // Kept records are exactly the serial forwarding set, in order.
-        assert!(records
-            .iter()
-            .all(|r| r.access.is_store() || r.outcome.llc_miss));
-        let total: f64 = records.iter().map(|r| r.outcome.latency_ns).sum();
-        assert!(total > 0.0);
-        assert!(summary.latency_ns >= total);
     }
 }

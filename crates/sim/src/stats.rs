@@ -155,7 +155,7 @@ impl MachineStats {
     pub fn snap_load(r: &mut memtis_obs::SnapReader<'_>) -> Result<Self, memtis_obs::SnapError> {
         let loads = r.u64()?;
         let stores = r.u64()?;
-        let n = r.u32()? as usize;
+        let n = r.count(8)?;
         let mut tier_hits = Vec::with_capacity(n);
         for _ in 0..n {
             tier_hits.push(r.u64()?);

@@ -6,9 +6,7 @@
 //!
 //! Traces start with an 8-byte magic and a little-endian `u32` format
 //! version ([`TRACE_MAGIC`], [`TRACE_VERSION`]); readers reject anything
-//! else with a typed [`TraceError`] instead of misdecoding it. Headerless
-//! traces from before the format was versioned remain readable through the
-//! explicit `*_legacy` constructors.
+//! else with a typed [`TraceError`] instead of misdecoding it.
 //!
 //! Two reader/writer pairs share one encoder:
 //!
@@ -290,17 +288,12 @@ impl TraceReplay {
     pub fn new(mut data: Bytes, name: impl Into<String>) -> Result<Self, TraceError> {
         check_header(data.chunk())?;
         data.advance(TRACE_HEADER_LEN);
-        Ok(Self::new_legacy(data, name))
-    }
-
-    /// Creates a replayer over a pre-versioning headerless trace.
-    pub fn new_legacy(data: Bytes, name: impl Into<String>) -> Self {
-        TraceReplay {
+        Ok(TraceReplay {
             data,
             name: name.into(),
             events_out: 0,
             error: None,
-        }
+        })
     }
 
     /// Takes the decode error that ended the stream, if any.
@@ -395,19 +388,7 @@ impl TraceFileReader {
         file.read_exact(&mut hdr)
             .map_err(|_| TraceError::Truncated)?;
         check_header(&hdr)?;
-        Ok(Self::raw(file, name, chunk_bytes))
-    }
-
-    /// Opens a pre-versioning headerless trace file.
-    pub fn open_legacy(
-        path: impl AsRef<Path>,
-        name: impl Into<String>,
-    ) -> Result<Self, TraceError> {
-        Ok(Self::raw(File::open(path)?, name, DEFAULT_TRACE_CHUNK))
-    }
-
-    fn raw(file: File, name: impl Into<String>, chunk_bytes: usize) -> Self {
-        TraceFileReader {
+        Ok(TraceFileReader {
             file,
             name: name.into(),
             chunk: vec![0; chunk_bytes.max(MAX_EVENT_LEN)],
@@ -416,7 +397,7 @@ impl TraceFileReader {
             eof: false,
             events_out: 0,
             error: None,
-        }
+        })
     }
 
     /// Size of the chunk buffer — the reader's whole decode footprint.
@@ -608,19 +589,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_headerless_trace_replays_behind_flag() {
+    fn headerless_trace_is_rejected() {
         let spec = Benchmark::Silo.spec(Scale::TEST, 300);
-        let original = collect(&mut SpecStream::new(spec.clone(), 5));
         let mut rec = TraceRecorder::new(SpecStream::new(spec, 5));
         while rec.next_event().is_some() {}
         let mut trace = rec.finish();
-        // Strip the header: the payload is exactly a pre-versioning trace.
+        // Strip the header: bare events are not a trace.
         trace.advance(TRACE_HEADER_LEN);
-        // The versioned constructor rejects it...
-        assert!(TraceReplay::new(trace.clone(), "Silo").is_err());
-        // ...the legacy one replays it.
-        let replayed = collect(&mut TraceReplay::new_legacy(trace, "Silo"));
-        assert_eq!(original, replayed);
+        assert!(matches!(
+            TraceReplay::new(trace, "Silo"),
+            Err(TraceError::BadMagic)
+        ));
     }
 
     #[test]
@@ -728,9 +707,6 @@ mod tests {
             TraceFileReader::open(&path, "x"),
             Err(TraceError::BadMagic)
         ));
-        // The legacy opener takes the same file as raw events (and then
-        // errors on decode, not on open).
-        assert!(TraceFileReader::open_legacy(&path, "x").is_ok());
         std::fs::remove_file(&path).unwrap();
     }
 }

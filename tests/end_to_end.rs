@@ -132,14 +132,23 @@ fn memtis_never_slows_the_critical_path() {
 
 #[test]
 fn fast_tier_capacity_is_respected() {
-    let r = run(
-        Benchmark::Graph500,
-        8,
-        MemtisPolicy::new(memtis_cfg()),
-        150_000,
-    );
-    let fast_cap = machine_for(Benchmark::Graph500, 8).tiers[0].capacity;
-    for snap in &r.timeline {
-        assert!(snap.fast_used_bytes <= fast_cap);
+    let bench = Benchmark::Graph500;
+    let machine = machine_for(bench, 8);
+    let fast_cap = machine.tiers[0].capacity;
+    let mut wl = SpecStream::new(bench.spec(Scale::TEST, 150_000), SEED);
+    let mut sim = Simulation::new(machine, MemtisPolicy::new(memtis_cfg()), driver());
+    // Pause every 10k events and check occupancy at each stop.
+    let mut pauses = 0u64;
+    loop {
+        let done = sim
+            .run_until(&mut wl, Some((pauses + 1) * 10_000))
+            .expect("simulation should complete");
+        let used = sim.machine().used_bytes(TierId::FAST);
+        assert!(used <= fast_cap, "pause {pauses}: {used} > {fast_cap}");
+        if done.is_some() {
+            break;
+        }
+        pauses += 1;
     }
+    assert!(pauses >= 10, "only {pauses} pauses");
 }

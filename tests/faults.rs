@@ -82,14 +82,13 @@ fn run_traced(bench: Benchmark, faults: Option<FaultPlan>) -> (RunReport, Tracin
 /// The deterministic signature of a run: everything except host wall time.
 fn signature(r: &RunReport) -> String {
     format!(
-        "{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}",
+        "{:?}|{:?}|{:?}|{:?}|{}|{:?}",
         r.wall_ns.to_bits(),
         r.stats,
         r.faults,
         r.hist_underflows,
         r.accesses,
         r.windows,
-        r.timeline,
     )
 }
 
