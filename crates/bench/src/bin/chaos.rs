@@ -25,35 +25,32 @@
 //! byte-for-byte even while fault injection is rewriting schedules.
 //!
 //! Exits non-zero if any plan violates an invariant, printing the plan so
-//! it can be pinned as a regression.
+//! it can be pinned as a regression. A malformed flag exits 2 before any
+//! plan runs.
 
-use memtis_bench::{
-    machine_for, parse_admission, parse_hysteresis, parse_shadow, CapacityKind, ModeOverrides,
-    Ratio, ShardsSpec, System,
-};
+use memtis_bench::{cli, machine_for, CapacityKind, Ratio, System};
 use memtis_sim::faults::{FaultCounters, FaultPlan, FaultRng, OutageSpec, PressureSpec};
 use memtis_sim::prelude::*;
 use memtis_workloads::{Benchmark, Scale, SpecStream};
 
 const WORKLOAD_SEED: u64 = 20231023;
 
-fn find_system(name: &str) -> Option<System> {
-    [
-        System::AutoNuma,
-        System::AutoTiering,
-        System::Tiering08,
-        System::Tpp,
-        System::Nimble,
-        System::Hemem,
-        System::Memtis,
-        System::MemtisNs,
-        System::MemtisVanilla,
-        System::MultiClock,
-        System::Tmts,
-    ]
-    .into_iter()
-    .find(|s| s.name().eq_ignore_ascii_case(name))
-}
+const USAGE: &str = "usage: chaos [--plans N] [--accesses N] [--seed MASTER] \
+     [--systems memtis,tpp,...] [--shards S|auto] [--heartbeat EVENTS] \
+     [--snapshot-every EVENTS] [--admission on|off|HORIZON[:WINDOW]] \
+     [--shadow on|off] [--hysteresis on|off|WINDOW:BASE:MAX]";
+
+/// The shared flags `chaos` accepts. Every run draws its own fault plan and
+/// keeps its checkpoints in memory, so the fault, trace and snapshot-file
+/// flags do not apply.
+const SHARED: [&str; 6] = [
+    "--shards",
+    "--heartbeat",
+    "--snapshot-every",
+    "--admission",
+    "--shadow",
+    "--hysteresis",
+];
 
 /// A randomized-but-reproducible plan: index `i` under one master seed
 /// always yields the same plan.
@@ -99,35 +96,22 @@ enum SoakMode<'a> {
     Resume(&'a [u8]),
 }
 
-#[allow(clippy::too_many_arguments)]
 fn soak_one(
     system: System,
     bench: Benchmark,
     plan: FaultPlan,
     accesses: u64,
-    shards: Option<usize>,
-    heartbeat: Option<u64>,
-    modes: &ModeOverrides,
+    driver: &DriverConfig,
     mode: SoakMode<'_>,
 ) -> SoakOutcome {
-    let ratio = Ratio {
-        fast: 1,
-        capacity: 8,
-    };
-    let mut machine = machine_for(bench, Scale::TEST, ratio, CapacityKind::Nvm);
+    let mut machine = machine_for(bench, Scale::TEST, Ratio::DEFAULT, CapacityKind::Nvm);
     // Keep transfers in flight long enough for abort/dirty/outage faults to
     // find targets.
     machine.migration.bandwidth_limit = Some(8.0);
-    let mut driver = DriverConfig {
-        tick_interval_ns: 20_000.0,
-        timeline_interval_ns: 200_000.0,
-        window_events: 25_000,
+    let driver = DriverConfig {
         faults: Some(plan),
-        shards,
-        heartbeat_events: heartbeat,
-        ..Default::default()
+        ..driver.clone()
     };
-    modes.apply(&mut driver);
     let mut wl = SpecStream::new(bench.spec(Scale::TEST, accesses), WORKLOAD_SEED);
     let mut sim = Simulation::new(machine, system.build(), driver);
     let mut snapshot = None;
@@ -201,124 +185,30 @@ fn main() {
     let mut accesses: u64 = 60_000;
     let mut master_seed: u64 = 0xC4A0_5000;
     let mut systems = vec![System::Memtis];
-    let mut shards: Option<ShardsSpec> = None;
-    let mut heartbeat: Option<u64> = None;
-    let mut snapshot_every: Option<u64> = None;
-    let mut modes = ModeOverrides::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--plans" => {
-                plans = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(plans);
-                i += 2;
-            }
-            "--accesses" => {
-                accesses = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(accesses);
-                i += 2;
-            }
-            "--seed" => {
-                master_seed = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(master_seed);
-                i += 2;
-            }
-            "--shards" => {
-                shards = args.get(i + 1).and_then(|s| ShardsSpec::parse(s));
-                i += 2;
-            }
-            "--heartbeat" => {
-                heartbeat = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--snapshot-every" => {
-                snapshot_every = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0);
-                i += 2;
-            }
-            "--admission" => {
-                match args.get(i + 1).map(|s| parse_admission(s)) {
-                    Some(Ok(a)) => modes.admission = Some(a),
-                    _ => {
-                        eprintln!("error: --admission needs on|off|HORIZON[:WINDOW]");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--shadow" => {
-                match args.get(i + 1).map(|s| parse_shadow(s)) {
-                    Some(Ok(s)) => modes.shadow = Some(s),
-                    _ => {
-                        eprintln!("error: --shadow needs on|off");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--hysteresis" => {
-                match args.get(i + 1).map(|s| parse_hysteresis(s)) {
-                    Some(Ok(h)) => modes.hysteresis = Some(h),
-                    _ => {
-                        eprintln!("error: --hysteresis needs on|off|WINDOW:BASE:MAX");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--systems" => {
-                systems = args
-                    .get(i + 1)
-                    .map(|v| {
-                        v.split(',')
-                            .filter_map(|s| {
-                                let sys = find_system(s.trim());
-                                if sys.is_none() {
-                                    eprintln!("error: unknown system {s:?}");
-                                    std::process::exit(2);
-                                }
-                                sys
-                            })
-                            .collect()
-                    })
-                    .unwrap_or(systems);
-                i += 2;
-            }
-            other => {
-                eprintln!("error: unknown flag {other:?}");
-                eprintln!(
-                    "usage: chaos [--plans N] [--accesses N] [--seed MASTER] \
-                     [--systems memtis,tpp,...] [--shards S|auto] [--heartbeat EVENTS] \
-                     [--snapshot-every EVENTS] [--admission on|off|HORIZON[:WINDOW]] \
-                     [--shadow on|off] [--hysteresis on|off|WINDOW:BASE:MAX]"
-                );
-                std::process::exit(2);
-            }
+    let base = DriverConfig {
+        tick_interval_ns: 20_000.0,
+        timeline_interval_ns: 200_000.0,
+        window_events: 25_000,
+        ..Default::default()
+    };
+    let flags = cli::parse(&args, &SHARED, base, |arg, a| {
+        match arg {
+            "--plans" => plans = a.value(arg)?,
+            "--accesses" => accesses = a.value(arg)?,
+            "--seed" => master_seed = a.value(arg)?,
+            "--systems" => systems = a.with(arg, |v| cli::list(v, System::from_name))?,
+            _ => return Ok(false),
         }
-    }
-
-    // Resolve `--shards auto`: every chaos run carries an active fault
-    // plan, so auto degrades to the serial engine (plan 0 stands in for
-    // the rest — all randomized plans inject faults). A fixed count is
-    // passed through untouched so fault x shard interactions stay
-    // deliberately testable.
-    let shards: Option<usize> = shards.and_then(|spec| {
-        let mut probe = DriverConfig {
-            faults: Some(random_plan(&mut FaultRng::new(master_seed))),
-            ..Default::default()
-        };
-        modes.apply(&mut probe);
-        let batch_safe = systems.iter().all(|s| s.build().batch_safe());
-        spec.resolve(&probe, batch_safe)
+        Ok(true)
     });
+    let mut flags = cli::or_exit(flags, USAGE);
+
+    // Resolve `--shards auto` against plan 0 (it stands in for the rest:
+    // every randomized plan injects faults), so auto degrades to the serial
+    // engine. A fixed count is passed through untouched so fault x shard
+    // interactions stay deliberately testable.
+    flags.base.faults = Some(random_plan(&mut FaultRng::new(master_seed)));
+    let driver = flags.driver(systems.iter().all(|s| s.build().batch_safe()));
 
     let benches = [Benchmark::Silo, Benchmark::XsBench, Benchmark::Btree];
     let mut rng = FaultRng::new(master_seed);
@@ -330,23 +220,18 @@ fn main() {
         systems.len(),
         accesses
     );
-    if modes.any() {
-        println!(
-            "engine modes: admission={:?} shadow={:?} hysteresis={:?}",
-            modes.admission, modes.shadow, modes.hysteresis
-        );
+    if let Some(banner) = flags.modes_banner() {
+        println!("{banner}");
     }
     for p in 0..plans {
         let plan = random_plan(&mut rng);
         let bench = benches[p % benches.len()];
         for &system in &systems {
-            let mode = match snapshot_every {
+            let mode = match flags.snap.every {
                 Some(n) => SoakMode::Checkpointed(n),
                 None => SoakMode::Straight,
             };
-            let out = soak_one(
-                system, bench, plan, accesses, shards, heartbeat, &modes, mode,
-            );
+            let out = soak_one(system, bench, plan, accesses, &driver, mode);
             totals.merge(&out.faults);
             for v in &out.violations {
                 failures += 1;
@@ -362,9 +247,7 @@ fn main() {
                     Some(bytes) => SoakMode::Resume(bytes),
                     None => SoakMode::Straight,
                 };
-                let again = soak_one(
-                    system, bench, plan, accesses, shards, heartbeat, &modes, again_mode,
-                );
+                let again = soak_one(system, bench, plan, accesses, &driver, again_mode);
                 if again.signature != out.signature {
                     failures += 1;
                     let kind = if out.snapshot.is_some() {

@@ -12,6 +12,10 @@
 //!       [--snapshot-out PATH --snapshot-every EVENTS] [--resume PATH]
 //! ```
 //!
+//! The positionals default to PageRank, 1:8 and `all` (the Fig. 5
+//! systems). An unknown benchmark, ratio or system, or a malformed flag,
+//! exits 2 before anything runs.
+//!
 //! `--faults` takes a seeded fault plan, e.g.
 //! `seed=7,abort=0.02,dirty=0.05,drop=0.05,outage=400000:50000`
 //! (see `memtis_sim::faults::FaultPlan::parse`).
@@ -30,11 +34,20 @@
 //! single selected system.
 
 use memtis_bench::{
-    access_budget, driver_config_with_window, machine_for, parse_admission, parse_hysteresis,
-    parse_shadow, run_baseline, run_cell_traced, run_system_with_driver, write_trace, CapacityKind,
-    ModeOverrides, Ratio, ShardsSpec, System, TraceFormat, DEFAULT_WINDOW_EVENTS, SEED,
+    access_budget, benchmark_from_name, cli, driver_config, machine_for, run_baseline,
+    run_cell_seeded, run_cell_traced, write_trace, CapacityKind, Ratio, RunFlags, SnapshotOpts,
+    System, SEED,
 };
 use memtis_workloads::{Benchmark, Scale};
+
+const USAGE: &str = "usage: probe [<benchmark>] [<ratio>] [<system>|all] [--test-scale]\n  \
+    [--trace-out PATH] [--trace-format jsonl|perfetto] [--window EVENTS]\n  \
+    [--report-out PATH] [--heartbeat EVENTS]\n  \
+    [--migration-bw BYTES_PER_NS] [--migration-queue DEPTH]\n  \
+    [--faults SPEC] [--chunk N] [--shards S|auto]\n  \
+    [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off]\n  \
+    [--hysteresis on|off|WINDOW:BASE:MAX]\n  \
+    [--snapshot-out PATH --snapshot-every EVENTS] [--resume PATH]";
 
 fn probe_memtis(
     bench: Benchmark,
@@ -81,198 +94,44 @@ fn probe_memtis(
     println!("  base hist: {:?}", p.base_histogram().bins());
 }
 
+/// Resolves the positionals to the cell they select.
+fn cell(
+    positional: &[String],
+    flags: &RunFlags,
+) -> Result<(Benchmark, Ratio, Vec<System>), String> {
+    let bench = match positional.first() {
+        Some(name) => benchmark_from_name(name)?,
+        None => Benchmark::PageRank,
+    };
+    let ratio = match positional.get(1) {
+        Some(label) => Ratio::parse(label)?,
+        None => Ratio::DEFAULT,
+    };
+    let systems = match positional.get(2).map(String::as_str) {
+        Some("all") | None => System::FIG5.to_vec(),
+        Some(name) => vec![System::from_name(name)?],
+    };
+    if flags.snap.is_active() && systems.len() != 1 {
+        return Err("snapshot flags need a single selected system (not `all`)".into());
+    }
+    Ok((bench, ratio, systems))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut positional: Vec<String> = Vec::new();
-    let mut trace_out: Option<String> = None;
-    let mut trace_format = TraceFormat::Jsonl;
-    let mut window = DEFAULT_WINDOW_EVENTS;
-    let mut scale = Scale::DEFAULT;
-    let mut migration_bw: Option<f64> = None;
-    let mut migration_queue: Option<usize> = None;
-    let mut faults: Option<memtis_sim::faults::FaultPlan> = None;
-    let mut chunk: Option<usize> = None;
-    let mut shards: Option<ShardsSpec> = None;
-    let mut report_out: Option<String> = None;
-    let mut heartbeat: Option<u64> = None;
-    let mut modes = ModeOverrides::default();
-    let mut snap = memtis_bench::SnapshotOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trace-out" => {
-                trace_out = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--snapshot-out" => {
-                snap.out = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--snapshot-every" => {
-                snap.every = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--resume" => {
-                snap.resume = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--report-out" => {
-                report_out = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--heartbeat" => {
-                heartbeat = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--trace-format" => {
-                trace_format = match args.get(i + 1).and_then(|s| TraceFormat::parse(s)) {
-                    Some(f) => f,
-                    None => {
-                        eprintln!("error: --trace-format must be jsonl or perfetto");
-                        std::process::exit(2);
-                    }
-                };
-                i += 2;
-            }
-            "--window" => {
-                window = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(DEFAULT_WINDOW_EVENTS);
-                i += 2;
-            }
-            "--test-scale" => {
-                scale = Scale::TEST;
-                i += 1;
-            }
-            "--migration-bw" => {
-                migration_bw = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--migration-queue" => {
-                migration_queue = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--chunk" => {
-                chunk = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--shards" => {
-                shards = args.get(i + 1).and_then(|s| ShardsSpec::parse(s));
-                i += 2;
-            }
-            "--admission" => {
-                match args.get(i + 1).map(|s| parse_admission(s)) {
-                    Some(Ok(a)) => modes.admission = Some(a),
-                    Some(Err(e)) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("error: --admission needs on|off|HORIZON[:WINDOW]");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--shadow" => {
-                match args.get(i + 1).map(|s| parse_shadow(s)) {
-                    Some(Ok(s)) => modes.shadow = Some(s),
-                    Some(Err(e)) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("error: --shadow needs on|off");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--hysteresis" => {
-                match args.get(i + 1).map(|s| parse_hysteresis(s)) {
-                    Some(Ok(h)) => modes.hysteresis = Some(h),
-                    Some(Err(e)) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("error: --hysteresis needs on|off|WINDOW:BASE:MAX");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--faults" => {
-                match args
-                    .get(i + 1)
-                    .map(|s| memtis_sim::faults::FaultPlan::parse(s))
-                {
-                    Some(Ok(plan)) => faults = Some(plan),
-                    Some(Err(e)) => {
-                        eprintln!("error: bad --faults spec: {e}");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("error: --faults needs a spec");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            other => {
-                positional.push(other.to_string());
-                i += 1;
-            }
+    let flags = cli::parse(&args, &cli::SHARED, driver_config(), |arg, _| {
+        if arg.starts_with("--") || positional.len() == 3 {
+            return Ok(false);
         }
-    }
-    let bench = Benchmark::ALL
-        .into_iter()
-        .find(|b| Some(b.name().to_lowercase()) == positional.first().map(|s| s.to_lowercase()))
-        .unwrap_or(Benchmark::PageRank);
-    let ratio = match positional.get(1).map(String::as_str) {
-        Some("1:2") => Ratio {
-            fast: 1,
-            capacity: 2,
-        },
-        Some("1:16") => Ratio {
-            fast: 1,
-            capacity: 16,
-        },
-        Some("2:1") => Ratio::TWO_TO_ONE,
-        _ => Ratio {
-            fast: 1,
-            capacity: 8,
-        },
-    };
-    let systems: Vec<System> = match positional.get(2).map(String::as_str) {
-        Some("all") | None => System::FIG5.to_vec(),
-        Some(name) => System::FIG5
-            .into_iter()
-            .filter(|s| s.name().eq_ignore_ascii_case(name))
-            .collect(),
-    };
-    let mut driver = memtis_bench::driver_config();
-    driver.migration_bw = migration_bw;
-    driver.migration_queue = migration_queue;
-    driver.faults = faults;
-    if let Some(c) = chunk {
-        driver.chunk = c;
-    }
-    driver.heartbeat_events = heartbeat;
-    modes.apply(&mut driver);
-    // Resolve `--shards auto` after every override is in the driver (its
-    // fallback heuristics read faults/bw/shadow/chunk from there).
-    let batch_safe = systems.iter().all(|s| s.build().batch_safe());
-    driver.shards = shards.and_then(|s| s.resolve(&driver, batch_safe));
-    if let Err(e) = snap.validate() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
-    if snap.is_active() && systems.len() != 1 {
-        eprintln!("error: snapshot flags need a single selected system (not `all`)");
-        std::process::exit(2);
-    }
+        positional.push(arg.to_string());
+        Ok(true)
+    });
+    let flags = cli::or_exit(flags, USAGE);
+    let (bench, ratio, systems) = cli::or_exit(cell(&positional, &flags), USAGE);
+    let scale = flags.scale;
+    let driver = flags.driver(systems.iter().all(|s| s.build().batch_safe()));
+    let machine = || machine_for(bench, scale, ratio, CapacityKind::Nvm);
     let base = run_baseline(bench, scale, CapacityKind::Nvm);
     println!(
         "baseline all-NVM: wall={:.2}ms thpt={:.1}M/s llc_miss={:.3}",
@@ -281,27 +140,16 @@ fn main() {
         base.llc.miss_ratio()
     );
     for &sys in &systems {
-        let r = if snap.is_active() {
-            let machine = machine_for(bench, scale, ratio, CapacityKind::Nvm);
-            match memtis_bench::run_cell_snapshotted(
-                bench,
-                scale,
-                machine,
-                sys.build(),
-                driver.clone(),
-                access_budget(),
-                SEED,
-                &snap,
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: snapshotted run failed: {e:?}");
-                    std::process::exit(1);
-                }
-            }
-        } else {
-            run_system_with_driver(bench, scale, ratio, CapacityKind::Nvm, sys, driver.clone())
-        };
+        let r = cli::run_or_exit(run_cell_seeded(
+            bench,
+            scale,
+            machine(),
+            sys.build(),
+            driver.clone(),
+            access_budget(),
+            SEED,
+            &flags.snap,
+        ));
         println!(
             "{:<12} norm={:.3} wall={:.2}ms app_extra={:.2}ms daemon={:.2}ms dcores={:.2} \
              fastHR={:.3} promo4k={} demo4k={} splits={} shootdowns={} hintfaults={} rss={}MB \
@@ -323,7 +171,7 @@ fn main() {
             r.llc.miss_ratio(),
             r.app_access_ns / r.accesses as f64,
         );
-        if faults.is_some() {
+        if driver.faults.is_some() {
             println!(
                 "  faults: {:?} hist_underflows={}",
                 r.faults, r.hist_underflows
@@ -334,35 +182,24 @@ fn main() {
         }
     }
 
-    if trace_out.is_some() || report_out.is_some() {
-        let sys = systems.first().copied().unwrap_or(System::Memtis);
-        let machine = machine_for(bench, scale, ratio, CapacityKind::Nvm);
-        let mut traced_driver = driver_config_with_window(window);
-        traced_driver.migration_bw = migration_bw;
-        traced_driver.migration_queue = migration_queue;
-        traced_driver.faults = faults;
-        if let Some(c) = chunk {
-            traced_driver.chunk = c;
-        }
-        traced_driver.heartbeat_events = heartbeat;
-        modes.apply(&mut traced_driver);
-        traced_driver.shards = shards.and_then(|s| s.resolve(&traced_driver, batch_safe));
-        let (report, obs) = run_cell_traced(
+    if flags.trace_out.is_some() || flags.report_out.is_some() {
+        let (report, obs) = cli::run_or_exit(run_cell_traced(
             bench,
             scale,
-            machine,
-            sys.build(),
-            traced_driver,
+            machine(),
+            systems[0].build(),
+            driver,
             access_budget(),
             SEED,
-        );
-        if let Some(path) = trace_out {
-            write_trace(&path, trace_format, &obs, &report.windows);
+            &SnapshotOpts::default(),
+        ));
+        if let Some(path) = &flags.trace_out {
+            write_trace(path, flags.trace_format, &obs, &report.windows);
         }
-        if let Some(path) = report_out {
+        if let Some(path) = &flags.report_out {
             let profile = obs.profiler.as_ref().map(|p| p.stats());
             let body = memtis_bench::report_to_json(&report, profile.as_deref());
-            match std::fs::write(&path, body) {
+            match std::fs::write(path, body) {
                 Ok(()) => println!("[report written to {path}]"),
                 Err(e) => eprintln!("warning: could not write report {path}: {e}"),
             }

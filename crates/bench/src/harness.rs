@@ -32,6 +32,14 @@ pub fn access_budget() -> u64 {
         .unwrap_or(1_500_000)
 }
 
+/// Looks a benchmark up by name, ignoring ASCII case (`silo`, `654.roms`).
+pub fn benchmark_from_name(name: &str) -> Result<Benchmark, String> {
+    Benchmark::ALL
+        .into_iter()
+        .find(|b| b.name().eq_ignore_ascii_case(name))
+        .ok_or_else(|| format!("unknown benchmark {name:?}"))
+}
+
 /// Capacity-tier memory kind for an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CapacityKind {
@@ -51,16 +59,19 @@ pub struct Ratio {
 }
 
 impl Ratio {
+    /// The paper's headline 1:8 configuration, and the CLIs' default.
+    pub const DEFAULT: Ratio = Ratio {
+        fast: 1,
+        capacity: 8,
+    };
+
     /// The paper's three main configurations.
     pub const MAIN: [Ratio; 3] = [
         Ratio {
             fast: 1,
             capacity: 2,
         },
-        Ratio {
-            fast: 1,
-            capacity: 8,
-        },
+        Ratio::DEFAULT,
         Ratio {
             fast: 1,
             capacity: 16,
@@ -72,6 +83,15 @@ impl Ratio {
         fast: 2,
         capacity: 1,
     };
+
+    /// Parses a label like `1:8`; both parts must be positive.
+    pub fn parse(s: &str) -> Result<Ratio, String> {
+        let part = |p: &str| p.parse::<u32>().ok().filter(|&n| n > 0);
+        match s.split_once(':').map(|(f, c)| (part(f), part(c))) {
+            Some((Some(fast), Some(capacity))) => Ok(Ratio { fast, capacity }),
+            _ => Err(format!("bad ratio {s:?} (want F:C, both positive)")),
+        }
+    }
 
     /// Fast-tier bytes for a workload of `rss` bytes.
     pub fn fast_bytes(&self, rss: u64) -> u64 {
@@ -139,143 +159,6 @@ pub fn driver_config_with_window(window_events: u64) -> DriverConfig {
     }
 }
 
-/// A `--shards` CLI value: an explicit count, or `auto` to size from the
-/// host and run configuration at resolution time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardsSpec {
-    /// Pick the shard count automatically ([`ShardsSpec::resolve`]).
-    Auto,
-    /// Exactly this many shards.
-    Fixed(usize),
-}
-
-impl ShardsSpec {
-    /// Parses a `--shards` argument: `auto` or a positive integer.
-    pub fn parse(s: &str) -> Option<ShardsSpec> {
-        if s.eq_ignore_ascii_case("auto") {
-            return Some(ShardsSpec::Auto);
-        }
-        s.parse::<usize>().ok().map(ShardsSpec::Fixed)
-    }
-
-    /// Resolves to a concrete `DriverConfig::shards` value.
-    ///
-    /// `Fixed(n)` passes through untouched. `Auto` inspects the run:
-    /// configurations that force the sharded pipeline's serial fallback
-    /// anyway — active fault plans, a bandwidth-capped migration link,
-    /// shadow-copy migration, a batch-unsafe policy, or per-event batching
-    /// (`chunk <= 1`) — resolve to `None` (don't spawn a pool that can
-    /// never engage), as does a single-core host, where lane parallelism
-    /// can't beat the serial path. Otherwise the shard count is the host's
-    /// available parallelism, capped at 8 (lane-balance over 64 lanes
-    /// degrades beyond that; see DESIGN.md §12).
-    pub fn resolve(self, driver: &DriverConfig, batch_safe: bool) -> Option<usize> {
-        let n = match self {
-            ShardsSpec::Fixed(n) => return Some(n),
-            ShardsSpec::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        };
-        let has_faults = driver.faults.as_ref().is_some_and(|p| !p.is_inert());
-        let bw_capped = driver.migration_bw.is_some_and(|v| v > 0.0);
-        let shadowed = driver.shadow == Some(true);
-        if has_faults || bw_capped || shadowed || !batch_safe || driver.chunk <= 1 || n <= 1 {
-            return None;
-        }
-        Some(n.min(8))
-    }
-}
-
-/// Engine-mode overrides shared by the bench CLIs (`--admission`,
-/// `--shadow`, `--hysteresis`). Mirrors the [`DriverConfig`] override
-/// fields: `None` keeps the machine config's setting, `Some(None)` /
-/// `Some(false)` forces a mode off, `Some(Some(cfg))` / `Some(true)` turns
-/// it on.
-#[derive(Debug, Clone, Default)]
-pub struct ModeOverrides {
-    /// Payback-based admission control (TierBPF-style).
-    pub admission: Option<Option<AdmissionConfig>>,
-    /// Non-exclusive transactional (shadow) migration (Nomad-style).
-    pub shadow: Option<bool>,
-    /// Anti-thrashing promotion hysteresis (Jenga-style).
-    pub hysteresis: Option<Option<HysteresisConfig>>,
-}
-
-impl ModeOverrides {
-    /// Copies the overrides into a driver config.
-    pub fn apply(&self, driver: &mut DriverConfig) {
-        driver.admission = self.admission.clone();
-        driver.shadow = self.shadow;
-        driver.hysteresis = self.hysteresis.clone();
-    }
-
-    /// True when any override is set (used for CLI banners).
-    pub fn any(&self) -> bool {
-        self.admission.is_some() || self.shadow.is_some() || self.hysteresis.is_some()
-    }
-}
-
-/// Parses an `--admission` spec: `on` (defaults), `off` (force off), or
-/// `HORIZON_NS[:WINDOW_NS]` in sim nanoseconds (floats accepted, e.g.
-/// `5e7:1e6`).
-pub fn parse_admission(spec: &str) -> Result<Option<AdmissionConfig>, String> {
-    match spec {
-        "on" | "default" => Ok(Some(AdmissionConfig::default())),
-        "off" => Ok(None),
-        _ => {
-            let mut cfg = AdmissionConfig::default();
-            let (horizon, window) = match spec.split_once(':') {
-                Some((h, w)) => (h, Some(w)),
-                None => (spec, None),
-            };
-            cfg.horizon_ns = horizon
-                .parse()
-                .map_err(|_| format!("bad admission horizon {horizon:?}"))?;
-            if let Some(w) = window {
-                cfg.window_ns = w
-                    .parse()
-                    .map_err(|_| format!("bad admission window {w:?}"))?;
-            }
-            Ok(Some(cfg))
-        }
-    }
-}
-
-/// Parses a `--shadow` spec: `on` or `off`.
-pub fn parse_shadow(spec: &str) -> Result<bool, String> {
-    match spec {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        _ => Err(format!("bad shadow spec {spec:?} (want on|off)")),
-    }
-}
-
-/// Parses a `--hysteresis` spec: `on` (defaults), `off` (force off), or
-/// `WINDOW_NS:BASE_BACKOFF_NS:MAX_BACKOFF_NS` in sim nanoseconds.
-pub fn parse_hysteresis(spec: &str) -> Result<Option<HysteresisConfig>, String> {
-    match spec {
-        "on" | "default" => Ok(Some(HysteresisConfig::default())),
-        "off" => Ok(None),
-        _ => {
-            let parts: Vec<&str> = spec.split(':').collect();
-            if parts.len() != 3 {
-                return Err(format!(
-                    "bad hysteresis spec {spec:?} (want on|off|WINDOW:BASE:MAX)"
-                ));
-            }
-            let parse = |s: &str, what: &str| -> Result<f64, String> {
-                s.parse()
-                    .map_err(|_| format!("bad hysteresis {what} {s:?}"))
-            };
-            Ok(Some(HysteresisConfig {
-                window_ns: parse(parts[0], "window")?,
-                base_backoff_ns: parse(parts[1], "base backoff")?,
-                max_backoff_ns: parse(parts[2], "max backoff")?,
-            }))
-        }
-    }
-}
-
 /// All systems compared in the paper's main figures, plus extras.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum System {
@@ -318,6 +201,31 @@ impl System {
         System::Hemem,
         System::Memtis,
     ];
+
+    /// Every system, in listing order.
+    pub const ALL: [System; 13] = [
+        System::AutoNuma,
+        System::AutoTiering,
+        System::Tiering08,
+        System::Tpp,
+        System::Nimble,
+        System::Hemem,
+        System::Memtis,
+        System::MemtisNs,
+        System::MemtisVanilla,
+        System::MultiClock,
+        System::Tmts,
+        System::AllNvm,
+        System::AllDram,
+    ];
+
+    /// Looks a system up by display name, ignoring ASCII case.
+    pub fn from_name(name: &str) -> Result<System, String> {
+        System::ALL
+            .into_iter()
+            .find(|s| s.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| format!("unknown system {name:?}"))
+    }
 
     /// Display name.
     pub fn name(&self) -> &'static str {
@@ -387,12 +295,16 @@ pub fn run_cell(
     driver: DriverConfig,
     accesses: u64,
 ) -> RunReport {
-    run_cell_seeded(bench, scale, machine, policy, driver, accesses, SEED)
+    let snap = SnapshotOpts::default();
+    run_cell_seeded(bench, scale, machine, policy, driver, accesses, SEED, &snap)
+        .expect("experiment run failed")
 }
 
-/// Runs one experiment cell with an explicit workload seed (sweep matrix
-/// cells derive their own deterministic seeds; everything else uses
-/// [`SEED`] via [`run_cell`]).
+/// Runs one experiment cell with a boxed policy and an explicit workload
+/// seed under a checkpoint schedule ([`run_snapshotted`]; the default
+/// [`SnapshotOpts`] is a plain run). Sweep matrix cells derive their own
+/// deterministic seeds; everything else uses [`SEED`].
+#[allow(clippy::too_many_arguments)]
 pub fn run_cell_seeded(
     bench: Benchmark,
     scale: Scale,
@@ -401,30 +313,18 @@ pub fn run_cell_seeded(
     driver: DriverConfig,
     accesses: u64,
     seed: u64,
-) -> RunReport {
+    snap: &SnapshotOpts,
+) -> SimResult<RunReport> {
     let mut wl = SpecStream::new(bench.spec(scale, accesses), seed);
     let mut sim = Simulation::new(machine, policy, driver);
-    sim.run(&mut wl).expect("experiment run failed")
+    run_snapshotted(&mut sim, &mut wl, snap)
 }
 
-/// Runs one cell with a concrete policy under a [`TracingObserver`],
-/// returning the report and the observer (ring + registry) for export.
-pub fn run_sim_traced<P: TieringPolicy>(
-    bench: Benchmark,
-    scale: Scale,
-    machine: MachineConfig,
-    policy: P,
-    driver: DriverConfig,
-    accesses: u64,
-) -> (RunReport, TracingObserver) {
-    let mut wl = SpecStream::new(bench.spec(scale, accesses), SEED);
-    let mut sim = Simulation::with_observer(machine, policy, driver, TracingObserver::new());
-    let report = sim.run(&mut wl).expect("experiment run failed");
-    (report, sim.into_observer())
-}
-
-/// Runs one experiment cell with a boxed policy under a
-/// [`TracingObserver`], returning the report and the observer.
+/// [`run_cell_seeded`] under a [`TracingObserver`], returning the report
+/// and the observer (ring + registry) for export. The observer is part of
+/// every checkpoint, so a resumed traced run exports the same trace as an
+/// uninterrupted one.
+#[allow(clippy::too_many_arguments)]
 pub fn run_cell_traced(
     bench: Benchmark,
     scale: Scale,
@@ -433,11 +333,12 @@ pub fn run_cell_traced(
     driver: DriverConfig,
     accesses: u64,
     seed: u64,
-) -> (RunReport, TracingObserver) {
+    snap: &SnapshotOpts,
+) -> SimResult<(RunReport, TracingObserver)> {
     let mut wl = SpecStream::new(bench.spec(scale, accesses), seed);
     let mut sim = Simulation::with_observer(machine, policy, driver, TracingObserver::new());
-    let report = sim.run(&mut wl).expect("experiment run failed");
-    (report, sim.into_observer())
+    let report = run_snapshotted(&mut sim, &mut wl, snap)?;
+    Ok((report, sim.into_observer()))
 }
 
 /// Checkpoint schedule parsed from `--snapshot-out` / `--snapshot-every` /
@@ -468,10 +369,12 @@ impl SnapshotOpts {
     }
 
     /// Rejects flag combinations that cannot do anything useful.
-    pub fn validate(&self) -> Result<(), String> {
+    /// `needs_out`: checkpoints go to `--snapshot-out` (every binary but
+    /// `chaos`, which keeps them in memory).
+    pub fn validate(&self, needs_out: bool) -> Result<(), String> {
         match (self.every, &self.out) {
             (Some(0), _) => Err("--snapshot-every must be > 0".into()),
-            (Some(_), None) => Err("--snapshot-every needs --snapshot-out".into()),
+            (Some(_), None) if needs_out => Err("--snapshot-every needs --snapshot-out".into()),
             (None, Some(_)) => Err("--snapshot-out needs --snapshot-every".into()),
             _ => Ok(()),
         }
@@ -528,44 +431,6 @@ pub fn run_snapshotted<P: TieringPolicy, O: Observer>(
     }
 }
 
-/// Runs one experiment cell with a boxed policy under a checkpoint
-/// schedule (see [`run_snapshotted`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_snapshotted(
-    bench: Benchmark,
-    scale: Scale,
-    machine: MachineConfig,
-    policy: Box<dyn TieringPolicy>,
-    driver: DriverConfig,
-    accesses: u64,
-    seed: u64,
-    opts: &SnapshotOpts,
-) -> SimResult<RunReport> {
-    let mut wl = SpecStream::new(bench.spec(scale, accesses), seed);
-    let mut sim = Simulation::new(machine, policy, driver);
-    run_snapshotted(&mut sim, &mut wl, opts)
-}
-
-/// [`run_cell_traced`] under a checkpoint schedule: the tracing observer's
-/// ring and registry are themselves part of the snapshot, so a resumed
-/// traced run exports the same trace as an uninterrupted one.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_traced_snapshotted(
-    bench: Benchmark,
-    scale: Scale,
-    machine: MachineConfig,
-    policy: Box<dyn TieringPolicy>,
-    driver: DriverConfig,
-    accesses: u64,
-    seed: u64,
-    opts: &SnapshotOpts,
-) -> SimResult<(RunReport, TracingObserver)> {
-    let mut wl = SpecStream::new(bench.spec(scale, accesses), seed);
-    let mut sim = Simulation::with_observer(machine, policy, driver, TracingObserver::new());
-    let report = run_snapshotted(&mut sim, &mut wl, opts)?;
-    Ok((report, sim.into_observer()))
-}
-
 /// Trace export format selected by `--trace-format`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFormat {
@@ -577,11 +442,11 @@ pub enum TraceFormat {
 
 impl TraceFormat {
     /// Parses a `--trace-format` value.
-    pub fn parse(s: &str) -> Option<Self> {
+    pub fn parse(s: &str) -> Result<Self, String> {
         match s.to_ascii_lowercase().as_str() {
-            "jsonl" => Some(TraceFormat::Jsonl),
-            "perfetto" => Some(TraceFormat::Perfetto),
-            _ => None,
+            "jsonl" => Ok(TraceFormat::Jsonl),
+            "perfetto" => Ok(TraceFormat::Perfetto),
+            _ => Err("want jsonl or perfetto".into()),
         }
     }
 
@@ -613,7 +478,8 @@ pub fn write_trace(
     }
 }
 
-/// Runs `system` on `bench` at the given ratio and returns the report.
+/// Runs `system` on `bench` at the given ratio with the default driver
+/// config and returns the report.
 pub fn run_system(
     bench: Benchmark,
     scale: Scale,
@@ -621,26 +487,13 @@ pub fn run_system(
     kind: CapacityKind,
     system: System,
 ) -> RunReport {
-    run_system_with_driver(bench, scale, ratio, kind, system, driver_config())
-}
-
-/// [`run_system`] with an explicit driver configuration (e.g. migration
-/// bandwidth/queue overrides from the CLI).
-pub fn run_system_with_driver(
-    bench: Benchmark,
-    scale: Scale,
-    ratio: Ratio,
-    kind: CapacityKind,
-    system: System,
-    driver: DriverConfig,
-) -> RunReport {
     let machine = machine_for(bench, scale, ratio, kind);
     run_cell(
         bench,
         scale,
         machine,
         system.build(),
-        driver,
+        driver_config(),
         access_budget(),
     )
 }
@@ -698,6 +551,16 @@ mod tests {
     }
 
     #[test]
+    fn ratio_labels_round_trip_and_bad_ones_are_rejected() {
+        for r in Ratio::MAIN.into_iter().chain([Ratio::TWO_TO_ONE]) {
+            assert_eq!(Ratio::parse(&r.label()), Ok(r));
+        }
+        for bad in ["8", "1-4", "1:", ":8", "0:8", "1:0", "a:b", "1:8:2"] {
+            assert!(Ratio::parse(bad).is_err(), "{bad:?} parsed");
+        }
+    }
+
+    #[test]
     fn geomean_basics() {
         assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-9);
         assert!((geomean(&[3.0]) - 3.0).abs() < 1e-9);
@@ -706,24 +569,12 @@ mod tests {
 
     #[test]
     fn every_system_builds() {
-        for s in [
-            System::AutoNuma,
-            System::AutoTiering,
-            System::Tiering08,
-            System::Tpp,
-            System::Nimble,
-            System::Hemem,
-            System::Memtis,
-            System::MemtisNs,
-            System::MemtisVanilla,
-            System::MultiClock,
-            System::Tmts,
-            System::AllNvm,
-            System::AllDram,
-        ] {
+        for s in System::ALL {
             let p = s.build();
             assert!(!p.descriptor().name.is_empty());
+            assert_eq!(System::from_name(&s.name().to_lowercase()), Ok(s));
         }
+        assert!(System::from_name("nosuch").is_err());
     }
 
     #[test]
@@ -734,10 +585,7 @@ mod tests {
         let r = run_system(
             Benchmark::Roms,
             scale,
-            Ratio {
-                fast: 1,
-                capacity: 8,
-            },
+            Ratio::DEFAULT,
             CapacityKind::Nvm,
             System::Memtis,
         );

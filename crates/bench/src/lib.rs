@@ -6,19 +6,20 @@
 //! `cargo bench --bench fig5_main_comparison`. The access budget per run is
 //! controlled by the `MEMTIS_ACCESSES` environment variable.
 
+pub mod cli;
 pub mod harness;
 pub mod plot;
 pub mod report;
 pub mod rundiff;
 pub mod sweep;
 
+pub use cli::{RunFlags, ShardsSpec};
 pub use harness::{
-    access_budget, driver_config, driver_config_with_window, geomean, machine_all_fast,
-    machine_for, normalized, parse_admission, parse_hysteresis, parse_shadow, run_baseline,
-    run_cell, run_cell_seeded, run_cell_snapshotted, run_cell_traced, run_cell_traced_snapshotted,
-    run_sim, run_sim_traced, run_snapshotted, run_system, run_system_with_driver, write_snapshot,
-    write_trace, CapacityKind, ModeOverrides, Ratio, ShardsSpec, SnapshotOpts, System, TraceFormat,
-    DEFAULT_WINDOW_EVENTS, SEED, TIME_COMPRESSION,
+    access_budget, benchmark_from_name, driver_config, driver_config_with_window, geomean,
+    machine_all_fast, machine_for, normalized, run_baseline, run_cell, run_cell_seeded,
+    run_cell_traced, run_sim, run_snapshotted, run_system, write_snapshot, write_trace,
+    CapacityKind, Ratio, SnapshotOpts, System, TraceFormat, DEFAULT_WINDOW_EVENTS, SEED,
+    TIME_COMPRESSION,
 };
 pub use plot::{bar, sparkline};
 pub use report::{emit, emit_bench_json, experiments_dir, Table};

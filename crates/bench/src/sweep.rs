@@ -17,11 +17,10 @@
 //! scaling efficiency) via [`emit_bench_json`].
 
 use crate::harness::{
-    driver_config_with_window, machine_for, run_cell_seeded, CapacityKind, ModeOverrides, Ratio,
-    System, DEFAULT_WINDOW_EVENTS, SEED,
+    machine_for, run_cell_seeded, CapacityKind, Ratio, SnapshotOpts, System, SEED,
 };
 use crate::report::{emit, emit_bench_json, Table};
-use memtis_sim::prelude::{Fnv1a, RunReport, DEFAULT_CHUNK};
+use memtis_sim::prelude::{DriverConfig, Fnv1a, RunReport};
 use memtis_workloads::{Benchmark, Scale};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -108,45 +107,10 @@ pub struct SweepConfig {
     pub scale: Scale,
     /// Access budget per cell.
     pub accesses: u64,
-    /// Telemetry window length in workload events.
-    pub window_events: u64,
-    /// Migration-link bandwidth cap (bytes/ns) applied to every cell;
-    /// `None` keeps instantaneous migration.
-    pub migration_bw: Option<f64>,
-    /// Migration admission-queue depth override applied to every cell.
-    pub migration_queue: Option<usize>,
-    /// Seeded fault plan applied to every cell; `None` runs fault-free.
-    pub faults: Option<memtis_sim::faults::FaultPlan>,
-    /// Driver chunk size; `0`/`1` forces the legacy per-event loop.
-    pub chunk: usize,
-    /// Intra-run sharding: worker threads per cell (see
-    /// [`memtis_sim::prelude::DriverConfig::shards`]). `None` keeps cells
-    /// single-threaded. Results are byte-identical for every value; the
-    /// knob only affects host wall time. Combined with `jobs`, the host
-    /// runs up to `jobs x shards` threads at once.
-    pub shards: Option<usize>,
-    /// Engine-mode overrides (`--admission`/`--shadow`/`--hysteresis`)
-    /// applied to every cell; defaults leave every machine config as-is.
-    pub modes: ModeOverrides,
-}
-
-impl SweepConfig {
-    /// Defaults: one job, default scale, the harness access budget, and the
-    /// default telemetry window.
-    pub fn new(jobs: usize, scale: Scale, accesses: u64) -> Self {
-        SweepConfig {
-            jobs,
-            scale,
-            accesses,
-            window_events: DEFAULT_WINDOW_EVENTS,
-            migration_bw: None,
-            migration_queue: None,
-            faults: None,
-            chunk: DEFAULT_CHUNK,
-            shards: None,
-            modes: ModeOverrides::default(),
-        }
-    }
+    /// Driver config every cell runs with. With `shards` set, each cell
+    /// runs up to that many threads, so the host runs up to
+    /// `jobs x shards`; results are byte-identical for every value.
+    pub driver: DriverConfig,
 }
 
 /// One finished cell.
@@ -203,22 +167,17 @@ impl SweepResult {
 /// Runs one cell (helper shared by the parallel runner and tests).
 pub fn run_sweep_cell(cell: SweepCell, cfg: &SweepConfig) -> RunReport {
     let machine = machine_for(cell.bench, cfg.scale, cell.ratio, cell.kind);
-    let mut driver = driver_config_with_window(cfg.window_events);
-    driver.migration_bw = cfg.migration_bw;
-    driver.migration_queue = cfg.migration_queue;
-    driver.faults = cfg.faults;
-    driver.chunk = cfg.chunk;
-    driver.shards = cfg.shards;
-    cfg.modes.apply(&mut driver);
     run_cell_seeded(
         cell.bench,
         cfg.scale,
         machine,
         cell.system.build(),
-        driver,
+        cfg.driver.clone(),
         cfg.accesses,
         cell.seed(),
+        &SnapshotOpts::default(),
     )
+    .expect("experiment run failed")
 }
 
 /// Runs the matrix across `cfg.jobs` scoped worker threads.
@@ -382,19 +341,14 @@ pub fn emit_sweep(name: &str, result: &SweepResult) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::driver_config_with_window;
 
     fn tiny_cfg(jobs: usize) -> SweepConfig {
         SweepConfig {
             jobs,
             scale: Scale::TEST,
             accesses: 4_000,
-            window_events: 1_000,
-            migration_bw: None,
-            migration_queue: None,
-            faults: None,
-            chunk: DEFAULT_CHUNK,
-            shards: None,
-            modes: ModeOverrides::default(),
+            driver: driver_config_with_window(1_000),
         }
     }
 
@@ -402,10 +356,7 @@ mod tests {
         matrix(
             &[System::Memtis, System::Tpp],
             &[Benchmark::Roms, Benchmark::Btree],
-            &[Ratio {
-                fast: 1,
-                capacity: 8,
-            }],
+            &[Ratio::DEFAULT],
             CapacityKind::Nvm,
             1,
         )
@@ -480,10 +431,10 @@ mod tests {
         // compared against itself across thread counts, not against `None`).
         let cells = tiny_matrix()[..1].to_vec();
         let mut cfg = tiny_cfg(1);
-        cfg.shards = Some(1);
+        cfg.driver.shards = Some(1);
         let base = run_sweep(&cells, &cfg);
         for shards in [2usize, 4] {
-            cfg.shards = Some(shards);
+            cfg.driver.shards = Some(shards);
             let sharded = run_sweep(&cells, &cfg);
             let (a, b) = (&base.cells[0].report, &sharded.cells[0].report);
             assert_eq!(a.wall_ns.to_bits(), b.wall_ns.to_bits());

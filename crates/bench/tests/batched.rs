@@ -8,7 +8,7 @@
 //! (with host wall-clock zeroed) and the full exported JSONL event/window
 //! trace must render byte-for-byte identically.
 
-use memtis_bench::{machine_for, run_cell_traced, CapacityKind, Ratio, System, SEED};
+use memtis_bench::{machine_for, run_cell_traced, CapacityKind, Ratio, SnapshotOpts, System, SEED};
 use memtis_sim::obs::export_jsonl;
 use memtis_sim::prelude::*;
 use memtis_workloads::{Benchmark, Scale};
@@ -42,11 +42,7 @@ fn run_with_chunk(
     faults: Option<&str>,
     migration_bw: Option<f64>,
 ) -> (String, String) {
-    let ratio = Ratio {
-        fast: 1,
-        capacity: 8,
-    };
-    let machine = machine_for(bench, Scale::TEST, ratio, CapacityKind::Nvm);
+    let machine = machine_for(bench, Scale::TEST, Ratio::DEFAULT, CapacityKind::Nvm);
     let mut driver = DriverConfig {
         window_events: window,
         chunk,
@@ -64,7 +60,9 @@ fn run_with_chunk(
         driver,
         accesses,
         seed,
-    );
+        &SnapshotOpts::default(),
+    )
+    .expect("run");
     let trace = export_jsonl(&obs, &report.windows);
     (signature(report), trace)
 }

@@ -1,0 +1,218 @@
+//! Every bench binary rejects malformed input before it simulates anything.
+//!
+//! For each binary (and each `memtis` subcommand that simulates), a bad
+//! value for every shared flag it accepts, every shared flag it cannot
+//! honour, an unknown flag, and bad positionals or own-flag values must exit
+//! 2 with an `error:` line on stderr that names the offending argument, and
+//! print nothing to stdout.
+
+use memtis_bench::cli::SHARED;
+use memtis_bench::System;
+use std::process::{Command, Output};
+
+const PROBE: &str = env!("CARGO_BIN_EXE_probe");
+const MEMTIS: &str = env!("CARGO_BIN_EXE_memtis");
+const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
+const CHAOS: &str = env!("CARGO_BIN_EXE_chaos");
+
+/// Each shared flag with a malformed value (`None`: the value is missing)
+/// and a well-formed one (`None`: the flag takes no value).
+const VALUES: [(&str, Option<&str>, Option<&str>); 17] = [
+    ("--trace-out", None, Some("t.jsonl")),
+    ("--trace-format", Some("xml"), Some("jsonl")),
+    ("--report-out", None, Some("r.json")),
+    ("--window", Some("abc"), Some("1000")),
+    ("--heartbeat", Some("-1"), Some("1000")),
+    ("--test-scale", None, None),
+    ("--migration-bw", Some("fast"), Some("8")),
+    ("--migration-queue", Some("1.5"), Some("4")),
+    ("--faults", Some("nosuch=1"), Some("seed=1")),
+    ("--chunk", Some("abc"), Some("64")),
+    ("--shards", Some("0"), Some("2")),
+    ("--admission", Some("maybe"), Some("on")),
+    ("--shadow", Some("maybe"), Some("on")),
+    ("--hysteresis", Some("1:2"), Some("on")),
+    ("--snapshot-out", None, Some("s.snap")),
+    ("--snapshot-every", Some("0"), Some("1000")),
+    ("--resume", None, Some("s.snap")),
+];
+
+/// One command line: the binary, the arguments that select a valid cell,
+/// and the shared flags it accepts.
+struct Cmd {
+    exe: &'static str,
+    lead: &'static [&'static str],
+    accepts: &'static [&'static str],
+}
+
+const DRIVER: &[&str] = &[
+    "--window",
+    "--heartbeat",
+    "--migration-bw",
+    "--migration-queue",
+    "--faults",
+    "--chunk",
+    "--shards",
+    "--admission",
+    "--shadow",
+    "--hysteresis",
+];
+
+const CMDS: [Cmd; 6] = [
+    Cmd {
+        exe: PROBE,
+        lead: &["silo", "1:8", "memtis"],
+        accepts: &SHARED,
+    },
+    Cmd {
+        exe: MEMTIS,
+        lead: &["run", "silo"],
+        accepts: &[
+            "--trace-out",
+            "--trace-format",
+            "--window",
+            "--heartbeat",
+            "--migration-bw",
+            "--migration-queue",
+            "--faults",
+            "--chunk",
+            "--shards",
+            "--admission",
+            "--shadow",
+            "--hysteresis",
+            "--snapshot-out",
+            "--snapshot-every",
+            "--resume",
+        ],
+    },
+    Cmd {
+        exe: MEMTIS,
+        lead: &["compare", "silo"],
+        accepts: DRIVER,
+    },
+    Cmd {
+        exe: MEMTIS,
+        lead: &["replay", "silo", "no.trace"],
+        accepts: DRIVER,
+    },
+    Cmd {
+        exe: SWEEP,
+        lead: &[],
+        accepts: &[
+            "--window",
+            "--test-scale",
+            "--migration-bw",
+            "--migration-queue",
+            "--faults",
+            "--chunk",
+            "--shards",
+            "--admission",
+            "--shadow",
+            "--hysteresis",
+        ],
+    },
+    Cmd {
+        exe: CHAOS,
+        lead: &[],
+        accepts: &[
+            "--shards",
+            "--heartbeat",
+            "--snapshot-every",
+            "--admission",
+            "--shadow",
+            "--hysteresis",
+        ],
+    },
+];
+
+fn run(exe: &str, args: &[&str]) -> Output {
+    Command::new(exe)
+        .args(args)
+        .env("MEMTIS_ACCESSES", "1000")
+        .output()
+        .expect("bench binary starts")
+}
+
+/// Asserts that `exe args` is rejected with exit 2 and an error naming
+/// `needle`, without running anything.
+fn assert_rejected(exe: &str, args: &[&str], needle: &str) {
+    let out = run(exe, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let what = format!("{exe} {}", args.join(" "));
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{what}: status; stderr: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "{what}: something ran");
+    let error = stderr.lines().find(|l| l.starts_with("error:"));
+    assert!(
+        error.is_some_and(|l| l.contains(needle)),
+        "{what}: no error line naming {needle:?} in {stderr}"
+    );
+}
+
+#[test]
+fn malformed_shared_flags_exit_2() {
+    for cmd in &CMDS {
+        for (flag, bad, good) in VALUES {
+            let mut args = cmd.lead.to_vec();
+            args.push(flag);
+            if cmd.accepts.contains(&flag) {
+                if flag == "--test-scale" {
+                    continue;
+                }
+                args.extend(bad);
+            } else {
+                args.extend(good);
+            }
+            assert_rejected(cmd.exe, &args, flag);
+        }
+        let mut args = cmd.lead.to_vec();
+        args.push("--nosuch");
+        assert_rejected(cmd.exe, &args, "--nosuch");
+    }
+}
+
+#[test]
+fn malformed_positionals_and_own_flags_exit_2() {
+    let cases: [(&str, &[&str], &str); 15] = [
+        (PROBE, &["nosuchbench"], "nosuchbench"),
+        (PROBE, &["silo", "1:4x"], "1:4x"),
+        (PROBE, &["silo", "8"], "\"8\""),
+        (PROBE, &["silo", "1:8", "nosuch"], "nosuch"),
+        (PROBE, &["silo", "1:8", "memtis", "extra"], "extra"),
+        (
+            PROBE,
+            &["silo", "1:8", "all", "--resume", "s.snap"],
+            "single",
+        ),
+        (MEMTIS, &["run", "nosuchbench"], "nosuchbench"),
+        (MEMTIS, &["run", "silo", "--ratio", "1-4"], "--ratio"),
+        (MEMTIS, &["run", "silo", "--policy", "nosuch"], "--policy"),
+        (MEMTIS, &["run", "silo", "--accesses", "many"], "--accesses"),
+        (MEMTIS, &["compare", "silo", "--policy", "tpp"], "--policy"),
+        (MEMTIS, &["record", "silo", "--out"], "--out"),
+        (SWEEP, &["--systems", "memtis,nosuch"], "--systems"),
+        (SWEEP, &["--jobs", "x"], "--jobs"),
+        (CHAOS, &["--plans", "abc"], "--plans"),
+    ];
+    for (exe, args, needle) in cases {
+        assert_rejected(exe, args, needle);
+    }
+}
+
+#[test]
+fn memtis_list_names_every_system() {
+    let out = run(MEMTIS, &["list"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let policies: Vec<&str> = stdout
+        .split("policies:")
+        .nth(1)
+        .expect("a policies section")
+        .split_whitespace()
+        .collect();
+    let names: Vec<&str> = System::ALL.iter().map(|s| s.name()).collect();
+    assert_eq!(policies, names);
+}

@@ -23,7 +23,7 @@
 //! pool. Byte-identity across that matrix pins pooled-vs-serial equivalence
 //! per chunk x policy x fault plan.
 
-use memtis_bench::{machine_for, run_cell_traced, CapacityKind, Ratio, System, SEED};
+use memtis_bench::{machine_for, run_cell_traced, CapacityKind, Ratio, SnapshotOpts, System, SEED};
 use memtis_sim::obs::export_jsonl;
 use memtis_sim::prelude::*;
 use memtis_workloads::{Benchmark, Scale};
@@ -59,11 +59,7 @@ fn run_with_shards(
     migration_bw: Option<f64>,
     force_workers: bool,
 ) -> (String, String, String) {
-    let ratio = Ratio {
-        fast: 1,
-        capacity: 8,
-    };
-    let machine = machine_for(bench, Scale::TEST, ratio, CapacityKind::Nvm);
+    let machine = machine_for(bench, Scale::TEST, Ratio::DEFAULT, CapacityKind::Nvm);
     let mut driver = DriverConfig {
         window_events: window,
         chunk,
@@ -83,7 +79,9 @@ fn run_with_shards(
         driver,
         accesses,
         seed,
-    );
+        &SnapshotOpts::default(),
+    )
+    .expect("run");
     let trace = export_jsonl(&obs, &report.windows);
     let windows = format!("{:?}", report.windows);
     (signature(report), trace, windows)

@@ -1477,7 +1477,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                 for sc in sh.lanes.iter() {
                     for k in 0..sc.outcome_count() {
                         let o = sc.outcome(k);
-                        self.machine.mode_note_folded(
+                        self.machine.mode_note_demand(
                             o.vpage,
                             o.page_size,
                             sc.access(k).is_store(),
@@ -1537,7 +1537,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                     // Lane outcomes bypass `Machine::access`, so the fold
                     // is the engine-mode and flight-recorder tap for them
                     // (spills below record through the serial path).
-                    self.machine.mode_note_folded(
+                    self.machine.mode_note_demand(
                         outcome.vpage,
                         outcome.page_size,
                         access.is_store(),

@@ -353,8 +353,13 @@ impl Machine {
     /// stale, so it is freed on the spot and its reclaim event queued for
     /// the next [`Machine::pump_transfers`]. One pointer test when every
     /// mode is off.
+    ///
+    /// The sharded coordinator fold calls this too, replaying lane outcomes
+    /// (the lanes themselves never touch machine-global state). Shadow mode
+    /// disables sharded bursts entirely, so only the admission counters
+    /// ever tick from there.
     #[inline]
-    fn mode_note_demand(&mut self, vpage: VirtPage, size: PageSize, is_store: bool) {
+    pub(crate) fn mode_note_demand(&mut self, vpage: VirtPage, size: PageSize, is_store: bool) {
         let Some(modes) = self.modes.as_mut() else {
             return;
         };
@@ -368,15 +373,6 @@ impl Machine {
             };
             self.shadow_invalidate(key);
         }
-    }
-
-    /// [`Machine::mode_note_demand`] for the sharded coordinator fold,
-    /// which replays lane outcomes in stream order (the lanes themselves
-    /// never touch machine-global state). Shadow mode disables sharded
-    /// bursts entirely, so only the admission counters ever tick here.
-    #[inline]
-    pub(crate) fn mode_note_folded(&mut self, vpage: VirtPage, size: PageSize, is_store: bool) {
-        self.mode_note_demand(vpage, size, is_store);
     }
 
     /// Frees the retained shadow of `key` (if any), counts the reclaim, and
