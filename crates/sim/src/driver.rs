@@ -794,7 +794,15 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             }
             Err(e) => return Err(e),
         };
+        self.commit_access(&access, &outcome);
+        Ok(())
+    }
 
+    /// The tail of one executed access, shared by the per-event path and
+    /// the batched loop's hint stop: the hint-fault hook (on the app's
+    /// critical path), sample delivery, then the clock advance by the
+    /// access latency plus the app-side fault work those hooks charged.
+    fn commit_access(&mut self, access: &Access, outcome: &AccessOutcome) {
         let app_before = self.acct.app_extra_ns;
         if outcome.hint_fault {
             let mut ops = Self::ops(
@@ -806,13 +814,12 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             );
             self.policy.on_hint_fault(&mut ops, outcome.vpage);
         }
-        self.notify_access(&access, &outcome);
+        self.notify_access(access, outcome);
         let fault_work = self.acct.app_extra_ns - app_before;
 
         self.app_access_ns += outcome.latency_ns;
         self.wall_ns += (outcome.latency_ns + fault_work) / self.threads();
         self.accesses += 1;
-        Ok(())
     }
 
     /// Delivers one executed access to the policy (daemon context),
@@ -1311,22 +1318,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                         };
                         self.sim_events += 1;
                         i += 1;
-                        let app_before = self.acct.app_extra_ns;
-                        {
-                            let mut ops = Self::ops(
-                                &mut self.machine,
-                                &mut self.acct,
-                                &mut self.obs,
-                                CostSink::App,
-                                self.wall_ns,
-                            );
-                            self.policy.on_hint_fault(&mut ops, outcome.vpage);
-                        }
-                        self.notify_access(&access, &outcome);
-                        let fault_work = self.acct.app_extra_ns - app_before;
-                        self.app_access_ns += outcome.latency_ns;
-                        self.wall_ns += (outcome.latency_ns + fault_work) / self.threads();
-                        self.accesses += 1;
+                        self.commit_access(&access, &outcome);
                         self.pump_transfers();
                         if self.post_event_checks() {
                             halt = true;
@@ -1373,27 +1365,29 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     ///    reference-bit updates, bookkeeping partials ([`shard::LaneFold`]),
     ///    and kept-record indices are buffered per lane.
     /// 3. **Commit** — deferred reference bits are OR-folded into the page
-    ///    table in fixed lane order. A **clean** burst (every lane ran to
-    ///    completion — the steady state) commits entirely from per-lane
-    ///    partials: counter folds merge in lane order (order-free), kept
-    ///    records rebuild stream order through a tournament merge
-    ///    ([`shard::merge_records`]), and the clock advances once by the
-    ///    fixed-shape [`tree_fold_f64`] of the 64 lane latency sums. Every
-    ///    ingredient is lane-indexed, so the commit is shard-count-invariant
-    ///    by construction and does no per-access coordinator work.
-    ///    A burst where any lane stopped early (unmapped page or armed
-    ///    hint) falls back to the per-access stream-order fold, spilling
-    ///    stopped-lane accesses to the serial [`Simulation::handle_access`]
-    ///    path after flushing pending deliveries; which path a burst takes
-    ///    depends only on lane contents, never the shard count.
+    ///    table in fixed lane order, then every lane's executed prefix
+    ///    commits from its per-lane partials: counter folds merge in lane
+    ///    order (order-free), kept records rebuild stream order through a
+    ///    tournament merge ([`shard::merge_records`]) and are delivered, and
+    ///    the clock advances once by the fixed-shape [`tree_fold_f64`] of
+    ///    the 64 lane latency sums. Every ingredient is lane-indexed, so the
+    ///    commit is shard-count-invariant by construction and does no
+    ///    per-access coordinator work.
+    /// 4. **Spill** — a lane that stopped early (unmapped page or armed
+    ///    hint) leaves the rest of its accesses unexecuted; they replay in
+    ///    stream order through the serial [`Simulation::handle_access`]
+    ///    path. Which accesses spill depends only on lane contents, never
+    ///    the shard count.
     ///
-    /// Two documented in-burst deviations from the per-access fold (both
-    /// invariant across shard counts, the determinism claim): clean-path
-    /// records are stamped with the burst-*start* wall clock rather than the
-    /// evolving mid-burst one (the policy sees them at the burst barrier
-    /// either way), and an access that spills re-rolls its flight-recorder
-    /// sampling decision inside [`Machine::access`] after the partition
-    /// already consumed its pre-rolled slot.
+    /// Three documented deviations from the per-event loop (all invariant
+    /// across shard counts, the determinism claim): records are stamped with
+    /// the burst-*start* wall clock rather than the evolving mid-burst one
+    /// (the policy sees them at the burst barrier either way); spilled
+    /// accesses run after the burst's executed accesses are committed and
+    /// delivered, not at their stream position; and a spilled access
+    /// re-rolls its flight-recorder sampling decision inside
+    /// [`Machine::access`] after the partition already consumed its
+    /// pre-rolled slot.
     fn run_sharded_burst(
         &mut self,
         events: &[WorkloadEvent],
@@ -1444,133 +1438,75 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
 
         records.clear();
         let fold_span = Self::span(&self.obs, SpanId::ShardFold);
-        let threads = self.threads();
-        let clean = sh
+        // Commit every lane's executed prefix from its partials: counter
+        // folds merge in lane order (order-free), and the clock advances
+        // once by the fixed-shape tree fold of the lane latency sums.
+        let mut lat = [0f64; NUM_LANES];
+        for (i, sc) in sh.lanes.iter().enumerate() {
+            let f = sc.fold();
+            self.machine.stats.loads += f.loads;
+            self.machine.stats.stores += f.stores;
+            for (t, &n) in f.tier_hits.iter().enumerate() {
+                // Zero counts never resize, so the tier vector's final
+                // length matches per-access counting.
+                self.machine.stats.count_tier_hits_bulk(t, n);
+            }
+            lat[i] = f.lat_sum;
+        }
+        for sc in sh.lanes.iter() {
+            // A sampled position the lane did not execute stays consumed:
+            // its access re-rolls inside `Machine::access` when it spills.
+            for &k in sc.sampled() {
+                if k as usize >= sc.outcome_count() {
+                    break;
+                }
+                let o = sc.outcome(k as usize);
+                self.machine
+                    .flight_insert_sample(o.tier, o.page_size, o.latency_ns);
+            }
+        }
+        if self.machine.fold_wants_access_notes() {
+            // Admission demand counters are commutative (saturating
+            // adds), so lane-order replay equals stream-order replay.
+            for sc in sh.lanes.iter() {
+                for k in 0..sc.outcome_count() {
+                    let o = sc.outcome(k);
+                    self.machine
+                        .mode_note_demand(o.vpage, o.page_size, sc.access(k).is_store());
+                }
+            }
+        }
+        shard::merge_records(&sh.lanes, self.wall_ns, &mut sh.heap, records);
+        let total = tree_fold_f64(&lat);
+        self.app_access_ns += total;
+        self.wall_ns += total / self.threads();
+        self.accesses += burst_load;
+        self.sim_events += burst_load;
+        self.flush_record_batch(records);
+        drop(fold_span);
+
+        // Accesses a stopped lane did not execute (unmapped page or armed
+        // hint) replay serially, in stream order, after the commit.
+        let mut spilled: Vec<u32> = sh
             .lanes
             .iter()
-            .all(|sc| sc.outcome_count() == sc.access_count());
-        if clean {
-            // Parallel-fold commit: every per-access ingredient was
-            // accumulated inside the lanes; merge the partials.
-            let mut lat = [0f64; NUM_LANES];
-            for (i, sc) in sh.lanes.iter().enumerate() {
-                let f = sc.fold();
-                self.machine.stats.loads += f.loads;
-                self.machine.stats.stores += f.stores;
-                for (t, &n) in f.tier_hits.iter().enumerate() {
-                    // Zero counts never resize, so the tier vector's final
-                    // length matches per-access counting.
-                    self.machine.stats.count_tier_hits_bulk(t, n);
-                }
-                lat[i] = f.lat_sum;
-            }
-            for sc in sh.lanes.iter() {
-                for &k in sc.sampled() {
-                    let o = sc.outcome(k as usize);
-                    self.machine
-                        .flight_insert_sample(o.tier, o.page_size, o.latency_ns);
-                }
-            }
-            if self.machine.fold_wants_access_notes() {
-                // Admission demand counters are commutative (saturating
-                // adds), so lane-order replay equals stream-order replay.
-                for sc in sh.lanes.iter() {
-                    for k in 0..sc.outcome_count() {
-                        let o = sc.outcome(k);
-                        self.machine.mode_note_demand(
-                            o.vpage,
-                            o.page_size,
-                            sc.access(k).is_store(),
-                        );
-                    }
-                }
-            }
-            shard::merge_records(&sh.lanes, self.wall_ns, &mut sh.heap, records);
-            let total = tree_fold_f64(&lat);
-            self.app_access_ns += total;
-            self.wall_ns += total / threads;
-            self.accesses += m as u64;
-            self.sim_events += m as u64;
-            self.flush_record_batch(records);
-        } else {
-            // Spill fold: per-access stream-order replay via lane cursors,
-            // exactly as a single-threaded run would advance.
-            let mut cursors = [0usize; NUM_LANES];
-            let mut sampled_at = [0usize; NUM_LANES];
-            for ev in &events[..m] {
-                let WorkloadEvent::Access(access) = *ev else {
-                    unreachable!("non-access event inside the access prefix");
-                };
-                let lane = lane_of(access.vaddr.base_page());
-                let c = cursors[lane];
-                cursors[lane] += 1;
-                // The pre-rolled sampling decision for this position; it
-                // must be consumed (cursor advanced) even when the access
-                // spills, to keep later positions aligned.
-                let sampled_here = {
-                    let s = sh.lanes[lane].sampled();
-                    let p = sampled_at[lane];
-                    if p < s.len() && s[p] as usize == c {
-                        sampled_at[lane] += 1;
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if c < sh.lanes[lane].outcome_count() {
-                    let outcome = sh.lanes[lane].outcome(c);
-                    if filter.keeps(access.kind, outcome.llc_miss) {
-                        records.push(AccessRecord {
-                            access,
-                            outcome,
-                            now_ns: self.wall_ns,
-                        });
-                    }
-                    if outcome.llc_miss {
-                        self.machine.stats.count_tier_hit(outcome.tier);
-                    }
-                    if access.is_store() {
-                        self.machine.stats.stores += 1;
-                    } else {
-                        self.machine.stats.loads += 1;
-                    }
-                    // Lane outcomes bypass `Machine::access`, so the fold
-                    // is the engine-mode and flight-recorder tap for them
-                    // (spills below record through the serial path).
-                    self.machine.mode_note_demand(
-                        outcome.vpage,
-                        outcome.page_size,
-                        access.is_store(),
-                    );
-                    if sampled_here {
-                        self.machine.flight_insert_sample(
-                            outcome.tier,
-                            outcome.page_size,
-                            outcome.latency_ns,
-                        );
-                    }
-                    self.app_access_ns += outcome.latency_ns;
-                    self.wall_ns += outcome.latency_ns / threads;
-                    self.accesses += 1;
-                    self.sim_events += 1;
-                } else {
-                    // The lane stopped before this access (unmapped page or
-                    // armed hint): flush pending policy deliveries so stream
-                    // order holds, then replay serially.
-                    sh.spills += 1;
-                    self.flush_record_batch(records);
-                    self.sim_events += 1;
-                    self.handle_access(access)?;
-                }
-            }
-            self.flush_record_batch(records);
-        }
-        drop(fold_span);
+            .flat_map(|sc| sc.unexecuted())
+            .copied()
+            .collect();
+        spilled.sort_unstable();
+        sh.spills += spilled.len() as u64;
         sh.bursts += 1;
         sh.busy_ns += phase_ns;
         sh.lane_accesses += burst_load;
         sh.crit_accesses += burst_crit;
         self.shard = Some(sh);
+        for idx in spilled {
+            let WorkloadEvent::Access(access) = events[idx as usize] else {
+                unreachable!("non-access event inside the access prefix");
+            };
+            self.sim_events += 1;
+            self.handle_access(access)?;
+        }
         let stop = self.post_event_checks();
         Ok((m, stop))
     }
@@ -1934,6 +1870,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
 mod tests {
     use super::*;
     use crate::addr::HUGE_PAGE_SIZE;
+    use crate::config::TierSpec;
     use crate::policy::NoopPolicy;
 
     /// A scripted stream for tests.
@@ -2329,6 +2266,7 @@ mod tests {
             let sig = report_sig(sim.run(&mut wl).unwrap());
             let metrics = sim.shard_metrics().expect("sharded run has metrics");
             assert!(metrics.bursts > 0, "sharded path never engaged");
+            assert!(metrics.spills > 0, "serial spill replay never engaged");
             sig
         };
         for chunk in [7, 64, DEFAULT_CHUNK] {
@@ -2341,6 +2279,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn sharded_run_supports_more_than_eight_tiers() {
+        // Eight (zero-usable-capacity) DRAM tiers ahead of NVM: every page
+        // lands on tier 8, past any fixed-size per-lane tier tally.
+        let mut tiers = vec![TierSpec::dram(64 * 1024); 8];
+        tiers.push(TierSpec::nvm(8 * HUGE_PAGE_SIZE));
+        let run = |shards: usize| {
+            let mc = MachineConfig {
+                tiers: tiers.clone(),
+                ..cfg()
+            };
+            let mut sim = Simulation::new(
+                mc,
+                NoopPolicy,
+                DriverConfig {
+                    shards: Some(shards),
+                    ..Default::default()
+                },
+            );
+            let sig = report_sig(sim.run(&mut Script::new(mixed_events(20_000))).unwrap());
+            let metrics = sim.shard_metrics().expect("sharded run has metrics");
+            assert!(metrics.lane_accesses > 0, "lane phase never engaged");
+            sig
+        };
+        assert_eq!(run(1), run(3));
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! attribute to either the application critical path or a background daemon.
 
 use crate::access::{Access, AccessOutcome, AccessRecord, RecordFilter};
-use crate::addr::{Frame, PageSize, TierId, VirtPage, BASE_PAGE_SIZE, NR_SUBPAGES};
+use crate::addr::{Frame, PageSize, PhysAddr, TierId, VirtPage, BASE_PAGE_SIZE, NR_SUBPAGES};
 use crate::cache::Llc;
-use crate::config::MachineConfig;
+use crate::config::{CostModel, MachineConfig, TierSpec};
 use crate::engine::{
     AbortCause, EngineEvent, MigrationEngine, MigrationHandle, PumpOutcome, Transfer, TransferEnd,
     TransferId,
@@ -21,7 +21,7 @@ use crate::faults::{FaultCounters, FaultInjector, FaultPlan, FaultRecord, MACHIN
 use crate::modes::{ModeState, PAYBACK_NEVER_NS};
 use crate::page_table::{EntryMut, PageTable, Translation};
 use crate::stats::MachineStats;
-use crate::tier::TierAllocator;
+use crate::tier::{tier_of, TierAllocator};
 use crate::tlb::Tlb;
 use memtis_obs::{FaultKind, FlightRecorder};
 
@@ -83,21 +83,105 @@ pub enum BatchStop {
     NotMapped,
 }
 
-/// One resolved mapping memoized by [`Machine::access_coalesced`].
-#[derive(Clone, Copy)]
-struct CoalesceMemo {
+/// One resolved mapping, memoized so later accesses to it skip the page
+/// walk and tier lookup. The batched path ([`Machine::access_coalesced`])
+/// and the lane executors ([`crate::shard`]) both keep these.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MappingMemo {
     /// Base vpage of the mapping (huge-aligned for a huge mapping).
-    key: VirtPage,
+    pub(crate) key: VirtPage,
     /// Frame of `key` (first subpage frame for a huge mapping).
     base_frame: Frame,
-    size: PageSize,
-    tier: TierId,
+    pub(crate) size: PageSize,
+    pub(crate) tier: TierId,
     /// TLB way the translation is resident in plus the [`Tlb::epoch`] that
-    /// located it, once a repeat has looked it up; repeats at the same
-    /// epoch replay the hit without re-scanning the set.
-    ///
-    /// [`Tlb::epoch`]: crate::tlb::Tlb::epoch
-    tlb_way: Option<(usize, u64)>,
+    /// located it, once an access has looked it up; later accesses at the
+    /// same epoch replay the hit without re-scanning the set.
+    pub(crate) tlb_way: Option<(usize, u64)>,
+}
+
+impl MappingMemo {
+    /// Memo of a resolved translation: `frame` backs `vpage` itself (for a
+    /// huge mapping, its subpage frame).
+    #[inline]
+    pub(crate) fn new(vpage: VirtPage, frame: Frame, size: PageSize, tier: TierId) -> Self {
+        let (key, base_frame) = match size {
+            PageSize::Base => (vpage, frame),
+            PageSize::Huge => (
+                vpage.huge_aligned(),
+                Frame(frame.0 - vpage.subpage_index() as u64),
+            ),
+        };
+        MappingMemo {
+            key,
+            base_frame,
+            size,
+            tier,
+            tlb_way: None,
+        }
+    }
+
+    /// The frame backing `vpage`, if `vpage` lies in this mapping. A huge
+    /// mapping's subpage frames are contiguous from its base frame.
+    #[inline]
+    pub(crate) fn frame_of(&self, vpage: VirtPage) -> Option<Frame> {
+        match self.size {
+            PageSize::Base => (self.key == vpage).then_some(self.base_frame),
+            PageSize::Huge => (self.key == vpage.huge_aligned())
+                .then(|| self.base_frame.add(vpage.subpage_index() as u64)),
+        }
+    }
+}
+
+/// Prices one access to a resolved mapping and returns
+/// `(latency, tlb_hit, llc_hit)`. Adds to `latency`, in this order: the
+/// walk on a TLB miss (the probe replays the memoized `tlb_way` while the
+/// TLB epoch is unchanged, and a miss inserts the translation), then the
+/// LLC-hit cost or, on an LLC miss, the tier's load or store latency.
+///
+/// The one copy of the translation/cache/memory cost sequence: the full
+/// and coalesced machine paths and the lane executors all call it, and
+/// keep only their own bookkeeping around it. [`Machine::access_reference`]
+/// keeps its own copy as the oracle.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn price_access(
+    tlb: &mut Tlb,
+    llc: &mut Llc,
+    costs: &CostModel,
+    spec: &TierSpec,
+    tlb_way: &mut Option<(usize, u64)>,
+    vpage: VirtPage,
+    size: PageSize,
+    frame: Frame,
+    offset: u64,
+    is_store: bool,
+    mut latency: f64,
+) -> (f64, bool, bool) {
+    let tlb_hit = match *tlb_way {
+        Some((way, epoch)) if epoch == tlb.epoch() => {
+            tlb.touch_hit(size, way);
+            true
+        }
+        _ => {
+            let way = tlb.lookup_memo(vpage, size);
+            *tlb_way = way.map(|w| (w, tlb.epoch()));
+            way.is_some()
+        }
+    };
+    if !tlb_hit {
+        latency += size.walk_levels() as f64 * costs.walk_level_ns;
+        tlb.insert(vpage, size);
+    }
+    let llc_hit = llc.access(PhysAddr(frame.addr().0 + offset));
+    latency += if llc_hit {
+        costs.llc_hit_ns
+    } else if is_store {
+        spec.store_ns
+    } else {
+        spec.load_ns
+    };
+    (latency, tlb_hit, llc_hit)
 }
 
 /// Per-burst mapping memo for [`Machine::access_coalesced`]: a small
@@ -109,7 +193,7 @@ struct CoalesceMemo {
 /// the full path.
 #[derive(Default)]
 struct CoalesceCache {
-    ways: [Option<CoalesceMemo>; Self::WAYS],
+    ways: [Option<MappingMemo>; Self::WAYS],
 }
 
 impl CoalesceCache {
@@ -158,31 +242,37 @@ pub struct Machine {
     pub stats: MachineStats,
 }
 
-/// Routes to the TLB owning `vpage`: the lane slice when lanes are enabled,
-/// the monolithic TLB otherwise. A free function over disjoint `Machine`
-/// fields so callers can keep `cfg`/`stats`/`tiers` borrowed alongside.
+/// Routes to the TLB and LLC owning `vpage`: the lane slices when lanes
+/// are enabled, the monolithic pair otherwise. A free function over
+/// disjoint `Machine` fields so callers can keep `cfg`/`stats`/`tiers`
+/// borrowed alongside.
 #[inline]
-fn route_tlb<'a>(
+fn route<'a>(
     lanes: &'a mut Option<Vec<crate::shard::LaneState>>,
     tlb: &'a mut Tlb,
+    llc: &'a mut Llc,
     vpage: VirtPage,
-) -> &'a mut Tlb {
+) -> (&'a mut Tlb, &'a mut Llc) {
     match lanes {
-        Some(ls) => &mut ls[crate::shard::lane_of(vpage)].tlb,
-        None => tlb,
+        Some(ls) => {
+            let lane = &mut ls[crate::shard::lane_of(vpage)];
+            (&mut lane.tlb, &mut lane.llc)
+        }
+        None => (tlb, llc),
     }
 }
 
-/// Routes to the LLC owning `vpage` (see [`route_tlb`]).
-#[inline]
-fn route_llc<'a>(
-    lanes: &'a mut Option<Vec<crate::shard::LaneState>>,
-    llc: &'a mut Llc,
-    vpage: VirtPage,
-) -> &'a mut Llc {
-    match lanes {
-        Some(ls) => &mut ls[crate::shard::lane_of(vpage)].llc,
-        None => llc,
+/// Copy bandwidth of the migration link between `src` and `dst`: the
+/// slower tier's copy bandwidth, capped by `cap` when given (the engine's
+/// [`crate::config::MigrationConfig::bandwidth_limit`]).
+fn link_bw(cfg: &MachineConfig, src: TierId, dst: TierId, cap: Option<f64>) -> f64 {
+    let link = cfg
+        .tier(src)
+        .copy_bw_bytes_per_ns
+        .min(cfg.tier(dst).copy_bw_bytes_per_ns);
+    match cap {
+        Some(cap) => link.min(cap),
+        None => link,
     }
 }
 
@@ -197,8 +287,7 @@ fn route_llc<'a>(
 /// per ~16.5 accesses on average. Subsampling error on the reported
 /// percentiles is negligible at bench scale (thousands of samples per
 /// telemetry window), and the gap schedule depends only on access stream
-/// order, so sharded, chunked, and serial-fold runs record byte-identical
-/// histograms. Migration-side histograms (transfer, queue-wait,
+/// order, so sharded and chunked runs record byte-identical histograms. Migration-side histograms (transfer, queue-wait,
 /// abort-to-retry) stay exact: those events are orders of magnitude rarer.
 pub const FLIGHT_DEMAND_SAMPLE_MEAN: u64 = 16;
 
@@ -267,10 +356,25 @@ impl Machine {
 
     /// Feeds one demand access to the flight recorder through the
     /// deterministic skip-sampler (see [`FLIGHT_DEMAND_SAMPLE_MEAN`]).
-    /// Called from the serial and coalesced access paths and from the
-    /// sharded coordinator fold — always in stream order, so every
-    /// execution mode (chunk size, shard count) draws the identical sample
-    /// schedule and records byte-identical histograms.
+    /// Called from the machine's access paths, and rolled ahead by the
+    /// sharded partition ([`Machine::flight_preroll`]) — always in stream
+    /// order, so every execution mode (chunk size, shard count) draws the
+    /// identical sample schedule and records byte-identical histograms.
+    #[inline]
+    pub fn flight_record_demand(&mut self, tier: TierId, size: PageSize, latency_ns: f64) {
+        if self.flight_preroll() {
+            self.flight_insert_sample(tier, size, latency_ns);
+        }
+    }
+
+    /// Rolls one stream position of the demand-tap skip schedule without
+    /// recording, and says whether this position is a sample. The sharded
+    /// coordinator rolls the schedule during partitioning (stream order),
+    /// tags each lane's accesses with the decisions, and inserts the
+    /// sampled latencies at the barrier via
+    /// [`Machine::flight_insert_sample`] — so the schedule stays a pure
+    /// function of stream position, independent of the shard count.
+    ///
     /// The skip counter doubles as the attached/detached gate: it holds
     /// `u64::MAX` while no recorder is attached (the untraced tap is one
     /// predictable decrement-and-branch), and [`Machine::attach_flight`]
@@ -278,36 +382,12 @@ impl Machine {
     /// unattached countdown ever reach zero, the cold half tolerates the
     /// missing recorder and simply draws the next gap.
     #[inline]
-    pub fn flight_record_demand(&mut self, tier: TierId, size: PageSize, latency_ns: f64) {
-        if self.flight_skip > 0 {
-            self.flight_skip -= 1;
-            return;
-        }
-        self.flight_demand_sample(tier, size, latency_ns);
-    }
-
-    /// Pre-rolls one stream position of the demand-tap skip schedule
-    /// without recording: the skip/rng state advances exactly as
-    /// [`Machine::flight_record_demand`] would have advanced it, and the
-    /// return value says whether this position is a sample. The sharded
-    /// coordinator rolls the schedule during partitioning (stream order),
-    /// tags each lane's accesses with the decisions, and inserts the
-    /// sampled latencies at the barrier via
-    /// [`Machine::flight_insert_sample`] — so the schedule stays a pure
-    /// function of stream position, independent of the shard count.
-    #[inline]
     pub(crate) fn flight_preroll(&mut self) -> bool {
         if self.flight_skip > 0 {
             self.flight_skip -= 1;
             return false;
         }
-        let mut x = self.flight_rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.flight_rng = x;
-        self.flight_skip = x % (2 * FLIGHT_DEMAND_SAMPLE_MEAN);
-        self.flight.is_some()
+        self.flight_draw_gap()
     }
 
     /// Inserts one pre-rolled demand sample (see
@@ -330,13 +410,10 @@ impl Machine {
         self.modes.as_ref().is_some_and(|m| m.admission.is_some())
     }
 
-    /// Cold half of the demand tap: one call per ~16 accesses records the
-    /// sample and draws the next skip gap.
+    /// Cold half of the demand tap: one call per ~16 accesses draws the
+    /// next skip gap, and says whether a recorder takes this sample.
     #[inline(never)]
-    fn flight_demand_sample(&mut self, tier: TierId, size: PageSize, latency_ns: f64) {
-        if let Some(f) = self.flight.as_mut() {
-            f.record_demand(tier.0, size == PageSize::Huge, latency_ns);
-        }
+    fn flight_draw_gap(&mut self) -> bool {
         // xorshift64: cheap, full-period, and seeded by a constant so the
         // gap sequence is a pure function of the access stream position.
         let mut x = self.flight_rng;
@@ -345,6 +422,7 @@ impl Machine {
         x ^= x << 17;
         self.flight_rng = x;
         self.flight_skip = x % (2 * FLIGHT_DEMAND_SAMPLE_MEAN);
+        self.flight.is_some()
     }
 
     /// Engine-mode access hook: feeds the region demand counters that back
@@ -552,12 +630,7 @@ impl Machine {
     ///
     /// Panics if the frame belongs to no tier.
     pub fn tier_of_frame(&self, frame: Frame) -> TierId {
-        for t in &self.tiers {
-            if t.owns(frame) {
-                return t.tier();
-            }
-        }
-        panic!("{frame} belongs to no tier");
+        tier_of(&self.tiers, frame)
     }
 
     /// Free bytes on a tier.
@@ -682,8 +755,7 @@ impl Machine {
                 self.tiers[tier.0 as usize].free_huge(h.frame);
             }
         }
-        route_tlb(&mut self.lanes, &mut self.tlb, vpage).invalidate(vpage, size);
-        self.stats.shootdowns += 1;
+        self.shootdown(vpage, size);
         Ok(self.cfg.costs.tlb_shootdown_ns)
     }
 
@@ -721,46 +793,69 @@ impl Machine {
     /// implementation (enforced by a property test).
     #[inline]
     pub fn access(&mut self, access: Access) -> SimResult<AccessOutcome> {
-        self.access_with_frame(access).map(|(out, _)| out)
+        let vpage = access.vaddr.base_page();
+        let (frame, size, hint_fault) = self
+            .walk_and_mark(vpage, access.is_store())
+            .ok_or(SimError::NotMapped(vpage))?;
+        let tier = tier_of(&self.tiers, frame);
+        Ok(self.charge_access(access, frame, size, tier, hint_fault, &mut None))
     }
 
-    /// [`Machine::access`] plus the resolved frame, which the batched path
-    /// needs to seed its same-page coalescing cache without a second walk.
-    #[inline]
-    fn access_with_frame(&mut self, access: Access) -> SimResult<(AccessOutcome, Frame)> {
+    /// One walk: reads the translation of `vpage`, clears the hint bit, and
+    /// sets the reference bits (harvested by page-table-scanning policies)
+    /// in a single pass over the entry. Returns the frame backing `vpage`,
+    /// the mapping size, and whether the hint bit was armed; `None` if
+    /// unmapped.
+    #[inline(always)]
+    fn walk_and_mark(
+        &mut self,
+        vpage: VirtPage,
+        is_store: bool,
+    ) -> Option<(Frame, PageSize, bool)> {
+        Some(match self.pt.walk_mut(vpage)? {
+            EntryMut::Base(p) => {
+                let hint = p.hint;
+                p.hint = false;
+                p.accessed = true;
+                if is_store {
+                    p.dirty = true;
+                    p.ever_written = true;
+                }
+                (p.frame, PageSize::Base, hint)
+            }
+            EntryMut::Huge(h) => {
+                let hint = h.hint;
+                h.hint = false;
+                h.accessed = true;
+                if is_store {
+                    h.dirty = true;
+                    h.mark_subpage_written(vpage.subpage_index());
+                }
+                (
+                    h.frame.add(vpage.subpage_index() as u64),
+                    PageSize::Huge,
+                    hint,
+                )
+            }
+        })
+    }
+
+    /// Everything an access to a resolved, already-marked mapping does
+    /// after the walk: engine and mode hooks, the hint trap cost, the
+    /// [`price_access`] kernel, the migration-contention penalty, counters,
+    /// and the flight-recorder tap.
+    #[inline(always)]
+    fn charge_access(
+        &mut self,
+        access: Access,
+        frame: Frame,
+        size: PageSize,
+        tier: TierId,
+        hint_fault: bool,
+        tlb_way: &mut Option<(usize, u64)>,
+    ) -> AccessOutcome {
         let vpage = access.vaddr.base_page();
         let is_store = access.is_store();
-
-        // One walk: read the translation, clear the hint bit, and set the
-        // reference bits (harvested by page-table-scanning policies) in a
-        // single pass over the entry.
-        let (frame, size, hint_fault) =
-            match self.pt.walk_mut(vpage).ok_or(SimError::NotMapped(vpage))? {
-                EntryMut::Base(p) => {
-                    let hint = p.hint;
-                    p.hint = false;
-                    p.accessed = true;
-                    if is_store {
-                        p.dirty = true;
-                        p.ever_written = true;
-                    }
-                    (p.frame, PageSize::Base, hint)
-                }
-                EntryMut::Huge(h) => {
-                    let hint = h.hint;
-                    h.hint = false;
-                    h.accessed = true;
-                    if is_store {
-                        h.dirty = true;
-                        h.mark_subpage_written(vpage.subpage_index());
-                    }
-                    (
-                        h.frame.add(vpage.subpage_index() as u64),
-                        PageSize::Huge,
-                        hint,
-                    )
-                }
-            };
 
         // A store to a page whose copy is in flight dirties the pass: the
         // engine must re-copy (or abort) before it can remap.
@@ -772,36 +867,29 @@ impl Machine {
             self.mode_note_demand(vpage, size, is_store);
         }
 
-        let mut latency = 0.0;
-
         // NUMA-hint fault: trap cost, then the access proceeds (the driver
         // notifies the policy afterwards).
+        let mut latency = 0.0;
         if hint_fault {
             latency += self.cfg.costs.fault_overhead_ns;
             self.stats.hint_faults += 1;
         }
 
-        // Address translation.
-        let tlb = route_tlb(&mut self.lanes, &mut self.tlb, vpage);
-        let tlb_hit = tlb.lookup(vpage, size);
-        if !tlb_hit {
-            latency += size.walk_levels() as f64 * self.cfg.costs.walk_level_ns;
-            tlb.insert(vpage, size);
-        }
-
-        // Cache and memory.
-        let paddr = crate::addr::PhysAddr(frame.addr().0 + access.vaddr.base_offset());
-        let tier = self.tier_of_frame(frame);
-        let llc_hit = route_llc(&mut self.lanes, &mut self.llc, vpage).access(paddr);
-        if llc_hit {
-            latency += self.cfg.costs.llc_hit_ns;
-        } else {
-            let spec = self.cfg.tier(tier);
-            latency += if is_store {
-                spec.store_ns
-            } else {
-                spec.load_ns
-            };
+        let (tlb, llc) = route(&mut self.lanes, &mut self.tlb, &mut self.llc, vpage);
+        let (mut latency, tlb_hit, llc_hit) = price_access(
+            tlb,
+            llc,
+            &self.cfg.costs,
+            self.cfg.tier(tier),
+            tlb_way,
+            vpage,
+            size,
+            frame,
+            access.vaddr.base_offset(),
+            is_store,
+            latency,
+        );
+        if !llc_hit {
             // Demand accesses contend with an active migration copy on
             // this tier's link. Never fires in unlimited-bandwidth mode
             // (the engine is never engaged), preserving legacy costs.
@@ -819,19 +907,16 @@ impl Machine {
 
         self.flight_record_demand(tier, size, latency);
 
-        Ok((
-            AccessOutcome {
-                latency_ns: latency,
-                vpage,
-                page_size: size,
-                tier,
-                llc_miss: !llc_hit,
-                tlb_miss: !tlb_hit,
-                hint_fault,
-                demand_fault: false,
-            },
-            frame,
-        ))
+        AccessOutcome {
+            latency_ns: latency,
+            vpage,
+            page_size: size,
+            tier,
+            llc_miss: !llc_hit,
+            tlb_miss: !tlb_hit,
+            hint_fault,
+            demand_fault: false,
+        }
     }
 
     /// Executes the run of [`WorkloadEvent::Access`] events at the head of
@@ -923,117 +1008,34 @@ impl Machine {
         cache: &mut CoalesceCache,
     ) -> SimResult<AccessOutcome> {
         let vpage = access.vaddr.base_page();
+        let is_store = access.is_store();
         let slot = CoalesceCache::slot(vpage);
-        if let Some(memo) = cache.ways[slot].as_mut() {
-            let CoalesceMemo {
-                key,
-                base_frame,
-                size,
-                tier,
-                ..
-            } = *memo;
-            let (same, frame) = match size {
-                PageSize::Base => (key == vpage, base_frame),
-                PageSize::Huge => (
-                    key == vpage.huge_aligned(),
-                    base_frame.add(vpage.subpage_index() as u64),
-                ),
-            };
-            if same {
-                let is_store = access.is_store();
+        let hit = cache.ways[slot].and_then(|m| Some((m.frame_of(vpage)?, m.size, m.tier)));
+        let (frame, size, tier, hint_fault) = match hit {
+            Some((frame, size, tier)) => {
                 if is_store {
                     // Dirty bookkeeping is per-subpage state the memo cannot
                     // carry; take the (walk-cache-accelerated) walk exactly
                     // as the full path would. The hint is guaranteed clear.
-                    match self.pt.walk_mut(vpage) {
-                        Some(EntryMut::Base(p)) => {
-                            debug_assert!(!p.hint, "hint re-armed mid-batch");
-                            p.hint = false;
-                            p.accessed = true;
-                            p.dirty = true;
-                            p.ever_written = true;
-                        }
-                        Some(EntryMut::Huge(h)) => {
-                            debug_assert!(!h.hint, "hint re-armed mid-batch");
-                            h.hint = false;
-                            h.accessed = true;
-                            h.dirty = true;
-                            h.mark_subpage_written(vpage.subpage_index());
-                        }
-                        None => unreachable!("memoized mapping unmapped mid-batch"),
-                    }
+                    let marked = self.walk_and_mark(vpage, true);
+                    debug_assert!(
+                        matches!(marked, Some((_, _, false))),
+                        "memoized mapping unmapped or hint re-armed mid-batch"
+                    );
                 }
-                // The first repeat memoizes the TLB hit way; later repeats
-                // replay the hit without re-scanning the set, as long as no
-                // insert/invalidate/flush has moved entries since (epoch
-                // check).
-                let mut latency = 0.0;
-                let tlb = route_tlb(&mut self.lanes, &mut self.tlb, vpage);
-                let tlb_hit = match memo.tlb_way {
-                    Some((way, epoch)) if epoch == tlb.epoch() => {
-                        tlb.touch_hit(size, way);
-                        true
-                    }
-                    _ => {
-                        let way = tlb.lookup_memo(vpage, size);
-                        memo.tlb_way = way.map(|w| (w, tlb.epoch()));
-                        way.is_some()
-                    }
-                };
-                if !tlb_hit {
-                    latency += size.walk_levels() as f64 * self.cfg.costs.walk_level_ns;
-                    tlb.insert(vpage, size);
-                }
-                let paddr = crate::addr::PhysAddr(frame.addr().0 + access.vaddr.base_offset());
-                let llc_hit = route_llc(&mut self.lanes, &mut self.llc, vpage).access(paddr);
-                if llc_hit {
-                    latency += self.cfg.costs.llc_hit_ns;
-                } else {
-                    let spec = self.cfg.tier(tier);
-                    latency += if is_store {
-                        spec.store_ns
-                    } else {
-                        spec.load_ns
-                    };
-                    self.stats.count_tier_hit(tier);
-                }
-                if is_store {
-                    self.stats.stores += 1;
-                } else {
-                    self.stats.loads += 1;
-                }
-                if self.modes.is_some() {
-                    self.mode_note_demand(vpage, size, is_store);
-                }
-                self.flight_record_demand(tier, size, latency);
-                return Ok(AccessOutcome {
-                    latency_ns: latency,
-                    vpage,
-                    page_size: size,
-                    tier,
-                    llc_miss: !llc_hit,
-                    tlb_miss: !tlb_hit,
-                    hint_fault: false,
-                    demand_fault: false,
-                });
+                (frame, size, tier, false)
             }
-        }
-        let (out, frame) = self.access_with_frame(access)?;
-        let (key, base_frame) = match out.page_size {
-            PageSize::Base => (vpage, frame),
-            PageSize::Huge => (
-                vpage.huge_aligned(),
-                Frame(frame.0 - vpage.subpage_index() as u64),
-            ),
+            None => {
+                let (frame, size, hint_fault) = self
+                    .walk_and_mark(vpage, is_store)
+                    .ok_or(SimError::NotMapped(vpage))?;
+                let tier = tier_of(&self.tiers, frame);
+                cache.ways[slot] = Some(MappingMemo::new(vpage, frame, size, tier));
+                (frame, size, tier, hint_fault)
+            }
         };
-        cache.ways[slot] = Some(CoalesceMemo {
-            key,
-            base_frame,
-            size: out.page_size,
-            tier: out.tier,
-            tlb_way: None,
-        });
-        Ok(out)
+        let memo = cache.ways[slot].as_mut().expect("memo just ensured");
+        Ok(self.charge_access(access, frame, size, tier, hint_fault, &mut memo.tlb_way))
     }
 
     /// The original triple-walk implementation of [`Machine::access`], kept
@@ -1061,8 +1063,8 @@ impl Machine {
         }
 
         // Address translation.
-        let tlb = route_tlb(&mut self.lanes, &mut self.tlb, vpage);
-        let tlb_hit = tlb.lookup(vpage, tr.size);
+        let tlb = route(&mut self.lanes, &mut self.tlb, &mut self.llc, vpage).0;
+        let tlb_hit = tlb.lookup_memo(vpage, tr.size).is_some();
         if !tlb_hit {
             latency += tr.size.walk_levels() as f64 * self.cfg.costs.walk_level_ns;
             tlb.insert(vpage, tr.size);
@@ -1098,9 +1100,11 @@ impl Machine {
         }
 
         // Cache and memory.
-        let paddr = crate::addr::PhysAddr(tr.frame.addr().0 + access.vaddr.base_offset());
+        let paddr = PhysAddr(tr.frame.addr().0 + access.vaddr.base_offset());
         let tier = self.tier_of_frame(tr.frame);
-        let llc_hit = route_llc(&mut self.lanes, &mut self.llc, vpage).access(paddr);
+        let llc_hit = route(&mut self.lanes, &mut self.tlb, &mut self.llc, vpage)
+            .1
+            .access(paddr);
         if llc_hit {
             latency += self.cfg.costs.llc_hit_ns;
         } else {
@@ -1151,6 +1155,27 @@ impl Machine {
     }
 
     fn migrate_inner(&mut self, vpage: VirtPage, dst: TierId) -> SimResult<MigrateOutcome> {
+        let (tr, src) = self.check_move(vpage, dst)?;
+        let new_frame = self.alloc_frame(dst, tr.size)?;
+        let old_frame = self.remap(vpage, tr.size, new_frame);
+        self.mode_retain_or_free(vpage, old_frame, src, dst, tr.size);
+
+        let bytes = tr.size.bytes();
+        let cost = self.transfer_cost_ns(src, dst, bytes, 0);
+        self.count_move(src, dst, bytes, bytes);
+
+        Ok(MigrateOutcome {
+            cost_ns: cost,
+            from: src,
+            to: dst,
+            bytes,
+        })
+    }
+
+    /// Validates a move of the page covering `vpage` to `dst`: mapped, a
+    /// huge mapping addressed at its aligned base, and not already on
+    /// `dst`. Returns the translation and the source tier.
+    fn check_move(&self, vpage: VirtPage, dst: TierId) -> SimResult<(Translation, TierId)> {
         let tr = self.pt.translate(vpage).ok_or(SimError::NotMapped(vpage))?;
         if tr.size == PageSize::Huge && !vpage.is_huge_aligned() {
             return Err(SimError::Unaligned(vpage));
@@ -1159,36 +1184,43 @@ impl Machine {
         if src == dst {
             return Err(SimError::SameTier(src));
         }
-        let new_frame = self.alloc_frame(dst, tr.size)?;
-        // Migration remaps the page: drop the walk cache per the fast-path
-        // invalidation rule (map/unmap/migrate/split/collapse).
+        Ok((tr, src))
+    }
+
+    /// Points the mapping at `vpage` to `new_frame` and returns the frame
+    /// it replaced. A remap drops the walk cache (the fast-path
+    /// invalidation rule for map/unmap/migrate/split/collapse) and shoots
+    /// down the stale TLB entry.
+    fn remap(&mut self, vpage: VirtPage, size: PageSize, new_frame: Frame) -> Frame {
         self.pt.invalidate_walk_cache();
         let old_frame = match self.pt.entry_mut(vpage) {
             Some(EntryMut::Base(p)) => std::mem::replace(&mut p.frame, new_frame),
             Some(EntryMut::Huge(h)) => std::mem::replace(&mut h.frame, new_frame),
-            None => unreachable!(),
+            None => unreachable!("remap of an unmapped page"),
         };
-        self.mode_retain_or_free(vpage, old_frame, src, dst, tr.size);
-        route_tlb(&mut self.lanes, &mut self.tlb, vpage).invalidate(vpage, tr.size);
+        self.shootdown(vpage, size);
+        old_frame
+    }
+
+    /// Invalidates the TLB entry mapping `vpage` at `size` and counts the
+    /// shootdown.
+    fn shootdown(&mut self, vpage: VirtPage, size: PageSize) {
+        route(&mut self.lanes, &mut self.tlb, &mut self.llc, vpage)
+            .0
+            .invalidate(vpage, size);
         self.stats.shootdowns += 1;
+    }
 
-        let bytes = tr.size.bytes();
-        let cost = self.transfer_cost_ns(src, dst, bytes, 0);
-
-        let pages_4k = bytes / BASE_PAGE_SIZE;
+    /// Counts a completed move of a `page_bytes` mapping from `src` to
+    /// `dst` that copied `copied_bytes`.
+    fn count_move(&mut self, src: TierId, dst: TierId, page_bytes: u64, copied_bytes: u64) {
+        let pages_4k = page_bytes / BASE_PAGE_SIZE;
         if dst.0 < src.0 {
             self.stats.migration.promoted_4k += pages_4k;
         } else {
             self.stats.migration.demoted_4k += pages_4k;
         }
-        self.stats.migration.migrated_bytes += bytes;
-
-        Ok(MigrateOutcome {
-            cost_ns: cost,
-            from: src,
-            to: dst,
-            bytes,
-        })
+        self.stats.migration.migrated_bytes += copied_bytes;
     }
 
     /// Splits the huge page at `vpage` in place (same frames become 512
@@ -1208,8 +1240,7 @@ impl Machine {
         }
         let tier = self.tier_of_frame(old.frame);
         self.tiers[tier.0 as usize].split_used_huge(old.frame);
-        route_tlb(&mut self.lanes, &mut self.tlb, vpage).invalidate(vpage, PageSize::Huge);
-        self.stats.shootdowns += 1;
+        self.shootdown(vpage, PageSize::Huge);
         self.stats.migration.splits += 1;
 
         let mut freed = 0u32;
@@ -1276,8 +1307,7 @@ impl Machine {
                 self.shadow_invalidate(k);
             }
         }
-        route_tlb(&mut self.lanes, &mut self.tlb, vpage).invalidate(vpage, PageSize::Base);
-        self.stats.shootdowns += 1;
+        self.shootdown(vpage, PageSize::Base);
         self.stats.migration.collapses += 1;
 
         let bytes = PageSize::Huge.bytes();
@@ -1297,27 +1327,9 @@ impl Machine {
     /// formulas and the engine's copy-duration model, so the synchronous
     /// legacy path and the asynchronous engine cannot drift.
     pub fn transfer_cost_ns(&self, src: TierId, dst: TierId, bytes: u64, pte_updates: u32) -> f64 {
-        let bw = self
-            .cfg
-            .tier(src)
-            .copy_bw_bytes_per_ns
-            .min(self.cfg.tier(dst).copy_bw_bytes_per_ns);
-        bytes as f64 / bw + self.cfg.costs.tlb_shootdown_ns + pte_updates as f64 * PTE_UPDATE_NS
-    }
-
-    /// Copy bandwidth of the migration link between `src` and `dst`:
-    /// the slower tier's copy bandwidth, capped by the engine's
-    /// [`crate::config::MigrationConfig::bandwidth_limit`].
-    fn migration_link_bw(&self, src: TierId, dst: TierId) -> f64 {
-        let link = self
-            .cfg
-            .tier(src)
-            .copy_bw_bytes_per_ns
-            .min(self.cfg.tier(dst).copy_bw_bytes_per_ns);
-        match self.cfg.migration.bandwidth_limit {
-            Some(cap) => link.min(cap),
-            None => link,
-        }
+        bytes as f64 / link_bw(&self.cfg, src, dst, None)
+            + self.cfg.costs.tlb_shootdown_ns
+            + pte_updates as f64 * PTE_UPDATE_NS
     }
 
     /// Requests a migration of the page covering `vpage` to `dst`.
@@ -1398,16 +1410,9 @@ impl Machine {
         dst: TierId,
         now_ns: f64,
     ) -> SimResult<Option<MigrationHandle>> {
-        let Some(tr) = self.pt.translate(vpage) else {
+        let Ok((tr, src)) = self.check_move(vpage, dst) else {
             return Ok(None);
         };
-        if tr.size == PageSize::Huge && !vpage.is_huge_aligned() {
-            return Ok(None);
-        }
-        let src = self.tier_of_frame(tr.frame);
-        if src == dst {
-            return Ok(None);
-        }
         if self.engine.find_overlapping(vpage, tr.size).is_some() {
             return Ok(None);
         }
@@ -1467,18 +1472,10 @@ impl Machine {
             return Ok(None);
         }
         sh.take(vpage);
-        self.pt.invalidate_walk_cache();
-        let old_frame = match self.pt.entry_mut(vpage) {
-            Some(EntryMut::Base(p)) => std::mem::replace(&mut p.frame, shadow.frame),
-            Some(EntryMut::Huge(h)) => std::mem::replace(&mut h.frame, shadow.frame),
-            None => unreachable!(),
-        };
+        let old_frame = self.remap(vpage, tr.size, shadow.frame);
         self.tiers[src.0 as usize].free(old_frame, tr.size);
-        route_tlb(&mut self.lanes, &mut self.tlb, vpage).invalidate(vpage, tr.size);
-        self.stats.shootdowns += 1;
-        let pages_4k = tr.size.bytes() / BASE_PAGE_SIZE;
-        self.stats.migration.demoted_4k += pages_4k;
-        self.stats.migration.shadow_free_demotions_4k += pages_4k;
+        self.count_move(src, dst, tr.size.bytes(), 0);
+        self.stats.migration.shadow_free_demotions_4k += tr.size.bytes() / BASE_PAGE_SIZE;
         self.mode_note_move(vpage, false, now_ns);
         Ok(Some(MigrationHandle::Done(MigrateOutcome {
             cost_ns: self.cfg.costs.tlb_shootdown_ns,
@@ -1495,14 +1492,7 @@ impl Machine {
         priority: u8,
         now_ns: f64,
     ) -> SimResult<MigrationHandle> {
-        let tr = self.pt.translate(vpage).ok_or(SimError::NotMapped(vpage))?;
-        if tr.size == PageSize::Huge && !vpage.is_huge_aligned() {
-            return Err(SimError::Unaligned(vpage));
-        }
-        let src = self.tier_of_frame(tr.frame);
-        if src == dst {
-            return Err(SimError::SameTier(src));
-        }
+        let (tr, src) = self.check_move(vpage, dst)?;
         if self.engine.find_overlapping(vpage, tr.size).is_some() {
             return Err(SimError::InFlight(vpage));
         }
@@ -1592,14 +1582,7 @@ impl Machine {
             let engine = &mut self.engine;
             let cfg = &self.cfg;
             engine.pump(now_ns, |a, b| {
-                let link = cfg
-                    .tier(a)
-                    .copy_bw_bytes_per_ns
-                    .min(cfg.tier(b).copy_bw_bytes_per_ns);
-                match cfg.migration.bandwidth_limit {
-                    Some(cap) => link.min(cap),
-                    None => link,
-                }
+                link_bw(cfg, a, b, cfg.migration.bandwidth_limit)
             })
         };
         let mut events = Vec::with_capacity(outcomes.len());
@@ -1723,22 +1706,9 @@ impl Machine {
             return false;
         }
         // Remap exactly as the synchronous path does.
-        self.pt.invalidate_walk_cache();
-        let old_frame = match self.pt.entry_mut(t.vpage) {
-            Some(EntryMut::Base(p)) => std::mem::replace(&mut p.frame, t.dst_frame),
-            Some(EntryMut::Huge(h)) => std::mem::replace(&mut h.frame, t.dst_frame),
-            None => unreachable!(),
-        };
+        let old_frame = self.remap(t.vpage, t.size, t.dst_frame);
         self.mode_retain_or_free(t.vpage, old_frame, t.from, t.to, t.size);
-        route_tlb(&mut self.lanes, &mut self.tlb, t.vpage).invalidate(t.vpage, t.size);
-        self.stats.shootdowns += 1;
-        let pages_4k = t.bytes / BASE_PAGE_SIZE;
-        if t.to.0 < t.from.0 {
-            self.stats.migration.promoted_4k += pages_4k;
-        } else {
-            self.stats.migration.demoted_4k += pages_4k;
-        }
-        self.stats.migration.migrated_bytes += t.bytes;
+        self.count_move(t.from, t.to, t.bytes, t.bytes);
         if self.modes.is_some() {
             self.mode_note_move(t.vpage, t.to.0 < t.from.0, t.end_ns);
         }
@@ -1754,11 +1724,6 @@ impl Machine {
             f.note_abort(t.vpage.0, abort_ns);
         }
         t.end(Some(cause))
-    }
-
-    /// Exposes the link bandwidth model for tests and benches.
-    pub fn effective_link_bw(&self, src: TierId, dst: TierId) -> f64 {
-        self.migration_link_bw(src, dst)
     }
 
     /// Serializes the complete machine state: tiers, page table, TLB/LLC

@@ -20,12 +20,12 @@
 //! coordinator-owned and runs at burst barriers.
 
 use crate::access::{Access, AccessOutcome, AccessRecord, RecordFilter};
-use crate::addr::{Frame, PageSize, PhysAddr, TierId, VirtPage};
+use crate::addr::{PageSize, VirtPage};
 use crate::cache::Llc;
 use crate::config::{MachineConfig, TlbSpec};
-use crate::machine::Machine;
+use crate::machine::{price_access, Machine, MappingMemo};
 use crate::page_table::{EntryMut, PageTable};
-use crate::tier::TierAllocator;
+use crate::tier::{tier_of, TierAllocator};
 use crate::tlb::Tlb;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -98,22 +98,6 @@ struct DeferredBits {
     sub_written: [u64; SUBPAGE_WORDS],
 }
 
-/// One resolved mapping memoized by the lane executor, mirroring the
-/// machine's batched-path coalescing memo but lane-local.
-#[derive(Debug, Clone, Copy)]
-struct LaneMemo {
-    /// Base vpage of the mapping (huge-aligned for a huge mapping).
-    key: VirtPage,
-    /// Frame of `key` (first subpage frame for a huge mapping).
-    base_frame: Frame,
-    size: PageSize,
-    tier: TierId,
-    /// Memoized TLB hit way plus the lane-TLB epoch that located it.
-    tlb_way: Option<(usize, u64)>,
-    /// Index of this mapping's [`DeferredBits`] entry in the lane scratch.
-    bits_idx: usize,
-}
-
 /// Ways in the lane-local mapping memo. Within a lane, consecutive regions
 /// differ by multiples of [`NUM_LANES`] in region index, so the slot divides
 /// that stride out first.
@@ -124,24 +108,21 @@ fn memo_slot(vpage: VirtPage) -> usize {
     ((vpage.0 as usize >> 9) / NUM_LANES) & (MEMO_WAYS - 1)
 }
 
-/// Upper bound on distinct tiers a [`LaneFold`] can tally. Real machine
-/// configurations model two or three tiers; eight leaves headroom.
-pub const FOLD_TIERS: usize = 8;
-
 /// Mergeable per-lane bookkeeping a lane accumulates while executing its
-/// subsequence: the per-access stats and clock contributions the serial
-/// coordinator fold used to compute one access at a time. Integer counters
-/// are commutative sums; `lat_sum` is accumulated in lane-local order and
-/// merged across lanes with [`crate::util::tree_fold_f64`], so every merge
-/// is a pure function of the (shard-count-invariant) lane partition.
-#[derive(Debug, Default, Clone, Copy)]
+/// subsequence: the per-access stats and clock contributions of the
+/// accesses it executed. Integer counters are commutative sums; `lat_sum`
+/// is accumulated in lane-local order and merged across lanes with
+/// [`crate::util::tree_fold_f64`], so every merge is a pure function of the
+/// (shard-count-invariant) lane partition.
+#[derive(Debug, Default, Clone)]
 pub struct LaneFold {
     /// Loads executed by this lane.
     pub loads: u64,
     /// Stores executed by this lane.
     pub stores: u64,
-    /// LLC-missing accesses served per tier (index = tier id).
-    pub tier_hits: [u64; FOLD_TIERS],
+    /// LLC-missing accesses served per tier (index = tier id; one slot
+    /// per machine tier).
+    pub tier_hits: Vec<u64>,
     /// Sum of executed-access latencies, in lane-local order.
     pub lat_sum: f64,
 }
@@ -163,7 +144,7 @@ pub struct LaneScratch {
     sampled: Vec<u32>,
     /// Precomputed outcomes for a prefix of `accesses`. Shorter than
     /// `accesses` iff the lane stopped (hint-armed or unmapped page); the
-    /// remainder spills to the coordinator's serial path during the fold.
+    /// remainder spills to the coordinator's serial path after the fold.
     outcomes: Vec<AccessOutcome>,
     /// Lane-local indices of executed accesses kept by the run's record
     /// filter (ascending; always within the outcome prefix).
@@ -172,7 +153,9 @@ pub struct LaneScratch {
     fold: LaneFold,
     /// Buffered page-table bit updates, in memoization order.
     bits: Vec<DeferredBits>,
-    memo: [Option<LaneMemo>; MEMO_WAYS],
+    /// Lane-local mapping memo, each way beside the index of its mapping's
+    /// [`DeferredBits`] entry.
+    memo: [Option<(MappingMemo, usize)>; MEMO_WAYS],
 }
 
 impl LaneScratch {
@@ -195,12 +178,6 @@ impl LaneScratch {
         self.outcomes.len()
     }
 
-    /// Number of accesses queued this burst.
-    #[inline]
-    pub fn access_count(&self) -> usize {
-        self.accesses.len()
-    }
-
     /// The `idx`-th precomputed outcome.
     #[inline]
     pub fn outcome(&self, idx: usize) -> AccessOutcome {
@@ -211,6 +188,13 @@ impl LaneScratch {
     #[inline]
     pub fn access(&self, idx: usize) -> Access {
         self.accesses[idx]
+    }
+
+    /// Burst-local stream indices of the accesses this lane did not execute
+    /// (it stopped at an unmapped or hint-armed page), ascending.
+    #[inline]
+    pub fn unexecuted(&self) -> &[u32] {
+        &self.stream_idx[self.outcomes.len()..]
     }
 
     /// Pre-rolled flight-sample lane-local indices (ascending).
@@ -232,32 +216,21 @@ impl LaneScratch {
         self.sampled.clear();
         self.outcomes.clear();
         self.kept.clear();
-        self.fold = LaneFold::default();
+        self.fold.loads = 0;
+        self.fold.stores = 0;
+        self.fold.lat_sum = 0.0;
+        self.fold.tier_hits.fill(0);
         self.bits.clear();
         self.memo = [None; MEMO_WAYS];
     }
 }
 
-/// The tier owning `frame` (free-function form of
-/// [`Machine::tier_of_frame`], usable while the machine is partially
-/// borrowed and from worker threads).
-#[inline]
-fn tier_of(tiers: &[TierAllocator], frame: Frame) -> TierId {
-    for t in tiers {
-        if t.owns(frame) {
-            return t.tier();
-        }
-    }
-    panic!("{frame} belongs to no tier");
-}
-
 /// Executes one lane's access subsequence against the burst-start
 /// page-table snapshot, precomputing outcomes, buffering bit updates, and
 /// accumulating the lane's mergeable [`LaneFold`] partials plus the
-/// record-filter decisions — the per-access bookkeeping the coordinator
-/// fold used to run serially. Stops (leaving the rest of the lane to
-/// spill) at the first access whose page is unmapped or hint-armed — those
-/// need coordinator-side effects.
+/// record-filter decisions. Stops (leaving the rest of the lane to spill)
+/// at the first access whose page is unmapped or hint-armed — those need
+/// coordinator-side effects.
 fn run_lane(
     pt: &PageTable,
     tiers: &[TierAllocator],
@@ -266,26 +239,17 @@ fn run_lane(
     lane: &mut LaneState,
     sc: &mut LaneScratch,
 ) {
+    sc.fold.tier_hits.resize(tiers.len(), 0);
     for k in 0..sc.accesses.len() {
         let access = sc.accesses[k];
         let vpage = access.vaddr.base_page();
         let is_store = access.is_store();
         let slot = memo_slot(vpage);
 
-        let (frame, size, tier, bits_idx) = match sc.memo[slot] {
-            Some(m)
-                if match m.size {
-                    PageSize::Base => m.key == vpage,
-                    PageSize::Huge => m.key == vpage.huge_aligned(),
-                } =>
-            {
-                let frame = match m.size {
-                    PageSize::Base => m.base_frame,
-                    PageSize::Huge => m.base_frame.add(vpage.subpage_index() as u64),
-                };
-                (frame, m.size, m.tier, m.bits_idx)
-            }
-            _ => {
+        let hit = sc.memo[slot].and_then(|(m, b)| Some((m.frame_of(vpage)?, b)));
+        let (frame, bits_idx) = match hit {
+            Some(hit) => hit,
+            None => {
                 let Some(tr) = pt.translate(vpage) else {
                     // Unmapped: the access demand-faults; the coordinator
                     // replays it (and the rest of this lane) serially.
@@ -295,31 +259,19 @@ fn run_lane(
                     // Hint-armed: the fault runs policy hooks; spill.
                     return;
                 }
-                let tier = tier_of(tiers, tr.frame);
-                let (key, base_frame) = match tr.size {
-                    PageSize::Base => (vpage, tr.frame),
-                    PageSize::Huge => (
-                        vpage.huge_aligned(),
-                        Frame(tr.frame.0 - vpage.subpage_index() as u64),
-                    ),
-                };
+                let memo = MappingMemo::new(vpage, tr.frame, tr.size, tier_of(tiers, tr.frame));
                 let bits_idx = sc.bits.len();
                 sc.bits.push(DeferredBits {
-                    key,
+                    key: memo.key,
                     wrote: false,
                     sub_written: [0; SUBPAGE_WORDS],
                 });
-                sc.memo[slot] = Some(LaneMemo {
-                    key,
-                    base_frame,
-                    size: tr.size,
-                    tier,
-                    tlb_way: None,
-                    bits_idx,
-                });
-                (tr.frame, tr.size, tier, bits_idx)
+                sc.memo[slot] = Some((memo, bits_idx));
+                (tr.frame, bits_idx)
             }
         };
+        let (memo, _) = sc.memo[slot].as_mut().expect("memo just ensured");
+        let (size, tier) = (memo.size, memo.tier);
 
         if is_store {
             let b = &mut sc.bits[bits_idx];
@@ -330,47 +282,27 @@ fn run_lane(
             }
         }
 
-        // Address translation against the lane TLB slice, with the same
-        // epoch-checked way replay the machine's coalesced path uses.
-        let mut latency = 0.0;
-        let memo = sc.memo[slot].as_mut().expect("memo just ensured");
-        let tlb_hit = match memo.tlb_way {
-            Some((way, epoch)) if epoch == lane.tlb.epoch() => {
-                lane.tlb.touch_hit(size, way);
-                true
-            }
-            _ => {
-                let way = lane.tlb.lookup_memo(vpage, size);
-                memo.tlb_way = way.map(|w| (w, lane.tlb.epoch()));
-                way.is_some()
-            }
-        };
-        if !tlb_hit {
-            latency += size.walk_levels() as f64 * cfg.costs.walk_level_ns;
-            lane.tlb.insert(vpage, size);
-        }
-
-        // Cache and memory against the lane LLC slice. No migration-link
-        // contention term: the sharded path only engages with the engine
-        // disabled (unlimited bandwidth), where it never fires.
-        let paddr = PhysAddr(frame.addr().0 + access.vaddr.base_offset());
-        let llc_hit = lane.llc.access(paddr);
-        if llc_hit {
-            latency += cfg.costs.llc_hit_ns;
-        } else {
-            let spec = cfg.tier(tier);
-            latency += if is_store {
-                spec.store_ns
-            } else {
-                spec.load_ns
-            };
-        }
+        // No migration-link contention term: the sharded path only engages
+        // with the engine disabled (unlimited bandwidth), where it never
+        // fires.
+        let (latency, tlb_hit, llc_hit) = price_access(
+            &mut lane.tlb,
+            &mut lane.llc,
+            &cfg.costs,
+            cfg.tier(tier),
+            &mut memo.tlb_way,
+            vpage,
+            size,
+            frame,
+            access.vaddr.base_offset(),
+            is_store,
+            0.0,
+        );
 
         if filter.keeps(access.kind, !llc_hit) {
             sc.kept.push(k as u32);
         }
         if !llc_hit {
-            debug_assert!((tier.0 as usize) < FOLD_TIERS, "tier id out of fold range");
             sc.fold.tier_hits[tier.0 as usize] += 1;
         }
         if is_store {
@@ -768,7 +700,7 @@ pub fn apply_deferred_bits(machine: &mut Machine, scratch: &mut [LaneScratch]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::HUGE_PAGE_SIZE;
+    use crate::addr::{TierId, HUGE_PAGE_SIZE};
 
     #[test]
     fn lane_assignment_is_per_region_and_stable() {
@@ -892,9 +824,7 @@ mod tests {
         partition(&mut scratch, &accesses);
         WorkerPool::new(0).run_burst(&mut m, &mut scratch, 4, filter);
         // Clean burst: every lane ran to completion.
-        assert!(scratch
-            .iter()
-            .all(|sc| sc.outcome_count() == sc.access_count()));
+        assert!(scratch.iter().all(|sc| sc.unexecuted().is_empty()));
         let mut heap = BinaryHeap::new();
         let mut out = Vec::new();
         merge_records(&scratch, 42.0, &mut heap, &mut out);

@@ -323,6 +323,23 @@ impl TierAllocator {
     }
 }
 
+/// The tier owning `frame` among `tiers`. A free function so the machine
+/// can call it with its other fields borrowed, and lane workers can call it
+/// from their threads.
+///
+/// # Panics
+///
+/// Panics if the frame belongs to no tier.
+#[inline]
+pub(crate) fn tier_of(tiers: &[TierAllocator], frame: Frame) -> TierId {
+    for t in tiers {
+        if t.owns(frame) {
+            return t.tier();
+        }
+    }
+    panic!("{frame} belongs to no tier");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

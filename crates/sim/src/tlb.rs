@@ -75,13 +75,9 @@ impl TlbArray {
         }
     }
 
-    fn lookup(&mut self, tag: u64) -> bool {
-        self.lookup_way(tag).is_some()
-    }
-
-    /// [`TlbArray::lookup`] returning the hit way's index into `entries`,
-    /// so a caller that knows the tag stays resident can [`TlbArray::touch`]
-    /// it without re-scanning the set.
+    /// Probes the set for `tag`, refreshing the stamp on a hit. Returns the
+    /// hit way's index into `entries`, so a caller that knows the tag stays
+    /// resident can [`TlbArray::touch`] it without re-scanning the set.
     fn lookup_way(&mut self, tag: u64) -> Option<usize> {
         self.clock += 1;
         let k = key(tag);
@@ -95,7 +91,7 @@ impl TlbArray {
         None
     }
 
-    /// Exactly the state transition of a [`TlbArray::lookup`] hit on the
+    /// Exactly the state transition of a [`TlbArray::lookup_way`] hit on the
     /// entry at `idx` — clock tick plus stamp refresh — minus the set scan.
     #[inline]
     fn touch(&mut self, idx: usize) {
@@ -228,26 +224,11 @@ impl Tlb {
         }
     }
 
-    /// Looks up a translation for `vpage`. The mapping size must be supplied
-    /// by the caller (the page table knows it); a real TLB probes both
-    /// structures in parallel.
-    pub fn lookup(&mut self, vpage: VirtPage, size: PageSize) -> bool {
-        let hit = match size {
-            PageSize::Base => self.base.lookup(Self::tag(vpage, size)),
-            PageSize::Huge => self.huge.lookup(Self::tag(vpage, size)),
-        };
-        if hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
-        hit
-    }
-
-    /// [`Tlb::lookup`] that additionally reports the hit way so the caller
-    /// can replay future guaranteed hits on the same mapping with
-    /// [`Tlb::touch_hit`]. State transition and statistics are identical to
-    /// `lookup`.
+    /// Looks up a translation for `vpage` and reports the hit way, so the
+    /// caller can replay future guaranteed hits on the same mapping with
+    /// [`Tlb::touch_hit`]. The mapping size must be supplied by the caller
+    /// (the page table knows it); a real TLB probes both structures in
+    /// parallel.
     pub fn lookup_memo(&mut self, vpage: VirtPage, size: PageSize) -> Option<usize> {
         let way = match size {
             PageSize::Base => self.base.lookup_way(Self::tag(vpage, size)),
@@ -263,7 +244,7 @@ impl Tlb {
 
     /// Replays a guaranteed-hit lookup of a still-resident translation whose
     /// way was memoized by [`Tlb::lookup_memo`]: the LRU clock, the entry
-    /// stamp, and the hit counter advance exactly as a `lookup` hit would,
+    /// stamp, and the hit counter advance exactly as a `lookup_memo` hit would,
     /// without re-scanning the set. Only valid while [`Tlb::epoch`] is
     /// unchanged since the memoizing lookup — any insert, invalidate, or
     /// flush may have moved or evicted the entry.
@@ -344,9 +325,9 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let mut t = small_tlb();
-        assert!(!t.lookup(VirtPage(5), PageSize::Base));
+        assert!(t.lookup_memo(VirtPage(5), PageSize::Base).is_none());
         t.insert(VirtPage(5), PageSize::Base);
-        assert!(t.lookup(VirtPage(5), PageSize::Base));
+        assert!(t.lookup_memo(VirtPage(5), PageSize::Base).is_some());
         assert_eq!(t.stats.hits, 1);
         assert_eq!(t.stats.misses, 1);
     }
@@ -355,9 +336,13 @@ mod tests {
     fn huge_entry_covers_all_subpages() {
         let mut t = small_tlb();
         t.insert(VirtPage(512 * 3), PageSize::Huge);
-        assert!(t.lookup(VirtPage(512 * 3 + 17), PageSize::Huge));
-        assert!(t.lookup(VirtPage(512 * 3 + 511), PageSize::Huge));
-        assert!(!t.lookup(VirtPage(512 * 4), PageSize::Huge));
+        assert!(t
+            .lookup_memo(VirtPage(512 * 3 + 17), PageSize::Huge)
+            .is_some());
+        assert!(t
+            .lookup_memo(VirtPage(512 * 3 + 511), PageSize::Huge)
+            .is_some());
+        assert!(t.lookup_memo(VirtPage(512 * 4), PageSize::Huge).is_none());
     }
 
     #[test]
@@ -368,8 +353,8 @@ mod tests {
             t.insert(VirtPage(i * 4), PageSize::Base);
         }
         // Tag 0 was the LRU of set 0 and must be evicted.
-        assert!(!t.lookup(VirtPage(0), PageSize::Base));
-        assert!(t.lookup(VirtPage(16), PageSize::Base));
+        assert!(t.lookup_memo(VirtPage(0), PageSize::Base).is_none());
+        assert!(t.lookup_memo(VirtPage(16), PageSize::Base).is_some());
     }
 
     #[test]
@@ -378,10 +363,10 @@ mod tests {
         t.insert(VirtPage(1), PageSize::Base);
         t.insert(VirtPage(512), PageSize::Huge);
         t.invalidate(VirtPage(1), PageSize::Base);
-        assert!(!t.lookup(VirtPage(1), PageSize::Base));
-        assert!(t.lookup(VirtPage(512), PageSize::Huge));
+        assert!(t.lookup_memo(VirtPage(1), PageSize::Base).is_none());
+        assert!(t.lookup_memo(VirtPage(512), PageSize::Huge).is_some());
         t.flush_all();
-        assert!(!t.lookup(VirtPage(512), PageSize::Huge));
+        assert!(t.lookup_memo(VirtPage(512), PageSize::Huge).is_none());
         assert!(t.stats.flushes >= 2);
     }
 
@@ -393,7 +378,7 @@ mod tests {
         let pages: Vec<VirtPage> = (0..64).map(VirtPage).collect();
         for rounds in 0..3 {
             for &p in &pages {
-                if !t.lookup(p, PageSize::Base) {
+                if t.lookup_memo(p, PageSize::Base).is_none() {
                     t.insert(p, PageSize::Base);
                 }
             }
@@ -405,7 +390,7 @@ mod tests {
         let mut t2 = small_tlb();
         for _ in 0..3 {
             for &p in &pages {
-                if !t2.lookup(p, PageSize::Huge) {
+                if t2.lookup_memo(p, PageSize::Huge).is_none() {
                     t2.insert(p, PageSize::Huge);
                 }
             }
