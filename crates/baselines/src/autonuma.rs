@@ -9,6 +9,7 @@
 //!   notes this ironically helps XSBench at 1:2 (the early-allocated hot
 //!   region can never be evicted) and hurts everywhere else.
 
+use memtis_sim::obs::{SnapError, SnapFields, SnapReader, SnapWriter};
 use memtis_sim::prelude::{PageSize, PolicyDescriptor, PolicyOps, TierId, TieringPolicy, VirtPage};
 use memtis_tracking::hintfault::HintFaultSampler;
 use std::collections::HashMap;
@@ -29,6 +30,7 @@ impl Default for AutoNumaConfig {
 
 /// The AutoNUMA policy.
 pub struct AutoNumaPolicy {
+    cfg: AutoNumaConfig,
     sampler: HintFaultSampler,
     sizes: HashMap<VirtPage, PageSize>,
     /// Promotions performed in the fault handler.
@@ -40,6 +42,7 @@ impl AutoNumaPolicy {
     pub fn new(cfg: AutoNumaConfig) -> Self {
         AutoNumaPolicy {
             sampler: HintFaultSampler::sweeping(cfg.sweep_rounds),
+            cfg,
             sizes: HashMap::new(),
             critical_path_promotions: 0,
         }
@@ -102,7 +105,23 @@ impl TieringPolicy for AutoNumaPolicy {
     fn tick(&mut self, ops: &mut PolicyOps<'_>) {
         self.sampler.arm_round(ops);
     }
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        self.save_fields(w);
+    }
+
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.load_fields(r)
+    }
 }
+
+// `sizes` is only ever accessed by key; its encoding is key-sorted.
+memtis_sim::obs::snap_struct!(in AutoNumaPolicy {
+    @fp cfg,
+    sampler,
+    sizes,
+    critical_path_promotions,
+});
 
 #[cfg(test)]
 mod tests {

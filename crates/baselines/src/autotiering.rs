@@ -13,6 +13,7 @@
 //!   short-lived data go to the capacity tier when the free space is at or
 //!   below the reserve, the behaviour that costs it 603.bwaves performance.
 
+use memtis_sim::obs::{SnapError, SnapFields, SnapReader, SnapWriter};
 use memtis_sim::prelude::{
     DetHashMap, PageSize, PolicyDescriptor, PolicyOps, SimError, TierId, TieringPolicy, VirtPage,
 };
@@ -42,6 +43,9 @@ impl Default for AutoTieringConfig {
         }
     }
 }
+
+/// One LFU bucket per possible popcount of the 8-bit history (0..=8).
+const LFU_BUCKETS: usize = 9;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Hist {
@@ -76,7 +80,7 @@ impl AutoTieringPolicy {
             cfg,
             sampler: HintFaultSampler::sweeping(sweep),
             pages: DetHashMap::default(),
-            lfu_buckets: vec![Vec::new(); 9],
+            lfu_buckets: vec![Vec::new(); LFU_BUCKETS],
             ticks: 0,
             critical_path_promotions: 0,
         }
@@ -211,6 +215,11 @@ impl TieringPolicy for AutoTieringPolicy {
                 h.bits <<= 1;
                 entries.push((v, h.lfu()));
             }
+            // Bucket order decides demotion order, so fill the buckets in
+            // page order, not hash-table order: a map restored from a
+            // checkpoint has a different layout than the one it was saved
+            // from.
+            entries.sort_unstable_by_key(|e| e.0);
             for (v, lfu) in entries {
                 if matches!(ops.locate(v), Some((TierId::FAST, _))) {
                     self.lfu_buckets[lfu as usize].push(v);
@@ -223,7 +232,31 @@ impl TieringPolicy for AutoTieringPolicy {
             self.demote_lfu(ops, reserve, self.cfg.demote_batch_bytes);
         }
     }
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        self.save_fields(w);
+    }
+
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.load_fields(r)
+    }
 }
+
+memtis_sim::obs::snap_struct!(Hist { bits, size_huge });
+
+memtis_sim::obs::snap_struct!(in AutoTieringPolicy {
+    @fp cfg,
+    sampler,
+    pages,
+    lfu_buckets,
+    ticks,
+    critical_path_promotions,
+} check |p: &mut AutoTieringPolicy| {
+    if p.lfu_buckets.len() != LFU_BUCKETS {
+        return Err(SnapError::Corrupt("lfu bucket count"));
+    }
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

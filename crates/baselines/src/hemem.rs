@@ -15,10 +15,10 @@
 //!   directly in the fast tier — the *over-allocation* the paper measures in
 //!   Table 3 and compensates for in its HeMem configuration.
 
-use memtis_sim::obs::{SnapError, SnapReader, SnapWriter};
+use memtis_sim::obs::{SnapError, SnapFields, SnapReader, SnapWriter};
 use memtis_sim::prelude::{
-    Access, AccessOutcome, DetHashMap, Fnv1a, PageSize, PolicyDescriptor, PolicyOps, SimError,
-    TierId, TieringPolicy, VirtPage,
+    Access, AccessOutcome, DetHashMap, PageSize, PolicyDescriptor, PolicyOps, SimError, TierId,
+    TieringPolicy, VirtPage,
 };
 use memtis_tracking::pebs::PebsSampler;
 use std::collections::VecDeque;
@@ -274,88 +274,34 @@ impl TieringPolicy for HememPolicy {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        // Config fingerprint first: restoring into a differently tuned
-        // policy would silently change behaviour.
-        w.u64(Fnv1a::new().mix_str(&format!("{:?}", self.cfg)).finish());
-        self.sampler.snap_save(w);
-        // The page map is keyed *and* scanned (victim selection), but the
-        // scan sorts by vpage first, so serializing sorted keeps both the
-        // byte stream and post-restore behaviour deterministic.
-        let mut pages: Vec<(VirtPage, Page)> = self.pages.iter().map(|(&v, &p)| (v, p)).collect();
-        pages.sort_unstable_by_key(|e| e.0);
-        w.usize(pages.len());
-        for (v, p) in pages {
-            w.u64(v.0);
-            w.u8(match p.size {
-                PageSize::Base => 0,
-                PageSize::Huge => 1,
-            });
-            w.u64(p.count);
-            w.bool(p.in_promo);
-        }
-        w.u64(self.hot_bytes);
-        // The promotion queue is ordered state: serialize as-is.
-        w.usize(self.promo.len());
-        for v in &self.promo {
-            w.u64(v.0);
-        }
-        w.u64(self.overallocated_bytes);
-        w.usize(self.hot_series.len());
-        for &(t, b) in &self.hot_series {
-            w.f64(t);
-            w.u64(b);
-        }
-        w.u64(self.coolings);
+        self.save_fields(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let expected = Fnv1a::new().mix_str(&format!("{:?}", self.cfg)).finish();
-        let found = r.u64()?;
-        if found != expected {
-            return Err(SnapError::ConfigMismatch { expected, found });
-        }
-        self.sampler = PebsSampler::snap_load(r)?;
-        self.pages = DetHashMap::default();
-        for _ in 0..r.usize()? {
-            let vpage = VirtPage(r.u64()?);
-            let size = match r.u8()? {
-                0 => PageSize::Base,
-                1 => PageSize::Huge,
-                _ => return Err(SnapError::Corrupt("hemem page size tag")),
-            };
-            let count = r.u64()?;
-            let in_promo = r.bool()?;
-            if self
-                .pages
-                .insert(
-                    vpage,
-                    Page {
-                        size,
-                        count,
-                        in_promo,
-                    },
-                )
-                .is_some()
-            {
-                return Err(SnapError::Corrupt("hemem duplicate page key"));
-            }
-        }
-        self.hot_bytes = r.u64()?;
-        self.promo = VecDeque::new();
-        for _ in 0..r.usize()? {
-            self.promo.push_back(VirtPage(r.u64()?));
-        }
-        self.overallocated_bytes = r.u64()?;
-        self.hot_series = Vec::new();
-        for _ in 0..r.usize()? {
-            let t = r.f64()?;
-            let b = r.u64()?;
-            self.hot_series.push((t, b));
-        }
-        self.coolings = r.u64()?;
-        Ok(())
+        self.load_fields(r)
     }
 }
+
+memtis_sim::obs::snap_struct!(Page {
+    size,
+    count,
+    in_promo
+});
+
+// The page map is keyed *and* scanned (victim selection), but the scan
+// sorts by vpage first, so the map's key-sorted encoding keeps both the
+// byte stream and post-restore behaviour deterministic. The promotion
+// queue is ordered state and travels as-is.
+memtis_sim::obs::snap_struct!(in HememPolicy {
+    @fp cfg,
+    sampler,
+    pages,
+    hot_bytes,
+    promo,
+    overallocated_bytes,
+    hot_series,
+    coolings,
+});
 
 #[cfg(test)]
 mod tests {

@@ -5,6 +5,7 @@
 //! found accessed in **two** scan intervals (static threshold 2), demotion
 //! takes inactive-tail pages, and all migration happens in the background.
 
+use memtis_sim::obs::{SnapError, SnapFields, SnapReader, SnapWriter};
 use memtis_sim::prelude::{
     DetHashMap, PageSize, PolicyDescriptor, PolicyOps, SimError, TierId, TieringPolicy, VirtPage,
 };
@@ -168,7 +169,25 @@ impl TieringPolicy for MultiClockPolicy {
             self.demote(ops, watermark, &mut b);
         }
     }
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        self.save_fields(w);
+    }
+
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.load_fields(r)
+    }
 }
+
+// `sizes` is only ever accessed by key; its encoding is key-sorted.
+memtis_sim::obs::snap_struct!(in MultiClockPolicy {
+    @fp cfg,
+    capacity,
+    fast,
+    sizes,
+    ticks,
+    promotions,
+});
 
 #[cfg(test)]
 mod tests {

@@ -10,6 +10,7 @@
 //!   many pages per interval (Silo) trigger massive migration churn
 //!   (56.43× MEMTIS's traffic in the paper).
 
+use memtis_sim::obs::{SnapError, SnapFields, SnapReader, SnapWriter};
 use memtis_sim::prelude::{
     PageSize, PolicyDescriptor, PolicyOps, SimError, TierId, TieringPolicy, VirtPage,
 };
@@ -122,7 +123,17 @@ impl TieringPolicy for NimblePolicy {
             }
         }
     }
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        self.save_fields(w);
+    }
+
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.load_fields(r)
+    }
 }
+
+memtis_sim::obs::snap_struct!(in NimblePolicy { @fp cfg, ticks, exchanges });
 
 #[cfg(test)]
 mod tests {

@@ -4,6 +4,7 @@
 //! the all-DRAM case (with and without THP) appears as the upper reference
 //! line in Fig. 7/8.
 
+use memtis_sim::obs::{SnapError, SnapReader, SnapWriter};
 use memtis_sim::prelude::{PageSize, PolicyDescriptor, PolicyOps, TierId, TieringPolicy, VirtPage};
 
 /// Pins all allocations to one tier and never migrates.
@@ -52,6 +53,13 @@ impl TieringPolicy for StaticPolicy {
         _size: PageSize,
     ) -> TierId {
         self.tier
+    }
+
+    /// Stateless: nothing to checkpoint.
+    fn save_state(&self, _w: &mut SnapWriter) {}
+
+    fn load_state(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        Ok(())
     }
 }
 

@@ -13,6 +13,7 @@
 //!   new allocations may also use (which is why it does well on
 //!   603.bwaves' short-lived data, §6.2.6).
 
+use memtis_sim::obs::{SnapError, SnapFields, SnapReader, SnapWriter};
 use memtis_sim::prelude::{
     DetHashMap, PageSize, PolicyDescriptor, PolicyOps, SimError, TierId, TieringPolicy, VirtPage,
 };
@@ -209,7 +210,31 @@ impl TieringPolicy for Tiering08Policy {
             self.demote_for_headroom(ops, headroom);
         }
     }
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        self.save_fields(w);
+    }
+
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.load_fields(r)
+    }
 }
+
+memtis_sim::obs::snap_struct!(Page {
+    size,
+    last_fault_ns
+});
+
+// `pages` is only ever accessed by key; its encoding is key-sorted.
+memtis_sim::obs::snap_struct!(in Tiering08Policy {
+    @fp cfg,
+    sampler,
+    pages,
+    fast_fifo,
+    threshold_ns,
+    promotions_this_tick,
+    critical_path_promotions,
+});
 
 #[cfg(test)]
 mod tests {

@@ -14,6 +14,7 @@
 //! - **Huge pages are split upon demotion** (all-cold by definition), never
 //!   by skew — the contrast the paper draws with MEMTIS's split policy.
 
+use memtis_sim::obs::{SnapError, SnapFields, SnapReader, SnapWriter};
 use memtis_sim::prelude::{
     Access, AccessOutcome, DetHashMap, PageSize, PolicyDescriptor, PolicyOps, SimError, TierId,
     TieringPolicy, VirtPage,
@@ -271,7 +272,37 @@ impl TieringPolicy for TmtsPolicy {
             }
         }
     }
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        self.save_fields(w);
+    }
+
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.load_fields(r)
+    }
 }
+
+memtis_sim::obs::snap_struct!(Page {
+    size_huge,
+    idle_age,
+    scan_hits
+});
+
+// `pages` is only ever accessed by key; its encoding is key-sorted.
+memtis_sim::obs::snap_struct!(in TmtsPolicy {
+    @fp cfg,
+    sampler,
+    pages,
+    demote_age,
+    ticks,
+    cold_age_histogram,
+    demotion_splits,
+} check |p: &mut TmtsPolicy| {
+    if p.cold_age_histogram.is_empty() {
+        return Err(SnapError::Corrupt("tmts cold-age histogram empty"));
+    }
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

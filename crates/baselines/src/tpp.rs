@@ -14,10 +14,9 @@
 //! The coarse 2Q classification is what the paper blames for TPP identifying
 //! more hot pages than fast-tier capacity at 1:8/1:16 on Liblinear.
 
-use memtis_sim::obs::{SnapError, SnapReader, SnapWriter};
+use memtis_sim::obs::{SnapError, SnapFields, SnapReader, SnapWriter};
 use memtis_sim::prelude::{
-    DetHashMap, Fnv1a, PageSize, PolicyDescriptor, PolicyOps, SimError, TierId, TieringPolicy,
-    VirtPage,
+    DetHashMap, PageSize, PolicyDescriptor, PolicyOps, SimError, TierId, TieringPolicy, VirtPage,
 };
 use memtis_tracking::hintfault::HintFaultSampler;
 use memtis_tracking::lru2q::Lru2Q;
@@ -214,65 +213,24 @@ impl TieringPolicy for TppPolicy {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        // Config fingerprint first: restoring into a differently tuned
-        // policy would silently change behaviour.
-        w.u64(Fnv1a::new().mix_str(&format!("{:?}", self.cfg)).finish());
-        self.sampler.snap_save(w);
-        self.lru.snap_save(w);
-        // Both maps are only ever accessed by key, but serialize sorted so
-        // the byte stream itself is deterministic.
-        let mut counts: Vec<(VirtPage, u8)> =
-            self.fault_counts.iter().map(|(&p, &c)| (p, c)).collect();
-        counts.sort_unstable_by_key(|e| e.0);
-        w.usize(counts.len());
-        for (p, c) in counts {
-            w.u64(p.0);
-            w.u8(c);
-        }
-        let mut sizes: Vec<(VirtPage, PageSize)> =
-            self.sizes.iter().map(|(&p, &s)| (p, s)).collect();
-        sizes.sort_unstable_by_key(|e| e.0);
-        w.usize(sizes.len());
-        for (p, s) in sizes {
-            w.u64(p.0);
-            w.u8(match s {
-                PageSize::Base => 0,
-                PageSize::Huge => 1,
-            });
-        }
-        w.u32(self.ticks);
-        w.u64(self.critical_path_promotions);
+        self.save_fields(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let expected = Fnv1a::new().mix_str(&format!("{:?}", self.cfg)).finish();
-        let found = r.u64()?;
-        if found != expected {
-            return Err(SnapError::ConfigMismatch { expected, found });
-        }
-        self.sampler = HintFaultSampler::snap_load(r)?;
-        self.lru = Lru2Q::snap_load(r)?;
-        self.fault_counts = DetHashMap::default();
-        for _ in 0..r.usize()? {
-            let page = VirtPage(r.u64()?);
-            let count = r.u8()?;
-            self.fault_counts.insert(page, count);
-        }
-        self.sizes = DetHashMap::default();
-        for _ in 0..r.usize()? {
-            let page = VirtPage(r.u64()?);
-            let size = match r.u8()? {
-                0 => PageSize::Base,
-                1 => PageSize::Huge,
-                _ => return Err(SnapError::Corrupt("tpp page size tag")),
-            };
-            self.sizes.insert(page, size);
-        }
-        self.ticks = r.u32()?;
-        self.critical_path_promotions = r.u64()?;
-        Ok(())
+        self.load_fields(r)
     }
 }
+
+// Both maps are only ever accessed by key; their encoding is key-sorted.
+memtis_sim::obs::snap_struct!(in TppPolicy {
+    @fp cfg,
+    sampler,
+    lru,
+    fault_counts,
+    sizes,
+    ticks,
+    critical_path_promotions,
+});
 
 #[cfg(test)]
 mod tests {
@@ -394,7 +352,7 @@ mod tests {
     fn snap_bytes(p: &TppPolicy) -> Vec<u8> {
         let mut w = memtis_sim::obs::SnapWriter::new();
         p.save_state(&mut w);
-        w.finish()
+        w.finish().unwrap()
     }
 
     #[test]

@@ -133,27 +133,9 @@ impl AccessHistogram {
             self.pages_at_or_above(b) * 4096
         }
     }
-
-    /// Serializes the bin counters and the underflow tally.
-    pub fn snap_save(&self, w: &mut memtis_sim::obs::SnapWriter) {
-        for &b in self.bins.iter() {
-            w.u64(b);
-        }
-        w.u64(self.underflows);
-    }
-
-    /// Reconstructs a histogram from [`AccessHistogram::snap_save`] output.
-    pub fn snap_load(
-        r: &mut memtis_sim::obs::SnapReader<'_>,
-    ) -> Result<Self, memtis_sim::obs::SnapError> {
-        let mut h = AccessHistogram::new();
-        for b in h.bins.iter_mut() {
-            *b = r.u64()?;
-        }
-        h.underflows = r.u64()?;
-        Ok(h)
-    }
 }
+
+memtis_sim::obs::snap_struct!(AccessHistogram { bins, underflows });
 
 #[cfg(test)]
 mod tests {
@@ -257,10 +239,10 @@ mod tests {
         h.add(15, 9);
         h.remove(0, 3); // underflow: 3
         let mut w = memtis_sim::obs::SnapWriter::new();
-        h.snap_save(&mut w);
-        let bytes = w.finish();
+        w.put(&h);
+        let bytes = w.finish().unwrap();
         let mut r = memtis_sim::obs::SnapReader::new(&bytes);
-        let back = AccessHistogram::snap_load(&mut r).unwrap();
+        let back: AccessHistogram = r.get().unwrap();
         assert_eq!(back.bins(), h.bins());
         assert_eq!(back.underflows(), 3);
         assert!(r.expect_end().is_ok());

@@ -7,7 +7,7 @@
 //! access count `C_i`, and for huge pages a per-subpage count vector that
 //! backs both the emulated base-page histogram and the skewness factor.
 
-use crate::histogram::bin_of;
+use crate::histogram::{bin_of, MAX_BIN};
 use memtis_sim::prelude::{PageSize, NR_SUBPAGES};
 
 /// Per-subpage metadata of a huge page.
@@ -189,6 +189,27 @@ pub fn base_hotness(count: u64) -> u64 {
 pub fn subpage_hotness(count: u32) -> u64 {
     (count as u64).saturating_mul(NR_SUBPAGES)
 }
+
+memtis_sim::obs::snap_struct!(SubMeta { counts, bins } check |s: &SubMeta| {
+    if s.bins.iter().any(|&b| b as usize > MAX_BIN) {
+        return Err(memtis_sim::obs::SnapError::Corrupt("subpage bin out of range"));
+    }
+    Ok(())
+});
+
+memtis_sim::obs::snap_struct!(PageMeta {
+    size,
+    count,
+    bin,
+    epoch,
+    in_promo,
+    sub,
+} check |m: &PageMeta| {
+    if m.bin as usize > MAX_BIN {
+        return Err(memtis_sim::obs::SnapError::Corrupt("page bin out of range"));
+    }
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

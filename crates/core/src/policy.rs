@@ -13,9 +13,9 @@ use crate::histogram::{bin_of, AccessHistogram, MAX_BIN};
 use crate::meta::{subpage_hotness, PageMeta, SubMeta};
 use crate::regions::RegionTable;
 use crate::threshold::{adapt, Thresholds};
-use memtis_sim::obs::{SnapError, SnapReader, SnapWriter};
+use memtis_sim::obs::{SnapError, SnapFields, SnapReader, SnapWriter};
 use memtis_sim::prelude::{
-    Access, AccessKind, AccessOutcome, AccessRecord, EventKind, Fnv1a, PageSize, PolicyDescriptor,
+    Access, AccessKind, AccessOutcome, AccessRecord, EventKind, PageSize, PolicyDescriptor,
     PolicyOps, RecordFilter, SimError, ThresholdCause, TierId, TieringPolicy, TransferEnd,
     TransferId, VirtPage, HUGE_PAGE_SIZE, NR_SUBPAGES,
 };
@@ -1091,260 +1091,80 @@ impl TieringPolicy for MemtisPolicy {
         self.page_hist.underflows() + self.base_hist.underflows()
     }
 
-    /// Serializes every piece of run state: page metadata, both histograms
-    /// and threshold sets, the PEBS sampler and period controller mid-period,
-    /// the event-count clocks and estimation window, all work queues,
-    /// in-flight transfers, skew buckets, and the statistics series. A
-    /// fingerprint of the policy configuration is written first so a restore
-    /// into a differently-configured policy is rejected instead of silently
-    /// diverging.
+    /// Checkpoints the complete classification state: the region table,
+    /// both histograms and threshold sets, the PEBS sampler and period
+    /// controller mid-period, the event-count clocks and estimation window,
+    /// all work queues, in-flight transfers, skew buckets, and the
+    /// statistics series. A fingerprint of the policy configuration comes
+    /// first, so a restore into a differently-configured policy is rejected
+    /// instead of silently diverging.
     fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(Fnv1a::new().mix_str(&format!("{:?}", self.cfg)).finish());
-
-        // Region table, in its canonical ascending-vpn scan order.
-        w.usize(self.pages.len());
-        for (vpage, meta) in self.pages.iter() {
-            w.u64(vpage.0);
-            w.u8(match meta.size {
-                PageSize::Base => 0,
-                PageSize::Huge => 1,
-            });
-            w.u64(meta.count);
-            w.u8(meta.bin);
-            w.u32(meta.epoch);
-            w.bool(meta.in_promo);
-            match &meta.sub {
-                Some(sub) => {
-                    w.bool(true);
-                    for &c in sub.counts.iter() {
-                        w.u32(c);
-                    }
-                    w.bytes(&sub.bins);
-                }
-                None => w.bool(false),
-            }
-        }
-
-        self.page_hist.snap_save(w);
-        self.base_hist.snap_save(w);
-        for t in [self.thr, self.base_thr] {
-            w.usize(t.hot);
-            w.usize(t.warm);
-            w.usize(t.cold);
-            w.u64(t.hot_set_bytes);
-        }
-        self.sampler.snap_save(w);
-        self.controller.snap_save(w);
-
-        w.u64(self.since_adapt);
-        w.u64(self.since_cool);
-        w.u64(self.since_control);
-        w.f64(self.last_control_ns);
-        w.f64(self.window_cpu_ns);
-        w.u64(self.win_samples);
-        w.u64(self.win_fast);
-        w.u64(self.win_ehr_hits);
-        w.u64(self.win_hp_samples);
-        w.u64(self.win_hp_distinct);
-        w.u32(self.epoch);
-
-        for q in [
-            &self.promo,
-            &self.demote_cold,
-            &self.demote_warm,
-            &self.split_queue,
-            &self.collapse_queue,
-        ] {
-            w.usize(q.len());
-            for v in q {
-                w.u64(v.0);
-            }
-        }
-        w.usize(self.in_flight.len());
-        for &(v, id, dst) in &self.in_flight {
-            w.u64(v.0);
-            w.u64(id.0);
-            w.u8(dst.0);
-        }
-        for bucket in &self.skew_buckets {
-            w.usize(bucket.len());
-            for v in bucket {
-                w.u64(v.0);
-            }
-        }
-        w.u32(self.benefit_streak);
-        w.u32(self.ticks_since_refill);
-        w.u32(self.tick_count);
-
-        let st = &self.stats;
-        w.u64(st.samples);
-        w.u64(st.adaptations);
-        w.u64(st.coolings);
-        w.u64(st.estimates);
-        w.u64(st.splits);
-        w.u64(st.collapses);
-        w.u64(st.promoted_4k);
-        w.u64(st.demoted_4k);
-        w.f64(st.last_rhr);
-        w.f64(st.last_ehr);
-        w.usize(st.hr_series.len());
-        for &(t, rhr, ehr) in &st.hr_series {
-            w.f64(t);
-            w.f64(rhr);
-            w.f64(ehr);
-        }
-        w.usize(st.period_series.len());
-        for &(t, p) in &st.period_series {
-            w.f64(t);
-            w.u64(p);
-        }
-        w.f64(st.cpu_usage_ema);
-        w.u64(st.split_candidates);
-        w.u64(st.split_requested);
-        w.u64(st.scan_supplements);
-        w.u64(st.inflight_cancels);
-        w.u64(st.abort_retries);
+        self.save_fields(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let expected = Fnv1a::new().mix_str(&format!("{:?}", self.cfg)).finish();
-        let found = r.u64()?;
-        if found != expected {
-            return Err(SnapError::ConfigMismatch { expected, found });
-        }
-
-        let n = r.usize()?;
-        let mut pages = RegionTable::new();
-        for _ in 0..n {
-            let vpage = VirtPage(r.u64()?);
-            let size = match r.u8()? {
-                0 => PageSize::Base,
-                1 => PageSize::Huge,
-                _ => return Err(SnapError::Corrupt("page size tag")),
-            };
-            let count = r.u64()?;
-            let bin = r.u8()?;
-            if bin as usize > MAX_BIN {
-                return Err(SnapError::Corrupt("page bin out of range"));
-            }
-            let epoch = r.u32()?;
-            let in_promo = r.bool()?;
-            let sub = if r.bool()? {
-                let mut s = Box::<SubMeta>::default();
-                for c in s.counts.iter_mut() {
-                    *c = r.u32()?;
-                }
-                let bins = r.bytes()?;
-                if bins.len() != s.bins.len() {
-                    return Err(SnapError::Corrupt("subpage bin vector length"));
-                }
-                if bins.iter().any(|&b| b as usize > MAX_BIN) {
-                    return Err(SnapError::Corrupt("subpage bin out of range"));
-                }
-                s.bins.copy_from_slice(bins);
-                Some(s)
-            } else {
-                None
-            };
-            pages.insert(
-                vpage,
-                PageMeta {
-                    size,
-                    count,
-                    bin,
-                    sub,
-                    epoch,
-                    in_promo,
-                },
-            );
-        }
-        self.pages = pages;
-
-        self.page_hist = AccessHistogram::snap_load(r)?;
-        self.base_hist = AccessHistogram::snap_load(r)?;
-        for t in [&mut self.thr, &mut self.base_thr] {
-            t.hot = r.usize()?;
-            t.warm = r.usize()?;
-            t.cold = r.usize()?;
-            t.hot_set_bytes = r.u64()?;
-        }
-        self.sampler = PebsSampler::snap_load(r)?;
-        self.controller = PeriodController::snap_load(r)?;
-
-        self.since_adapt = r.u64()?;
-        self.since_cool = r.u64()?;
-        self.since_control = r.u64()?;
-        self.last_control_ns = r.f64()?;
-        self.window_cpu_ns = r.f64()?;
-        self.win_samples = r.u64()?;
-        self.win_fast = r.u64()?;
-        self.win_ehr_hits = r.u64()?;
-        self.win_hp_samples = r.u64()?;
-        self.win_hp_distinct = r.u64()?;
-        self.epoch = r.u32()?;
-
-        for q in [
-            &mut self.promo,
-            &mut self.demote_cold,
-            &mut self.demote_warm,
-            &mut self.split_queue,
-            &mut self.collapse_queue,
-        ] {
-            let n = r.usize()?;
-            q.clear();
-            for _ in 0..n {
-                q.push_back(VirtPage(r.u64()?));
-            }
-        }
-        let n = r.usize()?;
-        self.in_flight.clear();
-        for _ in 0..n {
-            let v = VirtPage(r.u64()?);
-            let id = TransferId(r.u64()?);
-            let dst = TierId(r.u8()?);
-            self.in_flight.push((v, id, dst));
-        }
-        for bucket in self.skew_buckets.iter_mut() {
-            let n = r.usize()?;
-            bucket.clear();
-            for _ in 0..n {
-                bucket.push(VirtPage(r.u64()?));
-            }
-        }
-        self.benefit_streak = r.u32()?;
-        self.ticks_since_refill = r.u32()?;
-        self.tick_count = r.u32()?;
-
-        let st = &mut self.stats;
-        st.samples = r.u64()?;
-        st.adaptations = r.u64()?;
-        st.coolings = r.u64()?;
-        st.estimates = r.u64()?;
-        st.splits = r.u64()?;
-        st.collapses = r.u64()?;
-        st.promoted_4k = r.u64()?;
-        st.demoted_4k = r.u64()?;
-        st.last_rhr = r.f64()?;
-        st.last_ehr = r.f64()?;
-        let n = r.usize()?;
-        st.hr_series.clear();
-        for _ in 0..n {
-            st.hr_series.push((r.f64()?, r.f64()?, r.f64()?));
-        }
-        let n = r.usize()?;
-        st.period_series.clear();
-        for _ in 0..n {
-            st.period_series.push((r.f64()?, r.u64()?));
-        }
-        st.cpu_usage_ema = r.f64()?;
-        st.split_candidates = r.u64()?;
-        st.split_requested = r.u64()?;
-        st.scan_supplements = r.u64()?;
-        st.inflight_cancels = r.u64()?;
-        st.abort_retries = r.u64()?;
-        Ok(())
+        self.load_fields(r)
     }
 }
+
+memtis_sim::obs::snap_struct!(MemtisStats {
+    samples,
+    adaptations,
+    coolings,
+    estimates,
+    splits,
+    collapses,
+    promoted_4k,
+    demoted_4k,
+    last_rhr,
+    last_ehr,
+    hr_series,
+    period_series,
+    cpu_usage_ema,
+    split_candidates,
+    split_requested,
+    scan_supplements,
+    inflight_cancels,
+    abort_retries,
+});
+
+memtis_sim::obs::snap_struct!(in MemtisPolicy {
+    @fp cfg,
+    pages,
+    page_hist,
+    base_hist,
+    thr,
+    base_thr,
+    sampler,
+    controller,
+    since_adapt,
+    since_cool,
+    since_control,
+    last_control_ns,
+    window_cpu_ns,
+    win_samples,
+    win_fast,
+    win_ehr_hits,
+    win_hp_samples,
+    win_hp_distinct,
+    epoch,
+    promo,
+    demote_cold,
+    demote_warm,
+    split_queue,
+    collapse_queue,
+    in_flight,
+    skew_buckets,
+    benefit_streak,
+    ticks_since_refill,
+    tick_count,
+    stats,
+} check |p: &mut MemtisPolicy| {
+    if p.skew_buckets.len() != SKEW_BUCKETS {
+        return Err(SnapError::Corrupt("skew bucket count"));
+    }
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {
@@ -1659,7 +1479,7 @@ mod tests {
     fn policy_snap(p: &MemtisPolicy) -> Vec<u8> {
         let mut w = memtis_sim::obs::SnapWriter::new();
         p.save_state(&mut w);
-        w.finish()
+        w.finish().unwrap()
     }
 
     #[test]

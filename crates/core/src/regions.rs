@@ -20,6 +20,7 @@
 //! merely deterministic for identical operation sequences).
 
 use crate::meta::PageMeta;
+use memtis_sim::obs::{Snap, SnapError, SnapReader, SnapWriter};
 use memtis_sim::prelude::{DetHashMap, VirtPage, NR_SUBPAGES};
 use std::cell::Cell;
 
@@ -230,6 +231,31 @@ impl RegionTable {
             }
         }
         visited
+    }
+}
+
+/// A `u32` count, then `(vpage, meta)` pairs in the table's canonical
+/// ascending-vpn scan order. Loading re-inserts them; a repeated page is
+/// corrupt.
+impl Snap for RegionTable {
+    const MIN_BYTES: usize = 4;
+    fn save(&self, w: &mut SnapWriter) {
+        w.count(self.len());
+        for (vpage, meta) in self.iter() {
+            w.put(&vpage);
+            w.put(meta);
+        }
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let n = r.count(<(VirtPage, PageMeta)>::MIN_BYTES)?;
+        let mut table = RegionTable::new();
+        for _ in 0..n {
+            let (vpage, meta): (VirtPage, PageMeta) = r.get()?;
+            if table.insert(vpage, meta).is_some() {
+                return Err(SnapError::Corrupt("duplicate region table page"));
+            }
+        }
+        Ok(table)
     }
 }
 

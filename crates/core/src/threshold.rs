@@ -28,6 +28,13 @@ pub struct Thresholds {
     pub hot_set_bytes: u64,
 }
 
+memtis_sim::obs::snap_struct!(Thresholds {
+    hot,
+    warm,
+    cold,
+    hot_set_bytes,
+});
+
 impl Default for Thresholds {
     /// Initial values: `T_hot = 1`, `T_warm = 1`, `T_cold = 0` (§4.2.1).
     fn default() -> Self {

@@ -362,356 +362,72 @@ impl Event {
     }
 }
 
-// ---------------------------------------------------------------------------
 // Snapshot encoding: label enums serialize as their declaration-order tag,
 // event kinds as a tag followed by their fields in declaration order.
-// ---------------------------------------------------------------------------
 
-use crate::snap::{SnapError, SnapReader, SnapWriter};
-
-macro_rules! snap_label_enum {
-    ($ty:ident { $($variant:ident => $tag:literal,)+ }) => {
-        impl $ty {
-            /// Stable snapshot tag (declaration order).
-            pub fn snap_tag(&self) -> u8 {
-                match self {
-                    $($ty::$variant => $tag,)+
-                }
-            }
-
-            /// Inverse of [`Self::snap_tag`].
-            pub fn from_snap_tag(tag: u8) -> Result<Self, SnapError> {
-                match tag {
-                    $($tag => Ok($ty::$variant),)+
-                    _ => Err(SnapError::Corrupt(concat!(
-                        "unknown ", stringify!($ty), " tag"
-                    ))),
-                }
-            }
-        }
-    };
-}
-
-snap_label_enum!(MigrationFailure {
-    OutOfMemory => 0,
-    NotMapped => 1,
-    Unaligned => 2,
-    SameTier => 3,
-    Cancelled => 4,
-    Dirty => 5,
-    Superseded => 6,
-    Other => 7,
+crate::snap_enum!(MigrationFailure {
+    0 => OutOfMemory,
+    1 => NotMapped,
+    2 => Unaligned,
+    3 => SameTier,
+    4 => Cancelled,
+    5 => Dirty,
+    6 => Superseded,
+    7 => Other,
 });
 
-snap_label_enum!(FaultKind {
-    ForcedAbort => 0,
-    InjectedDirty => 1,
-    LinkOutage => 2,
-    SampleDrop => 3,
-    SampleDup => 4,
-    TickSkip => 5,
-    TickDelay => 6,
-    PressureSpike => 7,
-    PressureRelease => 8,
+crate::snap_enum!(FaultKind {
+    0 => ForcedAbort,
+    1 => InjectedDirty,
+    2 => LinkOutage,
+    3 => SampleDrop,
+    4 => SampleDup,
+    5 => TickSkip,
+    6 => TickDelay,
+    7 => PressureSpike,
+    8 => PressureRelease,
 });
 
-snap_label_enum!(ShootdownCause {
-    Migration => 0,
-    Split => 1,
-    Collapse => 2,
-    Unmap => 3,
+crate::snap_enum!(ShootdownCause {
+    0 => Migration,
+    1 => Split,
+    2 => Collapse,
+    3 => Unmap,
 });
 
-snap_label_enum!(ThresholdCause {
-    Periodic => 0,
-    Cooling => 1,
+crate::snap_enum!(ThresholdCause {
+    0 => Periodic,
+    1 => Cooling,
 });
 
-impl Event {
-    /// Serializes the event (time plus kind) into `w`.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.f64(self.t_ns);
-        match self.kind {
-            EventKind::Promotion {
-                vpage,
-                from,
-                to,
-                bytes,
-            } => {
-                w.u8(0);
-                w.u64(vpage);
-                w.u8(from);
-                w.u8(to);
-                w.u64(bytes);
-            }
-            EventKind::Demotion {
-                vpage,
-                from,
-                to,
-                bytes,
-            } => {
-                w.u8(1);
-                w.u64(vpage);
-                w.u8(from);
-                w.u8(to);
-                w.u64(bytes);
-            }
-            EventKind::Split {
-                vpage,
-                tier,
-                zero_subpages_freed,
-            } => {
-                w.u8(2);
-                w.u64(vpage);
-                w.u8(tier);
-                w.u32(zero_subpages_freed);
-            }
-            EventKind::Collapse { vpage, tier } => {
-                w.u8(3);
-                w.u64(vpage);
-                w.u8(tier);
-            }
-            EventKind::CoolingTick {
-                visited_4k,
-                hot_threshold,
-                warm_threshold,
-            } => {
-                w.u8(4);
-                w.u64(visited_4k);
-                w.u32(hot_threshold);
-                w.u32(warm_threshold);
-            }
-            EventKind::ThresholdRecompute {
-                cause,
-                hot,
-                warm,
-                cold,
-            } => {
-                w.u8(5);
-                w.u8(cause.snap_tag());
-                w.u32(hot);
-                w.u32(warm);
-                w.u32(cold);
-            }
-            EventKind::SampleBatch {
-                samples,
-                load_period,
-                cpu_usage,
-            } => {
-                w.u8(6);
-                w.u64(samples);
-                w.u64(load_period);
-                w.f64(cpu_usage);
-            }
-            EventKind::TlbShootdown { vpage, cause } => {
-                w.u8(7);
-                w.u64(vpage);
-                w.u8(cause.snap_tag());
-            }
-            EventKind::MigrationFailed { vpage, to, cause } => {
-                w.u8(8);
-                w.u64(vpage);
-                w.u8(to);
-                w.u8(cause.snap_tag());
-            }
-            EventKind::MigrationEnqueued {
-                vpage,
-                from,
-                to,
-                bytes,
-                queue_depth,
-            } => {
-                w.u8(9);
-                w.u64(vpage);
-                w.u8(from);
-                w.u8(to);
-                w.u64(bytes);
-                w.u64(queue_depth);
-            }
-            EventKind::MigrationStarted {
-                vpage,
-                from,
-                to,
-                bytes,
-            } => {
-                w.u8(10);
-                w.u64(vpage);
-                w.u8(from);
-                w.u8(to);
-                w.u64(bytes);
-            }
-            EventKind::MigrationCompleted {
-                vpage,
-                from,
-                to,
-                bytes,
-            } => {
-                w.u8(11);
-                w.u64(vpage);
-                w.u8(from);
-                w.u8(to);
-                w.u64(bytes);
-            }
-            EventKind::MigrationAborted {
-                vpage,
-                to,
-                bytes,
-                wasted_bytes,
-                cause,
-            } => {
-                w.u8(12);
-                w.u64(vpage);
-                w.u8(to);
-                w.u64(bytes);
-                w.u64(wasted_bytes);
-                w.u8(cause.snap_tag());
-            }
-            EventKind::FaultInjected { fault, vpage } => {
-                w.u8(13);
-                w.u8(fault.snap_tag());
-                w.u64(vpage);
-            }
-            EventKind::HistUnderflow { count } => {
-                w.u8(14);
-                w.u64(count);
-            }
-            EventKind::ShardBarrier { bursts, spills } => {
-                w.u8(15);
-                w.u64(bursts);
-                w.u64(spills);
-            }
-            EventKind::AdmissionRejected {
-                vpage,
-                to,
-                payback_ns,
-            } => {
-                w.u8(16);
-                w.u64(vpage);
-                w.u8(to);
-                w.f64(payback_ns);
-            }
-            EventKind::ShadowReclaimed { vpage, tier, bytes } => {
-                w.u8(17);
-                w.u64(vpage);
-                w.u8(tier);
-                w.u64(bytes);
-            }
-            EventKind::PromotionBackoff { vpage, until_ns } => {
-                w.u8(18);
-                w.u64(vpage);
-                w.f64(until_ns);
-            }
-        }
-    }
+crate::snap_enum!(EventKind {
+    0 => Promotion { vpage, from, to, bytes },
+    1 => Demotion { vpage, from, to, bytes },
+    2 => Split { vpage, tier, zero_subpages_freed },
+    3 => Collapse { vpage, tier },
+    4 => CoolingTick { visited_4k, hot_threshold, warm_threshold },
+    5 => ThresholdRecompute { cause, hot, warm, cold },
+    6 => SampleBatch { samples, load_period, cpu_usage },
+    7 => TlbShootdown { vpage, cause },
+    8 => MigrationFailed { vpage, to, cause },
+    9 => MigrationEnqueued { vpage, from, to, bytes, queue_depth },
+    10 => MigrationStarted { vpage, from, to, bytes },
+    11 => MigrationCompleted { vpage, from, to, bytes },
+    12 => MigrationAborted { vpage, to, bytes, wasted_bytes, cause },
+    13 => FaultInjected { fault, vpage },
+    14 => HistUnderflow { count },
+    15 => ShardBarrier { bursts, spills },
+    16 => AdmissionRejected { vpage, to, payback_ns },
+    17 => ShadowReclaimed { vpage, tier, bytes },
+    18 => PromotionBackoff { vpage, until_ns },
+});
 
-    /// Inverse of [`Self::snap_save`].
-    pub fn snap_load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let t_ns = r.f64()?;
-        let kind = match r.u8()? {
-            0 => EventKind::Promotion {
-                vpage: r.u64()?,
-                from: r.u8()?,
-                to: r.u8()?,
-                bytes: r.u64()?,
-            },
-            1 => EventKind::Demotion {
-                vpage: r.u64()?,
-                from: r.u8()?,
-                to: r.u8()?,
-                bytes: r.u64()?,
-            },
-            2 => EventKind::Split {
-                vpage: r.u64()?,
-                tier: r.u8()?,
-                zero_subpages_freed: r.u32()?,
-            },
-            3 => EventKind::Collapse {
-                vpage: r.u64()?,
-                tier: r.u8()?,
-            },
-            4 => EventKind::CoolingTick {
-                visited_4k: r.u64()?,
-                hot_threshold: r.u32()?,
-                warm_threshold: r.u32()?,
-            },
-            5 => EventKind::ThresholdRecompute {
-                cause: ThresholdCause::from_snap_tag(r.u8()?)?,
-                hot: r.u32()?,
-                warm: r.u32()?,
-                cold: r.u32()?,
-            },
-            6 => EventKind::SampleBatch {
-                samples: r.u64()?,
-                load_period: r.u64()?,
-                cpu_usage: r.f64()?,
-            },
-            7 => EventKind::TlbShootdown {
-                vpage: r.u64()?,
-                cause: ShootdownCause::from_snap_tag(r.u8()?)?,
-            },
-            8 => EventKind::MigrationFailed {
-                vpage: r.u64()?,
-                to: r.u8()?,
-                cause: MigrationFailure::from_snap_tag(r.u8()?)?,
-            },
-            9 => EventKind::MigrationEnqueued {
-                vpage: r.u64()?,
-                from: r.u8()?,
-                to: r.u8()?,
-                bytes: r.u64()?,
-                queue_depth: r.u64()?,
-            },
-            10 => EventKind::MigrationStarted {
-                vpage: r.u64()?,
-                from: r.u8()?,
-                to: r.u8()?,
-                bytes: r.u64()?,
-            },
-            11 => EventKind::MigrationCompleted {
-                vpage: r.u64()?,
-                from: r.u8()?,
-                to: r.u8()?,
-                bytes: r.u64()?,
-            },
-            12 => EventKind::MigrationAborted {
-                vpage: r.u64()?,
-                to: r.u8()?,
-                bytes: r.u64()?,
-                wasted_bytes: r.u64()?,
-                cause: MigrationFailure::from_snap_tag(r.u8()?)?,
-            },
-            13 => EventKind::FaultInjected {
-                fault: FaultKind::from_snap_tag(r.u8()?)?,
-                vpage: r.u64()?,
-            },
-            14 => EventKind::HistUnderflow { count: r.u64()? },
-            15 => EventKind::ShardBarrier {
-                bursts: r.u64()?,
-                spills: r.u64()?,
-            },
-            16 => EventKind::AdmissionRejected {
-                vpage: r.u64()?,
-                to: r.u8()?,
-                payback_ns: r.f64()?,
-            },
-            17 => EventKind::ShadowReclaimed {
-                vpage: r.u64()?,
-                tier: r.u8()?,
-                bytes: r.u64()?,
-            },
-            18 => EventKind::PromotionBackoff {
-                vpage: r.u64()?,
-                until_ns: r.f64()?,
-            },
-            _ => return Err(SnapError::Corrupt("unknown EventKind tag")),
-        };
-        Ok(Event { t_ns, kind })
-    }
-}
+crate::snap_struct!(Event { t_ns, kind });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snap::{SnapReader, SnapWriter};
 
     #[test]
     fn snap_round_trips_every_kind() {
@@ -815,10 +531,10 @@ mod tests {
         for (i, kind) in kinds.into_iter().enumerate() {
             let ev = Event::new(i as f64 * 1.5, kind);
             let mut w = SnapWriter::new();
-            ev.snap_save(&mut w);
-            let bytes = w.finish();
+            w.put(&ev);
+            let bytes = w.finish().unwrap();
             let mut r = SnapReader::new(&bytes);
-            let back = Event::snap_load(&mut r).unwrap();
+            let back: Event = r.get().unwrap();
             r.expect_end().unwrap();
             assert_eq!(back, ev);
         }

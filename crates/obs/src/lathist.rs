@@ -16,6 +16,8 @@
 //! between. The flight recorder uses cumulative snapshots + `diff` to cut
 //! per-window percentile series without double-recording.
 
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
+
 /// log2 of the number of sub-buckets per octave.
 pub const SUB_BITS: u32 = 5;
 /// Sub-buckets per octave (32).
@@ -137,46 +139,6 @@ impl LatHist {
     #[inline]
     pub fn record_ns(&mut self, v: f64) {
         self.record(ns_to_u64(v));
-    }
-
-    /// Serializes the histogram sparsely (only non-zero buckets) into `w`.
-    pub fn snap_save(&self, w: &mut crate::snap::SnapWriter) {
-        let nonzero = self.buckets.iter().filter(|&&b| b != 0).count();
-        w.u32(nonzero as u32);
-        for (i, &b) in self.buckets.iter().enumerate() {
-            if b != 0 {
-                w.u32(i as u32);
-                w.u64(b);
-            }
-        }
-        w.u64(self.count);
-        w.u64(self.sum);
-    }
-
-    /// Inverse of [`Self::snap_save`].
-    pub fn snap_load(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        use crate::snap::SnapError;
-        let mut out = LatHist::new();
-        let nonzero = r.u32()? as usize;
-        if nonzero > BUCKETS {
-            return Err(SnapError::Corrupt("lathist bucket count"));
-        }
-        let mut total = 0u64;
-        for _ in 0..nonzero {
-            let i = r.u32()? as usize;
-            if i >= BUCKETS {
-                return Err(SnapError::Corrupt("lathist bucket index"));
-            }
-            let b = r.u64()?;
-            out.buckets[i] = b;
-            total = total.wrapping_add(b);
-        }
-        out.count = r.u64()?;
-        out.sum = r.u64()?;
-        if total != out.count {
-            return Err(SnapError::Corrupt("lathist count mismatch"));
-        }
-        Ok(out)
     }
 
     /// Recorded sample count.
@@ -534,48 +496,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Serializes the recorder — demand axis, migration histograms, and
-    /// the pending abort-to-retry map (which is live simulation state:
-    /// an enqueue after resume must still complete its measurement).
-    pub fn snap_save(&self, w: &mut crate::snap::SnapWriter) {
-        w.u32(self.demand.len() as u32);
-        for per_tier in &self.demand {
-            per_tier[0].snap_save(w);
-            per_tier[1].snap_save(w);
-        }
-        self.transfer.snap_save(w);
-        self.queue_wait.snap_save(w);
-        self.abort_retry.snap_save(w);
-        w.u32(self.pending_aborts.len() as u32);
-        for (&vpage, &t_ns) in &self.pending_aborts {
-            w.u64(vpage);
-            w.f64(t_ns);
-        }
-    }
-
-    /// Inverse of [`Self::snap_save`].
-    pub fn snap_load(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        let mut out = FlightRecorder::new();
-        // Two histograms per tier, each at least a bucket count plus the
-        // count and sum words.
-        let tiers = r.count(2 * (4 + 8 + 8))?;
-        out.demand.reserve(tiers);
-        for _ in 0..tiers {
-            let base = LatHist::snap_load(r)?;
-            let huge = LatHist::snap_load(r)?;
-            out.demand.push([base, huge]);
-        }
-        out.transfer = LatHist::snap_load(r)?;
-        out.queue_wait = LatHist::snap_load(r)?;
-        out.abort_retry = LatHist::snap_load(r)?;
-        let pending = r.u32()? as usize;
-        for _ in 0..pending {
-            let vpage = r.u64()?;
-            out.pending_aborts.insert(vpage, r.f64()?);
-        }
-        Ok(out)
-    }
-
     /// The per-class histograms recorded since snapshot `prev` (an earlier
     /// clone of this cumulative recorder; missing tiers in `prev` count as
     /// empty). Pending-abort state is not differenced.
@@ -636,6 +556,53 @@ impl FlightRecorder {
         self.abort_retry.copy_from(&other.abort_retry);
     }
 }
+
+/// Sparse: the non-zero `(bucket index, count)` pairs, then the sample
+/// count and sum. The count must equal the bucket total.
+impl Snap for LatHist {
+    const MIN_BYTES: usize = 4 + 8 + 8;
+    fn save(&self, w: &mut SnapWriter) {
+        let nonzero: Vec<(u32, u64)> = (0u32..)
+            .zip(self.buckets.iter().copied())
+            .filter(|&(_, b)| b != 0)
+            .collect();
+        w.put(&nonzero);
+        w.put(&self.count);
+        w.put(&self.sum);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let nonzero: Vec<(u32, u64)> = r.get()?;
+        if nonzero.len() > BUCKETS {
+            return Err(SnapError::Corrupt("lathist bucket count"));
+        }
+        let mut out = LatHist::new();
+        let mut total = 0u64;
+        for (i, b) in nonzero {
+            let slot = out
+                .buckets
+                .get_mut(i as usize)
+                .ok_or(SnapError::Corrupt("lathist bucket index"))?;
+            *slot = b;
+            total = total.wrapping_add(b);
+        }
+        out.count = r.get()?;
+        out.sum = r.get()?;
+        if total != out.count {
+            return Err(SnapError::Corrupt("lathist count mismatch"));
+        }
+        Ok(out)
+    }
+}
+
+// The pending abort-to-retry map is live simulation state: an enqueue
+// after resume must still complete its measurement.
+crate::snap_struct!(in FlightRecorder {
+    demand,
+    transfer,
+    queue_wait,
+    abort_retry,
+    pending_aborts,
+});
 
 #[cfg(test)]
 mod tests {

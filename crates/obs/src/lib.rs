@@ -28,6 +28,7 @@
 
 pub mod event;
 pub mod export;
+pub mod fnv;
 pub mod json;
 pub mod lathist;
 pub mod observer;
@@ -41,10 +42,11 @@ pub use event::{Event, EventKind, FaultKind, MigrationFailure, ShootdownCause, T
 pub use export::{
     export_jsonl, export_perfetto, validate_jsonl, validate_perfetto, JsonlSummary, JSONL_SCHEMA,
 };
+pub use fnv::Fnv1a;
 pub use lathist::{FlightRecorder, HistStats, LatHist};
 pub use observer::{NopObserver, Observer, TracingObserver};
 pub use profile::{Profiler, SpanGuard, SpanId, SpanStat, ALL_SPANS};
 pub use registry::{CounterId, GaugeId, Registry};
 pub use ring::EventRing;
-pub use snap::{SnapError, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION};
+pub use snap::{Snap, SnapError, SnapFields, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION};
 pub use window::{WindowCollector, WindowCut, WindowSample};

@@ -261,15 +261,9 @@ impl Observer for TracingObserver {
     /// `ALL` order). Profiler spans are host-time diagnostics and are not
     /// checkpoint state.
     fn save_state(&self, w: &mut crate::snap::SnapWriter) {
-        self.ring.snap_save(w);
-        w.u32(CounterId::ALL.len() as u32);
-        for id in CounterId::ALL {
-            w.u64(self.registry.counter(id));
-        }
-        w.u32(GaugeId::ALL.len() as u32);
-        for id in GaugeId::ALL {
-            w.f64(self.registry.gauge(id));
-        }
+        w.put(&self.ring);
+        w.put(&CounterId::ALL.map(|id| self.registry.counter(id)).to_vec());
+        w.put(&GaugeId::ALL.map(|id| self.registry.gauge(id)).to_vec());
     }
 
     fn load_state(
@@ -277,18 +271,20 @@ impl Observer for TracingObserver {
         r: &mut crate::snap::SnapReader<'_>,
     ) -> Result<(), crate::snap::SnapError> {
         use crate::snap::SnapError;
-        self.ring = EventRing::snap_load(r)?;
-        if r.u32()? as usize != CounterId::ALL.len() {
+        self.ring = r.get()?;
+        let counters: Vec<u64> = r.get()?;
+        let gauges: Vec<f64> = r.get()?;
+        if counters.len() != CounterId::ALL.len() {
             return Err(SnapError::Corrupt("registry counter count"));
         }
-        for id in CounterId::ALL {
-            self.registry.set_counter(id, r.u64()?);
-        }
-        if r.u32()? as usize != GaugeId::ALL.len() {
+        if gauges.len() != GaugeId::ALL.len() {
             return Err(SnapError::Corrupt("registry gauge count"));
         }
-        for id in GaugeId::ALL {
-            self.registry.set_gauge(id, r.f64()?);
+        for (id, v) in CounterId::ALL.into_iter().zip(counters) {
+            self.registry.set_counter(id, v);
+        }
+        for (id, v) in GaugeId::ALL.into_iter().zip(gauges) {
+            self.registry.set_gauge(id, v);
         }
         Ok(())
     }

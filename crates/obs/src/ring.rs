@@ -8,6 +8,7 @@
 //! retained, which is what post-mortem debugging wants.
 
 use crate::event::Event;
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Default ring capacity (events retained).
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
@@ -86,33 +87,27 @@ impl EventRing {
         let (tail, head) = self.buf.split_at(self.start);
         head.iter().chain(tail.iter())
     }
+}
 
-    /// Serializes the ring (capacity, push count, retained events in
-    /// oldest-first order) into `w`.
-    pub fn snap_save(&self, w: &mut crate::snap::SnapWriter) {
-        w.usize(self.cap);
-        w.u64(self.pushed);
-        w.u32(self.buf.len() as u32);
+/// Capacity, push count, then the retained events oldest-first. Loading
+/// re-lays them from slot 0 (`start = 0`), which is observably identical
+/// to the saved layout.
+impl Snap for EventRing {
+    const MIN_BYTES: usize = 8 + 8 + 4;
+    fn save(&self, w: &mut SnapWriter) {
+        w.put(&self.cap);
+        w.put(&self.pushed);
+        w.count(self.buf.len());
         for ev in self.iter() {
-            ev.snap_save(w);
+            w.put(ev);
         }
     }
-
-    /// Inverse of [`Self::snap_save`]: rebuilds the ring with the retained
-    /// events re-laid oldest-first (`start = 0`), which is observably
-    /// identical to the saved layout.
-    pub fn snap_load(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        use crate::snap::SnapError;
-        let cap = r.usize()?;
-        let pushed = r.u64()?;
-        // Every event is at least a timestamp and a kind tag.
-        let len = r.count(8 + 1)?;
-        if cap == 0 || len > cap || (pushed as usize) < len {
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let cap: usize = r.get()?;
+        let pushed: u64 = r.get()?;
+        let buf: Vec<Event> = r.get()?;
+        if cap == 0 || buf.len() > cap || (pushed as usize) < buf.len() {
             return Err(SnapError::Corrupt("event ring shape"));
-        }
-        let mut buf = Vec::with_capacity(cap.min(1024).max(len));
-        for _ in 0..len {
-            buf.push(Event::snap_load(r)?);
         }
         Ok(EventRing {
             buf,
@@ -177,11 +172,11 @@ mod tests {
         for i in 0..11 {
             r.push(ev(i));
         }
-        let mut w = crate::snap::SnapWriter::new();
-        r.snap_save(&mut w);
-        let bytes = w.finish();
-        let mut rd = crate::snap::SnapReader::new(&bytes);
-        let back = EventRing::snap_load(&mut rd).unwrap();
+        let mut w = SnapWriter::new();
+        w.put(&r);
+        let bytes = w.finish().unwrap();
+        let mut rd = SnapReader::new(&bytes);
+        let back: EventRing = rd.get().unwrap();
         rd.expect_end().unwrap();
         assert_eq!(back.capacity(), r.capacity());
         assert_eq!(back.pushed(), r.pushed());

@@ -66,93 +66,12 @@ pub struct WindowSample {
 }
 
 impl WindowSample {
-    /// Smallest encoding [`Self::snap_save`] can produce: eleven 8-byte
-    /// scalars plus three empty `u32`-prefixed lists.
-    const MIN_SNAP_BYTES: usize = 11 * 8 + 3 * 4;
-
     /// Looks up a policy gauge by name.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges
             .iter()
             .find(|(n, _)| *n == name)
             .map(|(_, v)| *v)
-    }
-
-    /// Serializes the sample into `w`.
-    pub fn snap_save(&self, w: &mut crate::snap::SnapWriter) {
-        w.u64(self.index);
-        w.u64(self.end_event);
-        w.f64(self.wall_ns);
-        w.u64(self.accesses);
-        w.u64(self.window_accesses);
-        w.f64(self.window_throughput);
-        w.f64(self.fast_hit_ratio);
-        w.u32(self.tier_hit_ratios.len() as u32);
-        for &v in &self.tier_hit_ratios {
-            w.f64(v);
-        }
-        w.f64(self.rhr);
-        w.f64(self.ehr);
-        w.u64(self.migrated_bytes);
-        w.f64(self.migration_bw);
-        w.u32(self.hist_bins.len() as u32);
-        for &v in &self.hist_bins {
-            w.u64(v);
-        }
-        w.u32(self.gauges.len() as u32);
-        for (name, v) in &self.gauges {
-            w.str(name);
-            w.f64(*v);
-        }
-    }
-
-    /// Inverse of [`Self::snap_save`]; gauge names are interned back to
-    /// `&'static str` identity.
-    pub fn snap_load(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        let index = r.u64()?;
-        let end_event = r.u64()?;
-        let wall_ns = r.f64()?;
-        let accesses = r.u64()?;
-        let window_accesses = r.u64()?;
-        let window_throughput = r.f64()?;
-        let fast_hit_ratio = r.f64()?;
-        let n = r.count(8)?;
-        let mut tier_hit_ratios = Vec::with_capacity(n);
-        for _ in 0..n {
-            tier_hit_ratios.push(r.f64()?);
-        }
-        let rhr = r.f64()?;
-        let ehr = r.f64()?;
-        let migrated_bytes = r.u64()?;
-        let migration_bw = r.f64()?;
-        let n = r.count(8)?;
-        let mut hist_bins = Vec::with_capacity(n);
-        for _ in 0..n {
-            hist_bins.push(r.u64()?);
-        }
-        // Name length prefix plus value.
-        let n = r.count(4 + 8)?;
-        let mut gauges = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = r.static_str()?;
-            gauges.push((name, r.f64()?));
-        }
-        Ok(WindowSample {
-            index,
-            end_event,
-            wall_ns,
-            accesses,
-            window_accesses,
-            window_throughput,
-            fast_hit_ratio,
-            tier_hit_ratios,
-            rhr,
-            ehr,
-            migrated_bytes,
-            migration_bw,
-            hist_bins,
-            gauges,
-        })
     }
 }
 
@@ -220,55 +139,6 @@ impl WindowCollector {
         self.samples
     }
 
-    /// Serializes the collector (window length, closed samples, and the
-    /// last-cut cumulative state) into `w`.
-    pub fn snap_save(&self, w: &mut crate::snap::SnapWriter) {
-        w.u64(self.every);
-        w.u32(self.samples.len() as u32);
-        for s in &self.samples {
-            s.snap_save(w);
-        }
-        w.u64(self.last_events);
-        w.f64(self.last_wall);
-        w.u64(self.last_accesses);
-        w.u32(self.last_tier_hits.len() as u32);
-        for &h in &self.last_tier_hits {
-            w.u64(h);
-        }
-        w.u64(self.last_migrated_bytes);
-    }
-
-    /// Inverse of [`Self::snap_save`].
-    pub fn snap_load(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        let every = r.u64()?;
-        if every == 0 {
-            return Err(crate::snap::SnapError::Corrupt("window length zero"));
-        }
-        let n = r.count(WindowSample::MIN_SNAP_BYTES)?;
-        let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
-            samples.push(WindowSample::snap_load(r)?);
-        }
-        let last_events = r.u64()?;
-        let last_wall = r.f64()?;
-        let last_accesses = r.u64()?;
-        let n = r.count(8)?;
-        let mut last_tier_hits = Vec::with_capacity(n);
-        for _ in 0..n {
-            last_tier_hits.push(r.u64()?);
-        }
-        let last_migrated_bytes = r.u64()?;
-        Ok(WindowCollector {
-            every,
-            samples,
-            last_events,
-            last_wall,
-            last_accesses,
-            last_tier_hits,
-            last_migrated_bytes,
-        })
-    }
-
     /// Closes the current window at `cut` and returns the new sample.
     pub fn close(&mut self, cut: WindowCut<'_>) -> &WindowSample {
         let wdur_ns = cut.wall_ns - self.last_wall;
@@ -330,6 +200,37 @@ impl WindowCollector {
         self.samples.last().expect("just pushed")
     }
 }
+
+crate::snap_struct!(WindowSample {
+    index,
+    end_event,
+    wall_ns,
+    accesses,
+    window_accesses,
+    window_throughput,
+    fast_hit_ratio,
+    tier_hit_ratios,
+    rhr,
+    ehr,
+    migrated_bytes,
+    migration_bw,
+    hist_bins,
+    gauges,
+});
+
+crate::snap_struct!(WindowCollector {
+    every,
+    samples,
+    last_events,
+    last_wall,
+    last_accesses,
+    last_tier_hits,
+    last_migrated_bytes,
+} check |c: &WindowCollector| if c.every == 0 {
+    Err(crate::snap::SnapError::Corrupt("window length zero"))
+} else {
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {
@@ -394,10 +295,10 @@ mod tests {
         k.hist_bins = vec![1, 2, 3];
         c.close(k);
         let mut w = crate::snap::SnapWriter::new();
-        c.snap_save(&mut w);
-        let bytes = w.finish();
+        w.put(&c);
+        let bytes = w.finish().unwrap();
         let mut r = crate::snap::SnapReader::new(&bytes);
-        let mut back = WindowCollector::snap_load(&mut r).unwrap();
+        let mut back: WindowCollector = r.get().unwrap();
         r.expect_end().unwrap();
         assert_eq!(back.every(), c.every());
         assert_eq!(back.samples(), c.samples());
@@ -416,7 +317,7 @@ mod tests {
         assert_eq!(bytes.len(), 12);
         let mut r = crate::snap::SnapReader::new(&bytes);
         assert!(matches!(
-            WindowCollector::snap_load(&mut r),
+            r.get::<WindowCollector>(),
             Err(crate::snap::SnapError::Corrupt(_))
         ));
     }

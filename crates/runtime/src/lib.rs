@@ -21,7 +21,7 @@ use memtis_sim::engine::EngineEvent;
 use memtis_sim::faults::{
     FaultInjector, FaultPlan, SampleFate, TickFate, DRIVER_FAULT_SALT, RUNTIME_TICK_FAULT_SALT,
 };
-use memtis_sim::obs::{Profiler, SnapError, SnapReader, SnapWriter, SpanId, SpanStat};
+use memtis_sim::obs::{Profiler, SnapError, SnapFields, SnapReader, SnapWriter, SpanId, SpanStat};
 use memtis_sim::prelude::{
     Access, AccessOutcome, CostAccounting, CostSink, FaultCounters, Machine, MachineConfig,
     PolicyOps, SimResult, TierId, TieringPolicy,
@@ -367,13 +367,11 @@ impl Runtime {
         let mut w = SnapWriter::with_header();
         let m = self.machine.lock();
         let p = self.policy.lock();
-        let mut machine_res = Ok(());
-        w.section(|w| machine_res = m.snap_save(w));
-        // Only unrepresentable state (a transfer queue deeper than u32)
-        // fails serialization; no reachable configuration produces it.
-        machine_res.expect("machine state must be serializable");
+        w.section(|w| m.save_fields(w));
         w.section(|w| p.save_state(w));
-        w.finish()
+        // Only unrepresentable state (a collection longer than u32) fails
+        // serialization; no reachable configuration produces it.
+        w.finish().expect("runtime state must be serializable")
     }
 
     /// Save-on-shutdown: stops the daemons, joins them, and returns the
@@ -412,16 +410,8 @@ impl Runtime {
         let mut r = SnapReader::with_header(bytes)?;
         let mut m = self.machine.lock();
         let mut p = self.policy.lock();
-        {
-            let mut s = r.section()?;
-            m.snap_restore(&mut s)?;
-            s.expect_end()?;
-        }
-        {
-            let mut s = r.section()?;
-            p.load_state(&mut s)?;
-            s.expect_end()?;
-        }
+        r.section_with(|s| m.load_fields(s))?;
+        r.section_with(|s| p.load_state(s))?;
         r.expect_end()
     }
 }

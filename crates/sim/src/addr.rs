@@ -211,6 +211,12 @@ impl fmt::Display for TierId {
     }
 }
 
+// Snapshot codecs: each id type's encoding lives here, once.
+memtis_obs::snap_enum!(PageSize { 0 => Base, 1 => Huge });
+memtis_obs::snap_struct!(VirtPage(u64));
+memtis_obs::snap_struct!(Frame(u64));
+memtis_obs::snap_struct!(TierId(u8));
+
 #[cfg(test)]
 mod tests {
     use super::*;

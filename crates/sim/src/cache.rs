@@ -94,34 +94,16 @@ impl Llc {
     pub fn flush(&mut self) {
         self.tags.fill(EMPTY);
     }
-
-    /// Serializes tag contents and statistics.
-    pub fn snap_save(&self, w: &mut memtis_obs::SnapWriter) {
-        w.u32(self.tags.len() as u32);
-        for &t in &self.tags {
-            w.u64(t);
-        }
-        w.u64(self.stats.hits);
-        w.u64(self.stats.misses);
-    }
-
-    /// Restores state saved by [`Llc::snap_save`] into this (same-geometry)
-    /// cache.
-    pub fn snap_restore(
-        &mut self,
-        r: &mut memtis_obs::SnapReader<'_>,
-    ) -> Result<(), memtis_obs::SnapError> {
-        if r.u32()? as usize != self.tags.len() {
-            return Err(memtis_obs::SnapError::Corrupt("llc geometry"));
-        }
-        for t in &mut self.tags {
-            *t = r.u64()?;
-        }
-        self.stats.hits = r.u64()?;
-        self.stats.misses = r.u64()?;
-        Ok(())
-    }
 }
+
+memtis_obs::snap_struct!(LlcStats { hits, misses });
+
+memtis_obs::snap_struct!(in Llc { tags, stats } check |c: &mut Llc| {
+    if c.tags.len() as u64 != c.mask + 1 {
+        return Err(memtis_obs::SnapError::Corrupt("llc geometry"));
+    }
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

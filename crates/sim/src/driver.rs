@@ -26,11 +26,11 @@ use crate::machine::{BatchClock, BatchStop, Machine};
 use crate::policy::{abort_failure, CostAccounting, CostSink, PolicyOps, TieringPolicy};
 use crate::shard::{self, lane_of, LaneScratch, WorkerPool, NUM_LANES};
 use crate::stats::MachineStats;
-use crate::util::{tree_fold_f64, Fnv1a};
+use crate::util::tree_fold_f64;
 use memtis_obs::profile::{SpanGuard, SpanId, SpanStat};
 use memtis_obs::{
     Event, EventKind, FlightRecorder, HistStats, LatHist, NopObserver, Observer, ShootdownCause,
-    SnapError, SnapReader, SnapWriter, WindowCollector, WindowCut, WindowSample,
+    SnapError, SnapFields, SnapReader, SnapWriter, WindowCollector, WindowCut, WindowSample,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -1668,21 +1668,17 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         }))
     }
 
-    /// Fingerprint binding a snapshot to the exact driver + machine
-    /// configuration it was taken under: every knob — including the fault
-    /// *plan*, whose injector state is serialized without its schedule —
-    /// rides in the `Debug` renders, so a snapshot only restores into a
-    /// simulation built from the identical configs.
-    fn config_fingerprint(&self) -> u64 {
-        // The pool size is a host-side knob that doesn't shape the output,
-        // so a checkpoint restores into a differently sized pool — normalize
-        // it out of the fingerprint.
+    /// The configuration a snapshot is bound to: every knob of the driver
+    /// and machine configs — including the fault *plan*, whose injector
+    /// state is serialized without its schedule — so a snapshot only
+    /// restores into a simulation built from the identical configs. The
+    /// pool size is a host-side knob that doesn't shape the output, so it
+    /// is normalized out and a checkpoint restores into a differently
+    /// sized pool.
+    fn snapshot_config(&self) -> (DriverConfig, &MachineConfig) {
         let mut cfg = self.cfg.clone();
         cfg.pool_workers = None;
-        Fnv1a::new()
-            .mix_str(&format!("{cfg:?}"))
-            .mix_str(&format!("{:?}", self.machine.config()))
-            .finish()
+        (cfg, self.machine.config())
     }
 
     /// Serializes the complete run state — machine, policy, observer, and
@@ -1693,65 +1689,20 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     /// a byte-identical report, trace, and window series.
     pub fn snapshot(&mut self) -> Vec<u8> {
         self.last_snapshot_events = self.sim_events;
+        if !self.pending.is_empty() {
+            // A restored run re-pulls the buffered events from its
+            // fast-forwarded stream; only their count travels.
+            self.chunk_carry = self.pending.len();
+        }
         let mut w = SnapWriter::with_header();
-        w.u64(self.config_fingerprint());
-        w.section(|w| {
-            w.f64(self.wall_ns);
-            w.f64(self.app_access_ns);
-            w.u64(self.accesses);
-            w.u64(self.sim_events);
-            w.f64(self.next_tick);
-            w.f64(self.next_stretch);
-            w.u64(self.rss_peak);
-            w.f64(self.acct.app_extra_ns);
-            w.f64(self.acct.daemon_ns);
-            w.u64(self.hist_underflows_seen);
-            w.u64(self.hb_next);
-            w.u64(self.report_events_base);
-            w.bool(self.init_done);
-            w.usize(self.pending.len());
-            w.f64(self.window.start_wall);
-            w.f64(self.window.start_daemon_ns);
-        });
-        w.section(|w| self.wcol.snap_save(w));
-        w.section(|w| match &self.drv_faults {
-            Some(inj) => {
-                w.bool(true);
-                inj.snap_save(w);
-            }
-            None => w.bool(false),
-        });
-        w.section(|w| match &self.shard {
-            Some(sh) => {
-                // Burst/spill tallies feed ShardBarrier trace events and
-                // must survive; the host-side timings reset to zero.
-                w.bool(true);
-                w.u64(sh.bursts);
-                w.u64(sh.spills);
-                w.u64(sh.lane_accesses);
-                w.u64(sh.crit_accesses);
-            }
-            None => w.bool(false),
-        });
-        w.section(|w| {
-            self.flight_prev.snap_save(w);
-            w.u32(self.lat_windows.len() as u32);
-            for win in &self.lat_windows {
-                w.u32(win.len() as u32);
-                for (k, v) in win {
-                    w.str(k);
-                    w.f64(*v);
-                }
-            }
-        });
-        let mut machine_res = Ok(());
-        w.section(|w| machine_res = self.machine.snap_save(w));
-        // Only unrepresentable state (a transfer queue deeper than u32)
-        // fails serialization; no reachable configuration produces it.
-        machine_res.expect("machine state must be serializable");
+        w.fingerprint(&self.snapshot_config());
+        w.section(|w| self.save_fields(w));
+        w.section(|w| self.machine.save_fields(w));
         w.section(|w| self.policy.save_state(w));
         w.section(|w| self.obs.save_state(w));
-        w.finish()
+        // Only unrepresentable state (a collection longer than u32) fails
+        // serialization; no reachable configuration produces it.
+        w.finish().expect("simulation state must be serializable")
     }
 
     /// Restores a checkpoint written by [`Simulation::snapshot`] into this
@@ -1762,100 +1713,11 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     /// may be partially overwritten — rebuild it before reuse.
     pub fn restore(&mut self, bytes: &[u8]) -> SimResult<()> {
         let mut r = SnapReader::with_header(bytes)?;
-        let expected = self.config_fingerprint();
-        let found = r.u64()?;
-        if found != expected {
-            return Err(SnapError::ConfigMismatch { expected, found }.into());
-        }
-        {
-            let mut s = r.section()?;
-            self.wall_ns = s.f64()?;
-            self.app_access_ns = s.f64()?;
-            self.accesses = s.u64()?;
-            self.sim_events = s.u64()?;
-            self.next_tick = s.f64()?;
-            self.next_stretch = s.f64()?;
-            self.rss_peak = s.u64()?;
-            self.acct.app_extra_ns = s.f64()?;
-            self.acct.daemon_ns = s.f64()?;
-            self.hist_underflows_seen = s.u64()?;
-            self.hb_next = s.u64()?;
-            self.report_events_base = s.u64()?;
-            self.init_done = s.bool()?;
-            self.chunk_carry = s.usize()?;
-            if self.chunk_carry > self.cfg.chunk {
-                return Err(SnapError::Corrupt("pending buffer overflow").into());
-            }
-            self.window = WindowState {
-                start_wall: s.f64()?,
-                start_daemon_ns: s.f64()?,
-            };
-            s.expect_end()?;
-        }
-        {
-            let mut s = r.section()?;
-            self.wcol = WindowCollector::snap_load(&mut s)?;
-            s.expect_end()?;
-        }
-        {
-            let mut s = r.section()?;
-            let has = s.bool()?;
-            match (&mut self.drv_faults, has) {
-                (Some(inj), true) => inj.snap_restore(&mut s)?,
-                (None, false) => {}
-                _ => return Err(SnapError::Corrupt("driver fault injector presence").into()),
-            }
-            s.expect_end()?;
-        }
-        {
-            let mut s = r.section()?;
-            let has = s.bool()?;
-            match (&mut self.shard, has) {
-                (Some(sh), true) => {
-                    sh.bursts = s.u64()?;
-                    sh.spills = s.u64()?;
-                    sh.lane_accesses = s.u64()?;
-                    sh.crit_accesses = s.u64()?;
-                    sh.busy_ns = 0;
-                }
-                (None, false) => {}
-                _ => return Err(SnapError::Corrupt("shard state presence").into()),
-            }
-            s.expect_end()?;
-        }
-        {
-            let mut s = r.section()?;
-            self.flight_prev = FlightRecorder::snap_load(&mut s)?;
-            let n = s.count(4)?;
-            let mut lat_windows = Vec::with_capacity(n);
-            for _ in 0..n {
-                // Key length prefix plus value.
-                let nk = s.count(4 + 8)?;
-                let mut win = Vec::with_capacity(nk);
-                for _ in 0..nk {
-                    let k = s.str()?.to_string();
-                    win.push((k, s.f64()?));
-                }
-                lat_windows.push(win);
-            }
-            self.lat_windows = lat_windows;
-            s.expect_end()?;
-        }
-        {
-            let mut s = r.section()?;
-            self.machine.snap_restore(&mut s)?;
-            s.expect_end()?;
-        }
-        {
-            let mut s = r.section()?;
-            self.policy.load_state(&mut s)?;
-            s.expect_end()?;
-        }
-        {
-            let mut s = r.section()?;
-            self.obs.load_state(&mut s)?;
-            s.expect_end()?;
-        }
+        r.fingerprint(&self.snapshot_config())?;
+        r.section_with(|s| self.load_fields(s))?;
+        r.section_with(|s| self.machine.load_fields(s))?;
+        r.section_with(|s| self.policy.load_state(s))?;
+        r.section_with(|s| self.obs.load_state(s))?;
         r.expect_end()?;
         self.pending.clear();
         self.paused = false;
@@ -1864,7 +1726,53 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         self.stream_pos = None;
         Ok(())
     }
+
+    fn check_snap(&mut self) -> Result<(), SnapError> {
+        if self.chunk_carry > self.cfg.chunk {
+            return Err(SnapError::Corrupt("pending buffer overflow"));
+        }
+        Ok(())
+    }
 }
+
+// The driver's own run state: clocks, counters and cursors, the window
+// collector, the driver-level fault injector, the shard tallies, and the
+// flight-recorder window baseline.
+memtis_obs::snap_struct!(in [P: TieringPolicy, O: Observer] Simulation<P, O> {
+    wall_ns,
+    app_access_ns,
+    accesses,
+    sim_events,
+    next_tick,
+    next_stretch,
+    rss_peak,
+    acct.app_extra_ns,
+    acct.daemon_ns,
+    hist_underflows_seen,
+    hb_next,
+    report_events_base,
+    init_done,
+    chunk_carry,
+    window.start_wall,
+    window.start_daemon_ns,
+    wcol,
+    @in drv_faults,
+    @in shard,
+    @in flight_prev,
+    lat_windows,
+} check Self::check_snap);
+
+// Burst/spill tallies feed ShardBarrier trace events and must survive;
+// the host-side timings restart at zero.
+memtis_obs::snap_struct!(in ShardRun {
+    bursts,
+    spills,
+    lane_accesses,
+    crit_accesses,
+} check |s: &mut ShardRun| {
+    s.busy_ns = 0;
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {
@@ -2039,10 +1947,10 @@ mod tests {
             self.ended.push(*end);
         }
         fn save_state(&self, w: &mut SnapWriter) {
-            w.bool(self.asked);
+            w.put(&self.asked);
         }
         fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            self.asked = r.bool()?;
+            self.asked = r.get()?;
             Ok(())
         }
     }
@@ -2188,10 +2096,10 @@ mod tests {
             ops.charge(75.0);
         }
         fn save_state(&self, w: &mut SnapWriter) {
-            w.u64(self.next);
+            w.put(&self.next);
         }
         fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            self.next = r.u64()?;
+            self.next = r.get()?;
             Ok(())
         }
     }

@@ -476,74 +476,6 @@ impl MigrationEngine {
         None
     }
 
-    /// Serializes the full transfer table: queue (admission order), links
-    /// (sorted key order) with their occupants and bandwidth commitments,
-    /// and the id/seq counters. Collection lengths go through a checked
-    /// `u32` conversion: a table too deep to round-trip is reported as
-    /// [`memtis_obs::SnapError::Corrupt`] instead of silently truncating
-    /// the length word and corrupting everything after it.
-    pub(crate) fn snap_save(
-        &self,
-        w: &mut memtis_obs::SnapWriter,
-    ) -> Result<(), memtis_obs::SnapError> {
-        w.u64(self.next_id);
-        w.u64(self.next_seq);
-        w.u32(u32_len(self.pending.len(), "engine pending length")?);
-        for t in &self.pending {
-            snap_save_transfer(t, w);
-        }
-        w.u32(u32_len(self.links.len(), "engine links length")?);
-        for l in &self.links {
-            w.u8(l.key.0);
-            w.u8(l.key.1);
-            w.f64(l.free_ns);
-            match &l.active {
-                Some(t) => {
-                    w.bool(true);
-                    snap_save_transfer(t, w);
-                }
-                None => w.bool(false),
-            }
-        }
-        Ok(())
-    }
-
-    /// Restores state saved by [`MigrationEngine::snap_save`] into this
-    /// engine (constructed with the same queue depth and re-copy budget).
-    pub(crate) fn snap_restore(
-        &mut self,
-        r: &mut memtis_obs::SnapReader<'_>,
-    ) -> Result<(), memtis_obs::SnapError> {
-        use memtis_obs::SnapError;
-        self.next_id = r.u64()?;
-        self.next_seq = r.u64()?;
-        let n = r.u32()? as usize;
-        if n > self.queue_depth {
-            return Err(SnapError::Corrupt("engine queue overflow"));
-        }
-        self.pending.clear();
-        for _ in 0..n {
-            self.pending.push(snap_load_transfer(r)?);
-        }
-        let n = r.u32()? as usize;
-        self.links.clear();
-        for _ in 0..n {
-            let key = (r.u8()?, r.u8()?);
-            let free_ns = r.f64()?;
-            let active = if r.bool()? {
-                Some(snap_load_transfer(r)?)
-            } else {
-                None
-            };
-            self.links.push(Link {
-                key,
-                free_ns,
-                active,
-            });
-        }
-        Ok(())
-    }
-
     /// Ensures a link exists for every queued transfer, keeping the link
     /// list sorted by key so pump order is deterministic.
     fn ensure_links(&mut self) {
@@ -659,69 +591,55 @@ impl MigrationEngine {
     }
 }
 
-/// Checked `usize -> u32` length conversion for snapshot length words.
-pub(crate) fn u32_len(n: usize, what: &'static str) -> Result<u32, memtis_obs::SnapError> {
-    u32::try_from(n).map_err(|_| memtis_obs::SnapError::Corrupt(what))
-}
+memtis_obs::snap_struct!(TransferId(u64));
 
-fn snap_save_transfer(t: &Transfer, w: &mut memtis_obs::SnapWriter) {
-    w.u64(t.id.0);
-    w.u64(t.vpage.0);
-    w.u8(match t.size {
-        PageSize::Base => 0,
-        PageSize::Huge => 1,
-    });
-    w.u8(t.from.0);
-    w.u8(t.to.0);
-    w.u64(t.src_frame.0);
-    w.u64(t.dst_frame.0);
-    w.u64(t.bytes);
-    w.u8(t.priority);
-    w.f64(t.enqueued_ns);
-    w.u64(t.seq);
-    w.bool(t.started);
-    w.f64(t.first_start_ns);
-    w.f64(t.start_ns);
-    w.f64(t.end_ns);
-    w.bool(t.dirty);
-    w.u32(t.recopies);
-    w.u32(t.wasted_passes);
-    w.bool(t.pass_wasted);
-}
+memtis_obs::snap_struct!(Transfer {
+    id,
+    vpage,
+    size,
+    from,
+    to,
+    src_frame,
+    dst_frame,
+    bytes,
+    priority,
+    enqueued_ns,
+    seq,
+    started,
+    first_start_ns,
+    start_ns,
+    end_ns,
+    dirty,
+    recopies,
+    wasted_passes,
+    pass_wasted,
+});
 
-fn snap_load_transfer(
-    r: &mut memtis_obs::SnapReader<'_>,
-) -> Result<Transfer, memtis_obs::SnapError> {
-    Ok(Transfer {
-        id: TransferId(r.u64()?),
-        vpage: VirtPage(r.u64()?),
-        size: match r.u8()? {
-            0 => PageSize::Base,
-            1 => PageSize::Huge,
-            _ => return Err(memtis_obs::SnapError::Corrupt("transfer size tag")),
-        },
-        from: TierId(r.u8()?),
-        to: TierId(r.u8()?),
-        src_frame: Frame(r.u64()?),
-        dst_frame: Frame(r.u64()?),
-        bytes: r.u64()?,
-        priority: r.u8()?,
-        enqueued_ns: r.f64()?,
-        seq: r.u64()?,
-        started: r.bool()?,
-        first_start_ns: r.f64()?,
-        start_ns: r.f64()?,
-        end_ns: r.f64()?,
-        dirty: r.bool()?,
-        recopies: r.u32()?,
-        wasted_passes: r.u32()?,
-        pass_wasted: r.bool()?,
-    })
-}
+memtis_obs::snap_struct!(Link {
+    key,
+    free_ns,
+    active
+});
+
+// The full transfer table: id/seq counters, queue (admission order), and
+// links (sorted key order) with their occupants and bandwidth commitments.
+// Queue depth and re-copy budget are configuration.
+memtis_obs::snap_struct!(in MigrationEngine {
+    next_id,
+    next_seq,
+    pending,
+    links,
+} check |e: &mut MigrationEngine| {
+    if e.pending.len() > e.queue_depth {
+        return Err(memtis_obs::SnapError::Corrupt("engine queue overflow"));
+    }
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memtis_obs::SnapFields;
 
     fn admit(e: &mut MigrationEngine, vpage: u64, prio: u8, now: f64) -> TransferId {
         e.admit(
@@ -828,12 +746,12 @@ mod tests {
         e.note_store(VirtPage(2)); // dirty the active pass
 
         let mut w = memtis_obs::SnapWriter::new();
-        e.snap_save(&mut w).unwrap();
-        let bytes = w.finish();
+        e.save_fields(&mut w);
+        let bytes = w.finish().unwrap();
 
         let mut f = MigrationEngine::new(16, 2);
         let mut r = memtis_obs::SnapReader::new(&bytes);
-        f.snap_restore(&mut r).unwrap();
+        f.load_fields(&mut r).unwrap();
         r.expect_end().unwrap();
 
         assert_eq!(f.in_flight(), e.in_flight());
@@ -855,12 +773,12 @@ mod tests {
         admit(&mut e, 1, 0, 0.0);
         admit(&mut e, 2, 0, 0.0);
         let mut w = memtis_obs::SnapWriter::new();
-        e.snap_save(&mut w).unwrap();
-        let bytes = w.finish();
+        e.save_fields(&mut w);
+        let bytes = w.finish().unwrap();
         let mut small = MigrationEngine::new(1, 2);
         let mut r = memtis_obs::SnapReader::new(&bytes);
         assert!(matches!(
-            small.snap_restore(&mut r),
+            small.load_fields(&mut r),
             Err(memtis_obs::SnapError::Corrupt("engine queue overflow"))
         ));
     }
@@ -930,26 +848,14 @@ mod tests {
             admit(&mut e, i, (i % 251) as u8, i as f64);
         }
         let mut w = memtis_obs::SnapWriter::new();
-        e.snap_save(&mut w).unwrap();
-        let bytes = w.finish();
+        e.save_fields(&mut w);
+        let bytes = w.finish().unwrap();
         let mut f = MigrationEngine::new(8192, 2);
         let mut r = memtis_obs::SnapReader::new(&bytes);
-        f.snap_restore(&mut r).unwrap();
+        f.load_fields(&mut r).unwrap();
         r.expect_end().unwrap();
         assert_eq!(f.queue_len(), 5000);
         assert_eq!(f.transfer_ids(), e.transfer_ids());
-    }
-
-    /// The checked length conversion reports oversize instead of silently
-    /// truncating through `as u32`.
-    #[test]
-    fn u32_len_rejects_oversized_collections() {
-        assert_eq!(u32_len(5000, "x").unwrap(), 5000);
-        assert_eq!(u32_len(u32::MAX as usize, "x").unwrap(), u32::MAX);
-        assert!(matches!(
-            u32_len(u32::MAX as usize + 1, "too deep"),
-            Err(memtis_obs::SnapError::Corrupt("too deep"))
-        ));
     }
 
     #[test]

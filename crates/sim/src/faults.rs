@@ -452,77 +452,40 @@ impl FaultInjector {
     pub fn reserved_bytes(&self) -> u64 {
         self.pressure_frames.len() as u64 * PageSize::Huge.bytes()
     }
-
-    /// Serializes the injector's mutable state: RNG cursor, tallies, the
-    /// pending record log, and the time-driven schedules. The plan itself
-    /// is configuration and is covered by the snapshot's config fingerprint.
-    pub fn snap_save(&self, w: &mut memtis_obs::SnapWriter) {
-        w.u64(self.rng.state);
-        let c = &self.counters;
-        w.u64(c.forced_aborts);
-        w.u64(c.injected_dirty);
-        w.u64(c.link_outages);
-        w.u64(c.sample_drops);
-        w.u64(c.sample_dups);
-        w.u64(c.tick_skips);
-        w.u64(c.tick_delays);
-        w.u64(c.pressure_spikes);
-        w.u32(self.log.len() as u32);
-        for rec in &self.log {
-            w.f64(rec.t_ns);
-            w.u8(rec.kind.snap_tag());
-            w.u64(rec.vpage);
-        }
-        w.f64(self.next_outage_ns);
-        w.f64(self.next_pressure_ns);
-        w.f64(self.pressure_off_ns);
-        w.u32(self.pressure_frames.len() as u32);
-        for f in &self.pressure_frames {
-            w.u64(f.0);
-        }
-    }
-
-    /// Restores state saved by [`FaultInjector::snap_save`] into this
-    /// injector (built from the same plan and salt).
-    pub fn snap_restore(
-        &mut self,
-        r: &mut memtis_obs::SnapReader<'_>,
-    ) -> Result<(), memtis_obs::SnapError> {
-        use memtis_obs::SnapError;
-        self.rng.state = r.u64()?;
-        self.counters = FaultCounters {
-            forced_aborts: r.u64()?,
-            injected_dirty: r.u64()?,
-            link_outages: r.u64()?,
-            sample_drops: r.u64()?,
-            sample_dups: r.u64()?,
-            tick_skips: r.u64()?,
-            tick_delays: r.u64()?,
-            pressure_spikes: r.u64()?,
-        };
-        let n = r.u32()? as usize;
-        if n > FAULT_LOG_CAP {
-            return Err(SnapError::Corrupt("fault log overflow"));
-        }
-        self.log.clear();
-        for _ in 0..n {
-            self.log.push(FaultRecord {
-                t_ns: r.f64()?,
-                kind: FaultKind::from_snap_tag(r.u8()?)?,
-                vpage: r.u64()?,
-            });
-        }
-        self.next_outage_ns = r.f64()?;
-        self.next_pressure_ns = r.f64()?;
-        self.pressure_off_ns = r.f64()?;
-        let n = r.u32()? as usize;
-        self.pressure_frames.clear();
-        for _ in 0..n {
-            self.pressure_frames.push(Frame(r.u64()?));
-        }
-        Ok(())
-    }
 }
+
+memtis_obs::snap_struct!(FaultRng { state });
+
+memtis_obs::snap_struct!(FaultCounters {
+    forced_aborts,
+    injected_dirty,
+    link_outages,
+    sample_drops,
+    sample_dups,
+    tick_skips,
+    tick_delays,
+    pressure_spikes,
+});
+
+memtis_obs::snap_struct!(FaultRecord { t_ns, kind, vpage });
+
+// The injector's mutable state: RNG cursor, tallies, the pending record
+// log, and the time-driven schedules. The plan itself is configuration
+// and is covered by the snapshot's config fingerprint.
+memtis_obs::snap_struct!(in FaultInjector {
+    rng,
+    counters,
+    log,
+    next_outage_ns,
+    next_pressure_ns,
+    pressure_off_ns,
+    pressure_frames,
+} check |f: &mut FaultInjector| {
+    if f.log.len() > FAULT_LOG_CAP {
+        return Err(memtis_obs::SnapError::Corrupt("fault log overflow"));
+    }
+    Ok(())
+});
 
 /// RNG salt for the machine-level injector (aborts, dirt, outages,
 /// pressure).
@@ -537,6 +500,7 @@ pub const RUNTIME_TICK_FAULT_SALT: u64 = 0x5255_4E54_494D_455F; // "RUNTIME_"
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memtis_obs::SnapFields;
 
     #[test]
     fn default_plan_is_inert_and_parse_roundtrips() {
@@ -617,12 +581,12 @@ mod tests {
         assert_eq!(inj.outage_due(1500.0), Some(10.0));
 
         let mut w = memtis_obs::SnapWriter::new();
-        inj.snap_save(&mut w);
-        let bytes = w.finish();
+        inj.save_fields(&mut w);
+        let bytes = w.finish().unwrap();
 
         let mut copy = FaultInjector::new(plan, MACHINE_FAULT_SALT);
         let mut r = memtis_obs::SnapReader::new(&bytes);
-        copy.snap_restore(&mut r).unwrap();
+        copy.load_fields(&mut r).unwrap();
         r.expect_end().unwrap();
 
         assert_eq!(copy.counters, inj.counters);

@@ -1725,161 +1725,36 @@ impl Machine {
         }
         t.end(Some(cause))
     }
-
-    /// Serializes the complete machine state: tiers, page table, TLB/LLC
-    /// (monolithic or per-lane), migration engine, fault injector, flight
-    /// recorder, engine-mode state, and counters. The coalesce memo and
-    /// page-table walk cache are pure memos and are excluded (a restored
-    /// machine simply starts them cold, which never changes simulated
-    /// results). Fails only on unrepresentable state (e.g. a transfer
-    /// queue deeper than the format's `u32` length fields).
-    pub fn snap_save(&self, w: &mut memtis_obs::SnapWriter) -> Result<(), memtis_obs::SnapError> {
-        w.section(|w| {
-            w.u32(self.tiers.len() as u32);
-            for t in &self.tiers {
-                t.snap_save(w);
-            }
-        });
-        w.section(|w| self.pt.snap_save(w));
-        w.section(|w| {
-            match &self.lanes {
-                Some(lanes) => {
-                    w.u32(lanes.len() as u32);
-                    for l in lanes {
-                        l.tlb.snap_save(w);
-                        l.llc.snap_save(w);
-                    }
-                }
-                None => w.u32(0),
-            }
-            self.tlb.snap_save(w);
-            self.llc.snap_save(w);
-        });
-        let mut engine_res = Ok(());
-        w.section(|w| engine_res = self.engine.snap_save(w));
-        engine_res?;
-        w.section(|w| match &self.faults {
-            Some(f) => {
-                w.bool(true);
-                f.snap_save(w);
-            }
-            None => w.bool(false),
-        });
-        w.section(|w| {
-            match &self.flight {
-                Some(f) => {
-                    w.bool(true);
-                    f.snap_save(w);
-                }
-                None => w.bool(false),
-            }
-            w.u64(self.flight_skip);
-            w.u64(self.flight_rng);
-        });
-        w.section(|w| self.stats.snap_save(w));
-        w.section(|w| match &self.modes {
-            Some(m) => {
-                w.bool(true);
-                m.snap_save(w);
-            }
-            None => w.bool(false),
-        });
-        Ok(())
-    }
-
-    /// Restores state saved by [`Machine::snap_save`] into this machine,
-    /// which must be freshly built from the identical configuration (and
-    /// have lanes/faults/flight enabled to match — presence mismatches are
-    /// rejected as corruption).
-    pub fn snap_restore(
-        &mut self,
-        r: &mut memtis_obs::SnapReader<'_>,
-    ) -> Result<(), memtis_obs::SnapError> {
-        use memtis_obs::SnapError;
-        {
-            let mut s = r.section()?;
-            if s.u32()? as usize != self.tiers.len() {
-                return Err(SnapError::Corrupt("tier count"));
-            }
-            for t in &mut self.tiers {
-                t.snap_restore(&mut s)?;
-            }
-            s.expect_end()?;
-        }
-        {
-            let mut s = r.section()?;
-            self.pt.snap_restore(&mut s)?;
-            s.expect_end()?;
-        }
-        {
-            let mut s = r.section()?;
-            let n_lanes = s.u32()? as usize;
-            match &mut self.lanes {
-                Some(lanes) if lanes.len() == n_lanes => {
-                    for l in lanes.iter_mut() {
-                        l.tlb.snap_restore(&mut s)?;
-                        l.llc.snap_restore(&mut s)?;
-                    }
-                }
-                None if n_lanes == 0 => {}
-                _ => return Err(SnapError::Corrupt("lane configuration")),
-            }
-            self.tlb.snap_restore(&mut s)?;
-            self.llc.snap_restore(&mut s)?;
-            s.expect_end()?;
-        }
-        {
-            let mut s = r.section()?;
-            self.engine.snap_restore(&mut s)?;
-            s.expect_end()?;
-        }
-        {
-            let mut s = r.section()?;
-            let has_faults = s.bool()?;
-            match (&mut self.faults, has_faults) {
-                (Some(f), true) => f.snap_restore(&mut s)?,
-                (None, false) => {}
-                _ => return Err(SnapError::Corrupt("fault injector presence")),
-            }
-            s.expect_end()?;
-        }
-        {
-            let mut s = r.section()?;
-            let has_flight = s.bool()?;
-            match (&mut self.flight, has_flight) {
-                (Some(f), true) => **f = memtis_obs::FlightRecorder::snap_load(&mut s)?,
-                (None, false) => {}
-                _ => return Err(SnapError::Corrupt("flight recorder presence")),
-            }
-            self.flight_skip = s.u64()?;
-            self.flight_rng = s.u64()?;
-            s.expect_end()?;
-        }
-        {
-            let mut s = r.section()?;
-            self.stats = MachineStats::snap_load(&mut s)?;
-            s.expect_end()?;
-        }
-        {
-            let mut s = r.section()?;
-            let has_modes = s.bool()?;
-            match (&mut self.modes, has_modes) {
-                (Some(m), true) => m.snap_restore(&mut s)?,
-                (None, false) => {}
-                _ => return Err(SnapError::Corrupt("engine-mode state presence")),
-            }
-            s.expect_end()?;
-        }
-        self.pt.invalidate_walk_cache();
-        Ok(())
-    }
 }
+
+// The complete machine state: tiers, page table, TLB/LLC (monolithic and
+// per-lane), migration engine, fault injector, flight recorder, engine-mode
+// state, and counters. The restoring machine must be built from the
+// identical configuration; lane/fault/flight/mode presence mismatches are
+// corruption. The coalesce memo and the page-table walk cache are pure
+// memos and are excluded (a restored machine starts them cold, which never
+// changes simulated results).
+memtis_obs::snap_struct!(in Machine {
+    @in tiers,
+    pt,
+    @in lanes,
+    @in tlb,
+    @in llc,
+    @in engine,
+    @in faults,
+    @in flight,
+    flight_skip,
+    flight_rng,
+    stats,
+    @in modes,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::access::AccessKind;
     use crate::addr::HUGE_PAGE_SIZE;
+    use memtis_obs::SnapFields;
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::dram_nvm(
@@ -2730,11 +2605,11 @@ mod tests {
         assert_eq!(m.shadow_count(), 1);
 
         let mut w = memtis_obs::SnapWriter::new();
-        m.snap_save(&mut w).unwrap();
-        let bytes = w.finish();
+        m.save_fields(&mut w);
+        let bytes = w.finish().unwrap();
         let mut m2 = Machine::new(cfg);
         let mut r = memtis_obs::SnapReader::new(&bytes);
-        m2.snap_restore(&mut r).unwrap();
+        m2.load_fields(&mut r).unwrap();
 
         assert_eq!(m2.shadow_count(), 1);
         assert_eq!(m2.shadow_bytes(), HUGE_PAGE_SIZE);
@@ -2753,12 +2628,12 @@ mod tests {
         m.alloc_and_map(VirtPage(0), PageSize::Base, TierId::FAST)
             .unwrap();
         let mut w = memtis_obs::SnapWriter::new();
-        m.snap_save(&mut w).unwrap();
-        let bytes = w.finish();
+        m.save_fields(&mut w);
+        let bytes = w.finish().unwrap();
         let mut cfg = MachineConfig::dram_nvm(4 * HUGE_PAGE_SIZE, 16 * HUGE_PAGE_SIZE);
         cfg.migration.shadow = true;
         let mut m2 = Machine::new(cfg);
         let mut r = memtis_obs::SnapReader::new(&bytes);
-        assert!(m2.snap_restore(&mut r).is_err());
+        assert!(m2.load_fields(&mut r).is_err());
     }
 }

@@ -28,7 +28,7 @@
 
 use crate::addr::{Frame, PageSize, TierId, VirtPage};
 use crate::config::{AdmissionConfig, HysteresisConfig, MigrationConfig};
-use memtis_obs::{SnapError, SnapReader, SnapWriter};
+use memtis_obs::SnapError;
 use std::collections::BTreeMap;
 
 /// 2 MiB region index of a virtual page (the admission/hysteresis granule).
@@ -112,43 +112,20 @@ impl AdmissionState {
         }
         rate
     }
-
-    fn snap_save(&self, w: &mut SnapWriter) {
-        save_counts(w, &self.cur);
-        save_counts(w, &self.prev);
-        w.f64(self.window_start_ns);
-        w.f64(self.prev_span_ns);
-        w.f64(self.last_payback_ns);
-    }
-
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.cur = load_counts(r)?;
-        self.prev = load_counts(r)?;
-        self.window_start_ns = r.f64()?;
-        self.prev_span_ns = r.f64()?;
-        self.last_payback_ns = r.f64()?;
-        Ok(())
-    }
 }
 
-fn save_counts(w: &mut SnapWriter, v: &[u32]) {
-    w.u32(v.len() as u32); // bounded by MAX_REGIONS, which fits u32
-    for &c in v {
-        w.u32(c);
-    }
-}
-
-fn load_counts(r: &mut SnapReader<'_>) -> Result<Vec<u32>, SnapError> {
-    let n = r.count(4)?;
-    if n > MAX_REGIONS {
+memtis_obs::snap_struct!(in AdmissionState {
+    cur,
+    prev,
+    window_start_ns,
+    prev_span_ns,
+    last_payback_ns,
+} check |a: &mut AdmissionState| {
+    if a.cur.len() > MAX_REGIONS || a.prev.len() > MAX_REGIONS {
         return Err(SnapError::Corrupt("region counter table too large"));
     }
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(r.u32()?);
-    }
-    Ok(v)
-}
+    Ok(())
+});
 
 /// One retained shadow frame: the clean pre-promotion source copy.
 #[derive(Debug, Clone, Copy)]
@@ -265,57 +242,24 @@ impl ShadowState {
     pub fn drain_pending_events(&mut self) -> Vec<(VirtPage, TierId, u64)> {
         std::mem::take(&mut self.pending_events)
     }
-
-    fn snap_save(&self, w: &mut SnapWriter) {
-        w.u32(self.map.len() as u32); // bounded by mapped pages
-        for (k, s) in &self.map {
-            // BTreeMap iterates sorted by key: deterministic bytes.
-            w.u64(k.0);
-            w.u64(s.frame.0);
-            w.u8(s.tier.0);
-            w.bool(s.size == PageSize::Huge);
-            w.u64(s.seq);
-        }
-        w.u64(self.next_seq);
-        w.u32(self.pending_events.len() as u32);
-        for (v, t, b) in &self.pending_events {
-            w.u64(v.0);
-            w.u8(t.0);
-            w.u64(*b);
-        }
-    }
-
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.u32()? as usize;
-        self.map.clear();
-        self.bytes = 0;
-        for _ in 0..n {
-            let k = VirtPage(r.u64()?);
-            let s = ShadowFrame {
-                frame: Frame(r.u64()?),
-                tier: TierId(r.u8()?),
-                size: if r.bool()? {
-                    PageSize::Huge
-                } else {
-                    PageSize::Base
-                },
-                seq: r.u64()?,
-            };
-            self.bytes += s.size.bytes();
-            if self.map.insert(k, s).is_some() {
-                return Err(SnapError::Corrupt("duplicate shadow key"));
-            }
-        }
-        self.next_seq = r.u64()?;
-        let p = r.u32()? as usize;
-        self.pending_events.clear();
-        for _ in 0..p {
-            self.pending_events
-                .push((VirtPage(r.u64()?), TierId(r.u8()?), r.u64()?));
-        }
-        Ok(())
-    }
 }
+
+memtis_obs::snap_struct!(ShadowFrame {
+    frame,
+    tier,
+    size,
+    seq
+});
+
+// `bytes` is derived from the map and recomputed on load.
+memtis_obs::snap_struct!(in ShadowState {
+    map,
+    next_seq,
+    pending_events,
+} check |s: &mut ShadowState| {
+    s.bytes = s.map.values().map(|f| f.size.bytes()).sum();
+    Ok(())
+});
 
 /// Per-region ping-pong record for hysteresis.
 #[derive(Debug, Clone, Copy)]
@@ -387,36 +331,18 @@ impl HysteresisState {
             rec.strikes = 0;
         }
     }
-
-    fn snap_save(&self, w: &mut SnapWriter) {
-        w.u32(self.regions.len() as u32); // bounded by touched regions
-        for (k, r) in &self.regions {
-            w.u64(*k);
-            w.f64(r.last_promote_ns);
-            w.u32(r.strikes);
-            w.f64(r.backoff_until_ns);
-        }
-        w.f64(self.last_backoff_until_ns);
-    }
-
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.u32()? as usize;
-        self.regions.clear();
-        for _ in 0..n {
-            let k = r.u64()?;
-            let rec = RegionHyst {
-                last_promote_ns: r.f64()?,
-                strikes: r.u32()?,
-                backoff_until_ns: r.f64()?,
-            };
-            if self.regions.insert(k, rec).is_some() {
-                return Err(SnapError::Corrupt("duplicate hysteresis region"));
-            }
-        }
-        self.last_backoff_until_ns = r.f64()?;
-        Ok(())
-    }
 }
+
+memtis_obs::snap_struct!(RegionHyst {
+    last_promote_ns,
+    strikes,
+    backoff_until_ns,
+});
+
+memtis_obs::snap_struct!(in HysteresisState {
+    regions,
+    last_backoff_until_ns,
+});
 
 /// The machine's engine-mode state: present iff at least one mode is
 /// configured on.
@@ -440,57 +366,20 @@ impl ModeState {
             hysteresis: cfg.hysteresis.clone().map(HysteresisState::new),
         }))
     }
-
-    /// Serializes every enabled mode's state (presence flags first, so a
-    /// restore into a differently-configured machine is rejected).
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        match &self.admission {
-            Some(a) => {
-                w.bool(true);
-                a.snap_save(w);
-            }
-            None => w.bool(false),
-        }
-        match &self.shadow {
-            Some(s) => {
-                w.bool(true);
-                s.snap_save(w);
-            }
-            None => w.bool(false),
-        }
-        match &self.hysteresis {
-            Some(h) => {
-                w.bool(true);
-                h.snap_save(w);
-            }
-            None => w.bool(false),
-        }
-    }
-
-    /// Inverse of [`ModeState::snap_save`].
-    pub fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        match (&mut self.admission, r.bool()?) {
-            (Some(a), true) => a.snap_restore(r)?,
-            (None, false) => {}
-            _ => return Err(SnapError::Corrupt("admission mode presence")),
-        }
-        match (&mut self.shadow, r.bool()?) {
-            (Some(s), true) => s.snap_restore(r)?,
-            (None, false) => {}
-            _ => return Err(SnapError::Corrupt("shadow mode presence")),
-        }
-        match (&mut self.hysteresis, r.bool()?) {
-            (Some(h), true) => h.snap_restore(r)?,
-            (None, false) => {}
-            _ => return Err(SnapError::Corrupt("hysteresis mode presence")),
-        }
-        Ok(())
-    }
 }
+
+// Every enabled mode's state, each behind a presence byte, so a restore
+// into a differently-configured machine is rejected.
+memtis_obs::snap_struct!(in ModeState {
+    @in admission,
+    @in shadow,
+    @in hysteresis,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memtis_obs::{SnapFields, SnapReader, SnapWriter};
 
     #[test]
     fn admission_rate_tracks_recent_accesses() {
@@ -581,16 +470,16 @@ mod tests {
             .note_move(VirtPage(3), false, 2.0);
 
         let mut w = SnapWriter::new();
-        m.snap_save(&mut w);
-        let bytes = w.finish();
+        m.save_fields(&mut w);
+        let bytes = w.finish().unwrap();
         let mut back = ModeState::from_config(&cfg).unwrap();
         let mut r = SnapReader::new(&bytes);
-        back.snap_restore(&mut r).unwrap();
+        back.load_fields(&mut r).unwrap();
         r.expect_end().unwrap();
 
         let mut w2 = SnapWriter::new();
-        back.snap_save(&mut w2);
-        assert_eq!(w2.finish(), bytes);
+        back.save_fields(&mut w2);
+        assert_eq!(w2.finish().unwrap(), bytes);
         assert_eq!(
             back.shadow.as_ref().unwrap().bytes(),
             PageSize::Base.bytes()

@@ -559,110 +559,6 @@ impl PageTable {
         Ok(ptes)
     }
 
-    /// Serializes every mapped entry (traversal order is deterministic:
-    /// ascending virtual page number, huge entries once).
-    pub fn snap_save(&self, w: &mut memtis_obs::SnapWriter) {
-        w.u64(self.mapped_base);
-        w.u64(self.mapped_huge);
-        for (i4, l3) in self.root.entries.iter().enumerate() {
-            let Some(l3) = l3 else { continue };
-            for (i3, l2) in l3.entries.iter().enumerate() {
-                let Some(l2) = l2 else { continue };
-                for (i2, slot) in l2.slots.iter().enumerate() {
-                    let base = ((i4 as u64) << 27) | ((i3 as u64) << 18) | ((i2 as u64) << 9);
-                    match slot {
-                        L2Slot::Empty => {}
-                        L2Slot::Huge(h) => {
-                            w.u8(1);
-                            w.u64(base);
-                            w.u64(h.frame.0);
-                            w.bool(h.accessed);
-                            w.bool(h.dirty);
-                            w.bool(h.hint);
-                            for &word in &h.sub_written {
-                                w.u64(word);
-                            }
-                        }
-                        L2Slot::Table(t) => {
-                            for (i1, e) in t.entries.iter().enumerate() {
-                                if let Some(p) = e {
-                                    w.u8(0);
-                                    w.u64(base | i1 as u64);
-                                    w.u64(p.frame.0);
-                                    w.bool(p.accessed);
-                                    w.bool(p.dirty);
-                                    w.bool(p.ever_written);
-                                    w.bool(p.hint);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        w.u8(2); // End of entry stream.
-    }
-
-    /// Rebuilds the table from state saved by [`PageTable::snap_save`]. Any
-    /// previous contents are discarded; the walk cache starts cold (it is a
-    /// pure memo, so this does not affect simulated behavior).
-    pub fn snap_restore(
-        &mut self,
-        r: &mut memtis_obs::SnapReader<'_>,
-    ) -> Result<(), memtis_obs::SnapError> {
-        use memtis_obs::SnapError;
-        let mapped_base = r.u64()?;
-        let mapped_huge = r.u64()?;
-        *self = PageTable::new();
-        loop {
-            match r.u8()? {
-                2 => break,
-                0 => {
-                    let vp = VirtPage(r.u64()?);
-                    let frame = Frame(r.u64()?);
-                    let accessed = r.bool()?;
-                    let dirty = r.bool()?;
-                    let ever_written = r.bool()?;
-                    let hint = r.bool()?;
-                    self.map_base(vp, frame)
-                        .map_err(|_| SnapError::Corrupt("pt base mapping"))?;
-                    let Some(EntryMut::Base(p)) = self.entry_mut(vp) else {
-                        return Err(SnapError::Corrupt("pt rebuild lost base entry"));
-                    };
-                    p.accessed = accessed;
-                    p.dirty = dirty;
-                    p.ever_written = ever_written;
-                    p.hint = hint;
-                }
-                1 => {
-                    let vp = VirtPage(r.u64()?);
-                    let frame = Frame(r.u64()?);
-                    let accessed = r.bool()?;
-                    let dirty = r.bool()?;
-                    let hint = r.bool()?;
-                    let mut sub_written = [0u64; SUBPAGE_WORDS];
-                    for word in sub_written.iter_mut() {
-                        *word = r.u64()?;
-                    }
-                    self.map_huge(vp, frame)
-                        .map_err(|_| SnapError::Corrupt("pt huge mapping"))?;
-                    let Some(EntryMut::Huge(h)) = self.entry_mut(vp) else {
-                        return Err(SnapError::Corrupt("pt rebuild lost huge entry"));
-                    };
-                    h.accessed = accessed;
-                    h.dirty = dirty;
-                    h.hint = hint;
-                    h.sub_written = sub_written;
-                }
-                _ => return Err(SnapError::Corrupt("pt entry tag")),
-            }
-        }
-        if self.mapped_base != mapped_base || self.mapped_huge != mapped_huge {
-            return Err(SnapError::Corrupt("pt mapped counts"));
-        }
-        Ok(())
-    }
-
     /// Visits every mapped entry (PT-scan substrate, cooling walks).
     ///
     /// Huge entries are visited once with the 2 MiB-aligned page number.
@@ -690,6 +586,106 @@ impl PageTable {
                 }
             }
         }
+    }
+}
+
+memtis_obs::snap_struct!(Pte {
+    frame,
+    accessed,
+    dirty,
+    ever_written,
+    hint,
+});
+
+memtis_obs::snap_struct!(HugeEntry {
+    frame,
+    accessed,
+    dirty,
+    hint,
+    sub_written,
+});
+
+/// One record of the page table's entry stream.
+enum PtRecord {
+    Base { vpage: VirtPage, pte: Pte },
+    Huge { vpage: VirtPage, entry: HugeEntry },
+    End,
+}
+
+memtis_obs::snap_enum!(PtRecord {
+    0 => Base { vpage, pte },
+    1 => Huge { vpage, entry },
+    2 => End,
+});
+
+/// The mapped counts, then every mapped entry in ascending virtual page
+/// order (huge entries once), then an end record. Loading rebuilds the
+/// table through the mapping calls; the walk cache starts cold (it is a
+/// pure memo, so this does not affect simulated behavior).
+impl memtis_obs::Snap for PageTable {
+    const MIN_BYTES: usize = 8 + 8 + 1;
+    fn save(&self, w: &mut memtis_obs::SnapWriter) {
+        w.put(&self.mapped_base);
+        w.put(&self.mapped_huge);
+        for (i4, l3) in self.root.entries.iter().enumerate() {
+            let Some(l3) = l3 else { continue };
+            for (i3, l2) in l3.entries.iter().enumerate() {
+                let Some(l2) = l2 else { continue };
+                for (i2, slot) in l2.slots.iter().enumerate() {
+                    let base = ((i4 as u64) << 27) | ((i3 as u64) << 18) | ((i2 as u64) << 9);
+                    match slot {
+                        L2Slot::Empty => {}
+                        L2Slot::Huge(h) => w.put(&PtRecord::Huge {
+                            vpage: VirtPage(base),
+                            entry: h.clone(),
+                        }),
+                        L2Slot::Table(t) => {
+                            for (i1, e) in t.entries.iter().enumerate() {
+                                if let Some(pte) = *e {
+                                    w.put(&PtRecord::Base {
+                                        vpage: VirtPage(base | i1 as u64),
+                                        pte,
+                                    });
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        w.put(&PtRecord::End);
+    }
+
+    fn load(r: &mut memtis_obs::SnapReader<'_>) -> Result<Self, memtis_obs::SnapError> {
+        use memtis_obs::SnapError;
+        let mapped_base: u64 = r.get()?;
+        let mapped_huge: u64 = r.get()?;
+        let mut pt = PageTable::new();
+        loop {
+            match r.get()? {
+                PtRecord::End => break,
+                PtRecord::Base { vpage, pte } => {
+                    pt.map_base(vpage, pte.frame)
+                        .map_err(|_| SnapError::Corrupt("pt base mapping"))?;
+                    let Some(EntryMut::Base(p)) = pt.entry_mut(vpage) else {
+                        return Err(SnapError::Corrupt("pt rebuild lost base entry"));
+                    };
+                    *p = pte;
+                }
+                PtRecord::Huge { vpage, entry } => {
+                    pt.map_huge(vpage, entry.frame)
+                        .map_err(|_| SnapError::Corrupt("pt huge mapping"))?;
+                    let Some(EntryMut::Huge(h)) = pt.entry_mut(vpage) else {
+                        return Err(SnapError::Corrupt("pt rebuild lost huge entry"));
+                    };
+                    *h = entry;
+                }
+            }
+        }
+        if pt.mapped_base != mapped_base || pt.mapped_huge != mapped_huge {
+            return Err(SnapError::Corrupt("pt mapped counts"));
+        }
+        Ok(pt)
     }
 }
 
@@ -919,12 +915,11 @@ mod tests {
         }
 
         let mut w = memtis_obs::SnapWriter::new();
-        pt.snap_save(&mut w);
-        let bytes = w.finish();
+        w.put(&pt);
+        let bytes = w.finish().unwrap();
 
-        let mut pt2 = PageTable::new();
         let mut r = memtis_obs::SnapReader::new(&bytes);
-        pt2.snap_restore(&mut r).unwrap();
+        let mut pt2: PageTable = r.get().unwrap();
         r.expect_end().unwrap();
 
         assert_eq!(pt2.mapped_base_pages(), pt.mapped_base_pages());
@@ -943,8 +938,8 @@ mod tests {
         }
         // Re-serializing the restored table gives identical bytes.
         let mut w2 = memtis_obs::SnapWriter::new();
-        pt2.snap_save(&mut w2);
-        assert_eq!(w2.finish(), bytes);
+        w2.put(&pt2);
+        assert_eq!(w2.finish().unwrap(), bytes);
     }
 
     #[test]
@@ -955,22 +950,21 @@ mod tests {
             pt
         };
         let mut w = memtis_obs::SnapWriter::new();
-        pt.snap_save(&mut w);
-        let mut bytes = w.finish();
+        w.put(&pt);
+        let mut bytes = w.finish().unwrap();
         // Corrupt the entry tag (first byte after the two mapped counts).
         bytes[16] = 9;
-        let mut fresh = PageTable::new();
         let mut r = memtis_obs::SnapReader::new(&bytes);
         assert!(matches!(
-            fresh.snap_restore(&mut r),
-            Err(memtis_obs::SnapError::Corrupt("pt entry tag"))
+            r.get::<PageTable>(),
+            Err(memtis_obs::SnapError::Corrupt("unknown PtRecord tag"))
         ));
         // Truncation mid-entry is a typed error, not a panic.
         let mut w = memtis_obs::SnapWriter::new();
-        pt.snap_save(&mut w);
-        let bytes = w.finish();
+        w.put(&pt);
+        let bytes = w.finish().unwrap();
         let mut r = memtis_obs::SnapReader::new(&bytes[..bytes.len() - 2]);
-        assert!(fresh.snap_restore(&mut r).is_err());
+        assert!(r.get::<PageTable>().is_err());
     }
 
     #[test]

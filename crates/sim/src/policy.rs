@@ -556,15 +556,11 @@ pub trait TieringPolicy {
         0
     }
 
-    /// Serializes all mutable policy state into a snapshot. The default
-    /// writes nothing, which is correct for stateless policies (NoopPolicy,
-    /// the static baselines); stateful policies must override both this and
-    /// [`load_state`] so checkpoint/restore resumes bit-exactly.
-    ///
-    /// [`load_state`]: TieringPolicy::load_state
-    fn save_state(&self, w: &mut memtis_obs::SnapWriter) {
-        let _ = w;
-    }
+    /// Serializes all mutable policy state into a snapshot, through the
+    /// `memtis_obs::snap` codec. Required: a policy with no mutable state
+    /// writes nothing explicitly, so a new stateful policy cannot forget
+    /// its state and resume silently wrong.
+    fn save_state(&self, w: &mut memtis_obs::SnapWriter);
 
     /// Restores state written by [`save_state`] into a freshly-constructed
     /// policy of the same type and configuration.
@@ -573,10 +569,7 @@ pub trait TieringPolicy {
     fn load_state(
         &mut self,
         r: &mut memtis_obs::SnapReader<'_>,
-    ) -> Result<(), memtis_obs::SnapError> {
-        let _ = r;
-        Ok(())
-    }
+    ) -> Result<(), memtis_obs::SnapError>;
 }
 
 impl TieringPolicy for Box<dyn TieringPolicy> {
@@ -667,6 +660,16 @@ impl TieringPolicy for NoopPolicy {
     /// `on_access` is a no-op, so no record is ever consumed.
     fn batch_record_filter(&self) -> RecordFilter {
         RecordFilter::NONE
+    }
+
+    /// Stateless: nothing to checkpoint.
+    fn save_state(&self, _w: &mut memtis_obs::SnapWriter) {}
+
+    fn load_state(
+        &mut self,
+        _r: &mut memtis_obs::SnapReader<'_>,
+    ) -> Result<(), memtis_obs::SnapError> {
+        Ok(())
     }
 }
 

@@ -65,6 +65,8 @@ pub struct LaneState {
     pub llc: Llc,
 }
 
+memtis_obs::snap_struct!(in LaneState { @in tlb, @in llc });
+
 /// Builds the 64 lane slices for a machine configuration: per-lane TLB
 /// geometry is `entries / 64` (ways preserved, clamped by the TLB array),
 /// per-lane LLC capacity is `llc_bytes / 64` (min one line).

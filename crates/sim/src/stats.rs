@@ -118,78 +118,38 @@ impl MachineStats {
     pub fn accesses(&self) -> u64 {
         self.loads + self.stores
     }
-
-    /// Serializes every counter.
-    pub fn snap_save(&self, w: &mut memtis_obs::SnapWriter) {
-        w.u64(self.loads);
-        w.u64(self.stores);
-        w.u32(self.tier_hits.len() as u32);
-        for &h in &self.tier_hits {
-            w.u64(h);
-        }
-        w.u64(self.demand_faults);
-        w.u64(self.hint_faults);
-        w.u64(self.shootdowns);
-        let m = &self.migration;
-        w.u64(m.promoted_4k);
-        w.u64(m.demoted_4k);
-        w.u64(m.migrated_bytes);
-        w.u64(m.splits);
-        w.u64(m.collapses);
-        w.u64(m.zero_subpages_freed);
-        w.u64(m.failed);
-        w.u64(m.cancelled);
-        w.u64(m.aborted);
-        w.u64(m.aborted_bytes);
-        w.u64(m.recopies);
-        w.u64(m.in_flight_peak);
-        w.u64(m.admission_rejects);
-        w.f64(m.admission_payback_ns);
-        w.u64(m.promotion_backoffs);
-        w.u64(m.shadow_retained_4k);
-        w.u64(m.shadow_free_demotions_4k);
-        w.u64(m.shadow_reclaimed_4k);
-    }
-
-    /// Inverse of [`MachineStats::snap_save`].
-    pub fn snap_load(r: &mut memtis_obs::SnapReader<'_>) -> Result<Self, memtis_obs::SnapError> {
-        let loads = r.u64()?;
-        let stores = r.u64()?;
-        let n = r.count(8)?;
-        let mut tier_hits = Vec::with_capacity(n);
-        for _ in 0..n {
-            tier_hits.push(r.u64()?);
-        }
-        Ok(MachineStats {
-            loads,
-            stores,
-            tier_hits,
-            demand_faults: r.u64()?,
-            hint_faults: r.u64()?,
-            shootdowns: r.u64()?,
-            migration: MigrationStats {
-                promoted_4k: r.u64()?,
-                demoted_4k: r.u64()?,
-                migrated_bytes: r.u64()?,
-                splits: r.u64()?,
-                collapses: r.u64()?,
-                zero_subpages_freed: r.u64()?,
-                failed: r.u64()?,
-                cancelled: r.u64()?,
-                aborted: r.u64()?,
-                aborted_bytes: r.u64()?,
-                recopies: r.u64()?,
-                in_flight_peak: r.u64()?,
-                admission_rejects: r.u64()?,
-                admission_payback_ns: r.f64()?,
-                promotion_backoffs: r.u64()?,
-                shadow_retained_4k: r.u64()?,
-                shadow_free_demotions_4k: r.u64()?,
-                shadow_reclaimed_4k: r.u64()?,
-            },
-        })
-    }
 }
+
+memtis_obs::snap_struct!(MigrationStats {
+    promoted_4k,
+    demoted_4k,
+    migrated_bytes,
+    splits,
+    collapses,
+    zero_subpages_freed,
+    failed,
+    cancelled,
+    aborted,
+    aborted_bytes,
+    recopies,
+    in_flight_peak,
+    admission_rejects,
+    admission_payback_ns,
+    promotion_backoffs,
+    shadow_retained_4k,
+    shadow_free_demotions_4k,
+    shadow_reclaimed_4k,
+});
+
+memtis_obs::snap_struct!(MachineStats {
+    loads,
+    stores,
+    tier_hits,
+    demand_faults,
+    hint_faults,
+    shootdowns,
+    migration,
+});
 
 #[cfg(test)]
 mod tests {

@@ -27,7 +27,7 @@ enum BlockState {
     /// The block is split into base frames; `bitmap` has a set bit per free
     /// frame and `free` counts them.
     Split {
-        free: u16,
+        free: u32,
         bitmap: [u64; WORDS_PER_BITMAP],
     },
 }
@@ -164,7 +164,7 @@ impl TierAllocator {
         let mut bitmap = [u64::MAX; WORDS_PER_BITMAP];
         bitmap[0] &= !1;
         self.blocks[b] = BlockState::Split {
-            free: (NR_SUBPAGES - 1) as u16,
+            free: (NR_SUBPAGES - 1) as u32,
             bitmap,
         };
         self.free_frames += NR_SUBPAGES - 1;
@@ -218,91 +218,6 @@ impl TierAllocator {
         }
     }
 
-    /// Serializes the full allocator state, including the lazy free-stack
-    /// order (stale entries and all) so allocation order after restore is
-    /// bit-identical to an uninterrupted run.
-    pub fn snap_save(&self, w: &mut memtis_obs::SnapWriter) {
-        w.u32(self.blocks.len() as u32);
-        for b in &self.blocks {
-            match b {
-                BlockState::FreeHuge => w.u8(0),
-                BlockState::UsedHuge => w.u8(1),
-                BlockState::Split { free, bitmap } => {
-                    w.u8(2);
-                    w.u32(*free as u32);
-                    for &word in bitmap.iter() {
-                        w.u64(word);
-                    }
-                }
-            }
-        }
-        w.u32(self.huge_free.len() as u32);
-        for &b in &self.huge_free {
-            w.u32(b);
-        }
-        w.u32(self.base_free.len() as u32);
-        for f in &self.base_free {
-            w.u64(f.0);
-        }
-        w.u64(self.free_frames);
-    }
-
-    /// Restores state saved by [`TierAllocator::snap_save`] into this
-    /// (same-geometry) allocator.
-    pub fn snap_restore(
-        &mut self,
-        r: &mut memtis_obs::SnapReader<'_>,
-    ) -> Result<(), memtis_obs::SnapError> {
-        use memtis_obs::SnapError;
-        if r.u32()? as usize != self.blocks.len() {
-            return Err(SnapError::Corrupt("tier geometry"));
-        }
-        for b in &mut self.blocks {
-            *b = match r.u8()? {
-                0 => BlockState::FreeHuge,
-                1 => BlockState::UsedHuge,
-                2 => {
-                    let free = r.u32()?;
-                    if free > NR_SUBPAGES as u32 {
-                        return Err(SnapError::Corrupt("tier split free count"));
-                    }
-                    let mut bitmap = [0u64; WORDS_PER_BITMAP];
-                    for word in bitmap.iter_mut() {
-                        *word = r.u64()?;
-                    }
-                    BlockState::Split {
-                        free: free as u16,
-                        bitmap,
-                    }
-                }
-                _ => return Err(SnapError::Corrupt("tier block tag")),
-            };
-        }
-        let n = r.u32()? as usize;
-        self.huge_free.clear();
-        for _ in 0..n {
-            let b = r.u32()?;
-            if b as usize >= self.blocks.len() {
-                return Err(SnapError::Corrupt("tier huge_free index"));
-            }
-            self.huge_free.push(b);
-        }
-        let n = r.u32()? as usize;
-        self.base_free.clear();
-        for _ in 0..n {
-            let f = Frame(r.u64()?);
-            if !self.owns(f) {
-                return Err(SnapError::Corrupt("tier base_free frame"));
-            }
-            self.base_free.push(f);
-        }
-        self.free_frames = r.u64()?;
-        if self.free_frames > self.blocks.len() as u64 * NR_SUBPAGES {
-            return Err(SnapError::Corrupt("tier free_frames"));
-        }
-        Ok(())
-    }
-
     /// Converts an allocated huge block into 512 allocated base frames
     /// (in-place THP split). No frames are freed; they become individually
     /// freeable afterwards.
@@ -320,6 +235,49 @@ impl TierAllocator {
             free: 0,
             bitmap: [0; WORDS_PER_BITMAP],
         };
+    }
+}
+
+memtis_obs::snap_enum!(BlockState {
+    0 => FreeHuge,
+    1 => UsedHuge,
+    2 => Split { free, bitmap },
+});
+
+// The full allocator state, including the lazy free-stack order (stale
+// entries and all), so allocation order after restore is bit-identical to
+// an uninterrupted run. The frame range is configuration.
+memtis_obs::snap_struct!(in TierAllocator {
+    blocks,
+    huge_free,
+    base_free,
+    free_frames,
+} check TierAllocator::check_snap);
+
+impl TierAllocator {
+    fn check_snap(&mut self) -> Result<(), memtis_obs::SnapError> {
+        use memtis_obs::SnapError;
+        let n_blocks = (self.frame_end - self.frame_start) / NR_SUBPAGES;
+        if self.blocks.len() as u64 != n_blocks {
+            return Err(SnapError::Corrupt("tier geometry"));
+        }
+        let split_free_ok = self.blocks.iter().all(|b| match b {
+            BlockState::Split { free, .. } => *free as u64 <= NR_SUBPAGES,
+            _ => true,
+        });
+        if !split_free_ok {
+            return Err(SnapError::Corrupt("tier split free count"));
+        }
+        if self.huge_free.iter().any(|&b| b as u64 >= n_blocks) {
+            return Err(SnapError::Corrupt("tier huge_free index"));
+        }
+        if !self.base_free.iter().all(|&f| self.owns(f)) {
+            return Err(SnapError::Corrupt("tier base_free frame"));
+        }
+        if self.free_frames > n_blocks * NR_SUBPAGES {
+            return Err(SnapError::Corrupt("tier free_frames"));
+        }
+        Ok(())
     }
 }
 
@@ -344,6 +302,7 @@ pub(crate) fn tier_of(tiers: &[TierAllocator], frame: Frame) -> TierId {
 mod tests {
     use super::*;
     use crate::addr::HUGE_PAGE_SIZE;
+    use memtis_obs::SnapFields;
 
     fn alloc_4blocks() -> TierAllocator {
         TierAllocator::new(TierId::FAST, 1024, 4 * HUGE_PAGE_SIZE)
@@ -449,12 +408,12 @@ mod tests {
         t.free_base(h.add(3));
 
         let mut w = memtis_obs::SnapWriter::new();
-        t.snap_save(&mut w);
-        let bytes = w.finish();
+        t.save_fields(&mut w);
+        let bytes = w.finish().unwrap();
 
         let mut u = alloc_4blocks();
         let mut r = memtis_obs::SnapReader::new(&bytes);
-        u.snap_restore(&mut r).unwrap();
+        u.load_fields(&mut r).unwrap();
         r.expect_end().unwrap();
 
         assert_eq!(u.free_bytes(), t.free_bytes());
@@ -469,12 +428,12 @@ mod tests {
     fn snap_restore_rejects_wrong_geometry() {
         let t = alloc_4blocks();
         let mut w = memtis_obs::SnapWriter::new();
-        t.snap_save(&mut w);
-        let bytes = w.finish();
+        t.save_fields(&mut w);
+        let bytes = w.finish().unwrap();
         let mut u = TierAllocator::new(TierId::FAST, 1024, 2 * HUGE_PAGE_SIZE);
         let mut r = memtis_obs::SnapReader::new(&bytes);
         assert!(matches!(
-            u.snap_restore(&mut r),
+            u.load_fields(&mut r),
             Err(memtis_obs::SnapError::Corrupt("tier geometry"))
         ));
     }

@@ -127,32 +127,16 @@ impl TlbArray {
     fn flush(&mut self) {
         self.entries.fill(INVALID);
     }
-
-    fn snap_save(&self, w: &mut memtis_obs::SnapWriter) {
-        w.u64(self.clock);
-        w.u32(self.entries.len() as u32);
-        for e in &self.entries {
-            w.u64(e.tag_valid);
-            w.u64(e.stamp);
-        }
-    }
-
-    /// Restores entry contents into this (geometry-identical) array.
-    fn snap_restore(
-        &mut self,
-        r: &mut memtis_obs::SnapReader<'_>,
-    ) -> Result<(), memtis_obs::SnapError> {
-        self.clock = r.u64()?;
-        if r.u32()? as usize != self.entries.len() {
-            return Err(memtis_obs::SnapError::Corrupt("tlb geometry"));
-        }
-        for e in &mut self.entries {
-            e.tag_valid = r.u64()?;
-            e.stamp = r.u64()?;
-        }
-        Ok(())
-    }
 }
+
+memtis_obs::snap_struct!(TlbEntry { tag_valid, stamp });
+
+memtis_obs::snap_struct!(in TlbArray { clock, entries } check |t: &mut TlbArray| {
+    if t.entries.len() != t.sets * t.ways {
+        return Err(memtis_obs::SnapError::Corrupt("tlb geometry"));
+    }
+    Ok(())
+});
 
 /// TLB statistics.
 #[derive(Debug, Default, Clone, Copy)]
@@ -283,32 +267,17 @@ impl Tlb {
         self.base.flush();
         self.huge.flush();
     }
-
-    /// Serializes residency, LRU clocks, generation, and statistics.
-    pub fn snap_save(&self, w: &mut memtis_obs::SnapWriter) {
-        self.base.snap_save(w);
-        self.huge.snap_save(w);
-        w.u64(self.epoch);
-        w.u64(self.stats.hits);
-        w.u64(self.stats.misses);
-        w.u64(self.stats.flushes);
-    }
-
-    /// Restores state saved by [`Tlb::snap_save`] into this TLB, which must
-    /// have been built from the same [`TlbSpec`].
-    pub fn snap_restore(
-        &mut self,
-        r: &mut memtis_obs::SnapReader<'_>,
-    ) -> Result<(), memtis_obs::SnapError> {
-        self.base.snap_restore(r)?;
-        self.huge.snap_restore(r)?;
-        self.epoch = r.u64()?;
-        self.stats.hits = r.u64()?;
-        self.stats.misses = r.u64()?;
-        self.stats.flushes = r.u64()?;
-        Ok(())
-    }
 }
+
+memtis_obs::snap_struct!(TlbStats {
+    hits,
+    misses,
+    flushes
+});
+
+// Residency, LRU clocks, generation, and statistics; the geometry comes
+// from the restoring TLB's `TlbSpec`.
+memtis_obs::snap_struct!(in Tlb { @in base, @in huge, epoch, stats });
 
 #[cfg(test)]
 mod tests {

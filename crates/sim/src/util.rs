@@ -10,75 +10,14 @@
 //! per-cell / per-case / per-shard RNG seed from a tuple of coordinates
 //! (sweep cells, scaling-bench cases, shard salts) folds the coordinates
 //! through the same 64-bit FNV-1a stream so seeds are stable, well mixed,
-//! and independent of declaration order elsewhere.
+//! and independent of declaration order elsewhere. It lives in
+//! `memtis-obs` (the snapshot codec checksums sections with it) and is
+//! re-exported here.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::BuildHasherDefault;
 
-/// 64-bit FNV-1a offset basis.
-pub const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// 64-bit FNV-1a prime.
-pub const FNV1A_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Streaming 64-bit FNV-1a hasher for deriving coordinate seeds.
-///
-/// Byte-wise xor-then-multiply, identical to the classic reference
-/// algorithm; the builder-style `mix_*` methods make call sites read as a
-/// list of coordinates. The digest depends on the exact byte stream, so
-/// callers must keep field order and integer widths stable to preserve
-/// historical seed values.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv1a {
-    /// Starts a new stream at the FNV-1a offset basis.
-    #[inline]
-    pub fn new() -> Self {
-        Fnv1a(FNV1A_BASIS)
-    }
-
-    /// Folds raw bytes into the stream.
-    #[inline]
-    pub fn mix_bytes(mut self, bytes: &[u8]) -> Self {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV1A_PRIME);
-        }
-        self
-    }
-
-    /// Folds a `u64` coordinate (little-endian bytes) into the stream.
-    #[inline]
-    pub fn mix_u64(self, v: u64) -> Self {
-        self.mix_bytes(&v.to_le_bytes())
-    }
-
-    /// Folds a `u32` coordinate (little-endian bytes) into the stream.
-    #[inline]
-    pub fn mix_u32(self, v: u32) -> Self {
-        self.mix_bytes(&v.to_le_bytes())
-    }
-
-    /// Folds a string coordinate (UTF-8 bytes, no terminator) into the
-    /// stream.
-    #[inline]
-    pub fn mix_str(self, s: &str) -> Self {
-        self.mix_bytes(s.as_bytes())
-    }
-
-    /// Returns the current digest.
-    #[inline]
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
+pub use memtis_obs::fnv::{Fnv1a, FNV1A_BASIS, FNV1A_PRIME};
 
 /// Fixed-shape pairwise ("tree") reduction of `f64` partials.
 ///
@@ -123,14 +62,6 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Classic FNV-1a test vectors (64-bit).
-        assert_eq!(Fnv1a::new().finish(), FNV1A_BASIS);
-        assert_eq!(Fnv1a::new().mix_str("a").finish(), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(Fnv1a::new().mix_str("foobar").finish(), 0x85944171f73967e8);
-    }
-
-    #[test]
     fn tree_fold_shape_is_fixed() {
         let xs: Vec<f64> = (0..64).map(|i| (i as f64) * 0.1 + 1e12).collect();
         // The shape depends only on the slice, so repeated folds agree
@@ -140,14 +71,5 @@ mod tests {
         assert_eq!(a.to_bits(), b.to_bits());
         assert_eq!(tree_fold_f64(&[]), 0.0);
         assert_eq!(tree_fold_f64(&[7.5]), 7.5);
-    }
-
-    #[test]
-    fn fnv1a_mix_u64_equals_le_bytes() {
-        let v = 0x0123_4567_89ab_cdefu64;
-        assert_eq!(
-            Fnv1a::new().mix_u64(v).finish(),
-            Fnv1a::new().mix_bytes(&v.to_le_bytes()).finish()
-        );
     }
 }

@@ -72,51 +72,6 @@ impl HintFaultSampler {
         self.pages.len()
     }
 
-    /// Serializes the tracked set (already sorted — it is a `BTreeSet`),
-    /// the rotation cursor, and the arming parameters.
-    pub fn snap_save(&self, w: &mut memtis_sim::obs::SnapWriter) {
-        w.usize(self.pages.len());
-        for p in &self.pages {
-            w.u64(p.0);
-        }
-        match self.cursor {
-            Some(c) => {
-                w.bool(true);
-                w.u64(c.0);
-            }
-            None => w.bool(false),
-        }
-        w.usize(self.pages_per_round);
-        match self.sweep_rounds {
-            Some(r) => {
-                w.bool(true);
-                w.u32(r);
-            }
-            None => w.bool(false),
-        }
-        w.u64(self.armed);
-    }
-
-    /// Rebuilds a sampler saved by [`HintFaultSampler::snap_save`],
-    /// resuming the rotating sweep exactly where it left off.
-    pub fn snap_load(
-        r: &mut memtis_sim::obs::SnapReader<'_>,
-    ) -> Result<Self, memtis_sim::obs::SnapError> {
-        let mut s = HintFaultSampler::new(0);
-        for _ in 0..r.usize()? {
-            s.pages.insert(VirtPage(r.u64()?));
-        }
-        s.cursor = if r.bool()? {
-            Some(VirtPage(r.u64()?))
-        } else {
-            None
-        };
-        s.pages_per_round = r.usize()?;
-        s.sweep_rounds = if r.bool()? { Some(r.u32()?) } else { None };
-        s.armed = r.u64()?;
-        Ok(s)
-    }
-
     /// Arms the next window of pages. Each armed page will deliver one hint
     /// fault on its next access.
     pub fn arm_round(&mut self, ops: &mut PolicyOps<'_>) {
@@ -153,6 +108,14 @@ impl HintFaultSampler {
         self.cursor = cursor;
     }
 }
+
+memtis_sim::obs::snap_struct!(HintFaultSampler {
+    pages,
+    cursor,
+    pages_per_round,
+    sweep_rounds,
+    armed,
+});
 
 #[cfg(test)]
 mod tests {

@@ -136,68 +136,6 @@ impl Lru2Q {
         None
     }
 
-    /// Serializes the full structure — the map in ascending-vpage order,
-    /// both generation-tagged queues front-to-back, and the counters — so
-    /// [`Lru2Q::snap_load`] rebuilds an *identical* instance: every future
-    /// `pop_inactive`/`deactivate_oldest` sequence (including lazy skips of
-    /// stale queue entries) replays exactly.
-    pub fn snap_save(&self, w: &mut memtis_sim::obs::SnapWriter) {
-        let mut entries: Vec<(VirtPage, ListKind, u64)> =
-            self.map.iter().map(|(&p, &(k, g))| (p, k, g)).collect();
-        entries.sort_unstable_by_key(|e| e.0);
-        w.usize(entries.len());
-        for (p, k, g) in entries {
-            w.u64(p.0);
-            w.u8(match k {
-                ListKind::Active => 0,
-                ListKind::Inactive => 1,
-            });
-            w.u64(g);
-        }
-        for q in [&self.active, &self.inactive] {
-            w.usize(q.len());
-            for &(p, g) in q {
-                w.u64(p.0);
-                w.u64(g);
-            }
-        }
-        w.u64(self.next_gen);
-        w.usize(self.active_len);
-        w.usize(self.inactive_len);
-    }
-
-    /// Rebuilds a structure saved by [`Lru2Q::snap_save`].
-    pub fn snap_load(
-        r: &mut memtis_sim::obs::SnapReader<'_>,
-    ) -> Result<Self, memtis_sim::obs::SnapError> {
-        use memtis_sim::obs::SnapError;
-        let mut q = Lru2Q::new();
-        for _ in 0..r.usize()? {
-            let page = VirtPage(r.u64()?);
-            let kind = match r.u8()? {
-                0 => ListKind::Active,
-                1 => ListKind::Inactive,
-                _ => return Err(SnapError::Corrupt("lru2q list kind")),
-            };
-            let gen = r.u64()?;
-            q.map.insert(page, (kind, gen));
-        }
-        for dst in [&mut q.active, &mut q.inactive] {
-            for _ in 0..r.usize()? {
-                let page = VirtPage(r.u64()?);
-                let gen = r.u64()?;
-                dst.push_back((page, gen));
-            }
-        }
-        q.next_gen = r.u64()?;
-        q.active_len = r.usize()?;
-        q.inactive_len = r.usize()?;
-        if q.active_len + q.inactive_len != q.map.len() {
-            return Err(SnapError::Corrupt("lru2q list counts"));
-        }
-        Ok(q)
-    }
-
     /// Ages the oldest active page back to the inactive list; returns it.
     pub fn deactivate_oldest(&mut self) -> Option<VirtPage> {
         while let Some((page, gen)) = self.active.pop_front() {
@@ -213,6 +151,24 @@ impl Lru2Q {
         None
     }
 }
+
+memtis_sim::obs::snap_enum!(ListKind { 0 => Active, 1 => Inactive });
+
+// The map travels sorted by page, so the bytes do not depend on the hash
+// table's layout; it is only ever accessed by key.
+memtis_sim::obs::snap_struct!(Lru2Q {
+    map,
+    active,
+    inactive,
+    next_gen,
+    active_len,
+    inactive_len,
+} check |q: &Lru2Q| {
+    if q.active_len + q.inactive_len != q.map.len() {
+        return Err(memtis_sim::obs::SnapError::Corrupt("lru2q list counts"));
+    }
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

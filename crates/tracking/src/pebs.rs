@@ -152,35 +152,6 @@ impl PebsSampler {
         self.store_count += stores;
     }
 
-    /// Serializes the periods and in-progress counters.
-    pub fn snap_save(&self, w: &mut memtis_sim::obs::SnapWriter) {
-        w.u64(self.load_period);
-        w.u64(self.store_period);
-        w.u64(self.load_count);
-        w.u64(self.store_count);
-        w.u64(self.samples);
-        w.u64(self.events);
-    }
-
-    /// Reconstructs a sampler from [`PebsSampler::snap_save`] output.
-    pub fn snap_load(
-        r: &mut memtis_sim::obs::SnapReader<'_>,
-    ) -> Result<Self, memtis_sim::obs::SnapError> {
-        let load_period = r.u64()?;
-        let store_period = r.u64()?;
-        if load_period == 0 || store_period == 0 {
-            return Err(memtis_sim::obs::SnapError::Corrupt("sampler period zero"));
-        }
-        Ok(PebsSampler {
-            load_period,
-            store_period,
-            load_count: r.u64()?,
-            store_count: r.u64()?,
-            samples: r.u64()?,
-            events: r.u64()?,
-        })
-    }
-
     /// Observes one executed access; returns a sample when a counter fires.
     ///
     /// Qualifying events are LLC-missing loads and all retired stores,
@@ -286,34 +257,6 @@ impl PeriodController {
         self.usage_ema
     }
 
-    /// Serializes the controller configuration and smoothing state.
-    pub fn snap_save(&self, w: &mut memtis_sim::obs::SnapWriter) {
-        w.f64(self.cpu_limit);
-        w.f64(self.hysteresis);
-        w.f64(self.ema_alpha);
-        w.f64(self.step);
-        w.u64(self.min_period);
-        w.u64(self.max_period);
-        w.f64(self.usage_ema);
-        w.bool(self.initialized);
-    }
-
-    /// Reconstructs a controller from [`PeriodController::snap_save`] output.
-    pub fn snap_load(
-        r: &mut memtis_sim::obs::SnapReader<'_>,
-    ) -> Result<Self, memtis_sim::obs::SnapError> {
-        Ok(PeriodController {
-            cpu_limit: r.f64()?,
-            hysteresis: r.f64()?,
-            ema_alpha: r.f64()?,
-            step: r.f64()?,
-            min_period: r.u64()?,
-            max_period: r.u64()?,
-            usage_ema: r.f64()?,
-            initialized: r.bool()?,
-        })
-    }
-
     /// Feeds a new instantaneous usage measurement and adjusts the sampler's
     /// periods if the smoothed usage leaves the hysteresis band.
     pub fn update(&mut self, measured_usage: f64, sampler: &mut PebsSampler) -> PeriodAdjust {
@@ -342,6 +285,31 @@ impl PeriodController {
         }
     }
 }
+
+memtis_sim::obs::snap_struct!(PebsSampler {
+    load_period,
+    store_period,
+    load_count,
+    store_count,
+    samples,
+    events,
+} check |s: &PebsSampler| {
+    if s.load_period == 0 || s.store_period == 0 {
+        return Err(memtis_sim::obs::SnapError::Corrupt("sampler period zero"));
+    }
+    Ok(())
+});
+
+memtis_sim::obs::snap_struct!(PeriodController {
+    cpu_limit,
+    hysteresis,
+    ema_alpha,
+    step,
+    min_period,
+    max_period,
+    usage_ema,
+    initialized,
+});
 
 #[cfg(test)]
 mod tests {
@@ -484,10 +452,10 @@ mod tests {
             assert!(s.observe(&Access::load(i * 64), &outcome(true)).is_none());
         }
         let mut w = memtis_sim::obs::SnapWriter::new();
-        s.snap_save(&mut w);
-        let bytes = w.finish();
+        w.put(&s);
+        let bytes = w.finish().unwrap();
         let mut r = memtis_sim::obs::SnapReader::new(&bytes);
-        let mut back = PebsSampler::snap_load(&mut r).unwrap();
+        let mut back: PebsSampler = r.get().unwrap();
         assert!(r.expect_end().is_ok());
         assert_eq!(back.snapshot(), s.snapshot());
         assert_eq!(back.load_events_until_sample(), 2);
@@ -503,10 +471,10 @@ mod tests {
         c.update(0.10, &mut s);
         c.update(0.02, &mut s);
         let mut w = memtis_sim::obs::SnapWriter::new();
-        c.snap_save(&mut w);
-        let bytes = w.finish();
+        w.put(&c);
+        let bytes = w.finish().unwrap();
         let mut r = memtis_sim::obs::SnapReader::new(&bytes);
-        let mut back = PeriodController::snap_load(&mut r).unwrap();
+        let mut back: PeriodController = r.get().unwrap();
         assert!(r.expect_end().is_ok());
         assert_eq!(back.usage_ema(), c.usage_ema());
         // Identical future decisions from the restored state.

@@ -9,6 +9,7 @@
 //! cargo run --release --example three_tier
 //! ```
 
+use memtis_repro::sim::obs::{self, SnapFields};
 use memtis_repro::sim::prelude::*;
 use memtis_repro::tracking::pebs::PebsSampler;
 use memtis_repro::workloads::{Benchmark, Scale, SpecStream};
@@ -95,8 +96,11 @@ impl TieringPolicy for CascadePolicy {
         if !self.ticks.is_multiple_of(8) {
             return;
         }
-        let entries: Vec<(VirtPage, PageSize, u32)> =
+        // Page order, not hash order: a restored map has a different
+        // layout, and the budget makes the visiting order observable.
+        let mut entries: Vec<(VirtPage, PageSize, u32)> =
             self.counts.iter().map(|(&v, &(s, c))| (v, s, c)).collect();
+        entries.sort_unstable_by_key(|e| e.0);
         let mut budget: u64 = 8 << 20;
         for (vpage, size, count) in entries {
             if budget < size.bytes() {
@@ -122,7 +126,17 @@ impl TieringPolicy for CascadePolicy {
             *c /= 2;
         }
     }
+
+    fn save_state(&self, w: &mut obs::SnapWriter) {
+        self.save_fields(w);
+    }
+
+    fn load_state(&mut self, r: &mut obs::SnapReader<'_>) -> Result<(), obs::SnapError> {
+        self.load_fields(r)
+    }
 }
+
+obs::snap_struct!(in CascadePolicy { sampler, counts, ticks });
 
 fn main() {
     let bench = Benchmark::Silo;

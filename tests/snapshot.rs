@@ -1,10 +1,14 @@
 //! Checkpoint/restore oracle: a run interrupted at an arbitrary event
 //! boundary, snapshotted, restored into a freshly built simulation, and
 //! resumed must produce a byte-identical [`RunReport`] (windows and timeline
-//! included) versus the uninterrupted run — across policies, batched and
-//! sharded execution, and active fault injection.
+//! included) versus the uninterrupted run — across every stateful policy,
+//! batched and sharded execution, and active fault injection.
 
-use memtis_repro::baselines::{HememConfig, HememPolicy, TppConfig, TppPolicy};
+use memtis_repro::baselines::{
+    AutoNumaConfig, AutoNumaPolicy, AutoTieringConfig, AutoTieringPolicy, HememConfig, HememPolicy,
+    MultiClockConfig, MultiClockPolicy, NimbleConfig, NimblePolicy, StaticPolicy, Tiering08Config,
+    Tiering08Policy, TmtsConfig, TmtsPolicy, TppConfig, TppPolicy,
+};
 use memtis_repro::memtis::{MemtisConfig, MemtisPolicy};
 use memtis_repro::sim::prelude::*;
 use memtis_repro::workloads::{Benchmark, Scale, SpecStream};
@@ -86,6 +90,63 @@ fn hemem_policy() -> Box<dyn TieringPolicy> {
     }))
 }
 
+fn autonuma_policy() -> Box<dyn TieringPolicy> {
+    Box::new(AutoNumaPolicy::new(AutoNumaConfig { sweep_rounds: 8 }))
+}
+
+fn autotiering_policy() -> Box<dyn TieringPolicy> {
+    Box::new(AutoTieringPolicy::new(AutoTieringConfig {
+        sweep_rounds: 8,
+        shift_every_ticks: 2,
+        ..Default::default()
+    }))
+}
+
+fn tiering08_policy() -> Box<dyn TieringPolicy> {
+    Box::new(Tiering08Policy::new(Tiering08Config {
+        sweep_rounds: 8,
+        ..Default::default()
+    }))
+}
+
+fn nimble_policy() -> Box<dyn TieringPolicy> {
+    Box::new(NimblePolicy::new(NimbleConfig {
+        scan_every_ticks: 2,
+        ..Default::default()
+    }))
+}
+
+fn multiclock_policy() -> Box<dyn TieringPolicy> {
+    Box::new(MultiClockPolicy::new(MultiClockConfig {
+        scan_every_ticks: 2,
+        ..Default::default()
+    }))
+}
+
+fn tmts_policy() -> Box<dyn TieringPolicy> {
+    Box::new(TmtsPolicy::new(TmtsConfig {
+        load_period: 4,
+        store_period: 64,
+        scan_every_ticks: 2,
+        ..Default::default()
+    }))
+}
+
+type MkPolicy = fn() -> Box<dyn TieringPolicy>;
+
+/// Every policy with mutable state, in a fixed order.
+const STATEFUL: [(&str, MkPolicy); 9] = [
+    ("memtis", memtis_policy),
+    ("tpp", tpp_policy),
+    ("hemem", hemem_policy),
+    ("autonuma", autonuma_policy),
+    ("autotiering", autotiering_policy),
+    ("tiering08", tiering08_policy),
+    ("nimble", nimble_policy),
+    ("multiclock", multiclock_policy),
+    ("tmts", tmts_policy),
+];
+
 fn stream() -> SpecStream {
     SpecStream::new(Benchmark::Silo.spec(Scale::TEST, ACCESSES), SEED)
 }
@@ -154,34 +215,39 @@ proptest! {
     #[test]
     fn interrupted_runs_resume_bit_exactly(
         pause_frac in 0.05f64..0.95,
-        policy_ix in 0usize..3,
+        policy_ix in 0usize..STATEFUL.len(),
         chunked in prop::bool::ANY,
         sharded in prop::bool::ANY,
         faulted in prop::bool::ANY,
     ) {
-        let mk_policy: &dyn Fn() -> Box<dyn TieringPolicy> = match policy_ix {
-            0 => &memtis_policy,
-            1 => &tpp_policy,
-            _ => &hemem_policy,
-        };
+        let mk_policy = STATEFUL[policy_ix].1;
         let chunk = if chunked { DEFAULT_CHUNK } else { 1 };
         // Sharding requires batched execution.
         let shards = (chunked && sharded).then_some(2);
         let faults = faulted.then(plan);
         let pause_at = (ACCESSES as f64 * pause_frac) as u64;
-        oracle(mk_policy, chunk, shards, faults, pause_at.max(1))?;
+        oracle(&mk_policy, chunk, shards, faults, pause_at.max(1))?;
     }
 }
 
-/// HeMem serializes its page map sorted and selects demotion victims in
-/// ascending-vpage order, so — unlike the original hash-order scan — a
-/// restored policy replays the exact same victim choices. Pin one serial
-/// and one batched+sharded+faulted cell deterministically (the proptest
-/// above samples the policy at random).
+/// Every policy — the nine stateful ones and the stateless static and
+/// first-touch ones — resumes bit-exactly from a mid-run checkpoint, in a
+/// serial cell and in a batched + sharded + faulted one. The proptest above
+/// samples policies at random; this pins each of them deterministically.
 #[test]
-fn hemem_interrupted_run_resumes_bit_exactly() {
-    oracle(&hemem_policy, 1, None, None, 12_000).unwrap();
-    oracle(&hemem_policy, DEFAULT_CHUNK, Some(2), Some(plan()), 12_000).unwrap();
+fn every_policy_interrupted_run_resumes_bit_exactly() {
+    let stateless: [(&str, MkPolicy); 3] = [
+        ("first-touch", || Box::new(NoopPolicy)),
+        ("all-fast", || Box::new(StaticPolicy::all_fast())),
+        ("all-slow", || Box::new(StaticPolicy::all_slow())),
+    ];
+    for (name, mk_policy) in STATEFUL.into_iter().chain(stateless) {
+        for (chunk, shards, faults) in [(1, None, None), (DEFAULT_CHUNK, Some(2), Some(plan()))] {
+            if let Err(e) = oracle(&mk_policy, chunk, shards, faults, 15_000) {
+                panic!("{name}: {e}");
+            }
+        }
+    }
 }
 
 /// A run interrupted twice — resume from the first snapshot, pause again,
