@@ -7,8 +7,8 @@
 //!   sim-time, page id, tier, and cause.
 //! - [`ring`] — a fixed-capacity, drop-oldest event ring ([`EventRing`])
 //!   with a dropped-event counter; pushes never allocate once full.
-//! - [`registry`] — monotonic counters and gauges ([`Registry`]) updated
-//!   with relaxed atomic operations.
+//! - [`registry`] — monotonic counters and gauges ([`Registry`]) derived
+//!   from the event stream.
 //! - [`window`] — a windowed time-series collector ([`WindowCollector`])
 //!   snapshotting hit ratios, migration bandwidth, and histogram state
 //!   every N simulation events into [`WindowSample`]s.

@@ -183,7 +183,7 @@ impl Observer for TracingObserver {
     }
 
     fn record(&mut self, event: Event) {
-        let r = &self.registry;
+        let r = &mut self.registry;
         r.inc(CounterId::EventsRecorded);
         match event.kind {
             EventKind::Promotion { .. } => r.inc(CounterId::Promotions),
@@ -239,7 +239,7 @@ impl Observer for TracingObserver {
     }
 
     fn on_window(&mut self, sample: &WindowSample) {
-        let r = &self.registry;
+        let r = &mut self.registry;
         r.set_gauge(GaugeId::Rhr, sample.rhr);
         r.set_gauge(GaugeId::Ehr, sample.ehr);
         if let Some(v) = sample.gauge("hot_bytes") {

@@ -20,8 +20,7 @@ use std::time::Instant;
 /// The simulator phases the profiler attributes host time to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanId {
-    /// Delivering PEBS-style samples to the policy (`on_access` and
-    /// runtime ksampled drains).
+    /// Delivering PEBS-style samples to the policy (`on_access`).
     SamplingDrain,
     /// MEMTIS cooling sweep (`run_cooling`).
     CoolingTick,
@@ -95,9 +94,8 @@ struct Cell {
 }
 
 /// Accumulated `(calls, host-ns)` per phase. Cheap to share: sites hold
-/// an `Arc<Profiler>` and record with relaxed atomics, so the runtime
-/// crate's real threads and the single-threaded simulator use the same
-/// type.
+/// an `Arc<Profiler>` (each [`SpanGuard`] owns one, so a span outlives the
+/// observer borrow it was opened from) and record with relaxed atomics.
 #[derive(Debug, Default)]
 pub struct Profiler {
     cells: [Cell; ALL_SPANS.len()],

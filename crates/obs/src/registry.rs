@@ -1,11 +1,8 @@
 //! Counter and gauge registry.
 //!
-//! Monotonic counters and point-in-time gauges with cheap relaxed-atomic
-//! updates: an increment is a single `fetch_add(Relaxed)`, so shared-ring
-//! consumers (e.g. the runtime's real-thread daemons) can bump counters
-//! without synchronizing with readers. Readers see each cell individually
-//! atomically; cross-counter snapshots are only consistent at quiescence,
-//! which is all the end-of-run reporting needs.
+//! Monotonic counters and point-in-time gauges stored as plain values: the
+//! only writer is [`crate::TracingObserver`], which owns its registry and
+//! updates it through `&mut self` as it records each event.
 //!
 //! # Naming convention
 //!
@@ -23,8 +20,6 @@
 //! be added without a name — the match and the table are exhaustive by
 //! construction — and a unit test rejects names that stray from the suffix
 //! convention.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Defines a registry identifier enum together with its `ALL` table and
 /// `name()` accessor. One variant list feeds all three, so an unnamed or
@@ -132,13 +127,10 @@ registry_ids! {
 }
 
 /// The counter/gauge registry.
-///
-/// Gauges store `f64` bit patterns in `AtomicU64` cells so both kinds share
-/// the same relaxed-atomic storage.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: [AtomicU64; CounterId::ALL.len()],
-    gauges: [AtomicU64; GaugeId::ALL.len()],
+    counters: [u64; CounterId::ALL.len()],
+    gauges: [f64; GaugeId::ALL.len()],
 }
 
 impl Registry {
@@ -147,38 +139,38 @@ impl Registry {
         Self::default()
     }
 
-    /// Adds `n` to a counter (relaxed).
+    /// Adds `n` to a counter.
     #[inline]
-    pub fn add(&self, id: CounterId, n: u64) {
-        self.counters[id as usize].fetch_add(n, Ordering::Relaxed);
+    pub fn add(&mut self, id: CounterId, n: u64) {
+        self.counters[id as usize] += n;
     }
 
-    /// Increments a counter by one (relaxed).
+    /// Increments a counter by one.
     #[inline]
-    pub fn inc(&self, id: CounterId) {
+    pub fn inc(&mut self, id: CounterId) {
         self.add(id, 1);
     }
 
-    /// Current counter value (relaxed).
+    /// Current counter value.
     pub fn counter(&self, id: CounterId) -> u64 {
-        self.counters[id as usize].load(Ordering::Relaxed)
+        self.counters[id as usize]
     }
 
     /// Sets a counter to an absolute value (used to mirror an external
     /// monotonic source like the ring's dropped count).
-    pub fn set_counter(&self, id: CounterId, v: u64) {
-        self.counters[id as usize].store(v, Ordering::Relaxed);
+    pub fn set_counter(&mut self, id: CounterId, v: u64) {
+        self.counters[id as usize] = v;
     }
 
-    /// Sets a gauge (relaxed).
+    /// Sets a gauge.
     #[inline]
-    pub fn set_gauge(&self, id: GaugeId, v: f64) {
-        self.gauges[id as usize].store(v.to_bits(), Ordering::Relaxed);
+    pub fn set_gauge(&mut self, id: GaugeId, v: f64) {
+        self.gauges[id as usize] = v;
     }
 
-    /// Current gauge value (relaxed).
+    /// Current gauge value.
     pub fn gauge(&self, id: GaugeId) -> f64 {
-        f64::from_bits(self.gauges[id as usize].load(Ordering::Relaxed))
+        self.gauges[id as usize]
     }
 
     /// Snapshot of all counters as `(name, value)` pairs.
@@ -204,7 +196,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let r = Registry::new();
+        let mut r = Registry::new();
         r.inc(CounterId::Promotions);
         r.add(CounterId::Promotions, 4);
         assert_eq!(r.counter(CounterId::Promotions), 5);
@@ -213,7 +205,7 @@ mod tests {
 
     #[test]
     fn gauges_store_point_values() {
-        let r = Registry::new();
+        let mut r = Registry::new();
         r.set_gauge(GaugeId::Rhr, 0.875);
         r.set_gauge(GaugeId::Rhr, 0.5);
         assert_eq!(r.gauge(GaugeId::Rhr), 0.5);
@@ -264,21 +256,5 @@ mod tests {
                 GAUGE_UNITS
             );
         }
-    }
-
-    #[test]
-    fn updates_are_safe_across_threads() {
-        let r = std::sync::Arc::new(Registry::new());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let r = r.clone();
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        r.inc(CounterId::TlbShootdowns);
-                    }
-                });
-            }
-        });
-        assert_eq!(r.counter(CounterId::TlbShootdowns), 4000);
     }
 }

@@ -15,7 +15,7 @@
 //! 20 app threads but not at 16 (§6.2.9).
 
 use crate::access::{Access, AccessOutcome, AccessRecord, RecordFilter};
-use crate::addr::{PageSize, TierId, VirtAddr, VirtPage, HUGE_PAGE_SIZE, NR_SUBPAGES};
+use crate::addr::{PageSize, VirtAddr, VirtPage, HUGE_PAGE_SIZE};
 use crate::config::MachineConfig;
 use crate::engine::EngineEvent;
 use crate::error::{SimError, SimResult};
@@ -23,11 +23,13 @@ use crate::faults::{
     FaultCounters, FaultInjector, FaultPlan, SampleFate, TickFate, DRIVER_FAULT_SALT,
 };
 use crate::machine::{BatchClock, BatchStop, Machine};
-use crate::policy::{abort_failure, CostAccounting, CostSink, PolicyOps, TieringPolicy};
+use crate::policy::{
+    abort_failure, alloc_page, alloc_region, CostAccounting, CostSink, PolicyOps, TieringPolicy,
+};
 use crate::shard::{self, lane_of, LaneScratch, WorkerPool, NUM_LANES};
 use crate::stats::MachineStats;
 use crate::util::tree_fold_f64;
-use memtis_obs::profile::{SpanGuard, SpanId, SpanStat};
+use memtis_obs::profile::{SpanGuard, SpanId};
 use memtis_obs::{
     Event, EventKind, FlightRecorder, HistStats, LatHist, NopObserver, Observer, ShootdownCause,
     SnapError, SnapFields, SnapReader, SnapWriter, WindowCollector, WindowCut, WindowSample,
@@ -633,12 +635,6 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         self.machine.flight()
     }
 
-    /// The self-profiler's attribution table (host time per phase), if the
-    /// observer carries a profiler. `None` on untraced runs.
-    pub fn profile_stats(&self) -> Option<Vec<SpanStat>> {
-        self.obs.profiler().map(|p| p.stats())
-    }
-
     /// Opens a self-profiling span if the observer carries a profiler.
     /// The guard owns its `Arc`, so the borrow of `obs` ends here.
     #[inline]
@@ -666,7 +662,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         self.machine.config().app_threads.max(1) as f64
     }
 
-    fn alloc_one(&mut self, vpage: VirtPage, size: PageSize) -> SimResult<()> {
+    fn handle_alloc(&mut self, addr: VirtAddr, bytes: u64, thp: bool) -> SimResult<()> {
         let mut ops = Self::ops(
             &mut self.machine,
             &mut self.acct,
@@ -674,51 +670,8 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             CostSink::App,
             self.wall_ns,
         );
-        let pref = self.policy.alloc_tier(&mut ops, vpage, size);
-        let order: Vec<TierId> = {
-            let n = self.machine.tier_count() as u8;
-            std::iter::once(pref)
-                .chain((0..n).map(TierId).filter(|t| *t != pref))
-                .collect()
-        };
-        match self.machine.alloc_and_map_fallback(vpage, size, &order) {
-            Ok((tier, _frame)) => {
-                let mut ops = Self::ops(
-                    &mut self.machine,
-                    &mut self.acct,
-                    &mut self.obs,
-                    CostSink::App,
-                    self.wall_ns,
-                );
-                self.policy.on_alloc(&mut ops, vpage, size, tier);
-                Ok(())
-            }
-            Err(SimError::GlobalOutOfMemory) if size == PageSize::Huge => {
-                // Physical fragmentation: fall back to base pages.
-                for i in 0..NR_SUBPAGES {
-                    self.alloc_one(vpage.add(i), PageSize::Base)?;
-                }
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn handle_alloc(&mut self, addr: VirtAddr, bytes: u64, thp: bool) -> SimResult<()> {
-        let use_thp = thp && self.cfg.thp_enabled;
-        let mut cur = addr.0;
-        let end = addr.0 + bytes;
-        while cur < end {
-            let vpage = VirtAddr(cur).base_page();
-            let remaining = end - cur;
-            if use_thp && cur.is_multiple_of(HUGE_PAGE_SIZE) && remaining >= HUGE_PAGE_SIZE {
-                self.alloc_one(vpage, PageSize::Huge)?;
-                cur += HUGE_PAGE_SIZE;
-            } else {
-                self.alloc_one(vpage, PageSize::Base)?;
-                cur += PageSize::Base.bytes();
-            }
-        }
+        let thp = thp && self.cfg.thp_enabled;
+        alloc_region(&mut self.policy, &mut ops, addr, bytes, thp)?;
         self.rss_peak = self.rss_peak.max(self.machine.rss_bytes());
         Ok(())
     }
@@ -787,7 +740,14 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                 // Demand fault: map a base page where the policy prefers.
                 self.acct.app_extra_ns += self.machine.config().costs.fault_overhead_ns;
                 self.machine.stats.demand_faults += 1;
-                self.alloc_one(vpage, PageSize::Base)?;
+                let mut ops = Self::ops(
+                    &mut self.machine,
+                    &mut self.acct,
+                    &mut self.obs,
+                    CostSink::App,
+                    self.wall_ns,
+                );
+                alloc_page(&mut self.policy, &mut ops, vpage, PageSize::Base)?;
                 let mut o = self.machine.access(access)?;
                 o.demand_fault = true;
                 o
@@ -1777,7 +1737,7 @@ memtis_obs::snap_struct!(in ShardRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::HUGE_PAGE_SIZE;
+    use crate::addr::{TierId, HUGE_PAGE_SIZE};
     use crate::config::TierSpec;
     use crate::policy::NoopPolicy;
 

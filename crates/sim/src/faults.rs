@@ -17,8 +17,8 @@
 //! | injected dirty   | `Machine::pump_transfers`              | `note_store` on an active copy pass |
 //! | link outage      | `Machine::pump_transfers`              | active passes and links lose `duration_ns` of bandwidth |
 //! | pressure spike   | `Machine::pump_transfers`              | steal fast-tier frames for a window |
-//! | sample drop/dup  | driver `handle_access` / runtime `ksampled` | skip or double-deliver a sample to the policy |
-//! | tick skip/delay  | driver `run_due_ticks` / runtime `kmigrated` | skip a wakeup, or run it late |
+//! | sample drop/dup  | driver `handle_access`                 | skip or double-deliver a sample to the policy |
+//! | tick skip/delay  | driver `run_due_ticks`                 | skip a wakeup, or run it late |
 //!
 //! Determinism rules: time-driven faults (outages, pressure) fire on the
 //! simulated clock only; probability-driven faults consume the RNG only
@@ -490,12 +490,8 @@ memtis_obs::snap_struct!(in FaultInjector {
 /// RNG salt for the machine-level injector (aborts, dirt, outages,
 /// pressure).
 pub const MACHINE_FAULT_SALT: u64 = 0x4D41_4348_494E_455F; // "MACHINE_"
-/// RNG salt for the driver/runtime-level injector (samples, ticks).
+/// RNG salt for the driver-level injector (samples, ticks).
 pub const DRIVER_FAULT_SALT: u64 = 0x4452_4956_4552_5F5F; // "DRIVER__"
-/// RNG salt for the real-thread runtime's `kmigrated` injector (ticks),
-/// kept separate from `ksampled`'s so the two daemons draw independent
-/// streams.
-pub const RUNTIME_TICK_FAULT_SALT: u64 = 0x5255_4E54_494D_455F; // "RUNTIME_"
 
 #[cfg(test)]
 mod tests {

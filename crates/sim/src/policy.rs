@@ -10,7 +10,7 @@
 //! pipeline runs in the background (§4.2.3).
 
 use crate::access::{Access, AccessOutcome, AccessRecord, RecordFilter};
-use crate::addr::{PageSize, TierId, VirtPage};
+use crate::addr::{PageSize, TierId, VirtAddr, VirtPage, HUGE_PAGE_SIZE, NR_SUBPAGES};
 use crate::engine::{AbortCause, MigrationHandle, TransferEnd, TransferId};
 use crate::error::{SimError, SimResult};
 use crate::machine::{Machine, MigrateOutcome, SplitOutcome};
@@ -437,8 +437,8 @@ pub trait TieringPolicy {
     /// Called once before the run starts.
     fn init(&mut self, _ops: &mut PolicyOps<'_>) {}
 
-    /// Chooses the tier for a new allocation. The driver falls back to other
-    /// tiers if the preferred one is full.
+    /// Chooses the tier for a new allocation. [`alloc_page`] falls back to
+    /// other tiers if the preferred one is full.
     ///
     /// The default prefers the fast tier while it has room — the paper notes
     /// "MEMTIS allocates pages on the fast tier whenever available" and most
@@ -673,11 +673,107 @@ impl TieringPolicy for NoopPolicy {
     }
 }
 
+/// Maps `[start, start + bytes)` for a new allocation through `policy`:
+/// a huge page wherever `thp` is set, the address is 2 MiB-aligned and a
+/// whole huge page remains, a base page elsewhere. Both the simulation
+/// driver and the real-thread runtime allocate through here.
+pub fn alloc_region<P: TieringPolicy + ?Sized>(
+    policy: &mut P,
+    ops: &mut PolicyOps<'_>,
+    start: VirtAddr,
+    bytes: u64,
+    thp: bool,
+) -> SimResult<()> {
+    let end = start.0 + bytes;
+    let mut cur = start.0;
+    while cur < end {
+        let size = if thp && cur.is_multiple_of(HUGE_PAGE_SIZE) && end - cur >= HUGE_PAGE_SIZE {
+            PageSize::Huge
+        } else {
+            PageSize::Base
+        };
+        alloc_page(policy, ops, VirtAddr(cur).base_page(), size)?;
+        cur += size.bytes();
+    }
+    Ok(())
+}
+
+/// Maps one page: on the tier `policy.alloc_tier` prefers, else on the
+/// first other tier (in id order) with room, then reports the placement
+/// through `on_alloc`. A huge page no tier can hold (physical
+/// fragmentation) is retried as base pages.
+pub fn alloc_page<P: TieringPolicy + ?Sized>(
+    policy: &mut P,
+    ops: &mut PolicyOps<'_>,
+    vpage: VirtPage,
+    size: PageSize,
+) -> SimResult<()> {
+    let pref = policy.alloc_tier(ops, vpage, size);
+    let n = ops.machine.tier_count() as u8;
+    let order: Vec<TierId> = std::iter::once(pref)
+        .chain((0..n).map(TierId).filter(|t| *t != pref))
+        .collect();
+    match ops.machine.alloc_and_map_fallback(vpage, size, &order) {
+        Ok((tier, _frame)) => {
+            policy.on_alloc(ops, vpage, size, tier);
+            Ok(())
+        }
+        Err(SimError::GlobalOutOfMemory) if size == PageSize::Huge => {
+            for i in 0..NR_SUBPAGES {
+                alloc_page(policy, ops, vpage.add(i), PageSize::Base)?;
+            }
+            Ok(())
+        }
+        Err(e) => Err(e),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::HUGE_PAGE_SIZE;
     use crate::config::MachineConfig;
+
+    /// `alloc_region` falls back past the policy's preferred tier to every
+    /// other tier, and retries a huge page no tier can hold as base pages.
+    #[test]
+    fn alloc_region_tries_every_tier_then_base_pages() {
+        use crate::config::TierSpec;
+        let mut cfg = MachineConfig::dram_nvm(HUGE_PAGE_SIZE, HUGE_PAGE_SIZE);
+        cfg.tiers.push(TierSpec::nvm(HUGE_PAGE_SIZE));
+        let mut m = Machine::new(cfg);
+        let mut acct = CostAccounting::default();
+        let mut ops = PolicyOps::new(&mut m, &mut acct, CostSink::App, 0.0);
+        // FAST, then CAPACITY (the default preference), then tier 2, which
+        // a fixed two-tier fallback order never reaches.
+        alloc_region(
+            &mut NoopPolicy,
+            &mut ops,
+            VirtAddr(0),
+            3 * HUGE_PAGE_SIZE,
+            true,
+        )
+        .unwrap();
+        let tiers: Vec<TierId> = (0..3)
+            .map(|i| ops.machine().locate(VirtPage(i * 512)).unwrap().0)
+            .collect();
+        assert_eq!(tiers, [TierId(0), TierId(1), TierId(2)]);
+
+        // A base page in each tier splits that tier's only huge frame, so
+        // no tier can take a huge page and it is mapped as base pages.
+        let mut m = Machine::new(MachineConfig::dram_nvm(HUGE_PAGE_SIZE, HUGE_PAGE_SIZE));
+        for (vpage, tier) in [(0, TierId::FAST), (512, TierId::CAPACITY)] {
+            m.alloc_and_map(VirtPage(vpage), PageSize::Base, tier)
+                .unwrap();
+        }
+        let mut ops = PolicyOps::new(&mut m, &mut acct, CostSink::App, 0.0);
+        let start = VirtAddr(4 * HUGE_PAGE_SIZE);
+        alloc_region(&mut NoopPolicy, &mut ops, start, HUGE_PAGE_SIZE, true).unwrap();
+        for i in 0..NR_SUBPAGES {
+            let (_, size) = ops.machine().locate(start.base_page().add(i)).unwrap();
+            assert_eq!(size, PageSize::Base);
+        }
+    }
 
     #[test]
     fn costs_route_to_the_selected_sink() {

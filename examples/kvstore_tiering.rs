@@ -45,7 +45,9 @@ fn main() {
     println!("serving Zipfian lookups with background tiering...");
     let zipf = ZipfTable::new(RECORDS, 0.99);
     let mut rng = StdRng::seed_from_u64(42);
-    let mut fast_hits_before = 0u64;
+    // Populate stores dominate the cumulative tier hits, so each phase
+    // reports its own share from the delta since the previous phase.
+    let mut hits_before = rt.machine_stats().tier_hits;
     for phase in 0..4 {
         let mut lat = 0.0;
         let n = 200_000u64;
@@ -59,17 +61,17 @@ fn main() {
         // time would.
         std::thread::sleep(Duration::from_millis(20));
         let stats = rt.machine_stats();
-        let fast = stats.tier_hits.first().copied().unwrap_or(0);
-        let total: u64 = stats.tier_hits.iter().sum();
+        let fast_hits = |hits: &[u64]| hits.first().copied().unwrap_or(0);
+        let fast = fast_hits(&stats.tier_hits) - fast_hits(&hits_before);
+        let total = stats.tier_hits.iter().sum::<u64>() - hits_before.iter().sum::<u64>();
         println!(
-            "phase {phase}: mean lookup latency {:6.1} ns | fast-tier share so far {:4.1}% | migrated {:5} pages",
+            "phase {phase}: mean lookup latency {:6.1} ns | fast-tier share {:4.1}% | migrated {:5} pages",
             lat / n as f64,
             fast as f64 / total.max(1) as f64 * 100.0,
             stats.migration.traffic_4k(),
         );
-        fast_hits_before = fast;
+        hits_before = stats.tier_hits;
     }
-    let _ = fast_hits_before;
 
     let stats = rt.shutdown();
     println!(

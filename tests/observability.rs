@@ -54,12 +54,16 @@ fn run_untraced(bench: Benchmark) -> RunReport {
 }
 
 fn run_traced(bench: Benchmark) -> (RunReport, TracingObserver) {
+    run_traced_with(bench, TracingObserver::new())
+}
+
+fn run_traced_with(bench: Benchmark, obs: TracingObserver) -> (RunReport, TracingObserver) {
     let mut wl = SpecStream::new(bench.spec(Scale::TEST, ACCESSES), SEED);
     let mut sim = Simulation::with_observer(
         machine_for(bench, 8),
         MemtisPolicy::new(memtis_cfg()),
         driver(),
-        TracingObserver::new(),
+        obs,
     );
     let report = sim.run(&mut wl).expect("simulation should complete");
     (report, sim.into_observer())
@@ -101,7 +105,7 @@ fn untraced_run_attaches_no_flight_recorder() {
     );
     sim.run(&mut wl).expect("simulation should complete");
     assert!(sim.flight().is_none());
-    assert!(sim.profile_stats().is_none());
+    assert!(sim.observer().profiler().is_none());
 }
 
 /// The per-window latency series must tile the whole-run histograms: counts
@@ -168,9 +172,20 @@ fn sharded_flight_histograms_match_serial_oracle() {
     }
 }
 
+/// With a ring large enough to drop nothing, every registry counter must
+/// equal the count of the events that feed it.
 #[test]
 fn trace_contains_the_expected_event_kinds() {
-    let (_, obs) = run_traced(Benchmark::XsBench);
+    let (_, obs) = run_traced_with(
+        Benchmark::XsBench,
+        TracingObserver::with_ring_capacity(1 << 20),
+    );
+    let counter = |id: CounterId| obs.registry.counter(id);
+    assert_eq!(
+        counter(CounterId::EventsDropped),
+        0,
+        "ring must retain every event"
+    );
     let mut promotions = 0u64;
     let mut coolings = 0u64;
     let mut recomputes = 0u64;
@@ -180,6 +195,7 @@ fn trace_contains_the_expected_event_kinds() {
         assert!(e.t_ns >= 0.0);
         match e.kind {
             EventKind::Promotion { .. } => promotions += 1,
+            EventKind::MigrationCompleted { from, to, .. } if to < from => promotions += 1,
             EventKind::CoolingTick { .. } => coolings += 1,
             EventKind::ThresholdRecompute { .. } => recomputes += 1,
             EventKind::SampleBatch { .. } => batches += 1,
@@ -187,12 +203,22 @@ fn trace_contains_the_expected_event_kinds() {
             _ => {}
         }
     }
-    // Note the ring retains only the newest events; counters see them all.
-    assert!(obs.registry.counter(CounterId::Promotions) > 0 || promotions > 0);
-    assert!(coolings > 0 || obs.registry.counter(CounterId::CoolingTicks) > 0);
-    assert!(recomputes > 0 || obs.registry.counter(CounterId::ThresholdRecomputes) > 0);
-    assert!(batches > 0 || obs.registry.counter(CounterId::SampleBatches) > 0);
-    assert!(shootdowns > 0 || obs.registry.counter(CounterId::TlbShootdowns) > 0);
+    assert_eq!(counter(CounterId::EventsRecorded), obs.ring.len() as u64);
+    assert_eq!(counter(CounterId::Promotions), promotions);
+    assert_eq!(counter(CounterId::CoolingTicks), coolings);
+    assert_eq!(counter(CounterId::ThresholdRecomputes), recomputes);
+    assert_eq!(counter(CounterId::SampleBatches), batches);
+    assert_eq!(counter(CounterId::TlbShootdowns), shootdowns);
+    // The run exercises every kind checked above.
+    for (kind, n) in [
+        ("promotion", promotions),
+        ("cooling", coolings),
+        ("threshold recompute", recomputes),
+        ("sample batch", batches),
+        ("shootdown", shootdowns),
+    ] {
+        assert!(n > 0, "no {kind} events recorded");
+    }
 }
 
 #[test]
