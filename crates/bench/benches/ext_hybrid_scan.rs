@@ -8,7 +8,7 @@
 //! daemon cost the paper warns about ("runtime overhead without yielding
 //! performance benefits" when the workload doesn't need it).
 
-use memtis_bench::{driver_config, machine_for, run_sim, CapacityKind, Ratio, Table};
+use memtis_bench::{machine_for, run_default, CapacityKind, Ratio, Table};
 use memtis_core::{MemtisConfig, MemtisPolicy};
 use memtis_workloads::{Benchmark, Scale};
 
@@ -27,20 +27,18 @@ fn main() {
         "extra daemon (ms)",
     ]);
     for bench in Benchmark::ALL {
-        let (base, _) = run_sim(
+        let (base, _) = run_default(
             bench,
             scale,
             machine_for(bench, scale, ratio, CapacityKind::Nvm),
             MemtisPolicy::new(MemtisConfig::sim_scaled()),
-            driver_config(),
             memtis_bench::access_budget(),
         );
-        let (hybrid, hsim) = run_sim(
+        let (hybrid, hsim) = run_default(
             bench,
             scale,
             machine_for(bench, scale, ratio, CapacityKind::Nvm),
             MemtisPolicy::new(MemtisConfig::sim_scaled().with_hybrid_scan(16)),
-            driver_config(),
             memtis_bench::access_budget(),
         );
         table.row(vec![

@@ -8,7 +8,10 @@
 //! 603.bwaves, where a large warm set delays freeing space for short-lived
 //! allocations).
 
-use memtis_bench::{normalized, run_baseline, run_system, CapacityKind, Ratio, System, Table};
+use memtis_bench::{
+    access_budget, normalized, run_baseline, run_default, run_system, CapacityKind, Ratio, System,
+    Table,
+};
 use memtis_workloads::{Benchmark, Scale};
 
 fn main() {
@@ -28,7 +31,7 @@ fn main() {
         "traffic vs vanilla",
     ]);
     for bench in Benchmark::ALL {
-        let base = run_baseline(bench, scale, CapacityKind::Nvm);
+        let base = run_baseline(bench, scale, CapacityKind::Nvm, access_budget());
         let vanilla = run_system(
             bench,
             scale,
@@ -42,14 +45,14 @@ fn main() {
             let mut cfg = MemtisConfig::sim_scaled();
             cfg.warm_set = false;
             let machine = memtis_bench::machine_for(bench, scale, ratio, CapacityKind::Nvm);
-            memtis_bench::run_cell(
+            run_default(
                 bench,
                 scale,
                 machine,
-                Box::new(MemtisPolicy::new(cfg)),
-                memtis_bench::driver_config(),
+                MemtisPolicy::new(cfg),
                 memtis_bench::access_budget(),
             )
+            .0
         };
         let full = run_system(bench, scale, ratio, CapacityKind::Nvm, System::Memtis);
         let t0 = vanilla.stats.migration.traffic_4k().max(1);

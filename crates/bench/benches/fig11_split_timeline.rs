@@ -7,9 +7,7 @@
 //! For Btree, splitting also reclaims THP bloat (RSS 38.3 → 27.2 GB in the
 //! paper).
 
-use memtis_bench::{
-    driver_config, machine_for, run_sim, run_system, CapacityKind, Ratio, System, Table,
-};
+use memtis_bench::{machine_for, run_default, run_system, CapacityKind, Ratio, System, Table};
 use memtis_core::{MemtisConfig, MemtisPolicy};
 use memtis_workloads::{Benchmark, Scale};
 
@@ -31,12 +29,11 @@ fn main() {
     ]);
     for bench in [Benchmark::Silo, Benchmark::Btree] {
         let machine = machine_for(bench, scale, ratio, CapacityKind::Nvm);
-        let (memtis_r, memtis_sim) = run_sim(
+        let (memtis_r, memtis_sim) = run_default(
             bench,
             scale,
             machine.clone(),
             MemtisPolicy::new(MemtisConfig::sim_scaled()),
-            driver_config(),
             memtis_bench::access_budget(),
         );
         let ns_r = run_system(bench, scale, ratio, CapacityKind::Nvm, System::MemtisNs);

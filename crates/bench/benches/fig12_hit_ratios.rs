@@ -8,7 +8,7 @@
 //! reason to split; 603.bwaves keeps a low rHR because short-lived
 //! allocation churn keeps demoting hot pages.
 
-use memtis_bench::{driver_config, machine_for, run_sim, CapacityKind, Ratio, Table};
+use memtis_bench::{machine_for, run_default, CapacityKind, Ratio, Table};
 use memtis_core::{MemtisConfig, MemtisPolicy};
 use memtis_workloads::{Benchmark, Scale};
 
@@ -27,20 +27,18 @@ fn main() {
         "splits",
     ]);
     for bench in Benchmark::ALL {
-        let (with_r, with_sim) = run_sim(
+        let (with_r, with_sim) = run_default(
             bench,
             scale,
             machine_for(bench, scale, ratio, CapacityKind::Nvm),
             MemtisPolicy::new(MemtisConfig::sim_scaled()),
-            driver_config(),
             memtis_bench::access_budget(),
         );
-        let (without_r, without_sim) = run_sim(
+        let (without_r, without_sim) = run_default(
             bench,
             scale,
             machine_for(bench, scale, ratio, CapacityKind::Nvm),
             MemtisPolicy::new(MemtisConfig::sim_scaled().without_split()),
-            driver_config(),
             memtis_bench::access_budget(),
         );
         // Steady-state values: average over the second half of the run's

@@ -7,21 +7,21 @@
 //! where the hot set identified over the over-long window can exceed small
 //! fast tiers.
 
-use memtis_bench::{driver_config, geomean, machine_for, run_cell, CapacityKind, Ratio, Table};
+use memtis_bench::{geomean, machine_for, run_default, CapacityKind, Ratio, Table};
 use memtis_core::{MemtisConfig, MemtisPolicy};
 use memtis_workloads::{Benchmark, Scale};
 
 fn run_with(bench: Benchmark, cfg: MemtisConfig) -> f64 {
     let scale = Scale::DEFAULT;
     let machine = machine_for(bench, scale, Ratio::TWO_TO_ONE, CapacityKind::Nvm);
-    let r = run_cell(
+    let r = run_default(
         bench,
         scale,
         machine,
-        Box::new(MemtisPolicy::new(cfg)),
-        driver_config(),
+        MemtisPolicy::new(cfg),
         memtis_bench::access_budget(),
-    );
+    )
+    .0;
     r.wall_ns
 }
 

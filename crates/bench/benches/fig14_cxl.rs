@@ -4,7 +4,9 @@
 //! relative to the NVM case, but the paper still finds MEMTIS ahead of TPP
 //! on every benchmark (up to +102.9% on PageRank).
 
-use memtis_bench::{normalized, run_baseline, run_system, CapacityKind, Ratio, System, Table};
+use memtis_bench::{
+    access_budget, normalized, run_baseline, run_system, CapacityKind, Ratio, System, Table,
+};
 use memtis_workloads::{Benchmark, Scale};
 
 fn main() {
@@ -13,7 +15,7 @@ fn main() {
     let mut worst: f64 = f64::MAX;
     let mut best: f64 = f64::MIN;
     for bench in Benchmark::ALL {
-        let base = run_baseline(bench, scale, CapacityKind::Cxl);
+        let base = run_baseline(bench, scale, CapacityKind::Cxl, access_budget());
         for ratio in Ratio::MAIN {
             let tpp = run_system(bench, scale, ratio, CapacityKind::Cxl, System::Tpp);
             let memtis = run_system(bench, scale, ratio, CapacityKind::Cxl, System::Memtis);

@@ -6,7 +6,7 @@
 //! pathologies motivate MEMTIS's distribution-based thresholds.
 
 use memtis_baselines::{HememConfig, HememPolicy};
-use memtis_bench::{driver_config, machine_for, run_sim, CapacityKind, Ratio, Table};
+use memtis_bench::{machine_for, run_default, CapacityKind, Ratio, Table};
 use memtis_workloads::{Benchmark, Scale};
 
 fn main() {
@@ -26,12 +26,11 @@ fn main() {
     for bench in [Benchmark::PageRank, Benchmark::XsBench] {
         let machine = machine_for(bench, scale, ratio, CapacityKind::Nvm);
         let fast = machine.tiers[0].capacity;
-        let (_report, sim) = run_sim(
+        let (_report, sim) = run_default(
             bench,
             scale,
             machine,
             HememPolicy::new(HememConfig::default()),
-            driver_config(),
             memtis_bench::access_budget(),
         );
         let series = &sim.policy().hot_series;

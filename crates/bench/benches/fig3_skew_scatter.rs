@@ -5,7 +5,7 @@
 //! (hash-scattered records): no correlation — a hot huge page holds only a
 //! few hot subpages, the case the skewness-aware split exploits.
 
-use memtis_bench::{driver_config, machine_for, run_sim, CapacityKind, Ratio, Table};
+use memtis_bench::{machine_for, run_default, CapacityKind, Ratio, Table};
 use memtis_core::{MemtisConfig, MemtisPolicy};
 use memtis_sim::prelude::PageSize;
 use memtis_workloads::{Benchmark, Scale};
@@ -31,12 +31,11 @@ fn main() {
         // Track with MEMTIS but without split/migration side effects on the
         // scatter: disable split so pages stay huge.
         let cfg = MemtisConfig::sim_scaled().without_split();
-        let (_report, sim) = run_sim(
+        let (_report, sim) = run_default(
             bench,
             scale,
             machine_for(bench, scale, ratio, CapacityKind::Nvm),
             MemtisPolicy::new(cfg),
-            driver_config(),
             memtis_bench::access_budget(),
         );
         let policy = sim.policy();

@@ -6,7 +6,8 @@
 //! second-best system.
 
 use memtis_bench::{
-    geomean, normalized, run_baseline, run_system, CapacityKind, Ratio, System, Table,
+    access_budget, geomean, normalized, run_baseline, run_system, CapacityKind, Ratio, System,
+    Table,
 };
 use memtis_workloads::{Benchmark, Scale};
 
@@ -25,7 +26,7 @@ fn main() {
     let mut cells = 0usize;
 
     for bench in Benchmark::ALL {
-        let base = run_baseline(bench, scale, CapacityKind::Nvm);
+        let base = run_baseline(bench, scale, CapacityKind::Nvm, access_budget());
         for ratio in Ratio::MAIN {
             let mut row: Vec<String> = vec![bench.name().into(), ratio.label()];
             let mut cell_scores = Vec::new();

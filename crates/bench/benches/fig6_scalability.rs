@@ -6,7 +6,7 @@
 //! at the larger sizes — sampling scales where page-table scanning and
 //! fault-based tracking do not.
 
-use memtis_bench::{driver_config, geomean, normalized, run_cell, System, Table, TIME_COMPRESSION};
+use memtis_bench::{geomean, normalized, run_default, System, Table, TIME_COMPRESSION};
 use memtis_sim::prelude::{MachineConfig, HUGE_PAGE_SIZE};
 use memtis_workloads::{Benchmark, Scale};
 
@@ -34,15 +34,15 @@ fn main() {
         let scale = Scale(rss_gb / bench.paper_rss_gb() / 64.0);
         let rss = bench.spec(scale, 1).total_bytes();
         let capacity = rss * 2 + 64 * HUGE_PAGE_SIZE;
-        let baseline = run_cell(
+        let baseline = run_default(
             bench,
             scale,
             MachineConfig::dram_nvm(2 * HUGE_PAGE_SIZE, capacity)
                 .with_bandwidth_scale(TIME_COMPRESSION),
             System::AllNvm.build(),
-            driver_config(),
             memtis_bench::access_budget(),
-        );
+        )
+        .0;
         let mut row = vec![
             format!("{rss_gb:.0}"),
             format!("{:.2}", rss as f64 / (1u64 << 30) as f64),
@@ -51,14 +51,14 @@ fn main() {
         for sys in systems {
             let machine = MachineConfig::dram_nvm(fast_bytes, capacity)
                 .with_bandwidth_scale(TIME_COMPRESSION);
-            let r = run_cell(
+            let r = run_default(
                 bench,
                 scale,
                 machine,
                 sys.build(),
-                driver_config(),
                 memtis_bench::access_budget(),
-            );
+            )
+            .0;
             let n = normalized(&baseline, &r);
             scores.push(n);
             row.push(format!("{n:.3}"));

@@ -5,10 +5,10 @@
 //! when the sampled-page footprint exceeds the fast tier.
 
 use memtis_bench::{
-    driver_config, machine_all_fast, normalized, run_baseline, run_cell, run_system, CapacityKind,
-    Ratio, System, Table,
+    access_budget, driver_config, machine_all_fast, normalized, run_baseline, run_cell,
+    run_default, run_system, CapacityKind, Ratio, SnapshotOpts, System, Table, SEED,
 };
-use memtis_sim::prelude::DriverConfig;
+use memtis_sim::prelude::{DriverConfig, NopObserver};
 use memtis_workloads::{Benchmark, Scale};
 
 fn main() {
@@ -23,26 +23,31 @@ fn main() {
         "memtis vs tpp",
     ]);
     for bench in Benchmark::ALL {
-        let base = run_baseline(bench, scale, CapacityKind::Nvm);
-        let dram_thp = run_cell(
+        let base = run_baseline(bench, scale, CapacityKind::Nvm, access_budget());
+        let dram_thp = run_default(
             bench,
             scale,
             machine_all_fast(bench, scale),
             System::AllDram.build(),
-            driver_config(),
             memtis_bench::access_budget(),
-        );
+        )
+        .0;
         let dram_nothp = run_cell(
             bench,
             scale,
             machine_all_fast(bench, scale),
             System::AllDram.build(),
+            NopObserver,
             DriverConfig {
                 thp_enabled: false,
                 ..driver_config()
             },
             memtis_bench::access_budget(),
-        );
+            SEED,
+            &SnapshotOpts::default(),
+        )
+        .expect("experiment run failed")
+        .0;
         let tpp = run_system(bench, scale, ratio, CapacityKind::Nvm, System::Tpp);
         let memtis = run_system(bench, scale, ratio, CapacityKind::Nvm, System::Memtis);
         let (nd, ndn, nt, nm) = (

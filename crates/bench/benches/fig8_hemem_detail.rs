@@ -9,8 +9,7 @@
 
 use memtis_baselines::{HememConfig, HememPolicy};
 use memtis_bench::{
-    driver_config, machine_for, normalized, run_cell, run_sim, CapacityKind, Ratio, System, Table,
-    TIME_COMPRESSION,
+    machine_for, normalized, run_default, CapacityKind, Ratio, System, Table, TIME_COMPRESSION,
 };
 use memtis_sim::prelude::MachineConfig;
 use memtis_workloads::{Benchmark, Scale};
@@ -40,23 +39,22 @@ fn main() {
             MachineConfig::dram_nvm(2 << 21, rss * 2 + (64 << 21))
                 .with_bandwidth_scale(TIME_COMPRESSION),
         );
-        let base = run_cell(
+        let base = run_default(
             bench,
             scale,
             base_machine,
             System::AllNvm.build(),
-            driver_config(),
             memtis_bench::access_budget(),
-        );
+        )
+        .0;
 
         // HeMem with its fast tier reduced by the measured over-allocation.
         let probe_machine = sixteen_threads(machine_for(bench, scale, ratio, CapacityKind::Nvm));
-        let (_r, sim) = run_sim(
+        let (_r, sim) = run_default(
             bench,
             scale,
             probe_machine.clone(),
             HememPolicy::new(HememConfig::default()),
-            driver_config(),
             200_000,
         );
         let overalloc = sim.policy().overallocated_bytes;
@@ -65,31 +63,31 @@ fn main() {
             .capacity
             .saturating_sub(overalloc)
             .max(2 << 21);
-        let hemem = run_cell(
+        let hemem = run_default(
             bench,
             scale,
             hemem_machine,
             System::Hemem.build(),
-            driver_config(),
             memtis_bench::access_budget(),
-        );
+        )
+        .0;
         // HeMem+: full fast-tier size (same as MEMTIS).
-        let hemem_plus = run_cell(
+        let hemem_plus = run_default(
             bench,
             scale,
             probe_machine.clone(),
             System::Hemem.build(),
-            driver_config(),
             memtis_bench::access_budget(),
-        );
-        let memtis = run_cell(
+        )
+        .0;
+        let memtis = run_default(
             bench,
             scale,
             probe_machine,
             System::Memtis.build(),
-            driver_config(),
             memtis_bench::access_budget(),
-        );
+        )
+        .0;
         let (nh, nhp, nm) = (
             normalized(&base, &hemem),
             normalized(&base, &hemem_plus),

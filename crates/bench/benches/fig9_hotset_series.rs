@@ -10,7 +10,7 @@
 //! (`RunReport::windows`): each window carries the policy's
 //! `hot_bytes`/`warm_bytes`/`cold_bytes` gauges at the window close.
 
-use memtis_bench::{driver_config, machine_for, run_sim, CapacityKind, Ratio, Table};
+use memtis_bench::{machine_for, run_default, CapacityKind, Ratio, Table};
 use memtis_core::{MemtisConfig, MemtisPolicy};
 use memtis_workloads::{Benchmark, Scale};
 
@@ -43,12 +43,11 @@ fn main() {
         ] {
             let machine = machine_for(bench, scale, ratio, CapacityKind::Nvm);
             let fast = machine.tiers[0].capacity;
-            let (report, _sim) = run_sim(
+            let (report, _sim) = run_default(
                 bench,
                 scale,
                 machine,
                 MemtisPolicy::new(MemtisConfig::sim_scaled()),
-                driver_config(),
                 memtis_bench::access_budget(),
             );
             let mb = |b: f64| b / (1 << 20) as f64;

@@ -634,103 +634,12 @@ fn hotloop(_c: &mut Criterion) {
     emit_bench_json("hotloop", &metrics);
 }
 
-/// Observer overhead at the driver level: the same MEMTIS cell run under
-/// the default `NopObserver`, an events-only `TracingObserver`, and the
-/// full flight recorder (events + phase spans + latency histograms).
-/// `ops()` statically skips the observer hookup when `enabled()` is false,
-/// and `Machine::access` (the `hotpath_fast_*` targets above) never sees an
-/// observer at all — so the Nop run is the PR-1 driver plus only the
-/// window-collector cuts, and must stay within noise (≤2%) of it.
-fn observer_overhead(_c: &mut Criterion) {
-    use memtis_bench::{driver_config, machine_for, CapacityKind, Ratio, SEED};
-    use memtis_core::{MemtisConfig, MemtisPolicy};
-    use memtis_workloads::{Benchmark, Scale, SpecStream};
-
-    const ACCESSES: u64 = 400_000;
-    const REPS: usize = 5;
-    let ratio = Ratio {
-        fast: 1,
-        capacity: 8,
-    };
-
-    // Monomorphic per-observer reps, same reasoning as `head_to_head`.
-    fn run_nop(ratio: Ratio, accesses: u64) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..REPS {
-            let machine = machine_for(Benchmark::Roms, Scale::TEST, ratio, CapacityKind::Nvm);
-            let mut wl = SpecStream::new(Benchmark::Roms.spec(Scale::TEST, accesses), SEED);
-            let mut sim = Simulation::new(
-                machine,
-                MemtisPolicy::new(MemtisConfig::sim_scaled()),
-                driver_config(),
-            );
-            let start = Instant::now();
-            black_box(sim.run(&mut wl).unwrap());
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    }
-
-    fn run_traced(ratio: Ratio, accesses: u64, mk: &dyn Fn() -> TracingObserver) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..REPS {
-            let machine = machine_for(Benchmark::Roms, Scale::TEST, ratio, CapacityKind::Nvm);
-            let mut wl = SpecStream::new(Benchmark::Roms.spec(Scale::TEST, accesses), SEED);
-            let mut sim = Simulation::with_observer(
-                machine,
-                MemtisPolicy::new(MemtisConfig::sim_scaled()),
-                driver_config(),
-                mk(),
-            );
-            let start = Instant::now();
-            black_box(sim.run(&mut wl).unwrap());
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    }
-
-    let nop = run_nop(ratio, ACCESSES);
-    let events_only = run_traced(ratio, ACCESSES, &TracingObserver::events_only);
-    let traced = run_traced(ratio, ACCESSES, &TracingObserver::new);
-    // Same monotone clamp as the hotloop observer curve: tracing can only
-    // add work, so inversions are noise and would flip the fractions
-    // negative from run to run.
-    let events_only = events_only.max(nop);
-    let traced = traced.max(events_only);
-    let events_overhead = events_only / nop - 1.0;
-    let overhead = traced / nop - 1.0;
-    println!(
-        "observer overhead, best of {REPS} reps x {ACCESSES} accesses: \
-         nop {:.1} Macc/s, events-only {:.1} Macc/s ({:+.1}%), \
-         full {:.1} Macc/s ({:+.1}% traced overhead)",
-        ACCESSES as f64 / nop / 1e6,
-        ACCESSES as f64 / events_only / 1e6,
-        events_overhead * 100.0,
-        ACCESSES as f64 / traced / 1e6,
-        overhead * 100.0,
-    );
-    emit_bench_json(
-        "observer_overhead",
-        &[
-            ("accesses".to_string(), ACCESSES as f64),
-            ("nop_macc_s".to_string(), ACCESSES as f64 / nop / 1e6),
-            (
-                "events_only_macc_s".to_string(),
-                ACCESSES as f64 / events_only / 1e6,
-            ),
-            ("events_only_overhead_frac".to_string(), events_overhead),
-            ("traced_macc_s".to_string(), ACCESSES as f64 / traced / 1e6),
-            ("traced_overhead_frac".to_string(), overhead),
-        ],
-    );
-}
-
 criterion_group! {
     name = hotpath;
     config = Criterion::default()
         .sample_size(30)
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(500));
-    targets = access_paths, walk_component, head_to_head, hotloop, observer_overhead
+    targets = access_paths, walk_component, head_to_head, hotloop
 }
 criterion_main!(hotpath);

@@ -13,11 +13,11 @@
 //! and must later be demoted again, multiplying total link traffic.
 
 use memtis_bench::{
-    access_budget, driver_config, machine_for, run_sim, CapacityKind, Ratio, Table,
-    TIME_COMPRESSION,
+    access_budget, driver_config, machine_for, run_cell, CapacityKind, Ratio, SnapshotOpts, Table,
+    SEED, TIME_COMPRESSION,
 };
 use memtis_core::{MemtisConfig, MemtisPolicy};
-use memtis_sim::prelude::{MachineConfig, Simulation, HUGE_PAGE_SIZE};
+use memtis_sim::prelude::{MachineConfig, NopObserver, Simulation, HUGE_PAGE_SIZE};
 use memtis_workloads::{Benchmark, Scale, SpecStream, SynthBuilder};
 
 const BW_CAPS: [Option<f64>; 5] = [None, Some(64.0), Some(16.0), Some(4.0), Some(1.0)];
@@ -45,14 +45,18 @@ fn main() {
     for cap in BW_CAPS {
         let mut driver = driver_config();
         driver.migration_bw = cap;
-        let (r, _) = run_sim(
+        let (r, _) = run_cell(
             bench,
             scale,
             machine_for(bench, scale, ratio, CapacityKind::Nvm),
             MemtisPolicy::new(MemtisConfig::sim_scaled()),
+            NopObserver,
             driver,
             access_budget(),
-        );
+            SEED,
+            &SnapshotOpts::default(),
+        )
+        .expect("experiment run failed");
         sweep.row(vec![
             cap.map_or("instant".to_string(), |b| format!("{b}")),
             format!("{:.1}", r.app_access_ns / r.accesses as f64),

@@ -7,8 +7,8 @@
 //! performance impact.
 
 use memtis_bench::{
-    driver_config, machine_for, normalized, run_baseline, run_sim, run_system, CapacityKind, Ratio,
-    System, Table,
+    access_budget, machine_for, normalized, run_baseline, run_default, run_system, CapacityKind,
+    Ratio, System, Table,
 };
 use memtis_core::{MemtisConfig, MemtisPolicy};
 use memtis_workloads::{Benchmark, Scale};
@@ -28,12 +28,11 @@ fn main() {
         "perf vs no-sampling MEMTIS",
     ]);
     for bench in Benchmark::ALL {
-        let (report, sim) = run_sim(
+        let (report, sim) = run_default(
             bench,
             scale,
             machine_for(bench, scale, ratio, CapacityKind::Nvm),
             MemtisPolicy::new(MemtisConfig::sim_scaled()),
-            driver_config(),
             memtis_bench::access_budget(),
         );
         let p = sim.policy();
@@ -43,12 +42,11 @@ fn main() {
             sample_cost_ns: 0.0,
             ..MemtisConfig::sim_scaled()
         };
-        let free = run_sim(
+        let free = run_default(
             bench,
             scale,
             machine_for(bench, scale, ratio, CapacityKind::Nvm),
             MemtisPolicy::new(free_cfg),
-            driver_config(),
             memtis_bench::access_budget(),
         )
         .0;
@@ -70,7 +68,7 @@ fn main() {
     // Sanity anchor: MEMTIS overall overhead stays near the all-NVM case
     // even with the fast tier effectively disabled (tiny fast tier).
     let bench = Benchmark::Roms;
-    let base = run_baseline(bench, scale, CapacityKind::Nvm);
+    let base = run_baseline(bench, scale, CapacityKind::Nvm, access_budget());
     let r = run_system(
         bench,
         scale,

@@ -2,7 +2,7 @@
 //! measured in the simulator and compared against the paper's testbed
 //! values (sizes scaled 1/64).
 
-use memtis_bench::{driver_config, machine_all_fast, run_sim, Table};
+use memtis_bench::{machine_all_fast, run_default, Table};
 use memtis_sim::prelude::{NoopPolicy, HUGE_PAGE_SIZE};
 use memtis_workloads::{Benchmark, Scale};
 
@@ -19,12 +19,11 @@ fn main() {
     ]);
     for bench in Benchmark::ALL {
         // Enough accesses to get through all allocation phases.
-        let (report, sim) = run_sim(
+        let (report, sim) = run_default(
             bench,
             scale,
             machine_all_fast(bench, scale),
             NoopPolicy,
-            driver_config(),
             400_000,
         );
         let huge_bytes = sim.machine().mapped_huge_pages() * HUGE_PAGE_SIZE;

@@ -6,7 +6,7 @@
 //! the same quantity is read from the HeMem policy's own accounting.
 
 use memtis_baselines::{HememConfig, HememPolicy};
-use memtis_bench::{driver_config, machine_for, run_sim, CapacityKind, Ratio, Table};
+use memtis_bench::{machine_for, run_default, CapacityKind, Ratio, Table};
 use memtis_workloads::{Benchmark, Scale};
 
 fn main() {
@@ -32,12 +32,11 @@ fn main() {
         (Benchmark::Roms, 900),
     ];
     for (bench, paper) in paper_mb {
-        let (_report, sim) = run_sim(
+        let (_report, sim) = run_default(
             bench,
             scale,
             machine_for(bench, scale, ratio, CapacityKind::Nvm),
             HememPolicy::new(HememConfig::default()),
-            driver_config(),
             300_000,
         );
         let measured = sim.policy().overallocated_bytes;

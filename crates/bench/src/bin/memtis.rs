@@ -2,13 +2,14 @@
 //!
 //! ```text
 //! memtis run  <benchmark> [--ratio 1:8] [--policy memtis] [--cxl] [--accesses N]
-//!             [--trace-out PATH] [--trace-format jsonl|perfetto] [--window EVENTS]
-//!             [--heartbeat EVENTS] [--migration-bw BYTES_PER_NS]
-//!             [--migration-queue DEPTH] [--faults SPEC] [--chunk N] [--shards S|auto]
-//!             [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off]
-//!             [--hysteresis on|off|WINDOW:BASE:MAX]
+//!             [--trace-out PATH] [--trace-format jsonl|perfetto] [--report-out PATH]
+//!             [--window EVENTS] [--heartbeat EVENTS] [--test-scale]
+//!             [--migration-bw BYTES_PER_NS] [--migration-queue DEPTH] [--faults SPEC]
+//!             [--chunk N] [--shards S|auto] [--admission on|off|HORIZON[:WINDOW]]
+//!             [--shadow on|off] [--hysteresis on|off|WINDOW:BASE:MAX]
 //!             [--snapshot-out PATH --snapshot-every EVENTS] [--resume PATH]
-//! memtis compare <benchmark> [--ratio 1:8] [--cxl] [--accesses N] [driver flags]
+//! memtis compare <benchmark> [--ratio 1:8] [--cxl] [--accesses N] [--test-scale]
+//!             [driver flags]
 //! memtis record <benchmark> --out PATH [--accesses N]
 //! memtis replay <benchmark> <trace> [--policy memtis] [--ratio 1:8] [--cxl]
 //!             [--in-memory] [--chunk-bytes N] [driver flags]
@@ -16,19 +17,33 @@
 //! memtis list
 //! ```
 //!
-//! The driver flags are `run`'s `--window` through `--hysteresis`.
+//! The driver flags are `run`'s `--window` through `--hysteresis`, less
+//! `--test-scale`. `--accesses` defaults to `MEMTIS_ACCESSES` (see
+//! [`access_budget`]).
 //!
-//! `run` executes one cell and prints the detailed report; `compare` runs
-//! every system on one benchmark; `diff` compares two run-report (or
-//! `BENCH_*.json`) documents with relative-tolerance bands and exits
-//! nonzero on regression; `list` shows benchmarks and policies. An unknown
-//! benchmark, ratio or policy, or a malformed flag, exits 2 before anything
-//! runs.
+//! `run` executes one cell once (traced only when it exports a trace or
+//! report or checkpoints) and prints its summary, the policy's end-of-run
+//! gauges and classification histogram to stdout (deterministic, so two
+//! runs compare with `cmp`; the host event rate goes to stderr). `--trace-out` writes that run's event/window trace,
+//! `--report-out` a `memtis-report-v1` JSON document (throughput, fault
+//! counters, flight-recorder percentiles, phase self-profile) for
+//! `memtis diff`, and `--heartbeat N` a one-line JSON status to stderr every
+//! N workload events. `compare` runs every Fig. 5 system on one benchmark;
+//! `diff` compares two run-report (or `BENCH_*.json`) documents with
+//! relative-tolerance bands and exits nonzero on regression; `list` shows
+//! benchmarks and policies. An unknown benchmark, ratio or policy, or a
+//! malformed flag, exits 2 before anything runs.
+//!
+//! `--faults` takes a seeded fault plan, e.g.
+//! `seed=7,abort=0.02,dirty=0.05,drop=0.05,outage=400000:50000`
+//! (see `memtis_sim::faults::FaultPlan::parse`).
 //!
 //! Service mode: `--snapshot-out PATH --snapshot-every N` checkpoints the
 //! full simulation state (machine, policy, driver cursors, trace observer)
 //! to PATH every N workload events; `--resume PATH` restores a checkpoint
-//! into an identically configured invocation and continues bit-exactly.
+//! into an identically configured invocation and continues bit-exactly, so
+//! the resumed run prints, traces and reports what the uninterrupted run
+//! does.
 //!
 //! Trace ingestion: `record` streams a benchmark's workload events to a
 //! versioned binary trace file with bounded memory; `replay` drives a
@@ -41,26 +56,28 @@
 
 use memtis_bench::cli::{self, Args};
 use memtis_bench::{
-    access_budget, benchmark_from_name, driver_config, machine_for, normalized, run_baseline,
-    run_cell, run_cell_seeded, run_cell_traced, write_trace, CapacityKind, Ratio, RunFlags, System,
+    access_budget, benchmark_from_name, driver_config, machine_for, normalized, report_to_json,
+    run_baseline, run_cell, write_trace, CapacityKind, Ratio, RunFlags, SnapshotOpts, System,
     Table, SEED,
 };
+use memtis_sim::prelude::{NopObserver, Observer, RunReport, TieringPolicy, TracingObserver};
 use memtis_workloads::{Benchmark, Scale};
 
 const USAGE: &str = "usage:\n  memtis run <benchmark> [--ratio F:C] [--policy NAME] [--cxl] [--accesses N]\n    \
-     [--trace-out PATH] [--trace-format jsonl|perfetto] [--window EVENTS] [--heartbeat EVENTS]\n    \
+     [--trace-out PATH] [--trace-format jsonl|perfetto] [--report-out PATH]\n    \
+     [--window EVENTS] [--heartbeat EVENTS] [--test-scale]\n    \
      [--migration-bw BYTES_PER_NS] [--migration-queue DEPTH] [--faults SPEC] [--chunk N]\n    \
      [--shards S|auto] [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off]\n    \
      [--hysteresis on|off|W:B:M] [--snapshot-out PATH --snapshot-every EVENTS] [--resume PATH]\n  \
-     memtis compare <benchmark> [--ratio F:C] [--cxl] [--accesses N] [driver flags]\n  \
+     memtis compare <benchmark> [--ratio F:C] [--cxl] [--accesses N] [--test-scale] [driver flags]\n  \
      memtis record <benchmark> --out PATH [--accesses N]\n  \
      memtis replay <benchmark> <trace> [--policy NAME] [--ratio F:C] [--cxl]\n    \
      [--in-memory] [--chunk-bytes N] [driver flags]\n  \
      memtis diff <old.json> <new.json> [--tol FRAC] [--tol KEY=FRAC] [--ignore GLOB]\n  \
      memtis list\n\
-     driver flags: run's --window through --hysteresis";
+     driver flags: run's --window through --hysteresis, less --test-scale";
 
-/// The shared flags of every subcommand that simulates.
+/// The shared flags of `replay`; `compare` adds `--test-scale`.
 const DRIVER_FLAGS: [&str; 10] = [
     "--window",
     "--heartbeat",
@@ -74,20 +91,13 @@ const DRIVER_FLAGS: [&str; 10] = [
     "--hysteresis",
 ];
 
-/// `run`'s trace and checkpoint flags, on top of [`DRIVER_FLAGS`].
-const RUN_FLAGS: [&str; 5] = [
-    "--trace-out",
-    "--trace-format",
-    "--snapshot-out",
-    "--snapshot-every",
-    "--resume",
-];
-
-/// A subcommand's cell (`--ratio`, `--cxl`, `--policy`) and shared flags.
+/// A subcommand's cell (`--ratio`, `--cxl`, `--policy`, `--accesses`) and
+/// shared flags.
 struct Opts {
     ratio: Ratio,
     kind: CapacityKind,
     policy: System,
+    accesses: u64,
     flags: RunFlags,
 }
 
@@ -101,6 +111,7 @@ fn parse_opts(
     mut extra: impl FnMut(&str, &mut Args) -> Result<bool, String>,
 ) -> Opts {
     let (mut ratio, mut kind, mut policy) = (Ratio::DEFAULT, CapacityKind::Nvm, System::Memtis);
+    let mut accesses = access_budget();
     let flags = cli::parse(args, shared, driver_config(), |arg, a| {
         if !cell.contains(&arg) {
             return extra(arg, a);
@@ -109,7 +120,7 @@ fn parse_opts(
             "--ratio" => ratio = a.with(arg, Ratio::parse)?,
             "--policy" => policy = a.with(arg, System::from_name)?,
             "--cxl" => kind = CapacityKind::Cxl,
-            "--accesses" => std::env::set_var("MEMTIS_ACCESSES", a.value::<u64>(arg)?.to_string()),
+            "--accesses" => accesses = a.value(arg)?,
             _ => return extra(arg, a),
         }
         Ok(true)
@@ -119,6 +130,7 @@ fn parse_opts(
         ratio,
         kind,
         policy,
+        accesses,
     }
 }
 
@@ -135,42 +147,44 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Executes one cell and prints the detailed report.
+/// Executes one cell once and prints its summary and the policy's
+/// end-of-run state; `--trace-out` and `--report-out` export the same run.
+/// The run is traced only when it exports or checkpoints (a checkpoint
+/// carries the tracer, so a resumed run exports what the uninterrupted one
+/// does); otherwise it runs untraced.
 fn run_one(args: &[String]) {
     let bench = bench_arg(args);
     let cell = ["--ratio", "--policy", "--cxl", "--accesses"];
-    let shared = [&DRIVER_FLAGS[..], &RUN_FLAGS].concat();
-    let o = parse_opts(&args[1..], &cell, &shared, |_, _| Ok(false));
-    let driver = o.flags.driver(o.policy.build().batch_safe());
-    let base = run_baseline(bench, Scale::DEFAULT, o.kind);
-    let machine = machine_for(bench, Scale::DEFAULT, o.ratio, o.kind);
-    let (policy, snap) = (o.policy.build(), &o.flags.snap);
-    let r = match &o.flags.trace_out {
-        Some(path) => {
-            let (r, obs) = cli::run_or_exit(run_cell_traced(
-                bench,
-                Scale::DEFAULT,
-                machine,
-                policy,
-                driver,
-                access_budget(),
-                SEED,
-                snap,
-            ));
-            write_trace(path, o.flags.trace_format, &obs, &r.windows);
-            r
+    let o = parse_opts(&args[1..], &cell, &cli::SHARED, |_, _| Ok(false));
+    let f = &o.flags;
+    if f.trace_out.is_none() && f.report_out.is_none() && !f.snap.is_active() {
+        run_and_print(bench, &o, NopObserver);
+        return;
+    }
+    let (r, obs) = run_and_print(bench, &o, TracingObserver::new());
+    if let Some(path) = &f.trace_out {
+        write_trace(path, f.trace_format, &obs, &r.windows);
+    }
+    if let Some(path) = &f.report_out {
+        let profile = obs.profiler.as_ref().map(|p| p.stats());
+        match std::fs::write(path, report_to_json(&r, profile.as_deref())) {
+            Ok(()) => eprintln!("[report written to {path}]"),
+            Err(e) => eprintln!("warning: could not write report {path}: {e}"),
         }
-        None => cli::run_or_exit(run_cell_seeded(
-            bench,
-            Scale::DEFAULT,
-            machine,
-            policy,
-            driver,
-            access_budget(),
-            SEED,
-            snap,
-        )),
-    };
+    }
+}
+
+/// Runs `o`'s cell of `bench` under `obs` and prints the run's summary and
+/// the policy's end-of-run gauges and histogram bins.
+fn run_and_print<O: Observer>(bench: Benchmark, o: &Opts, obs: O) -> (RunReport, O) {
+    let (f, scale) = (&o.flags, o.flags.scale);
+    let policy = o.policy.build();
+    let driver = f.driver(policy.batch_safe());
+    let machine = machine_for(bench, scale, o.ratio, o.kind);
+    let (r, sim) = cli::run_or_exit(run_cell(
+        bench, scale, machine, policy, obs, driver, o.accesses, SEED, &f.snap,
+    ));
+    let base = run_baseline(bench, scale, o.kind, o.accesses);
     let tier = match o.kind {
         CapacityKind::Cxl => "CXL",
         CapacityKind::Nvm => "NVM",
@@ -187,7 +201,7 @@ fn run_one(args: &[String]) {
     );
     println!("  wall time         : {:.2} ms", r.wall_ns / 1e6);
     println!("  throughput        : {:.1} M acc/s", r.throughput() / 1e6);
-    println!(
+    eprintln!(
         "  sim self-thpt     : {:.2} M events/s (host)",
         r.self_events_per_sec() / 1e6
     );
@@ -207,7 +221,7 @@ fn run_one(args: &[String]) {
     );
     println!("  daemon CPU        : {:.2} cores", r.daemon_core_usage());
     println!("  app-path overhead : {:.2} ms", r.app_extra_ns / 1e6);
-    if o.flags.base.faults.is_some() {
+    if f.base.faults.is_some() {
         println!(
             "  faults injected   : {} ({:?})",
             r.faults.total(),
@@ -227,14 +241,28 @@ fn run_one(args: &[String]) {
             memtis_bench::sparkline(&fhr, 48)
         );
     }
+    let mut gauges = Vec::new();
+    sim.policy().timeline(&mut gauges);
+    if !gauges.is_empty() {
+        let gauges: Vec<String> = gauges.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        println!("  policy gauges     : {}", gauges.join(" "));
+    }
+    let mut bins = Vec::new();
+    sim.policy().histogram_bins(&mut bins);
+    if !bins.is_empty() {
+        println!("  histogram bins    : {bins:?}");
+    }
+    (r, sim.into_observer())
 }
 
 /// Runs every Fig. 5 system on one benchmark and prints them ranked.
 fn run_compare(args: &[String]) {
     let bench = bench_arg(args);
     let cell = ["--ratio", "--cxl", "--accesses"];
-    let o = parse_opts(&args[1..], &cell, &DRIVER_FLAGS, |_, _| Ok(false));
-    let base = run_baseline(bench, Scale::DEFAULT, o.kind);
+    let shared = [&DRIVER_FLAGS[..], &["--test-scale"]].concat();
+    let o = parse_opts(&args[1..], &cell, &shared, |_, _| Ok(false));
+    let scale = o.flags.scale;
+    let base = run_baseline(bench, scale, o.kind, o.accesses);
     let mut t = Table::new(vec![
         "policy",
         "normalized",
@@ -244,16 +272,21 @@ fn run_compare(args: &[String]) {
     ]);
     let mut rows: Vec<(f64, Vec<String>)> = Vec::new();
     for sys in System::FIG5 {
-        let machine = machine_for(bench, Scale::DEFAULT, o.ratio, o.kind);
-        let driver = o.flags.driver(sys.build().batch_safe());
-        let r = run_cell(
+        let machine = machine_for(bench, scale, o.ratio, o.kind);
+        let policy = sys.build();
+        let driver = o.flags.driver(policy.batch_safe());
+        let snap = SnapshotOpts::default();
+        let (r, _) = cli::run_or_exit(run_cell(
             bench,
-            Scale::DEFAULT,
+            scale,
             machine,
-            sys.build(),
+            policy,
+            NopObserver,
             driver,
-            access_budget(),
-        );
+            o.accesses,
+            SEED,
+            &snap,
+        ));
         let n = normalized(&base, &r);
         rows.push((
             n,
@@ -280,7 +313,7 @@ fn run_record(args: &[String]) {
     use memtis_workloads::{SpecStream, TraceFileWriter};
     let bench = bench_arg(args);
     let mut out: Option<String> = None;
-    parse_opts(&args[1..], &["--accesses"], &[], |arg, a| {
+    let o = parse_opts(&args[1..], &["--accesses"], &[], |arg, a| {
         if arg != "--out" {
             return Ok(false);
         }
@@ -298,7 +331,7 @@ fn run_record(args: &[String]) {
             std::process::exit(1);
         }
     };
-    let mut stream = SpecStream::new(bench.spec(Scale::DEFAULT, access_budget()), SEED);
+    let mut stream = SpecStream::new(bench.spec(Scale::DEFAULT, o.accesses), SEED);
     while let Some(ev) = stream.next_event() {
         if let Err(e) = writer.record(&ev) {
             eprintln!("error: write to {path} failed: {e}");

@@ -1,6 +1,6 @@
 //! The command-line flags the bench binaries share.
 //!
-//! `probe`, `memtis`, `sweep` and `chaos` shape their runs with the same
+//! `memtis`, `sweep` and `chaos` shape their runs with the same
 //! flags. [`parse`] decodes the ones a binary accepts into [`RunFlags`],
 //! writing every driver flag straight into its [`DriverConfig`] field, and
 //! offers each argument to the binary's own callback first. A value that

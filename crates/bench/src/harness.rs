@@ -144,7 +144,6 @@ pub fn driver_config_with_window(window_events: u64) -> DriverConfig {
         thp_enabled: true,
         tick_interval_ns: 20_000.0,
         timeline_interval_ns: 150_000.0,
-        max_accesses: None,
         window_events,
         migration_bw: None,
         migration_queue: None,
@@ -270,75 +269,29 @@ impl System {
     }
 }
 
-/// Runs one cell with a concrete policy, returning the report and the
-/// finished simulation so policy internals remain inspectable.
-pub fn run_sim<P: TieringPolicy>(
+/// Runs one experiment cell: `bench`'s stream at `scale`, `accesses` and
+/// `seed` on `machine`, under `policy` and `obs`, through the checkpoint
+/// schedule `snap` ([`run_snapshotted`]; the default [`SnapshotOpts`] is a
+/// plain run). Returns the report with the finished simulation, so the
+/// policy's internals and the observer come from the run that produced the
+/// report. Sweep matrix cells derive their own seeds; everything else uses
+/// [`SEED`].
+#[allow(clippy::too_many_arguments)]
+pub fn run_cell<P: TieringPolicy, O: Observer>(
     bench: Benchmark,
     scale: Scale,
     machine: MachineConfig,
     policy: P,
-    driver: DriverConfig,
-    accesses: u64,
-) -> (RunReport, Simulation<P>) {
-    let mut wl = SpecStream::new(bench.spec(scale, accesses), SEED);
-    let mut sim = Simulation::new(machine, policy, driver);
-    let report = sim.run(&mut wl).expect("experiment run failed");
-    (report, sim)
-}
-
-/// Runs one experiment cell with a boxed policy.
-pub fn run_cell(
-    bench: Benchmark,
-    scale: Scale,
-    machine: MachineConfig,
-    policy: Box<dyn TieringPolicy>,
-    driver: DriverConfig,
-    accesses: u64,
-) -> RunReport {
-    let snap = SnapshotOpts::default();
-    run_cell_seeded(bench, scale, machine, policy, driver, accesses, SEED, &snap)
-        .expect("experiment run failed")
-}
-
-/// Runs one experiment cell with a boxed policy and an explicit workload
-/// seed under a checkpoint schedule ([`run_snapshotted`]; the default
-/// [`SnapshotOpts`] is a plain run). Sweep matrix cells derive their own
-/// deterministic seeds; everything else uses [`SEED`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_seeded(
-    bench: Benchmark,
-    scale: Scale,
-    machine: MachineConfig,
-    policy: Box<dyn TieringPolicy>,
+    obs: O,
     driver: DriverConfig,
     accesses: u64,
     seed: u64,
     snap: &SnapshotOpts,
-) -> SimResult<RunReport> {
+) -> SimResult<(RunReport, Simulation<P, O>)> {
     let mut wl = SpecStream::new(bench.spec(scale, accesses), seed);
-    let mut sim = Simulation::new(machine, policy, driver);
-    run_snapshotted(&mut sim, &mut wl, snap)
-}
-
-/// [`run_cell_seeded`] under a [`TracingObserver`], returning the report
-/// and the observer (ring + registry) for export. The observer is part of
-/// every checkpoint, so a resumed traced run exports the same trace as an
-/// uninterrupted one.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_traced(
-    bench: Benchmark,
-    scale: Scale,
-    machine: MachineConfig,
-    policy: Box<dyn TieringPolicy>,
-    driver: DriverConfig,
-    accesses: u64,
-    seed: u64,
-    snap: &SnapshotOpts,
-) -> SimResult<(RunReport, TracingObserver)> {
-    let mut wl = SpecStream::new(bench.spec(scale, accesses), seed);
-    let mut sim = Simulation::with_observer(machine, policy, driver, TracingObserver::new());
+    let mut sim = Simulation::with_observer(machine, policy, driver, obs);
     let report = run_snapshotted(&mut sim, &mut wl, snap)?;
-    Ok((report, sim.into_observer()))
+    Ok((report, sim))
 }
 
 /// Checkpoint schedule parsed from `--snapshot-out` / `--snapshot-every` /
@@ -459,7 +412,8 @@ impl TraceFormat {
     }
 }
 
-/// Writes a finished trace to `path` in the given format.
+/// Writes a finished trace to `path` in the given format, noting it on
+/// stderr.
 pub fn write_trace(
     path: &str,
     format: TraceFormat,
@@ -468,7 +422,7 @@ pub fn write_trace(
 ) {
     let body = format.export(obs, windows);
     match std::fs::write(path, body) {
-        Ok(()) => println!(
+        Ok(()) => eprintln!(
             "[trace written to {path}: {} events ({} dropped), {} windows]",
             obs.ring.pushed(),
             obs.ring.dropped(),
@@ -479,7 +433,7 @@ pub fn write_trace(
 }
 
 /// Runs `system` on `bench` at the given ratio with the default driver
-/// config and returns the report.
+/// config and access budget, and returns the report.
 pub fn run_system(
     bench: Benchmark,
     scale: Scale,
@@ -488,19 +442,17 @@ pub fn run_system(
     system: System,
 ) -> RunReport {
     let machine = machine_for(bench, scale, ratio, kind);
-    run_cell(
-        bench,
-        scale,
-        machine,
-        system.build(),
-        driver_config(),
-        access_budget(),
-    )
+    run_default(bench, scale, machine, system.build(), access_budget()).0
 }
 
-/// Runs the all-NVM baseline for `bench` (the paper's normalization base:
-/// everything on the capacity tier, with THP).
-pub fn run_baseline(bench: Benchmark, scale: Scale, kind: CapacityKind) -> RunReport {
+/// Runs the all-NVM baseline for `bench` over `accesses` (the paper's
+/// normalization base: everything on the capacity tier, with THP).
+pub fn run_baseline(
+    bench: Benchmark,
+    scale: Scale,
+    kind: CapacityKind,
+    accesses: u64,
+) -> RunReport {
     // A minimal fast tier that the All-NVM policy never uses.
     let rss = bench.spec(scale, 1).total_bytes();
     let capacity = rss * 2 + 64 * HUGE_PAGE_SIZE;
@@ -509,14 +461,31 @@ pub fn run_baseline(bench: Benchmark, scale: Scale, kind: CapacityKind) -> RunRe
         CapacityKind::Cxl => MachineConfig::dram_cxl(2 * HUGE_PAGE_SIZE, capacity),
     }
     .with_bandwidth_scale(TIME_COMPRESSION);
+    run_default(bench, scale, machine, System::AllNvm.build(), accesses).0
+}
+
+/// [`run_cell`] with the default driver config, untraced, at [`SEED`] and
+/// without checkpoints: the run every figure bench makes unless it varies
+/// one of those.
+pub fn run_default<P: TieringPolicy>(
+    bench: Benchmark,
+    scale: Scale,
+    machine: MachineConfig,
+    policy: P,
+    accesses: u64,
+) -> (RunReport, Simulation<P>) {
     run_cell(
         bench,
         scale,
         machine,
-        System::AllNvm.build(),
+        policy,
+        NopObserver,
         driver_config(),
-        access_budget(),
+        accesses,
+        SEED,
+        &SnapshotOpts::default(),
     )
+    .expect("experiment run failed")
 }
 
 /// Normalized performance: baseline wall time over system wall time
@@ -581,7 +550,7 @@ mod tests {
     fn smoke_run_one_cell() {
         std::env::set_var("MEMTIS_ACCESSES", "20000");
         let scale = Scale::TEST;
-        let base = run_baseline(Benchmark::Roms, scale, CapacityKind::Nvm);
+        let base = run_baseline(Benchmark::Roms, scale, CapacityKind::Nvm, 20_000);
         let r = run_system(
             Benchmark::Roms,
             scale,

@@ -16,10 +16,9 @@ pub mod sweep;
 pub use cli::{RunFlags, ShardsSpec};
 pub use harness::{
     access_budget, benchmark_from_name, driver_config, driver_config_with_window, geomean,
-    machine_all_fast, machine_for, normalized, run_baseline, run_cell, run_cell_seeded,
-    run_cell_traced, run_sim, run_snapshotted, run_system, write_snapshot, write_trace,
-    CapacityKind, Ratio, SnapshotOpts, System, TraceFormat, DEFAULT_WINDOW_EVENTS, SEED,
-    TIME_COMPRESSION,
+    machine_all_fast, machine_for, normalized, run_baseline, run_cell, run_default,
+    run_snapshotted, run_system, write_snapshot, write_trace, CapacityKind, Ratio, SnapshotOpts,
+    System, TraceFormat, DEFAULT_WINDOW_EVENTS, SEED, TIME_COMPRESSION,
 };
 pub use plot::{bar, sparkline};
 pub use report::{emit, emit_bench_json, experiments_dir, Table};

@@ -16,11 +16,9 @@
 //! `BENCH_<name>.json` perf record (aggregate simulator events/sec, per-job
 //! scaling efficiency) via [`emit_bench_json`].
 
-use crate::harness::{
-    machine_for, run_cell_seeded, CapacityKind, Ratio, SnapshotOpts, System, SEED,
-};
+use crate::harness::{machine_for, run_cell, CapacityKind, Ratio, SnapshotOpts, System, SEED};
 use crate::report::{emit, emit_bench_json, Table};
-use memtis_sim::prelude::{DriverConfig, Fnv1a, RunReport};
+use memtis_sim::prelude::{DriverConfig, Fnv1a, NopObserver, RunReport};
 use memtis_workloads::{Benchmark, Scale};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -167,17 +165,19 @@ impl SweepResult {
 /// Runs one cell (helper shared by the parallel runner and tests).
 pub fn run_sweep_cell(cell: SweepCell, cfg: &SweepConfig) -> RunReport {
     let machine = machine_for(cell.bench, cfg.scale, cell.ratio, cell.kind);
-    run_cell_seeded(
+    run_cell(
         cell.bench,
         cfg.scale,
         machine,
         cell.system.build(),
+        NopObserver,
         cfg.driver.clone(),
         cfg.accesses,
         cell.seed(),
         &SnapshotOpts::default(),
     )
     .expect("experiment run failed")
+    .0
 }
 
 /// Runs the matrix across `cfg.jobs` scoped worker threads.

@@ -10,7 +10,6 @@ use memtis_bench::cli::SHARED;
 use memtis_bench::System;
 use std::process::{Command, Output};
 
-const PROBE: &str = env!("CARGO_BIN_EXE_probe");
 const MEMTIS: &str = env!("CARGO_BIN_EXE_memtis");
 const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
 const CHAOS: &str = env!("CARGO_BIN_EXE_chaos");
@@ -58,20 +57,19 @@ const DRIVER: &[&str] = &[
     "--hysteresis",
 ];
 
-const CMDS: [Cmd; 6] = [
+const CMDS: [Cmd; 5] = [
     Cmd {
-        exe: PROBE,
-        lead: &["silo", "1:8", "memtis"],
+        exe: MEMTIS,
+        lead: &["run", "silo"],
         accepts: &SHARED,
     },
     Cmd {
         exe: MEMTIS,
-        lead: &["run", "silo"],
+        lead: &["compare", "silo"],
         accepts: &[
-            "--trace-out",
-            "--trace-format",
             "--window",
             "--heartbeat",
+            "--test-scale",
             "--migration-bw",
             "--migration-queue",
             "--faults",
@@ -80,15 +78,7 @@ const CMDS: [Cmd; 6] = [
             "--admission",
             "--shadow",
             "--hysteresis",
-            "--snapshot-out",
-            "--snapshot-every",
-            "--resume",
         ],
-    },
-    Cmd {
-        exe: MEMTIS,
-        lead: &["compare", "silo"],
-        accepts: DRIVER,
     },
     Cmd {
         exe: MEMTIS,
@@ -176,19 +166,12 @@ fn malformed_shared_flags_exit_2() {
 
 #[test]
 fn malformed_positionals_and_own_flags_exit_2() {
-    let cases: [(&str, &[&str], &str); 15] = [
-        (PROBE, &["nosuchbench"], "nosuchbench"),
-        (PROBE, &["silo", "1:4x"], "1:4x"),
-        (PROBE, &["silo", "8"], "\"8\""),
-        (PROBE, &["silo", "1:8", "nosuch"], "nosuch"),
-        (PROBE, &["silo", "1:8", "memtis", "extra"], "extra"),
-        (
-            PROBE,
-            &["silo", "1:8", "all", "--resume", "s.snap"],
-            "single",
-        ),
+    let cases: [(&str, &[&str], &str); 12] = [
         (MEMTIS, &["run", "nosuchbench"], "nosuchbench"),
         (MEMTIS, &["run", "silo", "--ratio", "1-4"], "--ratio"),
+        (MEMTIS, &["run", "silo", "--ratio", "1:4x"], "1:4x"),
+        (MEMTIS, &["run", "silo", "--ratio", "8"], "\"8\""),
+        (MEMTIS, &["run", "silo", "extra"], "extra"),
         (MEMTIS, &["run", "silo", "--policy", "nosuch"], "--policy"),
         (MEMTIS, &["run", "silo", "--accesses", "many"], "--accesses"),
         (MEMTIS, &["compare", "silo", "--policy", "tpp"], "--policy"),

@@ -23,7 +23,7 @@
 //! pool. Byte-identity across that matrix pins pooled-vs-serial equivalence
 //! per chunk x policy x fault plan.
 
-use memtis_bench::{machine_for, run_cell_traced, CapacityKind, Ratio, SnapshotOpts, System, SEED};
+use memtis_bench::{machine_for, run_cell, CapacityKind, Ratio, SnapshotOpts, System, SEED};
 use memtis_sim::obs::export_jsonl;
 use memtis_sim::prelude::*;
 use memtis_workloads::{Benchmark, Scale};
@@ -71,18 +71,19 @@ fn run_with_shards(
     driver.faults = faults.map(|s| {
         memtis_sim::faults::FaultPlan::parse(s).expect("fault spec used by the test is valid")
     });
-    let (report, obs) = run_cell_traced(
+    let (report, sim) = run_cell(
         bench,
         Scale::TEST,
         machine,
         sys.build(),
+        TracingObserver::new(),
         driver,
         accesses,
         seed,
         &SnapshotOpts::default(),
     )
     .expect("run");
-    let trace = export_jsonl(&obs, &report.windows);
+    let trace = export_jsonl(sim.observer(), &report.windows);
     let windows = format!("{:?}", report.windows);
     (signature(report), trace, windows)
 }

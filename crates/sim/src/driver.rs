@@ -132,8 +132,6 @@ pub struct DriverConfig {
     /// stretches the wall clock by the cores they stole from the
     /// application (see `Simulation::close_window`).
     pub timeline_interval_ns: f64,
-    /// Stop after this many accesses even if the stream continues.
-    pub max_accesses: Option<u64>,
     /// Telemetry window length in workload events (accesses + allocs +
     /// frees). A window closes every this-many events; a final partial
     /// window covers the tail of the run.
@@ -190,7 +188,6 @@ impl Default for DriverConfig {
             thp_enabled: true,
             tick_interval_ns: 100_000.0,
             timeline_interval_ns: 2_000_000.0,
-            max_accesses: None,
             window_events: 100_000,
             migration_bw: None,
             migration_queue: None,
@@ -1052,8 +1049,8 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     }
 
     /// Processes one workload event plus the per-event bookkeeping the main
-    /// loop performs after it. Returns `true` when the run should stop
-    /// (`max_accesses` reached).
+    /// loop performs after it. Returns `true` when
+    /// [`Simulation::run_until`]'s pause target is reached.
     fn step_event(&mut self, ev: WorkloadEvent) -> SimResult<bool> {
         self.sim_events += 1;
         match ev {
@@ -1069,10 +1066,9 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     }
 
     /// The boundary checks the main loop runs after every event: due ticks,
-    /// daemon-contention stretches, telemetry-window cuts, the access budget, the
-    /// RSS peak, and the pause target. Returns `true` when `max_accesses`
-    /// or [`Simulation::run_until`]'s pause target is reached (budget
-    /// completion wins over a pause landing on the same boundary). The
+    /// daemon-contention stretches, telemetry-window cuts, the RSS peak,
+    /// and the pause target. Returns `true` when
+    /// [`Simulation::run_until`]'s pause target is reached. The
     /// batched loop hoists this from per-event to per-burst, having sized
     /// each burst so no check could have fired mid-burst.
     fn post_event_checks(&mut self) -> bool {
@@ -1088,11 +1084,6 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         }
         if self.sim_events >= self.hb_next {
             self.emit_heartbeat();
-        }
-        if let Some(max) = self.cfg.max_accesses {
-            if self.accesses >= max {
-                return true;
-            }
         }
         self.rss_peak = self.rss_peak.max(self.machine.rss_bytes());
         if self.sim_events >= self.pause_at {
@@ -1214,14 +1205,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                     }
                     continue;
                 }
-                let mut limit = (n - i) as u64;
-                limit = limit.min(self.wcol.events_until_due(self.sim_events));
-                if let Some(max) = self.cfg.max_accesses {
-                    // `max(1)`: if the budget is already exhausted (only
-                    // possible with `max_accesses: Some(0)`), the per-event
-                    // loop still executes one event before its check.
-                    limit = limit.min(max.saturating_sub(self.accesses).max(1));
-                }
+                let limit = ((n - i) as u64).min(self.wcol.events_until_due(self.sim_events));
                 debug_assert!(limit >= 1, "burst sizing must always make progress");
                 if self.shard.is_some() {
                     let (consumed, stop) =
@@ -1503,7 +1487,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         })
     }
 
-    /// Runs the workload to completion (or `max_accesses`) and reports.
+    /// Runs the workload to completion and reports.
     /// The simulation (machine and policy) remains inspectable afterwards.
     pub fn run(&mut self, workload: &mut dyn AccessStream) -> SimResult<RunReport> {
         match self.run_until(workload, None)? {
@@ -1525,9 +1509,8 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         self.paused
     }
 
-    /// Runs the workload until the stream ends, `max_accesses` is reached,
-    /// or `pause_after` cumulative events have been processed — whichever
-    /// comes first. On completion returns `Ok(Some(report))`, exactly as
+    /// Runs the workload until the stream ends or `pause_after` cumulative
+    /// events have been processed, whichever comes first. On completion returns `Ok(Some(report))`, exactly as
     /// [`Simulation::run`] would; at a pause returns `Ok(None)` with every
     /// piece of state intact at an event boundary, ready for
     /// [`Simulation::snapshot`] and for another `run_until` call on the
@@ -2032,6 +2015,21 @@ mod tests {
         events
     }
 
+    /// [`mixed_events`] cut right after its `n`th access.
+    fn mixed_accesses(n: usize) -> Vec<WorkloadEvent> {
+        let mut events = mixed_events(n + n / 8);
+        let mut seen = 0;
+        let last = events
+            .iter()
+            .position(|ev| {
+                seen += usize::from(matches!(ev, WorkloadEvent::Access(_)));
+                seen == n
+            })
+            .expect("enough accesses");
+        events.truncate(last + 1);
+        events
+    }
+
     /// Batch-safe policy that arms NUMA hints from ticks and charges
     /// app-side fault work — exercising the batched loop's hint tail and
     /// its fault-work clock arithmetic.
@@ -2067,7 +2065,7 @@ mod tests {
     #[test]
     fn chunked_loop_matches_per_event_loop_byte_for_byte() {
         let run = |chunk: usize| {
-            let mut wl = Script::new(mixed_events(6_000));
+            let mut wl = Script::new(mixed_accesses(5_500));
             let mut sim = Simulation::new(
                 cfg(),
                 ArmHints { next: 5 },
@@ -2075,7 +2073,6 @@ mod tests {
                     tick_interval_ns: 5_000.0,
                     timeline_interval_ns: 20_000.0,
                     window_events: 37,
-                    max_accesses: Some(5_500),
                     chunk,
                     ..Default::default()
                 },
@@ -2117,7 +2114,7 @@ mod tests {
         // chunk: the lanes are the unit of determinism, shards are only a
         // thread grouping over them.
         let run = |chunk: usize, shards: usize| {
-            let mut wl = Script::new(mixed_events(6_000));
+            let mut wl = Script::new(mixed_accesses(5_500));
             let mut sim = Simulation::new(
                 cfg(),
                 ArmHints { next: 5 },
@@ -2125,7 +2122,6 @@ mod tests {
                     tick_interval_ns: 5_000.0,
                     timeline_interval_ns: 20_000.0,
                     window_events: 37,
-                    max_accesses: Some(5_500),
                     chunk,
                     shards: Some(shards),
                     ..Default::default()
@@ -2225,15 +2221,14 @@ mod tests {
                         tick_interval_ns: 5_000.0,
                         timeline_interval_ns: 20_000.0,
                         window_events: 37,
-                        max_accesses: Some(5_500),
                         chunk,
                         ..Default::default()
                     },
                 )
             };
-            let full = report_sig(mk().run(&mut Script::new(mixed_events(6_000))).unwrap());
+            let full = report_sig(mk().run(&mut Script::new(mixed_accesses(5_500))).unwrap());
 
-            let mut wl = Script::new(mixed_events(6_000));
+            let mut wl = Script::new(mixed_accesses(5_500));
             let mut sim = mk();
             let mut pauses = [700u64, 1_900, 3_100, 4_400].into_iter();
             let report = loop {
@@ -2259,17 +2254,16 @@ mod tests {
             tick_interval_ns: 5_000.0,
             timeline_interval_ns: 20_000.0,
             window_events: 37,
-            max_accesses: Some(5_500),
             chunk: DEFAULT_CHUNK,
             shards: Some(3),
             ..Default::default()
         };
         let full = report_sig(
             Simulation::new(cfg(), ArmHints { next: 5 }, dcfg())
-                .run(&mut Script::new(mixed_events(6_000)))
+                .run(&mut Script::new(mixed_accesses(5_500)))
                 .unwrap(),
         );
-        let mut wl = Script::new(mixed_events(6_000));
+        let mut wl = Script::new(mixed_accesses(5_500));
         let mut sim = Simulation::new(cfg(), ArmHints { next: 5 }, dcfg());
         assert!(sim.run_until(&mut wl, Some(2_000)).unwrap().is_none());
         let bytes = sim.snapshot();
@@ -2278,7 +2272,7 @@ mod tests {
         let mut resumed = Simulation::new(cfg(), ArmHints { next: 0 }, dcfg());
         resumed.restore(&bytes).unwrap();
         // A fresh stream from the start: `run_until` fast-forwards it.
-        let mut fresh = Script::new(mixed_events(6_000));
+        let mut fresh = Script::new(mixed_accesses(5_500));
         let r = resumed
             .run_until(&mut fresh, None)
             .unwrap()
