@@ -569,7 +569,7 @@ fn hotloop(_c: &mut Criterion) {
         let run_pp = |hysteresis: Option<HysteresisConfig>| {
             let mut driver = driver_config();
             driver.migration_bw = Some(TIGHT_BW);
-            driver.hysteresis = hysteresis.map(Some);
+            driver.hysteresis = hysteresis;
             let mut wl = SpecStream::new(spec.clone(), SEED);
             let mut sim = Simulation::new(machine.clone(), System::Memtis.build(), driver);
             sim.run(&mut wl).unwrap()

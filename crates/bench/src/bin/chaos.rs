@@ -3,8 +3,7 @@
 //! ```text
 //! chaos [--plans N] [--accesses N] [--seed MASTER] [--systems memtis,tpp,...]
 //!       [--shards S|auto] [--heartbeat EVENTS] [--snapshot-every EVENTS]
-//!       [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off]
-//!       [--hysteresis on|off|WINDOW:BASE:MAX]
+//!       [--shadow] [--hysteresis on|WINDOW:BASE:MAX]
 //! ```
 //!
 //! Derives `N` randomized [`FaultPlan`]s from a master seed and runs each
@@ -37,17 +36,15 @@ const WORKLOAD_SEED: u64 = 20231023;
 
 const USAGE: &str = "usage: chaos [--plans N] [--accesses N] [--seed MASTER] \
      [--systems memtis,tpp,...] [--shards S|auto] [--heartbeat EVENTS] \
-     [--snapshot-every EVENTS] [--admission on|off|HORIZON[:WINDOW]] \
-     [--shadow on|off] [--hysteresis on|off|WINDOW:BASE:MAX]";
+     [--snapshot-every EVENTS] [--shadow] [--hysteresis on|WINDOW:BASE:MAX]";
 
 /// The shared flags `chaos` accepts. Every run draws its own fault plan and
 /// keeps its checkpoints in memory, so the fault, trace and snapshot-file
 /// flags do not apply.
-const SHARED: [&str; 6] = [
+const SHARED: [&str; 5] = [
     "--shards",
     "--heartbeat",
     "--snapshot-every",
-    "--admission",
     "--shadow",
     "--hysteresis",
 ];

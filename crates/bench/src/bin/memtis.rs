@@ -5,14 +5,13 @@
 //!             [--trace-out PATH] [--trace-format jsonl|perfetto] [--report-out PATH]
 //!             [--window EVENTS] [--heartbeat EVENTS] [--test-scale]
 //!             [--migration-bw BYTES_PER_NS] [--migration-queue DEPTH] [--faults SPEC]
-//!             [--chunk N] [--shards S|auto] [--admission on|off|HORIZON[:WINDOW]]
-//!             [--shadow on|off] [--hysteresis on|off|WINDOW:BASE:MAX]
+//!             [--chunk N] [--shards S|auto] [--shadow] [--hysteresis on|WINDOW:BASE:MAX]
 //!             [--snapshot-out PATH --snapshot-every EVENTS] [--resume PATH]
 //! memtis compare <benchmark> [--ratio 1:8] [--cxl] [--accesses N] [--test-scale]
 //!             [driver flags]
 //! memtis record <benchmark> --out PATH [--accesses N]
 //! memtis replay <benchmark> <trace> [--policy memtis] [--ratio 1:8] [--cxl]
-//!             [--in-memory] [--chunk-bytes N] [driver flags]
+//!             [driver flags]
 //! memtis diff <old.json> <new.json> [--tol FRAC] [--tol KEY=FRAC] [--ignore GLOB]
 //! memtis list
 //! ```
@@ -47,10 +46,8 @@
 //!
 //! Trace ingestion: `record` streams a benchmark's workload events to a
 //! versioned binary trace file with bounded memory; `replay` drives a
-//! simulation from such a file through the chunked [`TraceFileReader`]
-//! (default), or whole-trace in-memory with `--in-memory` — both produce
-//! the identical deterministic report line, so the two modes can be
-//! byte-compared. `--chunk-bytes N` sets the streamed reader's buffer.
+//! simulation from such a file through the chunked [`TraceFileReader`],
+//! also in bounded memory, and prints a deterministic report line.
 //!
 //! [`TraceFileReader`]: memtis_workloads::TraceFileReader
 
@@ -67,18 +64,17 @@ const USAGE: &str = "usage:\n  memtis run <benchmark> [--ratio F:C] [--policy NA
      [--trace-out PATH] [--trace-format jsonl|perfetto] [--report-out PATH]\n    \
      [--window EVENTS] [--heartbeat EVENTS] [--test-scale]\n    \
      [--migration-bw BYTES_PER_NS] [--migration-queue DEPTH] [--faults SPEC] [--chunk N]\n    \
-     [--shards S|auto] [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off]\n    \
-     [--hysteresis on|off|W:B:M] [--snapshot-out PATH --snapshot-every EVENTS] [--resume PATH]\n  \
+     [--shards S|auto] [--shadow] [--hysteresis on|W:B:M]\n    \
+     [--snapshot-out PATH --snapshot-every EVENTS] [--resume PATH]\n  \
      memtis compare <benchmark> [--ratio F:C] [--cxl] [--accesses N] [--test-scale] [driver flags]\n  \
      memtis record <benchmark> --out PATH [--accesses N]\n  \
-     memtis replay <benchmark> <trace> [--policy NAME] [--ratio F:C] [--cxl]\n    \
-     [--in-memory] [--chunk-bytes N] [driver flags]\n  \
+     memtis replay <benchmark> <trace> [--policy NAME] [--ratio F:C] [--cxl] [driver flags]\n  \
      memtis diff <old.json> <new.json> [--tol FRAC] [--tol KEY=FRAC] [--ignore GLOB]\n  \
      memtis list\n\
      driver flags: run's --window through --hysteresis, less --test-scale";
 
 /// The shared flags of `replay`; `compare` adds `--test-scale`.
-const DRIVER_FLAGS: [&str; 10] = [
+const DRIVER_FLAGS: [&str; 9] = [
     "--window",
     "--heartbeat",
     "--migration-bw",
@@ -86,7 +82,6 @@ const DRIVER_FLAGS: [&str; 10] = [
     "--faults",
     "--chunk",
     "--shards",
-    "--admission",
     "--shadow",
     "--hysteresis",
 ];
@@ -347,28 +342,17 @@ fn run_record(args: &[String]) {
     println!("recorded {events} events ({bytes} bytes) to {path}");
 }
 
-/// Drives a simulation from a recorded trace file — streamed through the
-/// bounded-buffer reader by default, whole-trace in-memory with
-/// `--in-memory`. Prints only sim-deterministic quantities so the two
-/// modes are byte-comparable.
+/// Drives a simulation from a recorded trace file, streamed through the
+/// bounded-buffer reader. Prints only sim-deterministic quantities.
 fn run_replay(args: &[String]) {
     use memtis_sim::prelude::Simulation;
-    use memtis_workloads::{Bytes, TraceFileReader, TraceReplay};
+    use memtis_workloads::TraceFileReader;
     let bench = bench_arg(args);
     let Some(path) = args.get(1).filter(|p| !p.starts_with("--")).cloned() else {
         usage()
     };
-    let mut in_memory = false;
-    let mut chunk_bytes: Option<usize> = None;
     let cell = ["--ratio", "--policy", "--cxl"];
-    let o = parse_opts(&args[2..], &cell, &DRIVER_FLAGS, |arg, a| {
-        match arg {
-            "--in-memory" => in_memory = true,
-            "--chunk-bytes" => chunk_bytes = Some(a.value(arg)?),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    });
+    let o = parse_opts(&args[2..], &cell, &DRIVER_FLAGS, |_, _| Ok(false));
     let machine = machine_for(bench, Scale::DEFAULT, o.ratio, o.kind);
     let driver = o.flags.driver(o.policy.build().batch_safe());
     let mut sim = Simulation::new(machine, o.policy.build(), driver);
@@ -376,35 +360,14 @@ fn run_replay(args: &[String]) {
         eprintln!("error: {what}: {e:?}");
         std::process::exit(1);
     };
-    let r = if in_memory {
-        let data = match std::fs::read(&path) {
-            Ok(d) => d,
-            Err(e) => fail("cannot read trace", &e),
-        };
-        let mut replay = match TraceReplay::new(Bytes::from(data), "replay") {
-            Ok(r) => r,
-            Err(e) => fail("invalid trace", &e),
-        };
-        let r = sim.run(&mut replay).unwrap_or_else(|e| fail("run", &e));
-        if let Some(e) = replay.take_error() {
-            fail("trace decode", &e);
-        }
-        r
-    } else {
-        let open = match chunk_bytes {
-            Some(n) => TraceFileReader::with_chunk_bytes(&path, "replay", n),
-            None => TraceFileReader::open(&path, "replay"),
-        };
-        let mut reader = match open {
-            Ok(r) => r,
-            Err(e) => fail("cannot open trace", &e),
-        };
-        let r = sim.run(&mut reader).unwrap_or_else(|e| fail("run", &e));
-        if let Some(e) = reader.take_error() {
-            fail("trace decode", &e);
-        }
-        r
+    let mut reader = match TraceFileReader::open(&path, "replay") {
+        Ok(r) => r,
+        Err(e) => fail("cannot open trace", &e),
     };
+    let r = sim.run(&mut reader).unwrap_or_else(|e| fail("run", &e));
+    if let Some(e) = reader.take_error() {
+        fail("trace decode", &e);
+    }
     println!(
         "{} replay of {path}: wall={:.2}ms accesses={} events={} fastHR={:.4} \
          promo4k={} demo4k={} splits={} rss={}MB tlb_miss={:.4} llc_miss={:.4}",

@@ -5,8 +5,7 @@
 //!       [--ratios 1:8,1:16] [--seeds K] [--accesses N] [--window EVENTS]
 //!       [--cxl] [--test-scale] [--migration-bw BYTES_PER_NS]
 //!       [--migration-queue DEPTH] [--faults SPEC] [--chunk N] [--shards S|auto]
-//!       [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off]
-//!       [--hysteresis on|off|WINDOW:BASE:MAX]
+//!       [--shadow] [--hysteresis on|WINDOW:BASE:MAX]
 //! ```
 //!
 //! Runs the (policy × workload × ratio × seed) matrix across worker
@@ -26,11 +25,10 @@ const USAGE: &str = "usage: sweep [--jobs N] [--systems a,b,..] [--benches x,y,.
      [--ratios F:C,..] [--seeds K] [--accesses N] [--window EVENTS] \
      [--cxl] [--test-scale] [--migration-bw BYTES_PER_NS] \
      [--migration-queue DEPTH] [--faults SPEC] [--chunk N] [--shards S|auto] \
-     [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off] \
-     [--hysteresis on|off|WINDOW:BASE:MAX]";
+     [--shadow] [--hysteresis on|WINDOW:BASE:MAX]";
 
 /// The shared flags `sweep` accepts.
-const SHARED: [&str; 10] = [
+const SHARED: [&str; 9] = [
     "--window",
     "--test-scale",
     "--migration-bw",
@@ -38,7 +36,6 @@ const SHARED: [&str; 10] = [
     "--faults",
     "--chunk",
     "--shards",
-    "--admission",
     "--shadow",
     "--hysteresis",
 ];

@@ -11,12 +11,12 @@
 
 use crate::harness::{SnapshotOpts, TraceFormat};
 use memtis_sim::faults::FaultPlan;
-use memtis_sim::prelude::{AdmissionConfig, DriverConfig, HysteresisConfig, SimResult};
+use memtis_sim::prelude::{DriverConfig, HysteresisConfig, SimResult};
 use memtis_workloads::Scale;
 use std::str::FromStr;
 
 /// Every shared flag. A binary passes the subset it accepts to [`parse`].
-pub const SHARED: [&str; 17] = [
+pub const SHARED: [&str; 16] = [
     "--trace-out",
     "--trace-format",
     "--report-out",
@@ -28,7 +28,6 @@ pub const SHARED: [&str; 17] = [
     "--faults",
     "--chunk",
     "--shards",
-    "--admission",
     "--shadow",
     "--hysteresis",
     "--snapshot-out",
@@ -69,10 +68,10 @@ impl RunFlags {
     /// The `engine modes:` banner, when any mode flag was given.
     pub fn modes_banner(&self) -> Option<String> {
         let d = &self.base;
-        (d.admission.is_some() || d.shadow.is_some() || d.hysteresis.is_some()).then(|| {
+        (d.shadow || d.hysteresis.is_some()).then(|| {
             format!(
-                "engine modes: admission={:?} shadow={:?} hysteresis={:?}",
-                d.admission, d.shadow, d.hysteresis
+                "engine modes: shadow={} hysteresis={:?}",
+                d.shadow, d.hysteresis
             )
         })
     }
@@ -160,8 +159,7 @@ pub fn parse(
             "--faults" => d.faults = Some(a.with(flag, FaultPlan::parse)?),
             "--chunk" => d.chunk = a.value(flag)?,
             "--shards" => f.shards = Some(a.with(flag, ShardsSpec::parse)?),
-            "--admission" => d.admission = Some(a.with(flag, parse_admission)?),
-            "--shadow" => d.shadow = Some(a.with(flag, parse_shadow)?),
+            "--shadow" => d.shadow = true,
             "--hysteresis" => d.hysteresis = Some(a.with(flag, parse_hysteresis)?),
             "--snapshot-out" => f.snap.out = Some(a.string(flag)?),
             "--snapshot-every" => f.snap.every = Some(a.value(flag)?),
@@ -245,73 +243,34 @@ impl ShardsSpec {
         };
         let has_faults = driver.faults.as_ref().is_some_and(|p| !p.is_inert());
         let bw_capped = driver.migration_bw.is_some_and(|v| v > 0.0);
-        let shadowed = driver.shadow == Some(true);
-        if has_faults || bw_capped || shadowed || !batch_safe || driver.chunk <= 1 || n <= 1 {
+        if has_faults || bw_capped || driver.shadow || !batch_safe || driver.chunk <= 1 || n <= 1 {
             return None;
         }
         Some(n.min(8))
     }
 }
 
-/// Parses an `--admission` spec: `on` (defaults), `off` (force off), or
-/// `HORIZON_NS[:WINDOW_NS]` in sim nanoseconds (floats accepted, e.g.
-/// `5e7:1e6`).
-pub fn parse_admission(spec: &str) -> Result<Option<AdmissionConfig>, String> {
-    match spec {
-        "on" | "default" => Ok(Some(AdmissionConfig::default())),
-        "off" => Ok(None),
-        _ => {
-            let mut cfg = AdmissionConfig::default();
-            let (horizon, window) = match spec.split_once(':') {
-                Some((h, w)) => (h, Some(w)),
-                None => (spec, None),
-            };
-            cfg.horizon_ns = horizon
-                .parse()
-                .map_err(|_| format!("bad admission horizon {horizon:?}"))?;
-            if let Some(w) = window {
-                cfg.window_ns = w
-                    .parse()
-                    .map_err(|_| format!("bad admission window {w:?}"))?;
-            }
-            Ok(Some(cfg))
-        }
-    }
-}
-
-/// Parses a `--shadow` spec: `on` or `off`.
-pub fn parse_shadow(spec: &str) -> Result<bool, String> {
-    match spec {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        _ => Err(format!("bad shadow spec {spec:?} (want on|off)")),
-    }
-}
-
-/// Parses a `--hysteresis` spec: `on` (defaults), `off` (force off), or
+/// Parses a `--hysteresis` spec: `on` (defaults) or
 /// `WINDOW_NS:BASE_BACKOFF_NS:MAX_BACKOFF_NS` in sim nanoseconds.
-pub fn parse_hysteresis(spec: &str) -> Result<Option<HysteresisConfig>, String> {
-    match spec {
-        "on" | "default" => Ok(Some(HysteresisConfig::default())),
-        "off" => Ok(None),
-        _ => {
-            let parts: Vec<&str> = spec.split(':').collect();
-            if parts.len() != 3 {
-                return Err(format!(
-                    "bad hysteresis spec {spec:?} (want on|off|WINDOW:BASE:MAX)"
-                ));
-            }
-            let parse = |s: &str, what: &str| -> Result<f64, String> {
-                s.parse()
-                    .map_err(|_| format!("bad hysteresis {what} {s:?}"))
-            };
-            Ok(Some(HysteresisConfig {
-                window_ns: parse(parts[0], "window")?,
-                base_backoff_ns: parse(parts[1], "base backoff")?,
-                max_backoff_ns: parse(parts[2], "max backoff")?,
-            }))
-        }
+pub fn parse_hysteresis(spec: &str) -> Result<HysteresisConfig, String> {
+    if spec == "on" {
+        return Ok(HysteresisConfig::default());
     }
+    let parts: Vec<&str> = spec.split(':').collect();
+    if parts.len() != 3 {
+        return Err(format!(
+            "bad hysteresis spec {spec:?} (want on|WINDOW:BASE:MAX)"
+        ));
+    }
+    let parse = |s: &str, what: &str| -> Result<f64, String> {
+        s.parse()
+            .map_err(|_| format!("bad hysteresis {what} {s:?}"))
+    };
+    Ok(HysteresisConfig {
+        window_ns: parse(parts[0], "window")?,
+        base_backoff_ns: parse(parts[1], "base backoff")?,
+        max_backoff_ns: parse(parts[2], "max backoff")?,
+    })
 }
 
 #[cfg(test)]
@@ -327,7 +286,7 @@ mod tests {
     fn driver_flags_land_in_their_fields() {
         let f = parse_all(
             "--window 500 --heartbeat 7 --migration-bw 8 --migration-queue 3 \
-             --chunk 1 --shards 2 --shadow on --hysteresis off --test-scale",
+             --chunk 1 --shards 2 --shadow --hysteresis 1:2:3 --test-scale",
         )
         .expect("valid flags");
         let d = f.driver(true);
@@ -337,9 +296,10 @@ mod tests {
         assert_eq!(d.migration_queue, Some(3));
         assert_eq!(d.chunk, 1);
         assert_eq!(d.shards, Some(2));
-        assert_eq!(d.shadow, Some(true));
-        assert!(matches!(d.hysteresis, Some(None)));
-        assert!(d.admission.is_none());
+        assert!(d.shadow);
+        assert!(d.hysteresis.is_some_and(|h| h.window_ns == 1.0
+            && h.base_backoff_ns == 2.0
+            && h.max_backoff_ns == 3.0));
         assert_eq!(f.scale, Scale::TEST);
         assert!(f.modes_banner().is_some());
         assert!(parse_all("").expect("no flags").modes_banner().is_none());

@@ -147,8 +147,7 @@ pub fn driver_config_with_window(window_events: u64) -> DriverConfig {
         window_events,
         migration_bw: None,
         migration_queue: None,
-        admission: None,
-        shadow: None,
+        shadow: false,
         hysteresis: None,
         faults: None,
         chunk: DEFAULT_CHUNK,

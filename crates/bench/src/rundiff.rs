@@ -86,12 +86,10 @@ pub fn report_to_json(report: &RunReport, profile: Option<&[SpanStat]>) -> Strin
         ("shootdowns", report.stats.shootdowns as f64),
         ("hint_faults", report.stats.hint_faults as f64),
     ];
-    // Engine-mode counters: emitted only when an admission / shadow /
-    // hysteresis mode produced activity, so mode-off reports stay
+    // Engine-mode counters: emitted only when a shadow / hysteresis mode
+    // produced activity, so mode-off reports stay
     // byte-identical to goldens written before these modes existed.
     let mode_rows: Vec<(&str, f64)> = vec![
-        ("admission_rejects", mig.admission_rejects as f64),
-        ("admission_payback_ns", mig.admission_payback_ns),
         ("promotion_backoffs", mig.promotion_backoffs as f64),
         ("shadow_retained_4k", mig.shadow_retained_4k as f64),
         (

@@ -227,7 +227,6 @@ pub fn sweep_table(result: &SweepResult) -> Table {
         "aborted",
         "recopies",
         "wasted_MB",
-        "adm_rej",
         "backoffs",
         "shdw_free",
         "inflight_pk",
@@ -251,7 +250,6 @@ pub fn sweep_table(result: &SweepResult) -> Table {
             mig.aborted.to_string(),
             mig.recopies.to_string(),
             format!("{:.2}", mig.aborted_bytes as f64 / (1u64 << 20) as f64),
-            mig.admission_rejects.to_string(),
             mig.promotion_backoffs.to_string(),
             mig.shadow_free_demotions_4k.to_string(),
             mig.in_flight_peak.to_string(),

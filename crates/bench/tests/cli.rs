@@ -16,7 +16,7 @@ const CHAOS: &str = env!("CARGO_BIN_EXE_chaos");
 
 /// Each shared flag with a malformed value (`None`: the value is missing)
 /// and a well-formed one (`None`: the flag takes no value).
-const VALUES: [(&str, Option<&str>, Option<&str>); 17] = [
+const VALUES: [(&str, Option<&str>, Option<&str>); 16] = [
     ("--trace-out", None, Some("t.jsonl")),
     ("--trace-format", Some("xml"), Some("jsonl")),
     ("--report-out", None, Some("r.json")),
@@ -28,9 +28,8 @@ const VALUES: [(&str, Option<&str>, Option<&str>); 17] = [
     ("--faults", Some("nosuch=1"), Some("seed=1")),
     ("--chunk", Some("abc"), Some("64")),
     ("--shards", Some("0"), Some("2")),
-    ("--admission", Some("maybe"), Some("on")),
-    ("--shadow", Some("maybe"), Some("on")),
-    ("--hysteresis", Some("1:2"), Some("on")),
+    ("--shadow", None, None),
+    ("--hysteresis", Some("off"), Some("on")),
     ("--snapshot-out", None, Some("s.snap")),
     ("--snapshot-every", Some("0"), Some("1000")),
     ("--resume", None, Some("s.snap")),
@@ -52,7 +51,6 @@ const DRIVER: &[&str] = &[
     "--faults",
     "--chunk",
     "--shards",
-    "--admission",
     "--shadow",
     "--hysteresis",
 ];
@@ -75,7 +73,6 @@ const CMDS: [Cmd; 5] = [
             "--faults",
             "--chunk",
             "--shards",
-            "--admission",
             "--shadow",
             "--hysteresis",
         ],
@@ -96,7 +93,6 @@ const CMDS: [Cmd; 5] = [
             "--faults",
             "--chunk",
             "--shards",
-            "--admission",
             "--shadow",
             "--hysteresis",
         ],
@@ -108,7 +104,6 @@ const CMDS: [Cmd; 5] = [
             "--shards",
             "--heartbeat",
             "--snapshot-every",
-            "--admission",
             "--shadow",
             "--hysteresis",
         ],
@@ -149,7 +144,8 @@ fn malformed_shared_flags_exit_2() {
             let mut args = cmd.lead.to_vec();
             args.push(flag);
             if cmd.accepts.contains(&flag) {
-                if flag == "--test-scale" {
+                // A switch has no malformed form.
+                if good.is_none() {
                     continue;
                 }
                 args.extend(bad);

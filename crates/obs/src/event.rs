@@ -288,17 +288,6 @@ pub enum EventKind {
         /// serial path so far.
         spills: u64,
     },
-    /// Admission control rejected a promotion: the predicted payback time
-    /// exceeded the configured horizon.
-    AdmissionRejected {
-        /// Virtual page number (4 KiB granule).
-        vpage: u64,
-        /// Intended destination tier id.
-        to: u8,
-        /// Predicted payback time (ns). A region with no observed demand
-        /// can never pay back; that is clamped to 1e18 (≈ 32 sim-years).
-        payback_ns: f64,
-    },
     /// A retained shadow frame was invalidated and freed (store to the
     /// page, unmap, split, collapse, re-migration, or capacity reclaim).
     ShadowReclaimed {
@@ -317,33 +306,6 @@ pub enum EventKind {
         /// Simulated time until which re-promotion stays backed off (ns).
         until_ns: f64,
     },
-}
-
-impl EventKind {
-    /// Stable lower-case kind label used by the exporters.
-    pub fn label(&self) -> &'static str {
-        match self {
-            EventKind::Promotion { .. } => "promotion",
-            EventKind::Demotion { .. } => "demotion",
-            EventKind::Split { .. } => "split",
-            EventKind::Collapse { .. } => "collapse",
-            EventKind::CoolingTick { .. } => "cooling_tick",
-            EventKind::ThresholdRecompute { .. } => "threshold_recompute",
-            EventKind::SampleBatch { .. } => "sample_batch",
-            EventKind::TlbShootdown { .. } => "tlb_shootdown",
-            EventKind::MigrationFailed { .. } => "migration_failed",
-            EventKind::MigrationEnqueued { .. } => "migration_enqueued",
-            EventKind::MigrationStarted { .. } => "migration_started",
-            EventKind::MigrationCompleted { .. } => "migration_completed",
-            EventKind::MigrationAborted { .. } => "migration_aborted",
-            EventKind::FaultInjected { .. } => "fault_injected",
-            EventKind::HistUnderflow { .. } => "hist_underflow",
-            EventKind::ShardBarrier { .. } => "shard_barrier",
-            EventKind::AdmissionRejected { .. } => "admission_rejected",
-            EventKind::ShadowReclaimed { .. } => "shadow_reclaimed",
-            EventKind::PromotionBackoff { .. } => "promotion_backoff",
-        }
-    }
 }
 
 /// One trace event: a kind plus the simulated time it occurred at.
@@ -400,27 +362,49 @@ crate::snap_enum!(ThresholdCause {
     1 => Cooling,
 });
 
-crate::snap_enum!(EventKind {
-    0 => Promotion { vpage, from, to, bytes },
-    1 => Demotion { vpage, from, to, bytes },
-    2 => Split { vpage, tier, zero_subpages_freed },
-    3 => Collapse { vpage, tier },
-    4 => CoolingTick { visited_4k, hot_threshold, warm_threshold },
-    5 => ThresholdRecompute { cause, hot, warm, cold },
-    6 => SampleBatch { samples, load_period, cpu_usage },
-    7 => TlbShootdown { vpage, cause },
-    8 => MigrationFailed { vpage, to, cause },
-    9 => MigrationEnqueued { vpage, from, to, bytes, queue_depth },
-    10 => MigrationStarted { vpage, from, to, bytes },
-    11 => MigrationCompleted { vpage, from, to, bytes },
-    12 => MigrationAborted { vpage, to, bytes, wasted_bytes, cause },
-    13 => FaultInjected { fault, vpage },
-    14 => HistUnderflow { count },
-    15 => ShardBarrier { bursts, spills },
-    16 => AdmissionRejected { vpage, to, payback_ns },
-    17 => ShadowReclaimed { vpage, tier, bytes },
-    18 => PromotionBackoff { vpage, until_ns },
-});
+/// The one event-kind variant table: each row's snapshot tag, variant,
+/// stable exporter label, and fields. Generates [`EventKind::label`],
+/// [`EventKind::LABELS`] and the snapshot codec from the same rows.
+macro_rules! event_kinds {
+    ($( $tag:literal => $variant:ident $label:literal { $($f:ident),* } ),+ $(,)?) => {
+        impl EventKind {
+            /// Every kind label, in tag order (the JSONL validator's
+            /// vocabulary).
+            pub(crate) const LABELS: &'static [&'static str] = &[$($label),+];
+
+            /// Stable lower-case kind label used by the exporters.
+            pub fn label(&self) -> &'static str {
+                match self {
+                    $( EventKind::$variant { .. } => $label, )+
+                }
+            }
+        }
+
+        crate::snap_enum!(EventKind { $( $tag => $variant { $($f),* } ),+ });
+    };
+}
+
+// Tag 16 (admission rejections) is retired; never reuse it.
+event_kinds! {
+    0 => Promotion "promotion" { vpage, from, to, bytes },
+    1 => Demotion "demotion" { vpage, from, to, bytes },
+    2 => Split "split" { vpage, tier, zero_subpages_freed },
+    3 => Collapse "collapse" { vpage, tier },
+    4 => CoolingTick "cooling_tick" { visited_4k, hot_threshold, warm_threshold },
+    5 => ThresholdRecompute "threshold_recompute" { cause, hot, warm, cold },
+    6 => SampleBatch "sample_batch" { samples, load_period, cpu_usage },
+    7 => TlbShootdown "tlb_shootdown" { vpage, cause },
+    8 => MigrationFailed "migration_failed" { vpage, to, cause },
+    9 => MigrationEnqueued "migration_enqueued" { vpage, from, to, bytes, queue_depth },
+    10 => MigrationStarted "migration_started" { vpage, from, to, bytes },
+    11 => MigrationCompleted "migration_completed" { vpage, from, to, bytes },
+    12 => MigrationAborted "migration_aborted" { vpage, to, bytes, wasted_bytes, cause },
+    13 => FaultInjected "fault_injected" { fault, vpage },
+    14 => HistUnderflow "hist_underflow" { count },
+    15 => ShardBarrier "shard_barrier" { bursts, spills },
+    17 => ShadowReclaimed "shadow_reclaimed" { vpage, tier, bytes },
+    18 => PromotionBackoff "promotion_backoff" { vpage, until_ns },
+}
 
 crate::snap_struct!(Event { t_ns, kind });
 
@@ -512,11 +496,6 @@ mod tests {
             EventKind::ShardBarrier {
                 bursts: 40,
                 spills: 2,
-            },
-            EventKind::AdmissionRejected {
-                vpage: 3,
-                to: 0,
-                payback_ns: 123456.5,
             },
             EventKind::ShadowReclaimed {
                 vpage: 512,

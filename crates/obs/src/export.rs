@@ -153,17 +153,6 @@ fn push_kind_fields(out: &mut String, kind: &EventKind) {
         EventKind::ShardBarrier { bursts, spills } => {
             let _ = write!(out, r#","bursts":{bursts},"spills":{spills}"#);
         }
-        EventKind::AdmissionRejected {
-            vpage,
-            to,
-            payback_ns,
-        } => {
-            let _ = write!(
-                out,
-                r#","vpage":{vpage},"to":{to},"payback_ns":{}"#,
-                fmt_f64(payback_ns)
-            );
-        }
         EventKind::ShadowReclaimed { vpage, tier, bytes } => {
             let _ = write!(out, r#","vpage":{vpage},"tier":{tier},"bytes":{bytes}"#);
         }
@@ -293,9 +282,7 @@ fn perfetto_tid(kind: &EventKind) -> u32 {
         EventKind::Split { .. } | EventKind::Collapse { .. } => 3,
         EventKind::HistUnderflow { .. } | EventKind::ShardBarrier { .. } => 1,
         // Engine-mode lifecycle events ride the migration thread.
-        EventKind::AdmissionRejected { .. }
-        | EventKind::ShadowReclaimed { .. }
-        | EventKind::PromotionBackoff { .. } => 2,
+        EventKind::ShadowReclaimed { .. } | EventKind::PromotionBackoff { .. } => 2,
     }
 }
 
@@ -392,26 +379,6 @@ pub fn export_perfetto(obs: &TracingObserver, windows: &[WindowSample]) -> Strin
     out
 }
 
-/// All event-kind labels the JSONL validator accepts.
-const KNOWN_KINDS: [&str; 16] = [
-    "promotion",
-    "demotion",
-    "split",
-    "collapse",
-    "cooling_tick",
-    "threshold_recompute",
-    "sample_batch",
-    "tlb_shootdown",
-    "migration_failed",
-    "migration_enqueued",
-    "migration_started",
-    "migration_completed",
-    "migration_aborted",
-    "fault_injected",
-    "hist_underflow",
-    "shard_barrier",
-];
-
 /// Summary returned by a successful [`validate_jsonl`] pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JsonlSummary {
@@ -502,7 +469,7 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
                 .get("kind")
                 .and_then(Json::as_str)
                 .ok_or_else(|| format!("line {}: event without kind", lineno + 1))?;
-            if !KNOWN_KINDS.contains(&kind) {
+            if !EventKind::LABELS.contains(&kind) {
                 return Err(format!("line {}: unknown kind {kind:?}", lineno + 1));
             }
             v.get("t_ns")

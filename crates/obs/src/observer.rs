@@ -229,7 +229,6 @@ impl Observer for TracingObserver {
             EventKind::FaultInjected { .. } => r.inc(CounterId::FaultsInjected),
             EventKind::HistUnderflow { count } => r.add(CounterId::HistUnderflow, count),
             EventKind::ShardBarrier { .. } => r.inc(CounterId::ShardBarriers),
-            EventKind::AdmissionRejected { .. } => r.inc(CounterId::AdmissionRejected),
             EventKind::ShadowReclaimed { .. } => r.inc(CounterId::ShadowReclaimed),
             EventKind::PromotionBackoff { .. } => r.inc(CounterId::PromotionBackoffs),
         }

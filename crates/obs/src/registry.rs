@@ -93,8 +93,6 @@ registry_ids! {
         HistUnderflow => "hist_underflows_total",
         /// Epoch-barrier telemetry events emitted by sharded runs.
         ShardBarriers => "shard_barriers_total",
-        /// Promotions rejected by payback-based admission control.
-        AdmissionRejected => "admission_rejected_total",
         /// Shadow frames invalidated and freed.
         ShadowReclaimed => "shadow_reclaimed_total",
         /// Re-promotions backed off by anti-thrashing hysteresis.

@@ -62,7 +62,10 @@ pub const SNAP_MAGIC: [u8; 8] = *b"MEMTISSN";
 /// carries a presence byte, and the six hint-fault / scan baselines
 /// (AutoNUMA, AutoTiering, Tiering-0.8, Nimble, MULTI-CLOCK, TMTS)
 /// serialize their state.
-pub const SNAP_VERSION: u32 = 4;
+///
+/// v5: admission control is gone — the engine-modes section lost its
+/// admission record and the migration stats their two admission counters.
+pub const SNAP_VERSION: u32 = 5;
 
 /// Errors surfaced while decoding (or, for over-long collections,
 /// encoding) a snapshot.

@@ -146,34 +146,6 @@ impl Default for TlbSpec {
     }
 }
 
-/// TierBPF-style migration admission control (engine mode, default off).
-///
-/// Before a promotion enqueues, the machine estimates the payback time from
-/// the source region's recent demand-access rate against the transfer cost
-/// plus the link's current queue-wait tail. Promotions that cannot pay back
-/// within the horizon are rejected with
-/// [`crate::error::SimError::AdmissionRejected`].
-#[derive(Debug, Clone)]
-pub struct AdmissionConfig {
-    /// Maximum tolerated payback time (ns, sim time). A promotion whose
-    /// estimated cost cannot be recouped by latency savings within this
-    /// horizon is rejected.
-    pub horizon_ns: f64,
-    /// Width of the access-rate sampling window (ns, sim time). Region
-    /// access counters rotate through two half-windows so the observed rate
-    /// always covers between one and two windows of history.
-    pub window_ns: f64,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            horizon_ns: 50_000_000.0,
-            window_ns: 1_000_000.0,
-        }
-    }
-}
-
 /// Jenga-style anti-thrashing hysteresis (engine mode, default off).
 ///
 /// A per-region ping-pong detector: a promote→demote→promote sequence
@@ -218,9 +190,6 @@ pub struct MigrationConfig {
     /// Extra latency charged to an LLC-missing demand access served by a
     /// tier whose migration link is actively copying (ns).
     pub contention_penalty_ns: f64,
-    /// Payback-based promotion admission control. `None` (the default)
-    /// admits every migration, bit-identical to the pre-mode engine.
-    pub admission: Option<AdmissionConfig>,
     /// Nomad-style non-exclusive transactional migration: keep the clean
     /// source copy as a shadow after copy-then-remap, so cold-again pages
     /// demote for free and dirty aborts roll back without a wasted pass.
@@ -238,7 +207,6 @@ impl Default for MigrationConfig {
             queue_depth: 128,
             max_recopies: 2,
             contention_penalty_ns: 25.0,
-            admission: None,
             shadow: false,
             hysteresis: None,
         }

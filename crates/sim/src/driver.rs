@@ -144,15 +144,12 @@ pub struct DriverConfig {
     /// Migration admission-queue depth override; `None` keeps the machine
     /// config's setting.
     pub migration_queue: Option<usize>,
-    /// Payback-based admission-control override: `Some(Some(cfg))` turns
-    /// the mode on with `cfg`, `Some(None)` forces it off, `None` keeps
-    /// the machine config's setting.
-    pub admission: Option<Option<crate::config::AdmissionConfig>>,
-    /// Shadow-copy (non-exclusive transactional migration) override;
-    /// `None` keeps the machine config's setting.
-    pub shadow: Option<bool>,
-    /// Anti-thrashing hysteresis override (same shape as `admission`).
-    pub hysteresis: Option<Option<crate::config::HysteresisConfig>>,
+    /// Turns shadow copies (non-exclusive transactional migration) on;
+    /// `false` keeps the machine config's setting.
+    pub shadow: bool,
+    /// Turns anti-thrashing hysteresis on with this configuration; `None`
+    /// keeps the machine config's setting.
+    pub hysteresis: Option<crate::config::HysteresisConfig>,
     /// Fault-injection plan. `None` — and any inert plan — leaves every
     /// code path bit-exact with a normal run.
     pub faults: Option<FaultPlan>,
@@ -191,8 +188,7 @@ impl Default for DriverConfig {
             window_events: 100_000,
             migration_bw: None,
             migration_queue: None,
-            admission: None,
-            shadow: None,
+            shadow: false,
             hysteresis: None,
             faults: None,
             chunk: DEFAULT_CHUNK,
@@ -522,14 +518,11 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         if let Some(q) = cfg.migration_queue {
             machine_cfg.migration.queue_depth = q;
         }
-        if let Some(a) = &cfg.admission {
-            machine_cfg.migration.admission = a.clone();
-        }
-        if let Some(s) = cfg.shadow {
-            machine_cfg.migration.shadow = s;
+        if cfg.shadow {
+            machine_cfg.migration.shadow = true;
         }
         if let Some(h) = &cfg.hysteresis {
-            machine_cfg.migration.hysteresis = h.clone();
+            machine_cfg.migration.hysteresis = Some(h.clone());
         }
         let mut machine = Machine::new(machine_cfg);
         let drv_faults = match &cfg.faults {
@@ -1407,17 +1400,6 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                 let o = sc.outcome(k as usize);
                 self.machine
                     .flight_insert_sample(o.tier, o.page_size, o.latency_ns);
-            }
-        }
-        if self.machine.fold_wants_access_notes() {
-            // Admission demand counters are commutative (saturating
-            // adds), so lane-order replay equals stream-order replay.
-            for sc in sh.lanes.iter() {
-                for k in 0..sc.outcome_count() {
-                    let o = sc.outcome(k);
-                    self.machine
-                        .mode_note_demand(o.vpage, o.page_size, sc.access(k).is_store());
-                }
             }
         }
         shard::merge_records(&sh.lanes, self.wall_ns, &mut sh.heap, records);

@@ -38,11 +38,6 @@ pub enum SimError {
     QueueFull,
     /// The page already has an in-flight (or queued) transfer covering it.
     InFlight(VirtPage),
-    /// Admission control predicted the migration cannot pay back its
-    /// transfer cost within the configured horizon. Back-pressure, not an
-    /// error: the page may well be admitted later when it gets hotter or
-    /// the link gets quieter.
-    AdmissionRejected(VirtPage),
     /// Anti-thrashing hysteresis is backing off re-promotion of this
     /// page's region after a promote→demote→promote ping-pong. Back-
     /// pressure, not an error.
@@ -71,9 +66,6 @@ impl fmt::Display for SimError {
             SimError::SameTier(t) => write!(f, "page already resides on {t}"),
             SimError::QueueFull => write!(f, "migration admission queue is full"),
             SimError::InFlight(p) => write!(f, "{p} already has an in-flight transfer"),
-            SimError::AdmissionRejected(p) => {
-                write!(f, "{p} migration rejected: payback exceeds horizon")
-            }
             SimError::PromotionBackoff(p) => {
                 write!(f, "{p} re-promotion backed off by hysteresis")
             }

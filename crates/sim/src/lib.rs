@@ -54,8 +54,7 @@ pub mod prelude {
         NR_SUBPAGES,
     };
     pub use crate::config::{
-        AdmissionConfig, CostModel, HysteresisConfig, MachineConfig, MemoryKind, MigrationConfig,
-        TierSpec, TlbSpec,
+        CostModel, HysteresisConfig, MachineConfig, MemoryKind, MigrationConfig, TierSpec, TlbSpec,
     };
     pub use crate::driver::{
         AccessStream, DriverConfig, RunReport, ShardMetrics, Simulation, WorkloadEvent,

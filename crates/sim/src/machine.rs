@@ -18,7 +18,7 @@ use crate::engine::{
 };
 use crate::error::{SimError, SimResult};
 use crate::faults::{FaultCounters, FaultInjector, FaultPlan, FaultRecord, MACHINE_FAULT_SALT};
-use crate::modes::{ModeState, PAYBACK_NEVER_NS};
+use crate::modes::ModeState;
 use crate::page_table::{EntryMut, PageTable, Translation};
 use crate::stats::MachineStats;
 use crate::tier::{tier_of, TierAllocator};
@@ -233,7 +233,7 @@ pub struct Machine {
     /// Observer-side only — never feeds back into simulation results.
     flight_skip: u64,
     flight_rng: u64,
-    /// Engine-mode state (admission control, shadow copies, hysteresis);
+    /// Engine-mode state (shadow copies, hysteresis);
     /// `None` — one pointer test on the instrumented paths — unless at
     /// least one mode is configured on, so modes-off runs stay
     /// byte-identical to pre-mode builds.
@@ -311,7 +311,7 @@ impl Machine {
         // immediately instead of burning a wasted re-copy pass.
         engine.set_txn_dirty_abort(cfg.migration.shadow);
         let modes = ModeState::from_config(&cfg.migration);
-        let mut m = Machine {
+        Machine {
             tlb: Tlb::new(&cfg.tlb),
             llc: Llc::new(cfg.llc_bytes),
             tiers,
@@ -325,13 +325,7 @@ impl Machine {
             lanes: None,
             modes,
             cfg,
-        };
-        // Admission control reads the queue-wait tail from the flight
-        // recorder, so it must always be on while the mode is.
-        if m.cfg.migration.admission.is_some() {
-            m.attach_flight();
         }
-        m
     }
 
     /// Attaches the flight recorder: from now on demand accesses and
@@ -401,15 +395,6 @@ impl Machine {
         }
     }
 
-    /// Whether the sharded fold must replay per-access engine-mode notes at
-    /// all. Only admission control has an access hook that can be live
-    /// under sharding (shadow mode disables sharded bursts), so when it is
-    /// off the fold skips the replay loop entirely.
-    #[inline]
-    pub(crate) fn fold_wants_access_notes(&self) -> bool {
-        self.modes.as_ref().is_some_and(|m| m.admission.is_some())
-    }
-
     /// Cold half of the demand tap: one call per ~16 accesses draws the
     /// next skip gap, and says whether a recorder takes this sample.
     #[inline(never)]
@@ -425,32 +410,18 @@ impl Machine {
         self.flight.is_some()
     }
 
-    /// Engine-mode access hook: feeds the region demand counters that back
-    /// admission control, and invalidates (store paths only) the shadow
-    /// copy of a written mapping — a write makes the retained source frame
-    /// stale, so it is freed on the spot and its reclaim event queued for
-    /// the next [`Machine::pump_transfers`]. One pointer test when every
-    /// mode is off.
-    ///
-    /// The sharded coordinator fold calls this too, replaying lane outcomes
-    /// (the lanes themselves never touch machine-global state). Shadow mode
-    /// disables sharded bursts entirely, so only the admission counters
-    /// ever tick from there.
+    /// Engine-mode store hook: invalidates the shadow copy of a written
+    /// mapping — a write makes the retained source frame stale, so it is
+    /// freed on the spot and its reclaim event queued for the next
+    /// [`Machine::pump_transfers`]. Shadow mode disables deferred batching
+    /// and sharded bursts, so this runs per store in stream order.
     #[inline]
-    pub(crate) fn mode_note_demand(&mut self, vpage: VirtPage, size: PageSize, is_store: bool) {
-        let Some(modes) = self.modes.as_mut() else {
-            return;
+    fn mode_note_store(&mut self, vpage: VirtPage, size: PageSize) {
+        let key = match size {
+            PageSize::Base => vpage,
+            PageSize::Huge => vpage.huge_aligned(),
         };
-        if let Some(a) = modes.admission.as_mut() {
-            a.note_access(vpage);
-        }
-        if is_store && modes.shadow.is_some() {
-            let key = match size {
-                PageSize::Base => vpage,
-                PageSize::Huge => vpage.huge_aligned(),
-            };
-            self.shadow_invalidate(key);
-        }
+        self.shadow_invalidate(key);
     }
 
     /// Frees the retained shadow of `key` (if any), counts the reclaim, and
@@ -545,16 +516,6 @@ impl Machine {
             .as_ref()
             .and_then(|m| m.shadow.as_ref())
             .is_some_and(|sh| sh.has_pending_events())
-    }
-
-    /// Payback estimate (ns) of the most recent admission-gated promotion
-    /// (clamped to [`PAYBACK_NEVER_NS`]); for event emission after an
-    /// [`SimError::AdmissionRejected`].
-    pub fn last_admission_payback_ns(&self) -> f64 {
-        self.modes
-            .as_ref()
-            .and_then(|m| m.admission.as_ref())
-            .map_or(0.0, |a| a.last_payback_ns)
     }
 
     /// Backoff deadline (ns) of the most recent hysteresis rejection; for
@@ -863,8 +824,8 @@ impl Machine {
             self.engine.note_store(vpage);
         }
 
-        if self.modes.is_some() {
-            self.mode_note_demand(vpage, size, is_store);
+        if is_store && self.modes.is_some() {
+            self.mode_note_store(vpage, size);
         }
 
         // NUMA-hint fault: trap cost, then the access proceeds (the driver
@@ -1095,8 +1056,8 @@ impl Machine {
         }
 
         // Mirror of the fast path's engine-mode hook.
-        if self.modes.is_some() {
-            self.mode_note_demand(vpage, tr.size, access.is_store());
+        if access.is_store() && self.modes.is_some() {
+            self.mode_note_store(vpage, tr.size);
         }
 
         // Cache and memory.
@@ -1342,9 +1303,9 @@ impl Machine {
     /// Higher `priority` transfers win the link first.
     ///
     /// Validation failures count in
-    /// [`crate::stats::MigrationStats::failed`]; admission-control
-    /// rejections ([`SimError::QueueFull`], [`SimError::InFlight`]) do not —
-    /// they are back-pressure, not errors.
+    /// [`crate::stats::MigrationStats::failed`]; back-pressure rejections
+    /// ([`SimError::QueueFull`], [`SimError::InFlight`],
+    /// [`SimError::PromotionBackoff`]) do not.
     pub fn enqueue_migration(
         &mut self,
         vpage: VirtPage,
@@ -1378,10 +1339,7 @@ impl Machine {
             Err(e) => {
                 if !matches!(
                     e,
-                    SimError::QueueFull
-                        | SimError::InFlight(_)
-                        | SimError::AdmissionRejected(_)
-                        | SimError::PromotionBackoff(_)
+                    SimError::QueueFull | SimError::InFlight(_) | SimError::PromotionBackoff(_)
                 ) {
                     self.stats.migration.failed += 1;
                 }
@@ -1396,10 +1354,8 @@ impl Machine {
     /// flight) fall through with `Ok(None)` so the normal path reports
     /// them with exact legacy accounting. Otherwise:
     ///
-    /// - a **promotion** is first checked against the hysteresis backoff
-    ///   ([`SimError::PromotionBackoff`]) and then against the admission
-    ///   payback horizon ([`SimError::AdmissionRejected`]) — both are
-    ///   back-pressure, not failures;
+    /// - a **promotion** is checked against the hysteresis backoff
+    ///   ([`SimError::PromotionBackoff`]) — back-pressure, not a failure;
     /// - a **demotion** whose destination holds a still-clean shadow of
     ///   the page completes for free: the mapping is remapped back to the
     ///   retained frame and `Ok(Some(Done))` is returned with zero bytes
@@ -1418,7 +1374,7 @@ impl Machine {
         }
 
         if dst.0 < src.0 {
-            // Promotion: anti-thrashing backoff first (cheapest check).
+            // Promotion: anti-thrashing backoff.
             if let Some(h) = self.modes.as_mut().and_then(|m| m.hysteresis.as_mut()) {
                 let until = h.backoff_until(vpage);
                 if now_ns < until {
@@ -1426,36 +1382,6 @@ impl Machine {
                     self.stats.migration.promotion_backoffs += 1;
                     return Err(SimError::PromotionBackoff(vpage));
                 }
-            }
-            // Then payback-based admission: the copy must earn back its
-            // cost (including the link's current queue-wait tail) through
-            // the latency gap times the region's observed access rate,
-            // within the horizon.
-            if self.modes.as_ref().is_some_and(|m| m.admission.is_some()) {
-                let queue_wait_p90 =
-                    self.flight
-                        .as_ref()
-                        .map_or(0, |f| f.queue_wait.percentile(0.9)) as f64;
-                let cost = self.transfer_cost_ns(src, dst, tr.size.bytes(), 0) + queue_wait_p90;
-                let gap = (self.cfg.tier(src).load_ns - self.cfg.tier(dst).load_ns).max(0.0);
-                let a = self
-                    .modes
-                    .as_mut()
-                    .and_then(|m| m.admission.as_mut())
-                    .expect("checked above");
-                let rate = a.rate(vpage, now_ns);
-                let savings_per_ns = rate * gap;
-                let payback = if savings_per_ns > 0.0 {
-                    (cost / savings_per_ns).min(PAYBACK_NEVER_NS)
-                } else {
-                    PAYBACK_NEVER_NS
-                };
-                a.last_payback_ns = payback;
-                if payback > a.cfg.horizon_ns {
-                    self.stats.migration.admission_rejects += 1;
-                    return Err(SimError::AdmissionRejected(vpage));
-                }
-                self.stats.migration.admission_payback_ns += payback;
             }
             return Ok(None);
         }
@@ -2402,57 +2328,13 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Engine modes: admission control, shadow copies, hysteresis.
+    // Engine modes: shadow copies, hysteresis.
     // -----------------------------------------------------------------
 
     fn shadow_machine() -> Machine {
         let mut cfg = MachineConfig::dram_nvm(4 * HUGE_PAGE_SIZE, 16 * HUGE_PAGE_SIZE);
         cfg.migration.shadow = true;
         Machine::new(cfg)
-    }
-
-    #[test]
-    fn admission_rejects_cold_promotions_and_admits_hot_ones() {
-        let mut cfg = MachineConfig::dram_nvm(4 * HUGE_PAGE_SIZE, 16 * HUGE_PAGE_SIZE);
-        cfg.migration.admission = Some(crate::config::AdmissionConfig::default());
-        let mut m = Machine::new(cfg);
-        m.alloc_and_map(VirtPage(0), PageSize::Base, TierId::CAPACITY)
-            .unwrap();
-        // No recorded demand: the copy can never pay back.
-        assert!(matches!(
-            m.enqueue_migration(VirtPage(0), TierId::FAST, 0, 1_000.0),
-            Err(SimError::AdmissionRejected(VirtPage(0)))
-        ));
-        assert_eq!(m.stats.migration.admission_rejects, 1);
-        assert_eq!(m.last_admission_payback_ns(), PAYBACK_NEVER_NS);
-        // Rejections are policy decisions, not failures.
-        assert_eq!(m.stats.migration.failed, 0);
-        // A hot region pays back quickly and is admitted.
-        for _ in 0..256 {
-            m.access(Access::load(0)).unwrap();
-        }
-        let h = m
-            .enqueue_migration(VirtPage(0), TierId::FAST, 0, 100_000.0)
-            .unwrap();
-        assert!(h.is_done());
-        assert_eq!(m.stats.migration.admission_rejects, 1);
-        assert!(m.stats.migration.admission_payback_ns > 0.0);
-        assert!(m.last_admission_payback_ns() <= 50_000_000.0);
-    }
-
-    #[test]
-    fn admission_does_not_gate_demotions() {
-        let mut cfg = MachineConfig::dram_nvm(4 * HUGE_PAGE_SIZE, 16 * HUGE_PAGE_SIZE);
-        cfg.migration.admission = Some(crate::config::AdmissionConfig::default());
-        let mut m = Machine::new(cfg);
-        m.alloc_and_map(VirtPage(0), PageSize::Base, TierId::FAST)
-            .unwrap();
-        // Stone cold, yet demotion passes the gate untouched.
-        let h = m
-            .enqueue_migration(VirtPage(0), TierId::CAPACITY, 0, 1_000.0)
-            .unwrap();
-        assert!(h.is_done());
-        assert_eq!(m.stats.migration.admission_rejects, 0);
     }
 
     #[test]
@@ -2591,15 +2473,11 @@ mod tests {
     #[test]
     fn machine_snapshot_round_trips_mode_state() {
         let mut cfg = MachineConfig::dram_nvm(4 * HUGE_PAGE_SIZE, 16 * HUGE_PAGE_SIZE);
-        cfg.migration.admission = Some(crate::config::AdmissionConfig::default());
         cfg.migration.shadow = true;
         cfg.migration.hysteresis = Some(crate::config::HysteresisConfig::default());
         let mut m = Machine::new(cfg.clone());
         m.alloc_and_map(VirtPage(0), PageSize::Huge, TierId::CAPACITY)
             .unwrap();
-        for _ in 0..256 {
-            m.access(Access::load(0)).unwrap();
-        }
         m.enqueue_migration(VirtPage(0), TierId::FAST, 0, 100_000.0)
             .unwrap();
         assert_eq!(m.shadow_count(), 1);

@@ -1,13 +1,8 @@
 //! Composable migration-engine modes (all default-off).
 //!
-//! Three policy-family refinements from the 2024–25 tiering literature,
+//! Two policy-family refinements from the 2024–25 tiering literature,
 //! layered on the async engine without touching baseline behavior:
 //!
-//! - **Admission control** (TierBPF-style): gate each promotion on a
-//!   predicted payback time — transfer cost plus current queue-wait tail,
-//!   divided by the latency savings the region's recent demand-access rate
-//!   would realize — and reject promotions that cannot pay back within a
-//!   horizon.
 //! - **Shadow copies** (Nomad-style non-exclusive transactional
 //!   migration): retain the clean source frame after a promotion so a
 //!   cold-again page demotes for free (remap, zero bytes copied) and a
@@ -23,109 +18,16 @@
 //! stream order (the driver disables deferred batching and sharded bursts
 //! while shadow mode is on) or at boundary points (policy hooks, engine
 //! pumps) that land identically for every chunk/shard configuration.
-//! Admission counters are commutative increments and are only *read* at
-//! boundary points, so they tolerate the batched paths.
 
 use crate::addr::{Frame, PageSize, TierId, VirtPage};
-use crate::config::{AdmissionConfig, HysteresisConfig, MigrationConfig};
-use memtis_obs::SnapError;
+use crate::config::{HysteresisConfig, MigrationConfig};
 use std::collections::BTreeMap;
 
-/// 2 MiB region index of a virtual page (the admission/hysteresis granule).
+/// 2 MiB region index of a virtual page (the hysteresis granule).
 #[inline]
 fn region_of(vpage: VirtPage) -> u64 {
     vpage.0 >> 9
 }
-
-/// Payback clamp for regions with no observed demand (≈ 32 sim-years):
-/// finite so it serializes as plain JSON, unpayable within any horizon.
-pub const PAYBACK_NEVER_NS: f64 = 1e18;
-
-/// Cap on the dense region-counter tables (1 Mi regions = 2 TiB of virtual
-/// address space at 4 B/region). Accesses beyond the cap are not counted,
-/// so their regions always look idle to admission control.
-const MAX_REGIONS: usize = 1 << 20;
-
-/// Per-region demand-access rate tracker for admission control.
-///
-/// Dense `Vec<u32>` counters indexed by 2 MiB region, rotated through two
-/// spans so a rate read always covers between one and two spans of
-/// history. Rotation is lazy — it happens on the next rate read at least
-/// `window_ns` after the span began — so the hot access path is a bounds
-/// check and an increment.
-#[derive(Debug)]
-pub(crate) struct AdmissionState {
-    pub cfg: AdmissionConfig,
-    /// Counters of the current (open) span.
-    cur: Vec<u32>,
-    /// Counters of the previous (closed) span.
-    prev: Vec<u32>,
-    /// Simulated time the current span opened.
-    window_start_ns: f64,
-    /// Duration the previous span covered (0 until the first rotation).
-    prev_span_ns: f64,
-    /// Payback estimate of the most recent gated promotion, for event
-    /// emission (the error variant cannot carry an f64 and stay `Eq`).
-    pub last_payback_ns: f64,
-}
-
-impl AdmissionState {
-    fn new(cfg: AdmissionConfig) -> Self {
-        AdmissionState {
-            cfg,
-            cur: Vec::new(),
-            prev: Vec::new(),
-            window_start_ns: 0.0,
-            prev_span_ns: 0.0,
-            last_payback_ns: 0.0,
-        }
-    }
-
-    /// Counts one demand access against the page's region.
-    #[inline]
-    pub fn note_access(&mut self, vpage: VirtPage) {
-        let idx = region_of(vpage) as usize;
-        if idx >= MAX_REGIONS {
-            return;
-        }
-        if idx >= self.cur.len() {
-            self.cur.resize(idx + 1, 0);
-        }
-        self.cur[idx] = self.cur[idx].saturating_add(1);
-    }
-
-    /// Observed access rate of the page's region (accesses per ns),
-    /// averaged over the last one-to-two spans, then lazily rotates the
-    /// window if the current span has run at least `window_ns`.
-    pub fn rate(&mut self, vpage: VirtPage, now_ns: f64) -> f64 {
-        let idx = region_of(vpage) as usize;
-        let cur = self.cur.get(idx).copied().unwrap_or(0) as f64;
-        let prev = self.prev.get(idx).copied().unwrap_or(0) as f64;
-        let elapsed = (now_ns - self.window_start_ns).max(0.0);
-        let span = elapsed + self.prev_span_ns;
-        let rate = if span > 0.0 { (cur + prev) / span } else { 0.0 };
-        if elapsed >= self.cfg.window_ns {
-            std::mem::swap(&mut self.cur, &mut self.prev);
-            self.cur.clear();
-            self.prev_span_ns = elapsed;
-            self.window_start_ns = now_ns;
-        }
-        rate
-    }
-}
-
-memtis_obs::snap_struct!(in AdmissionState {
-    cur,
-    prev,
-    window_start_ns,
-    prev_span_ns,
-    last_payback_ns,
-} check |a: &mut AdmissionState| {
-    if a.cur.len() > MAX_REGIONS || a.prev.len() > MAX_REGIONS {
-        return Err(SnapError::Corrupt("region counter table too large"));
-    }
-    Ok(())
-});
 
 /// One retained shadow frame: the clean pre-promotion source copy.
 #[derive(Debug, Clone, Copy)]
@@ -348,7 +250,6 @@ memtis_obs::snap_struct!(in HysteresisState {
 /// configured on.
 #[derive(Debug)]
 pub(crate) struct ModeState {
-    pub admission: Option<AdmissionState>,
     pub shadow: Option<ShadowState>,
     pub hysteresis: Option<HysteresisState>,
 }
@@ -357,11 +258,10 @@ impl ModeState {
     /// Builds mode state from the migration configuration; `None` when
     /// every mode is off (the zero-cost default).
     pub fn from_config(cfg: &MigrationConfig) -> Option<Box<ModeState>> {
-        if cfg.admission.is_none() && !cfg.shadow && cfg.hysteresis.is_none() {
+        if !cfg.shadow && cfg.hysteresis.is_none() {
             return None;
         }
         Some(Box::new(ModeState {
-            admission: cfg.admission.clone().map(AdmissionState::new),
             shadow: cfg.shadow.then(ShadowState::default),
             hysteresis: cfg.hysteresis.clone().map(HysteresisState::new),
         }))
@@ -371,7 +271,6 @@ impl ModeState {
 // Every enabled mode's state, each behind a presence byte, so a restore
 // into a differently-configured machine is rejected.
 memtis_obs::snap_struct!(in ModeState {
-    @in admission,
     @in shadow,
     @in hysteresis,
 });
@@ -380,24 +279,6 @@ memtis_obs::snap_struct!(in ModeState {
 mod tests {
     use super::*;
     use memtis_obs::{SnapFields, SnapReader, SnapWriter};
-
-    #[test]
-    fn admission_rate_tracks_recent_accesses() {
-        let mut a = AdmissionState::new(AdmissionConfig {
-            horizon_ns: 1e9,
-            window_ns: 1000.0,
-        });
-        for _ in 0..100 {
-            a.note_access(VirtPage(3)); // region 0
-        }
-        // 100 accesses over 1000 ns => 0.1 acc/ns.
-        assert!((a.rate(VirtPage(3), 1000.0) - 0.1).abs() < 1e-12);
-        // That read rotated the window; the next span starts empty but the
-        // previous span still contributes.
-        assert!((a.rate(VirtPage(3), 1500.0) - 100.0 / 1500.0).abs() < 1e-12);
-        // A region never touched has rate zero.
-        assert_eq!(a.rate(VirtPage(512 * 9), 1500.0), 0.0);
-    }
 
     #[test]
     fn shadow_retain_take_invalidate_track_bytes() {
@@ -448,14 +329,11 @@ mod tests {
     #[test]
     fn mode_state_snapshot_round_trips() {
         let cfg = MigrationConfig {
-            admission: Some(AdmissionConfig::default()),
             shadow: true,
             hysteresis: Some(HysteresisConfig::default()),
             ..MigrationConfig::default()
         };
         let mut m = ModeState::from_config(&cfg).unwrap();
-        m.admission.as_mut().unwrap().note_access(VirtPage(7));
-        m.admission.as_mut().unwrap().rate(VirtPage(7), 2e6);
         let sh = m.shadow.as_mut().unwrap();
         sh.retain(VirtPage(0), Frame(99), TierId(1), PageSize::Huge);
         sh.invalidate(VirtPage(0));

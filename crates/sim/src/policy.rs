@@ -241,18 +241,8 @@ impl<'a> PolicyOps<'a> {
                 }
                 Ok(h)
             }
-            // Engine-mode back-pressure gets dedicated events carrying the
-            // gate's numbers; neither is a `MigrationFailed`.
-            Err(e @ SimError::AdmissionRejected(_)) => {
-                if self.tracing() {
-                    self.emit(EventKind::AdmissionRejected {
-                        vpage: vpage.0,
-                        to: dst.0,
-                        payback_ns: self.machine.last_admission_payback_ns(),
-                    });
-                }
-                Err(e)
-            }
+            // Hysteresis back-pressure gets a dedicated event carrying the
+            // backoff deadline; it is not a `MigrationFailed`.
             Err(e @ SimError::PromotionBackoff(_)) => {
                 if self.tracing() {
                     self.emit(EventKind::PromotionBackoff {

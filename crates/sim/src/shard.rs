@@ -186,12 +186,6 @@ impl LaneScratch {
         self.outcomes[idx]
     }
 
-    /// The `idx`-th queued access.
-    #[inline]
-    pub fn access(&self, idx: usize) -> Access {
-        self.accesses[idx]
-    }
-
     /// Burst-local stream indices of the accesses this lane did not execute
     /// (it stopped at an unmapped or hint-armed page), ascending.
     #[inline]

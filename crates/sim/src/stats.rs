@@ -33,12 +33,6 @@ pub struct MigrationStats {
     pub recopies: u64,
     /// Peak number of simultaneously queued + copying transfers.
     pub in_flight_peak: u64,
-    /// Promotions rejected by payback-based admission control (engine mode;
-    /// zero when the mode is off).
-    pub admission_rejects: u64,
-    /// Cumulative estimated payback time of *admitted* promotions (ns).
-    /// Divide by admitted promotions for the mean predicted payback.
-    pub admission_payback_ns: f64,
     /// Promotions rejected by anti-thrashing hysteresis backoff.
     pub promotion_backoffs: u64,
     /// Source frames retained as clean shadows after promotions (shadow
@@ -133,8 +127,6 @@ memtis_obs::snap_struct!(MigrationStats {
     aborted_bytes,
     recopies,
     in_flight_peak,
-    admission_rejects,
-    admission_payback_ns,
     promotion_backoffs,
     shadow_retained_4k,
     shadow_free_demotions_4k,

@@ -233,6 +233,43 @@ fn jsonl_export_is_byte_identical_across_same_seed_runs() {
     assert_eq!(summary.windows, r1.windows.len());
 }
 
+/// A traced, faulted run with both engine modes on emits the mode event
+/// kinds, and its JSONL export passes the validator.
+#[test]
+fn engine_mode_trace_validates() {
+    let bench = Benchmark::Graph500;
+    let mut wl = SpecStream::new(bench.spec(Scale::TEST, ACCESSES), SEED);
+    let cfg = DriverConfig {
+        migration_bw: Some(8.0),
+        shadow: true,
+        hysteresis: Some(HysteresisConfig::default()),
+        faults: Some(FaultPlan {
+            seed: 7,
+            abort_per_pump: 0.02,
+            dirty_per_pump: 0.05,
+            sample_drop: 0.05,
+            ..FaultPlan::default()
+        }),
+        ..driver()
+    };
+    let mut sim = Simulation::with_observer(
+        machine_for(bench, 8).with_bandwidth_scale(64.0),
+        MemtisPolicy::new(memtis_cfg()),
+        cfg,
+        TracingObserver::with_ring_capacity(1 << 20),
+    );
+    let report = sim.run(&mut wl).expect("simulation should complete");
+    let trace = export_jsonl(sim.observer(), &report.windows);
+    for kind in ["shadow_reclaimed", "promotion_backoff", "fault_injected"] {
+        assert!(
+            trace.contains(&format!(r#""kind":"{kind}""#)),
+            "no {kind} events in the trace"
+        );
+    }
+    let summary = validate_jsonl(&trace).expect("engine-mode JSONL must validate");
+    assert_eq!(summary.windows, report.windows.len());
+}
+
 #[test]
 fn perfetto_export_validates() {
     let (r, o) = run_traced(Benchmark::Liblinear);

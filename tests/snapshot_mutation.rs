@@ -4,7 +4,7 @@
 //! never accepted, never a panic.
 //!
 //! Cells: MEMTIS, TPP and HeMem, each modes-off unsharded and modes-on
-//! (admission + shadow + hysteresis) with two shards, all traced and
+//! (shadow + hysteresis) with two shards, all traced and
 //! faulted.
 
 use memtis_repro::baselines::{HememConfig, HememPolicy, TppConfig, TppPolicy};
@@ -34,9 +34,8 @@ fn driver(modes: bool) -> DriverConfig {
         window_events: 5_000,
         chunk: DEFAULT_CHUNK,
         shards: modes.then_some(2),
-        admission: modes.then(|| Some(AdmissionConfig::default())),
-        shadow: modes.then_some(true),
-        hysteresis: modes.then(|| Some(HysteresisConfig::default())),
+        shadow: modes,
+        hysteresis: modes.then(HysteresisConfig::default),
         faults: Some(FaultPlan {
             seed: 7,
             abort_per_pump: 0.05,
