@@ -18,7 +18,7 @@
 //!
 //! The driver flags are `run`'s `--window` through `--hysteresis`, less
 //! `--test-scale`. `--accesses` defaults to `MEMTIS_ACCESSES` (see
-//! [`access_budget`]).
+//! [`access_budget`]); a malformed `MEMTIS_ACCESSES` exits 2.
 //!
 //! `run` executes one cell once (traced only when it exports a trace or
 //! report or checkpoints) and prints its summary, the policy's end-of-run
@@ -54,8 +54,7 @@
 use memtis_bench::cli::{self, Args};
 use memtis_bench::{
     access_budget, benchmark_from_name, driver_config, machine_for, normalized, report_to_json,
-    run_baseline, run_cell, write_trace, CapacityKind, Ratio, RunFlags, SnapshotOpts, System,
-    Table, SEED,
+    run_cell, write_trace, CapacityKind, Cell, MachineSpec, Ratio, RunFlags, System, Table, SEED,
 };
 use memtis_sim::prelude::{NopObserver, Observer, RunReport, TieringPolicy, TracingObserver};
 use memtis_workloads::{Benchmark, Scale};
@@ -106,7 +105,7 @@ fn parse_opts(
     mut extra: impl FnMut(&str, &mut Args) -> Result<bool, String>,
 ) -> Opts {
     let (mut ratio, mut kind, mut policy) = (Ratio::DEFAULT, CapacityKind::Nvm, System::Memtis);
-    let mut accesses = access_budget();
+    let mut accesses = cli::or_exit(access_budget(), USAGE);
     let flags = cli::parse(args, shared, driver_config(), |arg, a| {
         if !cell.contains(&arg) {
             return extra(arg, a);
@@ -176,10 +175,9 @@ fn run_and_print<O: Observer>(bench: Benchmark, o: &Opts, obs: O) -> (RunReport,
     let policy = o.policy.build();
     let driver = f.driver(policy.batch_safe());
     let machine = machine_for(bench, scale, o.ratio, o.kind);
-    let (r, sim) = cli::run_or_exit(run_cell(
-        bench, scale, machine, policy, obs, driver, o.accesses, SEED, &f.snap,
-    ));
-    let base = run_baseline(bench, scale, o.kind, o.accesses);
+    let spec = bench.spec(scale, o.accesses);
+    let (r, sim) = cli::run_or_exit(run_cell(spec, machine, policy, obs, driver, SEED, &f.snap));
+    let base = baseline(bench, o);
     let tier = match o.kind {
         CapacityKind::Cxl => "CXL",
         CapacityKind::Nvm => "NVM",
@@ -250,6 +248,13 @@ fn run_and_print<O: Observer>(bench: Benchmark, o: &Opts, obs: O) -> (RunReport,
     (r, sim.into_observer())
 }
 
+/// The all-NVM (or all-CXL) run that `o`'s cell of `bench` is normalized
+/// against.
+fn baseline(bench: Benchmark, o: &Opts) -> RunReport {
+    let cell = Cell::baseline(bench, o.flags.scale, o.kind, o.accesses);
+    cli::run_or_exit(cell.run()).report
+}
+
 /// Runs every Fig. 5 system on one benchmark and prints them ranked.
 fn run_compare(args: &[String]) {
     let bench = bench_arg(args);
@@ -257,7 +262,7 @@ fn run_compare(args: &[String]) {
     let shared = [&DRIVER_FLAGS[..], &["--test-scale"]].concat();
     let o = parse_opts(&args[1..], &cell, &shared, |_, _| Ok(false));
     let scale = o.flags.scale;
-    let base = run_baseline(bench, scale, o.kind, o.accesses);
+    let base = baseline(bench, &o);
     let mut t = Table::new(vec![
         "policy",
         "normalized",
@@ -267,21 +272,12 @@ fn run_compare(args: &[String]) {
     ]);
     let mut rows: Vec<(f64, Vec<String>)> = Vec::new();
     for sys in System::FIG5 {
-        let machine = machine_for(bench, scale, o.ratio, o.kind);
-        let policy = sys.build();
-        let driver = o.flags.driver(policy.batch_safe());
-        let snap = SnapshotOpts::default();
-        let (r, _) = cli::run_or_exit(run_cell(
-            bench,
+        let cell = Cell {
             scale,
-            machine,
-            policy,
-            NopObserver,
-            driver,
-            o.accesses,
-            SEED,
-            &snap,
-        ));
+            driver: o.flags.driver(sys.build().batch_safe()),
+            ..Cell::new(bench, MachineSpec::Tiered(o.ratio, o.kind), sys, o.accesses)
+        };
+        let r = cli::run_or_exit(cell.run()).report;
         let n = normalized(&base, &r);
         rows.push((
             n,

@@ -49,7 +49,7 @@ fn main() {
     let mut ratios = vec![Ratio::DEFAULT];
     let mut seeds: u32 = 1;
     let mut kind = CapacityKind::Nvm;
-    let mut accesses = access_budget();
+    let mut accesses = cli::or_exit(access_budget(), USAGE);
     let flags = cli::parse(&args, &SHARED, driver_config(), |arg, a| {
         match arg {
             "--jobs" => jobs = a.value(arg)?,
@@ -65,7 +65,6 @@ fn main() {
     });
     let flags = cli::or_exit(flags, USAGE);
 
-    let cells = matrix(&systems, &benches, &ratios, kind, seeds.max(1));
     // `--shards auto` falls back to serial whenever the cells would
     // (active fault plans, migration bandwidth caps, shadow migration,
     // batch-unsafe policies, per-event chunks, or a single-core host).
@@ -86,6 +85,12 @@ fn main() {
             host_cores
         );
     }
+    let cfg = SweepConfig {
+        scale: flags.scale,
+        accesses,
+        driver,
+    };
+    let cells = matrix(&systems, &benches, &ratios, kind, seeds.max(1), &cfg);
     println!(
         "sweep: {} cells ({} systems x {} benches x {} ratios x {} seeds), {} jobs, {} accesses/cell",
         cells.len(),
@@ -99,12 +104,6 @@ fn main() {
     if let Some(banner) = flags.modes_banner() {
         println!("{banner}");
     }
-    let cfg = SweepConfig {
-        jobs,
-        scale: flags.scale,
-        accesses,
-        driver,
-    };
-    let result = run_sweep(&cells, &cfg);
+    let result = run_sweep(&cells, jobs);
     emit_sweep("sweep", &result);
 }

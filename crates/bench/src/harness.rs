@@ -1,10 +1,11 @@
-//! Experiment harness: machine configurations, system registry, run matrix.
+//! Experiment harness: machine configurations, system registry, run entry.
 //!
-//! Everything the per-figure bench targets share: tiering-ratio machine
-//! setup (§6.1), the policy registry, normalized-performance computation
-//! (relative to all-NVM-with-THP, as in every paper figure), and geometric
-//! means.
+//! Everything the binaries and the `paper` bench share: tiering-ratio
+//! machine setup (§6.1), the policy registry, the generic run entry
+//! [`run_cell`], normalized-performance computation (relative to
+//! all-NVM-with-THP, as in every paper figure), and geometric means.
 
+use crate::paper::MachineSpec;
 use memtis_baselines::{
     AutoNumaConfig, AutoNumaPolicy, AutoTieringConfig, AutoTieringPolicy, HememConfig, HememPolicy,
     MultiClockConfig, MultiClockPolicy, NimbleConfig, NimblePolicy, StaticPolicy, Tiering08Config,
@@ -12,7 +13,7 @@ use memtis_baselines::{
 };
 use memtis_core::{MemtisConfig, MemtisPolicy};
 use memtis_sim::prelude::*;
-use memtis_workloads::{Benchmark, Scale, SpecStream};
+use memtis_workloads::{Benchmark, Scale, SpecStream, WorkloadSpec};
 
 /// Default seed for all experiment streams.
 pub const SEED: u64 = 20231023; // SOSP '23 opening day.
@@ -24,12 +25,20 @@ pub const SEED: u64 = 20231023; // SOSP '23 opening day.
 /// movement — stays in the paper's regime (see DESIGN.md).
 pub const TIME_COMPRESSION: f64 = 64.0;
 
-/// Access budget per run; override with `MEMTIS_ACCESSES`.
-pub fn access_budget() -> u64 {
-    std::env::var("MEMTIS_ACCESSES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_500_000)
+/// Access budget per run: `MEMTIS_ACCESSES`, or 1.5 M when it is unset. A
+/// value that is not a positive integer is an error naming the variable.
+pub fn access_budget() -> Result<u64, String> {
+    let v = match std::env::var("MEMTIS_ACCESSES") {
+        Err(std::env::VarError::NotPresent) => return Ok(1_500_000),
+        Err(e) => return Err(format!("bad MEMTIS_ACCESSES value: {e}")),
+        Ok(v) => v,
+    };
+    match v.parse::<u64>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "bad MEMTIS_ACCESSES value {v:?} (want a positive integer)"
+        )),
+    }
 }
 
 /// Looks a benchmark up by name, ignoring ASCII case (`silo`, `654.roms`).
@@ -111,23 +120,7 @@ pub fn machine_for(
     ratio: Ratio,
     kind: CapacityKind,
 ) -> MachineConfig {
-    let rss = bench.spec(scale, 1).total_bytes();
-    let fast = ratio.fast_bytes(rss);
-    // The capacity tier is sized generously: it must absorb the whole RSS
-    // (plus bloat and churn) when the fast tier is small.
-    let capacity = rss * 2 + 64 * HUGE_PAGE_SIZE;
-    let m = match kind {
-        CapacityKind::Nvm => MachineConfig::dram_nvm(fast, capacity),
-        CapacityKind::Cxl => MachineConfig::dram_cxl(fast, capacity),
-    };
-    m.with_bandwidth_scale(TIME_COMPRESSION)
-}
-
-/// Machine where everything fits in the fast tier (all-DRAM reference).
-pub fn machine_all_fast(bench: Benchmark, scale: Scale) -> MachineConfig {
-    let rss = bench.spec(scale, 1).total_bytes();
-    MachineConfig::dram_nvm(rss * 2 + 64 * HUGE_PAGE_SIZE, 64 * HUGE_PAGE_SIZE)
-        .with_bandwidth_scale(TIME_COMPRESSION)
+    MachineSpec::Tiered(ratio, kind).build(bench.spec(scale, 1).total_bytes())
 }
 
 /// Default telemetry window length (workload events) for experiments.
@@ -253,41 +246,44 @@ impl System {
             System::Tpp => Box::new(TppPolicy::new(TppConfig::default())),
             System::Nimble => Box::new(NimblePolicy::new(NimbleConfig::default())),
             System::Hemem => Box::new(HememPolicy::new(HememConfig::default())),
-            System::Memtis => Box::new(MemtisPolicy::new(MemtisConfig::sim_scaled())),
-            System::MemtisNs => Box::new(MemtisPolicy::new(
-                MemtisConfig::sim_scaled().without_split(),
-            )),
-            System::MemtisVanilla => {
-                Box::new(MemtisPolicy::new(MemtisConfig::sim_scaled().vanilla()))
-            }
+            System::Memtis | System::MemtisNs | System::MemtisVanilla => Box::new(
+                MemtisPolicy::new(self.memtis_config().expect("a MEMTIS variant")),
+            ),
             System::MultiClock => Box::new(MultiClockPolicy::new(MultiClockConfig::default())),
             System::Tmts => Box::new(TmtsPolicy::new(TmtsConfig::default())),
             System::AllNvm => Box::new(StaticPolicy::all_slow()),
             System::AllDram => Box::new(StaticPolicy::all_fast()),
         }
     }
+
+    /// The configuration of the MEMTIS variants; `None` for other systems.
+    pub fn memtis_config(&self) -> Option<MemtisConfig> {
+        match self {
+            System::Memtis => Some(MemtisConfig::sim_scaled()),
+            System::MemtisNs => Some(MemtisConfig::sim_scaled().without_split()),
+            System::MemtisVanilla => Some(MemtisConfig::sim_scaled().vanilla()),
+            _ => None,
+        }
+    }
 }
 
-/// Runs one experiment cell: `bench`'s stream at `scale`, `accesses` and
-/// `seed` on `machine`, under `policy` and `obs`, through the checkpoint
-/// schedule `snap` ([`run_snapshotted`]; the default [`SnapshotOpts`] is a
-/// plain run). Returns the report with the finished simulation, so the
-/// policy's internals and the observer come from the run that produced the
-/// report. Sweep matrix cells derive their own seeds; everything else uses
+/// Runs one experiment: `spec`'s stream at `seed` on `machine`, under
+/// `policy` and `obs`, through the checkpoint schedule `snap`
+/// ([`run_snapshotted`]; the default [`SnapshotOpts`] is a plain run).
+/// Returns the report with the finished simulation, so the policy's
+/// internals and the observer come from the run that produced the report.
+/// Sweep matrix cells derive their own seeds; everything else uses
 /// [`SEED`].
-#[allow(clippy::too_many_arguments)]
 pub fn run_cell<P: TieringPolicy, O: Observer>(
-    bench: Benchmark,
-    scale: Scale,
+    spec: WorkloadSpec,
     machine: MachineConfig,
     policy: P,
     obs: O,
     driver: DriverConfig,
-    accesses: u64,
     seed: u64,
     snap: &SnapshotOpts,
 ) -> SimResult<(RunReport, Simulation<P, O>)> {
-    let mut wl = SpecStream::new(bench.spec(scale, accesses), seed);
+    let mut wl = SpecStream::new(spec, seed);
     let mut sim = Simulation::with_observer(machine, policy, driver, obs);
     let report = run_snapshotted(&mut sim, &mut wl, snap)?;
     Ok((report, sim))
@@ -431,62 +427,6 @@ pub fn write_trace(
     }
 }
 
-/// Runs `system` on `bench` at the given ratio with the default driver
-/// config and access budget, and returns the report.
-pub fn run_system(
-    bench: Benchmark,
-    scale: Scale,
-    ratio: Ratio,
-    kind: CapacityKind,
-    system: System,
-) -> RunReport {
-    let machine = machine_for(bench, scale, ratio, kind);
-    run_default(bench, scale, machine, system.build(), access_budget()).0
-}
-
-/// Runs the all-NVM baseline for `bench` over `accesses` (the paper's
-/// normalization base: everything on the capacity tier, with THP).
-pub fn run_baseline(
-    bench: Benchmark,
-    scale: Scale,
-    kind: CapacityKind,
-    accesses: u64,
-) -> RunReport {
-    // A minimal fast tier that the All-NVM policy never uses.
-    let rss = bench.spec(scale, 1).total_bytes();
-    let capacity = rss * 2 + 64 * HUGE_PAGE_SIZE;
-    let machine = match kind {
-        CapacityKind::Nvm => MachineConfig::dram_nvm(2 * HUGE_PAGE_SIZE, capacity),
-        CapacityKind::Cxl => MachineConfig::dram_cxl(2 * HUGE_PAGE_SIZE, capacity),
-    }
-    .with_bandwidth_scale(TIME_COMPRESSION);
-    run_default(bench, scale, machine, System::AllNvm.build(), accesses).0
-}
-
-/// [`run_cell`] with the default driver config, untraced, at [`SEED`] and
-/// without checkpoints: the run every figure bench makes unless it varies
-/// one of those.
-pub fn run_default<P: TieringPolicy>(
-    bench: Benchmark,
-    scale: Scale,
-    machine: MachineConfig,
-    policy: P,
-    accesses: u64,
-) -> (RunReport, Simulation<P>) {
-    run_cell(
-        bench,
-        scale,
-        machine,
-        policy,
-        NopObserver,
-        driver_config(),
-        accesses,
-        SEED,
-        &SnapshotOpts::default(),
-    )
-    .expect("experiment run failed")
-}
-
 /// Normalized performance: baseline wall time over system wall time
 /// (higher is better; 1.0 == all-NVM).
 pub fn normalized(baseline: &RunReport, system: &RunReport) -> f64 {
@@ -543,22 +483,5 @@ mod tests {
             assert_eq!(System::from_name(&s.name().to_lowercase()), Ok(s));
         }
         assert!(System::from_name("nosuch").is_err());
-    }
-
-    #[test]
-    fn smoke_run_one_cell() {
-        std::env::set_var("MEMTIS_ACCESSES", "20000");
-        let scale = Scale::TEST;
-        let base = run_baseline(Benchmark::Roms, scale, CapacityKind::Nvm, 20_000);
-        let r = run_system(
-            Benchmark::Roms,
-            scale,
-            Ratio::DEFAULT,
-            CapacityKind::Nvm,
-            System::Memtis,
-        );
-        assert!(r.wall_ns > 0.0 && base.wall_ns > 0.0);
-        assert!(normalized(&base, &r) > 0.3);
-        std::env::remove_var("MEMTIS_ACCESSES");
     }
 }

@@ -1,7 +1,7 @@
 //! Report rendering: aligned text tables and CSV emission.
 //!
-//! Every figure/table bench prints a human-readable table to stdout (what
-//! `cargo bench` captures) and writes the same data as CSV under
+//! Every figure and table of the `paper` bench prints a human-readable
+//! table to stdout and writes the same data as CSV under
 //! `target/experiments/` for plotting.
 
 use std::fmt::Write as _;

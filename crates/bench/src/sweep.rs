@@ -1,106 +1,59 @@
 //! Parallel experiment sweep runner.
 //!
-//! Fans a (policy × workload × ratio × seed) matrix across
-//! `std::thread::scope` workers. Each cell owns its `Machine`, policy, and
-//! workload stream, so there is no shared mutable state between cells —
-//! parallel execution is bit-identical to serial execution:
+//! Fans a list of [`Cell`]s — the `sweep` binary's (policy × workload ×
+//! ratio × seed) matrix, or the cells a paper figure requests — across
+//! `std::thread::scope` workers, running each distinct cell once. Each run
+//! owns its `Machine`, policy, and workload stream, so there is no shared
+//! mutable state between runs — parallel execution is bit-identical to
+//! serial execution:
 //!
-//! - every cell derives its workload seed deterministically from the cell
-//!   *coordinates* (FNV-1a over policy/benchmark/ratio/kind/seed-index
-//!   mixed with the global [`SEED`]), never from scheduling order;
-//! - workers pull cell indices from an atomic counter and write results
-//!   into per-cell slots, so the merged report is ordered by matrix index
+//! - every matrix cell derives its workload seed deterministically from its
+//!   *coordinates* ([`coordinate_seed`]: FNV-1a over
+//!   policy/benchmark/ratio/kind/replica mixed with the global [`SEED`]),
+//!   never from scheduling order;
+//! - workers pull run indices from an atomic counter and write outcomes
+//!   into per-run slots, so the merged report is ordered by request index
 //!   regardless of which worker finished first.
 //!
 //! The merged output is a [`Table`] (text + CSV via [`emit`]) plus a
 //! `BENCH_<name>.json` perf record (aggregate simulator events/sec, per-job
 //! scaling efficiency) via [`emit_bench_json`].
 
-use crate::harness::{machine_for, run_cell, CapacityKind, Ratio, SnapshotOpts, System, SEED};
+use crate::harness::{CapacityKind, Ratio, System, SEED};
+use crate::paper::{Cell, MachineSpec, Outcome};
 use crate::report::{emit, emit_bench_json, Table};
-use memtis_sim::prelude::{DriverConfig, Fnv1a, NopObserver, RunReport};
+use memtis_sim::prelude::{DriverConfig, Fnv1a};
 use memtis_workloads::{Benchmark, Scale};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One cell of the sweep matrix.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepCell {
-    /// Tiering system under test.
-    pub system: System,
-    /// Workload.
-    pub bench: Benchmark,
-    /// Fast:capacity tiering ratio.
-    pub ratio: Ratio,
-    /// Capacity-tier memory kind.
-    pub kind: CapacityKind,
-    /// Seed replica index (0-based) for multi-seed sweeps.
-    pub seed_index: u32,
-}
-
-impl SweepCell {
-    /// Deterministic per-cell workload seed, derived from the cell
-    /// coordinates so it is independent of matrix order and scheduling.
-    /// The mix order is frozen (seeds are part of the recorded results):
-    /// global seed, system, benchmark, ratio, kind, replica index.
-    pub fn seed(&self) -> u64 {
-        Fnv1a::new()
-            .mix_u64(SEED)
-            .mix_str(self.system.name())
-            .mix_str(self.bench.name())
-            .mix_u32(self.ratio.fast)
-            .mix_u32(self.ratio.capacity)
-            .mix_bytes(&[matches!(self.kind, CapacityKind::Cxl) as u8])
-            .mix_u32(self.seed_index)
-            .finish()
-    }
-
-    /// Short display label like `MEMTIS/roms@1:8#0`.
-    pub fn label(&self) -> String {
-        format!(
-            "{}/{}@{}#{}",
-            self.system.name(),
-            self.bench.name(),
-            self.ratio.label(),
-            self.seed_index
-        )
-    }
-}
-
-/// Builds the full cross-product matrix.
-pub fn matrix(
-    systems: &[System],
-    benches: &[Benchmark],
-    ratios: &[Ratio],
+/// Deterministic workload seed of a matrix cell, derived from its
+/// coordinates so it is independent of matrix order and scheduling. The mix
+/// order is frozen (seeds are part of the recorded results): global seed,
+/// system, benchmark, ratio, kind, replica index.
+pub fn coordinate_seed(
+    system: System,
+    bench: Benchmark,
+    ratio: Ratio,
     kind: CapacityKind,
-    seeds: u32,
-) -> Vec<SweepCell> {
-    let mut cells =
-        Vec::with_capacity(systems.len() * benches.len() * ratios.len() * seeds as usize);
-    for &system in systems {
-        for &bench in benches {
-            for &ratio in ratios {
-                for seed_index in 0..seeds {
-                    cells.push(SweepCell {
-                        system,
-                        bench,
-                        ratio,
-                        kind,
-                        seed_index,
-                    });
-                }
-            }
-        }
-    }
-    cells
+    replica: u32,
+) -> u64 {
+    Fnv1a::new()
+        .mix_u64(SEED)
+        .mix_str(system.name())
+        .mix_str(bench.name())
+        .mix_u32(ratio.fast)
+        .mix_u32(ratio.capacity)
+        .mix_bytes(&[matches!(kind, CapacityKind::Cxl) as u8])
+        .mix_u32(replica)
+        .finish()
 }
 
-/// Sweep execution parameters.
+/// What every matrix cell runs with.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
-    /// Worker threads (clamped to at least 1 and at most the cell count).
-    pub jobs: usize,
     /// Workload scale.
     pub scale: Scale,
     /// Access budget per cell.
@@ -111,21 +64,58 @@ pub struct SweepConfig {
     pub driver: DriverConfig,
 }
 
-/// One finished cell.
-#[derive(Debug)]
-pub struct CellResult {
-    /// The cell that produced this result.
-    pub cell: SweepCell,
-    /// The run report.
-    pub report: RunReport,
+/// Builds the full (system x benchmark x ratio x seed replica) cross
+/// product, each cell seeded by [`coordinate_seed`].
+pub fn matrix(
+    systems: &[System],
+    benches: &[Benchmark],
+    ratios: &[Ratio],
+    kind: CapacityKind,
+    seeds: u32,
+    cfg: &SweepConfig,
+) -> Vec<Cell> {
+    let mut cells =
+        Vec::with_capacity(systems.len() * benches.len() * ratios.len() * seeds as usize);
+    for &system in systems {
+        for &bench in benches {
+            for &ratio in ratios {
+                for replica in 0..seeds {
+                    cells.push(Cell {
+                        scale: cfg.scale,
+                        driver: cfg.driver.clone(),
+                        seed: coordinate_seed(system, bench, ratio, kind, replica),
+                        replica,
+                        ..Cell::new(
+                            bench,
+                            MachineSpec::Tiered(ratio, kind),
+                            system,
+                            cfg.accesses,
+                        )
+                    });
+                }
+            }
+        }
+    }
+    cells
 }
 
-/// A finished sweep: per-cell results in matrix order plus wall-clock
+/// One requested cell and its outcome.
+#[derive(Debug)]
+pub struct CellResult {
+    /// The cell.
+    pub cell: Cell,
+    /// Its outcome, shared with every other request of the same run.
+    pub outcome: Arc<Outcome>,
+}
+
+/// A finished sweep: per-cell results in request order plus wall-clock
 /// accounting for the scaling measurement.
 #[derive(Debug)]
 pub struct SweepResult {
-    /// Results, ordered by matrix index (scheduling-independent).
+    /// Results, ordered by request index (scheduling-independent).
     pub cells: Vec<CellResult>,
+    /// One outcome per distinct cell, each executed once.
+    pub runs: Vec<Arc<Outcome>>,
     /// Worker threads actually used.
     pub jobs: usize,
     /// Host wall-clock for the whole sweep (ns).
@@ -133,9 +123,9 @@ pub struct SweepResult {
 }
 
 impl SweepResult {
-    /// Sum of per-cell host run times (ns) — the serial-equivalent work.
+    /// Sum of per-run host times (ns) — the serial-equivalent work.
     pub fn cell_host_ns(&self) -> u64 {
-        self.cells.iter().map(|c| c.report.host_elapsed_ns).sum()
+        self.runs.iter().map(|o| o.report.host_elapsed_ns).sum()
     }
 
     /// Observed speedup over serial execution of the same cells.
@@ -157,59 +147,74 @@ impl SweepResult {
         if self.host_elapsed_ns == 0 {
             return 0.0;
         }
-        let events: u64 = self.cells.iter().map(|c| c.report.sim_events).sum();
+        let events: u64 = self.runs.iter().map(|o| o.report.sim_events).sum();
         events as f64 / (self.host_elapsed_ns as f64 * 1e-9)
     }
 }
 
-/// Runs one cell (helper shared by the parallel runner and tests).
-pub fn run_sweep_cell(cell: SweepCell, cfg: &SweepConfig) -> RunReport {
-    let machine = machine_for(cell.bench, cfg.scale, cell.ratio, cell.kind);
-    run_cell(
-        cell.bench,
-        cfg.scale,
-        machine,
-        cell.system.build(),
-        NopObserver,
-        cfg.driver.clone(),
-        cfg.accesses,
-        cell.seed(),
-        &SnapshotOpts::default(),
-    )
-    .expect("experiment run failed")
-    .0
-}
-
-/// Runs the matrix across `cfg.jobs` scoped worker threads.
-pub fn run_sweep(cells: &[SweepCell], cfg: &SweepConfig) -> SweepResult {
-    let jobs = cfg.jobs.max(1).min(cells.len().max(1));
+/// Runs each distinct cell once across `jobs` scoped worker threads (at
+/// most one per distinct cell); repeated cells share the first request's
+/// outcome.
+pub fn run_sweep(cells: &[Cell], jobs: usize) -> SweepResult {
+    let mut first: HashMap<String, usize> = HashMap::new();
+    let mut distinct: Vec<&Cell> = Vec::new();
+    let slot_of: Vec<usize> = cells
+        .iter()
+        .map(|c| {
+            *first.entry(c.key()).or_insert_with(|| {
+                distinct.push(c);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    let jobs = jobs.max(1).min(distinct.len().max(1));
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CellResult>>> =
-        (0..cells.len()).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Outcome>>> =
+        (0..distinct.len()).map(|_| Mutex::new(None)).collect();
     let start = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&cell) = cells.get(i) else { break };
-                let report = run_sweep_cell(cell, cfg);
-                *slots[i].lock().expect("result slot poisoned") = Some(CellResult { cell, report });
+                let Some(cell) = distinct.get(i) else { break };
+                let outcome = cell.run().expect("experiment run failed");
+                *slots[i].lock().expect("result slot poisoned") = Some(outcome);
             });
         }
     });
     let host_elapsed_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    let results = slots
+    let runs: Vec<Arc<Outcome>> = slots
         .into_iter()
         .map(|s| {
-            s.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker loop covers every index")
+            Arc::new(
+                s.into_inner()
+                    .expect("result slot poisoned")
+                    .expect("worker loop covers every index"),
+            )
+        })
+        .collect();
+    let results = cells
+        .iter()
+        .zip(slot_of)
+        .map(|(cell, slot)| CellResult {
+            cell: cell.clone(),
+            outcome: Arc::clone(&runs[slot]),
         })
         .collect();
     SweepResult {
         cells: results,
+        runs,
         jobs,
         host_elapsed_ns,
+    }
+}
+
+/// `(ratio, kind)` labels of a tiered cell; `-` for other machines.
+fn tier_labels(cell: &Cell) -> (String, &'static str) {
+    match cell.machine {
+        MachineSpec::Tiered(ratio, CapacityKind::Nvm) => (ratio.label(), "NVM"),
+        MachineSpec::Tiered(ratio, CapacityKind::Cxl) => (ratio.label(), "CXL"),
+        _ => ("-".to_string(), "-"),
     }
 }
 
@@ -233,17 +238,15 @@ pub fn sweep_table(result: &SweepResult) -> Table {
         "host events/s",
     ]);
     for c in &result.cells {
-        let r = &c.report;
+        let r = &c.outcome.report;
         let mig = &r.stats.migration;
+        let (ratio, kind) = tier_labels(&c.cell);
         t.row(vec![
-            c.cell.system.name().to_string(),
-            c.cell.bench.name().to_string(),
-            c.cell.ratio.label(),
-            match c.cell.kind {
-                CapacityKind::Nvm => "NVM".to_string(),
-                CapacityKind::Cxl => "CXL".to_string(),
-            },
-            format!("{:#x}", c.cell.seed()),
+            c.cell.policy.name().to_string(),
+            c.cell.workload.name(),
+            ratio,
+            kind.to_string(),
+            format!("{:#x}", c.cell.seed),
             format!("{:.2}", r.wall_ns / 1e6),
             format!("{:.2}", r.throughput() / 1e6),
             format!("{:.1}", r.stats.fast_tier_hit_ratio() * 100.0),
@@ -277,12 +280,12 @@ pub fn windows_table(result: &SweepResult) -> Table {
         "mig MB/s",
     ]);
     for c in &result.cells {
-        for w in &c.report.windows {
+        for w in &c.outcome.report.windows {
             t.row(vec![
-                c.cell.system.name().to_string(),
-                c.cell.bench.name().to_string(),
-                c.cell.ratio.label(),
-                c.cell.seed_index.to_string(),
+                c.cell.policy.name().to_string(),
+                c.cell.workload.name(),
+                tier_labels(&c.cell).0,
+                c.cell.replica.to_string(),
                 w.index.to_string(),
                 format!("{:.2}", w.wall_ns / 1e6),
                 format!("{:.2}", w.window_throughput / 1e6),
@@ -340,23 +343,24 @@ pub fn emit_sweep(name: &str, result: &SweepResult) {
 mod tests {
     use super::*;
     use crate::harness::driver_config_with_window;
+    use memtis_core::MemtisConfig;
 
-    fn tiny_cfg(jobs: usize) -> SweepConfig {
+    fn tiny_cfg() -> SweepConfig {
         SweepConfig {
-            jobs,
             scale: Scale::TEST,
             accesses: 4_000,
             driver: driver_config_with_window(1_000),
         }
     }
 
-    fn tiny_matrix() -> Vec<SweepCell> {
+    fn tiny_matrix() -> Vec<Cell> {
         matrix(
             &[System::Memtis, System::Tpp],
             &[Benchmark::Roms, Benchmark::Btree],
             &[Ratio::DEFAULT],
             CapacityKind::Nvm,
             1,
+            &tiny_cfg(),
         )
     }
 
@@ -368,6 +372,7 @@ mod tests {
             &Ratio::MAIN,
             CapacityKind::Nvm,
             2,
+            &tiny_cfg(),
         );
         // 2 systems x 1 benchmark x 3 ratios x 2 seeds.
         assert_eq!(cells.len(), 12);
@@ -376,14 +381,21 @@ mod tests {
     #[test]
     fn cell_seeds_are_distinct_and_coordinate_stable() {
         let cells = tiny_matrix();
-        let seeds: Vec<u64> = cells.iter().map(SweepCell::seed).collect();
+        let seeds: Vec<u64> = cells.iter().map(|c| c.seed).collect();
         let mut dedup = seeds.clone();
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), seeds.len(), "seed collision: {seeds:?}");
         // The seed depends only on coordinates, not matrix position.
-        let reordered: Vec<SweepCell> = cells.iter().rev().copied().collect();
-        let rev_seeds: Vec<u64> = reordered.iter().map(SweepCell::seed).collect();
+        let reordered = matrix(
+            &[System::Tpp, System::Memtis],
+            &[Benchmark::Btree, Benchmark::Roms],
+            &[Ratio::DEFAULT],
+            CapacityKind::Nvm,
+            1,
+            &tiny_cfg(),
+        );
+        let rev_seeds: Vec<u64> = reordered.iter().map(|c| c.seed).collect();
         assert_eq!(seeds.iter().rev().copied().collect::<Vec<_>>(), rev_seeds);
     }
 
@@ -392,7 +404,7 @@ mod tests {
         // The seed derivation moved onto `Fnv1a`; recorded sweep results
         // depend on these values, so pin them against the original inline
         // byte-wise implementation.
-        let legacy = |cell: &SweepCell| {
+        let legacy = |system: System, bench: Benchmark, ratio: Ratio, kind, replica: u32| {
             let mut h = 0xcbf2_9ce4_8422_2325u64;
             let mut mix = |bytes: &[u8]| {
                 for &b in bytes {
@@ -401,25 +413,50 @@ mod tests {
                 }
             };
             mix(&SEED.to_le_bytes());
-            mix(cell.system.name().as_bytes());
-            mix(cell.bench.name().as_bytes());
-            mix(&cell.ratio.fast.to_le_bytes());
-            mix(&cell.ratio.capacity.to_le_bytes());
-            mix(&[matches!(cell.kind, CapacityKind::Cxl) as u8]);
-            mix(&cell.seed_index.to_le_bytes());
+            mix(system.name().as_bytes());
+            mix(bench.name().as_bytes());
+            mix(&ratio.fast.to_le_bytes());
+            mix(&ratio.capacity.to_le_bytes());
+            mix(&[matches!(kind, CapacityKind::Cxl) as u8]);
+            mix(&replica.to_le_bytes());
             h
         };
         for kind in [CapacityKind::Nvm, CapacityKind::Cxl] {
-            for cell in matrix(
-                &[System::Memtis, System::Hemem],
-                &[Benchmark::Roms, Benchmark::Btree],
-                &Ratio::MAIN,
-                kind,
-                2,
-            ) {
-                assert_eq!(cell.seed(), legacy(&cell), "seed drifted: {}", cell.label());
+            for system in [System::Memtis, System::Hemem] {
+                for bench in [Benchmark::Roms, Benchmark::Btree] {
+                    for ratio in Ratio::MAIN {
+                        for replica in 0..2 {
+                            assert_eq!(
+                                coordinate_seed(system, bench, ratio, kind, replica),
+                                legacy(system, bench, ratio, kind, replica),
+                                "seed drifted: {}/{}@{}#{replica}",
+                                system.name(),
+                                bench.name(),
+                                ratio.label(),
+                            );
+                        }
+                    }
+                }
             }
         }
+        let cells = matrix(
+            &[System::Hemem],
+            &[Benchmark::Btree],
+            &[Ratio::DEFAULT],
+            CapacityKind::Cxl,
+            2,
+            &tiny_cfg(),
+        );
+        let want = |replica| {
+            legacy(
+                System::Hemem,
+                Benchmark::Btree,
+                Ratio::DEFAULT,
+                CapacityKind::Cxl,
+                replica,
+            )
+        };
+        assert_eq!((cells[0].seed, cells[1].seed), (want(0), want(1)));
     }
 
     #[test]
@@ -427,14 +464,13 @@ mod tests {
         // `shards: Some(1)` is the sharded pipeline's serial oracle (the
         // sharded path hoists tick boundaries to burst granularity, so it is
         // compared against itself across thread counts, not against `None`).
-        let cells = tiny_matrix()[..1].to_vec();
-        let mut cfg = tiny_cfg(1);
-        cfg.driver.shards = Some(1);
-        let base = run_sweep(&cells, &cfg);
+        let mut cell = tiny_matrix()[0].clone();
+        cell.driver.shards = Some(1);
+        let base = run_sweep(&[cell.clone()], 1);
         for shards in [2usize, 4] {
-            cfg.driver.shards = Some(shards);
-            let sharded = run_sweep(&cells, &cfg);
-            let (a, b) = (&base.cells[0].report, &sharded.cells[0].report);
+            cell.driver.shards = Some(shards);
+            let sharded = run_sweep(&[cell.clone()], 1);
+            let (a, b) = (&base.runs[0].report, &sharded.runs[0].report);
             assert_eq!(a.wall_ns.to_bits(), b.wall_ns.to_bits());
             assert_eq!(format!("{:?}", a.stats), format!("{:?}", b.stats));
             assert_eq!(a.windows, b.windows);
@@ -443,29 +479,43 @@ mod tests {
 
     #[test]
     fn parallel_sweep_matches_serial_bit_exactly() {
-        let cells = tiny_matrix();
-        let serial = run_sweep(&cells, &tiny_cfg(1));
-        let parallel = run_sweep(&cells, &tiny_cfg(2));
-        assert_eq!(serial.cells.len(), parallel.cells.len());
+        // Besides the matrix: a repeat of its first cell, which must run
+        // once, and a policy-config variant of it, which must not fold
+        // into it.
+        let mut cells = tiny_matrix();
+        let variant = Cell {
+            policy: MemtisConfig::sim_scaled().without_split().into(),
+            ..cells[0].clone()
+        };
+        cells.extend([cells[0].clone(), variant]);
+        let serial = run_sweep(&cells, 1);
+        let parallel = run_sweep(&cells, 2);
+        for r in [&serial, &parallel] {
+            assert_eq!(r.cells.len(), cells.len());
+            assert_eq!(r.runs.len(), cells.len() - 1, "the repeat runs once");
+            assert!(Arc::ptr_eq(&r.cells[0].outcome, &r.cells[4].outcome));
+            assert!(!Arc::ptr_eq(&r.cells[0].outcome, &r.cells[5].outcome));
+        }
         for (a, b) in serial.cells.iter().zip(parallel.cells.iter()) {
-            assert_eq!(a.cell.label(), b.cell.label());
-            assert_eq!(a.report.wall_ns.to_bits(), b.report.wall_ns.to_bits());
-            assert_eq!(a.report.accesses, b.report.accesses);
-            assert_eq!(
-                format!("{:?}", a.report.stats),
-                format!("{:?}", b.report.stats)
-            );
+            assert_eq!(a.cell.key(), b.cell.key());
+            let (a, b) = (&a.outcome.report, &b.outcome.report);
+            assert_eq!(a.wall_ns.to_bits(), b.wall_ns.to_bits());
+            assert_eq!(a.accesses, b.accesses);
+            assert_eq!(format!("{:?}", a.stats), format!("{:?}", b.stats));
             // The telemetry window series must also be scheduling-independent.
-            assert_eq!(a.report.windows, b.report.windows);
-            assert!(!a.report.windows.is_empty());
+            assert_eq!(a.windows, b.windows);
+            assert!(!a.windows.is_empty());
+        }
+        for (a, b) in serial.runs.iter().zip(parallel.runs.iter()) {
+            assert_eq!(format!("{:?}", a.readout), format!("{:?}", b.readout));
         }
     }
 
     #[test]
     fn windows_table_has_a_row_per_window() {
         let cells = tiny_matrix()[..1].to_vec();
-        let r = run_sweep(&cells, &tiny_cfg(1));
-        let expected: usize = r.cells.iter().map(|c| c.report.windows.len()).sum();
+        let r = run_sweep(&cells, 1);
+        let expected: usize = r.runs.iter().map(|o| o.report.windows.len()).sum();
         assert!(expected > 0);
         let t = windows_table(&r);
         assert_eq!(t.len(), expected);
@@ -474,10 +524,10 @@ mod tests {
     #[test]
     fn jobs_clamped_to_cell_count() {
         let cells = tiny_matrix()[..1].to_vec();
-        let r = run_sweep(&cells, &tiny_cfg(16));
+        let r = run_sweep(&cells, 16);
         assert_eq!(r.jobs, 1);
         assert_eq!(r.cells.len(), 1);
-        assert!(r.cells[0].report.sim_events > 0);
+        assert!(r.runs[0].report.sim_events > 0);
         let t = sweep_table(&r);
         assert_eq!(t.len(), 1);
     }

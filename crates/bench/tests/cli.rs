@@ -4,7 +4,8 @@
 //! value for every shared flag it accepts, every shared flag it cannot
 //! honour, an unknown flag, and bad positionals or own-flag values must exit
 //! 2 with an `error:` line on stderr that names the offending argument, and
-//! print nothing to stdout.
+//! print nothing to stdout. So must a `MEMTIS_ACCESSES` that is not a
+//! positive integer, naming the variable.
 
 use memtis_bench::cli::SHARED;
 use memtis_bench::System;
@@ -110,10 +111,10 @@ const CMDS: [Cmd; 5] = [
     },
 ];
 
-fn run(exe: &str, args: &[&str]) -> Output {
+fn run(exe: &str, args: &[&str], budget: &str) -> Output {
     Command::new(exe)
         .args(args)
-        .env("MEMTIS_ACCESSES", "1000")
+        .env("MEMTIS_ACCESSES", budget)
         .output()
         .expect("bench binary starts")
 }
@@ -121,7 +122,12 @@ fn run(exe: &str, args: &[&str]) -> Output {
 /// Asserts that `exe args` is rejected with exit 2 and an error naming
 /// `needle`, without running anything.
 fn assert_rejected(exe: &str, args: &[&str], needle: &str) {
-    let out = run(exe, args);
+    assert_rejected_under("1000", exe, args, needle);
+}
+
+/// [`assert_rejected`] with `MEMTIS_ACCESSES=budget`.
+fn assert_rejected_under(budget: &str, exe: &str, args: &[&str], needle: &str) {
+    let out = run(exe, args, budget);
     let stderr = String::from_utf8_lossy(&out.stderr);
     let what = format!("{exe} {}", args.join(" "));
     assert_eq!(
@@ -182,8 +188,26 @@ fn malformed_positionals_and_own_flags_exit_2() {
 }
 
 #[test]
+fn malformed_access_budget_exits_2() {
+    let cmds: [(&str, &[&str]); 4] = [
+        (MEMTIS, &["run", "silo", "--ratio", "1:8", "--test-scale"]),
+        (MEMTIS, &["compare", "silo", "--test-scale"]),
+        (
+            MEMTIS,
+            &["run", "silo", "--test-scale", "--accesses", "1000"],
+        ),
+        (SWEEP, &["--test-scale", "--benches", "silo"]),
+    ];
+    for budget in ["200k", "0", "-5", "1e6", ""] {
+        for (exe, args) in cmds {
+            assert_rejected_under(budget, exe, args, "MEMTIS_ACCESSES");
+        }
+    }
+}
+
+#[test]
 fn memtis_list_names_every_system() {
-    let out = run(MEMTIS, &["list"]);
+    let out = run(MEMTIS, &["list"], "1000");
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     let policies: Vec<&str> = stdout

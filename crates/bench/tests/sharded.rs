@@ -72,13 +72,11 @@ fn run_with_shards(
         memtis_sim::faults::FaultPlan::parse(s).expect("fault spec used by the test is valid")
     });
     let (report, sim) = run_cell(
-        bench,
-        Scale::TEST,
+        bench.spec(Scale::TEST, accesses),
         machine,
         sys.build(),
         TracingObserver::new(),
         driver,
-        accesses,
         seed,
         &SnapshotOpts::default(),
     )

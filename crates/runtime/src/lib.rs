@@ -6,7 +6,7 @@
 //! thread executes accesses, a `ksampled` thread drains a bounded PEBS
 //! buffer and updates the MEMTIS histograms, and a `kmigrated` thread wakes
 //! periodically to promote/demote/split — all communicating over
-//! `crossbeam` channels with `parking_lot`-locked shared state.
+//! a bounded `std::sync::mpsc` channel with `Mutex`-locked shared state.
 //!
 //! Two properties of the paper's design surface naturally here:
 //!
@@ -15,7 +15,6 @@
 //!   exactly like a PEBS buffer overflow, rather than stalling the app.
 //! - **All migration happens asynchronously** in the `kmigrated` thread.
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use memtis_core::{MemtisConfig, MemtisPolicy};
 use memtis_sim::addr::{PageSize, VirtAddr, VirtPage};
 use memtis_sim::engine::EngineEvent;
@@ -24,9 +23,9 @@ use memtis_sim::prelude::{
     Access, AccessOutcome, CostAccounting, CostSink, Machine, MachineConfig, PolicyOps, SimResult,
     TierId, TieringPolicy,
 };
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -35,6 +34,13 @@ use std::time::Duration;
 struct SampleMsg {
     access: Access,
     outcome: AccessOutcome,
+}
+
+/// Locks `m`, ignoring poisoning: a panicked daemon leaves the machine and
+/// policy as consistent as any interrupted step would, and the other
+/// threads keep going.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Counters exposed by the runtime.
@@ -54,7 +60,7 @@ pub struct RuntimeStats {
 pub struct Runtime {
     machine: Arc<Mutex<Machine>>,
     policy: Arc<Mutex<MemtisPolicy>>,
-    sample_tx: Sender<SampleMsg>,
+    sample_tx: SyncSender<SampleMsg>,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
     /// Shared counters.
@@ -69,7 +75,7 @@ impl Runtime {
     pub fn start(machine_cfg: MachineConfig, memtis_cfg: MemtisConfig, wakeup: Duration) -> Self {
         let machine = Arc::new(Mutex::new(Machine::new(machine_cfg)));
         let policy = Arc::new(Mutex::new(MemtisPolicy::new(memtis_cfg)));
-        let (tx, rx): (Sender<SampleMsg>, Receiver<SampleMsg>) = bounded(4096);
+        let (tx, rx): (SyncSender<SampleMsg>, Receiver<SampleMsg>) = sync_channel(4096);
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(RuntimeStats::default());
 
@@ -86,17 +92,20 @@ impl Runtime {
                     .name("ksampled".into())
                     .spawn(move || {
                         let mut acct = CostAccounting::default();
+                        let mut deliver = |msg: SampleMsg| {
+                            let mut m = lock(&machine);
+                            let mut ops = PolicyOps::new(&mut m, &mut acct, CostSink::Daemon, 0.0);
+                            lock(&policy).on_access(&mut ops, &msg.access, &msg.outcome);
+                            stats.samples_delivered.fetch_add(1, Ordering::Relaxed);
+                        };
                         loop {
                             match rx.recv_timeout(Duration::from_millis(5)) {
-                                Ok(msg) => {
-                                    let mut m = machine.lock();
-                                    let mut ops =
-                                        PolicyOps::new(&mut m, &mut acct, CostSink::Daemon, 0.0);
-                                    policy.lock().on_access(&mut ops, &msg.access, &msg.outcome);
-                                    stats.samples_delivered.fetch_add(1, Ordering::Relaxed);
-                                }
+                                Ok(msg) => deliver(msg),
+                                // On shutdown, drain what was buffered before
+                                // the flag went up, then exit.
                                 Err(RecvTimeoutError::Timeout) => {
-                                    if shutdown.load(Ordering::Acquire) && rx.is_empty() {
+                                    if shutdown.load(Ordering::Acquire) {
+                                        rx.try_iter().for_each(&mut deliver);
                                         return;
                                     }
                                 }
@@ -142,8 +151,8 @@ impl Runtime {
                             // clock: it is monotone, which is all the
                             // engine's arbitration needs here.
                             let now_ns = start.elapsed().as_nanos() as f64;
-                            let mut m = machine.lock();
-                            let mut p = policy.lock();
+                            let mut m = lock(&machine);
+                            let mut p = lock(&policy);
                             let mut ops =
                                 PolicyOps::new(&mut m, &mut acct, CostSink::Daemon, now_ns);
                             p.tick(&mut ops);
@@ -177,11 +186,11 @@ impl Runtime {
     /// Maps a region (application side), asking the policy for placement
     /// exactly as the simulation driver does.
     pub fn alloc_region(&self, start: u64, bytes: u64, thp: bool) -> SimResult<()> {
-        let mut m = self.machine.lock();
+        let mut m = lock(&self.machine);
         let mut acct = CostAccounting::default();
         let mut ops = PolicyOps::new(&mut m, &mut acct, CostSink::App, 0.0);
         alloc_region(
-            &mut *self.policy.lock(),
+            &mut *lock(&self.policy),
             &mut ops,
             VirtAddr(start),
             bytes,
@@ -193,7 +202,7 @@ impl Runtime {
     /// interaction is a non-blocking sample push.
     pub fn access(&self, access: Access) -> SimResult<AccessOutcome> {
         let outcome = {
-            let mut m = self.machine.lock();
+            let mut m = lock(&self.machine);
             m.access(access)?
         };
         self.stats.accesses.fetch_add(1, Ordering::Relaxed);
@@ -214,12 +223,12 @@ impl Runtime {
 
     /// Where a page currently resides.
     pub fn locate(&self, vpage: VirtPage) -> Option<(TierId, PageSize)> {
-        self.machine.lock().locate(vpage)
+        lock(&self.machine).locate(vpage)
     }
 
     /// Machine statistics snapshot.
     pub fn machine_stats(&self) -> memtis_sim::stats::MachineStats {
-        self.machine.lock().stats.clone()
+        lock(&self.machine).stats.clone()
     }
 
     /// Stops the daemons and joins their threads.
@@ -389,7 +398,7 @@ mod tests {
         let mut rt = Runtime::start(mc, pc, Duration::from_secs(3600));
         // Replace the runtime's sender with a dummy so the real channel
         // disconnects while the shutdown flag stays false.
-        let (dummy_tx, _dummy_rx) = bounded::<SampleMsg>(1);
+        let (dummy_tx, _dummy_rx) = sync_channel::<SampleMsg>(1);
         rt.sample_tx = dummy_tx;
         let ksampled = rt
             .threads
