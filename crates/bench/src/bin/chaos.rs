@@ -146,17 +146,8 @@ fn soak_one(
         ));
     }
     let m = sim.machine();
-    let used: u64 = (0..2).map(|t| m.used_bytes(TierId(t))).sum();
-    let reserved = m.inflight_reserved_bytes();
-    let shadow = m.shadow_bytes();
-    let expected = m.rss_bytes() + reserved + shadow + m.fault_reserved_bytes();
-    if used != expected {
-        violations.push(format!(
-            "page conservation violated: used={used} != rss({}) + inflight({reserved}) \
-             + shadow({shadow}) + pressure({})",
-            m.rss_bytes(),
-            m.fault_reserved_bytes()
-        ));
+    if let Err(e) = m.check_page_accounting() {
+        violations.push(e);
     }
     if m.used_bytes(TierId::FAST) > m.capacity_bytes(TierId::FAST) {
         violations.push("fast tier over capacity".into());

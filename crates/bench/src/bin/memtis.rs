@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! memtis run  <benchmark> [--ratio 1:8] [--policy memtis] [--cxl] [--accesses N]
-//!             [--trace-out PATH] [--trace-format jsonl|perfetto] [--report-out PATH]
+//!             [--trace-out PATH.jsonl|PATH.json] [--report-out PATH]
 //!             [--window EVENTS] [--heartbeat EVENTS] [--test-scale]
 //!             [--migration-bw BYTES_PER_NS] [--migration-queue DEPTH] [--faults SPEC]
 //!             [--chunk N] [--shards S|auto] [--shadow] [--hysteresis on|WINDOW:BASE:MAX]
@@ -23,15 +23,18 @@
 //! `run` executes one cell once (traced only when it exports a trace or
 //! report or checkpoints) and prints its summary, the policy's end-of-run
 //! gauges and classification histogram to stdout (deterministic, so two
-//! runs compare with `cmp`; the host event rate goes to stderr). `--trace-out` writes that run's event/window trace,
-//! `--report-out` a `memtis-report-v1` JSON document (throughput, fault
-//! counters, flight-recorder percentiles, phase self-profile) for
-//! `memtis diff`, and `--heartbeat N` a one-line JSON status to stderr every
-//! N workload events. `compare` runs every Fig. 5 system on one benchmark;
-//! `diff` compares two run-report (or `BENCH_*.json`) documents with
-//! relative-tolerance bands and exits nonzero on regression; `list` shows
-//! benchmarks and policies. An unknown benchmark, ratio or policy, or a
-//! malformed flag, exits 2 before anything runs.
+//! runs compare with `cmp`; the host event rate goes to stderr).
+//! `--trace-out` writes that run's event/window trace (JSONL for a `.jsonl`
+//! path, Chrome/Perfetto JSON for a `.json` one), `--report-out` a
+//! `memtis-report-v1` JSON document (throughput, fault counters,
+//! flight-recorder percentiles, phase self-profile) for `memtis diff`, and
+//! `--heartbeat N` a one-line JSON status to stderr every N workload
+//! events. A trace, report or checkpoint that cannot be written exits 1.
+//! `compare` runs every Fig. 5 system on one benchmark; `diff` compares two
+//! run-report (or `BENCH_*.json`) documents with relative-tolerance bands
+//! and exits nonzero on regression; `list` shows benchmarks and policies.
+//! An unknown benchmark, ratio or policy, or a malformed flag, exits 2
+//! before anything runs.
 //!
 //! `--faults` takes a seeded fault plan, e.g.
 //! `seed=7,abort=0.02,dirty=0.05,drop=0.05,outage=400000:50000`
@@ -60,7 +63,7 @@ use memtis_sim::prelude::{NopObserver, Observer, RunReport, TieringPolicy, Traci
 use memtis_workloads::{Benchmark, Scale};
 
 const USAGE: &str = "usage:\n  memtis run <benchmark> [--ratio F:C] [--policy NAME] [--cxl] [--accesses N]\n    \
-     [--trace-out PATH] [--trace-format jsonl|perfetto] [--report-out PATH]\n    \
+     [--trace-out PATH.jsonl|PATH.json] [--report-out PATH]\n    \
      [--window EVENTS] [--heartbeat EVENTS] [--test-scale]\n    \
      [--migration-bw BYTES_PER_NS] [--migration-queue DEPTH] [--faults SPEC] [--chunk N]\n    \
      [--shards S|auto] [--shadow] [--hysteresis on|W:B:M]\n    \
@@ -157,14 +160,24 @@ fn run_one(args: &[String]) {
     }
     let (r, obs) = run_and_print(bench, &o, TracingObserver::new());
     if let Some(path) = &f.trace_out {
-        write_trace(path, f.trace_format, &obs, &r.windows);
+        or_exit_1(write_trace(path, &obs, &r.windows));
     }
     if let Some(path) = &f.report_out {
         let profile = obs.profiler.as_ref().map(|p| p.stats());
-        match std::fs::write(path, report_to_json(&r, profile.as_deref())) {
-            Ok(()) => eprintln!("[report written to {path}]"),
-            Err(e) => eprintln!("warning: could not write report {path}: {e}"),
-        }
+        let body = report_to_json(&r, profile.as_deref());
+        or_exit_1(
+            std::fs::write(path, body)
+                .map_err(|e| format!("could not write --report-out {path}: {e}")),
+        );
+        eprintln!("[report written to {path}]");
+    }
+}
+
+/// Unwraps an output write, or prints `error: …` and exits 1.
+fn or_exit_1(r: Result<(), String>) {
+    if let Err(e) = r {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
 }
 

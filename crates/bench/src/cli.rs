@@ -9,16 +9,15 @@
 //! argument; [`or_exit`] prints it as `error: …` and exits 2. Nothing
 //! falls back to a default.
 
-use crate::harness::{SnapshotOpts, TraceFormat};
+use crate::harness::{trace_exporter, SnapshotOpts};
 use memtis_sim::faults::FaultPlan;
 use memtis_sim::prelude::{DriverConfig, HysteresisConfig, SimResult};
 use memtis_workloads::Scale;
 use std::str::FromStr;
 
 /// Every shared flag. A binary passes the subset it accepts to [`parse`].
-pub const SHARED: [&str; 16] = [
+pub const SHARED: [&str; 15] = [
     "--trace-out",
-    "--trace-format",
     "--report-out",
     "--window",
     "--heartbeat",
@@ -45,10 +44,9 @@ pub struct RunFlags {
     pub shards: Option<ShardsSpec>,
     /// `--test-scale` selects [`Scale::TEST`].
     pub scale: Scale,
-    /// `--trace-out PATH`.
+    /// `--trace-out PATH`; its extension picks the format
+    /// ([`trace_exporter`]).
     pub trace_out: Option<String>,
-    /// `--trace-format jsonl|perfetto`.
-    pub trace_format: TraceFormat,
     /// `--report-out PATH`.
     pub report_out: Option<String>,
     /// `--snapshot-out`, `--snapshot-every` and `--resume`.
@@ -126,7 +124,6 @@ pub fn parse(
         shards: None,
         scale: Scale::DEFAULT,
         trace_out: None,
-        trace_format: TraceFormat::Jsonl,
         report_out: None,
         snap: SnapshotOpts::default(),
     };
@@ -148,8 +145,9 @@ pub fn parse(
         }
         let d = &mut f.base;
         match flag {
-            "--trace-out" => f.trace_out = Some(a.string(flag)?),
-            "--trace-format" => f.trace_format = a.with(flag, TraceFormat::parse)?,
+            "--trace-out" => {
+                f.trace_out = Some(a.with(flag, |p| trace_exporter(p).map(|_| p.to_string()))?)
+            }
             "--report-out" => f.report_out = Some(a.string(flag)?),
             "--window" => d.window_events = a.value(flag)?,
             "--heartbeat" => d.heartbeat_events = Some(a.value(flag)?),

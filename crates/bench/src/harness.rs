@@ -371,7 +371,8 @@ pub fn run_snapshotted<P: TieringPolicy, O: Observer>(
                 let bytes = sim.snapshot();
                 if let Some(path) = &opts.out {
                     if let Err(e) = write_snapshot(path, &bytes) {
-                        eprintln!("warning: could not write snapshot {path}: {e}");
+                        eprintln!("error: could not write --snapshot-out {path}: {e}");
+                        return Err(SimError::Internal("unwritable --snapshot-out"));
                     }
                 }
             }
@@ -379,52 +380,38 @@ pub fn run_snapshotted<P: TieringPolicy, O: Observer>(
     }
 }
 
-/// Trace export format selected by `--trace-format`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// One JSON object per line: header, events, windows.
-    Jsonl,
-    /// Chrome/Perfetto `trace_event` JSON (load in `ui.perfetto.dev`).
-    Perfetto,
-}
+/// A trace exporter: a finished trace and its windows to file contents.
+type Exporter = fn(&TracingObserver, &[WindowSample]) -> String;
 
-impl TraceFormat {
-    /// Parses a `--trace-format` value.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "jsonl" => Ok(TraceFormat::Jsonl),
-            "perfetto" => Ok(TraceFormat::Perfetto),
-            _ => Err("want jsonl or perfetto".into()),
-        }
-    }
-
-    /// Serializes a finished trace in this format.
-    pub fn export(&self, obs: &TracingObserver, windows: &[WindowSample]) -> String {
-        match self {
-            TraceFormat::Jsonl => memtis_sim::obs::export_jsonl(obs, windows),
-            TraceFormat::Perfetto => memtis_sim::obs::export_perfetto(obs, windows),
-        }
+/// The exporter a `--trace-out` path selects by its extension: `.jsonl`
+/// writes JSONL, `.json` Chrome/Perfetto `trace_event` JSON.
+pub fn trace_exporter(path: &str) -> Result<Exporter, String> {
+    match std::path::Path::new(path)
+        .extension()
+        .and_then(|e| e.to_str())
+    {
+        Some("jsonl") => Ok(memtis_sim::obs::export_jsonl),
+        Some("json") => Ok(memtis_sim::obs::export_perfetto),
+        _ => Err("want a .jsonl (JSONL) or .json (Perfetto) path".into()),
     }
 }
 
-/// Writes a finished trace to `path` in the given format, noting it on
-/// stderr.
+/// Writes a finished trace to `path` in the format its extension selects,
+/// noting it on stderr.
 pub fn write_trace(
     path: &str,
-    format: TraceFormat,
     obs: &TracingObserver,
     windows: &[WindowSample],
-) {
-    let body = format.export(obs, windows);
-    match std::fs::write(path, body) {
-        Ok(()) => eprintln!(
-            "[trace written to {path}: {} events ({} dropped), {} windows]",
-            obs.ring.pushed(),
-            obs.ring.dropped(),
-            windows.len()
-        ),
-        Err(e) => eprintln!("warning: could not write trace {path}: {e}"),
-    }
+) -> Result<(), String> {
+    let body = trace_exporter(path)?(obs, windows);
+    std::fs::write(path, body).map_err(|e| format!("could not write --trace-out {path}: {e}"))?;
+    eprintln!(
+        "[trace written to {path}: {} events ({} dropped), {} windows]",
+        obs.ring.pushed(),
+        obs.ring.dropped(),
+        windows.len()
+    );
+    Ok(())
 }
 
 /// Normalized performance: baseline wall time over system wall time

@@ -19,7 +19,7 @@ pub use cli::{RunFlags, ShardsSpec};
 pub use harness::{
     access_budget, benchmark_from_name, driver_config, driver_config_with_window, geomean,
     machine_for, normalized, run_cell, run_snapshotted, write_snapshot, write_trace, CapacityKind,
-    Ratio, SnapshotOpts, System, TraceFormat, DEFAULT_WINDOW_EVENTS, SEED, TIME_COMPRESSION,
+    Ratio, SnapshotOpts, System, DEFAULT_WINDOW_EVENTS, SEED, TIME_COMPRESSION,
 };
 pub use paper::{Cell, MachineSpec, Outcome, PolicySpec, Runner, Workload};
 pub use plot::{bar, sparkline};

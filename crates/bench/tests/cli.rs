@@ -5,7 +5,8 @@
 //! honour, an unknown flag, and bad positionals or own-flag values must exit
 //! 2 with an `error:` line on stderr that names the offending argument, and
 //! print nothing to stdout. So must a `MEMTIS_ACCESSES` that is not a
-//! positive integer, naming the variable.
+//! positive integer, naming the variable. An output `memtis run` cannot
+//! write exits 1 with an `error:` line naming it.
 
 use memtis_bench::cli::SHARED;
 use memtis_bench::System;
@@ -17,9 +18,8 @@ const CHAOS: &str = env!("CARGO_BIN_EXE_chaos");
 
 /// Each shared flag with a malformed value (`None`: the value is missing)
 /// and a well-formed one (`None`: the flag takes no value).
-const VALUES: [(&str, Option<&str>, Option<&str>); 16] = [
-    ("--trace-out", None, Some("t.jsonl")),
-    ("--trace-format", Some("xml"), Some("jsonl")),
+const VALUES: [(&str, Option<&str>, Option<&str>); 15] = [
+    ("--trace-out", Some("t.xml"), Some("t.jsonl")),
     ("--report-out", None, Some("r.json")),
     ("--window", Some("abc"), Some("1000")),
     ("--heartbeat", Some("-1"), Some("1000")),
@@ -202,6 +202,35 @@ fn malformed_access_budget_exits_2() {
         for (exe, args) in cmds {
             assert_rejected_under(budget, exe, args, "MEMTIS_ACCESSES");
         }
+    }
+}
+
+#[test]
+fn unwritable_outputs_exit_1() {
+    let cell = ["run", "silo", "--ratio", "1:8", "--test-scale"];
+    let outputs: [&[&str]; 3] = [
+        &["--trace-out", "/nonexistent/d/t.jsonl"],
+        &["--report-out", "/nonexistent/r.json"],
+        &[
+            "--snapshot-out",
+            "/nonexistent/s.snap",
+            "--snapshot-every",
+            "100",
+        ],
+    ];
+    for output in outputs {
+        let args = [&cell[..], output].concat();
+        let out = run(MEMTIS, &args, "1000");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let what = args.join(" ");
+        assert_eq!(out.status.code(), Some(1), "{what}: stderr: {stderr}");
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.starts_with("error:") && l.contains(output[1])),
+            "{what}: no error line naming {} in {stderr}",
+            output[1]
+        );
     }
 }
 

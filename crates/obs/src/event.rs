@@ -4,137 +4,217 @@
 //! `u8`) so this crate stays dependency-free; the simulator's newtypes are
 //! unwrapped at the emission site.
 
-/// Why a migration attempt did not move a page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationFailure {
-    /// Destination tier had no free frame of the required size.
-    OutOfMemory,
-    /// The page was not mapped (stale queue entry, already freed).
-    NotMapped,
-    /// The virtual page was not aligned for its mapping size.
-    Unaligned,
-    /// Source and destination tier were the same.
-    SameTier,
-    /// A queued migration was dropped at re-validation (stale candidate:
-    /// page freed, reclassified, or already moved).
-    Cancelled,
-    /// An in-flight transfer exhausted its re-copy budget: stores kept
-    /// dirtying the source page mid-copy.
-    Dirty,
-    /// The mapping changed under an in-flight transfer (unmap, split,
-    /// collapse, or re-allocation), invalidating the copied data.
-    Superseded,
-    /// Any other simulator error.
-    Other,
+use crate::json::fmt_f64;
+
+/// How an event field is written into a trace record: integers as-is,
+/// `f64` through [`fmt_f64`], label enums as their quoted label.
+pub(crate) trait TraceField {
+    /// Appends the field's JSON value to `out`.
+    fn push_json(&self, out: &mut String);
 }
 
-impl MigrationFailure {
-    /// Stable lower-case label used by the exporters.
-    pub fn label(&self) -> &'static str {
-        match self {
-            MigrationFailure::OutOfMemory => "out_of_memory",
-            MigrationFailure::NotMapped => "not_mapped",
-            MigrationFailure::Unaligned => "unaligned",
-            MigrationFailure::SameTier => "same_tier",
-            MigrationFailure::Cancelled => "cancelled",
-            MigrationFailure::Dirty => "dirty",
-            MigrationFailure::Superseded => "superseded",
-            MigrationFailure::Other => "other",
+macro_rules! int_trace_field {
+    ($($t:ty),*) => {$(
+        impl TraceField for $t {
+            fn push_json(&self, out: &mut String) {
+                out.push_str(&self.to_string());
+            }
         }
+    )*};
+}
+
+int_trace_field!(u8, u32, u64);
+
+impl TraceField for f64 {
+    fn push_json(&self, out: &mut String) {
+        out.push_str(&fmt_f64(*self));
     }
 }
 
-/// What a fault-injection plan perturbed (see `memtis-sim`'s `faults`
-/// module). Carried by [`EventKind::FaultInjected`] so chaos runs leave an
-/// auditable record of every perturbation in the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// An in-flight transfer was forcibly aborted.
-    ForcedAbort,
-    /// A dirty store was injected into an active copy pass.
-    InjectedDirty,
-    /// A migration link went down for a window (bandwidth lost).
-    LinkOutage,
-    /// A PEBS sample was dropped before the policy saw it.
-    SampleDrop,
-    /// A PEBS sample was delivered twice.
-    SampleDup,
-    /// A `kmigrated` wakeup was skipped outright.
-    TickSkip,
-    /// A `kmigrated` wakeup was delayed.
-    TickDelay,
-    /// A tier-capacity pressure spike began (frames stolen).
-    PressureSpike,
-    /// A pressure spike ended (stolen frames released).
-    PressureRelease,
+/// Declares a label enum from one row per variant: its snapshot tag,
+/// variant and stable exporter label. Generates the enum, `label()`, the
+/// snapshot codec, and the trace-field writer (the quoted label).
+macro_rules! label_enum {
+    (
+        $(#[$meta:meta])*
+        $ty:ident {
+            $( $(#[$vmeta:meta])* $tag:literal => $variant:ident $label:literal, )+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $ty {
+            $( $(#[$vmeta])* $variant, )+
+        }
+
+        impl $ty {
+            /// Stable lower-case label used by the exporters.
+            pub fn label(&self) -> &'static str {
+                match self {
+                    $( $ty::$variant => $label, )+
+                }
+            }
+        }
+
+        impl TraceField for $ty {
+            fn push_json(&self, out: &mut String) {
+                out.push('"');
+                out.push_str(self.label());
+                out.push('"');
+            }
+        }
+
+        crate::snap_enum!($ty { $( $tag => $variant ),+ });
+    };
 }
 
-impl FaultKind {
-    /// Stable lower-case label used by the exporters.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FaultKind::ForcedAbort => "forced_abort",
-            FaultKind::InjectedDirty => "injected_dirty",
-            FaultKind::LinkOutage => "link_outage",
-            FaultKind::SampleDrop => "sample_drop",
-            FaultKind::SampleDup => "sample_dup",
-            FaultKind::TickSkip => "tick_skip",
-            FaultKind::TickDelay => "tick_delay",
-            FaultKind::PressureSpike => "pressure_spike",
-            FaultKind::PressureRelease => "pressure_release",
-        }
+label_enum! {
+    /// Why a migration attempt did not move a page.
+    MigrationFailure {
+        /// Destination tier had no free frame of the required size.
+        0 => OutOfMemory "out_of_memory",
+        /// The page was not mapped (stale queue entry, already freed).
+        1 => NotMapped "not_mapped",
+        /// The virtual page was not aligned for its mapping size.
+        2 => Unaligned "unaligned",
+        /// Source and destination tier were the same.
+        3 => SameTier "same_tier",
+        /// A queued migration was dropped at re-validation (stale candidate:
+        /// page freed, reclassified, or already moved).
+        4 => Cancelled "cancelled",
+        /// An in-flight transfer exhausted its re-copy budget: stores kept
+        /// dirtying the source page mid-copy.
+        5 => Dirty "dirty",
+        /// The mapping changed under an in-flight transfer (unmap, split,
+        /// collapse, or re-allocation), invalidating the copied data.
+        6 => Superseded "superseded",
+        /// Any other simulator error.
+        7 => Other "other",
     }
 }
 
-/// What triggered a TLB shootdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShootdownCause {
-    /// Page migration remapped the page.
-    Migration,
-    /// A huge page was split into base pages.
-    Split,
-    /// Base pages were collapsed into a huge page.
-    Collapse,
-    /// The workload unmapped the page.
-    Unmap,
-}
-
-impl ShootdownCause {
-    /// Stable lower-case label used by the exporters.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ShootdownCause::Migration => "migration",
-            ShootdownCause::Split => "split",
-            ShootdownCause::Collapse => "collapse",
-            ShootdownCause::Unmap => "unmap",
-        }
+label_enum! {
+    /// What a fault-injection plan perturbed (see `memtis-sim`'s `faults`
+    /// module). Carried by [`EventKind::FaultInjected`] so chaos runs leave an
+    /// auditable record of every perturbation in the trace.
+    FaultKind {
+        /// An in-flight transfer was forcibly aborted.
+        0 => ForcedAbort "forced_abort",
+        /// A dirty store was injected into an active copy pass.
+        1 => InjectedDirty "injected_dirty",
+        /// A migration link went down for a window (bandwidth lost).
+        2 => LinkOutage "link_outage",
+        /// A PEBS sample was dropped before the policy saw it.
+        3 => SampleDrop "sample_drop",
+        /// A PEBS sample was delivered twice.
+        4 => SampleDup "sample_dup",
+        /// A `kmigrated` wakeup was skipped outright.
+        5 => TickSkip "tick_skip",
+        /// A `kmigrated` wakeup was delayed.
+        6 => TickDelay "tick_delay",
+        /// A tier-capacity pressure spike began (frames stolen).
+        7 => PressureSpike "pressure_spike",
+        /// A pressure spike ended (stolen frames released).
+        8 => PressureRelease "pressure_release",
     }
 }
 
-/// What triggered a threshold recomputation (MEMTIS Algorithm 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThresholdCause {
-    /// The periodic adaptation interval elapsed.
-    Periodic,
-    /// A cooling pass shifted the histogram, so thresholds follow.
-    Cooling,
-}
-
-impl ThresholdCause {
-    /// Stable lower-case label used by the exporters.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ThresholdCause::Periodic => "periodic",
-            ThresholdCause::Cooling => "cooling",
-        }
+label_enum! {
+    /// What triggered a TLB shootdown.
+    ShootdownCause {
+        /// Page migration remapped the page.
+        0 => Migration "migration",
+        /// A huge page was split into base pages.
+        1 => Split "split",
+        /// Base pages were collapsed into a huge page.
+        2 => Collapse "collapse",
+        /// The workload unmapped the page.
+        3 => Unmap "unmap",
     }
 }
 
-/// One traced occurrence in the tiering substrate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EventKind {
+label_enum! {
+    /// What triggered a threshold recomputation (MEMTIS Algorithm 1).
+    ThresholdCause {
+        /// The periodic adaptation interval elapsed.
+        0 => Periodic "periodic",
+        /// A cooling pass shifted the histogram, so thresholds follow.
+        1 => Cooling "cooling",
+    }
+}
+
+registry_ids! {
+    /// The MEMTIS kernel daemon an event is attributed to. The Perfetto
+    /// exporter draws one thread per daemon, numbered from 1 in this order.
+    Daemon {
+        /// Sampling, cooling and threshold adaptation.
+        Ksampled => "ksampled",
+        /// Migrations, shootdowns and fault injection.
+        Kmigrated => "kmigrated",
+        /// Huge-page splits and collapses.
+        Khugepaged => "khugepaged",
+    }
+}
+
+/// The one event-kind table. Each row gives a kind's snapshot tag,
+/// variant, stable exporter label, [`Daemon`], and typed fields in trace
+/// order. Generates [`EventKind`], its `label()` and `daemon()`, the
+/// per-kind field writer both exporters use, the field lists the
+/// validators check records against, and the snapshot codec.
+macro_rules! event_kinds {
+    ($(
+        $(#[$meta:meta])*
+        $tag:literal => $variant:ident $label:literal $daemon:ident {
+            $( $(#[$fmeta:meta])* $f:ident: $t:ty, )+
+        }
+    ),+ $(,)?) => {
+        /// One traced occurrence in the tiering substrate.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum EventKind {
+            $( $(#[$meta])* $variant { $( $(#[$fmeta])* $f: $t, )+ }, )+
+        }
+
+        impl EventKind {
+            /// Every kind's label and field names, in tag order (the
+            /// validators' vocabulary).
+            pub(crate) const SCHEMA: &'static [(&'static str, &'static [&'static str])] =
+                &[$( ($label, &[$(stringify!($f)),+]) ),+];
+
+            /// Stable lower-case kind label used by the exporters.
+            pub fn label(&self) -> &'static str {
+                match self {
+                    $( EventKind::$variant { .. } => $label, )+
+                }
+            }
+
+            /// The daemon whose Perfetto thread the event lands on.
+            pub(crate) fn daemon(&self) -> Daemon {
+                match self {
+                    $( EventKind::$variant { .. } => Daemon::$daemon, )+
+                }
+            }
+
+            /// Appends `,"field":value` for every field, in row order.
+            pub(crate) fn push_fields(&self, out: &mut String) {
+                match self {
+                    $( EventKind::$variant { $($f),+ } => {
+                        $(
+                            out.push_str(concat!(",\"", stringify!($f), "\":"));
+                            $f.push_json(out);
+                        )+
+                    } )+
+                }
+            }
+        }
+
+        crate::snap_enum!(EventKind { $( $tag => $variant { $($f),+ } ),+ });
+    };
+}
+
+// Tag 16 (admission rejections) is retired; never reuse it.
+event_kinds! {
     /// A page moved toward the fast tier.
-    Promotion {
+    0 => Promotion "promotion" Kmigrated {
         /// Virtual page number (4 KiB granule).
         vpage: u64,
         /// Source tier id.
@@ -145,7 +225,7 @@ pub enum EventKind {
         bytes: u64,
     },
     /// A page moved away from the fast tier.
-    Demotion {
+    1 => Demotion "demotion" Kmigrated {
         /// Virtual page number (4 KiB granule).
         vpage: u64,
         /// Source tier id.
@@ -156,7 +236,7 @@ pub enum EventKind {
         bytes: u64,
     },
     /// A huge page was split into base pages.
-    Split {
+    2 => Split "split" Khugepaged {
         /// Virtual page number of the huge page head.
         vpage: u64,
         /// Tier the page resided on.
@@ -165,14 +245,14 @@ pub enum EventKind {
         zero_subpages_freed: u32,
     },
     /// 512 base pages were collapsed into one huge page.
-    Collapse {
+    3 => Collapse "collapse" Khugepaged {
         /// Virtual page number of the new huge page head.
         vpage: u64,
         /// Tier the huge page was allocated on.
         tier: u8,
     },
     /// A histogram cooling pass ran (counts halved, bins shifted).
-    CoolingTick {
+    4 => CoolingTick "cooling_tick" Ksampled {
         /// 4 KiB page-equivalents visited by the cooling walk.
         visited_4k: u64,
         /// Hot-threshold bin after the pass.
@@ -181,7 +261,7 @@ pub enum EventKind {
         warm_threshold: u32,
     },
     /// Thresholds were recomputed from the access distribution.
-    ThresholdRecompute {
+    5 => ThresholdRecompute "threshold_recompute" Ksampled {
         /// What triggered the recomputation.
         cause: ThresholdCause,
         /// New hot-threshold bin.
@@ -192,7 +272,7 @@ pub enum EventKind {
         cold: u32,
     },
     /// A batch of PEBS samples was processed by the sampling daemon.
-    SampleBatch {
+    6 => SampleBatch "sample_batch" Ksampled {
         /// Samples in the batch.
         samples: u64,
         /// Sampler load period in effect after the batch.
@@ -201,14 +281,14 @@ pub enum EventKind {
         cpu_usage: f64,
     },
     /// A TLB shootdown was performed.
-    TlbShootdown {
+    7 => TlbShootdown "tlb_shootdown" Kmigrated {
         /// Virtual page number the shootdown targeted.
         vpage: u64,
         /// What caused the shootdown.
         cause: ShootdownCause,
     },
     /// A migration attempt failed or a queued migration was cancelled.
-    MigrationFailed {
+    8 => MigrationFailed "migration_failed" Kmigrated {
         /// Virtual page number (4 KiB granule).
         vpage: u64,
         /// Intended destination tier id.
@@ -217,7 +297,7 @@ pub enum EventKind {
         cause: MigrationFailure,
     },
     /// An asynchronous transfer was admitted to the migration engine.
-    MigrationEnqueued {
+    9 => MigrationEnqueued "migration_enqueued" Kmigrated {
         /// Virtual page number (4 KiB granule).
         vpage: u64,
         /// Source tier id.
@@ -230,7 +310,7 @@ pub enum EventKind {
         queue_depth: u64,
     },
     /// A queued transfer won its link and began copying.
-    MigrationStarted {
+    10 => MigrationStarted "migration_started" Kmigrated {
         /// Virtual page number (4 KiB granule).
         vpage: u64,
         /// Source tier id.
@@ -241,7 +321,7 @@ pub enum EventKind {
         bytes: u64,
     },
     /// An in-flight transfer finished its copy and remapped the page.
-    MigrationCompleted {
+    11 => MigrationCompleted "migration_completed" Kmigrated {
         /// Virtual page number (4 KiB granule).
         vpage: u64,
         /// Source tier id.
@@ -252,7 +332,7 @@ pub enum EventKind {
         bytes: u64,
     },
     /// An in-flight transfer ended without remapping the page.
-    MigrationAborted {
+    12 => MigrationAborted "migration_aborted" Kmigrated {
         /// Virtual page number (4 KiB granule).
         vpage: u64,
         /// Intended destination tier id.
@@ -265,7 +345,7 @@ pub enum EventKind {
         cause: MigrationFailure,
     },
     /// The fault-injection layer perturbed the run.
-    FaultInjected {
+    13 => FaultInjected "fault_injected" Kmigrated {
         /// What was perturbed.
         fault: FaultKind,
         /// Virtual page number the fault targeted (0 when not page-scoped).
@@ -273,7 +353,7 @@ pub enum EventKind {
     },
     /// `AccessHistogram::remove` underflowed a bin: histogram/metadata
     /// desync that release builds previously saturated away silently.
-    HistUnderflow {
+    14 => HistUnderflow "hist_underflow" Ksampled {
         /// Underflows detected since the previous report.
         count: u64,
     },
@@ -281,7 +361,7 @@ pub enum EventKind {
     /// tallies at the cut. Field values are shard-count-invariant (burst
     /// boundaries and lane spills do not depend on the thread grouping), so
     /// traces stay byte-identical across `--shards` values.
-    ShardBarrier {
+    15 => ShardBarrier "shard_barrier" Ksampled {
         /// Parallel bursts merged so far.
         bursts: u64,
         /// Accesses that spilled from a stopped lane to the coordinator's
@@ -290,7 +370,7 @@ pub enum EventKind {
     },
     /// A retained shadow frame was invalidated and freed (store to the
     /// page, unmap, split, collapse, re-migration, or capacity reclaim).
-    ShadowReclaimed {
+    17 => ShadowReclaimed "shadow_reclaimed" Kmigrated {
         /// Virtual page number (4 KiB granule) the shadow backed.
         vpage: u64,
         /// Tier the shadow frame lived on.
@@ -300,7 +380,7 @@ pub enum EventKind {
     },
     /// Anti-thrashing hysteresis backed off a re-promotion of a
     /// ping-ponging region.
-    PromotionBackoff {
+    18 => PromotionBackoff "promotion_backoff" Kmigrated {
         /// Virtual page number (4 KiB granule).
         vpage: u64,
         /// Simulated time until which re-promotion stays backed off (ns).
@@ -324,98 +404,16 @@ impl Event {
     }
 }
 
-// Snapshot encoding: label enums serialize as their declaration-order tag,
-// event kinds as a tag followed by their fields in declaration order.
-
-crate::snap_enum!(MigrationFailure {
-    0 => OutOfMemory,
-    1 => NotMapped,
-    2 => Unaligned,
-    3 => SameTier,
-    4 => Cancelled,
-    5 => Dirty,
-    6 => Superseded,
-    7 => Other,
-});
-
-crate::snap_enum!(FaultKind {
-    0 => ForcedAbort,
-    1 => InjectedDirty,
-    2 => LinkOutage,
-    3 => SampleDrop,
-    4 => SampleDup,
-    5 => TickSkip,
-    6 => TickDelay,
-    7 => PressureSpike,
-    8 => PressureRelease,
-});
-
-crate::snap_enum!(ShootdownCause {
-    0 => Migration,
-    1 => Split,
-    2 => Collapse,
-    3 => Unmap,
-});
-
-crate::snap_enum!(ThresholdCause {
-    0 => Periodic,
-    1 => Cooling,
-});
-
-/// The one event-kind variant table: each row's snapshot tag, variant,
-/// stable exporter label, and fields. Generates [`EventKind::label`],
-/// [`EventKind::LABELS`] and the snapshot codec from the same rows.
-macro_rules! event_kinds {
-    ($( $tag:literal => $variant:ident $label:literal { $($f:ident),* } ),+ $(,)?) => {
-        impl EventKind {
-            /// Every kind label, in tag order (the JSONL validator's
-            /// vocabulary).
-            pub(crate) const LABELS: &'static [&'static str] = &[$($label),+];
-
-            /// Stable lower-case kind label used by the exporters.
-            pub fn label(&self) -> &'static str {
-                match self {
-                    $( EventKind::$variant { .. } => $label, )+
-                }
-            }
-        }
-
-        crate::snap_enum!(EventKind { $( $tag => $variant { $($f),* } ),+ });
-    };
-}
-
-// Tag 16 (admission rejections) is retired; never reuse it.
-event_kinds! {
-    0 => Promotion "promotion" { vpage, from, to, bytes },
-    1 => Demotion "demotion" { vpage, from, to, bytes },
-    2 => Split "split" { vpage, tier, zero_subpages_freed },
-    3 => Collapse "collapse" { vpage, tier },
-    4 => CoolingTick "cooling_tick" { visited_4k, hot_threshold, warm_threshold },
-    5 => ThresholdRecompute "threshold_recompute" { cause, hot, warm, cold },
-    6 => SampleBatch "sample_batch" { samples, load_period, cpu_usage },
-    7 => TlbShootdown "tlb_shootdown" { vpage, cause },
-    8 => MigrationFailed "migration_failed" { vpage, to, cause },
-    9 => MigrationEnqueued "migration_enqueued" { vpage, from, to, bytes, queue_depth },
-    10 => MigrationStarted "migration_started" { vpage, from, to, bytes },
-    11 => MigrationCompleted "migration_completed" { vpage, from, to, bytes },
-    12 => MigrationAborted "migration_aborted" { vpage, to, bytes, wasted_bytes, cause },
-    13 => FaultInjected "fault_injected" { fault, vpage },
-    14 => HistUnderflow "hist_underflow" { count },
-    15 => ShardBarrier "shard_barrier" { bursts, spills },
-    17 => ShadowReclaimed "shadow_reclaimed" { vpage, tier, bytes },
-    18 => PromotionBackoff "promotion_backoff" { vpage, until_ns },
-}
-
 crate::snap_struct!(Event { t_ns, kind });
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::snap::{SnapReader, SnapWriter};
 
-    #[test]
-    fn snap_round_trips_every_kind() {
-        let kinds = [
+    /// One event kind per row of the event-kind table, in tag order.
+    pub(crate) fn one_of_every_kind() -> Vec<EventKind> {
+        vec![
             EventKind::Promotion {
                 vpage: 7,
                 from: 1,
@@ -506,8 +504,12 @@ mod tests {
                 vpage: 3,
                 until_ns: 42e6,
             },
-        ];
-        for (i, kind) in kinds.into_iter().enumerate() {
+        ]
+    }
+
+    #[test]
+    fn snap_round_trips_every_kind() {
+        for (i, kind) in one_of_every_kind().into_iter().enumerate() {
             let ev = Event::new(i as f64 * 1.5, kind);
             let mut w = SnapWriter::new();
             w.put(&ev);

@@ -18,7 +18,7 @@
 //! The validators re-parse exported text with the dependency-free parser
 //! in [`crate::json`] so CI can smoke-check traces without external tools.
 
-use crate::event::EventKind;
+use crate::event::{Daemon, EventKind};
 use crate::json::{escape, fmt_f64, Json};
 use crate::observer::TracingObserver;
 use crate::window::WindowSample;
@@ -26,140 +26,16 @@ use crate::window::WindowSample;
 /// Schema identifier written into the JSONL header line.
 pub const JSONL_SCHEMA: &str = "memtis-trace-v1";
 
-fn push_kind_fields(out: &mut String, kind: &EventKind) {
-    use std::fmt::Write;
-    match *kind {
-        EventKind::Promotion {
-            vpage,
-            from,
-            to,
-            bytes,
-        }
-        | EventKind::Demotion {
-            vpage,
-            from,
-            to,
-            bytes,
-        } => {
-            let _ = write!(
-                out,
-                r#","vpage":{vpage},"from":{from},"to":{to},"bytes":{bytes}"#
-            );
-        }
-        EventKind::Split {
-            vpage,
-            tier,
-            zero_subpages_freed,
-        } => {
-            let _ = write!(
-                out,
-                r#","vpage":{vpage},"tier":{tier},"zero_subpages_freed":{zero_subpages_freed}"#
-            );
-        }
-        EventKind::Collapse { vpage, tier } => {
-            let _ = write!(out, r#","vpage":{vpage},"tier":{tier}"#);
-        }
-        EventKind::CoolingTick {
-            visited_4k,
-            hot_threshold,
-            warm_threshold,
-        } => {
-            let _ = write!(
-                out,
-                r#","visited_4k":{visited_4k},"hot_threshold":{hot_threshold},"warm_threshold":{warm_threshold}"#
-            );
-        }
-        EventKind::ThresholdRecompute {
-            cause,
-            hot,
-            warm,
-            cold,
-        } => {
-            let _ = write!(
-                out,
-                r#","cause":"{}","hot":{hot},"warm":{warm},"cold":{cold}"#,
-                cause.label()
-            );
-        }
-        EventKind::SampleBatch {
-            samples,
-            load_period,
-            cpu_usage,
-        } => {
-            let _ = write!(
-                out,
-                r#","samples":{samples},"load_period":{load_period},"cpu_usage":{}"#,
-                fmt_f64(cpu_usage)
-            );
-        }
-        EventKind::TlbShootdown { vpage, cause } => {
-            let _ = write!(out, r#","vpage":{vpage},"cause":"{}""#, cause.label());
-        }
-        EventKind::MigrationFailed { vpage, to, cause } => {
-            let _ = write!(
-                out,
-                r#","vpage":{vpage},"to":{to},"cause":"{}""#,
-                cause.label()
-            );
-        }
-        EventKind::MigrationEnqueued {
-            vpage,
-            from,
-            to,
-            bytes,
-            queue_depth,
-        } => {
-            let _ = write!(
-                out,
-                r#","vpage":{vpage},"from":{from},"to":{to},"bytes":{bytes},"queue_depth":{queue_depth}"#
-            );
-        }
-        EventKind::MigrationStarted {
-            vpage,
-            from,
-            to,
-            bytes,
-        }
-        | EventKind::MigrationCompleted {
-            vpage,
-            from,
-            to,
-            bytes,
-        } => {
-            let _ = write!(
-                out,
-                r#","vpage":{vpage},"from":{from},"to":{to},"bytes":{bytes}"#
-            );
-        }
-        EventKind::MigrationAborted {
-            vpage,
-            to,
-            bytes,
-            wasted_bytes,
-            cause,
-        } => {
-            let _ = write!(
-                out,
-                r#","vpage":{vpage},"to":{to},"bytes":{bytes},"wasted_bytes":{wasted_bytes},"cause":"{}""#,
-                cause.label()
-            );
-        }
-        EventKind::FaultInjected { fault, vpage } => {
-            let _ = write!(out, r#","fault":"{}","vpage":{vpage}"#, fault.label());
-        }
-        EventKind::HistUnderflow { count } => {
-            let _ = write!(out, r#","count":{count}"#);
-        }
-        EventKind::ShardBarrier { bursts, spills } => {
-            let _ = write!(out, r#","bursts":{bursts},"spills":{spills}"#);
-        }
-        EventKind::ShadowReclaimed { vpage, tier, bytes } => {
-            let _ = write!(out, r#","vpage":{vpage},"tier":{tier},"bytes":{bytes}"#);
-        }
-        EventKind::PromotionBackoff { vpage, until_ns } => {
-            let _ = write!(out, r#","vpage":{vpage},"until_ns":{}"#, fmt_f64(until_ns));
-        }
-    }
+/// Warns on stderr that the event ring dropped events, so a lossy trace
+/// never passes silently.
+fn warn_truncated(obs: &TracingObserver) {
+    eprintln!(
+        "warning: trace truncated — event ring dropped {} of {} events \
+         (first retained seq {}); raise the ring capacity to keep them",
+        obs.ring.dropped(),
+        obs.ring.pushed(),
+        obs.ring.first_seq(),
+    );
 }
 
 fn window_json(s: &WindowSample) -> String {
@@ -232,13 +108,7 @@ pub fn export_jsonl(obs: &TracingObserver, windows: &[WindowSample]) -> String {
     }
     out.push_str("}}\n");
     if obs.ring.dropped() > 0 {
-        eprintln!(
-            "warning: trace truncated — event ring dropped {} of {} events \
-             (first retained seq {}); raise the ring capacity to keep them",
-            obs.ring.dropped(),
-            obs.ring.pushed(),
-            obs.ring.first_seq(),
-        );
+        warn_truncated(obs);
         let _ = write!(
             out,
             "{{\"truncated\":true,\"dropped\":{},\"first_seq\":{}}}",
@@ -254,7 +124,7 @@ pub fn export_jsonl(obs: &TracingObserver, windows: &[WindowSample]) -> String {
             fmt_f64(ev.t_ns),
             ev.kind.label()
         );
-        push_kind_fields(&mut out, &ev.kind);
+        ev.kind.push_fields(&mut out);
         out.push_str("}\n");
     }
     for w in windows {
@@ -264,42 +134,19 @@ pub fn export_jsonl(obs: &TracingObserver, windows: &[WindowSample]) -> String {
     out
 }
 
-/// Synthetic Perfetto thread id an event is attributed to.
-fn perfetto_tid(kind: &EventKind) -> u32 {
-    match kind {
-        EventKind::SampleBatch { .. }
-        | EventKind::CoolingTick { .. }
-        | EventKind::ThresholdRecompute { .. } => 1,
-        EventKind::Promotion { .. }
-        | EventKind::Demotion { .. }
-        | EventKind::TlbShootdown { .. }
-        | EventKind::MigrationFailed { .. }
-        | EventKind::MigrationEnqueued { .. }
-        | EventKind::MigrationStarted { .. }
-        | EventKind::MigrationCompleted { .. }
-        | EventKind::MigrationAborted { .. }
-        | EventKind::FaultInjected { .. } => 2,
-        EventKind::Split { .. } | EventKind::Collapse { .. } => 3,
-        EventKind::HistUnderflow { .. } | EventKind::ShardBarrier { .. } => 1,
-        // Engine-mode lifecycle events ride the migration thread.
-        EventKind::ShadowReclaimed { .. } | EventKind::PromotionBackoff { .. } => 2,
-    }
-}
-
 fn perfetto_args(kind: &EventKind) -> String {
     let mut s = String::from("{\"_\":0");
-    push_kind_fields(&mut s, kind);
+    kind.push_fields(&mut s);
     s.push('}');
     s
 }
 
 /// Serializes a trace as Chrome/Perfetto `trace_event` JSON.
 ///
-/// Events appear as instants (`ph:"i"`) on three synthetic threads named
-/// after the MEMTIS daemons: tid 1 `ksampled` (sampling, cooling,
-/// thresholds), tid 2 `kmigrated` (migrations, shootdowns), tid 3
-/// `khugepaged` (splits, collapses). Windows appear as counter tracks
-/// (`ph:"C"`). Timestamps are microseconds of simulated time.
+/// Events appear as instants (`ph:"i"`) on one synthetic thread per
+/// [`Daemon`] (tid 1 `ksampled`, 2 `kmigrated`, 3 `khugepaged`), the one
+/// its event-kind row names. Windows appear as counter tracks (`ph:"C"`).
+/// Timestamps are microseconds of simulated time.
 pub fn export_perfetto(obs: &TracingObserver, windows: &[WindowSample]) -> String {
     use std::fmt::Write;
     let mut out = String::from("{\"traceEvents\":[");
@@ -312,22 +159,18 @@ pub fn export_perfetto(obs: &TracingObserver, windows: &[WindowSample]) -> Strin
         out.push('\n');
         out.push_str(&line);
     };
-    for (tid, name) in [(1u32, "ksampled"), (2, "kmigrated"), (3, "khugepaged")] {
+    for d in Daemon::ALL {
         emit(
             format!(
-                r#"{{"ph":"M","pid":1,"tid":{tid},"name":"thread_name","args":{{"name":"{name}"}}}}"#
+                r#"{{"ph":"M","pid":1,"tid":{},"name":"thread_name","args":{{"name":"{}"}}}}"#,
+                d as usize + 1,
+                d.name()
             ),
             &mut out,
         );
     }
     if obs.ring.dropped() > 0 {
-        eprintln!(
-            "warning: trace truncated — event ring dropped {} of {} events \
-             (first retained seq {}); raise the ring capacity to keep them",
-            obs.ring.dropped(),
-            obs.ring.pushed(),
-            obs.ring.first_seq(),
-        );
+        warn_truncated(obs);
         emit(
             format!(
                 r#"{{"ph":"i","pid":1,"tid":1,"ts":0,"s":"g","name":"trace_truncated","args":{{"dropped":{},"first_seq":{}}}}}"#,
@@ -342,7 +185,7 @@ pub fn export_perfetto(obs: &TracingObserver, windows: &[WindowSample]) -> Strin
         emit(
             format!(
                 r#"{{"ph":"i","pid":1,"tid":{},"ts":{ts},"s":"t","name":"{}","args":{}}}"#,
-                perfetto_tid(&ev.kind),
+                ev.kind.daemon() as usize + 1,
                 ev.kind.label(),
                 perfetto_args(&ev.kind)
             ),
@@ -390,10 +233,29 @@ pub struct JsonlSummary {
     pub dropped: u64,
 }
 
+/// Checks that event record `v` has exactly the keys `fixed` plus the
+/// fields of `kind`'s event-kind row.
+fn check_event_keys(v: &Json, fixed: &[&str], kind: &str) -> Result<(), String> {
+    let (_, fields) = EventKind::SCHEMA
+        .iter()
+        .find(|(label, _)| *label == kind)
+        .ok_or_else(|| format!("unknown kind {kind:?}"))?;
+    let keys: Vec<&str> = match v {
+        Json::Obj(m) => m.keys().map(String::as_str).collect(),
+        _ => return Err(format!("{kind} record is not an object")),
+    };
+    let want: Vec<&str> = fixed.iter().chain(fields.iter()).copied().collect();
+    if keys.len() != want.len() || !want.iter().all(|k| keys.contains(k)) {
+        return Err(format!("{kind} record has keys {keys:?}, want {want:?}"));
+    }
+    Ok(())
+}
+
 /// Validates JSONL trace text: parseable lines, a well-formed header, an
 /// explicit truncation record exactly when the header declares drops,
-/// contiguous event sequence numbers, known event kinds, and contiguous
-/// window indices. Returns line counts on success.
+/// contiguous event sequence numbers, known event kinds each carrying
+/// exactly its row's fields, and contiguous window indices. Returns line
+/// counts on success.
 pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or("empty trace")?;
@@ -469,9 +331,8 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
                 .get("kind")
                 .and_then(Json::as_str)
                 .ok_or_else(|| format!("line {}: event without kind", lineno + 1))?;
-            if !EventKind::LABELS.contains(&kind) {
-                return Err(format!("line {}: unknown kind {kind:?}", lineno + 1));
-            }
+            check_event_keys(&v, &["seq", "t_ns", "kind"], kind)
+                .map_err(|e| format!("line {}: {e}", lineno + 1))?;
             v.get("t_ns")
                 .and_then(Json::as_f64)
                 .ok_or_else(|| format!("line {}: event without t_ns", lineno + 1))?;
@@ -514,8 +375,9 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
 }
 
 /// Validates Perfetto `trace_event` JSON: a `traceEvents` array whose
-/// entries carry a known phase, pid, and (for non-metadata phases) a
-/// non-negative timestamp. Returns the entry count on success.
+/// entries carry a known phase, pid, name, and (for non-metadata phases) a
+/// non-negative timestamp, and whose event instants carry exactly their
+/// kind's row fields as args. Returns the entry count on success.
 pub fn validate_perfetto(text: &str) -> Result<usize, String> {
     let v = Json::parse(text)?;
     let evs = v
@@ -542,9 +404,16 @@ pub fn validate_perfetto(text: &str) -> Result<usize, String> {
                 return Err(format!("entry {i}: negative ts"));
             }
         }
-        e.get("name")
+        let name = e
+            .get("name")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("entry {i}: missing name"))?;
+        if ph == "i" && name != "trace_truncated" {
+            let args = e
+                .get("args")
+                .ok_or_else(|| format!("entry {i}: missing args"))?;
+            check_event_keys(args, &["_"], name).map_err(|e| format!("entry {i}: {e}"))?;
+        }
     }
     Ok(evs.len())
 }
@@ -782,6 +651,65 @@ mod tests {
                 assert_eq!(e.get("tid").and_then(Json::as_f64), Some(2.0));
             }
         }
+    }
+
+    /// The keys of one exported record, in text order.
+    fn keys_in_order(record: &str) -> Vec<&str> {
+        record
+            .match_indices("\":")
+            .map(|(end, _)| {
+                let start = record[..end].rfind('"').unwrap() + 1;
+                &record[start..end]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_kind_exports_exactly_its_row_fields() {
+        let kinds = crate::event::tests::one_of_every_kind();
+        let labels: Vec<&str> = kinds.iter().map(EventKind::label).collect();
+        let rows: Vec<&str> = EventKind::SCHEMA.iter().map(|(l, _)| *l).collect();
+        assert_eq!(labels, rows, "one event per event-kind row");
+        let mut o = TracingObserver::new();
+        for (i, kind) in kinds.iter().enumerate() {
+            o.record(Event::new(i as f64, *kind));
+        }
+        let jsonl = export_jsonl(&o, &[]);
+        assert_eq!(validate_jsonl(&jsonl).unwrap().events, kinds.len());
+        let perfetto = export_perfetto(&o, &[]);
+        assert_eq!(validate_perfetto(&perfetto).unwrap(), 3 + kinds.len());
+        let instants = perfetto.lines().filter(|l| l.contains(r#""ph":"i""#));
+        for ((line, instant), (label, fields)) in
+            jsonl.lines().skip(1).zip(instants).zip(EventKind::SCHEMA)
+        {
+            let mut want = vec!["seq", "t_ns", "kind"];
+            want.extend_from_slice(fields);
+            assert_eq!(keys_in_order(line), want, "{label}: {line}");
+            let args = &instant[instant.find(r#""args":"#).unwrap()..];
+            let mut want = vec!["args", "_"];
+            want.extend_from_slice(fields);
+            assert_eq!(keys_in_order(args), want, "{label}: {instant}");
+        }
+    }
+
+    #[test]
+    fn validators_reject_wrong_event_keys() {
+        let o = sample_observer();
+        let jsonl = export_jsonl(&o, &[]);
+        let line = r#""kind":"split","vpage":512,"tier":0,"zero_subpages_freed":7"#;
+        assert!(jsonl.contains(line));
+        for bad in [
+            r#""kind":"split","vpage":512,"tier":0,"zero_subpages_freed":7,"tier":0"#,
+            r#""kind":"split","vpage":512,"zero_subpages_freed":7"#,
+            r#""kind":"split","vpage":512,"tier":0,"zero_subpages_freed":7,"extra":1"#,
+        ] {
+            assert!(validate_jsonl(&jsonl.replace(line, bad)).is_err(), "{bad}");
+        }
+        let perfetto = export_perfetto(&o, &[]);
+        let args = r#""args":{"_":0,"vpage":512,"tier":0,"zero_subpages_freed":7}"#;
+        assert!(perfetto.contains(args));
+        let bad = r#""args":{"_":0,"vpage":512,"tier":0}"#;
+        assert!(validate_perfetto(&perfetto.replace(args, bad)).is_err());
     }
 
     #[test]

@@ -4,8 +4,13 @@
 //! two halves the observability pipeline needs: deterministic formatting
 //! helpers for the writers, and a small recursive-descent parser the CI
 //! smoke validators use to check exported traces without external tools.
+//! The parser rejects duplicate object keys and nesting deeper than 128
+//! levels, so hostile input is an error, not a stack overflow.
 
 use std::collections::BTreeMap;
+
+/// Deepest array/object nesting [`Json::parse`] accepts.
+const MAX_DEPTH: usize = 128;
 
 /// Formats an `f64` deterministically for JSON output.
 ///
@@ -58,11 +63,14 @@ pub enum Json {
 }
 
 impl Json {
-    /// Parses a complete JSON document, rejecting trailing garbage.
+    /// Parses a complete JSON document, rejecting trailing garbage,
+    /// duplicate object keys and nesting deeper than 128 levels.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
+            s: input,
             b: input.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -107,8 +115,11 @@ impl Json {
 }
 
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -139,8 +150,22 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.i
+                    ));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -169,7 +194,11 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let at = self.i;
             let k = self.string()?;
+            if m.contains_key(&k) {
+                return Err(format!("duplicate key {k:?} at byte {at}"));
+            }
             self.skip_ws();
             self.expect(b':')?;
             let v = self.value()?;
@@ -245,13 +274,13 @@ impl Parser<'_> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slices
-                    // at char boundaries are valid).
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.i += c.len_utf8();
+                    // Copy the run up to the next quote or escape. Both are
+                    // ASCII, so the run ends on a char boundary of the input.
+                    let start = self.i;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.i += 1;
+                    }
+                    s.push_str(&self.s[start..self.i]);
                 }
             }
         }
@@ -316,6 +345,34 @@ mod tests {
         assert!(Json::parse("{} x").is_err());
         assert!(Json::parse(r#"{"a":}"#).is_err());
         assert!(Json::parse("[1,]").is_err());
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Deep enough to overflow the stack of an unbounded parser.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn parse_long_strings_in_linear_time() {
+        // A quadratic scan takes minutes on this input in a debug build.
+        let body = "é\\n".repeat(400_000);
+        let v = Json::parse(&format!("\"{body}\"")).unwrap();
+        assert_eq!(v.as_str().unwrap(), "é\n".repeat(400_000));
+    }
+
+    #[test]
+    fn parse_rejects_duplicate_keys() {
+        let err = Json::parse(r#"{"wall_ns":1.0,"wall_ns":2.0}"#).unwrap_err();
+        assert!(err.contains("duplicate key \"wall_ns\""), "{err}");
+        assert!(Json::parse(r#"{"a":{"b":1,"b":1}}"#).is_err());
+        // The same key in sibling objects is fine.
+        assert!(Json::parse(r#"[{"a":1},{"a":2}]"#).is_ok());
     }
 
     #[test]

@@ -121,17 +121,6 @@ impl LatHist {
         self.sum = self.sum.wrapping_add(v);
     }
 
-    /// Records `n` repeats of the already-bucketed value `v` at bucket
-    /// `idx` (which must equal `index_of(v)`). Bit-exactly equivalent to
-    /// calling [`LatHist::record`]`(v)` `n` times.
-    #[inline]
-    pub fn record_repeated(&mut self, idx: usize, v: u64, n: u64) {
-        debug_assert_eq!(idx, index_of(v));
-        self.buckets[idx] += n;
-        self.count += n;
-        self.sum = self.sum.wrapping_add(v.wrapping_mul(n));
-    }
-
     /// Records an `f64` nanosecond value, rounding half-up to `u64`.
     ///
     /// All tap sites use this one conversion so shard-merged and serial

@@ -26,6 +26,8 @@
 //! The crate is dependency-free (events carry plain `u64`/`u8` ids) so the
 //! simulator can depend on it without cycles.
 
+#[macro_use]
+pub mod registry;
 pub mod event;
 pub mod export;
 pub mod fnv;
@@ -33,7 +35,6 @@ pub mod json;
 pub mod lathist;
 pub mod observer;
 pub mod profile;
-pub mod registry;
 pub mod ring;
 pub mod snap;
 pub mod window;
@@ -45,7 +46,7 @@ pub use export::{
 pub use fnv::Fnv1a;
 pub use lathist::{FlightRecorder, HistStats, LatHist};
 pub use observer::{NopObserver, Observer, TracingObserver};
-pub use profile::{Profiler, SpanGuard, SpanId, SpanStat, ALL_SPANS};
+pub use profile::{Profiler, SpanGuard, SpanId, SpanStat};
 pub use registry::{CounterId, GaugeId, Registry};
 pub use ring::EventRing;
 pub use snap::{Snap, SnapError, SnapFields, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION};

@@ -17,73 +17,34 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The simulator phases the profiler attributes host time to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanId {
-    /// Delivering PEBS-style samples to the policy (`on_access`).
-    SamplingDrain,
-    /// MEMTIS cooling sweep (`run_cooling`).
-    CoolingTick,
-    /// MEMTIS split/promotion threshold adaptation (`run_adaptation`).
-    ThresholdRecompute,
-    /// A full policy `tick()` (cooling + adaptation + migration planning).
-    PolicyTick,
-    /// Advancing the async migration engine (`pump_transfers`).
-    MigrationPump,
-    /// Waiting at the sharded-burst barrier (worker join).
-    ShardBarrier,
-    /// Coordinator-side fold of sharded lane outcomes.
-    ShardFold,
-    /// Batched access execution inside the machine.
-    BatchExec,
-    /// Cutting a telemetry window.
-    WindowCut,
-    /// Publishing a burst to the persistent worker pool and waking the
-    /// parked workers (coordinator-side dispatch cost).
-    PoolHandoff,
-    /// Coordinator blocked at the pool barrier after finishing its own
-    /// chunk, waiting for the workers to drain the remaining chunks.
-    PoolIdle,
-}
-
-/// All span ids, in display order. `name()` is matched exhaustively, so a
-/// new variant fails compilation until it is named and listed here (the
-/// `table_covers_every_span` test pins the list length).
-pub const ALL_SPANS: [SpanId; 11] = [
-    SpanId::SamplingDrain,
-    SpanId::CoolingTick,
-    SpanId::ThresholdRecompute,
-    SpanId::PolicyTick,
-    SpanId::MigrationPump,
-    SpanId::ShardBarrier,
-    SpanId::ShardFold,
-    SpanId::BatchExec,
-    SpanId::WindowCut,
-    SpanId::PoolHandoff,
-    SpanId::PoolIdle,
-];
-
-impl SpanId {
-    /// Stable snake_case name used in reports and the diff tool.
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanId::SamplingDrain => "sampling_drain",
-            SpanId::CoolingTick => "cooling_tick",
-            SpanId::ThresholdRecompute => "threshold_recompute",
-            SpanId::PolicyTick => "policy_tick",
-            SpanId::MigrationPump => "migration_pump",
-            SpanId::ShardBarrier => "shard_barrier",
-            SpanId::ShardFold => "shard_fold",
-            SpanId::BatchExec => "batch_exec",
-            SpanId::WindowCut => "window_cut",
-            SpanId::PoolHandoff => "pool_handoff",
-            SpanId::PoolIdle => "pool_idle",
-        }
-    }
-
-    #[inline]
-    fn index(self) -> usize {
-        self as usize
+registry_ids! {
+    /// The simulator phases the profiler attributes host time to, in
+    /// display order.
+    SpanId {
+        /// Delivering PEBS-style samples to the policy (`on_access`).
+        SamplingDrain => "sampling_drain",
+        /// MEMTIS cooling sweep (`run_cooling`).
+        CoolingTick => "cooling_tick",
+        /// MEMTIS split/promotion threshold adaptation (`run_adaptation`).
+        ThresholdRecompute => "threshold_recompute",
+        /// A full policy `tick()` (cooling + adaptation + migration planning).
+        PolicyTick => "policy_tick",
+        /// Advancing the async migration engine (`pump_transfers`).
+        MigrationPump => "migration_pump",
+        /// Waiting at the sharded-burst barrier (worker join).
+        ShardBarrier => "shard_barrier",
+        /// Coordinator-side fold of sharded lane outcomes.
+        ShardFold => "shard_fold",
+        /// Batched access execution inside the machine.
+        BatchExec => "batch_exec",
+        /// Cutting a telemetry window.
+        WindowCut => "window_cut",
+        /// Publishing a burst to the persistent worker pool and waking the
+        /// parked workers (coordinator-side dispatch cost).
+        PoolHandoff => "pool_handoff",
+        /// Coordinator blocked at the pool barrier after finishing its own
+        /// chunk, waiting for the workers to drain the remaining chunks.
+        PoolIdle => "pool_idle",
     }
 }
 
@@ -98,7 +59,7 @@ struct Cell {
 /// observer borrow it was opened from) and record with relaxed atomics.
 #[derive(Debug, Default)]
 pub struct Profiler {
-    cells: [Cell; ALL_SPANS.len()],
+    cells: [Cell; SpanId::ALL.len()],
 }
 
 /// One row of the attribution table.
@@ -121,7 +82,7 @@ impl Profiler {
     /// Adds one completed span of `ns` host-nanoseconds to `id`.
     #[inline]
     pub fn record(&self, id: SpanId, ns: u64) {
-        let c = &self.cells[id.index()];
+        let c = &self.cells[id as usize];
         c.calls.fetch_add(1, Ordering::Relaxed);
         c.ns.fetch_add(ns, Ordering::Relaxed);
     }
@@ -139,7 +100,7 @@ impl Profiler {
 
     /// `(calls, ns)` for one phase.
     pub fn get(&self, id: SpanId) -> (u64, u64) {
-        let c = &self.cells[id.index()];
+        let c = &self.cells[id as usize];
         (
             c.calls.load(Ordering::Relaxed),
             c.ns.load(Ordering::Relaxed),
@@ -149,9 +110,9 @@ impl Profiler {
     /// The attribution table, every phase in display order (including
     /// zero rows, so consumers see a fixed schema).
     pub fn stats(&self) -> Vec<SpanStat> {
-        ALL_SPANS
-            .iter()
-            .map(|&id| {
+        SpanId::ALL
+            .into_iter()
+            .map(|id| {
                 let (calls, ns) = self.get(id);
                 SpanStat { id, calls, ns }
             })
@@ -200,7 +161,7 @@ mod tests {
     fn table_covers_every_span() {
         let p = Profiler::new();
         let stats = p.stats();
-        assert_eq!(stats.len(), ALL_SPANS.len());
+        assert_eq!(stats.len(), SpanId::ALL.len());
         // Names are unique and snake_case.
         for (i, s) in stats.iter().enumerate() {
             let n = s.id.name();

@@ -6,7 +6,7 @@
 //!
 //! # Naming convention
 //!
-//! Exported names are `snake_case` and end with a unit suffix:
+//! Counter and gauge names are `snake_case` and end with a unit suffix:
 //!
 //! - `_total` — monotonic event counts (every [`CounterId`]),
 //! - `_bytes` — byte quantities,
@@ -19,7 +19,8 @@
 //! `name()` method from one variant list, so a new counter or gauge cannot
 //! be added without a name — the match and the table are exhaustive by
 //! construction — and a unit test rejects names that stray from the suffix
-//! convention.
+//! convention. The same macro names the profiler's [`crate::SpanId`]s
+//! and the trace's [`crate::event::Daemon`]s.
 
 /// Defines a registry identifier enum together with its `ALL` table and
 /// `name()` accessor. One variant list feeds all three, so an unnamed or
@@ -43,8 +44,7 @@ macro_rules! registry_ids {
             pub const ALL: [$enum_name; [$(stringify!($variant)),+].len()] =
                 [$($enum_name::$variant,)+];
 
-            /// Stable `snake_case` exporter name, ending in a unit suffix
-            /// (see the module docs for the convention).
+            /// Stable `snake_case` exporter name.
             pub fn name(&self) -> &'static str {
                 match self {
                     $($enum_name::$variant => $name,)+

@@ -134,11 +134,6 @@ impl WindowCollector {
         &self.samples
     }
 
-    /// Consumes the collector, returning all closed windows.
-    pub fn into_samples(self) -> Vec<WindowSample> {
-        self.samples
-    }
-
     /// Closes the current window at `cut` and returns the new sample.
     pub fn close(&mut self, cut: WindowCut<'_>) -> &WindowSample {
         let wdur_ns = cut.wall_ns - self.last_wall;

@@ -16,17 +16,6 @@ pub enum MemoryKind {
     Cxl,
 }
 
-impl MemoryKind {
-    /// Short human-readable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            MemoryKind::Dram => "DRAM",
-            MemoryKind::Nvm => "NVM",
-            MemoryKind::Cxl => "CXL",
-        }
-    }
-}
-
 /// Specification of one memory tier.
 #[derive(Debug, Clone)]
 pub struct TierSpec {

@@ -58,17 +58,6 @@ pub enum AbortCause {
     Superseded,
 }
 
-impl AbortCause {
-    /// Stable snake_case label for traces and tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            AbortCause::Cancelled => "cancelled",
-            AbortCause::Dirty => "dirty",
-            AbortCause::Superseded => "superseded",
-        }
-    }
-}
-
 /// Result of asking the machine to migrate a page.
 ///
 /// With an unlimited migration link the move completes synchronously and the

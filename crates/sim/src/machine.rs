@@ -539,11 +539,6 @@ impl Machine {
         }
     }
 
-    /// Whether per-lane routing is enabled.
-    pub fn lanes_enabled(&self) -> bool {
-        self.lanes.is_some()
-    }
-
     /// Installs the machine-level faults of `plan` (forced aborts, injected
     /// dirty stores, link outages, pressure spikes). Inert plans install
     /// nothing, so zero-fault runs stay bit-exact with no-plan runs.
@@ -1469,6 +1464,25 @@ impl Machine {
     /// `inflight` term of `used == rss + inflight + shadow`.
     pub fn inflight_reserved_bytes(&self) -> u64 {
         self.engine.inflight_bytes()
+    }
+
+    /// Checks the page-accounting identity over every tier: each used byte
+    /// is mapped, reserved by a queued or copying transfer, a retained
+    /// shadow copy, or stolen by an injected pressure spike
+    /// (`used == rss + inflight + shadow + pressure`).
+    pub fn check_page_accounting(&self) -> Result<(), String> {
+        let used: u64 = self.tiers.iter().map(|t| t.used_bytes()).sum();
+        let rss = self.rss_bytes();
+        let inflight = self.inflight_reserved_bytes();
+        let shadow = self.shadow_bytes();
+        let pressure = self.fault_reserved_bytes();
+        if used == rss + inflight + shadow + pressure {
+            return Ok(());
+        }
+        Err(format!(
+            "page accounting violated: used {used} != rss {rss} + inflight {inflight} \
+             + shadow {shadow} + pressure {pressure}"
+        ))
     }
 
     /// The transfer covering base page `vpage`, if any.

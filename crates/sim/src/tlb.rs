@@ -123,10 +123,6 @@ impl TlbArray {
             }
         }
     }
-
-    fn flush(&mut self) {
-        self.entries.fill(INVALID);
-    }
 }
 
 memtis_obs::snap_struct!(TlbEntry { tag_valid, stamp });
@@ -174,7 +170,7 @@ impl TlbStats {
 pub struct Tlb {
     base: TlbArray,
     huge: TlbArray,
-    /// Bumped on every entry movement (insert, invalidate, flush); while it
+    /// Bumped on every entry movement (insert, invalidate); while it
     /// is unchanged, a way index returned by [`Tlb::lookup_memo`] still
     /// addresses the same resident translation. Lookups only refresh
     /// stamps in place and do not bump it.
@@ -230,8 +226,8 @@ impl Tlb {
     /// way was memoized by [`Tlb::lookup_memo`]: the LRU clock, the entry
     /// stamp, and the hit counter advance exactly as a `lookup_memo` hit would,
     /// without re-scanning the set. Only valid while [`Tlb::epoch`] is
-    /// unchanged since the memoizing lookup — any insert, invalidate, or
-    /// flush may have moved or evicted the entry.
+    /// unchanged since the memoizing lookup — any insert or invalidate may
+    /// have moved or evicted the entry.
     pub fn touch_hit(&mut self, size: PageSize, way: usize) {
         match size {
             PageSize::Base => self.base.touch(way),
@@ -258,14 +254,6 @@ impl Tlb {
             PageSize::Base => self.base.invalidate(Self::tag(vpage, size)),
             PageSize::Huge => self.huge.invalidate(Self::tag(vpage, size)),
         }
-    }
-
-    /// Flushes everything (full shootdown).
-    pub fn flush_all(&mut self) {
-        self.epoch += 1;
-        self.stats.flushes += 1;
-        self.base.flush();
-        self.huge.flush();
     }
 }
 
@@ -327,16 +315,14 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_and_flush() {
+    fn invalidate_drops_only_its_entry() {
         let mut t = small_tlb();
         t.insert(VirtPage(1), PageSize::Base);
         t.insert(VirtPage(512), PageSize::Huge);
         t.invalidate(VirtPage(1), PageSize::Base);
         assert!(t.lookup_memo(VirtPage(1), PageSize::Base).is_none());
         assert!(t.lookup_memo(VirtPage(512), PageSize::Huge).is_some());
-        t.flush_all();
-        assert!(t.lookup_memo(VirtPage(512), PageSize::Huge).is_none());
-        assert!(t.stats.flushes >= 2);
+        assert_eq!(t.stats.flushes, 1);
     }
 
     #[test]

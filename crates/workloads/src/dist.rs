@@ -65,20 +65,6 @@ impl ZipfTable {
     }
 }
 
-/// Samples a bounded Pareto-distributed rank in `0..n` with tail index `a`.
-///
-/// Like Zipf, low ranks dominate; the tail is heavier for smaller `a`.
-pub fn pareto_rank<R: Rng>(rng: &mut R, n: u64, a: f64) -> u64 {
-    // Inverse-CDF of a Pareto truncated to [1, n+1).
-    let lo = 1.0f64;
-    let hi = (n + 1) as f64;
-    let u: f64 = rng.gen();
-    let ha = hi.powf(-a);
-    let la = lo.powf(-a);
-    let x = (ha + u * (la - ha)).powf(-1.0 / a);
-    ((x - 1.0) as u64).min(n - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,20 +102,5 @@ mod tests {
         let flat = ZipfTable::new(1000, 0.2);
         let steep = ZipfTable::new(1000, 1.2);
         assert!(steep.pmf(0) > flat.pmf(0) * 5.0);
-    }
-
-    #[test]
-    fn pareto_ranks_in_bounds_and_skewed() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut head = 0u64;
-        for _ in 0..10_000 {
-            let r = pareto_rank(&mut rng, 1000, 1.0);
-            assert!(r < 1000);
-            if r < 100 {
-                head += 1;
-            }
-        }
-        // Far more than 10% of mass lands in the first 10% of ranks.
-        assert!(head > 5_000);
     }
 }

@@ -307,11 +307,6 @@ impl SpecStream {
         &self.spec
     }
 
-    /// Name of the currently executing phase, if any.
-    pub fn current_phase(&self) -> Option<&'static str> {
-        self.spec.phases.get(self.phase).map(|p| p.name)
-    }
-
     fn enter_phase(&mut self) {
         let p = &self.spec.phases[self.phase];
         for &ri in &p.free {

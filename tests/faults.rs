@@ -245,9 +245,7 @@ proptest! {
         let mut now = 0.0f64;
         let check = |m: &Machine| -> Result<(), TestCaseError> {
             prop_assert_eq!(m.rss_bytes(), rss);
-            let used: u64 = (0..2).map(|t| m.used_bytes(TierId(t))).sum();
-            let reserved = m.transfers_in_flight() as u64 * HUGE_PAGE_SIZE;
-            prop_assert_eq!(used, rss + reserved + m.fault_reserved_bytes());
+            prop_assert_eq!(m.check_page_accounting(), Ok(()));
             prop_assert!(m.used_bytes(TierId::FAST) <= m.capacity_bytes(TierId::FAST));
             let mut frames = std::collections::HashSet::new();
             for i in 0..6u64 {
@@ -324,13 +322,8 @@ fn chaos_soak_small() {
         );
         let r = sim.run(&mut wl).expect("faulted run must complete");
         assert_eq!(r.hist_underflows, 0, "plan {i}: histogram desync {plan:?}");
-        let m = sim.machine();
-        let used: u64 = (0..2).map(|t| m.used_bytes(TierId(t))).sum();
-        let reserved = m.transfers_in_flight() as u64 * HUGE_PAGE_SIZE;
-        assert_eq!(
-            used,
-            m.rss_bytes() + reserved + m.fault_reserved_bytes(),
-            "plan {i}: conservation violated {plan:?}"
-        );
+        if let Err(e) = sim.machine().check_page_accounting() {
+            panic!("plan {i}: {e} {plan:?}");
+        }
     }
 }

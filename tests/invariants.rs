@@ -458,12 +458,7 @@ proptest! {
         let mut now = 0.0f64;
         let check = |m: &Machine| -> Result<(), TestCaseError> {
             prop_assert_eq!(m.rss_bytes(), rss);
-            let used: u64 = (0..2).map(|t| m.used_bytes(TierId(t))).sum();
-            let reserved = m.transfers_in_flight() as u64 * HUGE_PAGE_SIZE;
-            prop_assert_eq!(
-                used, rss + reserved + m.shadow_bytes(),
-                "used must equal rss + inflight + shadow"
-            );
+            prop_assert_eq!(m.check_page_accounting(), Ok(()));
             prop_assert!(m.used_bytes(TierId::FAST) <= m.capacity_bytes(TierId::FAST));
             let mut frames = std::collections::HashSet::new();
             for i in 0..6u64 {
@@ -505,8 +500,7 @@ proptest! {
         }
         prop_assert!(m.transfers_idle(), "engine failed to drain");
         check(&m)?;
-        let used: u64 = (0..2).map(|t| m.used_bytes(TierId(t))).sum();
-        prop_assert_eq!(used, rss + m.shadow_bytes());
+        prop_assert_eq!(m.inflight_reserved_bytes(), 0);
     }
 
     /// Accesses never corrupt placement: executing an arbitrary access
@@ -571,12 +565,9 @@ fn driver_shadow_mode_conserves_and_is_shard_invariant() {
         );
         let report = sim.run(&mut wl).expect("simulation should complete");
         let m = sim.machine();
-        let used: u64 = (0..2).map(|t| m.used_bytes(TierId(t))).sum();
-        assert_eq!(
-            used,
-            m.rss_bytes() + m.inflight_reserved_bytes() + m.shadow_bytes(),
-            "shards={shards:?}: used must equal rss + inflight + shadow"
-        );
+        if let Err(e) = m.check_page_accounting() {
+            panic!("shards={shards:?}: {e}");
+        }
         assert!(m.used_bytes(TierId::FAST) <= m.capacity_bytes(TierId::FAST));
         report
     };
