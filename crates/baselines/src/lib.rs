@@ -13,8 +13,6 @@
 //! | [`TppPolicy`] | hint faults + 2Q | 2nd fault | inactive LRU | promotion |
 //! | [`NimblePolicy`] | PT scan | accessed last scan | not accessed | none |
 //! | [`HememPolicy`] | PEBS (static period) | static count | static count | none |
-//! | [`MultiClockPolicy`] | PT scan + 2Q | 2nd scan | inactive LRU | none |
-//! | [`TmtsPolicy`] | PT scan + HW sampling | 1 sample / 2 scans | adaptive idle age | none |
 //!
 //! ## Observability
 //!
@@ -30,19 +28,15 @@
 pub mod autonuma;
 pub mod autotiering;
 pub mod hemem;
-pub mod multiclock;
 pub mod nimble;
 pub mod static_;
 pub mod tiering08;
-pub mod tmts;
 pub mod tpp;
 
 pub use autonuma::{AutoNumaConfig, AutoNumaPolicy};
 pub use autotiering::{AutoTieringConfig, AutoTieringPolicy};
 pub use hemem::{HememConfig, HememPolicy};
-pub use multiclock::{MultiClockConfig, MultiClockPolicy};
 pub use nimble::{NimbleConfig, NimblePolicy};
 pub use static_::StaticPolicy;
 pub use tiering08::{Tiering08Config, Tiering08Policy};
-pub use tmts::{TmtsConfig, TmtsPolicy};
 pub use tpp::{TppConfig, TppPolicy};

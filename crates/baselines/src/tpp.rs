@@ -380,7 +380,7 @@ mod tests {
         assert_eq!(snap_bytes(&fresh), saved, "load→save must be identity");
         assert_eq!(fresh.critical_path_promotions, p.critical_path_promotions);
         assert_eq!(fresh.ticks, p.ticks);
-        assert_eq!(fresh.lru.len(), p.lru.len());
+        assert_eq!(fresh.lru.active_len(), p.lru.active_len());
         assert_eq!(fresh.sampler.armed, p.sampler.armed);
     }
 

@@ -1,5 +1,5 @@
-//! The paper's evaluation — Tables 1–3, Figs. 1–14, §6.3.5 and two
-//! extension studies — as one bench.
+//! The paper's evaluation — Tables 1–3, Figs. 1–14, §6.3.5 and one
+//! extension study — as one bench.
 //!
 //! ```text
 //! cargo bench -p memtis-bench --bench paper [-- NAME...]
@@ -19,7 +19,8 @@ use memtis_bench::{
 };
 use memtis_core::MemtisConfig;
 use memtis_sim::prelude::{
-    AccessStream, DriverConfig, MachineConfig, RunReport, VirtAddr, WorkloadEvent, HUGE_PAGE_SIZE,
+    AccessStream, DriverConfig, MachineConfig, PolicyDescriptor, RunReport, VirtAddr,
+    WorkloadEvent, HUGE_PAGE_SIZE,
 };
 use memtis_tracking::damon::{Damon, DamonConfig};
 use memtis_workloads::{Benchmark, Scale, SpecStream, SynthBuilder};
@@ -30,7 +31,7 @@ use std::sync::Arc;
 type Figure = fn(&mut Runner, u64);
 
 /// Every figure, by the name that selects it.
-const FIGURES: [(&str, Figure); 19] = [
+const FIGURES: [(&str, Figure); 18] = [
     ("table1_taxonomy", table1_taxonomy),
     ("table2_benchmarks", table2_benchmarks),
     ("table3_overalloc", table3_overalloc),
@@ -48,7 +49,6 @@ const FIGURES: [(&str, Figure); 19] = [
     ("fig13_sensitivity", fig13_sensitivity),
     ("fig14_cxl", fig14_cxl),
     ("overhead_tracking", overhead_tracking),
-    ("ext_hybrid_scan", ext_hybrid_scan),
     ("migration_interference", migration_interference),
 ];
 
@@ -128,23 +128,49 @@ fn mb(bytes: f64) -> f64 {
     bytes / (1 << 20) as f64
 }
 
-/// Table 1 — taxonomy of tiered memory systems, generated from each
-/// policy's descriptor so it always reflects what the implementations do.
+/// Table 1's MULTI-CLOCK row. The paper lists MULTI-CLOCK in its taxonomy
+/// but never runs it, so the row is data rather than a policy.
+const MULTI_CLOCK: PolicyDescriptor = PolicyDescriptor {
+    name: "MULTI-CLOCK",
+    mechanism: "PT scanning",
+    subpage_tracking: false,
+    promotion_metric: "Recency + Frequency",
+    demotion_metric: "Recency",
+    thresholding: "Static access count",
+    critical_path_migration: "None",
+    page_size_handling: "None",
+};
+
+/// Table 1's TMTS row, data for the same reason as [`MULTI_CLOCK`].
+const TMTS: PolicyDescriptor = PolicyDescriptor {
+    name: "TMTS",
+    mechanism: "PT scanning & HW-based sampling",
+    subpage_tracking: false,
+    promotion_metric: "Recency + Frequency",
+    demotion_metric: "Recency",
+    thresholding: "Static count (promo), idle age (demo)",
+    critical_path_migration: "None",
+    page_size_handling: "Split upon demotion",
+};
+
+/// Table 1 — taxonomy of tiered memory systems, in the paper's row order.
+/// Every implemented system's row comes from its policy's descriptor, so
+/// it always reflects what the implementation does.
 fn table1_taxonomy(_: &mut Runner, _: u64) {
-    let systems = [
-        System::AutoNuma,
-        System::AutoTiering,
-        System::Tiering08,
-        System::Tpp,
-        System::Nimble,
-        System::MultiClock,
-        System::Tmts,
-        System::Hemem,
-        System::Memtis,
+    let live = |s: System| s.build().descriptor();
+    let rows = [
+        live(System::AutoNuma),
+        live(System::AutoTiering),
+        live(System::Tiering08),
+        live(System::Tpp),
+        live(System::Nimble),
+        MULTI_CLOCK,
+        TMTS,
+        live(System::Hemem),
+        live(System::Memtis),
     ];
     let mut t = new_table("system|tracking mechanism|subpage tracking|promotion metric|demotion metric|thresholding|critical-path migration|page size handling");
-    for s in systems {
-        let d = s.build().descriptor();
+    for d in rows {
         t.row(vec![
             d.name.to_string(),
             d.mechanism.to_string(),
@@ -1089,44 +1115,6 @@ fn overhead_tracking(runner: &mut Runner, n: u64) {
     println!(
         "654.roms 1:16 normalized (placement+overhead combined): {:.3}",
         normalized(&base.report, &r.report)
-    );
-}
-
-/// §8 extension — hybrid page-table scanning + PEBS sampling, which the
-/// paper proposes for telling rarely accessed pages from never-accessed
-/// ones: MEMTIS with and without it at 1:8, the pages the scan supplements
-/// and the extra daemon cost.
-fn ext_hybrid_scan(runner: &mut Runner, n: u64) {
-    let mut cells = Vec::new();
-    for bench in Benchmark::ALL {
-        cells.extend([
-            Cell::new(bench, nvm(Ratio::DEFAULT), MemtisConfig::sim_scaled(), n),
-            Cell::new(
-                bench,
-                nvm(Ratio::DEFAULT),
-                MemtisConfig::sim_scaled().with_hybrid_scan(16),
-                n,
-            ),
-        ]);
-    }
-    let mut out = Outcomes::of(runner, &cells);
-    let mut table = new_table("benchmark|base wall (ms)|hybrid wall (ms)|perf delta|scan-supplemented pages|extra daemon (ms)");
-    for bench in Benchmark::ALL {
-        let (base, hybrid) = (out.next(), out.next());
-        let (b, h) = (&base.report, &hybrid.report);
-        table.row(vec![
-            bench.name().to_string(),
-            format!("{:.2}", b.wall_ns / 1e6),
-            format!("{:.2}", h.wall_ns / 1e6),
-            format!("{:+.2}%", (b.wall_ns / h.wall_ns - 1.0) * 100.0),
-            hybrid.memtis().stats.scan_supplements.to_string(),
-            format!("{:.2}", (h.daemon_ns - b.daemon_ns) / 1e6),
-        ]);
-    }
-    emit(
-        "ext_hybrid_scan",
-        "§8 extension: PT scanning supplementing PEBS (future work, off by default)",
-        &table,
     );
 }
 

@@ -8,8 +8,8 @@
 use crate::paper::MachineSpec;
 use memtis_baselines::{
     AutoNumaConfig, AutoNumaPolicy, AutoTieringConfig, AutoTieringPolicy, HememConfig, HememPolicy,
-    MultiClockConfig, MultiClockPolicy, NimbleConfig, NimblePolicy, StaticPolicy, Tiering08Config,
-    Tiering08Policy, TmtsConfig, TmtsPolicy, TppConfig, TppPolicy,
+    NimbleConfig, NimblePolicy, StaticPolicy, Tiering08Config, Tiering08Policy, TppConfig,
+    TppPolicy,
 };
 use memtis_core::{MemtisConfig, MemtisPolicy};
 use memtis_sim::prelude::*;
@@ -171,10 +171,6 @@ pub enum System {
     MemtisNs,
     /// MEMTIS without split and without the warm set (Fig. 10 "vanilla").
     MemtisVanilla,
-    /// MULTI-CLOCK (HPCA '22), from Table 1.
-    MultiClock,
-    /// TMTS (ASPLOS '23), from Table 1 and the §8 discussion.
-    Tmts,
     /// Static all-NVM (normalization baseline).
     AllNvm,
     /// Static all-DRAM (upper reference).
@@ -194,7 +190,7 @@ impl System {
     ];
 
     /// Every system, in listing order.
-    pub const ALL: [System; 13] = [
+    pub const ALL: [System; 11] = [
         System::AutoNuma,
         System::AutoTiering,
         System::Tiering08,
@@ -204,8 +200,6 @@ impl System {
         System::Memtis,
         System::MemtisNs,
         System::MemtisVanilla,
-        System::MultiClock,
-        System::Tmts,
         System::AllNvm,
         System::AllDram,
     ];
@@ -230,8 +224,6 @@ impl System {
             System::Memtis => "MEMTIS",
             System::MemtisNs => "MEMTIS-NS",
             System::MemtisVanilla => "MEMTIS-Vanilla",
-            System::MultiClock => "MULTI-CLOCK",
-            System::Tmts => "TMTS",
             System::AllNvm => "All-NVM",
             System::AllDram => "All-DRAM",
         }
@@ -249,8 +241,6 @@ impl System {
             System::Memtis | System::MemtisNs | System::MemtisVanilla => Box::new(
                 MemtisPolicy::new(self.memtis_config().expect("a MEMTIS variant")),
             ),
-            System::MultiClock => Box::new(MultiClockPolicy::new(MultiClockConfig::default())),
-            System::Tmts => Box::new(TmtsPolicy::new(TmtsConfig::default())),
             System::AllNvm => Box::new(StaticPolicy::all_slow()),
             System::AllDram => Box::new(StaticPolicy::all_fast()),
         }

@@ -168,17 +168,23 @@ fn malformed_shared_flags_exit_2() {
 
 #[test]
 fn malformed_positionals_and_own_flags_exit_2() {
-    let cases: [(&str, &[&str], &str); 12] = [
+    let cases: [(&str, &[&str], &str); 14] = [
         (MEMTIS, &["run", "nosuchbench"], "nosuchbench"),
         (MEMTIS, &["run", "silo", "--ratio", "1-4"], "--ratio"),
         (MEMTIS, &["run", "silo", "--ratio", "1:4x"], "1:4x"),
         (MEMTIS, &["run", "silo", "--ratio", "8"], "\"8\""),
         (MEMTIS, &["run", "silo", "extra"], "extra"),
         (MEMTIS, &["run", "silo", "--policy", "nosuch"], "--policy"),
+        (
+            MEMTIS,
+            &["run", "silo", "--policy", "multiclock"],
+            "--policy",
+        ),
         (MEMTIS, &["run", "silo", "--accesses", "many"], "--accesses"),
         (MEMTIS, &["compare", "silo", "--policy", "tpp"], "--policy"),
         (MEMTIS, &["record", "silo", "--out"], "--out"),
         (SWEEP, &["--systems", "memtis,nosuch"], "--systems"),
+        (SWEEP, &["--systems", "memtis,tmts"], "--systems"),
         (SWEEP, &["--jobs", "x"], "--jobs"),
         (CHAOS, &["--plans", "abc"], "--plans"),
     ];

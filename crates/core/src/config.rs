@@ -58,12 +58,6 @@ pub struct MemtisConfig {
     pub max_splits_per_tick: usize,
     /// Maximum collapses per wakeup.
     pub max_collapses_per_tick: usize,
-    /// §8 extension (off by default, as in the paper): every N `kmigrated`
-    /// wakeups, a light page-table scan supplements PEBS. Sampling cannot
-    /// distinguish rarely-accessed from never-accessed pages; the scan's
-    /// accessed bits give unsampled-but-touched pages a minimal hotness so
-    /// demotion prefers the truly idle ones. 0 disables.
-    pub hybrid_scan_every_ticks: u32,
     /// Cancel in-flight promotions whose page cooled below the hot
     /// threshold before the copy finished (only meaningful when the driver
     /// runs the asynchronous migration engine). Disabled in the no-cancel
@@ -95,7 +89,6 @@ impl Default for MemtisConfig {
             migrate_batch_bytes: 256 << 20,
             max_splits_per_tick: 64,
             max_collapses_per_tick: 4,
-            hybrid_scan_every_ticks: 0,
             cancel_inflight: true,
         }
     }
@@ -137,13 +130,6 @@ impl MemtisConfig {
         self.split = false;
         self.collapse = false;
         self.warm_set = false;
-        self
-    }
-
-    /// Enables the §8 hybrid-tracking extension with the given scan period
-    /// (in `kmigrated` wakeups).
-    pub fn with_hybrid_scan(mut self, every_ticks: u32) -> Self {
-        self.hybrid_scan_every_ticks = every_ticks;
         self
     }
 

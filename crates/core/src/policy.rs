@@ -62,9 +62,6 @@ pub struct MemtisStats {
     pub split_candidates: u64,
     /// Total splits requested by the benefit estimator (sum of Ns).
     pub split_requested: u64,
-    /// Pages whose hotness was supplemented by the hybrid PT scan (§8
-    /// extension).
-    pub scan_supplements: u64,
     /// In-flight promotions aborted because the page cooled below the hot
     /// threshold before the copy finished.
     pub inflight_cancels: u64,
@@ -109,7 +106,6 @@ pub struct MemtisPolicy {
     skew_buckets: Vec<Vec<VirtPage>>,
     benefit_streak: u32,
     ticks_since_refill: u32,
-    tick_count: u32,
     /// Public statistics.
     pub stats: MemtisStats,
 }
@@ -149,7 +145,6 @@ impl MemtisPolicy {
             skew_buckets: vec![Vec::new(); SKEW_BUCKETS],
             benefit_streak: 0,
             ticks_since_refill: u32::MAX / 2,
-            tick_count: 0,
             stats: MemtisStats::default(),
         }
     }
@@ -544,40 +539,6 @@ impl MemtisPolicy {
         self.demote_warm = warm.into();
     }
 
-    /// §8 extension: a light page-table scan gives unsampled-but-accessed
-    /// pages a minimal hotness so demotion distinguishes "rarely accessed"
-    /// from "never accessed" — the blind spot of pure sampling.
-    fn hybrid_scan(&mut self, ops: &mut PolicyOps<'_>) {
-        let mut touched: Vec<VirtPage> = Vec::new();
-        memtis_tracking::ptscan::scan_and_clear(ops, |rec| {
-            if rec.accessed {
-                touched.push(match rec.size {
-                    PageSize::Huge => rec.vpage.huge_aligned(),
-                    PageSize::Base => rec.vpage,
-                });
-            }
-        });
-        for vpage in touched {
-            let Some(meta) = self.pages.get_mut(vpage) else {
-                continue;
-            };
-            if meta.count > 0 {
-                continue; // Sampling already sees it.
-            }
-            meta.count = 1;
-            let old = meta.bin as usize;
-            let new = bin_of(meta.hotness());
-            meta.bin = new as u8;
-            let pages_4k = meta.pages_4k();
-            let is_base = meta.sub.is_none();
-            self.page_hist.move_pages(old, new, pages_4k);
-            if is_base {
-                self.base_hist.move_pages(old, new, 1);
-            }
-            self.stats.scan_supplements += 1;
-        }
-    }
-
     /// Demotes pages (cold first, then warm) until the fast tier regains its
     /// free-space reserve or the budget runs out. Returns bytes migrated.
     fn demote_for_space(&mut self, ops: &mut PolicyOps<'_>, need_bytes: u64, budget: u64) -> u64 {
@@ -907,14 +868,6 @@ impl TieringPolicy for MemtisPolicy {
     }
 
     fn tick(&mut self, ops: &mut PolicyOps<'_>) {
-        self.tick_count = self.tick_count.wrapping_add(1);
-        if self.cfg.hybrid_scan_every_ticks > 0
-            && self
-                .tick_count
-                .is_multiple_of(self.cfg.hybrid_scan_every_ticks)
-        {
-            self.hybrid_scan(ops);
-        }
         self.cancel_cooled_inflight(ops);
         let mut budget = self.cfg.migrate_batch_bytes;
 
@@ -1123,7 +1076,6 @@ memtis_sim::obs::snap_struct!(MemtisStats {
     cpu_usage_ema,
     split_candidates,
     split_requested,
-    scan_supplements,
     inflight_cancels,
     abort_retries,
 });
@@ -1157,7 +1109,6 @@ memtis_sim::obs::snap_struct!(in MemtisPolicy {
     skew_buckets,
     benefit_streak,
     ticks_since_refill,
-    tick_count,
     stats,
 } check |p: &mut MemtisPolicy| {
     if p.skew_buckets.len() != SKEW_BUCKETS {
@@ -1542,62 +1493,5 @@ mod tests {
         assert_eq!(d.name, "MEMTIS");
         assert!(d.subpage_tracking);
         assert_eq!(d.critical_path_migration, "None");
-    }
-}
-
-#[cfg(test)]
-mod hybrid_tests {
-    use super::*;
-    use memtis_sim::prelude::*;
-
-    /// §8 extension: the hybrid scan gives never-sampled-but-accessed pages
-    /// a minimal hotness, separating them from truly idle pages.
-    #[test]
-    fn hybrid_scan_supplements_unsampled_pages() {
-        let mut m = Machine::new(MachineConfig::dram_nvm(
-            4 * HUGE_PAGE_SIZE,
-            16 * HUGE_PAGE_SIZE,
-        ));
-        let mut acct = CostAccounting::default();
-        let cfg = MemtisConfig {
-            load_period: 1_000_000, // Sampling effectively off.
-            store_period: 1_000_000,
-            hybrid_scan_every_ticks: 1,
-            ..MemtisConfig::sim_scaled()
-        };
-        let mut p = MemtisPolicy::new(cfg);
-        for i in 0..2u64 {
-            m.alloc_and_map(VirtPage(i * 512), PageSize::Huge, TierId::FAST)
-                .unwrap();
-            let mut ops = PolicyOps::new(&mut m, &mut acct, CostSink::Daemon, 0.0);
-            p.on_alloc(&mut ops, VirtPage(i * 512), PageSize::Huge, TierId::FAST);
-        }
-        // Cool until both pages decay to zero hotness.
-        for c in 0..4 {
-            let mut ops = PolicyOps::new(&mut m, &mut acct, CostSink::Daemon, c as f64);
-            p.run_cooling(&mut ops);
-        }
-        assert_eq!(p.page_meta(VirtPage(0)).unwrap().count, 0);
-        // Touch only page 0; the sampler misses it (period 1M) but the
-        // hybrid scan catches the accessed bit.
-        m.access(Access::load(0)).unwrap();
-        {
-            let mut ops = PolicyOps::new(&mut m, &mut acct, CostSink::Daemon, 10.0);
-            p.tick(&mut ops);
-        }
-        assert_eq!(p.stats.scan_supplements, 1);
-        let touched = p.page_meta(VirtPage(0)).unwrap();
-        let idle = p.page_meta(VirtPage(512)).unwrap();
-        assert!(touched.count > idle.count);
-        assert!(touched.bin >= idle.bin);
-    }
-
-    /// The extension is off by default, exactly as in the paper.
-    #[test]
-    fn hybrid_scan_disabled_by_default() {
-        assert_eq!(MemtisConfig::default().hybrid_scan_every_ticks, 0);
-        assert_eq!(MemtisConfig::sim_scaled().hybrid_scan_every_ticks, 0);
-        let on = MemtisConfig::sim_scaled().with_hybrid_scan(8);
-        assert_eq!(on.hybrid_scan_every_ticks, 8);
     }
 }

@@ -65,7 +65,11 @@ pub const SNAP_MAGIC: [u8; 8] = *b"MEMTISSN";
 ///
 /// v5: admission control is gone — the engine-modes section lost its
 /// admission record and the migration stats their two admission counters.
-pub const SNAP_VERSION: u32 = 5;
+///
+/// v6: MEMTIS's state lost the hybrid-scan tick counter and its
+/// `scan_supplements` statistic, and its config fingerprint changed with
+/// the scan period gone; the MULTI-CLOCK and TMTS policies are gone.
+pub const SNAP_VERSION: u32 = 6;
 
 /// Errors surfaced while decoding (or, for over-long collections,
 /// encoding) a snapshot.

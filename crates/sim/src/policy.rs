@@ -469,7 +469,7 @@ pub trait TieringPolicy {
     /// driver then executes a run of accesses in the machine first and
     /// delivers the deferred records afterwards via [`on_access_batch`],
     /// which is observationally identical under this contract. Policies that
-    /// react to individual accesses in place (HeMem, TMTS) keep the default
+    /// react to individual accesses in place (HeMem) keep the default
     /// `false` and run per-event.
     ///
     /// [`on_access`]: TieringPolicy::on_access

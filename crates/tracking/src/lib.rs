@@ -12,7 +12,7 @@
 //!   faults that hit the application's critical path.
 //! - [`damon`] — DAMON region-based monitoring with region split/merge (for
 //!   reproducing the paper's Figure 1 trade-off analysis).
-//! - [`lru2q`] — active/inactive LRU lists (the TPP / MULTI-CLOCK substrate).
+//! - [`lru2q`] — active/inactive LRU lists (the TPP substrate).
 
 pub mod damon;
 pub mod hintfault;
@@ -22,6 +22,6 @@ pub mod ptscan;
 
 pub use damon::{Damon, DamonConfig, RegionSnapshot};
 pub use hintfault::HintFaultSampler;
-pub use lru2q::{AccessResult, ListKind, Lru2Q};
+pub use lru2q::Lru2Q;
 pub use pebs::{PebsSample, PebsSampler, PebsSnapshot, PeriodAdjust, PeriodController};
-pub use ptscan::{scan_and_clear, ScanRecord, ScanStats};
+pub use ptscan::{scan_and_clear, ScanRecord};

@@ -1,10 +1,10 @@
 //! Two-queue (active/inactive) LRU lists.
 //!
-//! The substrate beneath TPP and MULTI-CLOCK: a page enters the inactive
-//! list on first sight and is *activated* on its second access — the static
-//! "accessed twice" hotness threshold the paper criticizes. Eviction
-//! (demotion) candidates come from the inactive tail; aging moves stale
-//! active pages back to inactive.
+//! The substrate beneath TPP: a page enters the inactive list on first
+//! sight and is *activated* on its second access — the static "accessed
+//! twice" hotness threshold the paper criticizes. Eviction (demotion)
+//! candidates come from the inactive tail; aging moves stale active pages
+//! back to inactive.
 //!
 //! Implemented as generation-tagged queues with a hash map as the source of
 //! truth, giving O(1) amortized operations with lazy removal of stale queue
@@ -15,22 +15,11 @@ use std::collections::VecDeque;
 
 /// Which list a page is on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ListKind {
+enum ListKind {
     /// Recently activated pages (hot candidates).
     Active,
     /// Newly seen or aged pages (eviction candidates).
     Inactive,
-}
-
-/// Result of recording an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessResult {
-    /// The page is not tracked.
-    NotTracked,
-    /// Second access: the page moved from inactive to active.
-    Activated,
-    /// The page was already active (position refreshed).
-    StillActive,
 }
 
 /// The two-queue structure.
@@ -55,26 +44,6 @@ impl Lru2Q {
         self.active_len
     }
 
-    /// Pages on the inactive list.
-    pub fn inactive_len(&self) -> usize {
-        self.inactive_len
-    }
-
-    /// Total tracked pages.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no page is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Whether `page` is tracked, and on which list.
-    pub fn list_of(&self, page: VirtPage) -> Option<ListKind> {
-        self.map.get(&page).map(|(k, _)| *k)
-    }
-
     fn fresh_gen(&mut self) -> u64 {
         self.next_gen += 1;
         self.next_gen
@@ -96,21 +65,18 @@ impl Lru2Q {
     }
 
     /// Records an access: inactive pages are activated (the "second access"
-    /// promotion rule), active pages are refreshed.
-    pub fn on_access(&mut self, page: VirtPage) -> AccessResult {
+    /// promotion rule), active pages are refreshed, untracked pages are
+    /// ignored.
+    pub fn on_access(&mut self, page: VirtPage) {
         let Some(&(kind, _)) = self.map.get(&page) else {
-            return AccessResult::NotTracked;
+            return;
         };
         let gen = self.fresh_gen();
         self.map.insert(page, (ListKind::Active, gen));
         self.active.push_back((page, gen));
-        match kind {
-            ListKind::Inactive => {
-                self.inactive_len -= 1;
-                self.active_len += 1;
-                AccessResult::Activated
-            }
-            ListKind::Active => AccessResult::StillActive,
+        if kind == ListKind::Inactive {
+            self.inactive_len -= 1;
+            self.active_len += 1;
         }
     }
 
@@ -174,17 +140,24 @@ memtis_sim::obs::snap_struct!(Lru2Q {
 mod tests {
     use super::*;
 
+    /// The list `page` is on, if it is tracked.
+    fn list_of(q: &Lru2Q, page: VirtPage) -> Option<ListKind> {
+        q.map.get(&page).map(|&(kind, _)| kind)
+    }
+
     #[test]
     fn second_access_activates() {
         let mut q = Lru2Q::new();
         q.insert_inactive(VirtPage(1));
-        assert_eq!(q.list_of(VirtPage(1)), Some(ListKind::Inactive));
-        assert_eq!(q.on_access(VirtPage(1)), AccessResult::Activated);
-        assert_eq!(q.list_of(VirtPage(1)), Some(ListKind::Active));
-        assert_eq!(q.on_access(VirtPage(1)), AccessResult::StillActive);
-        assert_eq!(q.on_access(VirtPage(9)), AccessResult::NotTracked);
+        assert_eq!(list_of(&q, VirtPage(1)), Some(ListKind::Inactive));
+        q.on_access(VirtPage(1));
+        assert_eq!(list_of(&q, VirtPage(1)), Some(ListKind::Active));
+        q.on_access(VirtPage(1));
+        assert_eq!(list_of(&q, VirtPage(1)), Some(ListKind::Active));
+        q.on_access(VirtPage(9));
+        assert_eq!(list_of(&q, VirtPage(9)), None);
         assert_eq!(q.active_len(), 1);
-        assert_eq!(q.inactive_len(), 0);
+        assert_eq!(q.inactive_len, 0);
     }
 
     #[test]
@@ -198,7 +171,7 @@ mod tests {
         assert_eq!(q.pop_inactive(), Some(VirtPage(2)));
         assert_eq!(q.pop_inactive(), Some(VirtPage(3)));
         assert_eq!(q.pop_inactive(), None);
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.map.len(), 1);
     }
 
     #[test]
@@ -209,12 +182,12 @@ mod tests {
             q.on_access(VirtPage(i));
         }
         assert_eq!(q.deactivate_oldest(), Some(VirtPage(0)));
-        assert_eq!(q.list_of(VirtPage(0)), Some(ListKind::Inactive));
+        assert_eq!(list_of(&q, VirtPage(0)), Some(ListKind::Inactive));
         // Refreshing 1 pushes it behind 2 in age order.
         q.on_access(VirtPage(1));
         assert_eq!(q.deactivate_oldest(), Some(VirtPage(2)));
         assert_eq!(q.active_len(), 1);
-        assert_eq!(q.inactive_len(), 2);
+        assert_eq!(q.inactive_len, 2);
     }
 
     #[test]
@@ -222,7 +195,7 @@ mod tests {
         let mut q = Lru2Q::new();
         q.insert_inactive(VirtPage(5));
         q.remove(VirtPage(5));
-        assert!(q.is_empty());
+        assert!(q.map.is_empty());
         assert_eq!(q.pop_inactive(), None);
     }
 
@@ -234,7 +207,7 @@ mod tests {
         assert_eq!(q.active_len(), 1);
         q.insert_inactive(VirtPage(7));
         assert_eq!(q.active_len(), 0);
-        assert_eq!(q.inactive_len(), 1);
+        assert_eq!(q.inactive_len, 1);
         assert_eq!(q.pop_inactive(), Some(VirtPage(7)));
     }
 
@@ -252,7 +225,7 @@ mod tests {
             if i % 11 == 0 {
                 q.deactivate_oldest();
             }
-            assert_eq!(q.active_len() + q.inactive_len(), q.len());
+            assert_eq!(q.active_len() + q.inactive_len, q.map.len());
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Page-table scanning substrate.
 //!
-//! The classic software tracking mechanism (Nimble, MULTI-CLOCK, kstaled):
+//! The classic software tracking mechanism (Nimble, TPP's aging, kstaled):
 //! periodically walk every mapped page-table entry, harvest and clear the
 //! hardware accessed/dirty bits. The paper's Insight #1 criticisms are
 //! reproduced by construction: the cost grows with the number of mapped
@@ -20,25 +20,14 @@ pub struct ScanRecord {
     pub size: PageSize,
     /// Accessed since the previous scan.
     pub accessed: bool,
-    /// Dirtied since the previous scan.
-    pub dirty: bool,
 }
 
-/// Aggregate result of one scan pass.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ScanStats {
-    /// Entries visited.
-    pub scanned: u64,
-    /// Entries with the accessed bit set.
-    pub accessed: u64,
-}
-
-/// Walks every mapped entry, reporting and clearing accessed/dirty bits.
+/// Walks every mapped entry, reporting its accessed bit and clearing the
+/// accessed and dirty bits.
 ///
 /// The per-entry CPU cost is charged to the caller's cost sink, which is the
 /// scalability wall of this mechanism for large memory.
-pub fn scan_and_clear(ops: &mut PolicyOps<'_>, mut f: impl FnMut(ScanRecord)) -> ScanStats {
-    let mut stats = ScanStats::default();
+pub fn scan_and_clear(ops: &mut PolicyOps<'_>, mut f: impl FnMut(ScanRecord)) {
     ops.scan_entries(|vpage, entry| {
         let rec = match entry {
             EntryMut::Base(p) => {
@@ -46,7 +35,6 @@ pub fn scan_and_clear(ops: &mut PolicyOps<'_>, mut f: impl FnMut(ScanRecord)) ->
                     vpage,
                     size: PageSize::Base,
                     accessed: p.accessed,
-                    dirty: p.dirty,
                 };
                 p.accessed = false;
                 p.dirty = false;
@@ -57,20 +45,14 @@ pub fn scan_and_clear(ops: &mut PolicyOps<'_>, mut f: impl FnMut(ScanRecord)) ->
                     vpage,
                     size: PageSize::Huge,
                     accessed: h.accessed,
-                    dirty: h.dirty,
                 };
                 h.accessed = false;
                 h.dirty = false;
                 r
             }
         };
-        stats.scanned += 1;
-        if rec.accessed {
-            stats.accessed += 1;
-        }
         f(rec);
     });
-    stats
 }
 
 #[cfg(test)]
@@ -93,21 +75,28 @@ mod tests {
 
         let mut acct = CostAccounting::default();
         let mut recs = Vec::new();
-        {
-            let mut ops = PolicyOps::new(&mut m, &mut acct, CostSink::Daemon, 0.0);
-            let stats = scan_and_clear(&mut ops, |r| recs.push(r));
-            assert_eq!(stats.scanned, 2);
-            assert_eq!(stats.accessed, 2);
-        }
-        recs.sort_by_key(|r| r.vpage);
-        assert!(recs[0].accessed && recs[0].dirty);
-        assert!(recs[1].accessed && !recs[1].dirty);
-        // Scanning again finds everything cleared.
         let mut ops = PolicyOps::new(&mut m, &mut acct, CostSink::Daemon, 0.0);
-        let stats = scan_and_clear(&mut ops, |_| {});
-        assert_eq!(stats.accessed, 0);
-        // Cost charged per entry, twice over two scans.
-        assert!(acct.daemon_ns >= 4.0 * memtis_sim::policy::SCAN_ENTRY_NS);
+        scan_and_clear(&mut ops, |r| recs.push(r));
+        recs.sort_by_key(|r| r.vpage);
+        assert_eq!(recs.len(), 2);
+        assert_eq!((recs[0].vpage, recs[0].size), (VirtPage(0), PageSize::Base));
+        assert_eq!(
+            (recs[1].vpage, recs[1].size),
+            (VirtPage(512), PageSize::Huge)
+        );
+        assert!(recs.iter().all(|r| r.accessed));
+        // Both bits are cleared, the store's dirty bit included.
+        ops.scan_entries(|_, entry| match entry {
+            EntryMut::Base(p) => assert!(!p.accessed && !p.dirty),
+            EntryMut::Huge(h) => assert!(!h.accessed && !h.dirty),
+        });
+        // Scanning again finds every entry unaccessed.
+        recs.clear();
+        scan_and_clear(&mut ops, |r| recs.push(r));
+        assert_eq!(recs.len(), 2);
+        assert!(recs.iter().all(|r| !r.accessed));
+        // Cost charged per entry, over three walks.
+        assert!(acct.daemon_ns >= 6.0 * memtis_sim::policy::SCAN_ENTRY_NS);
     }
 
     #[test]

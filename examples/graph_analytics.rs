@@ -58,10 +58,6 @@ fn main() {
         ),
         ("HeMem", Box::new(HememPolicy::new(HememConfig::default()))),
         (
-            "MULTI-CLOCK",
-            Box::new(MultiClockPolicy::new(MultiClockConfig::default())),
-        ),
-        (
             "MEMTIS",
             Box::new(MemtisPolicy::new(MemtisConfig::sim_scaled())),
         ),

@@ -64,10 +64,6 @@ fn every_policy_survives_every_benchmark() {
             ),
             ("hemem", Box::new(HememPolicy::new(HememConfig::default()))),
             (
-                "multiclock",
-                Box::new(MultiClockPolicy::new(MultiClockConfig::default())),
-            ),
-            (
                 "memtis",
                 Box::new(MemtisPolicy::new(MemtisConfig::sim_scaled())),
             ),

@@ -6,8 +6,8 @@
 
 use memtis_repro::baselines::{
     AutoNumaConfig, AutoNumaPolicy, AutoTieringConfig, AutoTieringPolicy, HememConfig, HememPolicy,
-    MultiClockConfig, MultiClockPolicy, NimbleConfig, NimblePolicy, StaticPolicy, Tiering08Config,
-    Tiering08Policy, TmtsConfig, TmtsPolicy, TppConfig, TppPolicy,
+    NimbleConfig, NimblePolicy, StaticPolicy, Tiering08Config, Tiering08Policy, TppConfig,
+    TppPolicy,
 };
 use memtis_repro::memtis::{MemtisConfig, MemtisPolicy};
 use memtis_repro::sim::prelude::*;
@@ -116,26 +116,10 @@ fn nimble_policy() -> Box<dyn TieringPolicy> {
     }))
 }
 
-fn multiclock_policy() -> Box<dyn TieringPolicy> {
-    Box::new(MultiClockPolicy::new(MultiClockConfig {
-        scan_every_ticks: 2,
-        ..Default::default()
-    }))
-}
-
-fn tmts_policy() -> Box<dyn TieringPolicy> {
-    Box::new(TmtsPolicy::new(TmtsConfig {
-        load_period: 4,
-        store_period: 64,
-        scan_every_ticks: 2,
-        ..Default::default()
-    }))
-}
-
 type MkPolicy = fn() -> Box<dyn TieringPolicy>;
 
 /// Every policy with mutable state, in a fixed order.
-const STATEFUL: [(&str, MkPolicy); 9] = [
+const STATEFUL: [(&str, MkPolicy); 7] = [
     ("memtis", memtis_policy),
     ("tpp", tpp_policy),
     ("hemem", hemem_policy),
@@ -143,8 +127,6 @@ const STATEFUL: [(&str, MkPolicy); 9] = [
     ("autotiering", autotiering_policy),
     ("tiering08", tiering08_policy),
     ("nimble", nimble_policy),
-    ("multiclock", multiclock_policy),
-    ("tmts", tmts_policy),
 ];
 
 fn stream() -> SpecStream {
@@ -230,7 +212,7 @@ proptest! {
     }
 }
 
-/// Every policy — the nine stateful ones and the stateless static and
+/// Every policy — the seven stateful ones and the stateless static and
 /// first-touch ones — resumes bit-exactly from a mid-run checkpoint, in a
 /// serial cell and in a batched + sharded + faulted one. The proptest above
 /// samples policies at random; this pins each of them deterministically.
