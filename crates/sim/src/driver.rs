@@ -1128,21 +1128,27 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     ///
     /// Byte-exactness with the per-event loop rests on three invariants:
     ///
-    /// 1. Deferral engages only on *quiet* runs — no migration engine
-    ///    (`bandwidth_limit` unset, so `pump_transfers` is a no-op and
-    ///    per-access fault work is exactly `0.0`), no fault injection
-    ///    (every sample fate is `Deliver`, no fault records) — under a
-    ///    policy declaring [`TieringPolicy::batch_safe`]. Anything else
-    ///    funnels through [`Simulation::step_event`] unchanged.
-    /// 2. A burst is sized so no boundary check could fire between two of
-    ///    its accesses: the clock stops at the next tick/stretch boundary,
+    /// 1. Deferral engages only on *quiet* runs — no fault injection
+    ///    (every sample fate is `Deliver`, no fault records, per-access
+    ///    fault work exactly `0.0`), no shadow copies, and no bandwidth cap
+    ///    on a sharded run — under a policy declaring
+    ///    [`TieringPolicy::batch_safe`]. Anything else funnels through
+    ///    [`Simulation::step_event`] unchanged, and so does an access taken
+    ///    while a queued transfer waits on an idle link
+    ///    ([`Machine::next_transfer_event_ns`] is `None`): the pump after it
+    ///    starts the copy.
+    /// 2. A burst is sized so no boundary check and no engine event could
+    ///    fire between two of its accesses: the clock stops at the next
+    ///    tick/stretch boundary or the soonest end of an active copy pass,
     ///    and the length is capped by the window collector's
-    ///    remaining-event budget and the remaining access budget. The
-    ///    checks then run once after the burst — the first point the
-    ///    per-event loop could have seen them fire.
+    ///    remaining-event budget and the remaining access budget. The pump
+    ///    and the checks then run once after the burst — the first point
+    ///    the per-event loop could have seen them act. The engine's active
+    ///    set is fixed for the burst, so store dirtying, link contention
+    ///    and the uncoalesced access path see what per-event accesses see.
     /// 3. Deferred `on_access` deliveries replay in order, each at its
-    ///    recorded pre-update wall clock, before any boundary work or
-    ///    fault tail that follows the burst.
+    ///    recorded pre-update wall clock, before the pump, boundary work
+    ///    or fault tail that follows the burst.
     ///
     /// Hint faults stop the burst (the machine has executed the access;
     /// the legacy tail replays its policy hooks and clock update here) and
@@ -1155,10 +1161,12 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         // Shadow mode mutates the shadow map from store paths, so its runs
         // stay strictly per-event (stream-ordered): no deferred batches and
         // no sharded bursts, making serial and `--shards N` byte-identical
-        // by construction.
-        let defer = self.machine.config().migration.bandwidth_limit.is_none()
-            && !self.has_faults
-            && !self.machine.config().migration.shadow
+        // by construction. Sharded bursts ignore the engine's clock stop,
+        // so a bandwidth-capped sharded run stays per-event as well.
+        let migration = &self.machine.config().migration;
+        let defer = !self.has_faults
+            && !migration.shadow
+            && (self.shard.is_none() || migration.bandwidth_limit.is_none())
             && self.policy.batch_safe();
         // Constant for the run, per the `batch_record_filter` contract.
         let filter = self.policy.batch_record_filter();
@@ -1190,14 +1198,18 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             let mut i = 0;
             let mut halt = false;
             while i < n && !halt {
-                if !defer || !matches!(buf[i], WorkloadEvent::Access(_)) {
+                let engine_next = match buf[i] {
+                    WorkloadEvent::Access(_) if defer => self.machine.next_transfer_event_ns(),
+                    _ => None,
+                };
+                let Some(engine_next) = engine_next else {
                     let ev = buf[i];
                     i += 1;
                     if self.step_event(ev)? {
                         halt = true;
                     }
                     continue;
-                }
+                };
                 let limit = ((n - i) as u64).min(self.wcol.events_until_due(self.sim_events));
                 debug_assert!(limit >= 1, "burst sizing must always make progress");
                 if self.shard.is_some() {
@@ -1213,7 +1225,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                     wall_ns: self.wall_ns,
                     app_access_ns: self.app_access_ns,
                     threads: self.threads(),
-                    stop_wall_ns: self.next_tick.min(self.next_stretch),
+                    stop_wall_ns: self.next_tick.min(self.next_stretch).min(engine_next),
                 };
                 records.clear();
                 let (consumed, stop) = {
@@ -1243,6 +1255,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                 }
                 match stop {
                     BatchStop::Clean => {
+                        self.pump_transfers();
                         if consumed > 0 && self.post_event_checks() {
                             halt = true;
                         }

@@ -324,6 +324,27 @@ impl MigrationEngine {
         self.pending.len()
     }
 
+    /// The earliest simulated time at which [`MigrationEngine::pump`] can
+    /// do anything: the soonest `end_ns` over active copy passes, or
+    /// infinity when none is active. `None` while a queued transfer's link
+    /// is idle — the next pump starts it whatever the clock reads.
+    pub(crate) fn next_event_ns(&self) -> Option<f64> {
+        let mut next = f64::INFINITY;
+        for l in &self.links {
+            if let Some(t) = &l.active {
+                next = next.min(t.end_ns);
+            }
+        }
+        let startable = self.pending.iter().any(|t| {
+            let key = link_key(t.from, t.to);
+            !self
+                .links
+                .iter()
+                .any(|l| l.key == key && l.active.is_some())
+        });
+        (!startable).then_some(next)
+    }
+
     pub(crate) fn in_flight(&self) -> usize {
         self.pending.len() + self.links.iter().filter(|l| l.active.is_some()).count()
     }
@@ -845,6 +866,83 @@ mod tests {
         r.expect_end().unwrap();
         assert_eq!(f.queue_len(), 5000);
         assert_eq!(f.transfer_ids(), e.transfer_ids());
+    }
+
+    #[test]
+    fn next_event_is_the_soonest_active_end_unless_a_link_is_idle() {
+        let mut e = MigrationEngine::new(16, 2);
+        assert_eq!(e.next_event_ns(), Some(f64::INFINITY), "idle engine");
+        admit(&mut e, 1, 0, 0.0);
+        assert_eq!(e.next_event_ns(), None, "queued on a link not yet made");
+        e.pump(10.0, |_, _| 1.0); // starts at t=0, ends at 4096
+        assert_eq!(e.next_event_ns(), Some(4096.0));
+        admit(&mut e, 2, 0, 20.0);
+        assert_eq!(e.next_event_ns(), Some(4096.0), "queued behind a busy link");
+        // A transfer on a second, idle link starts at the next pump.
+        e.admit(
+            VirtPage(3),
+            PageSize::Base,
+            TierId(2),
+            TierId::FAST,
+            Frame(3000),
+            Frame(3),
+            0,
+            30.0,
+        );
+        assert_eq!(e.next_event_ns(), None);
+        // That link copies at 2 B/ns from t=30: it ends first, at 2078.
+        e.pump(40.0, |a, _| if a == TierId(2) { 2.0 } else { 1.0 });
+        assert_eq!(e.next_event_ns(), Some(2078.0));
+        e.pump(2078.0, |a, _| if a == TierId(2) { 2.0 } else { 1.0 });
+        assert_eq!(e.next_event_ns(), Some(4096.0));
+        // Once the first link frees, its queued transfer starts at once.
+        e.pump(4096.0, |_, _| 1.0);
+        assert_eq!(e.next_event_ns(), Some(8192.0));
+        e.pump(8192.0, |_, _| 1.0);
+        assert_eq!(e.next_event_ns(), Some(f64::INFINITY));
+    }
+
+    /// A window stretch can move the wall clock past an active pass's end
+    /// with no pump in between. A burst sized by the engine's next event
+    /// then stops after one access — where the per-event loop pumps next.
+    #[test]
+    fn burst_after_a_stretch_past_an_unpumped_end_runs_one_access() {
+        use crate::access::{Access, RecordFilter};
+        use crate::config::MachineConfig;
+        use crate::driver::WorkloadEvent;
+        use crate::machine::{BatchClock, BatchStop, Machine};
+
+        let mut cfg = MachineConfig::dram_nvm(2 << 21, 8 << 21);
+        cfg.migration.bandwidth_limit = Some(1.0);
+        let mut m = Machine::new(cfg);
+        for v in 0..4 {
+            m.alloc_and_map(VirtPage(v), PageSize::Base, TierId::CAPACITY)
+                .unwrap();
+        }
+        m.enqueue_migration(VirtPage(0), TierId::FAST, 0, 0.0)
+            .unwrap();
+        assert_eq!(m.next_transfer_event_ns(), None);
+        m.pump_transfers(0.0);
+        let end = m.next_transfer_event_ns().expect("copy active");
+        assert_eq!(end, 4096.0);
+
+        let events: Vec<WorkloadEvent> = (0..8)
+            .map(|k| WorkloadEvent::Access(Access::load((k % 4) * 4096)))
+            .collect();
+        let mut clock = BatchClock {
+            wall_ns: end + 1000.0,
+            app_access_ns: 0.0,
+            threads: 1.0,
+            stop_wall_ns: end,
+        };
+        let mut out = Vec::new();
+        let (consumed, stop) = m.access_batch(&events, &mut out, &mut clock, RecordFilter::ALL);
+        assert_eq!(consumed, 1);
+        assert!(matches!(stop, BatchStop::Clean));
+        // The pump that follows the burst finishes the copy.
+        m.pump_transfers(clock.wall_ns);
+        assert_eq!(m.locate(VirtPage(0)), Some((TierId::FAST, PageSize::Base)));
+        assert_eq!(m.next_transfer_event_ns(), Some(f64::INFINITY));
     }
 
     #[test]

@@ -63,7 +63,8 @@ pub struct BatchClock {
     /// Application thread count (the per-access wall divisor).
     pub threads: f64,
     /// The batch stops as soon as `wall_ns` reaches this (the driver's next
-    /// tick or daemon-contention stretch boundary), so no timer can fire mid-burst.
+    /// tick or daemon-contention stretch boundary, or the end of the soonest
+    /// active copy pass), so no timer or transfer can fire mid-burst.
     pub stop_wall_ns: f64,
 }
 
@@ -1448,6 +1449,16 @@ impl Machine {
     /// No transfers queued or copying.
     pub fn transfers_idle(&self) -> bool {
         self.engine.is_idle()
+    }
+
+    /// The earliest simulated time at which [`Machine::pump_transfers`] can
+    /// start, finish, re-copy or abort a transfer: the soonest end of an
+    /// active copy pass, or infinity when none is copying. `None` while a
+    /// queued transfer waits on an idle link, which the next pump starts
+    /// whatever the clock reads. Machine-level faults and shadow reclaims
+    /// are not covered.
+    pub(crate) fn next_transfer_event_ns(&self) -> Option<f64> {
+        self.engine.next_event_ns()
     }
 
     /// Queued (not yet copying) transfers.
