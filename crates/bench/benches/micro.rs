@@ -2,14 +2,15 @@
 
 //! Criterion micro-benchmarks for the hot paths of the stack: the per-access
 //! machine pipeline, PEBS sampling, histogram updates, Algorithm 1, page
-//! walks, and huge-page splits. These bound the simulator's throughput and
-//! double as regression guards.
+//! walks, huge-page splits, and workload stream generation. These bound the
+//! simulator's throughput and double as regression guards.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use memtis_core::{adapt, AccessHistogram};
 use memtis_sim::prelude::*;
 use memtis_tracking::pebs::PebsSampler;
 use memtis_workloads::dist::ZipfTable;
+use memtis_workloads::{Benchmark, Scale, SpecStream};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -115,9 +116,27 @@ fn zipf_sampling(c: &mut Criterion) {
     c.bench_function("zipf_sample", |b| b.iter(|| black_box(z.sample(&mut rng))));
 }
 
+fn spec_fill(c: &mut Criterion) {
+    // Silo generates scattered records under Zipf: the generator's most
+    // expensive per-access path (placement stride plus CDF search). The
+    // stream restarts when it runs dry, so every iteration fills a full
+    // buffer of accesses.
+    let spec = Benchmark::Silo.spec(Scale::TEST, 4_000_000);
+    let mut stream = SpecStream::new(spec.clone(), 3);
+    let mut buf = vec![WorkloadEvent::Access(Access::load(0)); 1024];
+    c.bench_function("spec_fill_silo", |b| {
+        b.iter(|| {
+            if stream.fill(&mut buf) < buf.len() {
+                stream = SpecStream::new(spec.clone(), 3);
+            }
+            black_box(&buf);
+        })
+    });
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = machine_access, pebs_observe, histogram_ops, algorithm1, page_walks, huge_split, zipf_sampling
+    targets = machine_access, pebs_observe, histogram_ops, algorithm1, page_walks, huge_split, zipf_sampling, spec_fill
 }
 criterion_main!(micro);

@@ -9,12 +9,22 @@ use rand::Rng;
 
 /// Zipf(s) sampler over ranks `0..n` (rank 0 is the hottest).
 ///
-/// Uses a precomputed CDF with binary search: exact, deterministic given the
-/// RNG, and fast enough for multi-million-access streams.
+/// Inverts a precomputed CDF: exact and deterministic given the RNG. A guide
+/// table over `2^bits` equal slices of `[0, 1)` narrows each search to the
+/// contiguous ranks whose CDF values fall in the drawn `u`'s slice, instead
+/// of a cache-missing binary search over the whole CDF, and returns exactly
+/// the rank the full search would.
 #[derive(Debug, Clone)]
 pub struct ZipfTable {
     cdf: Vec<f64>,
+    /// `guide[b]` = number of CDF values below `b / 2^bits`, for
+    /// `b = 0..=2^bits`.
+    guide: Vec<u32>,
+    bits: u32,
 }
+
+/// Guide-table resolution cap: at most `2^14 + 1` entries (64 KiB) per table.
+const MAX_GUIDE_BITS: u32 = 14;
 
 impl ZipfTable {
     /// Builds the table for `n` ranks with exponent `s`.
@@ -34,7 +44,16 @@ impl ZipfTable {
         for v in &mut cdf {
             *v /= total;
         }
-        ZipfTable { cdf }
+        // One bucket per rank up to the cap, so small tables stay small.
+        let bits = n.next_power_of_two().trailing_zeros().min(MAX_GUIDE_BITS);
+        let scale = (1u64 << bits) as f64;
+        let guide = (0..=1u64 << bits)
+            .map(|b| {
+                let edge = b as f64 / scale;
+                u32::try_from(cdf.partition_point(|&c| c < edge)).expect("zipf ranks fit u32")
+            })
+            .collect();
+        ZipfTable { cdf, guide, bits }
     }
 
     /// Number of ranks.
@@ -50,8 +69,22 @@ impl ZipfTable {
     /// Samples a rank in `0..n`.
     #[inline]
     pub fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
-        let u: f64 = rng.gen();
-        self.cdf.partition_point(|&c| c < u) as u64
+        self.rank_of(rng.gen())
+    }
+
+    /// The rank `u ∈ [0, 1)` inverts to: `cdf.partition_point(|c| c < u)`.
+    ///
+    /// Scaling `u` by `2^bits` is exact, so `b / 2^bits <= u < (b + 1) /
+    /// 2^bits` for `b = floor(u * 2^bits)`; the CDF is non-decreasing, so the
+    /// full search's answer lies in `guide[b]..=guide[b + 1]` and searching
+    /// that slice alone returns it.
+    #[inline]
+    fn rank_of(&self, u: f64) -> u64 {
+        debug_assert!((0.0..1.0).contains(&u), "zipf draw {u} outside [0, 1)");
+        let b = (u * (1u64 << self.bits) as f64) as usize;
+        let lo = self.guide[b] as usize;
+        let hi = self.guide[b + 1] as usize;
+        (lo + self.cdf[lo..hi].partition_point(|&c| c < u)) as u64
     }
 
     /// Probability mass of rank `k`.
@@ -95,6 +128,39 @@ mod tests {
         // Monotone-ish head.
         assert!(counts[0] > counts[5]);
         assert!(counts[5] > counts[40]);
+    }
+
+    #[test]
+    fn guide_table_inverts_exactly_like_the_full_search() {
+        let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let next_down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let largest_below_one = next_down(1.0);
+        let mut rng = StdRng::seed_from_u64(11);
+        for n in [1u64, 2, 3, 100, (1 << 14) - 1, (1 << 14) + 1, 200_000] {
+            for s in [0.3, 0.8, 0.99, 1.15] {
+                let z = ZipfTable::new(n, s);
+                let full = |u: f64| z.cdf.partition_point(|&c| c < u) as u64;
+                let check = |u: f64| {
+                    if (0.0..1.0).contains(&u) {
+                        assert_eq!(z.rank_of(u), full(u), "n={n} s={s} u={u:e}");
+                    }
+                };
+                assert_eq!(z.guide.len(), (1 << z.bits) + 1);
+                assert!(z.bits <= MAX_GUIDE_BITS);
+                for b in 0..=1u64 << z.bits {
+                    let edge = b as f64 / (1u64 << z.bits) as f64;
+                    check(edge);
+                    check(next_up(edge));
+                    if edge > 0.0 {
+                        check(next_down(edge));
+                    }
+                }
+                check(largest_below_one);
+                for _ in 0..100_000 {
+                    check(rng.gen());
+                }
+            }
+        }
     }
 
     #[test]

@@ -87,30 +87,65 @@ impl RegionSpec {
     /// Maps a slot rank to its subpage index within the region.
     #[inline]
     pub fn subpage_of_slot(&self, slot: u64) -> u64 {
-        match self.placement {
-            Placement::Dense => {
-                // Dense within a huge page, scattered across huge pages.
-                let n_hp = self.subpages() / NR_SUBPAGES;
-                if n_hp <= 1 {
-                    return slot % self.subpages();
-                }
-                let hp = slot / NR_SUBPAGES;
-                let sub = slot % NR_SUBPAGES;
-                let stride = scatter_stride(n_hp);
-                ((hp * stride) % n_hp) * NR_SUBPAGES + sub
-            }
-            Placement::Scattered => {
-                let n = self.subpages();
-                let stride = scatter_stride(n);
-                (slot.wrapping_mul(stride)) % n
-            }
-        }
+        SlotMap::new(self).subpage(slot)
     }
 
     /// Virtual address of a slot's subpage start.
     #[inline]
     pub fn slot_addr(&self, slot: u64) -> u64 {
-        self.addr.0 + self.subpage_of_slot(slot) * BASE_PAGE_SIZE
+        SlotMap::new(self).addr(slot)
+    }
+}
+
+/// A region's slot→subpage placement with its stride resolved, so mapping a
+/// slot costs a multiply and a remainder. [`SpecStream`] builds one per
+/// region up front; [`RegionSpec`]'s own methods build one per call, since
+/// its fields are public and may change between calls.
+#[derive(Debug, Clone, Copy)]
+struct SlotMap {
+    base: u64,
+    subpages: u64,
+    n_hp: u64,
+    stride: u64,
+    placement: Placement,
+}
+
+impl SlotMap {
+    fn new(r: &RegionSpec) -> Self {
+        let subpages = r.subpages();
+        let n_hp = subpages / NR_SUBPAGES;
+        let stride = match r.placement {
+            Placement::Dense => scatter_stride(n_hp),
+            Placement::Scattered => scatter_stride(subpages),
+        };
+        SlotMap {
+            base: r.addr.0,
+            subpages,
+            n_hp,
+            stride,
+            placement: r.placement,
+        }
+    }
+
+    #[inline]
+    fn subpage(&self, slot: u64) -> u64 {
+        match self.placement {
+            Placement::Dense => {
+                // Dense within a huge page, scattered across huge pages.
+                if self.n_hp <= 1 {
+                    return slot % self.subpages;
+                }
+                let hp = slot / NR_SUBPAGES;
+                let sub = slot % NR_SUBPAGES;
+                ((hp * self.stride) % self.n_hp) * NR_SUBPAGES + sub
+            }
+            Placement::Scattered => (slot.wrapping_mul(self.stride)) % self.subpages,
+        }
+    }
+
+    #[inline]
+    fn addr(&self, slot: u64) -> u64 {
+        self.base + self.subpage(slot) * BASE_PAGE_SIZE
     }
 }
 
@@ -275,6 +310,9 @@ pub struct SpecStream {
     emitted: u64,
     pending: VecDeque<WorkloadEvent>,
     ops: Vec<OpState>,
+    /// Resolved placement of each region, indexed like `spec.regions`.
+    maps: Vec<SlotMap>,
+    /// Zipf tables by region and exact exponent bits.
     zipf_cache: HashMap<(usize, u64), Rc<ZipfTable>>,
     line_salt: u64,
 }
@@ -290,6 +328,7 @@ impl SpecStream {
             panic!("invalid workload spec `{}`: {e}", spec.name);
         }
         SpecStream {
+            maps: spec.regions.iter().map(SlotMap::new).collect(),
             spec,
             rng: StdRng::seed_from_u64(seed),
             phase: 0,
@@ -332,7 +371,7 @@ impl SpecStream {
             let zipf = match op.pattern {
                 Pattern::Zipf(s) => {
                     let slots = self.spec.regions[op.region].slots;
-                    let key = (op.region, (s * 1000.0) as u64);
+                    let key = (op.region, s.to_bits());
                     Some(
                         self.zipf_cache
                             .entry(key)
@@ -365,9 +404,9 @@ impl SpecStream {
                 .min(self.ops.len() - 1)
         };
         let op = &p.ops[op_idx];
-        let region = &self.spec.regions[op.region];
+        let slots = self.spec.regions[op.region].slots;
         let rank = match op.pattern {
-            Pattern::Uniform => self.rng.gen_range(0..region.slots),
+            Pattern::Uniform => self.rng.gen_range(0..slots),
             Pattern::Zipf(_) => self.ops[op_idx]
                 .zipf
                 .as_ref()
@@ -375,16 +414,16 @@ impl SpecStream {
                 .sample(&mut self.rng),
             Pattern::Sequential => {
                 let st = &mut self.ops[op_idx];
-                let s = st.cursor % region.slots;
+                let s = st.cursor % slots;
                 st.cursor += 1;
                 s
             }
         };
-        let slot = (rank + op.rank_offset) % region.slots;
+        let slot = (rank + op.rank_offset) % slots;
         // Spread accesses over the slot's cache lines deterministically.
         self.line_salt = self.line_salt.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let offset = (self.line_salt >> 33) & (BASE_PAGE_SIZE / 64 - 1);
-        let addr = region.slot_addr(slot) + offset * 64;
+        let addr = self.maps[op.region].addr(slot) + offset * 64;
         let store = op.store_fraction > 0.0
             && (op.store_fraction >= 1.0 || self.rng.gen::<f64>() < op.store_fraction);
         if store {
@@ -647,6 +686,32 @@ mod tests {
                 ),
             }
         }
+    }
+
+    #[test]
+    fn close_zipf_exponents_get_distinct_tables() {
+        // Exponents agreeing to three decimals are still different
+        // distributions; each must sample from its own table.
+        let mut spec = tiny_spec();
+        let zipf_phase = |s: f64| PhaseSpec {
+            name: "zipf",
+            accesses: 10,
+            alloc: vec![],
+            free: vec![],
+            ops: vec![OpMix {
+                region: 1,
+                weight: 1.0,
+                pattern: Pattern::Zipf(s),
+                store_fraction: 0.0,
+                rank_offset: 0,
+            }],
+        };
+        spec.phases = vec![zipf_phase(0.9991), zipf_phase(0.9999)];
+        let mut st = SpecStream::new(spec, 1);
+        while st.next_event().is_some() {}
+        let tables: Vec<_> = st.zipf_cache.values().collect();
+        assert_eq!(tables.len(), 2);
+        assert_ne!(tables[0].pmf(0), tables[1].pmf(0));
     }
 
     #[test]
