@@ -97,6 +97,23 @@ impl AccessHistogram {
         }
     }
 
+    /// Applies net per-bin page movements: every negative entry is removed
+    /// from its bin, then every positive one added. Equals the individual
+    /// [`AccessHistogram::move_pages`] calls the deltas sum when none of
+    /// those would underflow.
+    pub(crate) fn apply_deltas(&mut self, delta: &[i64; NUM_BINS]) {
+        for (b, &d) in delta.iter().enumerate() {
+            if d < 0 {
+                self.remove(b, d.unsigned_abs());
+            }
+        }
+        for (b, &d) in delta.iter().enumerate() {
+            if d > 0 {
+                self.add(b, d as u64);
+            }
+        }
+    }
+
     /// Cooling: every hotness factor is halved, which on the exponential
     /// scale is a one-bin left shift (§4.2.2). Pages whose halved hotness
     /// still lands in the top bin must be corrected afterwards by the

@@ -120,18 +120,18 @@ impl PageMeta {
         if u == 0 {
             return None;
         }
+        // Branch-free: an untouched subpage adds 0 to every sum (and
+        // `x + 0.0 == x` for the never-negative `sum_sq`).
         let mut touched = 0u32;
         let mut max_count = 0u32;
         let mut total = 0u64;
         let mut sum_sq = 0.0f64;
         for &c in sub.counts.iter() {
-            if c > 0 {
-                touched += 1;
-                total += c as u64;
-                max_count = max_count.max(c);
-                let h = c as f64;
-                sum_sq += h * h;
-            }
+            touched += (c > 0) as u32;
+            total += c as u64;
+            max_count = max_count.max(c);
+            let h = c as f64;
+            sum_sq += h * h;
         }
         Some(SkewProfile {
             utilization: u,

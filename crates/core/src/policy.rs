@@ -9,7 +9,7 @@
 //! model rewards.
 
 use crate::config::MemtisConfig;
-use crate::histogram::{bin_of, AccessHistogram, MAX_BIN};
+use crate::histogram::{bin_of, AccessHistogram, MAX_BIN, NUM_BINS};
 use crate::meta::{subpage_hotness, PageMeta, SubMeta};
 use crate::regions::RegionTable;
 use crate::threshold::{adapt, Thresholds};
@@ -235,6 +235,112 @@ impl MemtisPolicy {
         });
     }
 
+    /// `ksampled`'s work for one PEBS sample of `access` (§4.1): charge its
+    /// cost, count it against its page and subpage with one metadata
+    /// lookup, move both histograms, queue a hot capacity-tier page for
+    /// promotion, and advance the sample-count clocks (adaptation,
+    /// cooling, benefit estimation, period control).
+    fn process_sample(
+        &mut self,
+        ops: &mut PolicyOps<'_>,
+        access: &Access,
+        outcome: &AccessOutcome,
+    ) {
+        ops.charge(self.cfg.sample_cost_ns);
+        self.window_cpu_ns += self.cfg.sample_cost_ns;
+        self.stats.samples += 1;
+
+        let vpage = access.vaddr.base_page();
+        let is_huge = outcome.page_size == PageSize::Huge;
+        let key = if is_huge { vpage.huge_aligned() } else { vpage };
+        if let Some(meta) = self.pages.get_mut(key) {
+            meta.count += 1;
+            let old_bin = meta.bin as usize;
+            let new_bin = bin_of(meta.hotness());
+            meta.bin = new_bin as u8;
+            self.page_hist.move_pages(old_bin, new_bin, meta.pages_4k());
+            // The sampled 4 KiB page's bin in the emulated base-page
+            // histogram, for eHR: would it hit if only base pages were used?
+            let sampled_base_bin = if is_huge {
+                meta.sub.as_mut().map(|sub| {
+                    let j = vpage.subpage_index();
+                    sub.counts[j] = sub.counts[j].saturating_add(1);
+                    let nb = bin_of(subpage_hotness(sub.counts[j]));
+                    self.base_hist.move_pages(sub.bins[j] as usize, nb, 1);
+                    sub.bins[j] = nb as u8;
+                    nb
+                })
+            } else {
+                self.base_hist.move_pages(old_bin, new_bin, 1);
+                Some(new_bin)
+            };
+            if sampled_base_bin.is_some_and(|bb| bb >= self.base_thr.hot) {
+                self.win_ehr_hits += 1;
+            }
+            // Promotion candidates: hot pages currently in the capacity tier.
+            if self.thr.is_hot(new_bin) && outcome.tier != TierId::FAST && !meta.in_promo {
+                meta.in_promo = true;
+                self.promo.push_back(key);
+            }
+            if is_huge {
+                self.win_hp_samples += 1;
+                if meta.epoch != self.epoch {
+                    meta.epoch = self.epoch;
+                    self.win_hp_distinct += 1;
+                }
+            }
+        }
+
+        // rHR: did the sampled access land in the fast tier? (§4.3.1)
+        self.win_samples += 1;
+        if outcome.tier == TierId::FAST {
+            self.win_fast += 1;
+        }
+
+        // Event-count clocks.
+        self.since_adapt += 1;
+        self.since_cool += 1;
+        self.since_control += 1;
+
+        if self.since_adapt >= self.cfg.adapt_interval {
+            self.since_adapt = 0;
+            self.run_adaptation(ops, ThresholdCause::Periodic);
+        }
+        if self.since_cool >= self.cfg.cooling_interval {
+            self.since_cool = 0;
+            self.run_cooling(ops);
+        }
+        // Benefit estimation once enough records accumulated: a quarter of
+        // the allocated pages, floored for small runs (§4.3.1).
+        let rss_pages = ops.machine().rss_bytes() / 4096;
+        let trigger =
+            (rss_pages / self.cfg.estimate_rss_divisor.max(1)).max(self.cfg.min_estimate_samples);
+        if self.win_samples >= trigger {
+            self.run_estimation(ops);
+        }
+        // Dynamic period control (§4.1.1).
+        if self.since_control >= self.cfg.control_interval {
+            self.since_control = 0;
+            let now = ops.now_ns();
+            let elapsed = now - self.last_control_ns;
+            if elapsed > 0.0 {
+                let usage = self.window_cpu_ns / elapsed;
+                self.controller.update(usage, &mut self.sampler);
+                self.stats.cpu_usage_ema = self.controller.usage_ema();
+                self.stats
+                    .period_series
+                    .push((now, self.sampler.load_period()));
+                ops.emit(EventKind::SampleBatch {
+                    samples: self.cfg.control_interval,
+                    load_period: self.sampler.load_period(),
+                    cpu_usage: self.stats.cpu_usage_ema,
+                });
+            }
+            self.last_control_ns = now;
+            self.window_cpu_ns = 0.0;
+        }
+    }
+
     /// Periodic histogram cooling (§4.2.2): halve every count, shift both
     /// histograms one bin left, correct stragglers, and rebuild the
     /// demotion lists, skewness buckets, and collapse candidates.
@@ -253,65 +359,36 @@ impl MemtisPolicy {
         // The region table sorts its scan order and packs each 2 MiB
         // region's entries contiguously, so collapse detection needs no
         // auxiliary grouping map: count (hot, total, resident-in-fast)
-        // inline while sweeping each region.
+        // inline while sweeping each region. A huge region's one entry is
+        // its slot 0, and the sweep ends at the region's last live entry.
         for region in self.pages.regions_sorted() {
             let mut grp_hot: u16 = 0;
             let mut grp_total: u16 = 0;
             let mut grp_all_fast = true;
-            for j in 0..NR_SUBPAGES {
-                let vpage = VirtPage((region << 9) | j);
-                let Some(meta) = self.pages.get_mut(vpage) else {
-                    continue;
-                };
-                visited_4k += meta.pages_4k();
+            for (vpage, meta) in self.pages.region_entries_mut(region) {
+                let pages_4k = meta.pages_4k();
+                visited_4k += pages_4k;
                 // Halve the count; the histogram shift already assumed the
                 // bin dropped by exactly one, so correct any page whose
                 // halved hotness lands elsewhere (top bin, or zero).
                 meta.count /= 2;
                 let assumed = (meta.bin as usize).saturating_sub(1);
-                let hotness = meta.hotness();
-                let actual = bin_of(hotness);
+                let actual = bin_of(meta.hotness());
                 meta.bin = actual as u8;
-                let pages_4k = meta.pages_4k();
                 let is_huge = meta.size == PageSize::Huge;
+                self.page_hist.move_pages(assumed, actual, pages_4k);
                 // Subpage cooling with the same correction on the base hist.
-                let mut sub_moves: Vec<(usize, usize)> = Vec::new();
-                if let Some(sub) = meta.sub.as_mut() {
-                    for s in 0..NR_SUBPAGES as usize {
-                        sub.counts[s] /= 2;
-                        let a = (sub.bins[s] as usize).saturating_sub(1);
-                        let n = bin_of(subpage_hotness(sub.counts[s]));
-                        sub.bins[s] = n as u8;
-                        if a != n {
-                            sub_moves.push((a, n));
-                        }
-                    }
-                }
-                let base_move = if meta.sub.is_none() {
-                    let a = assumed;
-                    (a != actual).then_some((a, actual))
-                } else {
-                    None
-                };
-                let bin_now = meta.bin as usize;
-                let _ = meta;
-
-                if assumed != actual {
-                    self.page_hist.move_pages(assumed, actual, pages_4k);
-                }
-                for (a, n) in sub_moves {
-                    self.base_hist.move_pages(a, n, 1);
-                }
-                if let Some((a, n)) = base_move {
-                    self.base_hist.move_pages(a, n, 1);
+                match meta.sub.as_mut() {
+                    Some(sub) => cool_subpages(sub, &mut self.base_hist),
+                    None => self.base_hist.move_pages(assumed, actual, 1),
                 }
 
                 // Classify for the demotion lists (fast-tier residents only).
                 let in_fast = matches!(ops.locate(vpage), Some((t, _)) if t == TierId::FAST);
                 if in_fast {
-                    if self.thr.is_cold(bin_now) {
+                    if self.thr.is_cold(actual) {
                         self.demote_cold.push_back(vpage);
-                    } else if self.thr.is_warm(bin_now) {
+                    } else if self.thr.is_warm(actual) {
                         self.demote_warm.push_back(vpage);
                     }
                 }
@@ -324,7 +401,6 @@ impl MemtisPolicy {
                 // sampling noise) would sacrifice TLB reach for no
                 // fast-tier savings.
                 if self.cfg.split && is_huge {
-                    let meta = self.pages.get(vpage).expect("still present");
                     // Any huge page with persistent subpage skew qualifies;
                     // a page that looks lukewarm at 2 MiB granularity may
                     // hold a very hot record — precisely the Silo pattern.
@@ -340,7 +416,7 @@ impl MemtisPolicy {
                 // Collapse candidacy bookkeeping (hot base pages only).
                 if self.cfg.collapse && !is_huge {
                     grp_total += 1;
-                    if self.thr.is_hot(bin_now) {
+                    if self.thr.is_hot(actual) {
                         grp_hot += 1;
                     }
                     grp_all_fast &= in_fast;
@@ -631,6 +707,24 @@ impl MemtisPolicy {
     }
 }
 
+/// Cools a huge page's subpages: halves every count and moves each
+/// subpage from the bin the base histogram's one-bin shift assumed to the
+/// bin its halved hotness lands in. The moves are summed per bin without
+/// branching and applied once; that equals applying them one by one
+/// whenever no single move would underflow, which holds while the
+/// histogram and the metadata agree.
+fn cool_subpages(sub: &mut SubMeta, hist: &mut AccessHistogram) {
+    let mut delta = [0i64; NUM_BINS];
+    for (count, bin) in sub.counts.iter_mut().zip(sub.bins.iter_mut()) {
+        *count /= 2;
+        let actual = bin_of(subpage_hotness(*count));
+        delta[(*bin as usize).saturating_sub(1)] -= 1;
+        delta[actual] += 1;
+        *bin = actual as u8;
+    }
+    hist.apply_deltas(&delta);
+}
+
 fn meta_size_bytes(meta: &PageMeta) -> u64 {
     meta.size.bytes()
 }
@@ -675,120 +769,8 @@ impl TieringPolicy for MemtisPolicy {
     }
 
     fn on_access(&mut self, ops: &mut PolicyOps<'_>, access: &Access, outcome: &AccessOutcome) {
-        let Some(sample) = self.sampler.observe(access, outcome) else {
-            return;
-        };
-        ops.charge(self.cfg.sample_cost_ns);
-        self.window_cpu_ns += self.cfg.sample_cost_ns;
-        self.stats.samples += 1;
-
-        let vpage = sample.vaddr.base_page();
-        let (key, is_huge) = match outcome.page_size {
-            PageSize::Huge => (vpage.huge_aligned(), true),
-            PageSize::Base => (vpage, false),
-        };
-        if let Some(meta) = self.pages.get_mut(key) {
-            meta.count += 1;
-            let old_bin = meta.bin as usize;
-            let new_bin = bin_of(meta.hotness());
-            meta.bin = new_bin as u8;
-            let pages_4k = meta.pages_4k();
-
-            let mut base_move: Option<(usize, usize)> = None;
-            if is_huge {
-                if let Some(sub) = meta.sub.as_mut() {
-                    let j = vpage.subpage_index();
-                    sub.counts[j] = sub.counts[j].saturating_add(1);
-                    let nb = bin_of(subpage_hotness(sub.counts[j]));
-                    let ob = sub.bins[j] as usize;
-                    sub.bins[j] = nb as u8;
-                    if ob != nb {
-                        base_move = Some((ob, nb));
-                    }
-                }
-            } else if old_bin != new_bin {
-                base_move = Some((old_bin, new_bin));
-            }
-            // eHR: would this 4 KiB page hit if only base pages were used?
-            let sampled_base_bin = if is_huge {
-                meta.sub
-                    .as_ref()
-                    .map(|s| s.bins[vpage.subpage_index()] as usize)
-            } else {
-                Some(new_bin)
-            };
-            self.page_hist.move_pages(old_bin, new_bin, pages_4k);
-            if let Some((a, b)) = base_move {
-                self.base_hist.move_pages(a, b, 1);
-            }
-            if let Some(bb) = sampled_base_bin {
-                if bb >= self.base_thr.hot {
-                    self.win_ehr_hits += 1;
-                }
-            }
-            // Promotion candidates: hot pages currently in the capacity tier.
-            let meta = self.pages.get_mut(key).expect("present");
-            if self.thr.is_hot(new_bin) && outcome.tier != TierId::FAST && !meta.in_promo {
-                meta.in_promo = true;
-                self.promo.push_back(key);
-            }
-            if is_huge {
-                self.win_hp_samples += 1;
-                let meta = self.pages.get_mut(key).expect("present");
-                if meta.epoch != self.epoch {
-                    meta.epoch = self.epoch;
-                    self.win_hp_distinct += 1;
-                }
-            }
-        }
-
-        // rHR: did the sampled access land in the fast tier? (§4.3.1)
-        self.win_samples += 1;
-        if outcome.tier == TierId::FAST {
-            self.win_fast += 1;
-        }
-
-        // Event-count clocks.
-        self.since_adapt += 1;
-        self.since_cool += 1;
-        self.since_control += 1;
-
-        if self.since_adapt >= self.cfg.adapt_interval {
-            self.since_adapt = 0;
-            self.run_adaptation(ops, ThresholdCause::Periodic);
-        }
-        if self.since_cool >= self.cfg.cooling_interval {
-            self.since_cool = 0;
-            self.run_cooling(ops);
-        }
-        // Benefit estimation once enough records accumulated: a quarter of
-        // the allocated pages, floored for small runs (§4.3.1).
-        let rss_pages = ops.machine().rss_bytes() / 4096;
-        let trigger =
-            (rss_pages / self.cfg.estimate_rss_divisor.max(1)).max(self.cfg.min_estimate_samples);
-        if self.win_samples >= trigger {
-            self.run_estimation(ops);
-        }
-        // Dynamic period control (§4.1.1).
-        if self.since_control >= self.cfg.control_interval {
-            self.since_control = 0;
-            let now = ops.now_ns();
-            let elapsed = now - self.last_control_ns;
-            if elapsed > 0.0 {
-                let usage = self.window_cpu_ns / elapsed;
-                self.controller.update(usage, &mut self.sampler);
-                self.stats.cpu_usage_ema = self.controller.usage_ema();
-                self.stats
-                    .period_series
-                    .push((now, self.sampler.load_period()));
-                ops.emit(EventKind::SampleBatch {
-                    samples: self.cfg.control_interval,
-                    load_period: self.sampler.load_period(),
-                    cpu_usage: self.stats.cpu_usage_ema,
-                });
-            }
-            self.last_control_ns = now;
-            self.window_cpu_ns = 0.0;
+        if self.sampler.observe(access, outcome).is_some() {
+            self.process_sample(ops, access, outcome);
         }
     }
 
@@ -800,71 +782,68 @@ impl TieringPolicy for MemtisPolicy {
         true
     }
 
-    /// PEBS programs two events — LLC-miss loads and retired stores — so an
-    /// LLC-hit load can never produce a sample ([`PebsSampler::observe`]
-    /// returns without touching a counter) and its record would only be
-    /// scanned and discarded by [`MemtisPolicy::on_access_batch`]. Waive it.
+    /// The sampler programmed into the batch kernel: LLC-miss loads and
+    /// retired stores count down to their next sample and re-arm with
+    /// their periods, LLC-hit loads are never counted (PEBS does not see
+    /// them), and the cap is the number of samples until the next
+    /// period-control point, so a burst ends where
+    /// [`PeriodController::update`] may reprogram the periods.
     fn batch_record_filter(&self) -> RecordFilter {
         RecordFilter {
-            llc_hit_loads: false,
-            ..RecordFilter::ALL
+            next: [
+                RecordFilter::OFF,
+                self.sampler.load_events_until_sample(),
+                self.sampler.store_events_until_sample(),
+            ],
+            period: [
+                RecordFilter::OFF,
+                self.sampler.load_period(),
+                self.sampler.store_period(),
+            ],
+            cap: self
+                .cfg
+                .control_interval
+                .saturating_sub(self.since_control)
+                .max(1) as usize,
         }
     }
 
-    /// Geometric skip-sampling over a deferred batch: with the paper's
-    /// periods (1/200 LLC-miss loads, 1/100,000 stores) >99% of accesses
-    /// never produce a sample, so instead of running the sampler's counter
-    /// arithmetic per access, scan each run for the event at the firing
-    /// distance, bulk-skip the non-firing prefix in O(1), and deliver only
-    /// the firing event through the full per-sample path. The distances are
-    /// recomputed after every delivered sample because sample processing
-    /// can reconfigure the periods (dynamic period control, §4.1.1).
+    /// O(samples) delivery: every record is a sample the kernel counted
+    /// down to, so each one skips the sampler past its class's non-firing
+    /// events in O(1) and is observed; the batch's tally
+    /// ([`memtis_sim::prelude::Machine::batch_tally`]) then accounts for
+    /// the events after each class's last sample. The other class is
+    /// synced before the last record, which may be the one that reaches
+    /// a control point and reprograms the periods (the cap makes it the
+    /// burst's last counted event).
     fn on_access_batch(&mut self, ops: &mut PolicyOps<'_>, batch: &[AccessRecord]) {
-        let mut i = 0;
-        while i < batch.len() {
-            let until_load = self.sampler.load_events_until_sample();
-            let until_store = self.sampler.store_events_until_sample();
-            let mut loads = 0u64;
-            let mut stores = 0u64;
-            let mut fire: Option<usize> = None;
-            for (k, rec) in batch[i..].iter().enumerate() {
-                match rec.access.kind {
-                    AccessKind::Load if rec.outcome.llc_miss => {
-                        loads += 1;
-                        if loads == until_load {
-                            fire = Some(k);
-                            break;
-                        }
-                    }
-                    AccessKind::Store => {
-                        stores += 1;
-                        if stores == until_store {
-                            fire = Some(k);
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            match fire {
-                Some(k) => {
-                    let rec = &batch[i + k];
-                    let (fired_loads, fired_stores) = match rec.access.kind {
-                        AccessKind::Load => (1, 0),
-                        AccessKind::Store => (0, 1),
-                    };
-                    self.sampler
-                        .skip(loads - fired_loads, stores - fired_stores);
-                    ops.set_now(rec.now_ns);
-                    self.on_access(ops, &rec.access, &rec.outcome);
-                    i += k + 1;
-                }
-                None => {
-                    self.sampler.skip(loads, stores);
-                    break;
-                }
-            }
+        let [_, mut loads, mut stores] = ops.machine().batch_tally();
+        let last = batch.len().wrapping_sub(1);
+        for (n, rec) in batch.iter().enumerate() {
+            let (skip_loads, skip_stores) = match rec.access.kind {
+                AccessKind::Load => (
+                    self.sampler.load_events_until_sample() - 1,
+                    if n == last { stores } else { 0 },
+                ),
+                AccessKind::Store => (
+                    if n == last { loads } else { 0 },
+                    self.sampler.store_events_until_sample() - 1,
+                ),
+            };
+            self.sampler.skip(skip_loads, skip_stores);
+            let store = rec.access.is_store() as u64;
+            loads -= skip_loads + (1 - store);
+            stores -= skip_stores + store;
+            let fired = self.sampler.observe(&rec.access, &rec.outcome);
+            debug_assert!(fired.is_some(), "a record the program fired must sample");
+            debug_assert!(
+                n == last || self.since_control + 1 < self.cfg.control_interval,
+                "a control point must end its burst"
+            );
+            ops.set_now(rec.now_ns);
+            self.process_sample(ops, &rec.access, &rec.outcome);
         }
+        self.sampler.skip(loads, stores);
     }
 
     fn tick(&mut self, ops: &mut PolicyOps<'_>) {

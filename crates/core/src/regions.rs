@@ -21,11 +21,41 @@
 
 use crate::meta::PageMeta;
 use memtis_sim::obs::{Snap, SnapError, SnapReader, SnapWriter};
-use memtis_sim::prelude::{DetHashMap, VirtPage, NR_SUBPAGES};
+use memtis_sim::prelude::{VirtPage, NR_SUBPAGES};
 use std::cell::Cell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Sentinel region number for the empty last-region cache and freed slabs.
 const NO_REGION: u64 = u64::MAX;
+
+/// Multiplicative (Fibonacci) hash of a region number, its high half
+/// folded into the low bits the map indexes by: one multiply where SipHash
+/// took a dozen rounds on every sample that missed the last-region cache.
+/// Unkeyed, like the fixed-key SipHash it replaces, so the map's iteration
+/// order is a pure function of its contents — and nothing depends on that
+/// order, since every iteration of the index sorts the region numbers
+/// first.
+#[derive(Default)]
+struct RegionHasher(u64);
+
+impl Hasher for RegionHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, region: u64) {
+        let h = region.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
 
 /// One 2 MiB region worth of metadata: a dense subpage array.
 ///
@@ -57,7 +87,7 @@ impl RegionSlab {
 #[derive(Debug, Default)]
 pub struct RegionTable {
     /// Region number → slab index.
-    index: DetHashMap<u64, u32>,
+    index: HashMap<u64, u32, BuildHasherDefault<RegionHasher>>,
     /// Slab storage; slabs never move once allocated (freed ones are
     /// recycled via `free`), so cached slab indices stay valid.
     slabs: Vec<RegionSlab>,
@@ -75,7 +105,7 @@ impl RegionTable {
     /// Creates an empty table.
     pub fn new() -> Self {
         RegionTable {
-            index: DetHashMap::default(),
+            index: HashMap::default(),
             slabs: Vec::new(),
             free: Vec::new(),
             len: 0,
@@ -212,25 +242,22 @@ impl RegionTable {
         })
     }
 
-    /// Runs `f` over every live entry of `region` (ascending subpage
-    /// order), with mutable access. Returns the number of entries visited.
-    pub fn for_each_in_region_mut(
+    /// The live entries of `region` in ascending subpage order, with
+    /// mutable access. The scan ends at the region's last live entry, so a
+    /// huge page's region (one entry, at slot 0) costs one slot.
+    pub(crate) fn region_entries_mut(
         &mut self,
         region: u64,
-        mut f: impl FnMut(VirtPage, &mut PageMeta),
-    ) -> usize {
-        let Some(i) = self.slab_of(region) else {
-            return 0;
-        };
-        let slab = &mut self.slabs[i as usize];
-        let mut visited = 0;
-        for (j, slot) in slab.slots.iter_mut().enumerate() {
-            if let Some(meta) = slot.as_mut() {
-                f(VirtPage((region << 9) | j as u64), meta);
-                visited += 1;
-            }
-        }
-        visited
+    ) -> impl Iterator<Item = (VirtPage, &mut PageMeta)> {
+        let slab = self.slab_of(region).map(|i| &mut self.slabs[i as usize]);
+        let live = slab.as_ref().map_or(0, |s| s.live as usize);
+        slab.into_iter()
+            .flat_map(|s| s.slots.iter_mut().enumerate())
+            .filter_map(move |(j, slot)| {
+                slot.as_mut()
+                    .map(|m| (VirtPage((region << 9) | j as u64), m))
+            })
+            .take(live)
     }
 }
 
@@ -353,13 +380,16 @@ mod tests {
             t.insert(VirtPage(1024 + j), PageMeta::new_base(j));
         }
         let mut seen = Vec::new();
-        let n = t.for_each_in_region_mut(2, |v, m| {
+        for (v, m) in t.region_entries_mut(2) {
             m.count += 100;
             seen.push(v.0);
-        });
-        assert_eq!(n, 3);
+        }
         assert_eq!(seen, vec![1026, 1033, 1535]);
         assert_eq!(t.get(VirtPage(1026)).unwrap().count, 102);
-        assert_eq!(t.for_each_in_region_mut(7, |_, _| {}), 0);
+        assert_eq!(t.region_entries_mut(7).count(), 0);
+        // A huge page's region stops at its one entry.
+        t.insert(VirtPage(2048), PageMeta::new_huge(5));
+        let huge: Vec<u64> = t.region_entries_mut(4).map(|(v, _)| v.0).collect();
+        assert_eq!(huge, vec![2048]);
     }
 }

@@ -379,7 +379,7 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
 /// non-negative timestamp, and whose event instants carry exactly their
 /// kind's row fields as args. Returns the entry count on success.
 pub fn validate_perfetto(text: &str) -> Result<usize, String> {
-    let v = Json::parse(text)?;
+    let v = Json::parse(text).map_err(|e| e.to_string())?;
     let evs = v
         .get("traceEvents")
         .and_then(Json::as_arr)

@@ -45,6 +45,105 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Why [`Json::parse`] rejected a document. Each variant carries where
+/// it stopped; `Display` renders the message the validators and
+/// `memtis diff` print.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonError {
+    /// Bytes follow the document.
+    TrailingData {
+        /// Offset of the first one.
+        at: usize,
+    },
+    /// A required byte is missing at `at`; `found` is what is there.
+    Expected {
+        /// The byte the grammar requires.
+        want: char,
+        /// Offset of the mismatch.
+        at: usize,
+        /// What the input holds there (`None` at its end).
+        found: Option<char>,
+    },
+    /// An array or object opens deeper than 128 levels.
+    TooDeep {
+        /// Offset of its opening bracket.
+        at: usize,
+    },
+    /// No value starts here.
+    Unexpected {
+        /// The byte found (`None`: the input ended).
+        found: Option<u8>,
+        /// Its offset.
+        at: usize,
+    },
+    /// A misspelt `true`, `false` or `null`.
+    InvalidLiteral {
+        /// Offset of its first byte.
+        at: usize,
+    },
+    /// An object repeats a key.
+    DuplicateKey {
+        /// The key.
+        key: String,
+        /// Offset of its second occurrence.
+        at: usize,
+    },
+    /// An object member is followed by neither `,` nor `}`.
+    UnclosedObject {
+        /// What follows it (`None`: the input ended).
+        found: Option<u8>,
+    },
+    /// An array element is followed by neither `,` nor `]`.
+    UnclosedArray {
+        /// What follows it (`None`: the input ended).
+        found: Option<u8>,
+    },
+    /// The input ends inside a string.
+    UnterminatedString,
+    /// A `\u` escape runs past the end of the input.
+    TruncatedUnicodeEscape,
+    /// A `\u` escape is not four hex digits.
+    BadUnicodeEscape,
+    /// A backslash is followed by a byte that starts no escape.
+    BadEscape {
+        /// That byte (`None`: the input ended).
+        found: Option<u8>,
+    },
+    /// A run of number characters does not parse as a number.
+    BadNumber {
+        /// The run.
+        text: String,
+        /// Its offset.
+        at: usize,
+    },
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JsonError::TrailingData { at } => write!(f, "trailing data at byte {at}"),
+            JsonError::Expected { want, at, found } => {
+                write!(f, "expected '{want}' at byte {at}, found {found:?}")
+            }
+            JsonError::TooDeep { at } => write!(f, "nesting deeper than {MAX_DEPTH} at byte {at}"),
+            JsonError::Unexpected { found, at } => write!(f, "unexpected {found:?} at byte {at}"),
+            JsonError::InvalidLiteral { at } => write!(f, "invalid literal at byte {at}"),
+            JsonError::DuplicateKey { key, at } => write!(f, "duplicate key {key:?} at byte {at}"),
+            JsonError::UnclosedObject { found } => {
+                write!(f, "expected ',' or '}}', found {found:?}")
+            }
+            JsonError::UnclosedArray { found } => write!(f, "expected ',' or ']', found {found:?}"),
+            JsonError::UnterminatedString => f.write_str("unterminated string"),
+            JsonError::TruncatedUnicodeEscape => f.write_str("truncated \\u escape"),
+            JsonError::BadUnicodeEscape => f.write_str("bad \\u escape"),
+            JsonError::BadEscape { found } => write!(f, "bad escape {found:?}"),
+            JsonError::BadNumber { text, at } => write!(f, "bad number {text:?} at byte {at}"),
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -65,7 +164,7 @@ pub enum Json {
 impl Json {
     /// Parses a complete JSON document, rejecting trailing garbage,
     /// duplicate object keys and nesting deeper than 128 levels.
-    pub fn parse(input: &str) -> Result<Json, String> {
+    pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             s: input,
             b: input.as_bytes(),
@@ -76,7 +175,7 @@ impl Json {
         let v = p.value()?;
         p.skip_ws();
         if p.i != p.b.len() {
-            return Err(format!("trailing data at byte {}", p.i));
+            return Err(JsonError::TrailingData { at: p.i });
         }
         Ok(v)
     }
@@ -133,29 +232,25 @@ impl Parser<'_> {
         self.b.get(self.i).copied()
     }
 
-    fn expect(&mut self, c: u8) -> Result<(), String> {
+    fn expect(&mut self, c: u8) -> Result<(), JsonError> {
         if self.peek() == Some(c) {
             self.i += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                c as char,
-                self.i,
-                self.peek().map(|b| b as char)
-            ))
+            Err(JsonError::Expected {
+                want: c as char,
+                at: self.i,
+                found: self.peek().map(|b| b as char),
+            })
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
         match self.peek() {
             Some(b'{' | b'[') => {
                 if self.depth == MAX_DEPTH {
-                    return Err(format!(
-                        "nesting deeper than {MAX_DEPTH} at byte {}",
-                        self.i
-                    ));
+                    return Err(JsonError::TooDeep { at: self.i });
                 }
                 self.depth += 1;
                 let v = if self.peek() == Some(b'{') {
@@ -171,20 +266,20 @@ impl Parser<'_> {
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {:?} at byte {}", other, self.i)),
+            found => Err(JsonError::Unexpected { found, at: self.i }),
         }
     }
 
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
+    fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
         if self.b[self.i..].starts_with(word.as_bytes()) {
             self.i += word.len();
             Ok(v)
         } else {
-            Err(format!("invalid literal at byte {}", self.i))
+            Err(JsonError::InvalidLiteral { at: self.i })
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut m = BTreeMap::new();
         self.skip_ws();
@@ -197,7 +292,7 @@ impl Parser<'_> {
             let at = self.i;
             let k = self.string()?;
             if m.contains_key(&k) {
-                return Err(format!("duplicate key {k:?} at byte {at}"));
+                return Err(JsonError::DuplicateKey { key: k, at });
             }
             self.skip_ws();
             self.expect(b':')?;
@@ -210,12 +305,12 @@ impl Parser<'_> {
                     self.i += 1;
                     return Ok(Json::Obj(m));
                 }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
+                found => return Err(JsonError::UnclosedObject { found }),
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         let mut a = Vec::new();
         self.skip_ws();
@@ -232,17 +327,17 @@ impl Parser<'_> {
                     self.i += 1;
                     return Ok(Json::Arr(a));
                 }
-                other => return Err(format!("expected ',' or ']', found {other:?}")),
+                found => return Err(JsonError::UnclosedArray { found }),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
             match self.peek() {
-                None => return Err("unterminated string".to_string()),
+                None => return Err(JsonError::UnterminatedString),
                 Some(b'"') => {
                     self.i += 1;
                     return Ok(s);
@@ -260,16 +355,16 @@ impl Parser<'_> {
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
                             if self.i + 4 >= self.b.len() {
-                                return Err("truncated \\u escape".to_string());
+                                return Err(JsonError::TruncatedUnicodeEscape);
                             }
                             let hex = std::str::from_utf8(&self.b[self.i + 1..self.i + 5])
-                                .map_err(|_| "bad \\u escape".to_string())?;
+                                .map_err(|_| JsonError::BadUnicodeEscape)?;
                             let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
+                                .map_err(|_| JsonError::BadUnicodeEscape)?;
                             s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.i += 4;
                         }
-                        other => return Err(format!("bad escape {other:?}")),
+                        found => return Err(JsonError::BadEscape { found }),
                     }
                     self.i += 1;
                 }
@@ -286,7 +381,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.i;
         if self.peek() == Some(b'-') {
             self.i += 1;
@@ -300,7 +395,10 @@ impl Parser<'_> {
         let text = std::str::from_utf8(&self.b[start..self.i]).expect("ascii");
         text.parse::<f64>()
             .map(Json::Num)
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
+            .map_err(|_| JsonError::BadNumber {
+                text: text.to_string(),
+                at: start,
+            })
     }
 }
 
@@ -352,7 +450,7 @@ mod tests {
         let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
         assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
         let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
-        assert!(err.contains("nesting deeper than"), "{err}");
+        assert_eq!(err, JsonError::TooDeep { at: MAX_DEPTH });
         // Deep enough to overflow the stack of an unbounded parser.
         assert!(Json::parse(&"[".repeat(200_000)).is_err());
         assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
@@ -369,10 +467,104 @@ mod tests {
     #[test]
     fn parse_rejects_duplicate_keys() {
         let err = Json::parse(r#"{"wall_ns":1.0,"wall_ns":2.0}"#).unwrap_err();
-        assert!(err.contains("duplicate key \"wall_ns\""), "{err}");
+        assert_eq!(
+            err,
+            JsonError::DuplicateKey {
+                key: "wall_ns".into(),
+                at: 15
+            }
+        );
         assert!(Json::parse(r#"{"a":{"b":1,"b":1}}"#).is_err());
         // The same key in sibling objects is fine.
         assert!(Json::parse(r#"[{"a":1},{"a":2}]"#).is_ok());
+    }
+
+    /// Every rejection has a typed cause whose message is the text the
+    /// validators and `memtis diff` have always printed.
+    #[test]
+    fn parse_errors_are_typed_and_keep_their_messages() {
+        let cases: [(&str, JsonError, &str); 13] = [
+            (
+                "{} x",
+                JsonError::TrailingData { at: 3 },
+                "trailing data at byte 3",
+            ),
+            (
+                r#"{"a" 1}"#,
+                JsonError::Expected {
+                    want: ':',
+                    at: 5,
+                    found: Some('1'),
+                },
+                "expected ':' at byte 5, found Some('1')",
+            ),
+            (
+                "[[",
+                JsonError::Unexpected { found: None, at: 2 },
+                "unexpected None at byte 2",
+            ),
+            (
+                "x",
+                JsonError::Unexpected {
+                    found: Some(b'x'),
+                    at: 0,
+                },
+                "unexpected Some(120) at byte 0",
+            ),
+            (
+                "tru",
+                JsonError::InvalidLiteral { at: 0 },
+                "invalid literal at byte 0",
+            ),
+            (
+                r#"{"k":1,"k":2}"#,
+                JsonError::DuplicateKey {
+                    key: "k".into(),
+                    at: 7,
+                },
+                "duplicate key \"k\" at byte 7",
+            ),
+            (
+                r#"{"a":1 2}"#,
+                JsonError::UnclosedObject { found: Some(b'2') },
+                "expected ',' or '}', found Some(50)",
+            ),
+            (
+                "[1 2]",
+                JsonError::UnclosedArray { found: Some(b'2') },
+                "expected ',' or ']', found Some(50)",
+            ),
+            ("\"ab", JsonError::UnterminatedString, "unterminated string"),
+            (
+                "\"\\u12",
+                JsonError::TruncatedUnicodeEscape,
+                "truncated \\u escape",
+            ),
+            ("\"\\uzzzz\"", JsonError::BadUnicodeEscape, "bad \\u escape"),
+            (
+                "\"\\q\"",
+                JsonError::BadEscape { found: Some(b'q') },
+                "bad escape Some(113)",
+            ),
+            (
+                "-1e",
+                JsonError::BadNumber {
+                    text: "-1e".into(),
+                    at: 0,
+                },
+                "bad number \"-1e\" at byte 0",
+            ),
+        ];
+        for (doc, want, msg) in cases {
+            let err = Json::parse(doc).unwrap_err();
+            assert_eq!(err, want, "{doc:?}");
+            assert_eq!(err.to_string(), msg, "{doc:?}");
+        }
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(
+            Json::parse(&deep).unwrap_err().to_string(),
+            format!("nesting deeper than 128 at byte {MAX_DEPTH}")
+        );
     }
 
     #[test]

@@ -86,51 +86,129 @@ pub struct AccessRecord {
     pub now_ns: f64,
 }
 
-/// Which classes of executed accesses a deferring driver must materialize
-/// as [`AccessRecord`]s for batched policy delivery.
+/// Number of access classes a [`RecordFilter`] counts: LLC-hit loads,
+/// LLC-miss loads and stores, indexed 0, 1 and 2 in that order.
+pub const ACCESS_CLASSES: usize = 3;
+
+/// A PEBS program for [`Machine::access_batch`]: which executed accesses a
+/// deferring driver materializes as [`AccessRecord`]s for batched policy
+/// delivery.
 ///
-/// The classes partition every access by the two fields policy samplers
-/// discriminate on: load vs store, and LLC hit vs miss. A policy whose
-/// `on_access` provably ignores a class (e.g. a PEBS-style sampler
-/// programmed for LLC-miss loads and retired stores never observes an
-/// LLC-hit load) can waive record collection for it; the machine still
-/// executes those accesses — state, statistics, and clocks advance
-/// normally — and the driver merely skips buffering and replaying their
-/// records.
+/// Like a PEBS counter, each access class counts down to its next record
+/// and re-arms with its period after each one; the record cap then ends the
+/// burst. The machine still executes every access — state, statistics and
+/// clocks advance normally — and leaves the number of events it counted in
+/// each class in [`Machine::batch_tally`], so a sampling policy handed only
+/// the firing records can bring its own counters up to date in O(records).
+/// A class set to [`RecordFilter::OFF`] is never counted or recorded.
+///
+/// [`Machine::access_batch`]: crate::machine::Machine::access_batch
+/// [`Machine::batch_tally`]: crate::machine::Machine::batch_tally
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordFilter {
-    /// Materialize loads served by the LLC.
-    pub llc_hit_loads: bool,
-    /// Materialize loads that missed the LLC and paid a tier latency.
-    pub llc_miss_loads: bool,
-    /// Materialize stores.
-    pub stores: bool,
+    /// Per class: counted events up to and including the next recorded one
+    /// (≥ 1), or [`RecordFilter::OFF`].
+    pub next: [u64; ACCESS_CLASSES],
+    /// Per class: what `next` re-arms to after each record (≥ 1).
+    pub period: [u64; ACCESS_CLASSES],
+    /// The burst stops after this many records (≥ 1).
+    pub cap: usize,
 }
 
 impl RecordFilter {
+    /// Countdown of a class that is never counted.
+    pub const OFF: u64 = u64::MAX;
+
     /// Record every access (required by any policy that replays records
     /// one-by-one through `on_access`).
     pub const ALL: RecordFilter = RecordFilter {
-        llc_hit_loads: true,
-        llc_miss_loads: true,
-        stores: true,
+        next: [1; ACCESS_CLASSES],
+        period: [1; ACCESS_CLASSES],
+        cap: usize::MAX,
     };
 
     /// Record nothing (policies that ignore accesses entirely).
     pub const NONE: RecordFilter = RecordFilter {
-        llc_hit_loads: false,
-        llc_miss_loads: false,
-        stores: false,
+        next: [Self::OFF; ACCESS_CLASSES],
+        period: [Self::OFF; ACCESS_CLASSES],
+        cap: usize::MAX,
     };
 
-    /// Whether an access with this kind and outcome must be recorded.
+    /// The class of an access, without branching on its kind: 0 for an
+    /// LLC-hit load, 1 for an LLC-miss load, 2 for a store.
     #[inline]
-    pub fn keeps(&self, kind: AccessKind, llc_miss: bool) -> bool {
-        match (kind, llc_miss) {
-            (AccessKind::Load, false) => self.llc_hit_loads,
-            (AccessKind::Load, true) => self.llc_miss_loads,
-            (AccessKind::Store, _) => self.stores,
+    pub(crate) fn class_of(kind: AccessKind, llc_miss: bool) -> usize {
+        let store = (kind == AccessKind::Store) as usize;
+        (store << 1) | (llc_miss as usize & (store ^ 1))
+    }
+
+    /// Whether this program counts class `class`.
+    #[inline]
+    pub(crate) fn counts(&self, class: usize) -> bool {
+        self.next[class] != Self::OFF
+    }
+
+    /// Counts one event of class `class`; true when it is recorded, which
+    /// re-arms the class with its period. An [`RecordFilter::OFF`] class
+    /// would need 2^64 events to fire.
+    #[inline]
+    pub(crate) fn fire(&mut self, class: usize) -> bool {
+        self.next[class] -= 1;
+        if self.next[class] == 0 {
+            self.next[class] = self.period[class];
+            true
+        } else {
+            false
         }
+    }
+
+    /// Events of each counted class between program state `self` and the
+    /// later state `now`, given how many records each class `fired` in
+    /// between: every event decrements its countdown once and every record
+    /// adds the period back. Uncounted classes read 0.
+    pub(crate) fn tally(
+        &self,
+        now: &RecordFilter,
+        fired: &[u64; ACCESS_CLASSES],
+    ) -> [u64; ACCESS_CLASSES] {
+        std::array::from_fn(|c| {
+            if self.counts(c) {
+                self.next[c]
+                    .wrapping_add(fired[c].wrapping_mul(self.period[c]))
+                    .wrapping_sub(now.next[c])
+            } else {
+                0
+            }
+        })
+    }
+
+    /// Runs the program over `candidates` — stream-ordered records of the
+    /// counted classes, e.g. a sharded burst's merged records — appending
+    /// each one that fires to `out` and stopping after the cap'th. Returns
+    /// how many candidates it consumed and the per-class tally of them.
+    pub(crate) fn select(
+        &self,
+        candidates: &[AccessRecord],
+        out: &mut Vec<AccessRecord>,
+    ) -> (usize, [u64; ACCESS_CLASSES]) {
+        let mut prog = *self;
+        let mut fired = [0u64; ACCESS_CLASSES];
+        let mut kept = 0usize;
+        let mut consumed = candidates.len();
+        for (i, rec) in candidates.iter().enumerate() {
+            let class = Self::class_of(rec.access.kind, rec.outcome.llc_miss);
+            debug_assert!(self.counts(class), "candidate of an uncounted class");
+            if prog.fire(class) {
+                fired[class] += 1;
+                out.push(*rec);
+                kept += 1;
+                if kept == self.cap {
+                    consumed = i + 1;
+                    break;
+                }
+            }
+        }
+        (consumed, self.tally(&prog, &fired))
     }
 }
 

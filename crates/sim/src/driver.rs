@@ -303,6 +303,9 @@ struct ShardRun {
     /// Tournament-merge heap, reused across bursts (zero steady-state
     /// allocation alongside the lane scratch).
     heap: BinaryHeap<Reverse<(u32, u32)>>,
+    /// The records one program pass over a burst's merged candidates
+    /// fires, reused across bursts.
+    sampled: Vec<AccessRecord>,
     /// Parallel bursts merged so far.
     bursts: u64,
     /// Accesses that spilled from a stopped lane to the serial path.
@@ -545,6 +548,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                     pool: WorkerPool::new(workers),
                     lanes: (0..NUM_LANES).map(|_| LaneScratch::default()).collect(),
                     heap: BinaryHeap::new(),
+                    sampled: Vec::new(),
                     bursts: 0,
                     spills: 0,
                     busy_ns: 0,
@@ -1148,7 +1152,11 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     ///    and the uncoalesced access path see what per-event accesses see.
     /// 3. Deferred `on_access` deliveries replay in order, each at its
     ///    recorded pre-update wall clock, before the pump, boundary work
-    ///    or fault tail that follows the burst.
+    ///    or fault tail that follows the burst. The record program
+    ///    ([`TieringPolicy::batch_record_filter`]) is fetched before every
+    ///    burst, so it starts from the policy's counters as the per-event
+    ///    loop would have left them, and its cap ends the burst where a
+    ///    delivery may reprogram it.
     ///
     /// Hint faults stop the burst (the machine has executed the access;
     /// the legacy tail replays its policy hooks and clock update here) and
@@ -1168,8 +1176,6 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             && !migration.shadow
             && (self.shard.is_none() || migration.bandwidth_limit.is_none())
             && self.policy.batch_safe();
-        // Constant for the run, per the `batch_record_filter` contract.
-        let filter = self.policy.batch_record_filter();
         let mut first = true;
         loop {
             // The first buffer of a continued run replays the previous
@@ -1212,6 +1218,9 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                 };
                 let limit = ((n - i) as u64).min(self.wcol.events_until_due(self.sim_events));
                 debug_assert!(limit >= 1, "burst sizing must always make progress");
+                // Reprogrammed per burst: the policy's counters moved with
+                // the last batch and any per-event delivery since.
+                let filter = self.policy.batch_record_filter();
                 if self.shard.is_some() {
                     let (consumed, stop) =
                         self.run_sharded_burst(&buf[i..i + limit as usize], &mut records, filter)?;
@@ -1242,16 +1251,10 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                 self.accesses += consumed as u64;
                 self.sim_events += consumed as u64;
                 i += consumed;
-                if !records.is_empty() {
-                    let _span = Self::span(&self.obs, SpanId::SamplingDrain);
-                    let mut ops = Self::ops(
-                        &mut self.machine,
-                        &mut self.acct,
-                        &mut self.obs,
-                        CostSink::Daemon,
-                        self.wall_ns,
-                    );
-                    self.policy.on_access_batch(&mut ops, &records);
+                // Delivered even when nothing fired: the policy catches its
+                // counters up on the burst's tally.
+                if consumed > 0 {
+                    self.deliver_record_batch(&records);
                 }
                 match stop {
                     BatchStop::Clean => {
@@ -1421,7 +1424,21 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         self.wall_ns += total / self.threads();
         self.accesses += burst_load;
         self.sim_events += burst_load;
-        self.flush_record_batch(records);
+        // The merged candidates are in stream order: run the record
+        // program over them, one delivery per capped pass, reprogramming
+        // between passes as the serial loop does between bursts.
+        let mut pos = 0;
+        let mut filter = filter;
+        while pos < records.len() {
+            if pos > 0 {
+                filter = self.policy.batch_record_filter();
+            }
+            sh.sampled.clear();
+            let (used, tally) = filter.select(&records[pos..], &mut sh.sampled);
+            pos += used;
+            self.machine.set_batch_tally(tally);
+            self.deliver_record_batch(&sh.sampled);
+        }
         drop(fold_span);
 
         // Accesses a stopped lane did not execute (unmapped page or armed
@@ -1450,12 +1467,10 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         Ok((m, stop))
     }
 
-    /// Delivers the pending record batch to the policy (daemon context) and
-    /// clears it. No-op on an empty batch.
-    fn flush_record_batch(&mut self, records: &mut Vec<AccessRecord>) {
-        if records.is_empty() {
-            return;
-        }
+    /// Delivers one burst's (or one sharded program pass's) records to the
+    /// policy (daemon context), even an empty batch: the policy catches up
+    /// on the burst's tally.
+    fn deliver_record_batch(&mut self, records: &[AccessRecord]) {
         let _span = Self::span(&self.obs, SpanId::SamplingDrain);
         let mut ops = Self::ops(
             &mut self.machine,
@@ -1465,7 +1480,6 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             self.wall_ns,
         );
         self.policy.on_access_batch(&mut ops, records);
-        records.clear();
     }
 
     /// Host-side scaling metrics of the sharded pipeline, or `None` on an

@@ -48,7 +48,9 @@ pub mod util;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::access::{Access, AccessKind, AccessOutcome, AccessRecord, RecordFilter};
+    pub use crate::access::{
+        Access, AccessKind, AccessOutcome, AccessRecord, RecordFilter, ACCESS_CLASSES,
+    };
     pub use crate::addr::{
         Frame, PageSize, PhysAddr, TierId, VirtAddr, VirtPage, BASE_PAGE_SIZE, HUGE_PAGE_SIZE,
         NR_SUBPAGES,

@@ -8,7 +8,7 @@
 //! NUMA-hint arming — each returning the nanosecond cost the caller must
 //! attribute to either the application critical path or a background daemon.
 
-use crate::access::{Access, AccessOutcome, AccessRecord, RecordFilter};
+use crate::access::{Access, AccessOutcome, AccessRecord, RecordFilter, ACCESS_CLASSES};
 use crate::addr::{Frame, PageSize, PhysAddr, TierId, VirtPage, BASE_PAGE_SIZE, NR_SUBPAGES};
 use crate::cache::Llc;
 use crate::config::{CostModel, MachineConfig, TierSpec};
@@ -239,6 +239,9 @@ pub struct Machine {
     /// least one mode is configured on, so modes-off runs stay
     /// byte-identical to pre-mode builds.
     modes: Option<Box<ModeState>>,
+    /// Events of each [`RecordFilter`] class the last batched burst
+    /// counted (see [`Machine::batch_tally`]).
+    batch_tally: [u64; ACCESS_CLASSES],
     /// Running counters.
     pub stats: MachineStats,
 }
@@ -325,6 +328,7 @@ impl Machine {
             flight_rng: FLIGHT_RNG_SEED,
             lanes: None,
             modes,
+            batch_tally: [0; ACCESS_CLASSES],
             cfg,
         }
     }
@@ -881,13 +885,17 @@ impl Machine {
     /// folding wall-clock accounting into the loop. Stops — without
     /// consuming it — at the first non-access event.
     ///
-    /// Each clean access the `filter` keeps is appended to `out` (stamped
-    /// with the wall clock *before* its own latency advances it — the
-    /// instant the per-event loop would deliver it to the policy); every
-    /// access, kept or waived, executes and advances `clock` exactly as the
-    /// per-event driver does. Returns how many events were consumed and
-    /// why the call stopped; see [`BatchStop`] for the fault cases, which
-    /// the driver finishes through the legacy per-event path.
+    /// Every clean access counts down its class of the `filter` program
+    /// (without branching on its kind); each one that fires is appended to
+    /// `out`, stamped with the wall clock *before* its own latency advances
+    /// it — the instant the per-event loop would deliver it to the policy —
+    /// and the burst stops cleanly after the program's cap'th record. Every
+    /// access, recorded or not, executes and advances `clock` exactly as
+    /// the per-event driver does, and the events counted per class are
+    /// left in [`Machine::batch_tally`]. Returns how many events were
+    /// consumed and why the call stopped; see [`BatchStop`] for the fault
+    /// cases, which the driver finishes through the legacy per-event path
+    /// (a stopping fault access is neither counted nor recorded).
     ///
     /// Bit-exactness of the coalesced fast path: the batch's first access
     /// to a mapping clears the hint bit and sets the accessed/dirty bits,
@@ -906,8 +914,28 @@ impl Machine {
         clock: &mut BatchClock,
         filter: RecordFilter,
     ) -> (usize, BatchStop) {
+        debug_assert!(filter.next.iter().all(|&n| n >= 1) && filter.cap >= 1);
+        let mut prog = filter;
+        let mut fired = [0u64; ACCESS_CLASSES];
+        let end = self.run_batch(events, out, clock, &mut prog, &mut fired);
+        self.batch_tally = filter.tally(&prog, &fired);
+        end
+    }
+
+    /// The loop of [`Machine::access_batch`], counting down `prog` and
+    /// tallying each class's records in `fired`.
+    #[inline(always)]
+    fn run_batch(
+        &mut self,
+        events: &[crate::driver::WorkloadEvent],
+        out: &mut Vec<AccessRecord>,
+        clock: &mut BatchClock,
+        prog: &mut RecordFilter,
+        fired: &mut [u64; ACCESS_CLASSES],
+    ) -> (usize, BatchStop) {
         let engine_active = self.engine.has_active();
         let mut cache = CoalesceCache::default();
+        let cap_len = out.len().saturating_add(prog.cap);
         for (i, ev) in events.iter().enumerate() {
             let crate::driver::WorkloadEvent::Access(access) = *ev else {
                 return (i, BatchStop::Clean);
@@ -924,20 +952,40 @@ impl Machine {
             if outcome.hint_fault {
                 return (i, BatchStop::Hint(outcome));
             }
-            if filter.keeps(access.kind, outcome.llc_miss) {
+            let class = RecordFilter::class_of(access.kind, outcome.llc_miss);
+            let mut capped = false;
+            if prog.fire(class) {
+                fired[class] += 1;
                 out.push(AccessRecord {
                     access,
                     outcome,
                     now_ns: clock.wall_ns,
                 });
+                capped = out.len() == cap_len;
             }
             clock.app_access_ns += outcome.latency_ns;
             clock.wall_ns += outcome.latency_ns / clock.threads;
-            if clock.wall_ns >= clock.stop_wall_ns {
+            if capped || clock.wall_ns >= clock.stop_wall_ns {
                 return (i + 1, BatchStop::Clean);
             }
         }
         (events.len(), BatchStop::Clean)
+    }
+
+    /// Events of each [`RecordFilter`] class (LLC-hit loads, LLC-miss
+    /// loads, stores) that the last batched burst — an
+    /// [`Machine::access_batch`] call, or one program pass over a sharded
+    /// burst — counted, recorded or not; 0 for a class its program left
+    /// [`RecordFilter::OFF`]. A policy handed only the firing records reads
+    /// this in `on_access_batch` to account for the events between them.
+    pub fn batch_tally(&self) -> [u64; ACCESS_CLASSES] {
+        self.batch_tally
+    }
+
+    /// Sets [`Machine::batch_tally`] for a program pass the driver ran
+    /// outside [`Machine::access_batch`] (sharded bursts).
+    pub(crate) fn set_batch_tally(&mut self, tally: [u64; ACCESS_CLASSES]) {
+        self.batch_tally = tally;
     }
 
     /// One access with a mapping memo: an access to a mapping some earlier
@@ -1887,19 +1935,22 @@ mod tests {
             stop_wall_ns: f64::INFINITY,
         };
         let filter = RecordFilter {
-            llc_hit_loads: false,
-            ..RecordFilter::ALL
+            next: [RecordFilter::OFF, 1, 1],
+            period: [RecordFilter::OFF, 1, 1],
+            cap: usize::MAX,
         };
         let mut recs = Vec::new();
         let mut clock = mk_clock();
         let (n, _) = filtered.access_batch(&events, &mut recs, &mut clock, filter);
         assert_eq!(n, events.len());
         // The second and fourth loads hit the line the first access pulled
-        // in; only the miss load and the store are materialized.
+        // in; only the miss load and the store are materialized, and the
+        // hits are not tallied either.
         assert_eq!(recs.len(), 2);
         assert!(recs
             .iter()
             .all(|r| r.outcome.llc_miss || r.access.is_store()));
+        assert_eq!(filtered.batch_tally(), [0, 1, 1]);
         // Execution is unaffected: clocks and machine statistics match the
         // unfiltered run, and each kept record keeps its original timestamp.
         let mut full_recs = Vec::new();
@@ -1910,7 +1961,7 @@ mod tests {
         assert_eq!(format!("{:?}", filtered.stats), format!("{:?}", full.stats));
         let kept: Vec<_> = full_recs
             .iter()
-            .filter(|r| filter.keeps(r.access.kind, r.outcome.llc_miss))
+            .filter(|r| filter.counts(RecordFilter::class_of(r.access.kind, r.outcome.llc_miss)))
             .collect();
         assert_eq!(
             format!("{recs:?}"),
@@ -1940,6 +1991,55 @@ mod tests {
         assert_eq!(n, 1);
         assert!(matches!(stop, BatchStop::Clean));
         assert!(clock.wall_ns >= 150.0);
+    }
+
+    /// The program counts each class down to its next record, re-arms it
+    /// with its period, tallies every counted event, and ends the burst
+    /// right after the cap'th record.
+    #[test]
+    fn access_batch_counts_down_to_records_and_stops_at_the_cap() {
+        let mut m = machine();
+        m.alloc_and_map(VirtPage(0), PageSize::Huge, TierId::FAST)
+            .unwrap();
+        // Loads of fresh lines miss the LLC; every fourth access is a store.
+        let events: Vec<_> = (0..40u64)
+            .map(|i| {
+                let a = if i % 4 == 3 {
+                    Access::store(i * 64)
+                } else {
+                    Access::load(i * 64)
+                };
+                crate::driver::WorkloadEvent::Access(a)
+            })
+            .collect();
+        let mut clock = BatchClock {
+            wall_ns: 0.0,
+            app_access_ns: 0.0,
+            threads: 1.0,
+            stop_wall_ns: f64::INFINITY,
+        };
+        let filter = RecordFilter {
+            next: [RecordFilter::OFF, 2, 1],
+            period: [RecordFilter::OFF, 5, 3],
+            cap: 4,
+        };
+        let mut recs = Vec::new();
+        let (n, stop) = m.access_batch(&events, &mut recs, &mut clock, filter);
+        assert!(matches!(stop, BatchStop::Clean));
+        // Misses fire at the 2nd, 7th and 12th miss (accesses 1, 8 and
+        // 14), stores at the 1st store (access 3); the 4th record is
+        // access 14, where the burst stops.
+        let idx: Vec<u64> = recs.iter().map(|r| r.access.vaddr.0 / 64).collect();
+        assert_eq!(idx, vec![1, 3, 8, 14]);
+        assert_eq!(n, 15);
+        assert_eq!(m.batch_tally(), [0, 12, 3]);
+        // Uncapped, the rest of the slice runs and the tally covers it.
+        let rest = &events[n..];
+        recs.clear();
+        let (n2, _) = m.access_batch(rest, &mut recs, &mut clock, RecordFilter::ALL);
+        assert_eq!(n2, rest.len());
+        assert_eq!(recs.len(), rest.len());
+        assert_eq!(m.batch_tally(), [0, 18, 7]);
     }
 
     #[test]

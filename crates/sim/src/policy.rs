@@ -478,26 +478,34 @@ pub trait TieringPolicy {
         false
     }
 
-    /// Which access classes the deferring driver must record for
-    /// [`on_access_batch`]. Only consulted when [`batch_safe`] is true, and
-    /// must stay constant for the lifetime of a run. A policy that narrows
-    /// this below [`RecordFilter::ALL`] must override `on_access_batch`
-    /// consistently — the waived accesses still execute (machine state and
-    /// clocks advance normally) but never appear in a batch, so the default
+    /// The record program for the next burst: which executed accesses the
+    /// deferring driver records for [`on_access_batch`], as a per-class
+    /// countdown with a record cap. Only consulted when [`batch_safe`] is
+    /// true, and queried before *every* burst (and before every program
+    /// pass over a sharded burst's candidates), so it may follow the
+    /// policy's own counters; only the set of counted classes must stay
+    /// constant for a run. A policy that records less than
+    /// [`RecordFilter::ALL`] must override `on_access_batch` consistently —
+    /// the unrecorded accesses still execute (machine state and clocks
+    /// advance normally) but never appear in a batch, so the default
     /// record-by-record replay would silently diverge from per-event
-    /// delivery if `on_access` reacted to them.
+    /// delivery if `on_access` reacted to them. Such an override reads the
+    /// events its program counted from [`Machine::batch_tally`].
     ///
     /// [`batch_safe`]: TieringPolicy::batch_safe
     /// [`on_access_batch`]: TieringPolicy::on_access_batch
+    /// [`Machine::batch_tally`]: crate::machine::Machine::batch_tally
     fn batch_record_filter(&self) -> RecordFilter {
         RecordFilter::ALL
     }
 
-    /// Delivers a run of deferred access records (daemon context).
+    /// Delivers the records one burst's program fired (daemon context),
+    /// after every burst that executed an access — possibly none.
     ///
     /// Only called when [`batch_safe`] returns true. The default replays
     /// each record through [`on_access`] at its recorded wall-clock time;
-    /// sampling policies override this to skip whole unsampled runs in O(1).
+    /// sampling policies program the kernel to record only their samples
+    /// and account for the events between them from the burst's tally.
     ///
     /// [`batch_safe`]: TieringPolicy::batch_safe
     /// [`on_access`]: TieringPolicy::on_access

@@ -148,8 +148,9 @@ pub struct LaneScratch {
     /// `accesses` iff the lane stopped (hint-armed or unmapped page); the
     /// remainder spills to the coordinator's serial path after the fold.
     outcomes: Vec<AccessOutcome>,
-    /// Lane-local indices of executed accesses kept by the run's record
-    /// filter (ascending; always within the outcome prefix).
+    /// Lane-local indices of executed accesses in a class the burst's
+    /// record program counts (ascending; always within the outcome
+    /// prefix): the candidates the program runs over once merged.
     kept: Vec<u32>,
     /// Mergeable stats/clock partials for the executed prefix.
     fold: LaneFold,
@@ -224,7 +225,7 @@ impl LaneScratch {
 /// Executes one lane's access subsequence against the burst-start
 /// page-table snapshot, precomputing outcomes, buffering bit updates, and
 /// accumulating the lane's mergeable [`LaneFold`] partials plus the
-/// record-filter decisions. Stops (leaving the rest of the lane to spill)
+/// indices of record candidates. Stops (leaving the rest of the lane to spill)
 /// at the first access whose page is unmapped or hint-armed — those need
 /// coordinator-side effects.
 fn run_lane(
@@ -295,7 +296,7 @@ fn run_lane(
             0.0,
         );
 
-        if filter.keeps(access.kind, !llc_hit) {
+        if filter.counts(RecordFilter::class_of(access.kind, !llc_hit)) {
             sc.kept.push(k as u32);
         }
         if !llc_hit {
@@ -622,13 +623,14 @@ pub fn auto_workers(shards: usize) -> usize {
     want.min(avail.saturating_sub(1))
 }
 
-/// Streams every lane's filter-kept records back into original stream
-/// order: a [`NUM_LANES`]-way tournament merge over per-lane cursors,
+/// Streams every lane's kept candidate records back into original stream
+/// order — the order the record program counts in — through a
+/// [`NUM_LANES`]-way tournament merge over per-lane cursors,
 /// keyed on the burst-local stream index. Within a lane the kept list is
 /// already ascending in stream index (partitioning preserves stream
 /// order), so the heap holds at most one candidate per lane and the merge
-/// costs `O(kept · log lanes)` — proportional to the records actually
-/// delivered, where the old coordinator fold walked every access. Each
+/// costs `O(kept · log lanes)` — proportional to the candidates, where the
+/// old coordinator fold walked every access. Each
 /// record is stamped `now_ns` (the burst-start wall clock; see the fold
 /// notes on `Simulation::run_sharded_burst`).
 pub(crate) fn merge_records(
@@ -764,8 +766,9 @@ mod tests {
     #[test]
     fn pool_matches_inline_oracle_bit_exactly() {
         let filter = RecordFilter {
-            llc_hit_loads: false,
-            ..RecordFilter::ALL
+            next: [RecordFilter::OFF, 1, 1],
+            period: [RecordFilter::OFF, 1, 1],
+            cap: usize::MAX,
         };
         // Two bursts through the same scratch: reuse must not leak.
         let run = |pool: &WorkerPool, shards: usize| {
@@ -808,12 +811,13 @@ mod tests {
     }
 
     /// The tournament merge reconstructs exact stream order over the kept
-    /// records, and honors the record filter.
+    /// records, which are exactly the program's counted classes.
     #[test]
     fn merge_records_restores_stream_order() {
         let filter = RecordFilter {
-            llc_hit_loads: false,
-            ..RecordFilter::ALL
+            next: [RecordFilter::OFF, 1, 1],
+            period: [RecordFilter::OFF, 1, 1],
+            cap: usize::MAX,
         };
         let (mut m, accesses) = test_burst();
         let mut scratch = new_scratch();
@@ -831,7 +835,7 @@ mod tests {
             let lane = lane_of(a.vaddr.base_page());
             let o = scratch[lane].outcome(cursors[lane]);
             cursors[lane] += 1;
-            if filter.keeps(a.kind, o.llc_miss) {
+            if filter.counts(RecordFilter::class_of(a.kind, o.llc_miss)) {
                 expect.push((a, o));
             }
         }

@@ -530,10 +530,14 @@ mod skip_ahead_proptests {
     }
 
     fn access(i: usize, store: bool) -> Access {
+        access_at(i as u64 * 64, store)
+    }
+
+    fn access_at(vaddr: u64, store: bool) -> Access {
         if store {
-            Access::store(i as u64 * 64)
+            Access::store(vaddr)
         } else {
-            Access::load(i as u64 * 64)
+            Access::load(vaddr)
         }
     }
 
@@ -619,6 +623,116 @@ mod skip_ahead_proptests {
 
             prop_assert_eq!(ref_fired, fast_fired);
             prop_assert_eq!(refr.snapshot(), fast.snapshot());
+        }
+
+        /// The batch kernel's countdown ([`Machine::access_batch`] under a
+        /// [`RecordFilter`] programmed from a sampler) keeps exactly the
+        /// accesses per-access [`PebsSampler::observe`] samples, stops
+        /// after the cap'th, and tallies exactly the qualifying events
+        /// `observe` counts up to there — from any in-progress count,
+        /// including one a period shrink left above its period.
+        #[test]
+        fn kernel_countdown_matches_per_access_observe(
+            evs in proptest::collection::vec(
+                (proptest::bool::ANY, proptest::bool::ANY).prop_map(|(store, llc_miss)| Ev { store, llc_miss }),
+                1..400,
+            ),
+            load_period in 1u64..40,
+            store_period in 1u64..60,
+            load_start in 0u64..60,
+            store_start in 0u64..90,
+            cap in 1usize..12,
+        ) {
+            // Mid-period counts, then the periods the program runs with
+            // (possibly below those counts).
+            let start = || {
+                let mut s = PebsSampler::new(
+                    load_period.max(load_start + 1),
+                    store_period.max(store_start + 1),
+                );
+                s.skip(load_start, store_start);
+                s.set_periods(load_period, store_period);
+                s
+            };
+            // An `llc_miss` event touches a fresh line (a cold miss); any
+            // other repeats the previous access's line (an LLC hit).
+            let mut line = 0u64;
+            let events: Vec<WorkloadEvent> = evs
+                .iter()
+                .enumerate()
+                .map(|(i, e)| {
+                    if e.llc_miss || i == 0 {
+                        line += 1;
+                    }
+                    WorkloadEvent::Access(access_at(line * 64, e.store))
+                })
+                .collect();
+            let machine = || {
+                let mut m = Machine::new(MachineConfig::dram_nvm(4 * HUGE_PAGE_SIZE, 8 * HUGE_PAGE_SIZE));
+                m.alloc_and_map(VirtPage(0), PageSize::Huge, TierId::FAST).unwrap();
+                m
+            };
+
+            // Reference: every access through `observe`, until the cap'th
+            // sample; the kept records are identified by their clock.
+            let mut oracle = machine();
+            let mut refr = start();
+            let (mut wall, mut fired_at, mut consumed) = (0.0f64, Vec::new(), events.len());
+            let (mut loads, mut stores) = (0u64, 0u64);
+            for (i, ev) in events.iter().enumerate() {
+                let WorkloadEvent::Access(a) = *ev else { unreachable!() };
+                let o = oracle.access(a).unwrap();
+                loads += (!a.is_store() && o.llc_miss) as u64;
+                stores += a.is_store() as u64;
+                if refr.observe(&a, &o).is_some() {
+                    fired_at.push(wall.to_bits());
+                }
+                wall += o.latency_ns;
+                if fired_at.len() == cap {
+                    consumed = i + 1;
+                    break;
+                }
+            }
+
+            // Kernel: the sampler's program, run in one burst.
+            let s = start();
+            let filter = RecordFilter {
+                next: [RecordFilter::OFF, s.load_events_until_sample(), s.store_events_until_sample()],
+                period: [RecordFilter::OFF, load_period, store_period],
+                cap,
+            };
+            let mut m = machine();
+            let mut clock = BatchClock {
+                wall_ns: 0.0,
+                app_access_ns: 0.0,
+                threads: 1.0,
+                stop_wall_ns: f64::INFINITY,
+            };
+            let mut recs = Vec::new();
+            let (n, stop) = m.access_batch(&events, &mut recs, &mut clock, filter);
+            prop_assert!(matches!(stop, BatchStop::Clean));
+            prop_assert_eq!(n, consumed);
+            let kept: Vec<u64> = recs.iter().map(|r| r.now_ns.to_bits()).collect();
+            prop_assert_eq!(kept, fired_at);
+            prop_assert_eq!(m.batch_tally(), [0, loads, stores]);
+
+            // The tally and the records bring a sampler to the reference's
+            // state without observing the non-firing events.
+            let mut fast = start();
+            let [_, mut left_l, mut left_s] = m.batch_tally();
+            for r in &recs {
+                let (l, st) = if r.access.is_store() {
+                    (0, fast.store_events_until_sample() - 1)
+                } else {
+                    (fast.load_events_until_sample() - 1, 0)
+                };
+                fast.skip(l, st);
+                prop_assert!(fast.observe(&r.access, &r.outcome).is_some());
+                left_l -= l + (!r.access.is_store()) as u64;
+                left_s -= st + r.access.is_store() as u64;
+            }
+            fast.skip(left_l, left_s);
+            prop_assert_eq!(fast.snapshot(), refr.snapshot());
         }
     }
 }
