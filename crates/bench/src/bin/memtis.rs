@@ -47,12 +47,11 @@
 //! the resumed run prints, traces and reports what the uninterrupted run
 //! does.
 //!
-//! Trace ingestion: `record` streams a benchmark's workload events to a
-//! versioned binary trace file with bounded memory; `replay` drives a
-//! simulation from such a file through the chunked [`TraceFileReader`],
-//! also in bounded memory, and prints a deterministic report line.
-//!
-//! [`TraceFileReader`]: memtis_workloads::TraceFileReader
+//! Trace ingestion: `record` streams a benchmark's workload events through
+//! the one trace writer to a versioned binary file with bounded memory;
+//! `replay` drives a simulation from such a file through the one trace
+//! reader, refilled a bounded chunk at a time, and prints a deterministic
+//! report line.
 
 use memtis_bench::cli::{self, Args};
 use memtis_bench::{
@@ -355,7 +354,7 @@ fn run_record(args: &[String]) {
 /// bounded-buffer reader. Prints only sim-deterministic quantities.
 fn run_replay(args: &[String]) {
     use memtis_sim::prelude::Simulation;
-    use memtis_workloads::TraceFileReader;
+    use memtis_workloads::TraceReplay;
     let bench = bench_arg(args);
     let Some(path) = args.get(1).filter(|p| !p.starts_with("--")).cloned() else {
         usage()
@@ -369,7 +368,7 @@ fn run_replay(args: &[String]) {
         eprintln!("error: {what}: {e:?}");
         std::process::exit(1);
     };
-    let mut reader = match TraceFileReader::open(&path, "replay") {
+    let mut reader = match TraceReplay::open(&path, "replay") {
         Ok(r) => r,
         Err(e) => fail("cannot open trace", &e),
     };

@@ -206,27 +206,6 @@ impl RegionTable {
         regions
     }
 
-    /// Live region numbers owned by lane `lane` of a `num_lanes`-way
-    /// partition, in ascending order. The lane partition matches the
-    /// simulator's sharded execution exactly (`memtis_sim::shard::lane_of`
-    /// maps each 2 MiB region to one of 64 canonical lanes, which are
-    /// reduced modulo `num_lanes` here), so a per-lane scan visits exactly
-    /// the metadata a shard owns, and concatenating lanes `0..num_lanes`
-    /// visits every region exactly once.
-    pub fn regions_in_lane(&self, lane: usize, num_lanes: usize) -> Vec<u64> {
-        let n = num_lanes.max(1);
-        let mut regions: Vec<u64> = self
-            .index
-            .keys()
-            .copied()
-            .filter(|&r| {
-                memtis_sim::shard::lane_of(memtis_sim::prelude::VirtPage(r << 9)) % n == lane % n
-            })
-            .collect();
-        regions.sort_unstable();
-        regions
-    }
-
     /// Iterates all tracked pages in ascending virtual-page order.
     pub fn iter(&self) -> impl Iterator<Item = (VirtPage, &PageMeta)> {
         self.regions_sorted().into_iter().flat_map(move |region| {
@@ -347,30 +326,6 @@ mod tests {
         assert!(t.get(VirtPage(0)).is_none());
         assert_eq!(t.get(VirtPage(1024)).unwrap().count, 3);
         assert_eq!(t.get(VirtPage(512)).unwrap().count, 2);
-    }
-
-    #[test]
-    fn lane_slices_partition_the_regions() {
-        let mut t = RegionTable::new();
-        for region in [0u64, 1, 2, 63, 64, 65, 130, 200] {
-            t.insert(VirtPage(region << 9), PageMeta::new_base(region));
-        }
-        let num_lanes = 64;
-        let mut seen = Vec::new();
-        for lane in 0..num_lanes {
-            let rs = t.regions_in_lane(lane, num_lanes);
-            for r in &rs {
-                assert_eq!(
-                    memtis_sim::shard::lane_of(memtis_sim::prelude::VirtPage(r << 9)),
-                    lane
-                );
-            }
-            seen.extend(rs);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, t.regions_sorted());
-        // A single-lane partition is the full sorted scan.
-        assert_eq!(t.regions_in_lane(0, 1), t.regions_sorted());
     }
 
     #[test]

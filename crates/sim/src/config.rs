@@ -79,12 +79,6 @@ pub struct CostModel {
     pub walk_level_ns: f64,
     /// Latency of an LLC hit (ns); applies to every access that hits.
     pub llc_hit_ns: f64,
-    /// Base pipeline cost of an access that hits in L1/L2 (ns).
-    pub l12_hit_ns: f64,
-    /// Fraction of accesses that are filtered by L1/L2 before reaching the
-    /// LLC model. The simulator only models the LLC; upper-level hits cost
-    /// [`CostModel::l12_hit_ns`].
-    pub l12_hit_fraction: f64,
     /// Cost of a TLB shootdown (IPI + flush) charged when a mapping changes
     /// under a live translation (ns).
     pub tlb_shootdown_ns: f64,
@@ -98,8 +92,6 @@ impl Default for CostModel {
         CostModel {
             walk_level_ns: 25.0,
             llc_hit_ns: 30.0,
-            l12_hit_ns: 4.0,
-            l12_hit_fraction: 0.0,
             // Per-event costs are scaled with the simulator's time
             // compression: runs execute ~100x fewer accesses per page than
             // the paper's minutes-long executions, so per-event trap and

@@ -100,7 +100,8 @@ pub trait AccessStream {
     /// Skips the next `n` events without delivering them, as if they had
     /// been pulled and discarded. Used to fast-forward a fresh stream to a
     /// checkpoint's cursor on resume. The default pulls and drops `n`
-    /// events; sources with a cheap seek (file-backed traces) override it.
+    /// events; sources with a cheaper path (trace replays decode and drop
+    /// in bulk) override it.
     fn skip_events(&mut self, n: u64) {
         for _ in 0..n {
             if self.next_event().is_none() {
@@ -109,9 +110,9 @@ pub trait AccessStream {
         }
     }
 
-    /// The stream's current position in source-defined units (bytes for
-    /// file-backed traces, events for generators that track one), surfaced
-    /// in heartbeat lines. `None` when the source doesn't report one.
+    /// The stream's current position in source-defined units (events, for
+    /// trace replays and for generators that track one), surfaced in
+    /// heartbeat lines. `None` when the source doesn't report one.
     fn position(&self) -> Option<u64> {
         None
     }

@@ -901,10 +901,12 @@ impl Machine {
     /// to a mapping clears the hint bit and sets the accessed/dirty bits,
     /// so the walk on each repeat is pure recomputation — but the TLB and
     /// LLC are stateful (stamp updates, set rotation) and are still driven
-    /// per access; see [`Machine::access_coalesced`]. Stores always take
-    /// the full path (subpage dirty bookkeeping), as does any access while
-    /// the migration engine holds active transfers (in-flight dirty
-    /// tracking, link contention).
+    /// per access; see [`Machine::access_coalesced`]. A repeat store still
+    /// walks, for its subpage dirty bookkeeping. Transfers the migration
+    /// engine holds in flight change nothing here: no copy starts or ends
+    /// inside a burst (the driver stops each burst at the engine's next
+    /// event), and in-flight dirty tracking and link contention are charged
+    /// per access on every path.
     ///
     /// [`WorkloadEvent::Access`]: crate::driver::WorkloadEvent::Access
     pub fn access_batch(
@@ -933,19 +935,13 @@ impl Machine {
         prog: &mut RecordFilter,
         fired: &mut [u64; ACCESS_CLASSES],
     ) -> (usize, BatchStop) {
-        let engine_active = self.engine.has_active();
         let mut cache = CoalesceCache::default();
         let cap_len = out.len().saturating_add(prog.cap);
         for (i, ev) in events.iter().enumerate() {
             let crate::driver::WorkloadEvent::Access(access) = *ev else {
                 return (i, BatchStop::Clean);
             };
-            let res = if engine_active {
-                self.access(access)
-            } else {
-                self.access_coalesced(access, &mut cache)
-            };
-            let outcome = match res {
+            let outcome = match self.access_coalesced(access, &mut cache) {
                 Ok(out) => out,
                 Err(_) => return (i, BatchStop::NotMapped),
             };
@@ -992,15 +988,14 @@ impl Machine {
     /// access in this batch resolved — the same base page, or any subpage of
     /// the same huge page — skips the hint handling and tier lookup, and for
     /// loads the page walk as well (a repeat store still walks, through the
-    /// table's walk cache, for its dirty bookkeeping). Only sound with the
-    /// migration engine idle (the caller checks).
+    /// table's walk cache, for its dirty bookkeeping).
     ///
     /// Coalescing a repeat is exact because the mapping's reference/hint
     /// bits live on the one shared entry (already set and cleared by the
     /// batch's first access to it, so a repeat load's walk would be pure
     /// recomputation — and nothing re-arms hints or remaps pages mid-batch:
-    /// policy delivery is deferred, boundary work is hoisted, the engine is
-    /// idle), a huge mapping's subpage frames are contiguous from the cached
+    /// policy delivery is deferred, boundary work is hoisted, and no
+    /// migration copy starts or ends inside a burst), a huge mapping's subpage frames are contiguous from the cached
     /// base frame, and a huge frame block lives wholly in one tier. The
     /// stateful structures — TLB, LLC, page-table dirty bits, statistics —
     /// still tick per access; a repeat *can* miss the TLB (another region's

@@ -33,8 +33,8 @@ pub use spec::{
 };
 pub use synth::SynthBuilder;
 pub use trace::{
-    TraceError, TraceFileReader, TraceFileWriter, TraceRecorder, TraceReplay, TraceWriter,
-    TRACE_MAGIC, TRACE_VERSION,
+    TraceError, TraceFileWriter, TraceRecorder, TraceReplay, TraceWriter, TRACE_MAGIC,
+    TRACE_VERSION,
 };
 // [`TraceReplay::new`] takes a `Bytes` buffer; re-export the type so
 // downstream users don't need a direct dependency on the `bytes` crate.

@@ -5,20 +5,27 @@
 //! identical streams against multiple policies.
 //!
 //! Traces start with an 8-byte magic and a little-endian `u32` format
-//! version ([`TRACE_MAGIC`], [`TRACE_VERSION`]); readers reject anything
+//! version ([`TRACE_MAGIC`], [`TRACE_VERSION`]); the reader rejects anything
 //! else with a typed [`TraceError`] instead of misdecoding it.
 //!
-//! Two reader/writer pairs share one encoder:
+//! One writer and one reader:
 //!
-//! - [`TraceRecorder`] / [`TraceReplay`] buffer the whole trace in memory —
-//!   convenient for tests and small runs;
-//! - [`TraceWriter`] / [`TraceFileReader`] stream through a bounded chunk
-//!   buffer, so multi-GB traces replay at the batched [`AccessStream::fill`]
-//!   speed with O(chunk) resident memory, and the reader's event cursor
+//! - [`TraceWriter`] is the only encoder. It writes the header and every
+//!   event to any `Write` sink ([`TraceFileWriter`] streams to a file with
+//!   bounded memory); [`TraceRecorder`] passes a stream through while
+//!   recording it into a `TraceWriter<Vec<u8>>`, and hands the trace back
+//!   as a shared [`Bytes`] buffer without copying it.
+//! - [`TraceReplay`] is the only decoder: one chunked
+//!   [`AccessStream::fill`] loop, header check and truncation rule over one
+//!   of two sources. A shared in-memory buffer ([`TraceReplay::new`]) is a
+//!   single chunk decoded in place and never refilled, so every replay of
+//!   one recording shares its bytes; a file ([`TraceReplay::open`]) is
+//!   refilled a bounded chunk at a time, so multi-GB traces replay with
+//!   O(chunk) resident memory. The reader's event cursor
 //!   ([`AccessStream::position`]) is snapshot state a resumed run can seek
 //!   back to.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use memtis_sim::prelude::{Access, AccessKind, AccessStream, VirtAddr, WorkloadEvent};
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
@@ -164,7 +171,7 @@ fn decode_events(src: &[u8], buf: &mut [WorkloadEvent]) -> (usize, usize, Option
     (pos, n, None)
 }
 
-/// Validates and strips the magic + version header at the front of `data`.
+/// Validates the magic + version header at the front of `data`.
 fn check_header(data: &[u8]) -> Result<(), TraceError> {
     if data.len() < TRACE_HEADER_LEN {
         return Err(TraceError::Truncated);
@@ -179,45 +186,39 @@ fn check_header(data: &[u8]) -> Result<(), TraceError> {
     Ok(())
 }
 
-/// Records the events of an inner stream while passing them through.
-/// The buffered trace carries the versioned header.
+/// Records the events of an inner stream while passing them through, into
+/// an in-memory [`TraceWriter`].
 pub struct TraceRecorder<S> {
     inner: S,
-    buf: BytesMut,
-    events: u64,
+    writer: TraceWriter<Vec<u8>>,
 }
 
 impl<S: AccessStream> TraceRecorder<S> {
     /// Wraps `inner`, recording every event it produces.
     pub fn new(inner: S) -> Self {
-        let mut buf = BytesMut::new();
-        buf.put_slice(&TRACE_MAGIC);
-        buf.put_slice(&TRACE_VERSION.to_le_bytes());
         TraceRecorder {
             inner,
-            buf,
-            events: 0,
+            writer: TraceWriter::new(Vec::new()).expect("writing to a Vec cannot fail"),
         }
     }
 
     /// Number of events recorded so far.
     pub fn events(&self) -> u64 {
-        self.events
+        self.writer.events()
     }
 
     /// Finishes recording and returns the encoded trace.
     pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+        Bytes::from(self.writer.finish().expect("writing to a Vec cannot fail"))
     }
 }
 
 impl<S: AccessStream> AccessStream for TraceRecorder<S> {
     fn next_event(&mut self) -> Option<WorkloadEvent> {
         let ev = self.inner.next_event()?;
-        self.events += 1;
-        let mut tmp = [0u8; MAX_EVENT_LEN];
-        let len = encode_into(&mut tmp, &ev);
-        self.buf.put_slice(&tmp[..len]);
+        self.writer
+            .record(&ev)
+            .expect("writing to a Vec cannot fail");
         Some(ev)
     }
 
@@ -226,8 +227,8 @@ impl<S: AccessStream> AccessStream for TraceRecorder<S> {
     }
 }
 
-/// Streams encoded events to any `Write` sink with a bounded in-process
-/// footprint; byte-for-byte identical output to [`TraceRecorder`].
+/// Encodes events to any `Write` sink: the trace header on creation, then
+/// one record per event. In-process memory is bounded by the sink.
 pub struct TraceWriter<W: Write> {
     out: W,
     events: u64,
@@ -272,106 +273,53 @@ impl TraceFileWriter {
     }
 }
 
-/// Replays a whole-trace buffer as an [`AccessStream`].
+/// The bytes a [`TraceReplay`] decodes.
+enum Source {
+    /// A whole trace in memory: one chunk, decoded in place, never refilled.
+    Shared(Bytes),
+    /// A file read through a bounded chunk buffer, refilled as it drains.
+    File { file: File, chunk: Vec<u8> },
+}
+
+impl Source {
+    fn chunk(&self) -> &[u8] {
+        match self {
+            Source::Shared(data) => data,
+            Source::File { chunk, .. } => chunk,
+        }
+    }
+}
+
+/// Replays an encoded trace as an [`AccessStream`], decoding in bulk on the
+/// [`AccessStream::fill`] path from a shared buffer ([`TraceReplay::new`])
+/// or a file ([`TraceReplay::open`]). A file's partial event at a chunk
+/// boundary slides to the buffer front before the next read.
 ///
-/// Decode problems (unknown tag, mid-event cut) end the stream and are
-/// surfaced through [`TraceReplay::take_error`] rather than panicking.
+/// Decode problems (unknown tag, mid-event cut, a failed read) end the
+/// stream and are surfaced through [`TraceReplay::take_error`] rather than
+/// panicking.
 pub struct TraceReplay {
-    data: Bytes,
+    source: Source,
     name: String,
-    events_out: u64,
-    error: Option<TraceError>,
-}
-
-impl TraceReplay {
-    /// Creates a replayer over an encoded trace, validating the header.
-    pub fn new(mut data: Bytes, name: impl Into<String>) -> Result<Self, TraceError> {
-        check_header(data.chunk())?;
-        data.advance(TRACE_HEADER_LEN);
-        Ok(TraceReplay {
-            data,
-            name: name.into(),
-            events_out: 0,
-            error: None,
-        })
-    }
-
-    /// Takes the decode error that ended the stream, if any.
-    pub fn take_error(&mut self) -> Option<TraceError> {
-        self.error.take()
-    }
-}
-
-impl AccessStream for TraceReplay {
-    fn next_event(&mut self) -> Option<WorkloadEvent> {
-        if self.error.is_some() {
-            return None;
-        }
-        let src = self.data.chunk();
-        if src.is_empty() {
-            return None;
-        }
-        let tag = src[0];
-        let Some(len) = event_len(tag) else {
-            self.error = Some(TraceError::Corrupt("unknown event tag"));
-            return None;
-        };
-        if src.len() < len {
-            self.error = Some(TraceError::Truncated);
-            return None;
-        }
-        let ev = decode_at(src, 0, tag);
-        self.data.advance(len);
-        self.events_out += 1;
-        Some(ev)
-    }
-
-    /// Bulk decode straight off the contiguous backing slice, with one
-    /// `advance` for the whole chunk.
-    fn fill(&mut self, buf: &mut [WorkloadEvent]) -> usize {
-        if self.error.is_some() {
-            return 0;
-        }
-        let src = self.data.chunk();
-        let (consumed, n, err) = decode_events(src, buf);
-        self.data.advance(consumed);
-        self.events_out += n as u64;
-        if let Some(e) = err {
-            self.error = Some(e);
-        } else if n == 0 && !buf.is_empty() && self.data.has_remaining() {
-            // Leftover bytes too short for any event: a mid-event cut.
-            self.error = Some(TraceError::Truncated);
-        }
-        n
-    }
-
-    fn position(&self) -> Option<u64> {
-        Some(self.events_out)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// Replays a trace file through a bounded chunk buffer: resident memory is
-/// O(chunk) no matter how large the trace, and decoding stays on the bulk
-/// [`AccessStream::fill`] path. Partial events at a chunk boundary slide to
-/// the buffer front before the next read.
-pub struct TraceFileReader {
-    file: File,
-    name: String,
-    chunk: Vec<u8>,
-    filled: usize,
+    /// Decode cursor within the chunk.
     pos: usize,
+    /// End of the chunk's valid bytes.
+    filled: usize,
+    /// No bytes will follow the chunk's.
     eof: bool,
     events_out: u64,
     error: Option<TraceError>,
 }
 
-impl TraceFileReader {
-    /// Opens `path`, validating the trace header, with the default chunk
-    /// buffer.
+impl TraceReplay {
+    /// Replays an in-memory trace, validating the header. Clones of one
+    /// [`Bytes`] replay the same bytes without copying them.
+    pub fn new(data: Bytes, name: impl Into<String>) -> Result<Self, TraceError> {
+        Self::start(Source::Shared(data), name)
+    }
+
+    /// Opens the trace file at `path`, validating the header, with the
+    /// default chunk buffer.
     pub fn open(path: impl AsRef<Path>, name: impl Into<String>) -> Result<Self, TraceError> {
         Self::with_chunk_bytes(path, name, DEFAULT_TRACE_CHUNK)
     }
@@ -383,26 +331,42 @@ impl TraceFileReader {
         name: impl Into<String>,
         chunk_bytes: usize,
     ) -> Result<Self, TraceError> {
-        let mut file = File::open(path)?;
-        let mut hdr = [0u8; TRACE_HEADER_LEN];
-        file.read_exact(&mut hdr)
-            .map_err(|_| TraceError::Truncated)?;
-        check_header(&hdr)?;
-        Ok(TraceFileReader {
-            file,
-            name: name.into(),
+        let source = Source::File {
+            file: File::open(path)?,
             chunk: vec![0; chunk_bytes.max(MAX_EVENT_LEN)],
-            filled: 0,
-            pos: 0,
-            eof: false,
-            events_out: 0,
-            error: None,
-        })
+        };
+        Self::start(source, name)
     }
 
-    /// Size of the chunk buffer — the reader's whole decode footprint.
+    /// Loads the first chunk and strips the header at its front.
+    fn start(source: Source, name: impl Into<String>) -> Result<Self, TraceError> {
+        // A shared buffer is the whole trace: filled, and at its end.
+        let (filled, eof) = match &source {
+            Source::Shared(data) => (data.len(), true),
+            Source::File { .. } => (0, false),
+        };
+        let mut replay = TraceReplay {
+            source,
+            name: name.into(),
+            pos: 0,
+            filled,
+            eof,
+            events_out: 0,
+            error: None,
+        };
+        replay.refill();
+        if let Some(e) = replay.error.take() {
+            return Err(e);
+        }
+        check_header(&replay.source.chunk()[..replay.filled])?;
+        replay.pos = TRACE_HEADER_LEN;
+        Ok(replay)
+    }
+
+    /// Size of the chunk: a file's bounded buffer — the reader's whole
+    /// decode footprint — or a shared trace's full length.
     pub fn buffer_capacity(&self) -> usize {
-        self.chunk.len()
+        self.source.chunk().len()
     }
 
     /// Takes the decode error that ended the stream, if any.
@@ -410,17 +374,20 @@ impl TraceFileReader {
         self.error.take()
     }
 
-    /// Slides the undecoded tail to the buffer front and refills from the
-    /// file until the buffer is full or the file ends.
+    /// Slides the undecoded tail to the chunk front and refills from the
+    /// file until the chunk is full or the file ends.
     fn refill(&mut self) {
+        let Source::File { file, chunk } = &mut self.source else {
+            return;
+        };
         if self.eof {
             return;
         }
-        self.chunk.copy_within(self.pos..self.filled, 0);
+        chunk.copy_within(self.pos..self.filled, 0);
         self.filled -= self.pos;
         self.pos = 0;
-        while self.filled < self.chunk.len() {
-            match self.file.read(&mut self.chunk[self.filled..]) {
+        while self.filled < chunk.len() {
+            match file.read(&mut chunk[self.filled..]) {
                 Ok(0) => {
                     self.eof = true;
                     break;
@@ -437,7 +404,7 @@ impl TraceFileReader {
     }
 }
 
-impl AccessStream for TraceFileReader {
+impl AccessStream for TraceReplay {
     fn next_event(&mut self) -> Option<WorkloadEvent> {
         let mut one = [WorkloadEvent::Access(Access::load(0))];
         (self.fill(&mut one) == 1).then(|| one[0])
@@ -448,20 +415,20 @@ impl AccessStream for TraceFileReader {
             return 0;
         }
         let mut total = 0;
-        while total < buf.len() {
-            let avail = &self.chunk[self.pos..self.filled];
+        loop {
+            let avail = &self.source.chunk()[self.pos..self.filled];
             let (consumed, n, err) = decode_events(avail, &mut buf[total..]);
             self.pos += consumed;
             total += n;
             self.events_out += n as u64;
-            if let Some(e) = err {
-                self.error = Some(e);
+            if err.is_some() {
+                self.error = err;
                 break;
             }
             if total == buf.len() {
                 break;
             }
-            // Buffer dry or holding a partial event: refill or finish.
+            // Chunk dry or holding a partial event: refill or finish.
             if self.eof {
                 if self.pos < self.filled {
                     self.error = Some(TraceError::Truncated);
@@ -564,13 +531,13 @@ mod tests {
         let trace = rec.finish();
         // Header plus at most 17 bytes per event.
         assert!(trace.len() as u64 <= TRACE_HEADER_LEN as u64 + 17 * n);
-        assert!(trace.chunk().starts_with(&TRACE_MAGIC));
+        assert!(trace.starts_with(&TRACE_MAGIC));
         assert!(n >= 1000);
     }
 
     #[test]
     fn reader_rejects_bad_magic_and_version() {
-        let garbage = Bytes::from_static(b"NOTATRCE\x01\x00\x00\x00rest");
+        let garbage = Bytes::from(b"NOTATRCE\x01\x00\x00\x00rest".to_vec());
         assert!(matches!(
             TraceReplay::new(garbage, "x"),
             Err(TraceError::BadMagic)
@@ -583,7 +550,7 @@ mod tests {
             Err(TraceError::UnsupportedVersion(99))
         ));
         assert!(matches!(
-            TraceReplay::new(Bytes::from_static(b"short"), "x"),
+            TraceReplay::new(Bytes::from(b"short".to_vec()), "x"),
             Err(TraceError::Truncated)
         ));
     }
@@ -593,11 +560,11 @@ mod tests {
         let spec = Benchmark::Silo.spec(Scale::TEST, 300);
         let mut rec = TraceRecorder::new(SpecStream::new(spec, 5));
         while rec.next_event().is_some() {}
-        let mut trace = rec.finish();
+        let trace = rec.finish();
         // Strip the header: bare events are not a trace.
-        trace.advance(TRACE_HEADER_LEN);
+        let bare = Bytes::from(trace[TRACE_HEADER_LEN..].to_vec());
         assert!(matches!(
-            TraceReplay::new(trace, "Silo"),
+            TraceReplay::new(bare, "Silo"),
             Err(TraceError::BadMagic)
         ));
     }
@@ -610,13 +577,13 @@ mod tests {
         let trace = rec.finish();
 
         // Cut mid-event: the stream ends early with Truncated, not a panic.
-        let cut = trace.slice(..trace.len() - 3);
+        let cut = Bytes::from(trace[..trace.len() - 3].to_vec());
         let mut replay = TraceReplay::new(cut, "cut").unwrap();
         while replay.next_event().is_some() {}
         assert!(matches!(replay.take_error(), Some(TraceError::Truncated)));
 
         // Same through the bulk path.
-        let cut = trace.slice(..trace.len() - 3);
+        let cut = Bytes::from(trace[..trace.len() - 3].to_vec());
         let mut replay = TraceReplay::new(cut, "cut").unwrap();
         let mut buf = vec![WorkloadEvent::Access(Access::load(0)); 64];
         while replay.fill(&mut buf) > 0 {}
@@ -646,7 +613,7 @@ mod tests {
         }
         assert_eq!(writer.events(), rec.events());
         let streamed = writer.finish().unwrap();
-        assert_eq!(streamed, rec.finish().chunk().to_vec());
+        assert_eq!(streamed[..], rec.finish()[..]);
     }
 
     #[test]
@@ -656,12 +623,12 @@ mod tests {
         while rec.next_event().is_some() {}
         let trace = rec.finish();
         let path = temp_path("stream");
-        std::fs::write(&path, trace.chunk()).unwrap();
+        std::fs::write(&path, &trace[..]).unwrap();
 
         let expected = collect(&mut TraceReplay::new(trace, "Silo").unwrap());
         // A chunk buffer far smaller than the trace forces many refills and
         // partial-event carries across chunk boundaries.
-        let mut reader = TraceFileReader::with_chunk_bytes(&path, "Silo", 61).unwrap();
+        let mut reader = TraceReplay::with_chunk_bytes(&path, "Silo", 61).unwrap();
         assert_eq!(reader.buffer_capacity(), 61);
         let mut got = Vec::new();
         let mut buf = vec![WorkloadEvent::Access(Access::load(0)); 37];
@@ -685,13 +652,13 @@ mod tests {
         while rec.next_event().is_some() {}
         let trace = rec.finish();
         let path = temp_path("skip");
-        std::fs::write(&path, trace.chunk()).unwrap();
+        std::fs::write(&path, &trace[..]).unwrap();
 
         let mut all = TraceReplay::new(trace, "Silo").unwrap();
         all.skip_events(700);
         let expected = collect(&mut all);
 
-        let mut reader = TraceFileReader::with_chunk_bytes(&path, "Silo", 128).unwrap();
+        let mut reader = TraceReplay::with_chunk_bytes(&path, "Silo", 128).unwrap();
         reader.skip_events(700);
         assert_eq!(reader.position(), Some(700));
         let got = collect(&mut reader);
@@ -704,7 +671,7 @@ mod tests {
         let path = temp_path("badmagic");
         std::fs::write(&path, b"NOTATRCE\x01\x00\x00\x00data").unwrap();
         assert!(matches!(
-            TraceFileReader::open(&path, "x"),
+            TraceReplay::open(&path, "x"),
             Err(TraceError::BadMagic)
         ));
         std::fs::remove_file(&path).unwrap();
@@ -787,7 +754,7 @@ mod codec_proptests {
                 return Ok(());
             }
             let mut replay =
-                TraceReplay::new(Bytes::from(full).slice(..TRACE_HEADER_LEN + body_len - cut), "p")
+                TraceReplay::new(Bytes::from(full[..TRACE_HEADER_LEN + body_len - cut].to_vec()), "p")
                     .unwrap();
             let mut n = 0u64;
             while replay.next_event().is_some() {

@@ -7,6 +7,8 @@
 //! (shadow + hysteresis) with two shards, all traced and
 //! faulted.
 
+mod common;
+
 use memtis_repro::baselines::{HememConfig, HememPolicy, TppConfig, TppPolicy};
 use memtis_repro::memtis::{MemtisConfig, MemtisPolicy};
 use memtis_repro::sim::prelude::*;
@@ -115,40 +117,20 @@ impl Tally {
 fn damaged_checkpoints_are_always_rejected() {
     let mut rng = FaultRng::new(0xF11F_5EED);
     let mut tally = Tally::default();
-    // Silence the default hook so caught panics (if any) don't flood the
-    // output; they are counted and reported below.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    for name in ["memtis", "tpp", "hemem"] {
-        for modes in [false, true] {
-            let good = checkpoint(name, modes);
-            let n = good.len();
-            fresh(name, modes)
-                .restore(&good)
-                .unwrap_or_else(|e| panic!("{name} modes={modes}: intact restore failed: {e}"));
-            let cell = format!("{name} modes={modes}");
-
-            for k in 0..100 {
-                let len = k * n / 100;
-                tally.check(name, modes, format!("{cell} truncate {len}"), &good[..len]);
-            }
-            for _ in 0..FLIPS {
-                let bit = rng.pick(n * 8);
-                let mut bad = good.clone();
-                bad[bit / 8] ^= 1 << (bit % 8);
-                tally.check(name, modes, format!("{cell} flip bit {bit}"), &bad);
-            }
-            for _ in 0..INFLATIONS {
-                let at = rng.pick(n - 3);
-                let mut bad = good.clone();
-                bad[at..at + 4].copy_from_slice(&0x7FFF_FFFFu32.to_le_bytes());
-                if bad != good {
-                    tally.check(name, modes, format!("{cell} inflate at {at}"), &bad);
-                }
+    common::quiet_panics(|| {
+        for name in ["memtis", "tpp", "hemem"] {
+            for modes in [false, true] {
+                let good = checkpoint(name, modes);
+                fresh(name, modes)
+                    .restore(&good)
+                    .unwrap_or_else(|e| panic!("{name} modes={modes}: intact restore failed: {e}"));
+                let cell = format!("{name} modes={modes}");
+                common::damage(&good, &mut rng, FLIPS, INFLATIONS, |case, bad| {
+                    tally.check(name, modes, format!("{cell} {case}"), bad)
+                });
             }
         }
-    }
-    std::panic::set_hook(hook);
+    });
     assert!(tally.cases > 6 * (100 + FLIPS));
     assert!(
         tally.accepted.is_empty() && tally.panicked.is_empty(),

@@ -1,12 +1,12 @@
 //! Streaming trace ingestion: a trace recorded to disk and replayed through
-//! the bounded-buffer [`TraceFileReader`] must drive a simulation to the
+//! the bounded-buffer file source of [`TraceReplay`] must drive a simulation to the
 //! byte-identical report the whole-trace in-memory replay produces, while
 //! holding only O(chunk) of the trace resident.
 
 use memtis_repro::memtis::{MemtisConfig, MemtisPolicy};
 use memtis_repro::sim::prelude::*;
 use memtis_repro::workloads::{
-    Benchmark, Scale, SpecStream, TraceFileReader, TraceFileWriter, TraceRecorder, TraceReplay,
+    Benchmark, Scale, SpecStream, TraceFileWriter, TraceRecorder, TraceReplay,
 };
 
 const SEED: u64 = 77;
@@ -76,7 +76,7 @@ fn streamed_replay_matches_in_memory_replay_bit_exactly() {
         let on_disk = std::fs::read(&path).expect("read trace back");
         assert_eq!(
             on_disk.as_slice(),
-            bytes.chunk(),
+            &bytes[..],
             "TraceWriter and TraceRecorder must produce identical bytes"
         );
         assert!(n > ACCESSES, "trace should include allocs too (got {n})");
@@ -96,8 +96,8 @@ fn streamed_replay_matches_in_memory_replay_bit_exactly() {
 
     // Bounded-buffer streamed replay: many refills, tiny resident footprint.
     let streamed_sig = {
-        let mut reader = TraceFileReader::with_chunk_bytes(&path, "replay", CHUNK_BYTES)
-            .expect("open trace file");
+        let mut reader =
+            TraceReplay::with_chunk_bytes(&path, "replay", CHUNK_BYTES).expect("open trace file");
         assert!(
             reader.buffer_capacity() <= 2 * CHUNK_BYTES,
             "decode footprint must stay O(chunk), got {}",
