@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! chaos [--plans N] [--accesses N] [--seed MASTER] [--systems memtis,tpp,...]
-//!       [--shards S|auto] [--heartbeat EVENTS] [--snapshot-every EVENTS]
+//!       [--shards S] [--heartbeat EVENTS] [--snapshot-every EVENTS]
 //!       [--shadow] [--hysteresis on|WINDOW:BASE:MAX]
 //! ```
 //!
@@ -35,7 +35,7 @@ use memtis_workloads::{Benchmark, Scale, SpecStream};
 const WORKLOAD_SEED: u64 = 20231023;
 
 const USAGE: &str = "usage: chaos [--plans N] [--accesses N] [--seed MASTER] \
-     [--systems memtis,tpp,...] [--shards S|auto] [--heartbeat EVENTS] \
+     [--systems memtis,tpp,...] [--shards S] [--heartbeat EVENTS] \
      [--snapshot-every EVENTS] [--shadow] [--hysteresis on|WINDOW:BASE:MAX]";
 
 /// The shared flags `chaos` accepts. Every run draws its own fault plan and
@@ -189,14 +189,7 @@ fn main() {
         }
         Ok(true)
     });
-    let mut flags = cli::or_exit(flags, USAGE);
-
-    // Resolve `--shards auto` against plan 0 (it stands in for the rest:
-    // every randomized plan injects faults), so auto degrades to the serial
-    // engine. A fixed count is passed through untouched so fault x shard
-    // interactions stay deliberately testable.
-    flags.base.faults = Some(random_plan(&mut FaultRng::new(master_seed)));
-    let driver = flags.driver(systems.iter().all(|s| s.build().batch_safe()));
+    let flags = cli::or_exit(flags, USAGE);
 
     let benches = [Benchmark::Silo, Benchmark::XsBench, Benchmark::Btree];
     let mut rng = FaultRng::new(master_seed);
@@ -219,7 +212,7 @@ fn main() {
                 Some(n) => SoakMode::Checkpointed(n),
                 None => SoakMode::Straight,
             };
-            let out = soak_one(system, bench, plan, accesses, &driver, mode);
+            let out = soak_one(system, bench, plan, accesses, &flags.driver, mode);
             totals.merge(&out.faults);
             for v in &out.violations {
                 failures += 1;
@@ -235,7 +228,7 @@ fn main() {
                     Some(bytes) => SoakMode::Resume(bytes),
                     None => SoakMode::Straight,
                 };
-                let again = soak_one(system, bench, plan, accesses, &driver, again_mode);
+                let again = soak_one(system, bench, plan, accesses, &flags.driver, again_mode);
                 if again.signature != out.signature {
                     failures += 1;
                     let kind = if out.snapshot.is_some() {

@@ -5,7 +5,7 @@
 //!             [--trace-out PATH.jsonl|PATH.json] [--report-out PATH]
 //!             [--window EVENTS] [--heartbeat EVENTS] [--test-scale]
 //!             [--migration-bw BYTES_PER_NS] [--migration-queue DEPTH] [--faults SPEC]
-//!             [--chunk N] [--shards S|auto] [--shadow] [--hysteresis on|WINDOW:BASE:MAX]
+//!             [--chunk N] [--shards S] [--shadow] [--hysteresis on|WINDOW:BASE:MAX]
 //!             [--snapshot-out PATH --snapshot-every EVENTS] [--resume PATH]
 //! memtis compare <benchmark> [--ratio 1:8] [--cxl] [--accesses N] [--test-scale]
 //!             [driver flags]
@@ -65,7 +65,7 @@ const USAGE: &str = "usage:\n  memtis run <benchmark> [--ratio F:C] [--policy NA
      [--trace-out PATH.jsonl|PATH.json] [--report-out PATH]\n    \
      [--window EVENTS] [--heartbeat EVENTS] [--test-scale]\n    \
      [--migration-bw BYTES_PER_NS] [--migration-queue DEPTH] [--faults SPEC] [--chunk N]\n    \
-     [--shards S|auto] [--shadow] [--hysteresis on|W:B:M]\n    \
+     [--shards S] [--shadow] [--hysteresis on|W:B:M]\n    \
      [--snapshot-out PATH --snapshot-every EVENTS] [--resume PATH]\n  \
      memtis compare <benchmark> [--ratio F:C] [--cxl] [--accesses N] [--test-scale] [driver flags]\n  \
      memtis record <benchmark> --out PATH [--accesses N]\n  \
@@ -185,7 +185,7 @@ fn or_exit_1(r: Result<(), String>) {
 fn run_and_print<O: Observer>(bench: Benchmark, o: &Opts, obs: O) -> (RunReport, O) {
     let (f, scale) = (&o.flags, o.flags.scale);
     let policy = o.policy.build();
-    let driver = f.driver(policy.batch_safe());
+    let driver = f.driver.clone();
     let machine = machine_for(bench, scale, o.ratio, o.kind);
     let spec = bench.spec(scale, o.accesses);
     let (r, sim) = cli::run_or_exit(run_cell(spec, machine, policy, obs, driver, SEED, &f.snap));
@@ -226,7 +226,7 @@ fn run_and_print<O: Observer>(bench: Benchmark, o: &Opts, obs: O) -> (RunReport,
     );
     println!("  daemon CPU        : {:.2} cores", r.daemon_core_usage());
     println!("  app-path overhead : {:.2} ms", r.app_extra_ns / 1e6);
-    if f.base.faults.is_some() {
+    if f.driver.faults.is_some() {
         println!(
             "  faults injected   : {} ({:?})",
             r.faults.total(),
@@ -286,7 +286,7 @@ fn run_compare(args: &[String]) {
     for sys in System::FIG5 {
         let cell = Cell {
             scale,
-            driver: o.flags.driver(sys.build().batch_safe()),
+            driver: o.flags.driver.clone(),
             ..Cell::new(bench, MachineSpec::Tiered(o.ratio, o.kind), sys, o.accesses)
         };
         let r = cli::run_or_exit(cell.run()).report;
@@ -362,8 +362,7 @@ fn run_replay(args: &[String]) {
     let cell = ["--ratio", "--policy", "--cxl"];
     let o = parse_opts(&args[2..], &cell, &DRIVER_FLAGS, |_, _| Ok(false));
     let machine = machine_for(bench, Scale::DEFAULT, o.ratio, o.kind);
-    let driver = o.flags.driver(o.policy.build().batch_safe());
-    let mut sim = Simulation::new(machine, o.policy.build(), driver);
+    let mut sim = Simulation::new(machine, o.policy.build(), o.flags.driver);
     let fail = |what: &str, e: &dyn std::fmt::Debug| -> ! {
         eprintln!("error: {what}: {e:?}");
         std::process::exit(1);

@@ -4,7 +4,7 @@
 //! sweep [--jobs N] [--systems memtis,tpp,...] [--benches roms,btree,...]
 //!       [--ratios 1:8,1:16] [--seeds K] [--accesses N] [--window EVENTS]
 //!       [--cxl] [--test-scale] [--migration-bw BYTES_PER_NS]
-//!       [--migration-queue DEPTH] [--faults SPEC] [--chunk N] [--shards S|auto]
+//!       [--migration-queue DEPTH] [--faults SPEC] [--chunk N] [--shards S]
 //!       [--shadow] [--hysteresis on|WINDOW:BASE:MAX]
 //! ```
 //!
@@ -24,7 +24,7 @@ use memtis_workloads::Benchmark;
 const USAGE: &str = "usage: sweep [--jobs N] [--systems a,b,..] [--benches x,y,..] \
      [--ratios F:C,..] [--seeds K] [--accesses N] [--window EVENTS] \
      [--cxl] [--test-scale] [--migration-bw BYTES_PER_NS] \
-     [--migration-queue DEPTH] [--faults SPEC] [--chunk N] [--shards S|auto] \
+     [--migration-queue DEPTH] [--faults SPEC] [--chunk N] [--shards S] \
      [--shadow] [--hysteresis on|WINDOW:BASE:MAX]";
 
 /// The shared flags `sweep` accepts.
@@ -65,14 +65,10 @@ fn main() {
     });
     let flags = cli::or_exit(flags, USAGE);
 
-    // `--shards auto` falls back to serial whenever the cells would
-    // (active fault plans, migration bandwidth caps, shadow migration,
-    // batch-unsafe policies, per-event chunks, or a single-core host).
-    let driver = flags.driver(systems.iter().all(|s| s.build().batch_safe()));
     // Intra-run sharding multiplies the sweep's thread demand: warn when
     // jobs x shards oversubscribes the host (results are unchanged, only
     // slower than a better-matched combination).
-    let shards = driver.shards.unwrap_or(1).max(1);
+    let shards = flags.driver.shards.unwrap_or(1);
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let total_threads = jobs.max(1) * shards;
     if total_threads > host_cores {
@@ -88,7 +84,7 @@ fn main() {
     let cfg = SweepConfig {
         scale: flags.scale,
         accesses,
-        driver,
+        driver: flags.driver.clone(),
     };
     let cells = matrix(&systems, &benches, &ratios, kind, seeds.max(1), &cfg);
     println!(

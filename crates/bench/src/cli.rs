@@ -4,10 +4,11 @@
 //! flags. [`parse`] decodes the ones a binary accepts into [`RunFlags`],
 //! writing every driver flag straight into its [`DriverConfig`] field, and
 //! offers each argument to the binary's own callback first. A value that
-//! does not parse, a flag without its value, a flag no binary knows, and a
-//! shared flag the binary cannot honour are all an `Err` naming the
-//! argument; [`or_exit`] prints it as `error: …` and exits 2. Nothing
-//! falls back to a default.
+//! does not parse, a value the driver would clamp or ignore (a zero count,
+//! a bandwidth that is not a finite non-negative number), a flag without
+//! its value, a flag no binary knows, and a shared flag the binary cannot
+//! honour are all an `Err` naming the argument; [`or_exit`] prints it as
+//! `error: …` and exits 2. Nothing falls back to a default.
 
 use crate::harness::{trace_exporter, SnapshotOpts};
 use memtis_sim::faults::FaultPlan;
@@ -37,11 +38,9 @@ pub const SHARED: [&str; 15] = [
 /// The shared flags of one invocation.
 #[derive(Debug, Clone)]
 pub struct RunFlags {
-    /// The caller's base driver config with every driver flag applied.
-    /// [`RunFlags::driver`] resolves its `shards`.
-    pub base: DriverConfig,
-    /// `--shards S|auto`.
-    pub shards: Option<ShardsSpec>,
+    /// The caller's base driver config with every driver flag applied:
+    /// the config every run of the invocation uses.
+    pub driver: DriverConfig,
     /// `--test-scale` selects [`Scale::TEST`].
     pub scale: Scale,
     /// `--trace-out PATH`; its extension picks the format
@@ -54,18 +53,9 @@ pub struct RunFlags {
 }
 
 impl RunFlags {
-    /// The driver config for a run: the overridden base with `--shards`
-    /// resolved last, against that config and `batch_safe` (whether every
-    /// policy the run selects is batch-safe).
-    pub fn driver(&self, batch_safe: bool) -> DriverConfig {
-        let mut d = self.base.clone();
-        d.shards = self.shards.and_then(|s| s.resolve(&d, batch_safe));
-        d
-    }
-
     /// The `engine modes:` banner, when any mode flag was given.
     pub fn modes_banner(&self) -> Option<String> {
-        let d = &self.base;
+        let d = &self.driver;
         (d.shadow || d.hysteresis.is_some()).then(|| {
             format!(
                 "engine modes: shadow={} hysteresis={:?}",
@@ -120,8 +110,7 @@ pub fn parse(
     mut own: impl FnMut(&str, &mut Args) -> Result<bool, String>,
 ) -> Result<RunFlags, String> {
     let mut f = RunFlags {
-        base,
-        shards: None,
+        driver: base,
         scale: Scale::DEFAULT,
         trace_out: None,
         report_out: None,
@@ -143,20 +132,20 @@ pub fn parse(
         if !accepted.contains(&flag) {
             return Err(format!("{flag} does not apply to this command"));
         }
-        let d = &mut f.base;
+        let d = &mut f.driver;
         match flag {
             "--trace-out" => {
                 f.trace_out = Some(a.with(flag, |p| trace_exporter(p).map(|_| p.to_string()))?)
             }
             "--report-out" => f.report_out = Some(a.string(flag)?),
-            "--window" => d.window_events = a.value(flag)?,
-            "--heartbeat" => d.heartbeat_events = Some(a.value(flag)?),
+            "--window" => d.window_events = a.with(flag, positive)?,
+            "--heartbeat" => d.heartbeat_events = Some(a.with(flag, positive)?),
             "--test-scale" => f.scale = Scale::TEST,
-            "--migration-bw" => d.migration_bw = Some(a.value(flag)?),
-            "--migration-queue" => d.migration_queue = Some(a.value(flag)?),
+            "--migration-bw" => d.migration_bw = Some(a.with(flag, bandwidth)?),
+            "--migration-queue" => d.migration_queue = Some(a.with(flag, positive)?),
             "--faults" => d.faults = Some(a.with(flag, FaultPlan::parse)?),
-            "--chunk" => d.chunk = a.value(flag)?,
-            "--shards" => f.shards = Some(a.with(flag, ShardsSpec::parse)?),
+            "--chunk" => d.chunk = a.with(flag, positive)?,
+            "--shards" => d.shards = Some(a.with(flag, positive)?),
             "--shadow" => d.shadow = true,
             "--hysteresis" => d.hysteresis = Some(a.with(flag, parse_hysteresis)?),
             "--snapshot-out" => f.snap.out = Some(a.string(flag)?),
@@ -199,52 +188,23 @@ pub fn run_or_exit<T>(r: SimResult<T>) -> T {
     })
 }
 
-/// A `--shards` value: an explicit count, or `auto` to size from the host
-/// and run configuration at resolution time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardsSpec {
-    /// Pick the shard count automatically ([`ShardsSpec::resolve`]).
-    Auto,
-    /// Exactly this many shards.
-    Fixed(usize),
+/// Parses a count of at least 1. The driver clamps a zero window or
+/// heartbeat to 1, runs `--chunk 0` per event and migrates nothing through
+/// a zero-deep queue, so zero is refused rather than rewritten.
+fn positive<T: FromStr + Default + PartialEq>(v: &str) -> Result<T, String> {
+    match v.parse::<T>() {
+        Ok(n) if n != T::default() => Ok(n),
+        _ => Err("want a positive integer".into()),
+    }
 }
 
-impl ShardsSpec {
-    /// Parses a `--shards` argument: `auto` or a positive integer.
-    pub fn parse(s: &str) -> Result<ShardsSpec, String> {
-        if s.eq_ignore_ascii_case("auto") {
-            return Ok(ShardsSpec::Auto);
-        }
-        match s.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(ShardsSpec::Fixed(n)),
-            _ => Err("want a positive integer or auto".into()),
-        }
-    }
-
-    /// Resolves to a concrete `DriverConfig::shards` value.
-    ///
-    /// `Fixed(n)` passes through untouched. `Auto` inspects the run:
-    /// configurations that force the sharded pipeline's serial fallback
-    /// anyway — active fault plans, a bandwidth-capped migration link,
-    /// shadow-copy migration, a batch-unsafe policy, or per-event batching
-    /// (`chunk <= 1`) — resolve to `None` (don't spawn a pool that can
-    /// never engage), as does a single-core host, where lane parallelism
-    /// can't beat the serial path. Otherwise the shard count is the host's
-    /// available parallelism, capped at 8 (lane-balance over 64 lanes
-    /// degrades beyond that; see DESIGN.md §12).
-    pub fn resolve(self, driver: &DriverConfig, batch_safe: bool) -> Option<usize> {
-        let n = match self {
-            ShardsSpec::Fixed(n) => return Some(n),
-            ShardsSpec::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        };
-        let has_faults = driver.faults.as_ref().is_some_and(|p| !p.is_inert());
-        let bw_capped = driver.migration_bw.is_some_and(|v| v > 0.0);
-        if has_faults || bw_capped || driver.shadow || !batch_safe || driver.chunk <= 1 || n <= 1 {
-            return None;
-        }
-        Some(n.min(8))
+/// Parses a `--migration-bw` cap in bytes/ns: a finite number, at least 0
+/// (0 means unlimited). The driver would treat NaN and negative caps as
+/// unlimited and an infinite cap as a zero-time copy engine.
+fn bandwidth(v: &str) -> Result<f64, String> {
+    match v.parse::<f64>() {
+        Ok(bw) if bw.is_finite() && bw >= 0.0 => Ok(bw),
+        _ => Err("want a finite number of bytes/ns, 0 for unlimited".into()),
     }
 }
 
@@ -287,7 +247,7 @@ mod tests {
              --chunk 1 --shards 2 --shadow --hysteresis 1:2:3 --test-scale",
         )
         .expect("valid flags");
-        let d = f.driver(true);
+        let d = &f.driver;
         assert_eq!(d.window_events, 500);
         assert_eq!(d.heartbeat_events, Some(7));
         assert_eq!(d.migration_bw, Some(8.0));
@@ -295,20 +255,12 @@ mod tests {
         assert_eq!(d.chunk, 1);
         assert_eq!(d.shards, Some(2));
         assert!(d.shadow);
-        assert!(d.hysteresis.is_some_and(|h| h.window_ns == 1.0
+        assert!(d.hysteresis.as_ref().is_some_and(|h| h.window_ns == 1.0
             && h.base_backoff_ns == 2.0
             && h.max_backoff_ns == 3.0));
         assert_eq!(f.scale, Scale::TEST);
         assert!(f.modes_banner().is_some());
         assert!(parse_all("").expect("no flags").modes_banner().is_none());
-    }
-
-    #[test]
-    fn auto_shards_resolve_after_every_override() {
-        let faulted = parse_all("--shards auto --faults seed=3,abort=0.5").expect("valid");
-        assert_eq!(faulted.driver(true).shards, None);
-        let fixed = parse_all("--shards 3 --faults seed=3,abort=0.5").expect("valid");
-        assert_eq!(fixed.driver(false).shards, Some(3));
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub mod report;
 pub mod rundiff;
 pub mod sweep;
 
-pub use cli::{RunFlags, ShardsSpec};
+pub use cli::RunFlags;
 pub use harness::{
     access_budget, benchmark_from_name, driver_config, driver_config_with_window, geomean,
     machine_for, normalized, run_cell, run_snapshotted, write_snapshot, write_trace, CapacityKind,

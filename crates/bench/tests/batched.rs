@@ -6,7 +6,8 @@
 //! same cell twice — once at `chunk = 1` (the per-event oracle) and once
 //! at the sampled chunk size — under a tracing observer. The `RunReport`
 //! (with host wall-clock zeroed) and the full exported JSONL event/window
-//! trace must render byte-for-byte identically.
+//! trace must render byte-for-byte identically. A fixed quiet cell also
+//! runs under every system.
 
 use memtis_bench::{machine_for, run_cell, CapacityKind, Ratio, SnapshotOpts, System, SEED};
 use memtis_sim::obs::export_jsonl;
@@ -20,9 +21,10 @@ const BENCHES: [Benchmark; 4] = [
     Benchmark::Silo,
     Benchmark::XsBench,
 ];
-// Memtis exercises the deferred batch-safe path; TPP and HeMem run their
-// samples inline through the chunked-but-per-event dispatch.
-const SYSTEMS: [System; 3] = [System::Memtis, System::Tpp, System::Hemem];
+// Every policy's `on_access` is deferred on quiet runs: MEMTIS and HeMem
+// sample from delivered records, the rest migrate from hint faults and
+// ticks between bursts.
+const SYSTEMS: [System; 11] = System::ALL;
 const CHUNKS: [usize; 4] = [2, 7, 64, DEFAULT_CHUNK];
 
 /// Render a report for comparison, ignoring only host wall-clock.
@@ -66,8 +68,19 @@ fn run_with_chunk(
     (signature(report), trace)
 }
 
+/// One quiet cell per system at the default chunk, so every policy's
+/// deferred path is checked whatever the random cases draw.
+#[test]
+fn every_system_batches_like_the_per_event_loop() {
+    for sys in SYSTEMS {
+        let run =
+            |chunk| run_with_chunk(Benchmark::Silo, sys, chunk, 6_000, 1_000, SEED, None, None);
+        assert!(run(1) == run(DEFAULT_CHUNK), "{} diverged", sys.name());
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn batched_pipeline_matches_per_event_oracle(

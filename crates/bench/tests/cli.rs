@@ -4,9 +4,11 @@
 //! value for every shared flag it accepts, every shared flag it cannot
 //! honour, an unknown flag, and bad positionals or own-flag values must exit
 //! 2 with an `error:` line on stderr that names the offending argument, and
-//! print nothing to stdout. So must a `MEMTIS_ACCESSES` that is not a
-//! positive integer, naming the variable. An output `memtis run` cannot
-//! write exits 1 with an `error:` line naming it.
+//! print nothing to stdout. So must a value the driver would rewrite (a
+//! zero count, a bandwidth that is not a finite number ≥ 0, a shard count
+//! that is not a number), and a `MEMTIS_ACCESSES` that is not a positive
+//! integer, naming the variable. An output `memtis run` cannot write exits
+//! 1 with an `error:` line naming it.
 
 use memtis_bench::cli::SHARED;
 use memtis_bench::System;
@@ -164,6 +166,36 @@ fn malformed_shared_flags_exit_2() {
         args.push("--nosuch");
         assert_rejected(cmd.exe, &args, "--nosuch");
     }
+}
+
+/// Values that parse but that the driver would clamp, ignore or read as
+/// another setting: each is refused wherever its flag is accepted.
+const REWRITTEN: [(&str, &str); 9] = [
+    ("--window", "0"),
+    ("--heartbeat", "0"),
+    ("--chunk", "0"),
+    ("--migration-queue", "0"),
+    ("--migration-bw", "nan"),
+    ("--migration-bw", "inf"),
+    ("--migration-bw", "-1"),
+    ("--shards", "0"),
+    ("--shards", "auto"),
+];
+
+#[test]
+fn values_the_driver_would_rewrite_exit_2() {
+    for (flag, value) in REWRITTEN {
+        let cmds: Vec<&Cmd> = CMDS.iter().filter(|c| c.accepts.contains(&flag)).collect();
+        assert!(!cmds.is_empty(), "no command accepts {flag}");
+        for cmd in cmds {
+            let args = [cmd.lead, &[flag, value]].concat();
+            assert_rejected(cmd.exe, &args, flag);
+        }
+    }
+    // A zero cap keeps its documented meaning: unlimited.
+    let args = ["run", "silo", "--test-scale", "--migration-bw", "0"];
+    let out = run(MEMTIS, &args, "1000");
+    assert!(out.status.success(), "--migration-bw 0 was refused");
 }
 
 #[test]

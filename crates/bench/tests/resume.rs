@@ -8,8 +8,9 @@
 //! except for host time and the phase self-profile, and all three stdouts
 //! identical. Heartbeats on stderr show that the resumed run really
 //! started from the checkpoint rather than from the first event. MEMTIS,
-//! AutoNUMA (hint-fault sampler state) and a faulted MEMTIS run (fault RNG
-//! state) each go through the round trip.
+//! AutoNUMA (hint-fault sampler state), HeMem (PEBS sampler state, carried
+//! across a checkpoint taken between deferred bursts) and a faulted MEMTIS
+//! run (fault RNG state) each go through the round trip.
 
 use memtis_bench::{diff_reports, DiffOptions};
 use memtis_sim::obs::json::Json;
@@ -91,6 +92,11 @@ fn resumed_memtis_run_prints_traces_and_reports_the_uninterrupted_run() {
 #[test]
 fn resumed_autonuma_run_prints_traces_and_reports_the_uninterrupted_run() {
     round_trip("autonuma", &["--policy", "autonuma"]);
+}
+
+#[test]
+fn resumed_hemem_run_prints_traces_and_reports_the_uninterrupted_run() {
+    round_trip("hemem", &["--policy", "hemem"]);
 }
 
 #[test]

@@ -35,9 +35,10 @@ const BENCHES: [Benchmark; 4] = [
     Benchmark::Silo,
     Benchmark::XsBench,
 ];
-// Memtis exercises the deferred batch-safe parallel path; TPP and HeMem
-// sample inline and therefore run chunked-but-serial even when sharded.
-const SYSTEMS: [System; 3] = [System::Memtis, System::Tpp, System::Hemem];
+// Every policy runs sharded bursts on quiet runs: MEMTIS and HeMem sample
+// from the merged records, the rest migrate from hint faults and ticks
+// between bursts.
+const SYSTEMS: [System; 11] = System::ALL;
 const CHUNKS: [usize; 4] = [2, 7, 64, DEFAULT_CHUNK];
 
 /// Render a report for comparison, ignoring only host wall-clock.
@@ -87,7 +88,7 @@ fn run_with_shards(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn sharded_run_matches_serial_bit_exactly(

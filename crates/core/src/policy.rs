@@ -768,18 +768,14 @@ impl TieringPolicy for MemtisPolicy {
         }
     }
 
+    /// Only filters through the PEBS sampler, updates policy bookkeeping,
+    /// and *reads* the machine (RSS for the estimation trigger, tier
+    /// occupancy during cooling); all mutation happens in `tick`, as the
+    /// deferral contract asks.
     fn on_access(&mut self, ops: &mut PolicyOps<'_>, access: &Access, outcome: &AccessOutcome) {
         if self.sampler.observe(access, outcome).is_some() {
             self.process_sample(ops, access, outcome);
         }
-    }
-
-    /// `on_access` only filters through the PEBS sampler, updates policy
-    /// bookkeeping, and *reads* the machine (RSS for the estimation
-    /// trigger, tier occupancy during cooling) — all mutation happens in
-    /// `tick`. That satisfies the deferral contract.
-    fn batch_safe(&self) -> bool {
-        true
     }
 
     /// The sampler programmed into the batch kernel: LLC-miss loads and

@@ -1136,8 +1136,8 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     /// 1. Deferral engages only on *quiet* runs — no fault injection
     ///    (every sample fate is `Deliver`, no fault records, per-access
     ///    fault work exactly `0.0`), no shadow copies, and no bandwidth cap
-    ///    on a sharded run — under a policy declaring
-    ///    [`TieringPolicy::batch_safe`]. Anything else funnels through
+    ///    on a sharded run — for every policy, under the deferral contract
+    ///    of [`TieringPolicy::on_access`]. Anything else funnels through
     ///    [`Simulation::step_event`] unchanged, and so does an access taken
     ///    while a queued transfer waits on an idle link
     ///    ([`Machine::next_transfer_event_ns`] is `None`): the pump after it
@@ -1175,8 +1175,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         let migration = &self.machine.config().migration;
         let defer = !self.has_faults
             && !migration.shadow
-            && (self.shard.is_none() || migration.bandwidth_limit.is_none())
-            && self.policy.batch_safe();
+            && (self.shard.is_none() || migration.bandwidth_limit.is_none());
         let mut first = true;
         loop {
             // The first buffer of a continued run replays the previous
@@ -2040,7 +2039,7 @@ mod tests {
         events
     }
 
-    /// Batch-safe policy that arms NUMA hints from ticks and charges
+    /// Policy that arms NUMA hints from ticks and charges
     /// app-side fault work — exercising the batched loop's hint tail and
     /// its fault-work clock arithmetic.
     struct ArmHints {
@@ -2050,9 +2049,6 @@ mod tests {
     impl TieringPolicy for ArmHints {
         fn descriptor(&self) -> crate::policy::PolicyDescriptor {
             NoopPolicy.descriptor()
-        }
-        fn batch_safe(&self) -> bool {
-            true
         }
         fn tick(&mut self, ops: &mut PolicyOps<'_>) {
             for _ in 0..4 {
@@ -2096,10 +2092,10 @@ mod tests {
     }
 
     #[test]
-    fn chunked_loop_matches_for_non_batch_safe_policy() {
-        // PromoteOnce keeps the default `batch_safe() == false`, so the
-        // chunked loop must funnel every event through the per-event path
-        // — with and without the async migration engine.
+    fn deferred_loop_matches_for_policy_migrating_from_tick() {
+        // PromoteOnce migrates from `tick`, which runs between bursts: the
+        // deferred loop must reproduce the per-event loop with and without
+        // the async migration engine.
         for bw in [None, Some(1.0)] {
             let run = |chunk: usize| {
                 let mut sim = Simulation::new(

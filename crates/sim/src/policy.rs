@@ -456,35 +456,37 @@ pub trait TieringPolicy {
 
     /// Observes one executed access (the outcome says whether it missed the
     /// LLC, which tier served it, etc.). Sampling-based policies filter here.
+    ///
+    /// The driver may defer this hook: on a quiet run it executes a burst of
+    /// accesses in the machine first and delivers the recorded ones
+    /// afterwards through [`on_access_batch`]. So `on_access` must neither
+    /// mutate the machine (no migrations, splits or hint arming — only
+    /// [`PolicyOps::charge`]/[`PolicyOps::emit`] and machine *reads*) nor
+    /// depend on machine state that executing the *next few accesses* would
+    /// change (per-access stats, TLB/LLC contents, reference bits), and it
+    /// must never charge the `App` sink. Under that contract deferred
+    /// delivery is observationally identical to per-event delivery. A
+    /// policy that reacts to an access in place migrates from a later
+    /// `tick` instead (HeMem queues its promotions).
+    ///
+    /// [`on_access_batch`]: TieringPolicy::on_access_batch
     fn on_access(&mut self, _ops: &mut PolicyOps<'_>, _access: &Access, _outcome: &AccessOutcome) {}
 
-    /// Whether this policy's [`on_access`] may be deferred and replayed in
-    /// batches.
-    ///
-    /// Contract: `on_access` must neither mutate the machine (no migrations,
-    /// splits, hint arming — only [`PolicyOps::charge`]/[`PolicyOps::emit`]
-    /// and machine *reads*) nor depend on machine state that executing the
-    /// *next few accesses* would change (per-access stats, TLB/LLC contents,
-    /// reference bits), and must never charge the `App` sink. The batched
-    /// driver then executes a run of accesses in the machine first and
-    /// delivers the deferred records afterwards via [`on_access_batch`],
-    /// which is observationally identical under this contract. Policies that
-    /// react to individual accesses in place (HeMem) keep the default
-    /// `false` and run per-event.
+    /// Ignored: the driver defers [`on_access`] for every policy (see its
+    /// contract). Kept so wrappers that forward it (perfbench's ledger)
+    /// still compile.
     ///
     /// [`on_access`]: TieringPolicy::on_access
-    /// [`on_access_batch`]: TieringPolicy::on_access_batch
     fn batch_safe(&self) -> bool {
-        false
+        true
     }
 
     /// The record program for the next burst: which executed accesses the
     /// deferring driver records for [`on_access_batch`], as a per-class
-    /// countdown with a record cap. Only consulted when [`batch_safe`] is
-    /// true, and queried before *every* burst (and before every program
-    /// pass over a sharded burst's candidates), so it may follow the
-    /// policy's own counters; only the set of counted classes must stay
-    /// constant for a run. A policy that records less than
+    /// countdown with a record cap. Queried before *every* burst (and
+    /// before every program pass over a sharded burst's candidates), so it
+    /// may follow the policy's own counters; only the set of counted
+    /// classes must stay constant for a run. A policy that records less than
     /// [`RecordFilter::ALL`] must override `on_access_batch` consistently —
     /// the unrecorded accesses still execute (machine state and clocks
     /// advance normally) but never appear in a batch, so the default
@@ -492,7 +494,6 @@ pub trait TieringPolicy {
     /// delivery if `on_access` reacted to them. Such an override reads the
     /// events its program counted from [`Machine::batch_tally`].
     ///
-    /// [`batch_safe`]: TieringPolicy::batch_safe
     /// [`on_access_batch`]: TieringPolicy::on_access_batch
     /// [`Machine::batch_tally`]: crate::machine::Machine::batch_tally
     fn batch_record_filter(&self) -> RecordFilter {
@@ -502,12 +503,10 @@ pub trait TieringPolicy {
     /// Delivers the records one burst's program fired (daemon context),
     /// after every burst that executed an access — possibly none.
     ///
-    /// Only called when [`batch_safe`] returns true. The default replays
-    /// each record through [`on_access`] at its recorded wall-clock time;
+    /// The default replays each record through [`on_access`] at its recorded wall-clock time;
     /// sampling policies program the kernel to record only their samples
     /// and account for the events between them from the burst's tally.
     ///
-    /// [`batch_safe`]: TieringPolicy::batch_safe
     /// [`on_access`]: TieringPolicy::on_access
     fn on_access_batch(&mut self, ops: &mut PolicyOps<'_>, batch: &[AccessRecord]) {
         for rec in batch {
@@ -589,9 +588,6 @@ impl TieringPolicy for Box<dyn TieringPolicy> {
     fn on_access(&mut self, ops: &mut PolicyOps<'_>, access: &Access, outcome: &AccessOutcome) {
         (**self).on_access(ops, access, outcome)
     }
-    fn batch_safe(&self) -> bool {
-        (**self).batch_safe()
-    }
     fn batch_record_filter(&self) -> RecordFilter {
         (**self).batch_record_filter()
     }
@@ -649,10 +645,6 @@ impl TieringPolicy for NoopPolicy {
             critical_path_migration: "None",
             page_size_handling: "None",
         }
-    }
-
-    fn batch_safe(&self) -> bool {
-        true
     }
 
     /// `on_access` is a no-op, so no record is ever consumed.

@@ -1,5 +1,5 @@
 //! Hostile-input driver shared by the decoder mutation harnesses
-//! (`snapshot_mutation.rs`, `trace_mutation.rs`).
+//! (`snapshot_mutation.rs`, `trace_mutation.rs`, `json_mutation.rs`).
 
 use memtis_repro::sim::prelude::FaultRng;
 

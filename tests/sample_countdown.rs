@@ -45,9 +45,6 @@ impl TieringPolicy for Counted {
     fn on_access(&mut self, ops: &mut PolicyOps<'_>, access: &Access, outcome: &AccessOutcome) {
         self.inner.on_access(ops, access, outcome)
     }
-    fn batch_safe(&self) -> bool {
-        self.inner.batch_safe()
-    }
     fn batch_record_filter(&self) -> RecordFilter {
         self.inner.batch_record_filter()
     }
