@@ -10,7 +10,9 @@
 //!   region can never be evicted) and hurts everywhere else.
 
 use memtis_sim::obs::{SnapError, SnapFields, SnapReader, SnapWriter};
-use memtis_sim::prelude::{PageSize, PolicyDescriptor, PolicyOps, TierId, TieringPolicy, VirtPage};
+use memtis_sim::prelude::{
+    PageSize, PolicyDescriptor, PolicyOps, RecordFilter, TierId, TieringPolicy, VirtPage,
+};
 use memtis_tracking::hintfault::HintFaultSampler;
 use std::collections::HashMap;
 
@@ -61,6 +63,11 @@ impl TieringPolicy for AutoNumaPolicy {
             critical_path_migration: "Promotion",
             page_size_handling: "None",
         }
+    }
+
+    /// No `on_access` hook, so no access record is ever consumed.
+    fn batch_record_filter(&self) -> RecordFilter {
+        RecordFilter::NONE
     }
 
     fn on_alloc(

@@ -25,6 +25,8 @@
 //! `PolicyOps` emission points give them the full event stream and windowed
 //! telemetry for free.
 
+#![forbid(unsafe_code)]
+
 pub mod autonuma;
 pub mod autotiering;
 pub mod hemem;

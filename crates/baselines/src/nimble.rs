@@ -12,7 +12,7 @@
 
 use memtis_sim::obs::{SnapError, SnapFields, SnapReader, SnapWriter};
 use memtis_sim::prelude::{
-    PageSize, PolicyDescriptor, PolicyOps, SimError, TierId, TieringPolicy, VirtPage,
+    PageSize, PolicyDescriptor, PolicyOps, RecordFilter, SimError, TierId, TieringPolicy, VirtPage,
 };
 use memtis_tracking::ptscan::scan_and_clear;
 
@@ -65,6 +65,11 @@ impl TieringPolicy for NimblePolicy {
             critical_path_migration: "None",
             page_size_handling: "None",
         }
+    }
+
+    /// No `on_access` hook, so no access record is ever consumed.
+    fn batch_record_filter(&self) -> RecordFilter {
+        RecordFilter::NONE
     }
 
     fn tick(&mut self, ops: &mut PolicyOps<'_>) {

@@ -5,7 +5,9 @@
 //! line in Fig. 7/8.
 
 use memtis_sim::obs::{SnapError, SnapReader, SnapWriter};
-use memtis_sim::prelude::{PageSize, PolicyDescriptor, PolicyOps, TierId, TieringPolicy, VirtPage};
+use memtis_sim::prelude::{
+    PageSize, PolicyDescriptor, PolicyOps, RecordFilter, TierId, TieringPolicy, VirtPage,
+};
 
 /// Pins all allocations to one tier and never migrates.
 #[derive(Debug, Clone)]
@@ -44,6 +46,11 @@ impl TieringPolicy for StaticPolicy {
             critical_path_migration: "None",
             page_size_handling: "None",
         }
+    }
+
+    /// No `on_access` hook, so no access record is ever consumed.
+    fn batch_record_filter(&self) -> RecordFilter {
+        RecordFilter::NONE
     }
 
     fn alloc_tier(

@@ -16,7 +16,8 @@
 
 use memtis_sim::obs::{SnapError, SnapFields, SnapReader, SnapWriter};
 use memtis_sim::prelude::{
-    DetHashMap, PageSize, PolicyDescriptor, PolicyOps, SimError, TierId, TieringPolicy, VirtPage,
+    DetHashMap, PageSize, PolicyDescriptor, PolicyOps, RecordFilter, SimError, TierId,
+    TieringPolicy, VirtPage,
 };
 use memtis_tracking::hintfault::HintFaultSampler;
 use memtis_tracking::lru2q::Lru2Q;
@@ -117,6 +118,11 @@ impl TieringPolicy for TppPolicy {
             critical_path_migration: "Promotion",
             page_size_handling: "None",
         }
+    }
+
+    /// No `on_access` hook, so no access record is ever consumed.
+    fn batch_record_filter(&self) -> RecordFilter {
+        RecordFilter::NONE
     }
 
     fn alloc_tier(&mut self, ops: &mut PolicyOps<'_>, _vpage: VirtPage, size: PageSize) -> TierId {

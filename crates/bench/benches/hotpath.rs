@@ -396,13 +396,13 @@ fn hotloop(_c: &mut Criterion) {
         total_events += events;
         total_batched_s += batched_s;
 
-        // Shard-scaling curve: the same trace under 1/2/4 lane workers at a
-        // large chunk (amortizing per-burst spawn cost). Reports must stay
-        // byte-identical across shard counts. Raw wall-clock only improves
-        // when the host has spare cores; on an oversubscribed runner the
-        // projected time (`ShardMetrics::projected_ns`: the worker phase
-        // shrinks from its serialized wall to its critical-path share of
-        // the observed per-shard load split) models an S-core host.
+        // Shard-scaling curve: the same trace under 1/2/4 lane groups at a
+        // large chunk. Reports must stay byte-identical across shard
+        // counts. Every lane runs on the coordinator, so raw wall-clock
+        // does not scale with S; the projected time
+        // (`ShardMetrics::projected_ns`: the lane phase shrinks from its
+        // measured wall to its critical-path share of the per-shard load
+        // split) models an S-core host.
         const SHARD_CHUNK: usize = 65536;
         const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
         const SHARD_REPS: usize = 3;
@@ -448,9 +448,9 @@ fn hotloop(_c: &mut Criterion) {
             metrics.push((format!("{name}_shards{s}_eps"), events / best_host));
             metrics.push((format!("{name}_shards{s}_projected_eps"), projected_eps));
             // Deterministic health metrics (identical run to run, so CI can
-            // gate them hard): the share of accesses the parallel lane
-            // phase executed, and the critical-path share of the per-shard
-            // load split (1/S is perfect balance, 1.0 is fully serial).
+            // gate them hard): the share of accesses the lane phase
+            // executed, and the critical-path share of the per-shard load
+            // split (1/S is perfect balance, 1.0 is fully serial).
             metrics.push((
                 format!("{name}_shards{s}_lane_frac"),
                 sm.lane_accesses as f64 / accesses,

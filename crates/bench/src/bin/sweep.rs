@@ -65,22 +65,6 @@ fn main() {
     });
     let flags = cli::or_exit(flags, USAGE);
 
-    // Intra-run sharding multiplies the sweep's thread demand: warn when
-    // jobs x shards oversubscribes the host (results are unchanged, only
-    // slower than a better-matched combination).
-    let shards = flags.driver.shards.unwrap_or(1);
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let total_threads = jobs.max(1) * shards;
-    if total_threads > host_cores {
-        eprintln!(
-            "warning: --jobs {} x --shards {} = {} threads oversubscribes {} host core(s); \
-             consider lowering one of them",
-            jobs.max(1),
-            shards,
-            total_threads,
-            host_cores
-        );
-    }
     let cfg = SweepConfig {
         scale: flags.scale,
         accesses,

@@ -5,10 +5,11 @@
 //! writing every driver flag straight into its [`DriverConfig`] field, and
 //! offers each argument to the binary's own callback first. A value that
 //! does not parse, a value the driver would clamp or ignore (a zero count,
-//! a bandwidth that is not a finite non-negative number), a flag without
-//! its value, a flag no binary knows, and a shared flag the binary cannot
-//! honour are all an `Err` naming the argument; [`or_exit`] prints it as
-//! `error: …` and exits 2. Nothing falls back to a default.
+//! a bandwidth that is not a finite non-negative number), a flag the
+//! driver would ignore (`--shards` on a per-event `--chunk 1` run), a flag
+//! without its value, a flag no binary knows, and a shared flag the binary
+//! cannot honour are all an `Err` naming the argument; [`or_exit`] prints
+//! it as `error: …` and exits 2. Nothing falls back to a default.
 
 use crate::harness::{trace_exporter, SnapshotOpts};
 use memtis_sim::faults::FaultPlan;
@@ -154,6 +155,11 @@ pub fn parse(
             _ => unreachable!("every SHARED flag has an arm"),
         }
     }
+    if f.driver.shards.is_some() && f.driver.chunk <= 1 {
+        return Err(
+            "--shards needs --chunk above 1: a per-event run has no bursts to shard".into(),
+        );
+    }
     f.snap.validate(accepted.contains(&"--snapshot-out"))?;
     Ok(f)
 }
@@ -244,7 +250,7 @@ mod tests {
     fn driver_flags_land_in_their_fields() {
         let f = parse_all(
             "--window 500 --heartbeat 7 --migration-bw 8 --migration-queue 3 \
-             --chunk 1 --shards 2 --shadow --hysteresis 1:2:3 --test-scale",
+             --chunk 2 --shards 2 --shadow --hysteresis 1:2:3 --test-scale",
         )
         .expect("valid flags");
         let d = &f.driver;
@@ -252,7 +258,7 @@ mod tests {
         assert_eq!(d.heartbeat_events, Some(7));
         assert_eq!(d.migration_bw, Some(8.0));
         assert_eq!(d.migration_queue, Some(3));
-        assert_eq!(d.chunk, 1);
+        assert_eq!(d.chunk, 2);
         assert_eq!(d.shards, Some(2));
         assert!(d.shadow);
         assert!(d.hysteresis.as_ref().is_some_and(|h| h.window_ns == 1.0

@@ -146,7 +146,6 @@ pub fn driver_config_with_window(window_events: u64) -> DriverConfig {
         chunk: DEFAULT_CHUNK,
         shards: None,
         heartbeat_events: None,
-        pool_workers: None,
     }
 }
 

@@ -7,6 +7,8 @@
 //! budget per run is controlled by the `MEMTIS_ACCESSES` environment
 //! variable.
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod harness;
 pub mod paper;

@@ -58,9 +58,9 @@ pub struct SweepConfig {
     pub scale: Scale,
     /// Access budget per cell.
     pub accesses: u64,
-    /// Driver config every cell runs with. With `shards` set, each cell
-    /// runs up to that many threads, so the host runs up to
-    /// `jobs x shards`; results are byte-identical for every value.
+    /// Driver config every cell runs with. Each cell runs on one thread
+    /// whatever its `shards`, so the host runs up to `jobs` threads;
+    /// results are byte-identical for every value.
     pub driver: DriverConfig,
 }
 

@@ -79,6 +79,28 @@ fn every_system_batches_like_the_per_event_loop() {
     }
 }
 
+/// The policies without an `on_access` hook program the kernel to record
+/// nothing: every record would replay into the trait's no-op default.
+#[test]
+fn policies_without_on_access_record_nothing() {
+    for sys in [
+        System::AutoNuma,
+        System::AutoTiering,
+        System::Tiering08,
+        System::Tpp,
+        System::Nimble,
+        System::AllNvm,
+        System::AllDram,
+    ] {
+        assert_eq!(
+            sys.build().batch_record_filter(),
+            RecordFilter::NONE,
+            "{} records accesses",
+            sys.name()
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 

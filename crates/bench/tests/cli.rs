@@ -6,9 +6,10 @@
 //! 2 with an `error:` line on stderr that names the offending argument, and
 //! print nothing to stdout. So must a value the driver would rewrite (a
 //! zero count, a bandwidth that is not a finite number ≥ 0, a shard count
-//! that is not a number), and a `MEMTIS_ACCESSES` that is not a positive
-//! integer, naming the variable. An output `memtis run` cannot write exits
-//! 1 with an `error:` line naming it.
+//! that is not a number), `--shards` on a per-event `--chunk 1` run (which
+//! the driver would leave unsharded), and a `MEMTIS_ACCESSES` that is not a
+//! positive integer, naming the variable. An output `memtis run` cannot
+//! write exits 1 with an `error:` line naming it.
 
 use memtis_bench::cli::SHARED;
 use memtis_bench::System;
@@ -190,6 +191,22 @@ fn values_the_driver_would_rewrite_exit_2() {
         for cmd in cmds {
             let args = [cmd.lead, &[flag, value]].concat();
             assert_rejected(cmd.exe, &args, flag);
+        }
+    }
+    // `--shards` on a per-event run would run unsharded without a word,
+    // in either flag order.
+    let cmds: Vec<&Cmd> = CMDS
+        .iter()
+        .filter(|c| c.accepts.contains(&"--chunk") && c.accepts.contains(&"--shards"))
+        .collect();
+    assert!(!cmds.is_empty(), "no command accepts --chunk and --shards");
+    for cmd in cmds {
+        for pair in [
+            ["--chunk", "1", "--shards", "2"],
+            ["--shards", "2", "--chunk", "1"],
+        ] {
+            let args = [cmd.lead, &pair].concat();
+            assert_rejected(cmd.exe, &args, "--shards");
         }
     }
     // A zero cap keeps its documented meaning: unlimited.

@@ -4,7 +4,7 @@
 //! Each case picks a workload, system, shard count, chunk size, window
 //! length, and optionally an active fault plan and a migration bandwidth
 //! cap, then runs the same cell twice — once at `--shards 1` (the serial
-//! oracle: same burst boundaries, one lane-worker) and once at the sampled
+//! oracle: same burst boundaries, one lane group) and once at the sampled
 //! shard count — under a tracing observer. The `RunReport` (with host
 //! wall-clock zeroed), the full exported JSONL event/window trace, and the
 //! window series must render byte-for-byte identically.
@@ -16,12 +16,6 @@
 //! Faulted and bandwidth-capped cases route through the serial fallback
 //! gate, so they double as a regression check that the gate itself is
 //! shard-count-invariant.
-//!
-//! Each case additionally samples the sharded run's worker pool size — the
-//! auto-sized count, or forced worker threads (real cross-thread handoff
-//! even on a single-core host) — while the oracle always runs the auto-sized
-//! pool. Byte-identity across that matrix pins pooled-vs-serial equivalence
-//! per chunk x policy x fault plan.
 
 use memtis_bench::{machine_for, run_cell, CapacityKind, Ratio, SnapshotOpts, System, SEED};
 use memtis_sim::obs::export_jsonl;
@@ -58,7 +52,6 @@ fn run_with_shards(
     seed: u64,
     faults: Option<&str>,
     migration_bw: Option<f64>,
-    force_workers: bool,
 ) -> (String, String, String) {
     let machine = machine_for(bench, Scale::TEST, Ratio::DEFAULT, CapacityKind::Nvm);
     let mut driver = DriverConfig {
@@ -66,7 +59,6 @@ fn run_with_shards(
         chunk,
         shards: Some(shards),
         migration_bw,
-        pool_workers: force_workers.then_some(shards.min(3)),
         ..memtis_bench::driver_config()
     };
     driver.faults = faults.map(|s| {
@@ -102,7 +94,6 @@ proptest! {
         with_faults in proptest::bool::ANY,
         fault_seed in 1u64..100,
         with_bw in proptest::bool::ANY,
-        force_workers in proptest::bool::ANY,
     ) {
         let bench = BENCHES[bench_idx];
         let sys = SYSTEMS[sys_idx];
@@ -113,11 +104,10 @@ proptest! {
         let migration_bw = with_bw.then_some(0.5);
 
         let (serial_report, serial_trace, serial_windows) = run_with_shards(
-            bench, sys, 1, chunk, accesses, window, seed, faults, migration_bw, false,
+            bench, sys, 1, chunk, accesses, window, seed, faults, migration_bw,
         );
         let (sharded_report, sharded_trace, sharded_windows) = run_with_shards(
             bench, sys, shards, chunk, accesses, window, seed, faults, migration_bw,
-            force_workers,
         );
 
         prop_assert_eq!(serial_report, sharded_report);

@@ -20,6 +20,8 @@
 //! - [`config`] — every paper constant in one tunable struct, with ablation
 //!   helpers (`without_split`, `vanilla`) used by the Fig. 10/11 benches.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod histogram;
 pub mod meta;

@@ -26,6 +26,8 @@
 //! The crate is dependency-free (events carry plain `u64`/`u8` ids) so the
 //! simulator can depend on it without cycles.
 
+#![forbid(unsafe_code)]
+
 #[macro_use]
 pub mod registry;
 pub mod event;

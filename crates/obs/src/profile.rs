@@ -31,7 +31,8 @@ registry_ids! {
         PolicyTick => "policy_tick",
         /// Advancing the async migration engine (`pump_transfers`).
         MigrationPump => "migration_pump",
-        /// Waiting at the sharded-burst barrier (worker join).
+        /// The lane phase of a sharded burst: every lane's accesses, run
+        /// on the coordinator.
         ShardBarrier => "shard_barrier",
         /// Coordinator-side fold of sharded lane outcomes.
         ShardFold => "shard_fold",
@@ -39,12 +40,6 @@ registry_ids! {
         BatchExec => "batch_exec",
         /// Cutting a telemetry window.
         WindowCut => "window_cut",
-        /// Publishing a burst to the persistent worker pool and waking the
-        /// parked workers (coordinator-side dispatch cost).
-        PoolHandoff => "pool_handoff",
-        /// Coordinator blocked at the pool barrier after finishing its own
-        /// chunk, waiting for the workers to drain the remaining chunks.
-        PoolIdle => "pool_idle",
     }
 }
 

@@ -15,6 +15,8 @@
 //!   exactly like a PEBS buffer overflow, rather than stalling the app.
 //! - **All migration happens asynchronously** in the `kmigrated` thread.
 
+#![forbid(unsafe_code)]
+
 use memtis_core::{MemtisConfig, MemtisPolicy};
 use memtis_sim::addr::{PageSize, VirtAddr, VirtPage};
 use memtis_sim::engine::EngineEvent;

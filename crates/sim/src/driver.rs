@@ -26,7 +26,7 @@ use crate::machine::{BatchClock, BatchStop, Machine};
 use crate::policy::{
     abort_failure, alloc_page, alloc_region, CostAccounting, CostSink, PolicyOps, TieringPolicy,
 };
-use crate::shard::{self, lane_of, LaneScratch, WorkerPool, NUM_LANES};
+use crate::shard::{self, lane_of, LaneScratch, NUM_LANES};
 use crate::stats::MachineStats;
 use crate::util::tree_fold_f64;
 use memtis_obs::profile::{SpanGuard, SpanId};
@@ -161,23 +161,19 @@ pub struct DriverConfig {
     /// paths produce byte-identical [`RunReport`]s.
     pub chunk: usize,
     /// Sharded execution: `Some(s)` partitions the address space into
-    /// [`NUM_LANES`] fixed lanes and drives each chunked burst across `s`
-    /// worker threads (lanes are grouped into `s` contiguous shards), with a
-    /// deterministic merge at the end of every burst. Requires `chunk > 1`.
-    /// Reports, traces, and window series are byte-identical for every `s`
-    /// at a fixed `chunk`; `None` keeps the unsharded pipeline.
+    /// [`NUM_LANES`] fixed lanes, runs every lane of each chunked burst on
+    /// the coordinator, and merges the lanes deterministically at the end of
+    /// every burst. Requires `chunk > 1`. `s` groups the lanes into `s`
+    /// contiguous shards, which only sets the per-shard load split that
+    /// [`ShardMetrics::crit_accesses`] and [`ShardMetrics::projected_ns`]
+    /// model. Reports, traces, and window series are byte-identical for
+    /// every `s` at a fixed `chunk`; `None` keeps the unsharded pipeline.
     pub shards: Option<usize>,
     /// Heartbeat period in workload events: every this-many events the
     /// driver prints a compact one-line JSON status to *stderr* (stdout
     /// output and the report stay untouched), so hours-long soaks are
     /// inspectable mid-run. `None` disables.
     pub heartbeat_events: Option<u64>,
-    /// Worker-thread count for the persistent shard pool. `None` sizes it
-    /// from [`shard::auto_workers`] (available parallelism, capped at
-    /// `shards - 1`); `Some(0)` is valid and runs every chunk on the
-    /// coordinator. Host-side knob only: reports are byte-identical for
-    /// every value (excluded from the snapshot fingerprint).
-    pub pool_workers: Option<usize>,
 }
 
 impl Default for DriverConfig {
@@ -195,7 +191,6 @@ impl Default for DriverConfig {
             chunk: DEFAULT_CHUNK,
             shards: None,
             heartbeat_events: None,
-            pool_workers: None,
         }
     }
 }
@@ -295,10 +290,8 @@ struct WindowState {
 /// across shard counts; the host-side scaling numbers surface through
 /// [`Simulation::shard_metrics`].
 struct ShardRun {
-    /// Lane-group count per burst (parallelism grain of the partition).
+    /// Lane-group count per burst: the grain of the critical-path model.
     shards: usize,
-    /// The persistent worker pool bursts are dispatched through.
-    pool: WorkerPool,
     /// One scratch buffer per lane, reused across bursts.
     lanes: Vec<LaneScratch>,
     /// Tournament-merge heap, reused across bursts (zero steady-state
@@ -311,8 +304,7 @@ struct ShardRun {
     bursts: u64,
     /// Accesses that spilled from a stopped lane to the serial path.
     spills: u64,
-    /// Host ns the coordinator spent inside the worker phase, summed over
-    /// bursts (on a saturated host this is the serialized lane work).
+    /// Host ns the coordinator spent in the lane phase, summed over bursts.
     busy_ns: u64,
     /// Accesses executed through the lane phase.
     lane_accesses: u64,
@@ -327,16 +319,15 @@ struct ShardRun {
 /// the deterministic report.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardMetrics {
-    /// Worker-thread count the run was configured with.
+    /// Lane-group count the run was configured with (`--shards`). No
+    /// thread runs per shard; it sets the grouping `crit_accesses` models.
     pub shards: usize,
     /// Parallel bursts merged.
     pub bursts: u64,
     /// Accesses that spilled from a stopped lane to the serial path.
     pub spills: u64,
-    /// Host ns the coordinator spent inside the parallel worker phase,
-    /// summed over bursts. On a saturated (or single-core) host the pool
-    /// workers serialize, so this is the total lane work plus handoff
-    /// overhead; per-worker clocks would mostly measure scheduler wait.
+    /// Host ns the coordinator spent running the lane phase, summed over
+    /// bursts: the total lane work, all of it on one thread.
     pub busy_ns: u64,
     /// Accesses executed through the lane phase (spills excluded).
     pub lane_accesses: u64,
@@ -348,9 +339,9 @@ pub struct ShardMetrics {
 
 impl ShardMetrics {
     /// Projects `host_ns` (a measured wall time for the whole run) onto a
-    /// host with one core per shard: the worker phase shrinks from its
-    /// serialized wall time to its critical-path share, everything else
-    /// (coordinator fold, ticks, policy work) stays serial. Amdahl-style,
+    /// host with one core per shard: the lane phase shrinks from its
+    /// measured one-thread wall time to its critical-path share, everything
+    /// else (coordinator fold, ticks, policy work) stays serial. Amdahl-style,
     /// using the observed per-shard access loads as the work model.
     pub fn projected_ns(&self, host_ns: f64) -> f64 {
         if self.lane_accesses == 0 {
@@ -540,13 +531,8 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         let shard = match cfg.shards {
             Some(s) if cfg.chunk > 1 => {
                 machine.enable_lanes();
-                let shards = s.max(1);
-                let workers = cfg
-                    .pool_workers
-                    .unwrap_or_else(|| shard::auto_workers(shards));
                 Some(ShardRun {
-                    shards,
-                    pool: WorkerPool::new(workers),
+                    shards: s.max(1),
                     lanes: (0..NUM_LANES).map(|_| LaneScratch::default()).collect(),
                     heap: BinaryHeap::new(),
                     sampled: Vec::new(),
@@ -1302,9 +1288,9 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     }
 
     /// Executes one sharded burst: the Access-only prefix of `events` runs
-    /// through the lane executors — dispatched to the persistent
-    /// [`WorkerPool`] — then the coordinator commits the results
-    /// deterministically. Returns `(events consumed, stop)`.
+    /// through the lane executors ([`shard::run_lanes`], on this thread),
+    /// then the coordinator commits the results deterministically. Returns
+    /// `(events consumed, stop)`.
     ///
     /// Determinism across shard counts rests on the lanes being pure
     /// functions of the burst-start machine snapshot (see [`crate::shard`]):
@@ -1314,7 +1300,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     ///    their stream index and a pre-rolled flight-recorder sampling
     ///    decision ([`Machine::flight_preroll`] keeps the demand-tap
     ///    schedule a pure function of stream position).
-    /// 2. **Parallel execute** — lanes run against `&PageTable` read-only;
+    /// 2. **Lane phase** — lanes run against `&PageTable` read-only;
     ///    reference-bit updates, bookkeeping partials ([`shard::LaneFold`]),
     ///    and kept-record indices are buffered per lane.
     /// 3. **Commit** — deferred reference bits are OR-folded into the page
@@ -1367,19 +1353,14 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             sh.lanes[lane_of(a.vaddr.base_page())].push(a, idx as u32, sampled);
         }
         let phase_start = std::time::Instant::now();
-        let timing = {
+        {
             let _span = Self::span(&self.obs, SpanId::ShardBarrier);
-            sh.pool
-                .run_burst(&mut self.machine, &mut sh.lanes, sh.shards, filter)
-        };
-        let phase_ns = phase_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        if let Some(p) = self.obs.profiler() {
-            p.record(SpanId::PoolHandoff, timing.handoff_ns);
-            p.record(SpanId::PoolIdle, timing.idle_ns);
+            shard::run_lanes(&mut self.machine, &mut sh.lanes, filter);
         }
+        let phase_ns = phase_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         shard::apply_deferred_bits(&mut self.machine, &mut sh.lanes);
-        // Per-shard load split (deterministic, matching the executors'
-        // contiguous lane grouping) for the Amdahl projection in
+        // Per-shard load split (deterministic, over the contiguous lane
+        // grouping `--shards` names) for the Amdahl projection in
         // [`ShardMetrics::projected_ns`].
         let per = NUM_LANES.div_ceil(sh.shards.max(1));
         let (mut burst_load, mut burst_crit) = (0u64, 0u64);
@@ -1483,8 +1464,8 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     }
 
     /// Host-side scaling metrics of the sharded pipeline, or `None` on an
-    /// unsharded run. Host timings, not simulated time: use these to gauge
-    /// parallel speedup without perturbing the deterministic report.
+    /// unsharded run. Host timings, not simulated time: use these to model
+    /// a per-shard speedup without perturbing the deterministic report.
     pub fn shard_metrics(&self) -> Option<ShardMetrics> {
         self.shard.as_ref().map(|sh| ShardMetrics {
             shards: sh.shards,
@@ -1623,14 +1604,9 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     /// The configuration a snapshot is bound to: every knob of the driver
     /// and machine configs — including the fault *plan*, whose injector
     /// state is serialized without its schedule — so a snapshot only
-    /// restores into a simulation built from the identical configs. The
-    /// pool size is a host-side knob that doesn't shape the output, so it
-    /// is normalized out and a checkpoint restores into a differently
-    /// sized pool.
-    fn snapshot_config(&self) -> (DriverConfig, &MachineConfig) {
-        let mut cfg = self.cfg.clone();
-        cfg.pool_workers = None;
-        (cfg, self.machine.config())
+    /// restores into a simulation built from the identical configs.
+    fn snapshot_config(&self) -> (&DriverConfig, &MachineConfig) {
+        (&self.cfg, self.machine.config())
     }
 
     /// Serializes the complete run state — machine, policy, observer, and
@@ -2118,7 +2094,7 @@ mod tests {
     fn sharded_run_is_shard_count_invariant() {
         // `--shards N` must reproduce `--shards 1` byte-for-byte at the same
         // chunk: the lanes are the unit of determinism, shards are only a
-        // thread grouping over them.
+        // grouping over them.
         let run = |chunk: usize, shards: usize| {
             let mut wl = Script::new(mixed_accesses(5_500));
             let mut sim = Simulation::new(

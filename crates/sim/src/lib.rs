@@ -26,6 +26,8 @@
 //! assert_eq!(out.tier, TierId::CAPACITY);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub use memtis_obs as obs;
 
 pub mod access;
@@ -38,6 +40,8 @@ pub mod error;
 pub mod faults;
 pub mod machine;
 pub mod modes;
+// The walk cache keeps a raw pointer into the boxed tables.
+#[allow(unsafe_code)]
 pub mod page_table;
 pub mod policy;
 pub mod shard;

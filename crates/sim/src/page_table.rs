@@ -229,15 +229,6 @@ pub struct PageTable {
 // leave the pointer dangling. The cache is only read through `&mut self`.
 unsafe impl Send for PageTable {}
 
-// SAFETY: all `&self` methods (`translate`, `l2_slot`, `huge_entry`, the
-// counters) are pure reads of the boxed tables and never dereference
-// `walk_cache.slot`; the raw pointer is only created and followed inside
-// `walk_mut(&mut self)`, which shared references cannot call. Concurrent
-// shared readers therefore never race with each other, which is exactly the
-// sharded lane phase's access pattern (read-only translate under
-// `&PageTable`, all mutation deferred to the single-threaded coordinator).
-unsafe impl Sync for PageTable {}
-
 #[inline]
 fn idx(vpn: u64, level: u32) -> usize {
     // `level` 1..=4; level 1 indexes the PTE table.

@@ -1,23 +1,24 @@
-//! Address-space sharding: intra-run parallelism with deterministic merges.
+//! Address-space sharding: lane-partitioned bursts with deterministic merges.
 //!
 //! A single simulation is partitioned into [`NUM_LANES`] fixed *lanes* by
 //! 2 MiB virtual region (`lane = region_index mod 64`), each lane owning a
-//! slice of the TLB and LLC (see [`LaneState`]). `--shards S` groups the
-//! lanes into `S` contiguous chunks and runs each chunk on its own worker
-//! thread during the *lane phase* of a burst; the coordinator then folds
-//! the per-lane results back in original stream order.
+//! slice of the TLB and LLC (see [`LaneState`]). During the *lane phase* of
+//! a burst the coordinator runs every lane's access subsequence in turn
+//! ([`run_lanes`]); it then folds the per-lane results back in original
+//! stream order. `--shards S` groups the lanes into `S` contiguous chunks,
+//! which only sets the per-shard load split that the driver's
+//! critical-path model (`ShardMetrics::projected_ns`) reads.
 //!
 //! Determinism across shard counts is by construction: a lane's trajectory
 //! is a pure function of (its access subsequence, the page-table snapshot at
-//! burst start), independent of which thread runs it — so `--shards 1` and
-//! `--shards N` produce byte-identical reports, traces, and window series.
-//! The worker phase is read-only with respect to shared state: lanes
-//! translate through `&PageTable` (no walk-cache use), read static tier
-//! frame ranges, and buffer their page-table reference-bit updates as
-//! [`DeferredBits`] which the coordinator ORs in (idempotent, lane order)
-//! before any serial work. Everything effectful — policy delivery,
-//! migrations, faults, allocation, the migration engine — stays
-//! coordinator-owned and runs at burst barriers.
+//! burst start) — so `--shards 1` and `--shards N` produce byte-identical
+//! reports, traces, and window series. The lane phase is read-only with
+//! respect to shared state: lanes translate through `&PageTable` (no
+//! walk-cache use), read static tier frame ranges, and buffer their
+//! page-table reference-bit updates as [`DeferredBits`] which the
+//! coordinator ORs in (idempotent, lane order) before any serial work.
+//! Everything effectful — policy delivery, migrations, faults, allocation,
+//! the migration engine — runs at burst barriers.
 
 use crate::access::{Access, AccessOutcome, AccessRecord, RecordFilter};
 use crate::addr::{PageSize, VirtPage};
@@ -29,12 +30,11 @@ use crate::tier::{tier_of, TierAllocator};
 use crate::tlb::Tlb;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Condvar, Mutex};
 
 /// Number of address-space lanes. Fixed (not equal to the shard count) so
 /// the partition — and with it every lane-local TLB/LLC trajectory — is
-/// identical for every `--shards` value; shards are merely thread groupings
-/// of lanes.
+/// identical for every `--shards` value; shards are merely groupings of
+/// lanes.
 pub const NUM_LANES: usize = 64;
 
 /// `NR_SUBPAGES / 64`: words in a huge page's subpage-written bitmap.
@@ -86,7 +86,7 @@ pub(crate) fn build_lanes(cfg: &MachineConfig) -> Vec<LaneState> {
 }
 
 /// Page-table reference-bit updates a lane buffered during the read-only
-/// worker phase. All fields are OR-only (idempotent and commutative), so
+/// lane phase. All fields are OR-only (idempotent and commutative), so
 /// applying them in fixed lane order at the barrier yields page-table state
 /// independent of shard count.
 #[derive(Debug, Clone)]
@@ -322,305 +322,20 @@ fn run_lane(
     }
 }
 
-/// Host timings of one pooled burst (see [`WorkerPool::run_burst`]).
-/// Observer-side only — recorded under the `pool_handoff` / `pool_idle`
-/// profiler spans, never folded into simulated time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PoolTiming {
-    /// Coordinator host-ns spent publishing the burst's jobs and waking the
-    /// parked workers.
-    pub handoff_ns: u64,
-    /// Coordinator host-ns blocked at the burst barrier after running out
-    /// of claimable jobs, waiting for the workers to finish theirs.
-    pub idle_ns: u64,
-}
-
-/// One shard's worth of lane work, published to the pool for a single
-/// burst. Raw pointers let the long-lived workers borrow the coordinator's
-/// machine internals and scratch buffers without lifetime plumbing;
-/// [`WorkerPool::run_burst`] guarantees the pointees stay alive and
-/// unmoved until its barrier observes every job done, and that distinct
-/// jobs cover disjoint lane ranges.
-#[derive(Clone, Copy)]
-struct ChunkJob {
-    pt: *const PageTable,
-    tiers: *const TierAllocator,
-    tiers_len: usize,
-    cfg: *const MachineConfig,
-    filter: RecordFilter,
-    lanes: *mut LaneState,
-    scratch: *mut LaneScratch,
-    len: usize,
-}
-
-// SAFETY: the pointers target the coordinator's `Machine` fields and lane
-// scratch, which `WorkerPool::run_burst` holds `&mut` borrows of for the
-// whole burst and which cannot move while borrowed; the coordinator blocks
-// at the barrier until `outstanding == 0`, so no job outlives its
-// pointees. Mutable aliasing is excluded by construction: each job's
-// `lanes`/`scratch` range comes from a distinct `chunks_mut` window, and
-// `pt`/`tiers`/`cfg` are only read.
-unsafe impl Send for ChunkJob {}
-
-impl ChunkJob {
-    /// Runs the job's lane range.
-    ///
-    /// # Safety
-    ///
-    /// Callers must uphold the contract described on the type: live,
-    /// unmoved pointees, and no two in-flight jobs sharing a lane range.
-    unsafe fn run(&self) {
-        let pt = unsafe { &*self.pt };
-        let tiers = unsafe { std::slice::from_raw_parts(self.tiers, self.tiers_len) };
-        let cfg = unsafe { &*self.cfg };
-        let lanes = unsafe { std::slice::from_raw_parts_mut(self.lanes, self.len) };
-        let scratch = unsafe { std::slice::from_raw_parts_mut(self.scratch, self.len) };
-        for (lane, sc) in lanes.iter_mut().zip(scratch.iter_mut()) {
-            run_lane(pt, tiers, cfg, self.filter, lane, sc);
-        }
+/// Runs the lane phase of one burst on the calling thread: every lane's
+/// queued accesses execute against the burst-start page table, in lane
+/// order. Lane results depend only on the lane partition, so this is also
+/// what any grouping of lanes into shards would produce.
+pub(crate) fn run_lanes(machine: &mut Machine, scratch: &mut [LaneScratch], filter: RecordFilter) {
+    let lanes = machine
+        .lanes
+        .as_mut()
+        .expect("sharded burst requires enabled lanes");
+    debug_assert_eq!(lanes.len(), NUM_LANES);
+    debug_assert_eq!(scratch.len(), NUM_LANES);
+    for (lane, sc) in lanes.iter_mut().zip(scratch.iter_mut()) {
+        run_lane(&machine.pt, &machine.tiers, &machine.cfg, filter, lane, sc);
     }
-}
-
-/// Shared pool state: one mutex-guarded job slot plus the two condvars of
-/// the burst handoff protocol (`work` wakes parked workers on publish,
-/// `done` wakes the coordinator at the barrier).
-#[derive(Default)]
-struct PoolShared {
-    slot: Mutex<PoolSlot>,
-    work: Condvar,
-    done: Condvar,
-}
-
-/// The job slot. `jobs` is reused across bursts (cleared, never shrunk),
-/// so the steady-state burst path allocates nothing.
-#[derive(Default)]
-struct PoolSlot {
-    /// Raised once; parked workers exit on wake.
-    shutdown: bool,
-    /// This burst's unclaimed-or-running jobs.
-    jobs: Vec<ChunkJob>,
-    /// Index of the next unclaimed job.
-    next: usize,
-    /// Jobs published but not yet completed.
-    outstanding: usize,
-}
-
-/// Body of each pool worker thread: greedily claim the next unclaimed job,
-/// run it outside the lock, decrement `outstanding`, and park on `work`
-/// when the slot is drained. The claim index (not per-worker assignment)
-/// makes the pool self-balancing: a worker that loses its time slice just
-/// contributes fewer chunks, and the coordinator helps drain, so a burst
-/// never waits on a descheduled thread holding unstarted work.
-fn worker_loop(shared: Arc<PoolShared>) {
-    let mut slot = shared.slot.lock().unwrap();
-    loop {
-        if slot.shutdown {
-            return;
-        }
-        if slot.next < slot.jobs.len() {
-            let job = slot.jobs[slot.next];
-            slot.next += 1;
-            drop(slot);
-            // SAFETY: published jobs' pointees live until the
-            // coordinator's barrier observes `outstanding == 0`, which
-            // cannot happen before the decrement below.
-            unsafe { job.run() };
-            slot = shared.slot.lock().unwrap();
-            slot.outstanding -= 1;
-            if slot.outstanding == 0 {
-                shared.done.notify_all();
-            }
-        } else {
-            slot = shared.work.wait(slot).unwrap();
-        }
-    }
-}
-
-/// A persistent pool of parked worker threads executing sharded bursts.
-///
-/// Replaces the per-burst `thread::scope` spawn (~tens of µs per thread
-/// per burst) with a condvar handoff to long-lived workers: the
-/// coordinator publishes the burst's chunk jobs, runs chunk 0 inline,
-/// helps drain any still-unclaimed chunks, and waits for stragglers at the
-/// `done` barrier. Worker count is a pure host-performance knob — lane
-/// trajectories depend only on the (fixed) lane partition, so any count,
-/// including zero (coordinator runs everything inline), produces
-/// byte-identical simulation output.
-///
-pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.handles.len())
-            .finish()
-    }
-}
-
-impl WorkerPool {
-    /// Spawns a pool with `workers` parked worker threads. Zero is valid:
-    /// bursts then run entirely on the coordinator thread.
-    pub fn new(workers: usize) -> Self {
-        let shared = Arc::new(PoolShared::default());
-        let handles = (0..workers)
-            .map(|i| {
-                let sh = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("memtis-pool-{i}"))
-                    .spawn(move || worker_loop(sh))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        WorkerPool { shared, handles }
-    }
-
-    /// Number of live worker threads.
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Runs the worker phase of one burst through the pool: jobs for
-    /// shards 1..S are published under the slot lock, shard 0 runs inline
-    /// on the coordinator, the coordinator then helps drain unclaimed jobs
-    /// and finally blocks on the `done` barrier. Byte-identical lane
-    /// results for any worker count; with zero workers the coordinator runs
-    /// every chunk inline, which makes a zero-worker pool the oracle.
-    pub(crate) fn run_burst(
-        &self,
-        machine: &mut Machine,
-        scratch: &mut [LaneScratch],
-        shards: usize,
-        filter: RecordFilter,
-    ) -> PoolTiming {
-        let pt = &machine.pt as *const PageTable;
-        let tiers_len = machine.tiers.len();
-        let tiers = machine.tiers.as_ptr();
-        let cfg = &machine.cfg as *const MachineConfig;
-        let lanes = machine
-            .lanes
-            .as_mut()
-            .expect("pooled burst requires enabled lanes");
-        debug_assert_eq!(lanes.len(), NUM_LANES);
-        debug_assert_eq!(scratch.len(), NUM_LANES);
-        let per = NUM_LANES.div_ceil(shards.max(1));
-
-        let mut first: Option<ChunkJob> = None;
-        let t0 = std::time::Instant::now();
-        {
-            let mut slot = self.shared.slot.lock().unwrap();
-            debug_assert_eq!(slot.outstanding, 0, "burst published over a live burst");
-            slot.jobs.clear();
-            slot.next = 0;
-            for (i, (lc, scc)) in lanes
-                .chunks_mut(per)
-                .zip(scratch.chunks_mut(per))
-                .enumerate()
-            {
-                let job = ChunkJob {
-                    pt,
-                    tiers,
-                    tiers_len,
-                    cfg,
-                    filter,
-                    lanes: lc.as_mut_ptr(),
-                    scratch: scc.as_mut_ptr(),
-                    len: lc.len(),
-                };
-                if i == 0 {
-                    first = Some(job);
-                } else {
-                    slot.jobs.push(job);
-                }
-            }
-            slot.outstanding = slot.jobs.len();
-            if slot.outstanding > 0 {
-                self.shared.work.notify_all();
-            }
-        }
-        let handoff_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-
-        if let Some(job) = first {
-            // SAFETY: the pointees are the borrows taken above, alive until
-            // this function returns; job ranges are disjoint chunks.
-            unsafe { job.run() };
-        }
-
-        // Help drain unclaimed jobs, then wait out the stragglers.
-        let mut idle_ns = 0u64;
-        let mut slot = self.shared.slot.lock().unwrap();
-        loop {
-            if slot.next < slot.jobs.len() {
-                let job = slot.jobs[slot.next];
-                slot.next += 1;
-                drop(slot);
-                // SAFETY: as above.
-                unsafe { job.run() };
-                slot = self.shared.slot.lock().unwrap();
-                slot.outstanding -= 1;
-                if slot.outstanding == 0 {
-                    self.shared.done.notify_all();
-                }
-            } else if slot.outstanding > 0 {
-                let t1 = std::time::Instant::now();
-                slot = self.shared.done.wait(slot).unwrap();
-                idle_ns += t1.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            } else {
-                break;
-            }
-        }
-        drop(slot);
-        PoolTiming {
-            handoff_ns,
-            idle_ns,
-        }
-    }
-
-    fn signal_shutdown(&self) {
-        let mut slot = self.shared.slot.lock().unwrap();
-        slot.shutdown = true;
-        drop(slot);
-        self.shared.work.notify_all();
-    }
-
-    /// Explicit teardown: signals shutdown, joins every worker, and returns
-    /// how many were joined (lifecycle tests assert on it). Dropping the
-    /// pool does the same minus the count.
-    pub fn shutdown(mut self) -> usize {
-        self.signal_shutdown();
-        let handles = std::mem::take(&mut self.handles);
-        let n = handles.len();
-        for h in handles {
-            h.join().expect("pool worker panicked");
-        }
-        n
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.signal_shutdown();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Worker-thread count for a pool serving `shards` shards: `shards - 1`
-/// (the coordinator executes shard 0 itself), capped by the host's
-/// available parallelism minus the coordinator's core — on a single-core
-/// host this is zero and every chunk runs inline, which beats paying
-/// context switches for no real concurrency. `DriverConfig::pool_workers`
-/// overrides it. Worker count is host-performance only; it never affects
-/// simulation output.
-pub fn auto_workers(shards: usize) -> usize {
-    let want = shards.saturating_sub(1);
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    want.min(avail.saturating_sub(1))
 }
 
 /// Streams every lane's kept candidate records back into original stream
@@ -663,7 +378,7 @@ pub(crate) fn merge_records(
 }
 
 /// Applies every lane's buffered page-table bit updates, in lane order then
-/// buffer order. Must run after the worker phase and before any serial
+/// buffer order. Must run after the lane phase and before any serial
 /// spill work, so spilled accesses observe the same reference bits the
 /// per-event path would have left. OR-only, hence shard-count-invariant.
 pub fn apply_deferred_bits(machine: &mut Machine, scratch: &mut [LaneScratch]) {
@@ -759,57 +474,6 @@ mod tests {
         (0..NUM_LANES).map(|_| LaneScratch::default()).collect()
     }
 
-    /// Lane state is a function of the lane partition alone: every worker
-    /// count and shard grouping reproduces the zero-worker, one-shard pool
-    /// (the coordinator running every lane inline) bit for bit, and the
-    /// scratch survives reuse across bursts.
-    #[test]
-    fn pool_matches_inline_oracle_bit_exactly() {
-        let filter = RecordFilter {
-            next: [RecordFilter::OFF, 1, 1],
-            period: [RecordFilter::OFF, 1, 1],
-            cap: usize::MAX,
-        };
-        // Two bursts through the same scratch: reuse must not leak.
-        let run = |pool: &WorkerPool, shards: usize| {
-            let (mut m, accesses) = test_burst();
-            let mut scratch = new_scratch();
-            for _ in 0..2 {
-                partition(&mut scratch, &accesses);
-                pool.run_burst(&mut m, &mut scratch, shards, filter);
-            }
-            apply_deferred_bits(&mut m, &mut scratch);
-            let outs: Vec<String> = scratch
-                .iter()
-                .map(|sc| format!("{:?} {:?} {:?}", sc.outcomes, sc.kept, sc.fold))
-                .collect();
-            (outs, format!("{:?} {:?}", m.tlb_stats(), m.llc_stats()))
-        };
-        let oracle = run(&WorkerPool::new(0), 1);
-        for workers in [0usize, 1, 3] {
-            let pool = WorkerPool::new(workers);
-            for shards in [1usize, 2, 4] {
-                assert_eq!(
-                    run(&pool, shards),
-                    oracle,
-                    "workers={workers} shards={shards}"
-                );
-            }
-            pool.shutdown();
-        }
-    }
-
-    /// `shutdown` joins exactly the spawned workers.
-    #[test]
-    fn pool_lifecycle_joins_all_workers() {
-        let pool = WorkerPool::new(3);
-        assert_eq!(pool.workers(), 3);
-        assert_eq!(pool.shutdown(), 3);
-        // Zero-worker pools shut down trivially (and Drop-only teardown is
-        // exercised by every other test that lets a pool fall out of scope).
-        assert_eq!(WorkerPool::new(0).shutdown(), 0);
-    }
-
     /// The tournament merge reconstructs exact stream order over the kept
     /// records, which are exactly the program's counted classes.
     #[test]
@@ -822,7 +486,7 @@ mod tests {
         let (mut m, accesses) = test_burst();
         let mut scratch = new_scratch();
         partition(&mut scratch, &accesses);
-        WorkerPool::new(0).run_burst(&mut m, &mut scratch, 4, filter);
+        run_lanes(&mut m, &mut scratch, filter);
         // Clean burst: every lane ran to completion.
         assert!(scratch.iter().all(|sc| sc.unexecuted().is_empty()));
         let mut heap = BinaryHeap::new();

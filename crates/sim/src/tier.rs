@@ -282,8 +282,8 @@ impl TierAllocator {
 }
 
 /// The tier owning `frame` among `tiers`. A free function so the machine
-/// can call it with its other fields borrowed, and lane workers can call it
-/// from their threads.
+/// can call it with its other fields borrowed, and the lane phase can call
+/// it with only the tier slice.
 ///
 /// # Panics
 ///

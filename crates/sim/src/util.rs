@@ -21,11 +21,11 @@ pub use memtis_obs::fnv::{Fnv1a, FNV1A_BASIS, FNV1A_PRIME};
 
 /// Fixed-shape pairwise ("tree") reduction of `f64` partials.
 ///
-/// Floating-point addition is not associative, so a parallel fold must pin
-/// *one* summation shape to stay deterministic. This halves the slice
+/// Floating-point addition is not associative, so a fold over partials must
+/// pin *one* summation shape to stay deterministic. This halves the slice
 /// recursively — `(sum of first half) + (sum of second half)`, splitting at
 /// `len/2` — so the result depends only on the values and their order,
-/// never on how many workers produced them. The sharded coordinator merges
+/// never on how the partials were grouped. The sharded coordinator merges
 /// its 64 per-lane latency partials through this (the lane count is fixed,
 /// so the shape is too), making the folded clock shard-count-invariant.
 pub fn tree_fold_f64(xs: &[f64]) -> f64 {

@@ -14,6 +14,8 @@
 //!   reproducing the paper's Figure 1 trade-off analysis).
 //! - [`lru2q`] — active/inactive LRU lists (the TPP substrate).
 
+#![forbid(unsafe_code)]
+
 pub mod damon;
 pub mod hintfault;
 pub mod lru2q;

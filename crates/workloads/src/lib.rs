@@ -11,6 +11,8 @@
 //! into deterministic event streams ([`spec::SpecStream`]); [`trace`]
 //! provides record/replay.
 
+#![forbid(unsafe_code)]
+
 pub mod btree;
 pub mod bwaves;
 pub mod dist;

@@ -14,6 +14,8 @@
 //! - [`obs`] — event tracing, counters/gauges, windowed telemetry, and
 //!   trace exporters.
 
+#![forbid(unsafe_code)]
+
 pub use memtis_baselines as baselines;
 pub use memtis_core as memtis;
 pub use memtis_obs as obs;
