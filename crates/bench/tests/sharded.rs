@@ -30,7 +30,7 @@ const BENCHES: [Benchmark; 4] = [
     Benchmark::XsBench,
 ];
 // Every policy runs sharded bursts on quiet runs: MEMTIS and HeMem sample
-// from the merged records, the rest migrate from hint faults and ticks
+// from the burst's records, the rest migrate from hint faults and ticks
 // between bursts.
 const SYSTEMS: [System; 11] = System::ALL;
 const CHUNKS: [usize; 4] = [2, 7, 64, DEFAULT_CHUNK];

@@ -31,10 +31,11 @@ registry_ids! {
         PolicyTick => "policy_tick",
         /// Advancing the async migration engine (`pump_transfers`).
         MigrationPump => "migration_pump",
-        /// The lane phase of a sharded burst: every lane's accesses, run
-        /// on the coordinator.
+        /// The lane loop of a sharded burst: its accesses, run in stream
+        /// order on their lanes' TLB and LLC slices.
         ShardBarrier => "shard_barrier",
-        /// Coordinator-side fold of sharded lane outcomes.
+        /// Commit of a sharded burst: the clock fold and the record
+        /// program's passes over its candidates.
         ShardFold => "shard_fold",
         /// Batched access execution inside the machine.
         BatchExec => "batch_exec",

@@ -183,7 +183,7 @@ impl RecordFilter {
     }
 
     /// Runs the program over `candidates` — stream-ordered records of the
-    /// counted classes, e.g. a sharded burst's merged records — appending
+    /// counted classes, e.g. a sharded burst's candidates — appending
     /// each one that fires to `out` and stopping after the cap'th. Returns
     /// how many candidates it consumed and the per-class tally of them.
     pub(crate) fn select(

@@ -26,16 +26,13 @@ use crate::machine::{BatchClock, BatchStop, Machine};
 use crate::policy::{
     abort_failure, alloc_page, alloc_region, CostAccounting, CostSink, PolicyOps, TieringPolicy,
 };
-use crate::shard::{self, lane_of, LaneScratch, NUM_LANES};
+use crate::shard::NUM_LANES;
 use crate::stats::MachineStats;
-use crate::util::tree_fold_f64;
 use memtis_obs::profile::{SpanGuard, SpanId};
 use memtis_obs::{
     Event, EventKind, FlightRecorder, HistStats, LatHist, NopObserver, Observer, ShootdownCause,
     SnapError, SnapFields, SnapReader, SnapWriter, WindowCollector, WindowCut, WindowSample,
 };
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// One event produced by a workload generator.
 #[derive(Debug, Clone, Copy)]
@@ -160,11 +157,11 @@ pub struct DriverConfig {
     /// legacy one-event-at-a-time loop (the bit-exactness oracle). Both
     /// paths produce byte-identical [`RunReport`]s.
     pub chunk: usize,
-    /// Sharded execution: `Some(s)` partitions the address space into
-    /// [`NUM_LANES`] fixed lanes, runs every lane of each chunked burst on
-    /// the coordinator, and merges the lanes deterministically at the end of
-    /// every burst. Requires `chunk > 1`. `s` groups the lanes into `s`
-    /// contiguous shards, which only sets the per-shard load split that
+    /// Sharded execution: `Some(s)` splits the TLB and LLC into
+    /// [`NUM_LANES`] fixed lanes by 2 MiB region and runs each chunked burst
+    /// in stream order, stopping a lane at its first unmapped or hint-armed
+    /// page (see [`crate::shard`]). Requires `chunk > 1`. `s` groups the
+    /// lanes into `s` contiguous shards, which only sets the per-shard load split that
     /// [`ShardMetrics::crit_accesses`] and [`ShardMetrics::projected_ns`]
     /// model. Reports, traces, and window series are byte-identical for
     /// every `s` at a fixed `chunk`; `None` keeps the unsharded pipeline.
@@ -285,31 +282,26 @@ struct WindowState {
     start_daemon_ns: f64,
 }
 
-/// Per-run sharded-execution state: the lane scratch pool plus cumulative
+/// Per-run sharded-execution state: the program-pass buffer plus cumulative
 /// barrier tallies. Lives outside `RunReport` so reports stay byte-identical
 /// across shard counts; the host-side scaling numbers surface through
 /// [`Simulation::shard_metrics`].
 struct ShardRun {
     /// Lane-group count per burst: the grain of the critical-path model.
     shards: usize,
-    /// One scratch buffer per lane, reused across bursts.
-    lanes: Vec<LaneScratch>,
-    /// Tournament-merge heap, reused across bursts (zero steady-state
-    /// allocation alongside the lane scratch).
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
-    /// The records one program pass over a burst's merged candidates
-    /// fires, reused across bursts.
+    /// The records one program pass over a burst's candidates fires,
+    /// reused across bursts.
     sampled: Vec<AccessRecord>,
-    /// Parallel bursts merged so far.
+    /// Sharded bursts run so far.
     bursts: u64,
     /// Accesses that spilled from a stopped lane to the serial path.
     spills: u64,
-    /// Host ns the coordinator spent in the lane phase, summed over bursts.
+    /// Host ns spent in the lane loop, summed over bursts.
     busy_ns: u64,
-    /// Accesses executed through the lane phase.
+    /// Accesses executed in the lane loop.
     lane_accesses: u64,
     /// Sum over bursts of the most-loaded shard's access count: the lane
-    /// phase's critical path in access units, deterministic per shard count.
+    /// loop's critical path in access units, deterministic per shard count.
     crit_accesses: u64,
 }
 
@@ -322,24 +314,24 @@ pub struct ShardMetrics {
     /// Lane-group count the run was configured with (`--shards`). No
     /// thread runs per shard; it sets the grouping `crit_accesses` models.
     pub shards: usize,
-    /// Parallel bursts merged.
+    /// Sharded bursts run.
     pub bursts: u64,
     /// Accesses that spilled from a stopped lane to the serial path.
     pub spills: u64,
-    /// Host ns the coordinator spent running the lane phase, summed over
-    /// bursts: the total lane work, all of it on one thread.
+    /// Host ns spent running the lane loop, summed over bursts: the total
+    /// lane work, all of it on one thread.
     pub busy_ns: u64,
-    /// Accesses executed through the lane phase (spills excluded).
+    /// Accesses executed in the lane loop (spills excluded).
     pub lane_accesses: u64,
     /// Sum over bursts of the most-loaded shard's access count: the lane
-    /// phase's critical path in access units. Deterministic for a given
+    /// loop's critical path in access units. Deterministic for a given
     /// shard count — only the host timings above vary run to run.
     pub crit_accesses: u64,
 }
 
 impl ShardMetrics {
     /// Projects `host_ns` (a measured wall time for the whole run) onto a
-    /// host with one core per shard: the lane phase shrinks from its
+    /// host with one core per shard: the lane loop shrinks from its
     /// measured one-thread wall time to its critical-path share, everything
     /// else (coordinator fold, ticks, policy work) stays serial. Amdahl-style,
     /// using the observed per-shard access loads as the work model.
@@ -533,8 +525,6 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                 machine.enable_lanes();
                 Some(ShardRun {
                     shards: s.max(1),
-                    lanes: (0..NUM_LANES).map(|_| LaneScratch::default()).collect(),
-                    heap: BinaryHeap::new(),
                     sampled: Vec::new(),
                     bursts: 0,
                     spills: 0,
@@ -1288,45 +1278,31 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     }
 
     /// Executes one sharded burst: the Access-only prefix of `events` runs
-    /// through the lane executors ([`shard::run_lanes`], on this thread),
-    /// then the coordinator commits the results deterministically. Returns
-    /// `(events consumed, stop)`.
+    /// in stream order through [`Machine::access_lanes`], then the driver
+    /// commits it. Returns `(events consumed, stop)`.
     ///
-    /// Determinism across shard counts rests on the lanes being pure
-    /// functions of the burst-start machine snapshot (see [`crate::shard`]):
+    /// 1. **Lane loop** — every access executes on its lane's TLB and LLC
+    ///    slices, unless its lane has stopped: an access to an unmapped or
+    ///    hint-armed page stops its lane, and it and every later access of
+    ///    that lane spill. The loop collects the record candidates (the
+    ///    executed accesses of a class the program counts) in stream order.
+    /// 2. **Commit** — the clock advances once by the fixed-shape
+    ///    [`tree_fold_f64`](crate::util::tree_fold_f64) of the
+    ///    [`NUM_LANES`] lane latency sums, and the record program runs over
+    ///    the candidates, one delivery per capped pass.
+    /// 3. **Spill** — spilled accesses replay in stream order through the
+    ///    serial [`Simulation::handle_access`] path. Which accesses spill
+    ///    depends only on lane contents, never the shard count.
     ///
-    /// 1. **Partition** — accesses are distributed to their lanes in stream
-    ///    order (lane order within a lane equals stream order), tagged with
-    ///    their stream index and a pre-rolled flight-recorder sampling
-    ///    decision ([`Machine::flight_preroll`] keeps the demand-tap
-    ///    schedule a pure function of stream position).
-    /// 2. **Lane phase** — lanes run against `&PageTable` read-only;
-    ///    reference-bit updates, bookkeeping partials ([`shard::LaneFold`]),
-    ///    and kept-record indices are buffered per lane.
-    /// 3. **Commit** — deferred reference bits are OR-folded into the page
-    ///    table in fixed lane order, then every lane's executed prefix
-    ///    commits from its per-lane partials: counter folds merge in lane
-    ///    order (order-free), kept records rebuild stream order through a
-    ///    tournament merge ([`shard::merge_records`]) and are delivered, and
-    ///    the clock advances once by the fixed-shape [`tree_fold_f64`] of
-    ///    the 64 lane latency sums. Every ingredient is lane-indexed, so the
-    ///    commit is shard-count-invariant by construction and does no
-    ///    per-access coordinator work.
-    /// 4. **Spill** — a lane that stopped early (unmapped page or armed
-    ///    hint) leaves the rest of its accesses unexecuted; they replay in
-    ///    stream order through the serial [`Simulation::handle_access`]
-    ///    path. Which accesses spill depends only on lane contents, never
-    ///    the shard count.
-    ///
-    /// Three documented deviations from the per-event loop (all invariant
-    /// across shard counts, the determinism claim): records are stamped with
-    /// the burst-*start* wall clock rather than the evolving mid-burst one
-    /// (the policy sees them at the burst barrier either way); spilled
+    /// Four documented deviations from the per-event loop (DESIGN.md §12),
+    /// all invariant across shard counts, the determinism claim: the burst
+    /// hoists tick and stretch boundaries to its end; records are stamped
+    /// with the burst-*start* wall clock rather than the evolving mid-burst
+    /// one (the policy sees them at the burst barrier either way); spilled
     /// accesses run after the burst's executed accesses are committed and
     /// delivered, not at their stream position; and a spilled access
     /// re-rolls its flight-recorder sampling decision inside
-    /// [`Machine::access`] after the partition already consumed its
-    /// pre-rolled slot.
+    /// [`Machine::access`] after the loop already consumed its slot.
     fn run_sharded_burst(
         &mut self,
         events: &[WorkloadEvent],
@@ -1337,77 +1313,42 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             .shard
             .take()
             .expect("sharded burst without shard state");
-        let m = events
-            .iter()
-            .position(|ev| !matches!(ev, WorkloadEvent::Access(_)))
-            .unwrap_or(events.len());
-        debug_assert!(m >= 1, "sharded burst must start with an access");
-        for sc in sh.lanes.iter_mut() {
-            sc.reset();
-        }
-        for (idx, ev) in events[..m].iter().enumerate() {
-            let WorkloadEvent::Access(a) = *ev else {
-                unreachable!("non-access event inside the access prefix");
-            };
-            let sampled = self.machine.flight_preroll();
-            sh.lanes[lane_of(a.vaddr.base_page())].push(a, idx as u32, sampled);
-        }
+        records.clear();
+        let mut spilled = Vec::new();
+        let mut executed = [0u64; NUM_LANES];
         let phase_start = std::time::Instant::now();
-        {
+        let (m, total) = {
             let _span = Self::span(&self.obs, SpanId::ShardBarrier);
-            shard::run_lanes(&mut self.machine, &mut sh.lanes, filter);
-        }
+            self.machine.access_lanes(
+                events,
+                filter,
+                self.wall_ns,
+                records,
+                &mut spilled,
+                &mut executed,
+            )
+        };
         let phase_ns = phase_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        shard::apply_deferred_bits(&mut self.machine, &mut sh.lanes);
+        debug_assert!(m >= 1, "sharded burst must start with an access");
         // Per-shard load split (deterministic, over the contiguous lane
         // grouping `--shards` names) for the Amdahl projection in
         // [`ShardMetrics::projected_ns`].
         let per = NUM_LANES.div_ceil(sh.shards.max(1));
         let (mut burst_load, mut burst_crit) = (0u64, 0u64);
-        for group in sh.lanes.chunks(per) {
-            let load: u64 = group.iter().map(|sc| sc.outcome_count() as u64).sum();
+        for group in executed.chunks(per) {
+            let load: u64 = group.iter().sum();
             burst_load += load;
             burst_crit = burst_crit.max(load);
         }
 
-        records.clear();
         let fold_span = Self::span(&self.obs, SpanId::ShardFold);
-        // Commit every lane's executed prefix from its partials: counter
-        // folds merge in lane order (order-free), and the clock advances
-        // once by the fixed-shape tree fold of the lane latency sums.
-        let mut lat = [0f64; NUM_LANES];
-        for (i, sc) in sh.lanes.iter().enumerate() {
-            let f = sc.fold();
-            self.machine.stats.loads += f.loads;
-            self.machine.stats.stores += f.stores;
-            for (t, &n) in f.tier_hits.iter().enumerate() {
-                // Zero counts never resize, so the tier vector's final
-                // length matches per-access counting.
-                self.machine.stats.count_tier_hits_bulk(t, n);
-            }
-            lat[i] = f.lat_sum;
-        }
-        for sc in sh.lanes.iter() {
-            // A sampled position the lane did not execute stays consumed:
-            // its access re-rolls inside `Machine::access` when it spills.
-            for &k in sc.sampled() {
-                if k as usize >= sc.outcome_count() {
-                    break;
-                }
-                let o = sc.outcome(k as usize);
-                self.machine
-                    .flight_insert_sample(o.tier, o.page_size, o.latency_ns);
-            }
-        }
-        shard::merge_records(&sh.lanes, self.wall_ns, &mut sh.heap, records);
-        let total = tree_fold_f64(&lat);
         self.app_access_ns += total;
         self.wall_ns += total / self.threads();
         self.accesses += burst_load;
         self.sim_events += burst_load;
-        // The merged candidates are in stream order: run the record
-        // program over them, one delivery per capped pass, reprogramming
-        // between passes as the serial loop does between bursts.
+        // The candidates are in stream order: run the record program over
+        // them, one delivery per capped pass, reprogramming between passes
+        // as the serial loop does between bursts.
         let mut pos = 0;
         let mut filter = filter;
         while pos < records.len() {
@@ -1422,15 +1363,6 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         }
         drop(fold_span);
 
-        // Accesses a stopped lane did not execute (unmapped page or armed
-        // hint) replay serially, in stream order, after the commit.
-        let mut spilled: Vec<u32> = sh
-            .lanes
-            .iter()
-            .flat_map(|sc| sc.unexecuted())
-            .copied()
-            .collect();
-        spilled.sort_unstable();
         sh.spills += spilled.len() as u64;
         sh.bursts += 1;
         sh.busy_ns += phase_ns;

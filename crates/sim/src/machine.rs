@@ -20,9 +20,11 @@ use crate::error::{SimError, SimResult};
 use crate::faults::{FaultCounters, FaultInjector, FaultPlan, FaultRecord, MACHINE_FAULT_SALT};
 use crate::modes::ModeState;
 use crate::page_table::{EntryMut, PageTable, Translation};
+use crate::shard::{lane_of, LaneState, NUM_LANES};
 use crate::stats::MachineStats;
 use crate::tier::{tier_of, TierAllocator};
 use crate::tlb::Tlb;
+use crate::util::tree_fold_f64;
 use memtis_obs::{FaultKind, FlightRecorder};
 
 /// Per-PTE update cost during a split or collapse (ns).
@@ -85,27 +87,27 @@ pub enum BatchStop {
 }
 
 /// One resolved mapping, memoized so later accesses to it skip the page
-/// walk and tier lookup. The batched path ([`Machine::access_coalesced`])
-/// and the lane executors ([`crate::shard`]) both keep these.
+/// walk and tier lookup. The batched and sharded bursts keep these through
+/// [`Machine::access_coalesced`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct MappingMemo {
+struct MappingMemo {
     /// Base vpage of the mapping (huge-aligned for a huge mapping).
-    pub(crate) key: VirtPage,
+    key: VirtPage,
     /// Frame of `key` (first subpage frame for a huge mapping).
     base_frame: Frame,
-    pub(crate) size: PageSize,
-    pub(crate) tier: TierId,
+    size: PageSize,
+    tier: TierId,
     /// TLB way the translation is resident in plus the [`Tlb::epoch`] that
     /// located it, once an access has looked it up; later accesses at the
     /// same epoch replay the hit without re-scanning the set.
-    pub(crate) tlb_way: Option<(usize, u64)>,
+    tlb_way: Option<(usize, u64)>,
 }
 
 impl MappingMemo {
     /// Memo of a resolved translation: `frame` backs `vpage` itself (for a
     /// huge mapping, its subpage frame).
     #[inline]
-    pub(crate) fn new(vpage: VirtPage, frame: Frame, size: PageSize, tier: TierId) -> Self {
+    fn new(vpage: VirtPage, frame: Frame, size: PageSize, tier: TierId) -> Self {
         let (key, base_frame) = match size {
             PageSize::Base => (vpage, frame),
             PageSize::Huge => (
@@ -125,7 +127,7 @@ impl MappingMemo {
     /// The frame backing `vpage`, if `vpage` lies in this mapping. A huge
     /// mapping's subpage frames are contiguous from its base frame.
     #[inline]
-    pub(crate) fn frame_of(&self, vpage: VirtPage) -> Option<Frame> {
+    fn frame_of(&self, vpage: VirtPage) -> Option<Frame> {
         match self.size {
             PageSize::Base => (self.key == vpage).then_some(self.base_frame),
             PageSize::Huge => (self.key == vpage.huge_aligned())
@@ -140,13 +142,13 @@ impl MappingMemo {
 /// TLB epoch is unchanged, and a miss inserts the translation), then the
 /// LLC-hit cost or, on an LLC miss, the tier's load or store latency.
 ///
-/// The one copy of the translation/cache/memory cost sequence: the full
-/// and coalesced machine paths and the lane executors all call it, and
-/// keep only their own bookkeeping around it. [`Machine::access_reference`]
-/// keeps its own copy as the oracle.
+/// The one copy of the translation/cache/memory cost sequence: every access
+/// path except [`Machine::access_reference`] (which keeps its own copy as
+/// the oracle) reaches it through [`Machine::charge_access`], which routes
+/// the TLB and LLC to the access's lane on a sharded run.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub(crate) fn price_access(
+fn price_access(
     tlb: &mut Tlb,
     llc: &mut Llc,
     costs: &CostModel,
@@ -212,16 +214,16 @@ impl CoalesceCache {
 /// The simulated machine.
 #[derive(Debug)]
 pub struct Machine {
-    pub(crate) cfg: MachineConfig,
-    pub(crate) tiers: Vec<TierAllocator>,
-    pub(crate) pt: PageTable,
+    cfg: MachineConfig,
+    tiers: Vec<TierAllocator>,
+    pt: PageTable,
     tlb: Tlb,
     llc: Llc,
     /// Per-lane TLB/LLC slices; `Some` iff sharded lane routing is enabled
     /// (see [`Machine::enable_lanes`]). While enabled, every access routes
     /// its TLB and LLC traffic through the lane owning its 2 MiB region and
     /// the monolithic `tlb`/`llc` above sit idle.
-    pub(crate) lanes: Option<Vec<crate::shard::LaneState>>,
+    lanes: Option<Vec<LaneState>>,
     engine: MigrationEngine,
     /// Installed fault injector (chaos runs only; `None` on normal runs).
     faults: Option<FaultInjector>,
@@ -252,14 +254,14 @@ pub struct Machine {
 /// borrowed alongside.
 #[inline]
 fn route<'a>(
-    lanes: &'a mut Option<Vec<crate::shard::LaneState>>,
+    lanes: &'a mut Option<Vec<LaneState>>,
     tlb: &'a mut Tlb,
     llc: &'a mut Llc,
     vpage: VirtPage,
 ) -> (&'a mut Tlb, &'a mut Llc) {
     match lanes {
         Some(ls) => {
-            let lane = &mut ls[crate::shard::lane_of(vpage)];
+            let lane = &mut ls[lane_of(vpage)];
             (&mut lane.tlb, &mut lane.llc)
         }
         None => (tlb, llc),
@@ -355,24 +357,23 @@ impl Machine {
 
     /// Feeds one demand access to the flight recorder through the
     /// deterministic skip-sampler (see [`FLIGHT_DEMAND_SAMPLE_MEAN`]).
-    /// Called from the machine's access paths, and rolled ahead by the
-    /// sharded partition ([`Machine::flight_preroll`]) — always in stream
-    /// order, so every execution mode (chunk size, shard count) draws the
-    /// identical sample schedule and records byte-identical histograms.
+    /// Called from the machine's access paths, always in stream order, so
+    /// every execution mode (chunk size, shard count) draws the identical
+    /// sample schedule and records byte-identical histograms.
     #[inline]
     pub fn flight_record_demand(&mut self, tier: TierId, size: PageSize, latency_ns: f64) {
         if self.flight_preroll() {
-            self.flight_insert_sample(tier, size, latency_ns);
+            if let Some(f) = self.flight.as_mut() {
+                f.record_demand(tier.0, size == PageSize::Huge, latency_ns);
+            }
         }
     }
 
     /// Rolls one stream position of the demand-tap skip schedule without
-    /// recording, and says whether this position is a sample. The sharded
-    /// coordinator rolls the schedule during partitioning (stream order),
-    /// tags each lane's accesses with the decisions, and inserts the
-    /// sampled latencies at the barrier via
-    /// [`Machine::flight_insert_sample`] — so the schedule stays a pure
-    /// function of stream position, independent of the shard count.
+    /// recording, and says whether this position is a sample. A sharded
+    /// burst ([`Machine::access_lanes`]) rolls it once for each access it
+    /// spills, in stream order, so that access's slot stays consumed when
+    /// it re-rolls on the serial path.
     ///
     /// The skip counter doubles as the attached/detached gate: it holds
     /// `u64::MAX` while no recorder is attached (the untraced tap is one
@@ -381,23 +382,12 @@ impl Machine {
     /// unattached countdown ever reach zero, the cold half tolerates the
     /// missing recorder and simply draws the next gap.
     #[inline]
-    pub(crate) fn flight_preroll(&mut self) -> bool {
+    fn flight_preroll(&mut self) -> bool {
         if self.flight_skip > 0 {
             self.flight_skip -= 1;
             return false;
         }
         self.flight_draw_gap()
-    }
-
-    /// Inserts one pre-rolled demand sample (see
-    /// [`Machine::flight_preroll`]) into the flight recorder. Histogram
-    /// cells are pure counts, so insertion order across a burst is
-    /// immaterial; only the pre-rolled *schedule* carries ordering.
-    #[inline]
-    pub(crate) fn flight_insert_sample(&mut self, tier: TierId, size: PageSize, latency_ns: f64) {
-        if let Some(f) = self.flight.as_mut() {
-            f.record_demand(tier.0, size == PageSize::Huge, latency_ns);
-        }
     }
 
     /// Cold half of the demand tap: one call per ~16 accesses draws the
@@ -756,7 +746,7 @@ impl Machine {
     pub fn access(&mut self, access: Access) -> SimResult<AccessOutcome> {
         let vpage = access.vaddr.base_page();
         let (frame, size, hint_fault) = self
-            .walk_and_mark(vpage, access.is_store())
+            .walk_and_mark(vpage, access.is_store(), false)
             .ok_or(SimError::NotMapped(vpage))?;
         let tier = tier_of(&self.tiers, frame);
         Ok(self.charge_access(access, frame, size, tier, hint_fault, &mut None))
@@ -766,16 +756,21 @@ impl Machine {
     /// sets the reference bits (harvested by page-table-scanning policies)
     /// in a single pass over the entry. Returns the frame backing `vpage`,
     /// the mapping size, and whether the hint bit was armed; `None` if
-    /// unmapped.
+    /// unmapped, or — with `keep_hints` — if the hint is armed, in which
+    /// case the entry is left untouched.
     #[inline(always)]
     fn walk_and_mark(
         &mut self,
         vpage: VirtPage,
         is_store: bool,
+        keep_hints: bool,
     ) -> Option<(Frame, PageSize, bool)> {
         Some(match self.pt.walk_mut(vpage)? {
             EntryMut::Base(p) => {
                 let hint = p.hint;
+                if hint && keep_hints {
+                    return None;
+                }
                 p.hint = false;
                 p.accessed = true;
                 if is_store {
@@ -786,6 +781,9 @@ impl Machine {
             }
             EntryMut::Huge(h) => {
                 let hint = h.hint;
+                if hint && keep_hints {
+                    return None;
+                }
                 h.hint = false;
                 h.accessed = true;
                 if is_store {
@@ -941,9 +939,8 @@ impl Machine {
             let crate::driver::WorkloadEvent::Access(access) = *ev else {
                 return (i, BatchStop::Clean);
             };
-            let outcome = match self.access_coalesced(access, &mut cache) {
-                Ok(out) => out,
-                Err(_) => return (i, BatchStop::NotMapped),
+            let Some(outcome) = self.access_coalesced(access, &mut cache, false) else {
+                return (i, BatchStop::NotMapped);
             };
             if outcome.hint_fault {
                 return (i, BatchStop::Hint(outcome));
@@ -966,6 +963,70 @@ impl Machine {
             }
         }
         (events.len(), BatchStop::Clean)
+    }
+
+    /// Runs the [`WorkloadEvent::Access`] events at the head of `events` as
+    /// one sharded burst, in stream order, through
+    /// [`Machine::access_coalesced`]; [`route`] sends each access's TLB and
+    /// LLC traffic to its lane. Returns the length of that access prefix and
+    /// the burst's total latency.
+    ///
+    /// An access to an unmapped or hint-armed page stops its lane without
+    /// executing, and the hint stays armed. That access and every later one
+    /// in its lane are appended to `spilled` as prefix indices, so the list
+    /// is in stream order; the driver replays them through the per-event
+    /// path after the burst. Each spilled access consumes its
+    /// flight-recorder slot here and re-rolls when it replays.
+    ///
+    /// Every executed access in a class `filter` counts is appended to
+    /// `records`, stamped `now_ns` (the burst-start wall clock), and is
+    /// counted in `executed` under its lane. Latencies sum per lane, and the
+    /// total is the fixed-shape [`tree_fold_f64`] of the [`NUM_LANES`] sums,
+    /// so it does not depend on how `--shards` groups the lanes.
+    ///
+    /// [`WorkloadEvent::Access`]: crate::driver::WorkloadEvent::Access
+    pub(crate) fn access_lanes(
+        &mut self,
+        events: &[crate::driver::WorkloadEvent],
+        filter: RecordFilter,
+        now_ns: f64,
+        records: &mut Vec<AccessRecord>,
+        spilled: &mut Vec<u32>,
+        executed: &mut [u64; NUM_LANES],
+    ) -> (usize, f64) {
+        debug_assert!(self.lanes.is_some(), "sharded burst requires enabled lanes");
+        let mut cache = CoalesceCache::default();
+        let mut stopped = 0u64;
+        let mut lat = [0f64; NUM_LANES];
+        let mut prefix = events.len();
+        for (i, ev) in events.iter().enumerate() {
+            let crate::driver::WorkloadEvent::Access(access) = *ev else {
+                prefix = i;
+                break;
+            };
+            let lane = lane_of(access.vaddr.base_page());
+            let outcome = if stopped & (1 << lane) == 0 {
+                self.access_coalesced(access, &mut cache, true)
+            } else {
+                None
+            };
+            let Some(outcome) = outcome else {
+                stopped |= 1 << lane;
+                self.flight_preroll();
+                spilled.push(i as u32);
+                continue;
+            };
+            if filter.counts(RecordFilter::class_of(access.kind, outcome.llc_miss)) {
+                records.push(AccessRecord {
+                    access,
+                    outcome,
+                    now_ns,
+                });
+            }
+            lat[lane] += outcome.latency_ns;
+            executed[lane] += 1;
+        }
+        (prefix, tree_fold_f64(&lat))
     }
 
     /// Events of each [`RecordFilter`] class (LLC-hit loads, LLC-miss
@@ -1001,12 +1062,17 @@ impl Machine {
     /// still tick per access; a repeat *can* miss the TLB (another region's
     /// insert may have evicted it) and then pays the walk latency exactly
     /// as the full path would.
+    ///
+    /// Returns `None`, with no side effect, if the page is unmapped, or —
+    /// with `keep_hints` (sharded bursts) — if its hint is armed; without
+    /// `keep_hints` a hint-armed access executes and reports its fault.
     #[inline(always)]
     fn access_coalesced(
         &mut self,
         access: Access,
         cache: &mut CoalesceCache,
-    ) -> SimResult<AccessOutcome> {
+        keep_hints: bool,
+    ) -> Option<AccessOutcome> {
         let vpage = access.vaddr.base_page();
         let is_store = access.is_store();
         let slot = CoalesceCache::slot(vpage);
@@ -1017,7 +1083,7 @@ impl Machine {
                     // Dirty bookkeeping is per-subpage state the memo cannot
                     // carry; take the (walk-cache-accelerated) walk exactly
                     // as the full path would. The hint is guaranteed clear.
-                    let marked = self.walk_and_mark(vpage, true);
+                    let marked = self.walk_and_mark(vpage, true, false);
                     debug_assert!(
                         matches!(marked, Some((_, _, false))),
                         "memoized mapping unmapped or hint re-armed mid-batch"
@@ -1026,16 +1092,14 @@ impl Machine {
                 (frame, size, tier, false)
             }
             None => {
-                let (frame, size, hint_fault) = self
-                    .walk_and_mark(vpage, is_store)
-                    .ok_or(SimError::NotMapped(vpage))?;
+                let (frame, size, hint_fault) = self.walk_and_mark(vpage, is_store, keep_hints)?;
                 let tier = tier_of(&self.tiers, frame);
                 cache.ways[slot] = Some(MappingMemo::new(vpage, frame, size, tier));
                 (frame, size, tier, hint_fault)
             }
         };
         let memo = cache.ways[slot].as_mut().expect("memo just ensured");
-        Ok(self.charge_access(access, frame, size, tier, hint_fault, &mut memo.tlb_way))
+        Some(self.charge_access(access, frame, size, tier, hint_fault, &mut memo.tlb_way))
     }
 
     /// The original triple-walk implementation of [`Machine::access`], kept
@@ -1907,6 +1971,106 @@ mod tests {
         assert_eq!(n, 1);
         assert!(matches!(stop, BatchStop::Clean));
         assert_eq!(recs.len(), 1);
+    }
+
+    /// A sharded burst stops a lane at its first unmapped or hint-armed
+    /// page, spills the rest of that lane in stream order, leaves the hint
+    /// armed for the serial replay, and marks what the other lanes executed.
+    #[test]
+    fn access_lanes_stop_a_lane_at_its_first_unmapped_or_armed_page() {
+        use crate::driver::WorkloadEvent;
+        use crate::shard::lane_of;
+        let mut m = machine();
+        m.enable_lanes();
+        // Region 0: one huge page. Region 1: two base pages, the second
+        // hint-armed. Region 2: base page 1025 mapped, 1024 unmapped.
+        m.alloc_and_map(VirtPage(0), PageSize::Huge, TierId::FAST)
+            .unwrap();
+        for vp in [512, 513, 1025] {
+            m.alloc_and_map(VirtPage(vp), PageSize::Base, TierId::FAST)
+                .unwrap();
+        }
+        m.set_hint(VirtPage(513));
+        let (huge, armed, unmapped) = (
+            lane_of(VirtPage(0)),
+            lane_of(VirtPage(512)),
+            lane_of(VirtPage(1024)),
+        );
+        assert!(huge != armed && armed != unmapped && huge != unmapped);
+        let page = |vp: u64| vp * 4096;
+        let events = [
+            Access::load(page(3)),     // 0: executes
+            Access::load(page(512)),   // 1: executes
+            Access::store(page(513)),  // 2: hint-armed, stops its lane
+            Access::store(page(5)),    // 3: executes
+            Access::load(page(1024)),  // 4: unmapped, stops its lane
+            Access::load(page(512)),   // 5: spills behind index 2
+            Access::store(page(1025)), // 6: spills behind index 4
+            Access::store(page(7)),    // 7: executes
+        ]
+        .map(WorkloadEvent::Access);
+        let (mut records, mut spilled, mut executed) = (Vec::new(), Vec::new(), [0u64; NUM_LANES]);
+        let (prefix, total) = m.access_lanes(
+            &events,
+            RecordFilter::ALL,
+            42.0,
+            &mut records,
+            &mut spilled,
+            &mut executed,
+        );
+        assert_eq!(prefix, events.len());
+        assert_eq!(spilled, [2, 4, 5, 6]);
+        assert_eq!(
+            (executed[huge], executed[armed], executed[unmapped]),
+            (3, 1, 0)
+        );
+        assert_eq!(executed.iter().sum::<u64>(), 4);
+        let recorded: Vec<Access> = records.iter().map(|r| r.access).collect();
+        let expect: Vec<Access> = [0, 1, 3, 7]
+            .map(|i| match events[i] {
+                WorkloadEvent::Access(a) => a,
+                _ => unreachable!(),
+            })
+            .to_vec();
+        assert_eq!(recorded, expect);
+        assert!(records.iter().all(|r| r.now_ns == 42.0));
+        let sum: f64 = records.iter().map(|r| r.outcome.latency_ns).sum();
+        assert!(total > 0.0 && (total - sum).abs() < 1e-9);
+        assert_eq!(
+            (m.stats.loads, m.stats.stores, m.stats.hint_faults),
+            (2, 2, 0)
+        );
+
+        // Executed accesses set their reference bits; spilled ones did not.
+        let h = m.huge_entry(VirtPage(0)).unwrap();
+        assert!(h.accessed && h.dirty);
+        assert!(h.subpage_written(5) && h.subpage_written(7) && !h.subpage_written(3));
+        let pte = |m: &mut Machine, vp: u64| match m.pt.entry_mut(VirtPage(vp)) {
+            Some(EntryMut::Base(p)) => *p,
+            _ => panic!("base page {vp} not mapped"),
+        };
+        let p512 = pte(&mut m, 512);
+        assert!(p512.accessed && !p512.dirty);
+        let p513 = pte(&mut m, 513);
+        assert!(p513.hint && !p513.accessed);
+        let p1025 = pte(&mut m, 1025);
+        assert!(!p1025.accessed && !p1025.dirty);
+
+        // The driver replays the spills in order: the armed page takes its
+        // hint fault exactly once, the unmapped one demand-faults.
+        let replay: Vec<_> = spilled
+            .iter()
+            .map(|&i| match events[i as usize] {
+                WorkloadEvent::Access(a) => m.access(a).map(|o| o.hint_fault),
+                _ => unreachable!(),
+            })
+            .collect();
+        assert!(matches!(
+            replay[..],
+            [Ok(true), Err(SimError::NotMapped(_)), Ok(false), Ok(false)]
+        ));
+        assert_eq!(m.stats.hint_faults, 1);
+        assert!(pte(&mut m, 1025).dirty);
     }
 
     #[test]

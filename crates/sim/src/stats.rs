@@ -82,22 +82,6 @@ impl MachineStats {
         self.tier_hits[i] += 1;
     }
 
-    /// Bulk form of [`MachineStats::count_tier_hit`]: records `n`
-    /// LLC-missing accesses served by tier index `tier_idx` at once (the
-    /// sharded fold merges per-lane tallies through this). Zero counts
-    /// never resize, so the vector's final length — which reaches report
-    /// signatures through `Debug` — matches what per-access counting of
-    /// the same hits would have left.
-    pub fn count_tier_hits_bulk(&mut self, tier_idx: usize, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if self.tier_hits.len() <= tier_idx {
-            self.tier_hits.resize(tier_idx + 1, 0);
-        }
-        self.tier_hits[tier_idx] += n;
-    }
-
     /// Fraction of LLC-missing accesses served by the fast tier — the
     /// paper's *real hit ratio* (rHR) of fast-tier memory (§4.3.1).
     pub fn fast_tier_hit_ratio(&self) -> f64 {

@@ -282,8 +282,7 @@ impl TierAllocator {
 }
 
 /// The tier owning `frame` among `tiers`. A free function so the machine
-/// can call it with its other fields borrowed, and the lane phase can call
-/// it with only the tier slice.
+/// can call it with its other fields borrowed.
 ///
 /// # Panics
 ///
