@@ -360,12 +360,22 @@ impl Machine {
     /// Called from the machine's access paths, always in stream order, so
     /// every execution mode (chunk size, shard count) draws the identical
     /// sample schedule and records byte-identical histograms.
-    #[inline]
+    ///
+    /// Always inlined, so an untraced access pays only the skip counter's
+    /// decrement-and-branch; drawing a gap and recording stay out of line.
+    #[inline(always)]
     pub fn flight_record_demand(&mut self, tier: TierId, size: PageSize, latency_ns: f64) {
         if self.flight_preroll() {
-            if let Some(f) = self.flight.as_mut() {
-                f.record_demand(tier.0, size == PageSize::Huge, latency_ns);
-            }
+            self.flight_take_demand(tier, size, latency_ns);
+        }
+    }
+
+    /// Records one sampled demand access, if a recorder is attached.
+    #[cold]
+    #[inline(never)]
+    fn flight_take_demand(&mut self, tier: TierId, size: PageSize, latency_ns: f64) {
+        if let Some(f) = self.flight.as_mut() {
+            f.record_demand(tier.0, size == PageSize::Huge, latency_ns);
         }
     }
 
@@ -381,7 +391,7 @@ impl Machine {
     /// arms it at zero so the first access is always sampled. Should the
     /// unattached countdown ever reach zero, the cold half tolerates the
     /// missing recorder and simply draws the next gap.
-    #[inline]
+    #[inline(always)]
     fn flight_preroll(&mut self) -> bool {
         if self.flight_skip > 0 {
             self.flight_skip -= 1;
@@ -392,6 +402,7 @@ impl Machine {
 
     /// Cold half of the demand tap: one call per ~16 accesses draws the
     /// next skip gap, and says whether a recorder takes this sample.
+    #[cold]
     #[inline(never)]
     fn flight_draw_gap(&mut self) -> bool {
         // xorshift64: cheap, full-period, and seeded by a constant so the
@@ -735,7 +746,7 @@ impl Machine {
     /// driver maps the page and retries.
     ///
     /// This is the single-walk fast path: one [`PageTable::walk_mut`]
-    /// descent (often skipped entirely by the table's one-entry walk cache)
+    /// descent (often skipped entirely by the table's walk cache)
     /// yields the translation *and* the mutable entry on which the hint bit
     /// is cleared and the accessed/dirty bits are set — where the machine
     /// formerly walked the table up to three times per access. Outcomes,
@@ -1252,11 +1263,9 @@ impl Machine {
     }
 
     /// Points the mapping at `vpage` to `new_frame` and returns the frame
-    /// it replaced. A remap drops the walk cache (the fast-path
-    /// invalidation rule for map/unmap/migrate/split/collapse) and shoots
-    /// down the stale TLB entry.
+    /// it replaced, and shoots down the stale TLB entry. The page table's
+    /// walk cache needs nothing: it caches slot locations, not frames.
     fn remap(&mut self, vpage: VirtPage, size: PageSize, new_frame: Frame) -> Frame {
-        self.pt.invalidate_walk_cache();
         let old_frame = match self.pt.entry_mut(vpage) {
             Some(EntryMut::Base(p)) => std::mem::replace(&mut p.frame, new_frame),
             Some(EntryMut::Huge(h)) => std::mem::replace(&mut h.frame, new_frame),

@@ -166,17 +166,13 @@ const NO_REGION: u64 = u64::MAX;
 /// than the simulated working sets hop across between structural changes.
 const WALK_CACHE_WAYS: usize = 1024;
 
-/// One way of the walk cache; valid while `gen` matches the cache's current
-/// generation *and* `region` matches the probe.
+/// One way of the walk cache; valid while `region` matches the probe.
 #[derive(Debug, Clone, Copy)]
 struct WalkCacheWay {
     /// `vpn >> 9` of the cached region, or [`NO_REGION`].
     region: u64,
-    /// Generation this way was filled in.
-    gen: u64,
-    /// Pointer into this table's own heap allocations; only dereferenced
-    /// while both tags above match, and the cache generation is bumped
-    /// before any structural change can invalidate the pointee.
+    /// Pointer to the region's L2 slot, inside this table's own heap
+    /// allocations; only dereferenced while `region` matches.
     slot: NonNull<L2Slot>,
 }
 
@@ -185,16 +181,16 @@ struct WalkCacheWay {
 /// accesses inside cached regions skip the L4→L3→L2 descent entirely.
 ///
 /// This is **simulator-speed machinery**, not the simulated TLB — it never
-/// affects costs or statistics. Correctness rule: any operation that can
-/// move, replace, or free an L2 slot (map/unmap/split/collapse — and, at the
-/// machine level, migrate) must call [`PageTable::invalidate_walk_cache`],
-/// which bumps the generation counter — an O(1) drop of *every* way — and
-/// is what keeps the fast path bit-exact with an uncached walk.
+/// affects costs or statistics. It needs no invalidation because of one
+/// invariant: an L2 slot's storage is never moved or freed while the table
+/// lives. L3 and L2 tables are boxed, created on first map and never
+/// dropped, and each L2 table's slot array has a fixed length. Map, unmap,
+/// split and collapse only rewrite a slot's contents (its variant), and
+/// [`PageTable::walk_mut`] reads that variant afresh on every call, so a
+/// cached slot pointer always answers exactly as an uncached walk would.
 #[derive(Debug)]
 struct WalkCache {
     ways: Box<[WalkCacheWay]>,
-    /// Current generation; ways filled under an older generation are stale.
-    gen: u64,
 }
 
 impl WalkCache {
@@ -203,13 +199,11 @@ impl WalkCache {
             ways: vec![
                 WalkCacheWay {
                     region: NO_REGION,
-                    gen: 0,
                     slot: NonNull::dangling(),
                 };
                 WALK_CACHE_WAYS
             ]
             .into_boxed_slice(),
-            gen: 1,
         }
     }
 }
@@ -224,9 +218,10 @@ pub struct PageTable {
 }
 
 // SAFETY: `walk_cache.slot` points into heap allocations exclusively owned
-// by this `PageTable` (boxed tables never move when the struct itself is
-// moved between threads), so sending the table to another thread cannot
-// leave the pointer dangling. The cache is only read through `&mut self`.
+// by this `PageTable` and never moved or freed while it lives (see
+// [`WalkCache`]); boxed tables stay put when the struct itself is moved
+// between threads, so sending the table cannot leave the pointer dangling.
+// The cache is only read through `&mut self`.
 unsafe impl Send for PageTable {}
 
 #[inline]
@@ -252,15 +247,6 @@ impl PageTable {
             mapped_huge: 0,
             walk_cache: WalkCache::empty(),
         }
-    }
-
-    /// Drops every way of the walk cache in O(1) by bumping the generation
-    /// counter. Must be called by every operation that structurally changes
-    /// the table (and by machine-level remaps such as migration, per the
-    /// fast-path invalidation rule).
-    #[inline]
-    pub fn invalidate_walk_cache(&mut self) {
-        self.walk_cache.gen += 1;
     }
 
     /// Number of mapped 4 KiB entries.
@@ -332,29 +318,24 @@ impl PageTable {
     ///
     /// Calls landing in a cached 2 MiB region skip the descent via the
     /// direct-mapped walk cache (see [`WalkCache`]); results are
-    /// bit-identical to an uncached walk because every structural mutation
-    /// invalidates the cache.
+    /// bit-identical to an uncached walk because the cached slot is never
+    /// moved or freed and its variant is read here on every call.
     #[inline]
     pub fn walk_mut(&mut self, vpage: VirtPage) -> Option<EntryMut<'_>> {
         let region = vpage.0 >> 9;
         let way_idx = (region as usize) & (WALK_CACHE_WAYS - 1);
         let way = self.walk_cache.ways[way_idx];
-        let ptr = if way.region == region && way.gen == self.walk_cache.gen {
+        let ptr = if way.region == region {
             way.slot
         } else {
             let p = NonNull::from(self.l2_slot_mut(vpage.0, false)?);
-            let gen = self.walk_cache.gen;
-            self.walk_cache.ways[way_idx] = WalkCacheWay {
-                region,
-                gen,
-                slot: p,
-            };
+            self.walk_cache.ways[way_idx] = WalkCacheWay { region, slot: p };
             p
         };
         // SAFETY: the pointer was produced from this table's own slot
-        // storage and the cache is invalidated before any operation that
-        // could move or free that storage; `&mut self` guarantees no other
-        // live borrow of the table.
+        // storage, which is never moved or freed while the table lives (see
+        // [`WalkCache`]); `&mut self` guarantees no other live borrow of the
+        // table.
         let slot = unsafe { &mut *ptr.as_ptr() };
         match slot {
             L2Slot::Empty => None,
@@ -365,7 +346,6 @@ impl PageTable {
 
     /// Maps a 4 KiB page to `frame`.
     pub fn map_base(&mut self, vpage: VirtPage, frame: Frame) -> SimResult<()> {
-        self.invalidate_walk_cache();
         let slot = self
             .l2_slot_mut(vpage.0, true)
             .ok_or(SimError::Internal("l2 slot creation failed"))?;
@@ -392,7 +372,6 @@ impl PageTable {
         if !vpage.is_huge_aligned() {
             return Err(SimError::Unaligned(vpage));
         }
-        self.invalidate_walk_cache();
         let slot = self
             .l2_slot_mut(vpage.0, true)
             .ok_or(SimError::Internal("l2 slot creation failed"))?;
@@ -409,7 +388,6 @@ impl PageTable {
 
     /// Unmaps a 4 KiB page, returning the old entry.
     pub fn unmap_base(&mut self, vpage: VirtPage) -> SimResult<Pte> {
-        self.invalidate_walk_cache();
         let slot = self
             .l2_slot_mut(vpage.0, false)
             .ok_or(SimError::NotMapped(vpage))?;
@@ -435,7 +413,6 @@ impl PageTable {
         if !vpage.is_huge_aligned() {
             return Err(SimError::Unaligned(vpage));
         }
-        self.invalidate_walk_cache();
         let slot = self
             .l2_slot_mut(vpage.0, false)
             .ok_or(SimError::NotMapped(vpage))?;
@@ -478,7 +455,6 @@ impl PageTable {
         if !vpage.is_huge_aligned() {
             return Err(SimError::Unaligned(vpage));
         }
-        self.invalidate_walk_cache();
         let slot = self
             .l2_slot_mut(vpage.0, false)
             .ok_or(SimError::NotMapped(vpage))?;
@@ -513,7 +489,6 @@ impl PageTable {
         if !vpage.is_huge_aligned() {
             return Err(SimError::Unaligned(vpage));
         }
-        self.invalidate_walk_cache();
         let slot = self
             .l2_slot_mut(vpage.0, false)
             .ok_or(SimError::NotMapped(vpage))?;
@@ -841,32 +816,62 @@ mod tests {
         assert_eq!(pt.huge_entry(VirtPage(0)).unwrap().written_subpages(), 32);
     }
 
+    /// Checks `walk_mut` against `translate` on a few pages of the region
+    /// at `hp`, which also leaves the region cached for the next step.
+    fn check_walk(pt: &mut PageTable, hp: VirtPage, step: &str) {
+        for i in [0u64, 1, 100, 511] {
+            let vp = hp.add(i);
+            let want = pt.translate(vp).map(|t| (t.frame, t.size));
+            let got = pt.walk_mut(vp).map(|e| match e {
+                EntryMut::Base(p) => (p.frame, PageSize::Base),
+                EntryMut::Huge(h) => (h.frame.add(i), PageSize::Huge),
+            });
+            assert_eq!(got, want, "{step}: subpage {i}");
+        }
+    }
+
     #[test]
-    fn walk_cache_invalidated_by_structural_ops() {
+    fn walk_cache_follows_every_structural_change() {
         let mut pt = PageTable::new();
-        pt.map_huge(VirtPage(0), Frame(0)).unwrap();
-        // Warm the cache on region 0.
-        assert!(pt.walk_mut(VirtPage(1)).is_some());
-        // Split replaces the cached slot's variant in place.
-        pt.split_huge(VirtPage(0)).unwrap();
-        match pt.walk_mut(VirtPage(1)).unwrap() {
-            EntryMut::Base(p) => assert_eq!(p.frame, Frame(1)),
-            EntryMut::Huge(_) => panic!("stale cache returned huge entry"),
+        let hp = VirtPage(512 * 3);
+        // A region 1024 regions on shares `hp`'s cache way.
+        let alias = VirtPage(512 * (3 + WALK_CACHE_WAYS as u64));
+        pt.map_huge(hp, Frame(2048)).unwrap();
+        pt.map_huge(alias, Frame(1 << 20)).unwrap();
+        check_walk(&mut pt, hp, "map");
+        pt.split_huge(hp).unwrap();
+        check_walk(&mut pt, hp, "split");
+        pt.collapse_huge(hp, Frame(4096)).unwrap();
+        check_walk(&mut pt, hp, "collapse");
+        check_walk(&mut pt, alias, "aliasing region");
+        check_walk(&mut pt, hp, "back from the alias");
+        pt.unmap_huge(hp).unwrap();
+        check_walk(&mut pt, hp, "unmap");
+        assert!(pt.walk_mut(hp).is_none());
+        pt.map_huge(hp, Frame(8192)).unwrap();
+        check_walk(&mut pt, hp, "re-map");
+        // A migration's remap swaps the frame of the cached entry in place.
+        let Some(EntryMut::Huge(h)) = pt.entry_mut(hp) else {
+            panic!("expected huge entry");
+        };
+        h.frame = Frame(512);
+        check_walk(&mut pt, hp, "remap huge");
+        pt.split_huge(hp).unwrap();
+        pt.unmap_base(hp.add(1)).unwrap();
+        check_walk(&mut pt, hp, "unmap base");
+        pt.map_base(hp.add(1), Frame(77)).unwrap();
+        check_walk(&mut pt, hp, "re-map base");
+        let Some(EntryMut::Base(p)) = pt.entry_mut(hp.add(100)) else {
+            panic!("expected base entry");
+        };
+        p.frame = Frame(99);
+        check_walk(&mut pt, hp, "remap base");
+        for i in 0..512 {
+            pt.unmap_base(hp.add(i)).unwrap();
         }
-        // Unmap must be observed too.
-        pt.unmap_base(VirtPage(1)).unwrap();
-        assert!(pt.walk_mut(VirtPage(1)).is_none());
-        // Remap after collapse-like churn: map into a fresh region, then
-        // back to region 0, alternating — the cache must follow.
-        pt.map_base(VirtPage(512 * 5), Frame(4096)).unwrap();
-        match pt.walk_mut(VirtPage(512 * 5)).unwrap() {
-            EntryMut::Base(p) => assert_eq!(p.frame, Frame(4096)),
-            EntryMut::Huge(_) => panic!("wrong entry"),
-        }
-        match pt.walk_mut(VirtPage(2)).unwrap() {
-            EntryMut::Base(p) => assert_eq!(p.frame, Frame(2)),
-            EntryMut::Huge(_) => panic!("wrong entry"),
-        }
+        check_walk(&mut pt, hp, "unmap every base page");
+        pt.map_huge(hp, Frame(16384)).unwrap();
+        check_walk(&mut pt, hp, "re-map over an emptied table");
     }
 
     #[test]

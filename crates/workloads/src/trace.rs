@@ -8,6 +8,29 @@
 //! version ([`TRACE_MAGIC`], [`TRACE_VERSION`]); the reader rejects anything
 //! else with a typed [`TraceError`] instead of misdecoding it.
 //!
+//! # Record layout (version 2)
+//!
+//! Every record opens with one header byte.
+//!
+//! - **Access:** header bit 0 is 0, bit 1 marks a store, bits 2–5 hold the
+//!   payload length `n` (0–8), bit 6 marks a delta counted in 64-byte lines
+//!   and bit 7 is 0. The delta is `vaddr − previous vaddr` in wrapping
+//!   arithmetic, where the previous address starts at 0 and only accesses
+//!   update it. When its low 6 bits are 0 the writer sets bit 6 and stores
+//!   the delta arithmetically shifted right by 6. The `n` payload bytes are
+//!   the little-endian zigzag encoding of that value, with no leading zero
+//!   bytes. Consecutive accesses usually land a few KiB apart on line
+//!   boundaries, so a typical access takes 3–5 bytes instead of a full
+//!   8-byte address.
+//! - **Alloc / free:** header bit 0 is 1, bits 1–2 give the kind (0 alloc
+//!   with THP, 1 alloc without THP, 2 free) and bits 3–7 are 0. The address
+//!   and the byte count follow as two little-endian `u64`s (17 bytes).
+//!
+//! Any other header byte — a length over 8, a reserved bit set, kind 3 —
+//! is [`TraceError::Corrupt`]; a record cut off by the end of the input is
+//! [`TraceError::Truncated`]. Both are checked in that order, so a damaged
+//! header decodes alike however the input is chunked.
+//!
 //! One writer and one reader:
 //!
 //! - [`TraceWriter`] is the only encoder. It writes the header and every
@@ -23,7 +46,8 @@
 //!   refilled a bounded chunk at a time, so multi-GB traces replay with
 //!   O(chunk) resident memory. The reader's event cursor
 //!   ([`AccessStream::position`]) is snapshot state a resumed run can seek
-//!   back to.
+//!   back to: seeking decodes from the start, which also rebuilds the
+//!   previous-address state the deltas need.
 
 use bytes::Bytes;
 use memtis_sim::prelude::{Access, AccessKind, AccessStream, VirtAddr, WorkloadEvent};
@@ -31,19 +55,30 @@ use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
-const TAG_LOAD: u8 = 0;
-const TAG_STORE: u8 = 1;
-const TAG_ALLOC: u8 = 2;
-const TAG_ALLOC_NOTHP: u8 = 3;
-const TAG_FREE: u8 = 4;
+/// Header bit 0: set on alloc/free records, clear on accesses.
+const HDR_ALLOC_FREE: u8 = 1;
+/// Access header bit 1: the access is a store.
+const HDR_STORE: u8 = 1 << 1;
+/// Access header bits 2–5 hold the payload length.
+const HDR_LEN_SHIFT: u32 = 2;
+/// Access header bit 6: the delta is counted in 64-byte lines.
+const HDR_LINES: u8 = 1 << 6;
+/// log2 of the line a [`HDR_LINES`] delta counts in.
+const LINE_SHIFT: u32 = 6;
+/// Access header bit 7 is reserved.
+const HDR_ACCESS_RESERVED: u8 = 1 << 7;
+/// Alloc/free kinds, in header bits 1–2.
+const KIND_ALLOC: u8 = 0;
+const KIND_ALLOC_NOTHP: u8 = 1;
+const KIND_FREE: u8 = 2;
 
-/// Longest encoded event (alloc/free: tag + two u64 operands).
+/// Longest encoded event (alloc/free: header + two u64 operands).
 const MAX_EVENT_LEN: usize = 17;
 
 /// Magic bytes opening every versioned trace.
 pub const TRACE_MAGIC: [u8; 8] = *b"MEMTISTR";
 /// Current trace format version.
-pub const TRACE_VERSION: u32 = 1;
+pub const TRACE_VERSION: u32 = 2;
 /// Header length: magic plus version word.
 const TRACE_HEADER_LEN: usize = TRACE_MAGIC.len() + 4;
 
@@ -57,7 +92,7 @@ pub enum TraceError {
     BadMagic,
     /// The input carries a version this build cannot decode.
     UnsupportedVersion(u32),
-    /// Structurally invalid event data (unknown tag).
+    /// Structurally invalid event data (a header byte no writer emits).
     Corrupt(&'static str),
     /// The input ends in the middle of an event (or before the header).
     Truncated,
@@ -85,90 +120,162 @@ impl From<std::io::Error> for TraceError {
     }
 }
 
-/// Encoded length of the event starting with `tag`; `None` for unknown tags.
+/// Zigzag-maps a wrapping delta so small magnitudes of either sign get
+/// few significant bytes.
 #[inline]
-fn event_len(tag: u8) -> Option<usize> {
-    match tag {
-        TAG_LOAD | TAG_STORE => Some(9),
-        TAG_ALLOC | TAG_ALLOC_NOTHP | TAG_FREE => Some(MAX_EVENT_LEN),
-        _ => None,
-    }
+fn zigzag(delta: u64) -> u64 {
+    (delta << 1) ^ ((delta as i64 >> 63) as u64)
 }
 
-/// Encodes one event into `dst`, returning the encoded length.
+/// Inverse of [`zigzag`].
 #[inline]
-fn encode_into(dst: &mut [u8; MAX_EVENT_LEN], ev: &WorkloadEvent) -> usize {
-    match ev {
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// Mask keeping the low `n` payload bytes of a little-endian word, indexed
+/// by the header's 4-bit length field (only 0..=8 are valid; the padding
+/// lets the field index the table with no bounds check).
+const PAYLOAD_MASK: [u64; 16] = {
+    let mut masks = [u64::MAX; 16];
+    let mut n = 0;
+    while n < 8 {
+        masks[n] = (1 << (8 * n)) - 1;
+        n += 1;
+    }
+    masks
+};
+
+/// Encodes one event into `dst`, returning the encoded length. `prev` is
+/// the previous access's address, advanced past an access.
+#[inline]
+fn encode_into(dst: &mut [u8; MAX_EVENT_LEN], prev: &mut u64, ev: &WorkloadEvent) -> usize {
+    let (kind, addr, bytes) = match *ev {
         WorkloadEvent::Access(a) => {
-            dst[0] = if a.is_store() { TAG_STORE } else { TAG_LOAD };
-            dst[1..9].copy_from_slice(&a.vaddr.0.to_le_bytes());
-            9
+            let delta = a.vaddr.0.wrapping_sub(*prev);
+            *prev = a.vaddr.0;
+            let (z, lines) = if delta & ((1 << LINE_SHIFT) - 1) == 0 {
+                (zigzag((delta as i64 >> LINE_SHIFT) as u64), HDR_LINES)
+            } else {
+                (zigzag(delta), 0)
+            };
+            let n = (u64::BITS - z.leading_zeros()).div_ceil(8) as u8;
+            let store = if a.is_store() { HDR_STORE } else { 0 };
+            dst[0] = n << HDR_LEN_SHIFT | store | lines;
+            dst[1..9].copy_from_slice(&z.to_le_bytes());
+            return 1 + n as usize;
         }
         WorkloadEvent::Alloc { addr, bytes, thp } => {
-            dst[0] = if *thp { TAG_ALLOC } else { TAG_ALLOC_NOTHP };
-            dst[1..9].copy_from_slice(&addr.0.to_le_bytes());
-            dst[9..17].copy_from_slice(&bytes.to_le_bytes());
-            MAX_EVENT_LEN
+            let kind = if thp { KIND_ALLOC } else { KIND_ALLOC_NOTHP };
+            (kind, addr, bytes)
         }
-        WorkloadEvent::Free { addr, bytes } => {
-            dst[0] = TAG_FREE;
-            dst[1..9].copy_from_slice(&addr.0.to_le_bytes());
-            dst[9..17].copy_from_slice(&bytes.to_le_bytes());
-            MAX_EVENT_LEN
-        }
-    }
+        WorkloadEvent::Free { addr, bytes } => (KIND_FREE, addr, bytes),
+    };
+    dst[0] = HDR_ALLOC_FREE | kind << 1;
+    dst[1..9].copy_from_slice(&addr.0.to_le_bytes());
+    dst[9..17].copy_from_slice(&bytes.to_le_bytes());
+    MAX_EVENT_LEN
 }
 
-#[inline]
-fn rd_u64(src: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(src[at..at + 8].try_into().expect("length checked"))
-}
-
-/// Decodes the bounds-checked event at `pos` (tag already validated).
-#[inline]
-fn decode_at(src: &[u8], pos: usize, tag: u8) -> WorkloadEvent {
-    match tag {
-        TAG_LOAD | TAG_STORE => WorkloadEvent::Access(Access {
-            vaddr: VirtAddr(rd_u64(src, pos + 1)),
-            kind: if tag == TAG_STORE {
+/// Decodes records from the front of `src` into `buf`, advancing `addr`
+/// (the previous access's address) past every access decoded. Each record
+/// is read in place from a maximal record's worth of bytes, so an access's
+/// delta is one unaligned little-endian load masked to its payload. Records
+/// must end by `end`; bytes past it are padding the loop may read but never
+/// decodes. Stops when `buf` fills, fewer than a maximal record's bytes
+/// remain, or the next record runs past `end`. Returns `(bytes_consumed,
+/// events_decoded, error)`; events decoded before a corrupt header are kept.
+#[inline(always)]
+fn decode_run(
+    src: &[u8],
+    end: usize,
+    addr: &mut u64,
+    buf: &mut [WorkloadEvent],
+) -> (usize, usize, Option<TraceError>) {
+    let corrupt = || Some(TraceError::Corrupt("unknown record header"));
+    let mut pos = 0;
+    let mut n = 0;
+    while n < buf.len() && pos < end && pos + MAX_EVENT_LEN <= src.len() {
+        let rec: &[u8; MAX_EVENT_LEN] = src[pos..pos + MAX_EVENT_LEN]
+            .try_into()
+            .expect("length checked");
+        let word = |at: usize| u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"));
+        let h = rec[0];
+        if h & HDR_ALLOC_FREE == 0 {
+            let len = (h >> HDR_LEN_SHIFT & 0xF) as usize;
+            if h & HDR_ACCESS_RESERVED != 0 || len > 8 {
+                return (pos, n, corrupt());
+            }
+            if pos + 1 + len > end {
+                break;
+            }
+            let z = word(1) & PAYLOAD_MASK[len];
+            let scale = u32::from(h & HDR_LINES != 0) * LINE_SHIFT;
+            *addr = addr.wrapping_add(unzigzag(z) << scale);
+            let kind = if h & HDR_STORE != 0 {
                 AccessKind::Store
             } else {
                 AccessKind::Load
-            },
-        }),
-        TAG_ALLOC | TAG_ALLOC_NOTHP => WorkloadEvent::Alloc {
-            addr: VirtAddr(rd_u64(src, pos + 1)),
-            bytes: rd_u64(src, pos + 9),
-            thp: tag == TAG_ALLOC,
-        },
-        _ => WorkloadEvent::Free {
-            addr: VirtAddr(rd_u64(src, pos + 1)),
-            bytes: rd_u64(src, pos + 9),
-        },
-    }
-}
-
-/// Bulk-decodes events from `src` into `buf` with a local cursor and
-/// fixed-width `from_le_bytes` reads. Stops when `buf` fills, the input
-/// runs out, or a partial trailing event remains (the caller refills or
-/// flags truncation). Returns `(bytes_consumed, events_decoded, error)`;
-/// events decoded before an unknown tag are kept.
-fn decode_events(src: &[u8], buf: &mut [WorkloadEvent]) -> (usize, usize, Option<TraceError>) {
-    let mut pos = 0;
-    let mut n = 0;
-    while n < buf.len() && pos < src.len() {
-        let tag = src[pos];
-        let Some(len) = event_len(tag) else {
-            return (pos, n, Some(TraceError::Corrupt("unknown event tag")));
-        };
-        if pos + len > src.len() {
-            break;
+            };
+            buf[n] = WorkloadEvent::Access(Access {
+                vaddr: VirtAddr(*addr),
+                kind,
+            });
+            pos += 1 + len;
+        } else {
+            if h >> 1 > KIND_FREE {
+                return (pos, n, corrupt());
+            }
+            if pos + MAX_EVENT_LEN > end {
+                break;
+            }
+            let (a, bytes) = (VirtAddr(word(1)), word(9));
+            buf[n] = match h >> 1 {
+                KIND_ALLOC => WorkloadEvent::Alloc {
+                    addr: a,
+                    bytes,
+                    thp: true,
+                },
+                KIND_ALLOC_NOTHP => WorkloadEvent::Alloc {
+                    addr: a,
+                    bytes,
+                    thp: false,
+                },
+                _ => WorkloadEvent::Free { addr: a, bytes },
+            };
+            pos += MAX_EVENT_LEN;
         }
-        buf[n] = decode_at(src, pos, tag);
         n += 1;
-        pos += len;
     }
     (pos, n, None)
+}
+
+/// Bulk-decodes events from `src` into `buf`, advancing `prev` (the
+/// previous access's address) past every access decoded. Records are
+/// decoded in place while a maximal record's worth of bytes remains; the
+/// last few bytes of `src` are copied into a zero-padded buffer and decoded
+/// by the same loop. Stops when `buf` fills, the input runs out, or a
+/// partial trailing record remains (the caller refills or flags
+/// truncation). Returns `(bytes_consumed, events_decoded, error)`.
+fn decode_events(
+    src: &[u8],
+    prev: &mut u64,
+    buf: &mut [WorkloadEvent],
+) -> (usize, usize, Option<TraceError>) {
+    let mut addr = *prev;
+    let (mut pos, mut n, mut error) = decode_run(src, src.len(), &mut addr, buf);
+    if error.is_none() && n < buf.len() && pos + MAX_EVENT_LEN > src.len() {
+        let tail = &src[pos..];
+        let mut padded = [0; 2 * MAX_EVENT_LEN];
+        padded[..tail.len()].copy_from_slice(tail);
+        let (more_pos, more, tail_error) =
+            decode_run(&padded, tail.len(), &mut addr, &mut buf[n..]);
+        pos += more_pos;
+        n += more;
+        error = tail_error;
+    }
+    *prev = addr;
+    (pos, n, error)
 }
 
 /// Validates the magic + version header at the front of `data`.
@@ -227,11 +334,27 @@ impl<S: AccessStream> AccessStream for TraceRecorder<S> {
     }
 }
 
+/// Bytes a [`TraceWriter`] stages before handing them to its sink.
+const STAGE_BYTES: usize = 8 << 10;
+
 /// Encodes events to any `Write` sink: the trace header on creation, then
 /// one record per event. In-process memory is bounded by the sink.
+///
+/// Records are encoded in place into a fixed staging buffer, so each costs
+/// a fixed-width copy instead of a variable-length write, and reach the
+/// sink [`STAGE_BYTES`] at a time. [`TraceWriter::finish`] writes the last
+/// stage and reports its errors; a writer dropped without `finish` still
+/// writes it, as `BufWriter` does, but loses any error.
 pub struct TraceWriter<W: Write> {
-    out: W,
+    /// The sink; taken only by [`TraceWriter::finish`].
+    out: Option<W>,
+    /// Encoded records not yet written; the slack past [`STAGE_BYTES`]
+    /// always fits one more maximal record.
+    stage: Box<[u8; STAGE_BYTES + MAX_EVENT_LEN]>,
+    staged: usize,
     events: u64,
+    /// Address of the last access written: the base of the next delta.
+    prev_addr: u64,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -239,15 +362,34 @@ impl<W: Write> TraceWriter<W> {
     pub fn new(mut out: W) -> Result<Self, TraceError> {
         out.write_all(&TRACE_MAGIC)?;
         out.write_all(&TRACE_VERSION.to_le_bytes())?;
-        Ok(TraceWriter { out, events: 0 })
+        Ok(TraceWriter {
+            out: Some(out),
+            stage: Box::new([0; STAGE_BYTES + MAX_EVENT_LEN]),
+            staged: 0,
+            events: 0,
+            prev_addr: 0,
+        })
     }
 
     /// Appends one encoded event.
     pub fn record(&mut self, ev: &WorkloadEvent) -> Result<(), TraceError> {
-        let mut tmp = [0u8; MAX_EVENT_LEN];
-        let len = encode_into(&mut tmp, ev);
-        self.out.write_all(&tmp[..len])?;
+        let dst = (&mut self.stage[self.staged..self.staged + MAX_EVENT_LEN])
+            .try_into()
+            .expect("the stage keeps room for one maximal record");
+        self.staged += encode_into(dst, &mut self.prev_addr, ev);
         self.events += 1;
+        if self.staged >= STAGE_BYTES {
+            self.write_stage()?;
+        }
+        Ok(())
+    }
+
+    /// Hands the staged records to the sink.
+    fn write_stage(&mut self) -> Result<(), TraceError> {
+        let staged = std::mem::take(&mut self.staged);
+        if let Some(out) = self.out.as_mut() {
+            out.write_all(&self.stage[..staged])?;
+        }
         Ok(())
     }
 
@@ -256,10 +398,19 @@ impl<W: Write> TraceWriter<W> {
         self.events
     }
 
-    /// Flushes and returns the sink.
+    /// Writes the last staged records, flushes and returns the sink.
     pub fn finish(mut self) -> Result<W, TraceError> {
-        self.out.flush()?;
-        Ok(self.out)
+        self.write_stage()?;
+        let mut out = self.out.take().expect("only finish takes the sink");
+        out.flush()?;
+        Ok(out)
+    }
+}
+
+impl<W: Write> Drop for TraceWriter<W> {
+    fn drop(&mut self) {
+        // Best effort, like `BufWriter`: `finish` is how errors surface.
+        let _ = self.write_stage();
     }
 }
 
@@ -295,7 +446,7 @@ impl Source {
 /// or a file ([`TraceReplay::open`]). A file's partial event at a chunk
 /// boundary slides to the buffer front before the next read.
 ///
-/// Decode problems (unknown tag, mid-event cut, a failed read) end the
+/// Decode problems (a corrupt header, mid-event cut, a failed read) end the
 /// stream and are surfaced through [`TraceReplay::take_error`] rather than
 /// panicking.
 pub struct TraceReplay {
@@ -308,6 +459,8 @@ pub struct TraceReplay {
     /// No bytes will follow the chunk's.
     eof: bool,
     events_out: u64,
+    /// Address of the last access decoded: the base of the next delta.
+    prev_addr: u64,
     error: Option<TraceError>,
 }
 
@@ -352,6 +505,7 @@ impl TraceReplay {
             filled,
             eof,
             events_out: 0,
+            prev_addr: 0,
             error: None,
         };
         replay.refill();
@@ -417,7 +571,7 @@ impl AccessStream for TraceReplay {
         let mut total = 0;
         loop {
             let avail = &self.source.chunk()[self.pos..self.filled];
-            let (consumed, n, err) = decode_events(avail, &mut buf[total..]);
+            let (consumed, n, err) = decode_events(avail, &mut self.prev_addr, &mut buf[total..]);
             self.pos += consumed;
             total += n;
             self.events_out += n as u64;
@@ -522,17 +676,39 @@ mod tests {
         }
     }
 
+    /// Records `bench` at `Scale::TEST`, returning the trace and its
+    /// access and alloc/free counts.
+    fn record_counts(bench: Benchmark, accesses: u64, seed: u64) -> (Bytes, u64, u64) {
+        let mut rec = TraceRecorder::new(SpecStream::new(bench.spec(Scale::TEST, accesses), seed));
+        let (mut acc, mut other) = (0, 0);
+        while let Some(ev) = rec.next_event() {
+            match ev {
+                WorkloadEvent::Access(_) => acc += 1,
+                _ => other += 1,
+            }
+        }
+        (rec.finish(), acc, other)
+    }
+
     #[test]
     fn trace_is_compact() {
-        let spec = Benchmark::Btree.spec(Scale::TEST, 1000);
-        let mut rec = TraceRecorder::new(SpecStream::new(spec, 1));
-        while rec.next_event().is_some() {}
-        let n = rec.events();
-        let trace = rec.finish();
-        // Header plus at most 17 bytes per event.
-        assert!(trace.len() as u64 <= TRACE_HEADER_LEN as u64 + 17 * n);
+        let (trace, acc, other) = record_counts(Benchmark::Btree, 1000, 1);
+        // Header, at most 9 bytes per access and 17 per alloc/free.
+        assert!(trace.len() as u64 <= TRACE_HEADER_LEN as u64 + 9 * acc + 17 * other);
         assert!(trace.starts_with(&TRACE_MAGIC));
-        assert!(n >= 1000);
+        assert!(acc >= 1000);
+    }
+
+    #[test]
+    fn recorded_accesses_average_at_most_five_bytes() {
+        // A writer that fell back to fixed-width addresses would take 9
+        // bytes per access; deltas between nearby lines take 3-5.
+        for bench in [Benchmark::Roms, Benchmark::Silo] {
+            let (trace, acc, other) = record_counts(bench, 200_000, 3);
+            let access_bytes = (trace.len() - TRACE_HEADER_LEN) as u64 - 17 * other;
+            let mean = access_bytes as f64 / acc as f64;
+            assert!(mean <= 5.0, "{bench:?}: {mean:.2} B/access");
+        }
     }
 
     #[test]
@@ -589,11 +765,11 @@ mod tests {
         while replay.fill(&mut buf) > 0 {}
         assert!(matches!(replay.take_error(), Some(TraceError::Truncated)));
 
-        // Unknown tag: Corrupt.
+        // A header no writer emits: Corrupt.
         let mut bad = Vec::new();
         bad.extend_from_slice(&TRACE_MAGIC);
         bad.extend_from_slice(&TRACE_VERSION.to_le_bytes());
-        bad.push(200); // no such tag
+        bad.push(200); // an access header with reserved bit 7 set
         bad.extend_from_slice(&[0u8; 16]);
         let mut replay = TraceReplay::new(Bytes::from(bad), "bad").unwrap();
         assert!(replay.next_event().is_none());
@@ -614,6 +790,22 @@ mod tests {
         assert_eq!(writer.events(), rec.events());
         let streamed = writer.finish().unwrap();
         assert_eq!(streamed[..], rec.finish()[..]);
+    }
+
+    #[test]
+    fn dropped_writer_still_writes_its_last_records() {
+        let spec = Benchmark::Silo.spec(Scale::TEST, 300);
+        let path = temp_path("dropped");
+        let mut writer = TraceFileWriter::create(&path).unwrap();
+        let mut src = SpecStream::new(spec.clone(), 4);
+        while let Some(ev) = src.next_event() {
+            writer.record(&ev).unwrap();
+        }
+        drop(writer);
+        let mut replay = TraceReplay::open(&path, "Silo").unwrap();
+        assert_eq!(collect(&mut replay), collect(&mut SpecStream::new(spec, 4)));
+        assert!(replay.take_error().is_none());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -666,6 +858,84 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Events whose deltas hit the codec's edges: repeats, ±2^63, the
+    /// top of the address space, unaligned and line-aligned steps, and
+    /// alloc/free records between accesses (which must not move the delta
+    /// base).
+    fn adversarial_events() -> Vec<WorkloadEvent> {
+        let half = 1u64 << 63;
+        let addrs = [
+            0,
+            0,
+            u64::MAX,
+            u64::MAX,
+            0,
+            half,
+            0,
+            half,
+            half - 1,
+            half + 64,
+            1,
+            u64::MAX - 63,
+            64,
+            64 << 20,
+            (64 << 20) + 3,
+            0x7FFF_FFFF_FFC0,
+            0xFF,
+            0x100,
+            0xFFFF_FFFF_FFFF_FF00,
+            0x0100_0000_0000_0000,
+        ];
+        let mut evs = Vec::new();
+        for (i, &a) in addrs.iter().enumerate() {
+            evs.push(WorkloadEvent::Access(if i % 3 == 0 {
+                Access::store(a)
+            } else {
+                Access::load(a)
+            }));
+            let (addr, bytes) = (VirtAddr(a ^ 0x5A5A), u64::MAX - i as u64);
+            evs.push(match i % 4 {
+                0 => WorkloadEvent::Alloc {
+                    addr,
+                    bytes,
+                    thp: true,
+                },
+                1 => WorkloadEvent::Free { addr, bytes },
+                2 => WorkloadEvent::Alloc {
+                    addr,
+                    bytes,
+                    thp: false,
+                },
+                _ => WorkloadEvent::Access(Access::load(a.wrapping_add(half))),
+            });
+        }
+        evs
+    }
+
+    #[test]
+    fn adversarial_addresses_round_trip_in_memory_and_at_every_chunk_size() {
+        let evs = adversarial_events();
+        let want: Vec<String> = evs.iter().map(|e| format!("{e:?}")).collect();
+        let mut writer = TraceWriter::new(Vec::new()).unwrap();
+        for ev in &evs {
+            writer.record(ev).unwrap();
+        }
+        let trace = writer.finish().unwrap();
+
+        let mut shared = TraceReplay::new(Bytes::from(trace.clone()), "adv").unwrap();
+        assert_eq!(collect(&mut shared), want);
+        assert!(shared.take_error().is_none());
+
+        let path = temp_path("adversarial");
+        std::fs::write(&path, &trace).unwrap();
+        for chunk in MAX_EVENT_LEN..=40 {
+            let mut reader = TraceReplay::with_chunk_bytes(&path, "adv", chunk).unwrap();
+            assert_eq!(collect(&mut reader), want, "chunk {chunk}");
+            assert!(reader.take_error().is_none(), "chunk {chunk}");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn file_reader_rejects_bad_header() {
         let path = temp_path("badmagic");
@@ -683,7 +953,7 @@ mod codec_proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Generator covering all five event tags, with full-range operands.
+    /// Generator covering every record kind, with full-range operands.
     fn arb_event() -> impl Strategy<Value = WorkloadEvent> {
         let word = 0u64..u64::MAX;
         prop_oneof![

@@ -117,3 +117,42 @@ fn streamed_replay_matches_in_memory_replay_bit_exactly() {
     assert_eq!(live_sig, in_memory_sig, "replay diverged from live run");
     assert_eq!(in_memory_sig, streamed_sig, "streamed replay diverged");
 }
+
+#[test]
+fn streamed_replay_resumes_from_a_mid_trace_checkpoint() {
+    let path =
+        std::env::temp_dir().join(format!("memtis-trace-resume-{}.trace", std::process::id()));
+    let mut writer = TraceFileWriter::create(&path).expect("create trace file");
+    let mut stream = SpecStream::new(Benchmark::Silo.spec(Scale::TEST, ACCESSES), SEED);
+    while let Some(ev) = stream.next_event() {
+        writer.record(&ev).expect("record event");
+    }
+    let events = writer.events();
+    writer.finish().expect("flush trace file");
+    let reader = || TraceReplay::with_chunk_bytes(&path, "replay", CHUNK_BYTES).unwrap();
+
+    let full = {
+        let mut sim = Simulation::new(machine(), policy(), driver());
+        report_sig(sim.run(&mut reader()).expect("straight replay completes"))
+    };
+    // Pauses land mid-chunk and mid-phase: a resumed reader must rebuild
+    // the delta base by decoding from the start, not jump to a byte offset.
+    for pause_at in [events / 7, events / 2, events - 1_000] {
+        let mut sim = Simulation::new(machine(), policy(), driver());
+        let paused = sim
+            .run_until(&mut reader(), Some(pause_at))
+            .expect("run to pause");
+        assert!(paused.is_none(), "pause at {pause_at} reached the end");
+        let bytes = sim.snapshot();
+        let mut resumed = Simulation::new(machine(), policy(), driver());
+        resumed.restore(&bytes).expect("restore succeeds");
+        let mut fresh = reader();
+        let report = resumed
+            .run_until(&mut fresh, None)
+            .expect("resumed replay completes")
+            .expect("resumed replay reaches the end");
+        assert!(fresh.take_error().is_none());
+        assert_eq!(full, report_sig(report), "resume at {pause_at} diverged");
+    }
+    std::fs::remove_file(&path).ok();
+}
