@@ -223,7 +223,7 @@ fn head_to_head(_c: &mut Criterion) {
     // the comparison).
     fn run_fast(pattern: Pattern, stream: &[u64]) -> f64 {
         let mut m = pattern.machine();
-        // Warm TLB/LLC/walk-cache state outside the timed window.
+        // Warm TLB/LLC and region-map memo state outside the timed window.
         for &addr in &stream[..STREAM_LEN / 4] {
             let _ = m.access(Access::load(addr));
         }
@@ -409,11 +409,14 @@ fn hotloop(_c: &mut Criterion) {
         let mut shard_lines = Vec::new();
         let mut base_projected_eps = f64::NAN;
         let mut shard1_sig: Option<String> = None;
-        for s in SHARD_COUNTS {
-            let mut best_host = f64::INFINITY;
-            let mut best_projected = f64::INFINITY;
-            let mut last: Option<(RunReport, ShardMetrics)> = None;
-            for _ in 0..SHARD_REPS {
+        // Reps go round-robin across S, so host drift during the curve
+        // lands on every shard count alike rather than on one side of the
+        // S=2 vs S=1 floor.
+        let mut best_host = SHARD_COUNTS.map(|_| f64::INFINITY);
+        let mut best_projected = SHARD_COUNTS.map(|_| f64::INFINITY);
+        let mut last = SHARD_COUNTS.map(|_| None);
+        for _ in 0..SHARD_REPS {
+            for (k, s) in SHARD_COUNTS.into_iter().enumerate() {
                 let mut wl = mk();
                 let mut driver = driver_config();
                 driver.chunk = SHARD_CHUNK;
@@ -424,11 +427,14 @@ fn hotloop(_c: &mut Criterion) {
                 let host = start.elapsed().as_secs_f64();
                 let m = sim.shard_metrics().expect("sharded run exposes metrics");
                 let projected = m.projected_ns(host * 1e9).max(1.0) / 1e9;
-                best_host = best_host.min(host);
-                best_projected = best_projected.min(projected);
-                last = Some((report, m));
+                best_host[k] = best_host[k].min(host);
+                best_projected[k] = best_projected[k].min(projected);
+                last[k] = Some((report, m));
             }
-            let (report, sm) = last.unwrap();
+        }
+        for (k, s) in SHARD_COUNTS.into_iter().enumerate() {
+            let (best_host, best_projected) = (best_host[k], best_projected[k]);
+            let (report, sm) = last[k].take().unwrap();
             let events = report.sim_events as f64;
             let accesses = report.accesses as f64;
             match &shard1_sig {

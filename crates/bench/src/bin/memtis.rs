@@ -11,7 +11,7 @@
 //!             [driver flags]
 //! memtis record <benchmark> --out PATH [--accesses N]
 //! memtis replay <benchmark> <trace> [--policy memtis] [--ratio 1:8] [--cxl]
-//!             [driver flags]
+//!             [--trace-out PATH.jsonl|PATH.json] [--report-out PATH] [driver flags]
 //! memtis diff <old.json> <new.json> [--tol FRAC] [--tol KEY=FRAC] [--ignore GLOB]
 //! memtis list
 //! ```
@@ -50,8 +50,9 @@
 //! Trace ingestion: `record` streams a benchmark's workload events through
 //! the one trace writer to a versioned binary file with bounded memory;
 //! `replay` drives a simulation from such a file through the one trace
-//! reader, refilled a bounded chunk at a time, and prints a deterministic
-//! report line.
+//! reader, refilled a bounded chunk at a time, prints a deterministic
+//! report line, and exports the run like `run` does, so a replay's report
+//! diffs clean against the live run of the same cell.
 
 use memtis_bench::cli::{self, Args};
 use memtis_bench::{
@@ -69,12 +70,14 @@ const USAGE: &str = "usage:\n  memtis run <benchmark> [--ratio F:C] [--policy NA
      [--snapshot-out PATH --snapshot-every EVENTS] [--resume PATH]\n  \
      memtis compare <benchmark> [--ratio F:C] [--cxl] [--accesses N] [--test-scale] [driver flags]\n  \
      memtis record <benchmark> --out PATH [--accesses N]\n  \
-     memtis replay <benchmark> <trace> [--policy NAME] [--ratio F:C] [--cxl] [driver flags]\n  \
+     memtis replay <benchmark> <trace> [--policy NAME] [--ratio F:C] [--cxl]\n    \
+     [--trace-out PATH.jsonl|PATH.json] [--report-out PATH] [driver flags]\n  \
      memtis diff <old.json> <new.json> [--tol FRAC] [--tol KEY=FRAC] [--ignore GLOB]\n  \
      memtis list\n\
      driver flags: run's --window through --hysteresis, less --test-scale";
 
-/// The shared flags of `replay`; `compare` adds `--test-scale`.
+/// The driver flags; `compare` adds `--test-scale`, and `replay` adds
+/// `--trace-out` and `--report-out`.
 const DRIVER_FLAGS: [&str; 9] = [
     "--window",
     "--heartbeat",
@@ -158,12 +161,17 @@ fn run_one(args: &[String]) {
         return;
     }
     let (r, obs) = run_and_print(bench, &o, TracingObserver::new());
+    export(f, &r, &obs);
+}
+
+/// Writes a traced run's `--trace-out` and `--report-out` files.
+fn export(f: &RunFlags, r: &RunReport, obs: &TracingObserver) {
     if let Some(path) = &f.trace_out {
-        or_exit_1(write_trace(path, &obs, &r.windows));
+        or_exit_1(write_trace(path, obs, &r.windows));
     }
     if let Some(path) = &f.report_out {
         let profile = obs.profiler.as_ref().map(|p| p.stats());
-        let body = report_to_json(&r, profile.as_deref());
+        let body = report_to_json(r, profile.as_deref());
         or_exit_1(
             std::fs::write(path, body)
                 .map_err(|e| format!("could not write --report-out {path}: {e}")),
@@ -351,23 +359,40 @@ fn run_record(args: &[String]) {
 }
 
 /// Drives a simulation from a recorded trace file, streamed through the
-/// bounded-buffer reader. Prints only sim-deterministic quantities.
+/// bounded-buffer reader, and prints one line of sim-deterministic
+/// quantities; `--trace-out` and `--report-out` export the run as `run`
+/// does. The stream carries the benchmark's name, so the report's
+/// `workload` is the one `run` writes for the same cell.
 fn run_replay(args: &[String]) {
-    use memtis_sim::prelude::Simulation;
-    use memtis_workloads::TraceReplay;
     let bench = bench_arg(args);
     let Some(path) = args.get(1).filter(|p| !p.starts_with("--")).cloned() else {
         usage()
     };
     let cell = ["--ratio", "--policy", "--cxl"];
-    let o = parse_opts(&args[2..], &cell, &DRIVER_FLAGS, |_, _| Ok(false));
+    let shared = [&["--trace-out", "--report-out"][..], &DRIVER_FLAGS].concat();
+    let o = parse_opts(&args[2..], &cell, &shared, |_, _| Ok(false));
+    let f = &o.flags;
+    if f.trace_out.is_none() && f.report_out.is_none() {
+        replay_and_print(bench, &path, &o, NopObserver);
+        return;
+    }
+    let (r, obs) = replay_and_print(bench, &path, &o, TracingObserver::new());
+    export(f, &r, &obs);
+}
+
+/// Replays the trace at `path` through `o`'s cell of `bench` under `obs`
+/// and prints the run's summary line.
+fn replay_and_print<O: Observer>(bench: Benchmark, path: &str, o: &Opts, obs: O) -> (RunReport, O) {
+    use memtis_sim::prelude::Simulation;
+    use memtis_workloads::TraceReplay;
     let machine = machine_for(bench, Scale::DEFAULT, o.ratio, o.kind);
-    let mut sim = Simulation::new(machine, o.policy.build(), o.flags.driver);
+    let driver = o.flags.driver.clone();
+    let mut sim = Simulation::with_observer(machine, o.policy.build(), driver, obs);
     let fail = |what: &str, e: &dyn std::fmt::Debug| -> ! {
         eprintln!("error: {what}: {e:?}");
         std::process::exit(1);
     };
-    let mut reader = match TraceReplay::open(&path, "replay") {
+    let mut reader = match TraceReplay::open(path, bench.name()) {
         Ok(r) => r,
         Err(e) => fail("cannot open trace", &e),
     };
@@ -390,6 +415,7 @@ fn run_replay(args: &[String]) {
         r.tlb.miss_ratio(),
         r.llc.miss_ratio(),
     );
+    (r, sim.into_observer())
 }
 
 fn run_diff(args: &[String]) -> ! {

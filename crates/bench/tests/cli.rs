@@ -47,18 +47,6 @@ struct Cmd {
     accepts: &'static [&'static str],
 }
 
-const DRIVER: &[&str] = &[
-    "--window",
-    "--heartbeat",
-    "--migration-bw",
-    "--migration-queue",
-    "--faults",
-    "--chunk",
-    "--shards",
-    "--shadow",
-    "--hysteresis",
-];
-
 const CMDS: [Cmd; 5] = [
     Cmd {
         exe: MEMTIS,
@@ -84,7 +72,19 @@ const CMDS: [Cmd; 5] = [
     Cmd {
         exe: MEMTIS,
         lead: &["replay", "silo", "no.trace"],
-        accepts: DRIVER,
+        accepts: &[
+            "--trace-out",
+            "--report-out",
+            "--window",
+            "--heartbeat",
+            "--migration-bw",
+            "--migration-queue",
+            "--faults",
+            "--chunk",
+            "--shards",
+            "--shadow",
+            "--hysteresis",
+        ],
     },
     Cmd {
         exe: SWEEP,

@@ -649,7 +649,10 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
 
     fn handle_free(&mut self, addr: VirtAddr, bytes: u64) -> SimResult<()> {
         let mut cur = addr.0;
-        let end = addr.0 + bytes;
+        let end = addr
+            .0
+            .checked_add(bytes)
+            .ok_or(SimError::RangeOverflow { addr, bytes })?;
         while cur < end {
             let vpage = VirtAddr(cur).base_page();
             match self.machine.locate(vpage) {
@@ -665,7 +668,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                         self.wall_ns,
                     );
                     self.policy.on_free(&mut ops, vpage, PageSize::Huge);
-                    cur += HUGE_PAGE_SIZE;
+                    cur = cur.saturating_add(HUGE_PAGE_SIZE);
                 }
                 Some((_, PageSize::Base)) => {
                     let cost = self.machine.unmap_and_free(vpage, PageSize::Base)?;
@@ -679,11 +682,11 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                         self.wall_ns,
                     );
                     self.policy.on_free(&mut ops, vpage, PageSize::Base);
-                    cur += PageSize::Base.bytes();
+                    cur = cur.saturating_add(PageSize::Base.bytes());
                 }
                 _ => {
                     // Hole (e.g. a zero subpage freed by a split): skip.
-                    cur += PageSize::Base.bytes();
+                    cur = cur.saturating_add(PageSize::Base.bytes());
                 }
             }
         }

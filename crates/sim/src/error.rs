@@ -1,6 +1,6 @@
 //! Error type shared across the simulator.
 
-use crate::addr::{PageSize, TierId, VirtPage};
+use crate::addr::{PageSize, TierId, VirtAddr, VirtPage};
 use std::fmt;
 
 /// Result alias used throughout the simulator.
@@ -32,6 +32,14 @@ pub enum SimError {
     },
     /// A huge-page operation was attempted on a non-2 MiB-aligned page.
     Unaligned(VirtPage),
+    /// An allocated or freed range `[addr, addr + bytes)` runs past the top
+    /// of the virtual address space.
+    RangeOverflow {
+        /// First byte of the range.
+        addr: VirtAddr,
+        /// Length of the range in bytes.
+        bytes: u64,
+    },
     /// Migration target equals the current tier.
     SameTier(TierId),
     /// The migration admission queue is full; retry after the engine drains.
@@ -63,6 +71,12 @@ impl fmt::Display for SimError {
                 write!(f, "{vpage} is not mapped as a {expected} page")
             }
             SimError::Unaligned(p) => write!(f, "{p} is not 2MiB-aligned"),
+            SimError::RangeOverflow { addr, bytes } => {
+                write!(
+                    f,
+                    "{bytes} bytes at {addr} run past the top of the address space"
+                )
+            }
             SimError::SameTier(t) => write!(f, "page already resides on {t}"),
             SimError::QueueFull => write!(f, "migration admission queue is full"),
             SimError::InFlight(p) => write!(f, "{p} already has an in-flight transfer"),

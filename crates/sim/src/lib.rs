@@ -2,7 +2,7 @@
 //!
 //! User-space substrate standing in for the kernel/hardware stack the MEMTIS
 //! paper (SOSP '23) was built on: per-tier physical frame allocators, a
-//! 4-level page table with 2 MiB huge mappings, TLB and LLC models, a
+//! page table with 2 MiB huge mappings, TLB and LLC models, a
 //! migration engine, and a simulation driver that executes workload access
 //! streams under a pluggable [`policy::TieringPolicy`].
 //!
@@ -26,7 +26,7 @@
 //! assert_eq!(out.tier, TierId::CAPACITY);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub use memtis_obs as obs;
 
@@ -40,10 +40,9 @@ pub mod error;
 pub mod faults;
 pub mod machine;
 pub mod modes;
-// The walk cache keeps a raw pointer into the boxed tables.
-#[allow(unsafe_code)]
 pub mod page_table;
 pub mod policy;
+pub mod region_map;
 pub mod shard;
 pub mod stats;
 pub mod tier;

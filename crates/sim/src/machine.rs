@@ -746,7 +746,7 @@ impl Machine {
     /// driver maps the page and retries.
     ///
     /// This is the single-walk fast path: one [`PageTable::walk_mut`]
-    /// descent (often skipped entirely by the table's walk cache)
+    /// lookup (usually answered by the region map's memo)
     /// yields the translation *and* the mutable entry on which the hint bit
     /// is cleared and the accessed/dirty bits are set — where the machine
     /// formerly walked the table up to three times per access. Outcomes,
@@ -1060,7 +1060,7 @@ impl Machine {
     /// access in this batch resolved — the same base page, or any subpage of
     /// the same huge page — skips the hint handling and tier lookup, and for
     /// loads the page walk as well (a repeat store still walks, through the
-    /// table's walk cache, for its dirty bookkeeping).
+    /// region map's memo, for its dirty bookkeeping).
     ///
     /// Coalescing a repeat is exact because the mapping's reference/hint
     /// bits live on the one shared entry (already set and cleared by the
@@ -1092,7 +1092,7 @@ impl Machine {
             Some((frame, size, tier)) => {
                 if is_store {
                     // Dirty bookkeeping is per-subpage state the memo cannot
-                    // carry; take the (walk-cache-accelerated) walk exactly
+                    // carry; take the walk (one region-map lookup) exactly
                     // as the full path would. The hint is guaranteed clear.
                     let marked = self.walk_and_mark(vpage, true, false);
                     debug_assert!(
@@ -1264,7 +1264,7 @@ impl Machine {
 
     /// Points the mapping at `vpage` to `new_frame` and returns the frame
     /// it replaced, and shoots down the stale TLB entry. The page table's
-    /// walk cache needs nothing: it caches slot locations, not frames.
+    /// region-map memo needs nothing: it holds slot positions, not frames.
     fn remap(&mut self, vpage: VirtPage, size: PageSize, new_frame: Frame) -> Frame {
         let old_frame = match self.pt.entry_mut(vpage) {
             Some(EntryMut::Base(p)) => std::mem::replace(&mut p.frame, new_frame),
@@ -1798,8 +1798,8 @@ impl Machine {
 // per-lane), migration engine, fault injector, flight recorder, engine-mode
 // state, and counters. The restoring machine must be built from the
 // identical configuration; lane/fault/flight/mode presence mismatches are
-// corruption. The coalesce memo and the page-table walk cache are pure
-// memos and are excluded (a restored machine starts them cold, which never
+// corruption. The coalesce memo and the page table's region-map memo are
+// pure memos and are excluded (a restored machine starts them cold, which never
 // changes simulated results).
 memtis_obs::snap_struct!(in Machine {
     @in tiers,

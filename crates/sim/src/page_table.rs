@@ -1,10 +1,14 @@
-//! Four-level radix page table with 4 KiB and 2 MiB mappings.
+//! Page table with 4 KiB and 2 MiB mappings.
 //!
-//! The layout mirrors x86-64: a 2 MiB mapping occupies one L2 (PMD) slot and
-//! terminates the walk one level early; splitting replaces the PMD entry with
-//! a table of 512 PTEs over the *same* physical frames (in-place THP split,
-//! as in the kernel), and collapsing installs a PMD entry over a freshly
-//! allocated huge frame.
+//! Each mapped 2 MiB region owns one PMD slot, found through a
+//! [`RegionMap`] keyed by the full region number (`vpn >> 9`). A 2 MiB
+//! mapping occupies the slot itself; 4 KiB mappings hang a table of 512
+//! PTEs off it. Splitting replaces the PMD entry with a PTE table over the
+//! *same* physical frames (in-place THP split, as in the kernel), and
+//! collapsing installs a PMD entry over a freshly allocated huge frame.
+//! The upper levels of an x86-64 radix tree are not stored: the simulated
+//! walk is priced by [`PageSize::walk_levels`] (4 levels for a base page,
+//! 3 for a huge page), not by the storage that answers it.
 //!
 //! Each entry carries the bits tiering systems rely on: the hardware
 //! `accessed`/`dirty` bits (harvested and cleared by page-table-scanning
@@ -14,7 +18,7 @@
 
 use crate::addr::{Frame, PageSize, VirtPage, NR_SUBPAGES};
 use crate::error::{SimError, SimResult};
-use std::ptr::NonNull;
+use crate::region_map::RegionMap;
 
 const FANOUT: usize = 512;
 const SUBPAGE_WORDS: usize = (NR_SUBPAGES as usize) / 64;
@@ -120,34 +124,12 @@ impl L1Table {
     }
 }
 
+/// What a mapped 2 MiB region's PMD slot holds. An unmapped region has no
+/// slot: the table removes a region when its last mapping goes.
 #[derive(Debug)]
 enum L2Slot {
-    Empty,
     Huge(HugeEntry),
     Table(Box<L1Table>),
-}
-
-#[derive(Debug)]
-struct L2Table {
-    slots: Vec<L2Slot>,
-}
-
-impl L2Table {
-    fn new() -> Self {
-        L2Table {
-            slots: (0..FANOUT).map(|_| L2Slot::Empty).collect(),
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct L3Table {
-    entries: Vec<Option<Box<L2Table>>>,
-}
-
-#[derive(Debug, Default)]
-struct L4Table {
-    entries: Vec<Option<Box<L3Table>>>,
 }
 
 /// Mutable view over a mapped entry, produced by the scan API.
@@ -158,95 +140,30 @@ pub enum EntryMut<'a> {
     Huge(&'a mut HugeEntry),
 }
 
-/// Sentinel meaning "this walk-cache way holds nothing".
-const NO_REGION: u64 = u64::MAX;
-
-/// Number of ways in the software walk cache. Power of two so the way index
-/// is a mask; 1024 regions cover 2 GiB of virtual space, comfortably more
-/// than the simulated working sets hop across between structural changes.
-const WALK_CACHE_WAYS: usize = 1024;
-
-/// One way of the walk cache; valid while `region` matches the probe.
-#[derive(Debug, Clone, Copy)]
-struct WalkCacheWay {
-    /// `vpn >> 9` of the cached region, or [`NO_REGION`].
-    region: u64,
-    /// Pointer to the region's L2 slot, inside this table's own heap
-    /// allocations; only dereferenced while `region` matches.
-    slot: NonNull<L2Slot>,
-}
-
-/// Direct-mapped software walk cache: remembers the L2 (PMD) slot of
-/// recently walked 2 MiB regions (way = `region & 1023`), so repeated
-/// accesses inside cached regions skip the L4→L3→L2 descent entirely.
-///
-/// This is **simulator-speed machinery**, not the simulated TLB — it never
-/// affects costs or statistics. It needs no invalidation because of one
-/// invariant: an L2 slot's storage is never moved or freed while the table
-/// lives. L3 and L2 tables are boxed, created on first map and never
-/// dropped, and each L2 table's slot array has a fixed length. Map, unmap,
-/// split and collapse only rewrite a slot's contents (its variant), and
-/// [`PageTable::walk_mut`] reads that variant afresh on every call, so a
-/// cached slot pointer always answers exactly as an uncached walk would.
-#[derive(Debug)]
-struct WalkCache {
-    ways: Box<[WalkCacheWay]>,
-}
-
-impl WalkCache {
-    fn empty() -> Self {
-        WalkCache {
-            ways: vec![
-                WalkCacheWay {
-                    region: NO_REGION,
-                    slot: NonNull::dangling(),
-                };
-                WALK_CACHE_WAYS
-            ]
-            .into_boxed_slice(),
-        }
-    }
-}
-
-/// The four-level page table of the simulated address space.
-#[derive(Debug)]
+/// The page table of the simulated address space: one PMD slot per mapped
+/// 2 MiB region, keyed by the full region number.
+#[derive(Debug, Default)]
 pub struct PageTable {
-    root: L4Table,
+    pmds: RegionMap<L2Slot>,
     mapped_base: u64,
     mapped_huge: u64,
-    walk_cache: WalkCache,
 }
 
-// SAFETY: `walk_cache.slot` points into heap allocations exclusively owned
-// by this `PageTable` and never moved or freed while it lives (see
-// [`WalkCache`]); boxed tables stay put when the struct itself is moved
-// between threads, so sending the table cannot leave the pointer dangling.
-// The cache is only read through `&mut self`.
-unsafe impl Send for PageTable {}
-
+/// The region (`vpn >> 9`) holding `vpage`.
 #[inline]
-fn idx(vpn: u64, level: u32) -> usize {
-    // `level` 1..=4; level 1 indexes the PTE table.
-    ((vpn >> (9 * (level - 1))) & (FANOUT as u64 - 1)) as usize
+fn region(vpage: VirtPage) -> u64 {
+    vpage.0 >> 9
 }
 
-impl Default for PageTable {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The first page of `region`.
+fn region_page(region: u64) -> VirtPage {
+    VirtPage(region << 9)
 }
 
 impl PageTable {
     /// Creates an empty page table.
     pub fn new() -> Self {
-        PageTable {
-            root: L4Table {
-                entries: (0..FANOUT).map(|_| None).collect(),
-            },
-            mapped_base: 0,
-            mapped_huge: 0,
-            walk_cache: WalkCache::empty(),
-        }
+        Self::default()
     }
 
     /// Number of mapped 4 KiB entries.
@@ -264,44 +181,16 @@ impl PageTable {
         self.mapped_base * PageSize::Base.bytes() + self.mapped_huge * PageSize::Huge.bytes()
     }
 
-    fn l2_slot(&self, vpn: u64) -> Option<&L2Slot> {
-        let l3 = self.root.entries[idx(vpn, 4)].as_ref()?;
-        let l2 = l3.entries.get(idx(vpn, 3))?.as_ref()?;
-        Some(&l2.slots[idx(vpn, 2)])
-    }
-
-    fn l2_slot_mut(&mut self, vpn: u64, create: bool) -> Option<&mut L2Slot> {
-        let l3_slot = &mut self.root.entries[idx(vpn, 4)];
-        let l3 = match l3_slot {
-            Some(l3) => l3,
-            None if create => l3_slot.insert(Box::new(L3Table {
-                entries: (0..FANOUT).map(|_| None).collect(),
-            })),
-            None => return None,
-        };
-        if l3.entries.is_empty() {
-            l3.entries = (0..FANOUT).map(|_| None).collect();
-        }
-        let l2_slot = &mut l3.entries[idx(vpn, 3)];
-        let l2 = match l2_slot {
-            Some(l2) => l2,
-            None if create => l2_slot.insert(Box::new(L2Table::new())),
-            None => return None,
-        };
-        Some(&mut l2.slots[idx(vpn, 2)])
-    }
-
     /// Translates a virtual page to its backing frame.
     pub fn translate(&self, vpage: VirtPage) -> Option<Translation> {
-        match self.l2_slot(vpage.0)? {
-            L2Slot::Empty => None,
+        match self.pmds.get(region(vpage))? {
             L2Slot::Huge(h) => Some(Translation {
                 frame: h.frame.add(vpage.subpage_index() as u64),
                 size: PageSize::Huge,
                 hint: h.hint,
             }),
             L2Slot::Table(t) => {
-                let pte = t.entries[idx(vpage.0, 1)].as_ref()?;
+                let pte = t.entries[vpage.subpage_index()].as_ref()?;
                 Some(Translation {
                     frame: pte.frame,
                     size: PageSize::Base,
@@ -311,53 +200,28 @@ impl PageTable {
         }
     }
 
-    /// Single-walk access fast path: one descent yields the mutable entry
+    /// Single-walk access fast path: one lookup yields the mutable entry
     /// covering `vpage`, from which the caller reads the translation *and*
-    /// updates accessed/dirty/hint bits — replacing the former
-    /// translate + entry_mut + entry_mut triple walk.
-    ///
-    /// Calls landing in a cached 2 MiB region skip the descent via the
-    /// direct-mapped walk cache (see [`WalkCache`]); results are
-    /// bit-identical to an uncached walk because the cached slot is never
-    /// moved or freed and its variant is read here on every call.
+    /// updates accessed/dirty/hint bits.
     #[inline]
     pub fn walk_mut(&mut self, vpage: VirtPage) -> Option<EntryMut<'_>> {
-        let region = vpage.0 >> 9;
-        let way_idx = (region as usize) & (WALK_CACHE_WAYS - 1);
-        let way = self.walk_cache.ways[way_idx];
-        let ptr = if way.region == region {
-            way.slot
-        } else {
-            let p = NonNull::from(self.l2_slot_mut(vpage.0, false)?);
-            self.walk_cache.ways[way_idx] = WalkCacheWay { region, slot: p };
-            p
-        };
-        // SAFETY: the pointer was produced from this table's own slot
-        // storage, which is never moved or freed while the table lives (see
-        // [`WalkCache`]); `&mut self` guarantees no other live borrow of the
-        // table.
-        let slot = unsafe { &mut *ptr.as_ptr() };
-        match slot {
-            L2Slot::Empty => None,
+        match self.pmds.get_mut(region(vpage))? {
             L2Slot::Huge(h) => Some(EntryMut::Huge(h)),
-            L2Slot::Table(t) => t.entries[idx(vpage.0, 1)].as_mut().map(EntryMut::Base),
+            L2Slot::Table(t) => t.entries[vpage.subpage_index()]
+                .as_mut()
+                .map(EntryMut::Base),
         }
     }
 
     /// Maps a 4 KiB page to `frame`.
     pub fn map_base(&mut self, vpage: VirtPage, frame: Frame) -> SimResult<()> {
         let slot = self
-            .l2_slot_mut(vpage.0, true)
-            .ok_or(SimError::Internal("l2 slot creation failed"))?;
-        match slot {
-            L2Slot::Huge(_) => return Err(SimError::AlreadyMapped(vpage)),
-            L2Slot::Empty => *slot = L2Slot::Table(Box::new(L1Table::new())),
-            L2Slot::Table(_) => {}
-        }
+            .pmds
+            .get_or_insert_with(region(vpage), || L2Slot::Table(Box::new(L1Table::new())));
         let L2Slot::Table(t) = slot else {
-            return Err(SimError::Internal("l2 slot changed variant mid-map"));
+            return Err(SimError::AlreadyMapped(vpage));
         };
-        let e = &mut t.entries[idx(vpage.0, 1)];
+        let e = &mut t.entries[vpage.subpage_index()];
         if e.is_some() {
             return Err(SimError::AlreadyMapped(vpage));
         }
@@ -372,40 +236,36 @@ impl PageTable {
         if !vpage.is_huge_aligned() {
             return Err(SimError::Unaligned(vpage));
         }
-        let slot = self
-            .l2_slot_mut(vpage.0, true)
-            .ok_or(SimError::Internal("l2 slot creation failed"))?;
-        match slot {
-            L2Slot::Huge(_) => Err(SimError::AlreadyMapped(vpage)),
-            L2Slot::Table(t) if t.mapped > 0 => Err(SimError::AlreadyMapped(vpage)),
-            _ => {
-                *slot = L2Slot::Huge(HugeEntry::new(frame));
-                self.mapped_huge += 1;
-                Ok(())
-            }
+        if self.pmds.get(region(vpage)).is_some() {
+            return Err(SimError::AlreadyMapped(vpage));
         }
+        self.pmds
+            .get_or_insert_with(region(vpage), || L2Slot::Huge(HugeEntry::new(frame)));
+        self.mapped_huge += 1;
+        Ok(())
     }
 
     /// Unmaps a 4 KiB page, returning the old entry.
     pub fn unmap_base(&mut self, vpage: VirtPage) -> SimResult<Pte> {
-        let slot = self
-            .l2_slot_mut(vpage.0, false)
-            .ok_or(SimError::NotMapped(vpage))?;
-        match slot {
-            L2Slot::Table(t) => {
-                let e = t.entries[idx(vpage.0, 1)]
-                    .take()
-                    .ok_or(SimError::NotMapped(vpage))?;
-                t.mapped -= 1;
-                self.mapped_base -= 1;
-                Ok(e)
+        let t = match self.pmds.get_mut(region(vpage)) {
+            Some(L2Slot::Table(t)) => t,
+            Some(L2Slot::Huge(_)) => {
+                return Err(SimError::WrongPageSize {
+                    vpage,
+                    expected: PageSize::Base,
+                })
             }
-            L2Slot::Huge(_) => Err(SimError::WrongPageSize {
-                vpage,
-                expected: PageSize::Base,
-            }),
-            L2Slot::Empty => Err(SimError::NotMapped(vpage)),
+            None => return Err(SimError::NotMapped(vpage)),
+        };
+        let e = t.entries[vpage.subpage_index()]
+            .take()
+            .ok_or(SimError::NotMapped(vpage))?;
+        t.mapped -= 1;
+        if t.mapped == 0 {
+            self.pmds.remove(region(vpage));
         }
+        self.mapped_base -= 1;
+        Ok(e)
     }
 
     /// Unmaps a 2 MiB page, returning the old entry.
@@ -413,38 +273,33 @@ impl PageTable {
         if !vpage.is_huge_aligned() {
             return Err(SimError::Unaligned(vpage));
         }
-        let slot = self
-            .l2_slot_mut(vpage.0, false)
-            .ok_or(SimError::NotMapped(vpage))?;
-        match std::mem::replace(slot, L2Slot::Empty) {
-            L2Slot::Huge(h) => {
-                self.mapped_huge -= 1;
-                Ok(h)
-            }
-            other => {
-                *slot = other;
-                Err(SimError::WrongPageSize {
+        match self.pmds.get(region(vpage)) {
+            None => return Err(SimError::NotMapped(vpage)),
+            Some(L2Slot::Table(_)) => {
+                return Err(SimError::WrongPageSize {
                     vpage,
                     expected: PageSize::Huge,
                 })
             }
+            Some(L2Slot::Huge(_)) => {}
         }
+        let Some(L2Slot::Huge(h)) = self.pmds.remove(region(vpage)) else {
+            return Err(SimError::Internal("huge slot changed variant mid-unmap"));
+        };
+        self.mapped_huge -= 1;
+        Ok(h)
     }
 
     /// Returns a mutable reference to the entry covering `vpage`, if mapped.
     pub fn entry_mut(&mut self, vpage: VirtPage) -> Option<EntryMut<'_>> {
-        match self.l2_slot_mut(vpage.0, false)? {
-            L2Slot::Huge(h) => Some(EntryMut::Huge(h)),
-            L2Slot::Table(t) => t.entries[idx(vpage.0, 1)].as_mut().map(EntryMut::Base),
-            L2Slot::Empty => None,
-        }
+        self.walk_mut(vpage)
     }
 
     /// Returns the huge entry at `vpage`, if it is huge-mapped.
     pub fn huge_entry(&self, vpage: VirtPage) -> Option<&HugeEntry> {
-        match self.l2_slot(vpage.huge_aligned().0)? {
+        match self.pmds.get(region(vpage))? {
             L2Slot::Huge(h) => Some(h),
-            _ => None,
+            L2Slot::Table(_) => None,
         }
     }
 
@@ -456,7 +311,8 @@ impl PageTable {
             return Err(SimError::Unaligned(vpage));
         }
         let slot = self
-            .l2_slot_mut(vpage.0, false)
+            .pmds
+            .get_mut(region(vpage))
             .ok_or(SimError::NotMapped(vpage))?;
         let L2Slot::Huge(h) = slot else {
             return Err(SimError::WrongPageSize {
@@ -490,7 +346,8 @@ impl PageTable {
             return Err(SimError::Unaligned(vpage));
         }
         let slot = self
-            .l2_slot_mut(vpage.0, false)
+            .pmds
+            .get_mut(region(vpage))
             .ok_or(SimError::NotMapped(vpage))?;
         let L2Slot::Table(t) = slot else {
             return Err(SimError::WrongPageSize {
@@ -525,33 +382,21 @@ impl PageTable {
         Ok(ptes)
     }
 
-    /// Visits every mapped entry (PT-scan substrate, cooling walks).
+    /// Visits every mapped entry in ascending virtual page order (PT-scan
+    /// substrate, cooling walks).
     ///
     /// Huge entries are visited once with the 2 MiB-aligned page number.
     pub fn for_each_entry(&mut self, mut f: impl FnMut(VirtPage, EntryMut<'_>)) {
-        for (i4, l3) in self.root.entries.iter_mut().enumerate() {
-            let Some(l3) = l3 else { continue };
-            for (i3, l2) in l3.entries.iter_mut().enumerate() {
-                let Some(l2) = l2 else { continue };
-                for (i2, slot) in l2.slots.iter_mut().enumerate() {
-                    let base = ((i4 as u64) << 27) | ((i3 as u64) << 18) | ((i2 as u64) << 9);
-                    match slot {
-                        L2Slot::Empty => {}
-                        L2Slot::Huge(h) => f(VirtPage(base), EntryMut::Huge(h)),
-                        L2Slot::Table(t) => {
-                            if t.mapped == 0 {
-                                continue;
-                            }
-                            for (i1, e) in t.entries.iter_mut().enumerate() {
-                                if let Some(p) = e {
-                                    f(VirtPage(base | i1 as u64), EntryMut::Base(p));
-                                }
-                            }
-                        }
+        self.pmds.for_each_mut(|region, slot| match slot {
+            L2Slot::Huge(h) => f(region_page(region), EntryMut::Huge(h)),
+            L2Slot::Table(t) => {
+                for (i, e) in t.entries.iter_mut().enumerate() {
+                    if let Some(p) = e {
+                        f(region_page(region).add(i as u64), EntryMut::Base(p));
                     }
                 }
             }
-        }
+        });
     }
 }
 
@@ -586,34 +431,25 @@ memtis_obs::snap_enum!(PtRecord {
 
 /// The mapped counts, then every mapped entry in ascending virtual page
 /// order (huge entries once), then an end record. Loading rebuilds the
-/// table through the mapping calls; the walk cache starts cold (it is a
-/// pure memo, so this does not affect simulated behavior).
+/// table through the mapping calls.
 impl memtis_obs::Snap for PageTable {
     const MIN_BYTES: usize = 8 + 8 + 1;
     fn save(&self, w: &mut memtis_obs::SnapWriter) {
         w.put(&self.mapped_base);
         w.put(&self.mapped_huge);
-        for (i4, l3) in self.root.entries.iter().enumerate() {
-            let Some(l3) = l3 else { continue };
-            for (i3, l2) in l3.entries.iter().enumerate() {
-                let Some(l2) = l2 else { continue };
-                for (i2, slot) in l2.slots.iter().enumerate() {
-                    let base = ((i4 as u64) << 27) | ((i3 as u64) << 18) | ((i2 as u64) << 9);
-                    match slot {
-                        L2Slot::Empty => {}
-                        L2Slot::Huge(h) => w.put(&PtRecord::Huge {
-                            vpage: VirtPage(base),
-                            entry: h.clone(),
-                        }),
-                        L2Slot::Table(t) => {
-                            for (i1, e) in t.entries.iter().enumerate() {
-                                if let Some(pte) = *e {
-                                    w.put(&PtRecord::Base {
-                                        vpage: VirtPage(base | i1 as u64),
-                                        pte,
-                                    });
-                                }
-                            }
+        for (region, slot) in self.pmds.iter() {
+            match slot {
+                L2Slot::Huge(h) => w.put(&PtRecord::Huge {
+                    vpage: region_page(region),
+                    entry: h.clone(),
+                }),
+                L2Slot::Table(t) => {
+                    for (i, e) in t.entries.iter().enumerate() {
+                        if let Some(pte) = *e {
+                            w.put(&PtRecord::Base {
+                                vpage: region_page(region).add(i as u64),
+                                pte,
+                            });
                         }
                     }
                 }
@@ -803,10 +639,10 @@ mod tests {
     }
 
     #[test]
-    fn walk_cache_hits_within_region_and_survives_entry_edits() {
+    fn walk_mut_edits_persist_within_region() {
         let mut pt = PageTable::new();
         pt.map_huge(VirtPage(0), Frame(0)).unwrap();
-        // Populate the cache, then mutate through it repeatedly.
+        // Mutate one region's entry through repeated walks.
         for i in 0..32u64 {
             match pt.walk_mut(VirtPage(i)).unwrap() {
                 EntryMut::Huge(h) => h.mark_subpage_written(i as usize),
@@ -817,7 +653,8 @@ mod tests {
     }
 
     /// Checks `walk_mut` against `translate` on a few pages of the region
-    /// at `hp`, which also leaves the region cached for the next step.
+    /// at `hp`, which also leaves the region in the map's memo for the next
+    /// step.
     fn check_walk(pt: &mut PageTable, hp: VirtPage, step: &str) {
         for i in [0u64, 1, 100, 511] {
             let vp = hp.add(i);
@@ -831,11 +668,11 @@ mod tests {
     }
 
     #[test]
-    fn walk_cache_follows_every_structural_change() {
+    fn walk_mut_follows_every_structural_change() {
         let mut pt = PageTable::new();
         let hp = VirtPage(512 * 3);
-        // A region 1024 regions on shares `hp`'s cache way.
-        let alias = VirtPage(512 * (3 + WALK_CACHE_WAYS as u64));
+        // A region 1024 regions on shares `hp`'s memo way.
+        let alias = VirtPage(512 * (3 + 1024));
         pt.map_huge(hp, Frame(2048)).unwrap();
         pt.map_huge(alias, Frame(1 << 20)).unwrap();
         check_walk(&mut pt, hp, "map");
@@ -850,7 +687,7 @@ mod tests {
         assert!(pt.walk_mut(hp).is_none());
         pt.map_huge(hp, Frame(8192)).unwrap();
         check_walk(&mut pt, hp, "re-map");
-        // A migration's remap swaps the frame of the cached entry in place.
+        // A migration's remap swaps the frame of the entry in place.
         let Some(EntryMut::Huge(h)) = pt.entry_mut(hp) else {
             panic!("expected huge entry");
         };
@@ -872,6 +709,59 @@ mod tests {
         check_walk(&mut pt, hp, "unmap every base page");
         pt.map_huge(hp, Frame(16384)).unwrap();
         check_walk(&mut pt, hp, "re-map over an emptied table");
+    }
+
+    #[test]
+    fn high_address_bits_do_not_alias() {
+        // Regression: the radix tree this table replaced dropped vpn bits
+        // 36 and up, so this page answered with page 5's frame and could
+        // not be mapped.
+        let mut pt = PageTable::new();
+        let low = VirtPage(5);
+        let high = VirtPage(5 + (1 << 36));
+        pt.map_base(low, Frame(7)).unwrap();
+        assert_eq!(pt.translate(high), None);
+        assert!(pt.walk_mut(high).is_none());
+        pt.map_base(high, Frame(8)).unwrap();
+        assert_eq!(pt.translate(low).unwrap().frame, Frame(7));
+        assert_eq!(pt.translate(high).unwrap().frame, Frame(8));
+        let listed = |pt: &mut PageTable| {
+            let mut seen = Vec::new();
+            pt.for_each_entry(|v, e| {
+                let EntryMut::Base(p) = e else {
+                    panic!("expected base entries");
+                };
+                seen.push((v, p.frame));
+            });
+            seen
+        };
+        let want = vec![(low, Frame(7)), (high, Frame(8))];
+        assert_eq!(listed(&mut pt), want);
+        let mut w = memtis_obs::SnapWriter::new();
+        w.put(&pt);
+        let bytes = w.finish().unwrap();
+        let mut restored: PageTable = memtis_obs::SnapReader::new(&bytes).get().unwrap();
+        assert_eq!(listed(&mut restored), want);
+        assert_eq!(restored.mapped_base_pages(), 2);
+    }
+
+    #[test]
+    fn emptied_regions_are_dropped_and_remappable() {
+        let mut pt = PageTable::new();
+        pt.map_base(VirtPage(512), Frame(1)).unwrap();
+        pt.map_huge(VirtPage(1024), Frame(512)).unwrap();
+        pt.unmap_base(VirtPage(512)).unwrap();
+        pt.unmap_huge(VirtPage(1024)).unwrap();
+        assert_eq!(pt.pmds.iter().count(), 0);
+        assert_eq!(
+            pt.unmap_huge(VirtPage(1024)),
+            Err(SimError::NotMapped(VirtPage(1024)))
+        );
+        pt.map_huge(VirtPage(512), Frame(1024)).unwrap();
+        pt.map_base(VirtPage(1024 + 3), Frame(3)).unwrap();
+        assert_eq!(pt.translate(VirtPage(512 + 9)).unwrap().frame, Frame(1033));
+        assert_eq!(pt.translate(VirtPage(1024 + 3)).unwrap().frame, Frame(3));
+        assert_eq!(pt.rss_bytes(), 2 * 1024 * 1024 + 4096);
     }
 
     #[test]

@@ -665,8 +665,9 @@ impl TieringPolicy for NoopPolicy {
 
 /// Maps `[start, start + bytes)` for a new allocation through `policy`:
 /// a huge page wherever `thp` is set, the address is 2 MiB-aligned and a
-/// whole huge page remains, a base page elsewhere. Both the simulation
-/// driver and the real-thread runtime allocate through here.
+/// whole huge page remains, a base page elsewhere. A range that wraps past
+/// the top of the address space is [`SimError::RangeOverflow`]. Both the
+/// simulation driver and the real-thread runtime allocate through here.
 pub fn alloc_region<P: TieringPolicy + ?Sized>(
     policy: &mut P,
     ops: &mut PolicyOps<'_>,
@@ -674,7 +675,10 @@ pub fn alloc_region<P: TieringPolicy + ?Sized>(
     bytes: u64,
     thp: bool,
 ) -> SimResult<()> {
-    let end = start.0 + bytes;
+    let end = start
+        .0
+        .checked_add(bytes)
+        .ok_or(SimError::RangeOverflow { addr: start, bytes })?;
     let mut cur = start.0;
     while cur < end {
         let size = if thp && cur.is_multiple_of(HUGE_PAGE_SIZE) && end - cur >= HUGE_PAGE_SIZE {
@@ -683,7 +687,7 @@ pub fn alloc_region<P: TieringPolicy + ?Sized>(
             PageSize::Base
         };
         alloc_page(policy, ops, VirtAddr(cur).base_page(), size)?;
-        cur += size.bytes();
+        cur = cur.saturating_add(size.bytes());
     }
     Ok(())
 }

@@ -6,7 +6,9 @@
 //! must yield the same events and the same error. A second test damages
 //! the version-2 record layout where it is most fragile: header bytes no
 //! writer emits, records cut inside their payload (at the end of the input
-//! and across a chunk refill), and a version-1 header.
+//! and across a chunk refill), and a version-1 header. A third replays
+//! well-formed traces whose alloc or free range wraps past the top of the
+//! address space through a simulation, which must fail with a typed error.
 
 mod common;
 
@@ -285,4 +287,41 @@ fn v2_damage_decodes_alike_through_both_sources() {
         failures.len(),
         failures.iter().take(5).collect::<Vec<_>>()
     );
+}
+
+#[test]
+fn wrapping_ranges_fail_the_replayed_run_with_a_typed_error() {
+    let addr = VirtAddr(u64::MAX - 4095);
+    let bytes = 8192;
+    let wrapping = [
+        WorkloadEvent::Alloc {
+            addr,
+            bytes,
+            thp: false,
+        },
+        WorkloadEvent::Free { addr, bytes },
+    ];
+    for range in wrapping {
+        let mut writer = TraceWriter::new(Vec::new()).expect("in-memory writer");
+        writer.record(&range).expect("in-memory writer");
+        let load = WorkloadEvent::Access(Access::load(addr.0));
+        writer.record(&load).expect("in-memory writer");
+        let trace = writer.finish().expect("in-memory writer");
+        let mut replay = TraceReplay::new(Bytes::from(trace), "wrap").expect("valid header");
+        let machine = MachineConfig::dram_nvm(4 * HUGE_PAGE_SIZE, 16 * HUGE_PAGE_SIZE);
+        let mut sim = Simulation::new(machine, NoopPolicy, DriverConfig::default());
+        let run = common::quiet_panics(|| catch_unwind(AssertUnwindSafe(|| sim.run(&mut replay))));
+        let Ok(result) = run else {
+            panic!("{range:?}: the run panicked");
+        };
+        assert_eq!(
+            result.err(),
+            Some(SimError::RangeOverflow { addr, bytes }),
+            "{range:?}"
+        );
+        assert!(
+            replay.take_error().is_none(),
+            "{range:?}: trace decoded cleanly"
+        );
+    }
 }
