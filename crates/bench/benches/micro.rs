@@ -273,20 +273,29 @@ fn zipf_sampling(c: &mut Criterion) {
 }
 
 fn spec_fill(c: &mut Criterion) {
-    // Silo generates scattered records under Zipf: the generator's most
-    // expensive per-access path (placement stride plus CDF search). The
-    // stream restarts when it runs dry, so every iteration fills a full
-    // buffer of accesses.
-    let spec = Benchmark::Silo.spec(Scale::TEST, 4_000_000);
-    let mut stream = SpecStream::new(spec.clone(), 3);
-    let mut buf = vec![WorkloadEvent::Access(Access::load(0)); 1024];
+    // Pipeline throughput: draining a whole test-scale Silo stream (200,002
+    // events) through `fill`, as the driver reads it. Silo generates
+    // scattered records under Zipf, the generator's most expensive
+    // per-access path (placement stride plus CDF search). On a host with a
+    // spare core a producer thread generates ahead and `fill` mostly
+    // copies, so this times the slower of generation and hand-over, thread
+    // start and join included; `zipf_sample` times the generator's own
+    // sampling. Each stream is built (its Zipf tables too) untimed.
+    let spec = Benchmark::Silo.spec(Scale::TEST, 200_000);
+    let mut buf = vec![WorkloadEvent::Access(Access::load(0)); DEFAULT_CHUNK];
     c.bench_function("spec_fill_silo", |b| {
-        b.iter(|| {
-            if stream.fill(&mut buf) < buf.len() {
-                stream = SpecStream::new(spec.clone(), 3);
-            }
-            black_box(&buf);
-        })
+        b.iter_with_setup(
+            || SpecStream::new(spec.clone(), 3),
+            |mut stream| {
+                let mut events = 0;
+                loop {
+                    match stream.fill(&mut buf) {
+                        0 => break events,
+                        n => events += n,
+                    }
+                }
+            },
+        )
     });
 }
 

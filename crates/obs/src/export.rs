@@ -241,7 +241,7 @@ fn check_event_keys(v: &Json, fixed: &[&str], kind: &str) -> Result<(), String> 
         .find(|(label, _)| *label == kind)
         .ok_or_else(|| format!("unknown kind {kind:?}"))?;
     let keys: Vec<&str> = match v {
-        Json::Obj(m) => m.keys().map(String::as_str).collect(),
+        Json::Obj(m) => m.iter().map(|(k, _)| k.as_str()).collect(),
         _ => return Err(format!("{kind} record is not an object")),
     };
     let want: Vec<&str> = fixed.iter().chain(fields.iter()).copied().collect();

@@ -7,8 +7,6 @@
 //! The parser rejects duplicate object keys and nesting deeper than 128
 //! levels, so hostile input is an error, not a stack overflow.
 
-use std::collections::BTreeMap;
-
 /// Deepest array/object nesting [`Json::parse`] accepts.
 const MAX_DEPTH: usize = 128;
 
@@ -147,8 +145,11 @@ impl std::error::Error for JsonError {}
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
-    /// Object with string keys (sorted map — key order is not preserved).
-    Obj(BTreeMap<String, Json>),
+    /// Object: its members sorted by key, keys unique (input order is not
+    /// preserved). One vector per object, sized by its members, keeps a
+    /// parse's heap proportional to its input; a map node per object cost
+    /// up to 126 bytes per input byte.
+    Obj(Vec<(String, Json)>),
     /// Array.
     Arr(Vec<Json>),
     /// String.
@@ -183,7 +184,10 @@ impl Json {
     /// Member lookup when this is an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(m) => m.get(key),
+            Json::Obj(m) => m
+                .binary_search_by(|(k, _)| k.as_str().cmp(key))
+                .ok()
+                .map(|i| &m[i].1),
             _ => None,
         }
     }
@@ -281,29 +285,39 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{')?;
-        let mut m = BTreeMap::new();
+        let mut m = Vec::new();
+        let members = self.members(&mut m);
+        // A repeated key is reported ahead of any later error, as if each
+        // key had been checked as it was read.
+        match (first_repeat(&mut m), members) {
+            (Some(dup), _) | (None, Err(dup)) => Err(dup),
+            (None, Ok(())) => Ok(Json::Obj(m.into_iter().map(|(k, v, _)| (k, v)).collect())),
+        }
+    }
+
+    /// Reads an object's members up to its `}` into `m`, each with its
+    /// key's offset. A key is in `m` from when it is read, so a failure
+    /// inside its value still sees it.
+    fn members(&mut self, m: &mut Vec<(String, Json, usize)>) -> Result<(), JsonError> {
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.i += 1;
-            return Ok(Json::Obj(m));
+            return Ok(());
         }
         loop {
             self.skip_ws();
             let at = self.i;
             let k = self.string()?;
-            if m.contains_key(&k) {
-                return Err(JsonError::DuplicateKey { key: k, at });
-            }
+            m.push((k, Json::Null, at));
             self.skip_ws();
             self.expect(b':')?;
-            let v = self.value()?;
-            m.insert(k, v);
+            m.last_mut().expect("its key was pushed above").1 = self.value()?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.i += 1,
                 Some(b'}') => {
                     self.i += 1;
-                    return Ok(Json::Obj(m));
+                    return Ok(());
                 }
                 found => return Err(JsonError::UnclosedObject { found }),
             }
@@ -402,6 +416,20 @@ impl Parser<'_> {
     }
 }
 
+/// Sorts an object's members by key and returns the error for its first
+/// repeated key in input order, if any. The sort is stable, so equal keys
+/// stay in input order and each run of them ends in its repeats.
+fn first_repeat(m: &mut [(String, Json, usize)]) -> Option<JsonError> {
+    m.sort_by(|a, b| a.0.cmp(&b.0));
+    m.windows(2)
+        .filter(|w| w[0].0 == w[1].0)
+        .min_by_key(|w| w[1].2)
+        .map(|w| JsonError::DuplicateKey {
+            key: w[1].0.clone(),
+            at: w[1].2,
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,6 +505,34 @@ mod tests {
         assert!(Json::parse(r#"{"a":{"b":1,"b":1}}"#).is_err());
         // The same key in sibling objects is fine.
         assert!(Json::parse(r#"[{"a":1},{"a":2}]"#).is_ok());
+        // The first repeat in input order is the one reported, ahead of
+        // any later error, at any depth.
+        let dup = |key: &str, at| JsonError::DuplicateKey {
+            key: key.into(),
+            at,
+        };
+        for (doc, want) in [
+            (r#"{"b":0,"a":1,"b":2,"a":3}"#, dup("b", 13)),
+            (r#"{"a":1,"a":{"x":1,"x":2}}"#, dup("a", 7)),
+            (r#"{"a":{"x":1,"x":2},"a":1}"#, dup("x", 12)),
+            (r#"{"k":1,"k":2"#, dup("k", 7)),
+            (r#"{"k":1,"k":[}"#, dup("k", 7)),
+            (r#"{"k":1,"k""#, dup("k", 7)),
+        ] {
+            assert_eq!(Json::parse(doc), Err(want), "{doc}");
+        }
+    }
+
+    #[test]
+    fn objects_hold_their_members_sorted_by_key() {
+        let v = Json::parse(r#"{"b":1,"c":2,"a":3}"#).unwrap();
+        let Json::Obj(m) = &v else {
+            panic!("not an object: {v:?}")
+        };
+        let keys: Vec<&str> = m.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["a", "b", "c"]);
+        assert_eq!(v.get("c").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(v.get("d"), None);
     }
 
     /// Every rejection has a typed cause whose message is the text the

@@ -13,6 +13,7 @@
 
 #![forbid(unsafe_code)]
 
+mod ahead;
 pub mod btree;
 pub mod bwaves;
 pub mod dist;
@@ -28,6 +29,7 @@ pub mod synth;
 pub mod trace;
 pub mod xsbench;
 
+pub use ahead::live_producers;
 pub use registry::Benchmark;
 pub use scale::Scale;
 pub use spec::{

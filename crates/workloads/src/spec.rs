@@ -13,6 +13,7 @@
 //! [`SpecStream`] turns a spec into the deterministic event stream consumed
 //! by the simulation driver.
 
+use crate::ahead::{spare_core, Ahead, Reader};
 use crate::dist::ZipfTable;
 use memtis_sim::prelude::{
     Access, AccessStream, VirtAddr, WorkloadEvent, BASE_PAGE_SIZE, HUGE_PAGE_SIZE, NR_SUBPAGES,
@@ -20,7 +21,7 @@ use memtis_sim::prelude::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// How slots map onto a region's subpages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -297,13 +298,14 @@ pub fn assign_addresses(regions: &mut [RegionSpec]) {
 
 struct OpState {
     cum_weight: f64,
-    zipf: Option<Rc<ZipfTable>>,
+    zipf: Option<Arc<ZipfTable>>,
     cursor: u64,
 }
 
-/// Deterministic event stream over a [`WorkloadSpec`].
-pub struct SpecStream {
-    spec: WorkloadSpec,
+/// The stream's state machine: a pure function of `(spec, seed)` that
+/// reads nothing else, so it can run on any thread.
+struct Generator {
+    spec: Arc<WorkloadSpec>,
     rng: StdRng,
     phase: usize,
     phase_ready: bool,
@@ -312,22 +314,24 @@ pub struct SpecStream {
     ops: Vec<OpState>,
     /// Resolved placement of each region, indexed like `spec.regions`.
     maps: Vec<SlotMap>,
-    /// Zipf tables by region and exact exponent bits.
-    zipf_cache: HashMap<(usize, u64), Rc<ZipfTable>>,
+    /// Zipf tables by region and exact exponent bits, every phase's built
+    /// up front on the thread that creates the stream.
+    zipf_cache: HashMap<(usize, u64), Arc<ZipfTable>>,
     line_salt: u64,
 }
 
-impl SpecStream {
-    /// Creates a stream with the given RNG seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails validation.
-    pub fn new(spec: WorkloadSpec, seed: u64) -> Self {
-        if let Err(e) = spec.validate() {
-            panic!("invalid workload spec `{}`: {e}", spec.name);
+impl Generator {
+    fn new(spec: Arc<WorkloadSpec>, seed: u64) -> Self {
+        let mut zipf_cache = HashMap::new();
+        for op in spec.phases.iter().flat_map(|p| &p.ops) {
+            if let Pattern::Zipf(s) = op.pattern {
+                let slots = spec.regions[op.region].slots;
+                zipf_cache
+                    .entry((op.region, s.to_bits()))
+                    .or_insert_with(|| Arc::new(ZipfTable::new(slots, s)));
+            }
         }
-        SpecStream {
+        Generator {
             maps: spec.regions.iter().map(SlotMap::new).collect(),
             spec,
             rng: StdRng::seed_from_u64(seed),
@@ -336,14 +340,9 @@ impl SpecStream {
             emitted: 0,
             pending: VecDeque::new(),
             ops: Vec::new(),
-            zipf_cache: HashMap::new(),
+            zipf_cache,
             line_salt: 0,
         }
-    }
-
-    /// The underlying spec.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
     }
 
     fn enter_phase(&mut self) {
@@ -369,16 +368,7 @@ impl SpecStream {
         for op in &p.ops {
             acc += op.weight;
             let zipf = match op.pattern {
-                Pattern::Zipf(s) => {
-                    let slots = self.spec.regions[op.region].slots;
-                    let key = (op.region, s.to_bits());
-                    Some(
-                        self.zipf_cache
-                            .entry(key)
-                            .or_insert_with(|| Rc::new(ZipfTable::new(slots, s)))
-                            .clone(),
-                    )
-                }
+                Pattern::Zipf(s) => Some(Arc::clone(&self.zipf_cache[&(op.region, s.to_bits())])),
                 _ => None,
             };
             self.ops.push(OpState {
@@ -434,7 +424,7 @@ impl SpecStream {
     }
 }
 
-impl AccessStream for SpecStream {
+impl AccessStream for Generator {
     fn next_event(&mut self) -> Option<WorkloadEvent> {
         loop {
             if let Some(ev) = self.pending.pop_front() {
@@ -487,6 +477,95 @@ impl AccessStream for SpecStream {
             }
         }
         n
+    }
+
+    fn name(&self) -> &str {
+        &self.spec.name
+    }
+}
+
+/// Deterministic event stream over a [`WorkloadSpec`].
+///
+/// The events come from a private generator that reads only the spec and
+/// the seed. When the process has a spare core (one of
+/// `available_parallelism()` that no live stream or producer holds), the
+/// first pull moves the generator to a producer thread that runs one
+/// [`DEFAULT_CHUNK`](memtis_sim::prelude::DEFAULT_CHUNK) ahead of the
+/// reader; otherwise the generator fills the reader's buffers itself.
+/// Either way the stream is the same event for event. Dropping the stream
+/// joins its producer.
+pub struct SpecStream {
+    spec: Arc<WorkloadSpec>,
+    source: Source,
+    _reader: Reader,
+}
+
+enum Source {
+    /// Not pulled yet: the first pull picks one of the other two.
+    Unstarted(Option<Generator>),
+    Inline(Generator),
+    Ahead(Ahead),
+}
+
+impl SpecStream {
+    /// Creates a stream with the given RNG seed, building its Zipf tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec fails validation.
+    pub fn new(spec: WorkloadSpec, seed: u64) -> Self {
+        if let Err(e) = spec.validate() {
+            panic!("invalid workload spec `{}`: {e}", spec.name);
+        }
+        let spec = Arc::new(spec);
+        SpecStream {
+            source: Source::Unstarted(Some(Generator::new(Arc::clone(&spec), seed))),
+            spec,
+            _reader: Reader::register(),
+        }
+    }
+
+    /// The underlying spec.
+    pub fn spec(&self) -> &WorkloadSpec {
+        &self.spec
+    }
+
+    /// Picks the source at the first pull. Deciding then rather than at
+    /// creation lets streams created together all count before any picks.
+    #[cold]
+    fn start(&mut self) {
+        if let Source::Unstarted(gen) = &mut self.source {
+            let gen = gen.take().expect("an unstarted stream holds its generator");
+            self.source = if spare_core() {
+                Ahead::spawn(gen).map_or_else(Source::Inline, Source::Ahead)
+            } else {
+                Source::Inline(gen)
+            };
+        }
+    }
+}
+
+impl AccessStream for SpecStream {
+    fn next_event(&mut self) -> Option<WorkloadEvent> {
+        match &mut self.source {
+            Source::Inline(gen) => gen.next_event(),
+            Source::Ahead(ahead) => ahead.next_event(),
+            Source::Unstarted(_) => {
+                self.start();
+                self.next_event()
+            }
+        }
+    }
+
+    fn fill(&mut self, buf: &mut [WorkloadEvent]) -> usize {
+        match &mut self.source {
+            Source::Inline(gen) => gen.fill(buf),
+            Source::Ahead(ahead) => ahead.fill(buf),
+            Source::Unstarted(_) => {
+                self.start();
+                self.fill(buf)
+            }
+        }
     }
 
     fn name(&self) -> &str {
@@ -569,6 +648,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn producer_and_inline_paths_give_identical_events() {
+        // Long enough to cycle the producer's buffers several times.
+        let mut spec = tiny_spec();
+        spec.phases[1].accesses = 10_000;
+        let spec = Arc::new(spec);
+        let mut inline = Generator::new(Arc::clone(&spec), 7);
+        let mut ahead = Ahead::spawn(Generator::new(spec, 7))
+            .unwrap_or_else(|_| panic!("producer thread starts"));
+        let mut buf = vec![WorkloadEvent::Access(Access::load(0)); 333];
+        let mut events = 0;
+        loop {
+            // Bulk reads of an odd size, then one single read, so chunk
+            // boundaries fall everywhere.
+            let n = ahead.fill(&mut buf);
+            for ev in &buf[..n] {
+                let expect = inline.next_event().expect("the producer overran");
+                assert_eq!(format!("{ev:?}"), format!("{expect:?}"));
+            }
+            events += n;
+            match (ahead.next_event(), inline.next_event()) {
+                (Some(a), Some(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
+                (None, None) => break,
+                (a, b) => panic!("streams diverge in length: {a:?} vs {b:?}"),
+            }
+            events += 1;
+        }
+        assert_eq!(events, 10_102);
     }
 
     #[test]
@@ -707,9 +816,8 @@ mod tests {
             }],
         };
         spec.phases = vec![zipf_phase(0.9991), zipf_phase(0.9999)];
-        let mut st = SpecStream::new(spec, 1);
-        while st.next_event().is_some() {}
-        let tables: Vec<_> = st.zipf_cache.values().collect();
+        let gen = Generator::new(Arc::new(spec), 1);
+        let tables: Vec<_> = gen.zipf_cache.values().collect();
         assert_eq!(tables.len(), 2);
         assert_ne!(tables[0].pmf(0), tables[1].pmf(0));
     }

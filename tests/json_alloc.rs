@@ -17,9 +17,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// The stated bound: peak live bytes per input byte. The densest shape is
-/// a chain of one-key objects, `{"":{"":…}}`, where five input bytes open
-/// one B-tree leaf node of about 630 bytes (126 B per input byte); a long
-/// `[0,0,…]` peaks at 48, and strings at about 1.
+/// arrays nested to the depth limit, where each `[` holds a buffer of four
+/// values (64 B per input byte at 128 levels); a chain of one-key objects
+/// `{"":{"":…}}` peaks at 52, a long `[0,0,…]` at 48, and strings at
+/// about 1.
 const BYTES_PER_INPUT_BYTE: usize = 160;
 /// Fixed allowance for inputs too short for the ratio to mean anything.
 const SLACK: usize = 4096;

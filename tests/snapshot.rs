@@ -265,6 +265,26 @@ fn double_interruption_resumes_bit_exactly() {
     assert_eq!(full, report_sig(r));
 }
 
+/// Pausing with `run_until` and going on over the same live stream, as
+/// `--snapshot-every` does, reports exactly what the straight run does:
+/// the stream hands the driver the rest of its events, wherever a pause
+/// lands in a fill.
+#[test]
+fn pausing_on_one_live_stream_reports_the_straight_run() {
+    for chunk in [1, DEFAULT_CHUNK] {
+        let run = |pauses: &[u64]| {
+            let mut sim = Simulation::new(machine(), memtis_policy(), driver(chunk, None, None));
+            let mut wl = stream();
+            for &at in pauses {
+                assert!(sim.run_until(&mut wl, Some(at)).unwrap().is_none());
+            }
+            let r = sim.run_until(&mut wl, None).unwrap();
+            report_sig(r.expect("the last leg completes"))
+        };
+        assert_eq!(run(&[]), run(&[7_001, 19_999, 20_000]), "chunk {chunk}");
+    }
+}
+
 /// Restoring a TPP snapshot into a TPP policy with different tuning is
 /// rejected up front instead of silently diverging.
 #[test]
