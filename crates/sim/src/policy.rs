@@ -427,7 +427,7 @@ pub trait TieringPolicy {
     /// Called once before the run starts.
     fn init(&mut self, _ops: &mut PolicyOps<'_>) {}
 
-    /// Chooses the tier for a new allocation. [`alloc_page`] falls back to
+    /// Chooses the tier for a new allocation. The driver falls back to the
     /// other tiers if the preferred one is full.
     ///
     /// The default prefers the fast tier while it has room — the paper notes
@@ -666,9 +666,8 @@ impl TieringPolicy for NoopPolicy {
 /// Maps `[start, start + bytes)` for a new allocation through `policy`:
 /// a huge page wherever `thp` is set, the address is 2 MiB-aligned and a
 /// whole huge page remains, a base page elsewhere. A range that wraps past
-/// the top of the address space is [`SimError::RangeOverflow`]. Both the
-/// simulation driver and the real-thread runtime allocate through here.
-pub fn alloc_region<P: TieringPolicy + ?Sized>(
+/// the top of the address space is [`SimError::RangeOverflow`].
+pub(crate) fn alloc_region<P: TieringPolicy + ?Sized>(
     policy: &mut P,
     ops: &mut PolicyOps<'_>,
     start: VirtAddr,
@@ -696,7 +695,7 @@ pub fn alloc_region<P: TieringPolicy + ?Sized>(
 /// first other tier (in id order) with room, then reports the placement
 /// through `on_alloc`. A huge page no tier can hold (physical
 /// fragmentation) is retried as base pages.
-pub fn alloc_page<P: TieringPolicy + ?Sized>(
+pub(crate) fn alloc_page<P: TieringPolicy + ?Sized>(
     policy: &mut P,
     ops: &mut PolicyOps<'_>,
     vpage: VirtPage,

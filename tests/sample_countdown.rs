@@ -11,6 +11,10 @@
 //! events between two samples, would move a sample and diverge. Each cell
 //! also runs sharded at 1 and 2 shards (identical to each other), and
 //! resumes from a mid-run checkpoint.
+//!
+//! A faulted per-event run checks the other end of delivery: every access
+//! reaches `on_access` except the samples the injector dropped, plus the
+//! ones it duplicated, so no sample goes missing uncounted.
 
 use memtis_repro::memtis::{MemtisConfig, MemtisPolicy};
 use memtis_repro::obs::{export_jsonl, TracingObserver};
@@ -20,10 +24,12 @@ use memtis_repro::workloads::{Benchmark, Scale, SpecStream};
 const SEED: u64 = 20231023;
 const ACCESSES: u64 = 300_000;
 
-/// Counts the records delivered through `on_access_batch`.
+/// Counts the records delivered through `on_access_batch` and the calls
+/// to `on_access`.
 struct Counted {
     inner: MemtisPolicy,
     records: u64,
+    calls: u64,
 }
 
 impl TieringPolicy for Counted {
@@ -43,6 +49,7 @@ impl TieringPolicy for Counted {
         self.inner.on_free(ops, vpage, size)
     }
     fn on_access(&mut self, ops: &mut PolicyOps<'_>, access: &Access, outcome: &AccessOutcome) {
+        self.calls += 1;
         self.inner.on_access(ops, access, outcome)
     }
     fn batch_record_filter(&self) -> RecordFilter {
@@ -92,15 +99,16 @@ fn policy() -> Counted {
             ..MemtisConfig::sim_scaled()
         }),
         records: 0,
+        calls: 0,
     }
 }
 
-fn stream(bench: Benchmark) -> SpecStream {
-    SpecStream::new(bench.spec(Scale::TEST, ACCESSES), SEED)
+fn stream(bench: Benchmark, accesses: u64) -> SpecStream {
+    SpecStream::new(bench.spec(Scale::TEST, accesses), SEED)
 }
 
-fn machine(bench: Benchmark) -> MachineConfig {
-    let rss = bench.spec(Scale::TEST, ACCESSES).total_bytes();
+fn machine(bench: Benchmark, accesses: u64) -> MachineConfig {
+    let rss = bench.spec(Scale::TEST, accesses).total_bytes();
     MachineConfig::dram_nvm((rss / 9).max(2 * HUGE_PAGE_SIZE), rss * 2)
 }
 
@@ -119,7 +127,7 @@ type Sim = Simulation<Counted, TracingObserver>;
 
 fn sim(bench: Benchmark, chunk: usize, shards: Option<usize>) -> Sim {
     Simulation::with_observer(
-        machine(bench),
+        machine(bench, ACCESSES),
         policy(),
         driver(chunk, shards),
         TracingObserver::with_ring_capacity(1 << 20),
@@ -148,7 +156,9 @@ fn finish(sim: &Sim, mut report: RunReport) -> Run {
 
 fn run(bench: Benchmark, chunk: usize, shards: Option<usize>) -> Run {
     let mut s = sim(bench, chunk, shards);
-    let report = s.run(&mut stream(bench)).expect("simulation completes");
+    let report = s
+        .run(&mut stream(bench, ACCESSES))
+        .expect("simulation completes");
     finish(&s, report)
 }
 
@@ -157,7 +167,7 @@ fn run(bench: Benchmark, chunk: usize, shards: Option<usize>) -> Run {
 fn run_resumed(bench: Benchmark, chunk: usize) -> Run {
     let mut s = sim(bench, chunk, None);
     let paused = s
-        .run_until(&mut stream(bench), Some(ACCESSES / 2))
+        .run_until(&mut stream(bench, ACCESSES), Some(ACCESSES / 2))
         .expect("run to the pause");
     assert!(paused.is_none(), "the pause lands before the end");
     let bytes = s.snapshot();
@@ -165,7 +175,7 @@ fn run_resumed(bench: Benchmark, chunk: usize) -> Run {
     let mut s = sim(bench, chunk, None);
     s.restore(&bytes).expect("restore succeeds");
     let report = s
-        .run_until(&mut stream(bench), None)
+        .run_until(&mut stream(bench, ACCESSES), None)
         .expect("resumed run completes")
         .expect("resumed run reaches the end");
     finish(&s, report)
@@ -214,4 +224,37 @@ fn roms_countdown_matches_per_event_sampling() {
 #[test]
 fn silo_countdown_matches_per_event_sampling() {
     check(Benchmark::Silo);
+}
+
+/// A lossy, replaying sample path loses nothing uncounted: per event, with
+/// and without a migration bandwidth cap, `on_access` runs once per access
+/// less each injected drop plus each injected duplicate.
+#[test]
+fn every_lost_sample_is_counted() {
+    const N: u64 = 200_000;
+    for bench in [Benchmark::Silo, Benchmark::Btree] {
+        for migration_bw in [None, Some(8.0)] {
+            let cfg = DriverConfig {
+                faults: Some(FaultPlan {
+                    seed: 7,
+                    sample_drop: 0.05,
+                    sample_dup: 0.05,
+                    ..Default::default()
+                }),
+                migration_bw,
+                ..driver(1, None)
+            };
+            let mut s = Simulation::new(machine(bench, N), policy(), cfg);
+            let report = s.run(&mut stream(bench, N)).expect("simulation completes");
+            let f = &report.faults;
+            let cell = format!("{bench:?} migration_bw {migration_bw:?}");
+            assert_eq!(report.accesses, N, "{cell}");
+            assert!(f.sample_drops > 0 && f.sample_dups > 0, "{cell}: {f:?}");
+            assert_eq!(
+                s.policy().calls,
+                report.accesses - f.sample_drops + f.sample_dups,
+                "{cell}: {f:?}"
+            );
+        }
+    }
 }
